@@ -12,9 +12,7 @@ are registered per backend, and this module is the registry:
 * ``"reference"`` — the original step-loop formulations, bit-identical to
   the scalar escape hatches (``engine="scalar"`` / ``engine="event"``);
   this is the audit path and the honest baseline of
-  ``benchmarks/bench_backend.py``;
-* ``"numba"`` — optional JIT kernels behind a guarded import; registered
-  always, *available* only when numba is importable (no hard dependency).
+  ``benchmarks/bench_backend.py``.
 
 Selection is per call: every engine entry point takes a ``backend=``
 keyword, ``None`` falls back to the ``REPRO_BACKEND`` environment variable,
@@ -35,7 +33,6 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "Backend",
-    "available_backends",
     "get_backend",
     "register_backend",
     "registered_backends",
@@ -62,20 +59,12 @@ class Backend:
         One-liner shown in error messages and the docs.
     kernels:
         Mapping of kernel name (see :data:`repro.kernels.KERNEL_NAMES`) to
-        its implementation.  May be empty for an unavailable backend.
-    available:
-        Whether the backend can actually run in this process (numba's entry
-        is registered even when the import fails, so the error message can
-        say *why* it cannot be selected).
-    unavailable_reason:
-        Human-readable explanation when ``available`` is False.
+        its implementation.
     """
 
     name: str
     description: str
     kernels: Mapping[str, Callable]
-    available: bool = True
-    unavailable_reason: str = ""
 
 
 _REGISTRY: dict[str, Backend] = {}
@@ -106,22 +95,11 @@ def registered_backends() -> tuple[str, ...]:
     """All registered backend names, in registration order.
 
     Returns:
-        The names, whether or not each backend is available in this
-        process (see :func:`available_backends` for the usable subset).
+        The names — the axis the kernel and engine parity tests iterate
+        over.
     """
     _ensure_registered()
     return tuple(_REGISTRY)
-
-
-def available_backends() -> tuple[str, ...]:
-    """The backend names that can actually be selected in this process.
-
-    Returns:
-        Registered names whose ``available`` flag is set — the axis the
-        parity tests and the optional numba CI leg iterate over.
-    """
-    _ensure_registered()
-    return tuple(name for name, b in _REGISTRY.items() if b.available)
 
 
 def resolve_backend_name(name: str | None = None) -> str:
@@ -135,8 +113,7 @@ def resolve_backend_name(name: str | None = None) -> str:
             environment.
 
     Returns:
-        The resolved registered name (the backend may still be
-        unavailable; :func:`get_backend` enforces availability).
+        The resolved registered name.
 
     Raises:
         ConfigurationError: When the resolved name is not registered.
@@ -152,7 +129,7 @@ def resolve_backend_name(name: str | None = None) -> str:
 
 
 def get_backend(name: str | None = None) -> Backend:
-    """The resolved, *available* backend for a kernel call.
+    """The resolved backend for a kernel call.
 
     Args:
         name: Explicit selection; ``None`` falls back to ``REPRO_BACKEND``
@@ -162,12 +139,6 @@ def get_backend(name: str | None = None) -> Backend:
         The :class:`Backend` whose kernels should serve the call.
 
     Raises:
-        ConfigurationError: For an unknown name or a registered-but-
-            unavailable backend (e.g. ``"numba"`` without numba installed).
+        ConfigurationError: For an unknown name.
     """
-    backend = _REGISTRY[resolve_backend_name(name)]
-    if not backend.available:
-        raise ConfigurationError(
-            f"backend {backend.name!r} is unavailable: "
-            f"{backend.unavailable_reason or 'no reason recorded'}")
-    return backend
+    return _REGISTRY[resolve_backend_name(name)]

@@ -33,7 +33,7 @@ from repro.scenario.cache import ProfileCache
 from repro.solar.batch import WeatherCache
 
 __all__ = ["main", "build_parser", "study_main", "docs_main", "serve_main",
-           "network_main"]
+           "network_main", "SUBCOMMANDS"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,9 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         default=None,
-        help="shard batched scenario evaluation across N threads; for the "
-             "study-routed grids (sim-grid, robustness-grid) N worker "
-             "processes of the study runner",
+        help="shard batched scenario evaluation across N threads",
     )
     parser.add_argument(
         "--cache-dir",
@@ -76,61 +74,31 @@ def build_parser() -> argparse.ArgumentParser:
              "under DIR/weather) to DIR, reused across runs",
     )
     parser.add_argument(
-        "--pv-peaks",
-        metavar="W[,W...]",
-        default=None,
-        help="PV peak-power axis [Wp] of the table4-grid candidate sweep, "
-             "comma separated (e.g. 360,540,720)",
-    )
-    parser.add_argument(
-        "--battery-whs",
-        metavar="WH[,WH...]",
-        default=None,
-        help="battery-capacity axis [Wh] of the table4-grid candidate sweep, "
-             "comma separated (e.g. 720,1440,2160)",
-    )
-    parser.add_argument(
         "--trials",
         type=int,
         metavar="T",
         default=None,
-        help="Monte-Carlo trial count of the shadowing studies "
-             "(robustness-grid, ext-robust, abl-noise)",
+        help="Monte-Carlo trial count of the shadowing analyses "
+             "(ext-robust, abl-noise)",
     )
     parser.add_argument(
         "--sigmas",
         metavar="DB[,DB...]",
         default=None,
-        help="shadowing sigma axis [dB] of robustness-grid, comma separated "
-             "(e.g. 2,4,6); also enables the robust max-ISD overlay of "
-             "abl-noise",
-    )
-    parser.add_argument(
-        "--realizations",
-        type=int,
-        metavar="R",
-        default=None,
-        help="seeded Poisson timetable realizations per cell of the sim-grid "
-             "day-simulation sweep",
-    )
-    parser.add_argument(
-        "--headways",
-        metavar="S[,S...]",
-        default=None,
-        help="mean headway axis [s] of the sim-grid sweep, comma separated "
-             "(e.g. 300,450,900)",
+        help="shadowing sigmas [dB], comma separated (e.g. 2,4,6): enables "
+             "the robust max-ISD overlay of abl-noise",
     )
     return parser
 
 
-def _parse_axis(text: str, flag: str, allow_zero: bool = False) -> tuple[float, ...]:
+def _parse_sigmas(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
-        raise SystemExit(f"{flag} expects comma-separated numbers, got {text!r}")
-    if not values or any(v < 0 if allow_zero else v <= 0 for v in values):
-        kind = "non-negative" if allow_zero else "positive"
-        raise SystemExit(f"{flag} expects {kind} values, got {text!r}")
+        raise SystemExit(f"--sigmas expects comma-separated numbers, got {text!r}")
+    # sigma 0 is the valid no-shadowing anchor.
+    if not values or any(v < 0 for v in values):
+        raise SystemExit(f"--sigmas expects non-negative values, got {text!r}")
     return values
 
 
@@ -155,23 +123,12 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
         kwargs["cache"] = ProfileCache(maxsize=1024, cache_dir=args.cache_dir)
         kwargs["weather_cache"] = WeatherCache(
             maxsize=256, cache_dir=Path(args.cache_dir) / "weather")
-    if args.pv_peaks is not None:
-        kwargs["pv_peaks"] = _parse_axis(args.pv_peaks, "--pv-peaks")
-    if args.battery_whs is not None:
-        kwargs["battery_whs"] = _parse_axis(args.battery_whs, "--battery-whs")
     if args.trials is not None:
         if args.trials < 1:
             raise SystemExit("--trials must be >= 1")
         kwargs["trials"] = args.trials
     if args.sigmas is not None:
-        # sigma 0 is the valid no-shadowing anchor of a grid study.
-        kwargs["sigmas"] = _parse_axis(args.sigmas, "--sigmas", allow_zero=True)
-    if args.realizations is not None:
-        if args.realizations < 1:
-            raise SystemExit("--realizations must be >= 1")
-        kwargs["realizations"] = args.realizations
-    if args.headways is not None:
-        kwargs["headways"] = _parse_axis(args.headways, "--headways")
+        kwargs["sigmas"] = _parse_sigmas(args.sigmas)
     return kwargs
 
 
@@ -237,7 +194,7 @@ def build_study_parser() -> argparse.ArgumentParser:
                             "DIR, shared by worker processes")
         p.add_argument("--backend", metavar="NAME", default=None,
                        help="kernel backend for the stochastic engines "
-                            "(reference | numpy | numba; default: "
+                            "(reference | numpy; default: "
                             "REPRO_BACKEND or the fused numpy kernels)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the results preview table")
@@ -748,17 +705,17 @@ def serve_main(argv: list[str]) -> int:
     return 0 if open_jobs == 0 else 3
 
 
+#: Leading words routed to a subcommand parser, never to an experiment id
+#: (``all`` and ``list`` are reserved by :func:`main` itself).
+SUBCOMMANDS = {"study": study_main, "docs": docs_main, "serve": serve_main,
+               "network": network_main}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv[:1] == ["study"]:
-        return study_main(list(argv[1:]))
-    if argv[:1] == ["docs"]:
-        return docs_main(list(argv[1:]))
-    if argv[:1] == ["serve"]:
-        return serve_main(list(argv[1:]))
-    if argv[:1] == ["network"]:
-        return network_main(list(argv[1:]))
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](list(argv[1:]))
     args = build_parser().parse_args(argv)
 
     if args.experiment == "list":

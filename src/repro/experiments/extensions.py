@@ -15,7 +15,6 @@ from repro.corridor.layout import CorridorLayout
 from repro.economics.costmodel import CostAssumptions, corridor_cost
 from repro.emf.compliance import node_compliance
 from repro.energy.scenario import OperatingMode
-from repro.errors import ConfigurationError
 from repro.mobility.traversal import simulate_traversal
 from repro.propagation.fading import LogNormalShadowing
 from repro.radio.uplink import UplinkParams, compute_uplink_profile
@@ -29,7 +28,6 @@ __all__ = [
     "run_traversal", "TraversalExperiment",
     "run_economics", "EconomicsResult",
     "run_robustness", "RobustnessResult",
-    "run_robustness_grid", "RobustnessGridResult", "robustness_grid_study_spec",
     "run_lifetime", "LifetimeExperiment",
     "run_demand", "DemandExperiment",
     "run_cell_border", "CellBorderExperiment",
@@ -219,144 +217,6 @@ def run_robustness(sigma_db: float = 4.0, trials: int = 60,
             counts, layouts, matrix.outage_probability, ci_low, ci_high)
     ]
     return RobustnessResult(rows=rows, sigma_db=sigma_db)
-
-
-# --- robustness grid (ISD x sigma x decorrelation) -----------------------------------
-
-@dataclass(frozen=True)
-class RobustnessGridResult:
-    """Outage across an (ISD x sigma x decorrelation) grid, fixed trial streams."""
-
-    rows: list[tuple[float, float, float, float, float, float, float]]
-    n_repeaters: int
-    trials: int
-
-    def table(self) -> str:
-        return format_table(
-            ["sigma [dB]", "decorrelation [m]", "ISD [m]", "outage",
-             "95% CI low", "95% CI high", "median min SNR [dB]"],
-            [list(r) for r in self.rows],
-            title=(f"Shadowing robustness grid, N={self.n_repeaters}, "
-                   f"{self.trials} trials per cell"))
-
-    def series(self) -> dict[str, list]:
-        return {"sigma_db": [r[0] for r in self.rows],
-                "decorrelation_m": [r[1] for r in self.rows],
-                "isd_m": [r[2] for r in self.rows],
-                "outage_probability": [r[3] for r in self.rows],
-                "outage_ci95_low": [r[4] for r in self.rows],
-                "outage_ci95_high": [r[5] for r in self.rows],
-                "median_min_snr_db": [r[6] for r in self.rows]}
-
-
-def robustness_grid_study_spec(n_repeaters: int = 8,
-                               isds_m=None,
-                               sigmas=(2.0, 4.0, 6.0),
-                               decorrelations_m=(25.0, 50.0, 100.0),
-                               trials: int = 100,
-                               resolution_m: float = 10.0,
-                               seed: int = 2022,
-                               engine: str = "batched"):
-    """The robustness grid as a declarative :class:`~repro.study.spec.StudySpec`.
-
-    Args:
-        n_repeaters: Repeater count of every candidate layout.
-        isds_m: ISD axis [m]; defaults to the registered maximum for
-            ``n_repeaters`` and two back-offs (400 m, 200 m, 0 m).
-        sigmas / decorrelations_m: Shadowing parameter axes.
-        trials: Monte-Carlo trials per cell.
-        resolution_m: Track grid step of the Eq. (2) profiles.
-        seed: Root seed, shared across cells (common random numbers).
-        engine: ``"batched"`` (default) or the ``"scalar"`` escape hatch of
-            :func:`repro.optimize.mc.outage_matrix`.
-
-    Returns:
-        An ``mc``-engine spec with axes ``(sigma_db, decorrelation_m,
-        isd_m)`` — the exact row order of :func:`run_robustness_grid`.
-    """
-    from repro.study.spec import StudySpec
-
-    if isds_m is None:
-        if not 1 <= n_repeaters <= len(constants.PAPER_MAX_ISD_M):
-            raise ConfigurationError(
-                f"default ISD anchor needs 1 <= n_repeaters <= "
-                f"{len(constants.PAPER_MAX_ISD_M)}, got {n_repeaters}; "
-                f"pass isds_m explicitly for other repeater counts")
-        registered = constants.PAPER_MAX_ISD_M[n_repeaters - 1]
-        isds_m = tuple(registered - backoff for backoff in (400.0, 200.0, 0.0))
-    return StudySpec(
-        name="robustness-grid",
-        engine="mc",
-        description="Shadowing outage over (ISD x sigma x decorrelation)",
-        axes=(
-            ("sigma_db", tuple(float(s) for s in sigmas)),
-            ("decorrelation_m", tuple(float(d) for d in decorrelations_m)),
-            ("isd_m", tuple(float(isd) for isd in isds_m)),
-        ),
-        fixed=(
-            ("n_repeaters", int(n_repeaters)),
-            ("trials", int(trials)),
-            ("resolution_m", float(resolution_m)),
-            ("engine", engine),
-        ),
-        seed=seed,
-    )
-
-
-def run_robustness_grid(n_repeaters: int = 8,
-                        isds_m=None,
-                        sigmas=(2.0, 4.0, 6.0),
-                        decorrelations_m=(25.0, 50.0, 100.0),
-                        trials: int = 100,
-                        resolution_m: float = 10.0,
-                        seed: int = 2022,
-                        jobs: int | None = None,
-                        cache=None,
-                        engine: str = "batched") -> RobustnessGridResult:
-    """Sweep outage over (ISD x sigma_db x decorrelation_m x trials).
-
-    Compiles to a declarative ``mc``-engine study
-    (:func:`robustness_grid_study_spec`) executed by the sharded runner.  The
-    per-trial seeding (``default_rng([seed, t])``, common random numbers)
-    makes every cell comparable — along the ISD axis *and* across shadowing
-    parameters — and makes the grid bit-identical for any shard/job count,
-    including to a stacked all-candidates ``outage_matrix`` evaluation
-    (pinned in ``tests/test_study.py``).  ``isds_m`` defaults to the
-    registered maximum for
-    ``n_repeaters`` and two 200 m back-offs, i.e. the margin question an
-    operator actually asks.
-
-    Args:
-        jobs: Worker processes for the study runner (``None``/1 = inline).
-        cache: Optional :class:`~repro.scenario.cache.ProfileCache` memoizing
-            the Eq. (2) profiles (honoured inline; worker processes share
-            through its ``cache_dir`` when set).
-        engine: ``"batched"`` (default) or the ``"scalar"`` audit path.
-
-    Returns:
-        The :class:`RobustnessGridResult` with one row per grid cell.
-    """
-    from repro.study.runner import run_study
-
-    spec = robustness_grid_study_spec(
-        n_repeaters=n_repeaters, isds_m=isds_m, sigmas=sigmas,
-        decorrelations_m=decorrelations_m, trials=trials,
-        resolution_m=resolution_m, seed=seed, engine=engine)
-    context = {}
-    if cache is not None:
-        context["profile_cache"] = cache
-        if getattr(cache, "cache_dir", None) is not None:
-            context["cache_dir"] = str(cache.cache_dir)
-    table = run_study(spec, jobs=jobs or 1, context=context).table
-    columns = table.wide()
-    rows = [
-        (columns["sigma_db"][i], columns["decorrelation_m"][i],
-         columns["isd_m"][i], columns["outage_probability"][i],
-         columns["outage_ci95_low"][i], columns["outage_ci95_high"][i],
-         columns["median_min_snr_db"][i])
-        for i in range(len(table))
-    ]
-    return RobustnessGridResult(rows=rows, n_repeaters=n_repeaters, trials=trials)
 
 
 # --- battery lifetime --------------------------------------------------------------------

@@ -24,33 +24,28 @@ from repro.experiments.extensions import (
     run_emf,
     run_lifetime,
     run_robustness,
-    run_robustness_grid,
     run_traversal,
     run_uplink,
 )
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.maxisd import run_maxisd
-from repro.experiments.network import run_network
-from repro.experiments.simgrid import run_sim_grid
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
-from repro.experiments.table4 import run_table4, run_table4_grid
+from repro.experiments.table4 import run_table4
 from repro.reporting.series import write_csv
 
 __all__ = ["ALL_EXPERIMENTS", "ENGINE_KWARGS", "run_experiment", "run_all"]
 
 #: Shared engine options every experiment may receive (and may ignore).
-#: ``weather_cache`` memoizes off-grid weather-year tensors; ``pv_peaks`` /
-#: ``battery_whs`` set the candidate axes of the ``table4-grid`` sweep;
-#: ``trials`` (``robustness-grid``, ``ext-robust``, ``abl-noise``) and
-#: ``sigmas`` (``robustness-grid``, ``abl-noise``) parameterize the
-#: Monte-Carlo shadowing studies; ``realizations`` / ``headways`` set the
-#: timetable fleet and headway axis of the ``sim-grid`` day-simulation sweep.
+#: ``weather_cache`` memoizes off-grid weather-year tensors; ``trials``
+#: (``ext-robust``, ``abl-noise``) and ``sigmas`` (``abl-noise``)
+#: parameterize the Monte-Carlo shadowing analyses.  The grid sweeps take
+#: no options here: they ship as ``studies/*.yaml`` files run by
+#: ``repro study run``.
 ENGINE_KWARGS = frozenset({"jobs", "cache", "exhaustive", "weather_cache",
-                           "pv_peaks", "battery_whs", "trials", "sigmas",
-                           "realizations", "headways"})
+                           "trials", "sigmas"})
 
 
 @dataclass(frozen=True)
@@ -89,14 +84,6 @@ ALL_EXPERIMENTS: dict[str, ExperimentSpec] = {
         ExperimentSpec("table2", "EARTH power-model parameters", run_table2),
         ExperimentSpec("table3", "Traffic scenario and duty cycles", run_table3),
         ExperimentSpec("table4", "Off-grid PV dimensioning, four regions", run_table4),
-        ExperimentSpec("table4-grid", "Off-grid candidate grid (PV x battery), four regions",
-                       run_table4_grid),
-        ExperimentSpec("sim-grid",
-                       "Monte-Carlo day simulation (headway x trains/day x policy)",
-                       run_sim_grid),
-        ExperimentSpec("network",
-                       "Topology optimization (demand x energy budget x mix)",
-                       run_network),
         ExperimentSpec("abl-noise", "Ablation: repeater-noise models", run_noise_ablation),
         ExperimentSpec("abl-place", "Ablation: repeater placement", run_placement_ablation),
         ExperimentSpec("abl-sleep", "Ablation: wake-transition time", run_sleep_ablation),
@@ -105,9 +92,6 @@ ALL_EXPERIMENTS: dict[str, ExperimentSpec] = {
         ExperimentSpec("ext-traversal", "Extension: per-traversal data volume", run_traversal),
         ExperimentSpec("ext-econ", "Extension: 10-year cost comparison", run_economics),
         ExperimentSpec("ext-robust", "Extension: shadowing outage", run_robustness),
-        ExperimentSpec("robustness-grid",
-                       "Extension: outage over (ISD x sigma x decorrelation) grid",
-                       run_robustness_grid),
         ExperimentSpec("ext-lifetime", "Extension: PV system aging", run_lifetime),
         ExperimentSpec("ext-demand", "Extension: demand-driven load", run_demand),
         ExperimentSpec("ext-border", "Extension: BBU cell-border SINR", run_cell_border),

@@ -12,10 +12,9 @@ away — the only remaining sequential loops in the codebase:
 * :func:`occupancy_scan` — the occupancy-group wake-cycle walk (the sim
   engine's group scan).
 
-Importing this module registers the three backends with
-:mod:`repro.backend`: ``"numpy"`` (fused formulations, the default),
-``"reference"`` (the original step loops, bit-identity anchor) and
-``"numba"`` (optional JIT; registered unavailable when numba is missing).
+Importing this module registers the two backends with
+:mod:`repro.backend`: ``"numpy"`` (fused formulations, the default) and
+``"reference"`` (the original step loops, bit-identity anchor).
 Every dispatcher takes a ``backend=`` keyword resolved per call via
 :func:`repro.backend.get_backend` (explicit argument, then the
 ``REPRO_BACKEND`` environment variable, then ``"numpy"``).
@@ -26,14 +25,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import Backend, get_backend, register_backend
-from repro.kernels import numba_jit as _numba
 from repro.kernels import numpy_fused as _numpy
 from repro.kernels import reference as _reference
 
 __all__ = ["KERNEL_NAMES", "ar1_scan", "ar1_min_scan", "soc_scan",
            "occupancy_scan"]
 
-#: The kernel names every available backend must provide.
+#: The kernel names every backend must provide.
 KERNEL_NAMES = ("ar1_scan", "ar1_min_scan", "soc_scan", "occupancy_scan")
 
 register_backend(Backend(
@@ -47,14 +45,6 @@ register_backend(Backend(
     description="original step-loop kernels — the bit-identity anchor and "
                 "benchmark baseline",
     kernels=_reference.KERNELS,
-))
-register_backend(Backend(
-    name="numba",
-    description="JIT-compiled step loops (optional dependency)",
-    kernels=_numba.KERNELS,
-    available=_numba.AVAILABLE,
-    unavailable_reason="numba is not installed (optional dependency; "
-                       "`pip install numba` enables this backend)",
 ))
 
 

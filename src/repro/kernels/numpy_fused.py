@@ -32,7 +32,7 @@ Three genuinely different formulations, not relabels of the step loops:
 
 ``occupancy_scan`` is re-exported from the reference backend unchanged:
 its lane axis is already fully batched and the group loop is a handful of
-iterations — the numba backend is where a JIT win exists for it.
+iterations, so no fused formulation is needed.
 """
 
 from __future__ import annotations

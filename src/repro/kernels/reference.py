@@ -5,7 +5,7 @@ every backend implements the same named kernels.  They advance one
 time/position step per Python iteration and are the bit-identity anchor:
 the scalar escape hatches (``engine="scalar"`` / per-system
 ``simulate_year`` / ``engine="event"``) are pinned equal to *these* in the
-parity matrix, and the fused numpy / numba kernels are pinned to them in
+parity matrix, and the fused numpy kernels are pinned to them in
 turn (bit-identical where documented, ``<= 1e-9`` otherwise).  They are
 also the honest baseline measured by ``benchmarks/bench_backend.py``.
 """

@@ -297,8 +297,8 @@ def outage_matrix(profiles,
         ``backend="reference"`` is bit-identical to it; the fused default
         backend matches within 1e-9.
     backend:
-        Kernel backend for the batched engine (``"numpy"``, ``"reference"``
-        or ``"numba"``); ``None`` resolves via the ``REPRO_BACKEND``
+        Kernel backend for the batched engine (``"numpy"`` or
+        ``"reference"``); ``None`` resolves via the ``REPRO_BACKEND``
         environment variable and then the ``"numpy"`` default.  Ignored by
         ``engine="scalar"``.
 

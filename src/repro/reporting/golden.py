@@ -1,8 +1,11 @@
 """Golden-regression snapshots of the paper's tables and figures.
 
 A *golden spec* names one experiment, the (JSON-able) kwargs it is run with,
-and per-field numeric tolerances.  ``tools/refresh_golden.py`` runs every
-spec and snapshots its data series to ``tests/golden/<id>.json``;
+and per-field numeric tolerances.  Sweeps that ship as ``studies/*.yaml``
+files are snapshotted through the study path instead: the kwargs become
+``fixed`` overrides of the shipped file (see :data:`STUDY_FILES`).
+``tools/refresh_golden.py`` runs every spec and snapshots its data series
+to ``tests/golden/<id>.json``;
 ``tests/test_golden_regression.py`` re-runs the specs and diffs against the
 snapshots, so any drift in the reproduced Table I-IV / Fig. 3-4 numbers —
 from a refactor, an engine change, or a dependency bump — fails loudly with
@@ -23,13 +26,20 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError
 
-__all__ = ["GoldenSpec", "GOLDEN_SPECS", "spec_for", "compute_series",
-           "save_snapshot", "load_snapshot", "compare_series", "golden_path"]
+__all__ = ["GoldenSpec", "GOLDEN_SPECS", "STUDY_FILES", "spec_for",
+           "compute_series", "save_snapshot", "load_snapshot",
+           "compare_series", "golden_path"]
 
 #: Default tolerances: tight enough to catch any real modelling drift, loose
 #: enough to absorb libm / summation-order differences across platforms.
 _RTOL = 1e-9
 _ATOL = 1e-12
+
+#: The shipped study files live at the repository root, beside ``src/``.
+_STUDIES_DIR = Path(__file__).resolve().parents[3] / "studies"
+
+#: Golden ids computed from a shipped study file rather than an experiment.
+STUDY_FILES = {"network": "national_network.yaml"}
 
 
 @dataclass(frozen=True)
@@ -50,8 +60,9 @@ class GoldenSpec:
 #: The snapshotted set: Table I-IV, the Fig. 3/4 series, and the network
 #: optimizer's headline table.  Fig. 3 uses a 10 m grid to keep the snapshot
 #: compact; the fidelity tests cover the fine grid separately.  The network
-#: sweep runs a 1500-segment graph — the same code path as the shipped
-#: 10 000-segment study, at snapshot-friendly size.
+#: sweep is ``studies/national_network.yaml`` on a 1500-segment graph — the
+#: same code path as the shipped 10 000-segment study, at snapshot-friendly
+#: size.
 GOLDEN_SPECS: tuple[GoldenSpec, ...] = (
     GoldenSpec("table1"),
     GoldenSpec("table2"),
@@ -107,16 +118,32 @@ def _restore(value):
     return value
 
 
-def compute_series(spec: GoldenSpec) -> dict[str, list]:
-    """Run the experiment and return its sanitized data series."""
-    from repro.experiments.runner import run_experiment
+def _study_series(spec: GoldenSpec) -> dict[str, list]:
+    """Axis and engine-metric columns of the spec's shipped study file."""
+    from repro.study import STUDY_ENGINES, load_study, run_study
 
-    result = run_experiment(spec.experiment_id, **spec.kwargs)
-    if not hasattr(result, "series"):
-        raise ConfigurationError(
-            f"experiment {spec.experiment_id!r} has no series() to snapshot")
+    study = load_study(_STUDIES_DIR / STUDY_FILES[spec.experiment_id])
+    study = study.with_overrides(**spec.kwargs)
+    columns = run_study(study).table.wide()
+    names = study.axis_names + STUDY_ENGINES[study.engine].metrics
+    return {name: columns[name] for name in names}
+
+
+def compute_series(spec: GoldenSpec) -> dict[str, list]:
+    """Run the experiment (or study) and return its sanitized data series."""
+    if spec.experiment_id in STUDY_FILES:
+        series = _study_series(spec)
+    else:
+        from repro.experiments.runner import run_experiment
+
+        result = run_experiment(spec.experiment_id, **spec.kwargs)
+        if not hasattr(result, "series"):
+            raise ConfigurationError(
+                f"experiment {spec.experiment_id!r} has no series() to "
+                f"snapshot")
+        series = result.series()
     return {name: [_sanitize(v) for v in values]
-            for name, values in result.series().items()}
+            for name, values in series.items()}
 
 
 def save_snapshot(spec: GoldenSpec, directory: str | Path) -> Path:

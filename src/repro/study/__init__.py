@@ -16,8 +16,9 @@ fault quarantine and a JSONL run journal) into one tidy results table.
     report.table.write_csv("sim_grid.csv")        # tidy long format
 
 See ``docs/studies.md`` for the document schema and ``studies/*.yaml`` for
-the shipped examples mirroring the ``sim-grid`` / ``robustness-grid`` /
-``table4-grid`` experiments.
+the shipped sweeps (day simulation, shadowing robustness, off-grid sizing
+and the national network), run from the command line with
+``repro study run``.
 """
 
 from repro.study.distributed import (

@@ -257,7 +257,7 @@ def _run_mc(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
 
 #: Per-process memo of seeded timetable fleets: cells that share the traffic
 #: scenario (e.g. the three policies of one demand point) reuse one fleet —
-#: the same common-random-number sharing the ``sim-grid`` experiment uses.
+#: common random numbers across the policy axis.
 _TIMETABLE_MEMO: OrderedDict[tuple, tuple] = OrderedDict()
 _TIMETABLE_MEMO_MAX = 32
 

@@ -392,7 +392,7 @@ def run_study(spec: StudySpec,
             ``only_shards``; also when new shards are about to be computed
             into a store whose recorded run metadata names a *different*
             kernel backend than this run resolves to (``numpy`` vs
-            ``reference`` vs ``numba`` results agree only to tolerance,
+            ``reference`` results agree only to tolerance,
             not bit-for-bit, so mixing them would silently break the CRN
             bit-identity contract) — pass ``force_backend=True``
             (CLI ``--force``) to accept the mix.

@@ -22,9 +22,9 @@ sweep:
   runner for any ``jobs``/``shards`` layout (inline == pooled).
 
 Every stochastic comparison also sweeps the kernel-backend axis
-(:func:`repro.backend.available_backends`): the solar engine is
+(:func:`repro.backend.registered_backends`): the solar engine is
 bit-identical on *every* backend, the mc engine is bit-identical on
-``"reference"`` and pinned to <= 1e-9 on the fused backends, and the sim
+``"reference"`` and pinned to <= 1e-9 on the fused numpy backend, and the sim
 engine's batch/event agreement holds per backend.
 
 It replaces the per-PR ad-hoc equality tests that previously lived in
@@ -34,11 +34,12 @@ in those modules.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.backend import available_backends
+from repro.backend import registered_backends
 
 from repro.corridor.layout import CorridorLayout
 from repro.energy.duty import EnergyParams
@@ -60,6 +61,8 @@ from repro.traffic.trains import Train
 
 #: The shared seed sweep: every stochastic engine pair is compared on each.
 SEEDS = (0, 7, 1234)
+
+STUDIES_DIR = Path(__file__).resolve().parents[1] / "studies"
 
 
 # --- radio: Eq. (2) batch vs. scalar profile --------------------------------------
@@ -104,7 +107,7 @@ class TestSolarParity:
         # floats are pinned at 1e-9 while integer counts, metadata, and
         # the hour-order PV sums stay exact.
         soc_dependent = {"unmet_wh", "min_soc", "annual_load_kwh"}
-        for backend in available_backends():
+        for backend in registered_backends():
             batched = simulate_systems(systems, start_day_of_year=274,
                                        weather_cache=cache, backend=backend)
             for scalar, result in zip(scalars, batched):
@@ -145,7 +148,7 @@ class TestMcParity:
                                   backend="reference")
         assert np.array_equal(reference.min_snr_db, scalar.min_snr_db)
         assert np.array_equal(reference.outage_counts, scalar.outage_counts)
-        for backend in available_backends():
+        for backend in registered_backends():
             batched = outage_matrix(profiles, shadowing, trials=40,
                                     seed=seed, backend=backend)
             np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,
@@ -164,7 +167,7 @@ class TestMcParity:
         reference = model.sample_batch(pos, trial_generators(seed, 16),
                                        backend="reference")
         assert np.array_equal(reference, scalar)
-        for backend in available_backends():
+        for backend in registered_backends():
             batch = model.sample_batch(pos, trial_generators(seed, 16),
                                        backend=backend)
             np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9,
@@ -251,7 +254,7 @@ class TestSimParity:
         # must not depend on the backend at all.
         default = simulate_days(layout=self.LAYOUT, stochastic=True,
                                 realizations=3, seed=seed)
-        for backend in available_backends():
+        for backend in registered_backends():
             other = simulate_days(layout=self.LAYOUT, stochastic=True,
                                   realizations=3, seed=seed, backend=backend)
             for name in ("active_s", "awake_s", "energy_wh"):
@@ -261,6 +264,18 @@ class TestSimParity:
 
 
 # --- network: batched frontier vs. scalar reference, layout invariance -------
+
+
+def _demo_network_study():
+    """``studies/national_network.yaml`` shrunk to the 48-segment demo graph."""
+    from repro.study import load_study
+
+    spec = load_study(STUDIES_DIR / "national_network.yaml")
+    return dataclasses.replace(spec, axes=(
+        ("demand_scale", (1.0, 2.0)),
+        ("energy_budget_w_per_km", (0.0, 130.0)),
+        ("technologies", ("conventional,repeater,mobile_relay",)),
+    )).with_overrides(graph="demo", segments=0, resolution_m=50.0)
 
 
 class TestNetworkParity:
@@ -295,14 +310,9 @@ class TestNetworkParity:
                                         dict(jobs=1, shards=5),
                                         dict(jobs=2, shards=3)])
     def test_study_bit_identical_for_any_layout(self, layout):
-        from repro.experiments.network import network_study_spec
         from repro.study.runner import run_study
 
-        spec = network_study_spec(
-            graph="demo", segments=0, demand_scales=(1.0, 2.0),
-            energy_budgets_w_per_km=(0.0, 130.0),
-            technology_mixes=("conventional,repeater,mobile_relay",),
-            resolution_m=50.0)
+        spec = _demo_network_study()
         inline = run_study(spec).table.long()
         routed = run_study(spec, **layout).table.long()
         # Infeasible budget cells are NaN rows, and NaN != NaN — compare
@@ -322,7 +332,6 @@ class TestNetworkParity:
         # split, merged back, against the same inline reference — the CRN
         # contract extends across machine boundaries (NaN rows included:
         # the 0.0 budget cells are infeasible).
-        from repro.experiments.network import network_study_spec
         from repro.study import (
             RunJournal,
             StudyStore,
@@ -331,11 +340,7 @@ class TestNetworkParity:
             run_study,
         )
 
-        spec = network_study_spec(
-            graph="demo", segments=0, demand_scales=(1.0, 2.0),
-            energy_budgets_w_per_km=(0.0, 130.0),
-            technology_mixes=("conventional,repeater,mobile_relay",),
-            resolution_m=50.0)
+        spec = _demo_network_study()
         inline = run_study(spec, shards=3, journal=RunJournal(None)).table
         manifests = []
         for worker in range(2):

@@ -140,6 +140,14 @@ class TestRunner:
         for eid in ("fig3", "fig4", "maxisd", "table1", "table2", "table3", "table4"):
             assert eid in ALL_EXPERIMENTS
 
+    def test_no_id_shadowed_by_a_cli_subcommand(self):
+        # main() routes these leading words away from the experiment
+        # registry, so an id among them could never run from the CLI.
+        from repro.cli import SUBCOMMANDS
+
+        reserved = set(SUBCOMMANDS) | {"all", "list"}
+        assert not reserved & set(ALL_EXPERIMENTS)
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigurationError):
             run_experiment("fig99")

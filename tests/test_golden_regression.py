@@ -36,6 +36,15 @@ def test_every_spec_has_a_committed_snapshot():
         assert golden_path(GOLDEN_DIR, spec).exists(), spec.experiment_id
 
 
+def test_study_backed_snapshot_regenerates_byte_for_byte(tmp_path):
+    # The network snapshot comes from studies/national_network.yaml; a
+    # refresh must reproduce the committed file exactly, not just within
+    # tolerance.
+    spec = spec_for("network")
+    written = save_snapshot(spec, tmp_path)
+    assert written.read_bytes() == golden_path(GOLDEN_DIR, spec).read_bytes()
+
+
 class TestHarnessMechanics:
     def test_spec_for_unknown_id(self):
         with pytest.raises(ConfigurationError):

@@ -9,10 +9,12 @@ matches within 1e-9 while preserving the CRN prefix properties bitwise
 (kernel-level coverage lives in ``tests/test_kernels.py``).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.backend import available_backends
+from repro.backend import registered_backends
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
 from repro.optimize.mc import (
@@ -25,6 +27,8 @@ from repro.propagation.fading import LogNormalShadowing
 from repro.radio.batch import evaluate_scenarios
 from repro.radio.link import SnrProfile
 from repro.scenario.spec import Scenario
+
+STUDIES_DIR = Path(__file__).resolve().parents[1] / "studies"
 
 
 def _profiles(isds_n=((1250.0, 1), (2400.0, 8), (500.0, 0)), resolution_m=10.0):
@@ -54,7 +58,7 @@ class TestSampleBatch:
         reference = model.sample_batch(pos, trial_generators(7, 20),
                                        backend="reference")
         assert np.array_equal(reference, scalar)
-        for backend in available_backends():
+        for backend in registered_backends():
             batch = model.sample_batch(pos, trial_generators(7, 20),
                                        backend=backend)
             np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9)
@@ -115,7 +119,7 @@ class TestOutageMatrix:
         reference = outage_matrix(profiles, shadowing, trials=64, seed=9,
                                   backend="reference")
         assert np.array_equal(reference.min_snr_db, scalar.min_snr_db)
-        for backend in available_backends():
+        for backend in registered_backends():
             batched = outage_matrix(profiles, shadowing, trials=64, seed=9,
                                     backend=backend)
             np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,
@@ -299,30 +303,27 @@ class TestRobustMaxIsdBisection:
 
 class TestRobustnessGridExperiment:
     def test_grid_shape_and_monotone_sigma(self):
-        from repro.experiments.extensions import run_robustness_grid
+        from dataclasses import replace
 
-        result = run_robustness_grid(n_repeaters=1, isds_m=(1000.0, 1250.0),
-                                     sigmas=(1.0, 4.0), decorrelations_m=(50.0,),
-                                     trials=40)
-        assert len(result.rows) == 2 * 1 * 2
-        by_cell = {(r[0], r[2]): r[3] for r in result.rows}
+        from repro.study import load_study, run_study
+
+        spec = replace(load_study(STUDIES_DIR / "robustness_grid.yaml"), axes=(
+            ("sigma_db", (1.0, 4.0)),
+            ("decorrelation_m", (50.0,)),
+            ("isd_m", (1000.0, 1250.0)),
+        )).with_overrides(n_repeaters=1, trials=40)
+        table = run_study(spec).table
+        assert len(table) == 2 * 1 * 2
+        columns = table.wide()
+        by_cell = {(sigma, isd): outage for sigma, isd, outage in zip(
+            columns["sigma_db"], columns["isd_m"],
+            columns["outage_probability"])}
         # More shadowing, more outage (common random numbers per cell).
         for isd in (1000.0, 1250.0):
             assert by_cell[(1.0, isd)] <= by_cell[(4.0, isd)]
         # Larger ISD, more outage at fixed sigma.
         for sigma in (1.0, 4.0):
             assert by_cell[(sigma, 1000.0)] <= by_cell[(sigma, 1250.0)]
-        series = result.series()
-        assert len(series["outage_probability"]) == len(result.rows)
-        assert "robustness grid" in result.table()
-
-    def test_registered_and_runs_via_registry(self, tmp_path):
-        from repro.experiments.runner import ALL_EXPERIMENTS, run_experiment
-
-        assert "robustness-grid" in ALL_EXPERIMENTS
-        run_experiment("robustness-grid", output_dir=tmp_path, trials=10,
-                       sigmas=(4.0,))
-        assert (tmp_path / "robustness-grid.csv").exists()
 
     def test_noise_ablation_robust_overlay(self):
         from repro.experiments.ablations import run_noise_ablation
@@ -352,9 +353,9 @@ class TestRobustnessGridExperiment:
     def test_cli_flags(self, capsys):
         from repro.cli import main
 
-        assert main(["robustness-grid", "--trials", "8", "--sigmas", "4",
+        assert main(["abl-noise", "--trials", "8", "--sigmas", "4",
                      "--quiet"]) == 0
         with pytest.raises(SystemExit):
-            main(["robustness-grid", "--sigmas", "abc"])
+            main(["abl-noise", "--sigmas", "abc"])
         with pytest.raises(SystemExit):
-            main(["robustness-grid", "--trials", "0"])
+            main(["abl-noise", "--trials", "0"])

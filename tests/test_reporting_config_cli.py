@@ -138,19 +138,39 @@ class TestCliEngineFlags:
         with pytest.raises(SystemExit):
             main(["fig3", "--jobs", "0"])
 
+    @staticmethod
+    def _sim_grid_study(tmp_path, headways="[450.0, 900.0]", realizations=2):
+        """A sim-grid study file over (headway x trains/day x policy)."""
+        path = tmp_path / "sim_grid.yaml"
+        path.write_text(f"""
+name: sim-grid
+engine: sim
+axes:
+  headway_s: {headways}
+  trains_per_day: [76.0, 152.0]
+  policy: [continuous, sleep, solar]
+fixed:
+  isd_m: 2400.0
+  realizations: {realizations}
+""")
+        return str(path)
+
     def test_sim_grid_realizations_and_headways(self, tmp_path, capsys):
-        assert main(["sim-grid", "--realizations", "2",
-                     "--headways", "450,900", "--csv", str(tmp_path),
+        csv_path = tmp_path / "sim_grid.csv"
+        assert main(["study", "run", self._sim_grid_study(tmp_path),
+                     "--csv", str(csv_path), "--layout", "wide",
                      "--quiet"]) == 0
-        csv_text = (tmp_path / "sim-grid.csv").read_text()
+        csv_text = csv_path.read_text()
         assert "450" in csv_text and "900" in csv_text
-        # 2 headways x 2 trains/day defaults x 3 policies = 12 rows + header.
+        # 2 headways x 2 trains/day x 3 policies = 12 rows + header.
         assert len(csv_text.strip().splitlines()) == 13
 
-    def test_rejects_bad_realizations(self):
-        with pytest.raises(SystemExit):
-            main(["sim-grid", "--realizations", "0"])
+    def test_rejects_bad_realizations(self, tmp_path, capsys):
+        path = self._sim_grid_study(tmp_path, realizations=0)
+        assert main(["study", "run", path, "--quiet"]) == 1
+        assert "realizations must be >= 1" in capsys.readouterr().err
 
-    def test_rejects_bad_headways(self):
-        with pytest.raises(SystemExit):
-            main(["sim-grid", "--headways", "450,-1"])
+    def test_rejects_bad_headways(self, tmp_path, capsys):
+        path = self._sim_grid_study(tmp_path, headways="[450.0, -1.0]")
+        assert main(["study", "run", path, "--quiet"]) == 1
+        assert "must be positive" in capsys.readouterr().err

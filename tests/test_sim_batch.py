@@ -3,10 +3,12 @@
 Cross-engine equality lives in tests/test_engine_parity.py; this module
 covers the batch engine's own semantics: CRN timetable fleets, result
 accounting, validation, the sleep-policy comparison in repro.energy, and the
-sim-grid experiment.
+shipped sim-grid study.
 """
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +18,15 @@ from repro.energy.analysis import simulated_policy_comparison
 from repro.energy.duty import EnergyParams
 from repro.energy.scenario import OperatingMode, segment_energy
 from repro.errors import ConfigurationError
-from repro.experiments.simgrid import run_sim_grid
 from repro.simulation.batch import simulate_days
 from repro.simulation.elements import ElementSpec, corridor_elements
+from repro.study import load_study, run_study
 from repro.traffic.timetable import Timetable, TrainRun, day_timetables, generate_timetable
 from repro.traffic.trains import TrafficParams
 
 LAYOUT = CorridorLayout.with_uniform_repeaters(2400.0, 8)
+
+STUDIES_DIR = Path(__file__).resolve().parents[1] / "studies"
 
 
 class TestElementSpecs:
@@ -188,46 +192,57 @@ class TestPolicyComparison:
                 policy.analytic_w_per_km, rel=0.02)
 
 
+def _sim_grid(trains_per_day, realizations, seed=0, **fixed):
+    """``studies/sim_grid.yaml`` at ISD 2400 m over a trains/day axis."""
+    spec = load_study(STUDIES_DIR / "sim_grid.yaml")
+    spec = replace(spec, seed=seed, axes=(
+        ("isd_m", (2400.0,)),
+        ("trains_per_day", tuple(trains_per_day)),
+        ("policy", tuple(mode.value for mode in OperatingMode)),
+    ))
+    return spec.with_overrides(realizations=realizations, **fixed)
+
+
 class TestSimGridExperiment:
+    """The shipped sim-grid study (headway 450 s) through the study runner."""
+
     def test_grid_shape_and_feasibility(self):
-        result = run_sim_grid(headways=(450.0, 900.0), trains_per_day=(76.0, 152.0),
-                              realizations=3, seed=0)
-        assert len(result.rows) == 2 * 2 * 3
-        infeasible = [r for r in result.rows if not r.feasible]
-        # 152 trains at 900 s needs 38 service hours — unschedulable.
-        assert {(r.headway_s, r.trains_per_day) for r in infeasible} \
-            == {(900.0, 152.0)}
-        for row in result.rows:
-            if row.feasible:
-                assert row.mean_w_per_km == pytest.approx(
-                    row.analytic_w_per_km, rel=0.05)
-                assert row.realizations == 3
+        table = run_study(_sim_grid((76.0, 152.0, 304.0), 3)).table
+        assert len(table) == 3 * 3
+        wide = table.wide()
+        rows = [dict(zip(wide, cells)) for cells in zip(*wide.values())]
+        # 304 trains at 450 s needs 38 service hours — unschedulable.
+        assert {r["trains_per_day"] for r in rows if not r["feasible"]} \
+            == {304.0}
+        for row in rows:
+            if row["feasible"]:
+                assert row["mean_w_per_km"] == pytest.approx(
+                    row["analytic_w_per_km"], rel=0.05)
+                assert row["realizations"] == 3
             else:
-                assert math.isnan(row.analytic_w_per_km)
+                assert math.isnan(row["analytic_w_per_km"])
 
     def test_series_and_table_cover_all_rows(self):
-        result = run_sim_grid(headways=(450.0,), trains_per_day=(152.0,),
-                              realizations=2)
-        series = result.series()
-        assert len(series["mode"]) == 3
-        assert "sim-grid" in result.table()
+        table = run_study(_sim_grid((152.0,), 2)).table
+        assert table.wide()["policy"] == ["continuous", "sleep", "solar"]
+        assert table.table().startswith("study sim-grid-demand: 3 cases")
 
     def test_engines_agree_cell_for_cell(self):
-        kwargs = dict(headways=(450.0,), trains_per_day=(152.0,),
-                      realizations=2, seed=4)
-        batch = run_sim_grid(engine="batch", **kwargs)
-        event = run_sim_grid(engine="event", **kwargs)
-        for b, e in zip(batch.rows, event.rows):
-            assert b.mean_w_per_km == pytest.approx(e.mean_w_per_km, rel=1e-9)
-            assert b.std_w_per_km == pytest.approx(e.std_w_per_km, rel=1e-6)
+        batch = run_study(_sim_grid((152.0,), 2, seed=4, engine="batch"))
+        event = run_study(_sim_grid((152.0,), 2, seed=4, engine="event"))
+        batch, event = batch.table.wide(), event.table.wide()
+        assert batch["mean_w_per_km"] == pytest.approx(
+            event["mean_w_per_km"], rel=1e-9)
+        assert batch["std_w_per_km"] == pytest.approx(
+            event["std_w_per_km"], rel=1e-6)
 
     def test_rejects_bad_axes(self):
         with pytest.raises(ConfigurationError):
-            run_sim_grid(headways=())
+            _sim_grid((), 2)
         with pytest.raises(ConfigurationError):
-            run_sim_grid(trains_per_day=(0.0,))
+            run_study(_sim_grid((0.0,), 2))
         with pytest.raises(ConfigurationError):
-            run_sim_grid(realizations=0)
+            run_study(_sim_grid((76.0,), 0))
 
 
 class TestCorridorSimulationRouting:

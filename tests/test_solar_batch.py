@@ -11,6 +11,7 @@ contract (exact integers/PV sums, 1e-9 SoC-dependent floats) lives in
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,10 +38,13 @@ from repro.solar.offgrid import (
 )
 from repro.solar.pv import PvArray
 from repro.solar.sizing import find_minimal_system
+from repro.study import load_study, run_study
 
 RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(OffGridResult))
 
 ALL_LOCATIONS = tuple(LOCATIONS)
+
+STUDIES_DIR = Path(__file__).resolve().parents[1] / "studies"
 
 
 def assert_results_equal(batched, scalar):
@@ -271,38 +275,53 @@ class TestRoutedConsumers:
             assert_results_equal(result, system.simulate_year())
 
 
+def _table4_grid(pv_peaks, battery_whs):
+    """``studies/table4_grid.yaml`` over the given candidate axes."""
+    spec = load_study(STUDIES_DIR / "table4_grid.yaml")
+    return dataclasses.replace(spec, axes=(
+        ("location", ("madrid", "lyon", "vienna", "berlin")),
+        ("pv_peak_w", tuple(pv_peaks)),
+        ("battery_wh", tuple(battery_whs)),
+    ))
+
+
 class TestTable4Grid:
+    """The shipped table4-grid study through the study runner."""
+
     def test_grid_experiment_matches_scalar(self):
-        from repro.experiments.table4 import run_table4_grid
-        grid = run_table4_grid(pv_peaks=(540.0, 600.0),
-                               battery_whs=(720.0, 1440.0),
-                               weather_cache=WeatherCache(),
-                               backend="reference")
-        assert set(grid.results) == {"madrid", "lyon", "vienna", "berlin"}
-        result = grid.results["berlin"][(600.0, 1440.0)]
+        table = run_study(_table4_grid((540.0, 600.0), (720.0, 1440.0)),
+                          context={"backend": "reference"}).table
+        wide = table.wide()
+        records = (dict(zip(wide, cells)) for cells in zip(*wide.values()))
+        rows = {(r["location"], r["pv_peak_w"], r["battery_wh"]): r
+                for r in records}
+        assert {loc for loc, _, _ in rows} == {"madrid", "lyon", "vienna",
+                                               "berlin"}
+        row = rows[("berlin", 600.0, 1440.0)]
         system = OffGridSystem(LOCATIONS["berlin"], pv=PvArray(peak_w=600.0),
                                battery=Battery(capacity_wh=1440.0))
-        assert_results_equal(result, system.simulate_year())
+        scalar = system.simulate_year()
+        assert row["zero_downtime"] == int(scalar.zero_downtime)
+        assert row["unmet_hours"] == scalar.unmet_hours
+        assert row["unmet_wh"] == scalar.unmet_wh
+        assert row["min_soc"] == scalar.min_soc
+        assert row["full_battery_days_pct"] == scalar.full_battery_days_pct
+        assert row["annual_pv_kwh"] == scalar.annual_pv_kwh
+
+        def minimal_battery_wh(location, pv):
+            feasible = [wh for (loc, p, wh), r in rows.items()
+                        if (loc, p) == (location, pv) and r["zero_downtime"]]
+            return min(feasible) if feasible else None
+
         # The paper's outcomes are a cross-section of the grid.
-        assert grid.minimal_battery_wh("madrid", 540.0) == 720.0
-        assert grid.minimal_battery_wh("vienna", 540.0) == 1440.0
-        assert grid.minimal_battery_wh("berlin", 540.0) is None
-        assert grid.minimal_battery_wh("berlin", 600.0) == 1440.0
+        assert minimal_battery_wh("madrid", 540.0) == 720.0
+        assert minimal_battery_wh("vienna", 540.0) == 1440.0
+        assert minimal_battery_wh("berlin", 540.0) is None
+        assert minimal_battery_wh("berlin", 600.0) == 1440.0
 
     def test_grid_series_shape(self):
-        from repro.experiments.table4 import run_table4_grid
-        grid = run_table4_grid(pv_peaks=(540.0,), battery_whs=(720.0, 1440.0),
-                               weather_cache=WeatherCache())
-        series = grid.series()
-        assert len(series["location"]) == 4 * 1 * 2
-        assert set(series) >= {"location", "pv_peak_w", "battery_wh",
-                               "zero_downtime", "unmet_hours"}
-        assert grid.table().startswith("Table IV grid")
-
-    def test_grid_registered_in_runner(self):
-        from repro.experiments.runner import ALL_EXPERIMENTS, run_experiment
-        assert "table4-grid" in ALL_EXPERIMENTS
-        result = run_experiment("table4-grid", pv_peaks=(540.0,),
-                                battery_whs=(720.0,),
-                                weather_cache=WeatherCache())
-        assert set(result.results) == {"madrid", "lyon", "vienna", "berlin"}
+        table = run_study(_table4_grid((540.0,), (720.0, 1440.0))).table
+        assert len(table) == 4 * 1 * 2
+        assert set(table.wide()) >= {"location", "pv_peak_w", "battery_wh",
+                                     "zero_downtime", "unmet_hours"}
+        assert table.table().startswith("study table4-grid")

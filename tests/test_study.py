@@ -2,7 +2,7 @@
 
 Covers the ISSUE-5 contract: YAML/TOML round-trips and validation errors,
 shard-count invariance (1 shard == N shards bit-identical under CRN),
-resume-from-partial-results equality, study-vs-experiment parity for the
+resume-from-partial-results equality, study-vs-engine parity for the
 shipped ``studies/*.yaml`` files, and the ``repro study`` CLI smoke.
 """
 
@@ -14,13 +14,6 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.experiments.extensions import (
-    robustness_grid_study_spec,
-    run_robustness_grid,
-)
-from repro.experiments.network import network_study_spec
-from repro.experiments.simgrid import run_sim_grid, sim_grid_study_spec
-from repro.experiments.table4 import run_table4_grid, table4_grid_study_spec
 from repro.study import (
     STUDY_ENGINES,
     StudySpec,
@@ -417,31 +410,10 @@ fixed:
             run_study(spec)
 
 
-# -- parity with the routed experiments ---------------------------------------
+# -- shipped studies vs the engines they route to ------------------------------
 
 
 class TestExperimentParity:
-    def test_sim_grid_routes_through_study(self):
-        result = run_sim_grid(headways=(450.0,), trains_per_day=(76.0, 300.0),
-                              realizations=3)
-        spec = sim_grid_study_spec(headways=(450.0,),
-                                   trains_per_day=(76.0, 300.0),
-                                   realizations=3)
-        table = run_study(spec).table.wide()
-        assert [r.mean_w_per_km for r in result.rows if r.feasible] \
-            == [v for v in table["mean_w_per_km"] if v == v]
-        assert [r.mode.value for r in result.rows] == table["policy"]
-        assert [r.service_hours for r in result.rows] == table["service_hours"]
-
-    def test_robustness_grid_routes_through_study(self):
-        result = run_robustness_grid(trials=10, sigmas=(2.0,),
-                                     decorrelations_m=(50.0,))
-        spec = robustness_grid_study_spec(trials=10, sigmas=(2.0,),
-                                          decorrelations_m=(50.0,))
-        table = run_study(spec).table.wide()
-        assert [r[3] for r in result.rows] == table["outage_probability"]
-        assert [r[2] for r in result.rows] == table["isd_m"]
-
     def test_robustness_grid_matches_stacked_outage_matrix(self):
         """Pin the per-case routing against the pre-refactor stacked sweep.
 
@@ -457,10 +429,15 @@ class TestExperimentParity:
         from repro.scenario.spec import Scenario
 
         isds = (2000.0, 2200.0, 2400.0)
-        sigmas, decorrs, trials, seed = (2.0, 4.0), (50.0,), 15, 2022
-        routed = run_robustness_grid(isds_m=isds, sigmas=sigmas,
-                                     decorrelations_m=decorrs, trials=trials,
-                                     seed=seed)
+        sigmas, decorrs, trials = (2.0, 4.0), (50.0,), 15
+        spec = replace(load_study(STUDIES_DIR / "robustness_grid.yaml"), axes=(
+            ("sigma_db", sigmas), ("decorrelation_m", decorrs),
+            ("isd_m", isds),
+        )).with_overrides(trials=trials)
+        columns = run_study(spec).table.wide()
+        routed = list(zip(*(columns[name] for name in (
+            "sigma_db", "decorrelation_m", "isd_m", "outage_probability",
+            "outage_ci95_low", "outage_ci95_high", "median_min_snr_db"))))
         profiles = evaluate_scenarios(
             [Scenario(layout=CorridorLayout.with_uniform_repeaters(isd, 8),
                       resolution_m=10.0) for isd in isds])
@@ -470,7 +447,7 @@ class TestExperimentParity:
                 matrix = outage_matrix(
                     profiles, LogNormalShadowing(sigma_db=sigma,
                                                  decorrelation_m=decorr),
-                    trials=trials, seed=seed)
+                    trials=trials, seed=spec.seed)
                 low, high = matrix.ci95()
                 median = matrix.quantile(0.5)
                 for c, isd in enumerate(isds):
@@ -478,41 +455,39 @@ class TestExperimentParity:
                                     float(matrix.outage_probability[c]),
                                     float(low[c]), float(high[c]),
                                     float(median[c])))
-        assert routed.rows == stacked
+        assert routed == stacked
 
     def test_table4_grid_series_parity(self):
-        pv, wh = (540.0,), (720.0, 1440.0)
-        series = run_table4_grid(pv_peaks=pv, battery_whs=wh).series()
-        spec = table4_grid_study_spec(pv_peaks=pv, battery_whs=wh)
-        table = run_study(spec, shards=3).table.wide()
-        for column in ("location", "pv_peak_w", "battery_wh", "zero_downtime",
-                       "unmet_hours", "full_battery_days_pct",
-                       "annual_pv_kwh"):
-            assert table[column] == series[column], column
+        from repro.solar.batch import candidate_grid, simulate_candidates
+        from repro.solar.climates import LOCATIONS
 
-    def test_shipped_yaml_files_load_and_match_helpers(self):
+        pv, wh = (540.0,), (720.0, 1440.0)
+        spec = replace(load_study(STUDIES_DIR / "table4_grid.yaml"), axes=(
+            ("location", ("madrid", "lyon", "vienna", "berlin")),
+            ("pv_peak_w", pv), ("battery_wh", wh),
+        ))
+        table = run_study(spec, shards=3).table.wide()
+        # The whole candidate grid of one location in one batched pass.
+        direct = [result
+                  for key in ("madrid", "lyon", "vienna", "berlin")
+                  for result in simulate_candidates(
+                      LOCATIONS[key], candidate_grid(pv, wh), seed=spec.seed)]
+        assert table["zero_downtime"] == [int(r.zero_downtime) for r in direct]
+        for column in ("unmet_hours", "full_battery_days_pct",
+                       "annual_pv_kwh"):
+            assert table[column] == [getattr(r, column) for r in direct], \
+                column
+
+    def test_shipped_yaml_files_load(self):
         by_name = {}
         for path in sorted(STUDIES_DIR.glob("*.yaml")):
             spec = load_study(path)
             by_name[spec.name] = spec
         assert set(by_name) == {"sim-grid-demand", "robustness-grid",
                                 "table4-grid", "national-network"}
-        assert by_name["table4-grid"].compute_hash \
-            == table4_grid_study_spec().compute_hash
-        # national_network.yaml mirrors the experiment helper exactly (the
-        # derived columns are presentation-only and excluded from the hash)
-        assert by_name["national-network"].compute_hash \
-            == network_study_spec().compute_hash
-        # the YAML mirrors the experiment's axes and defaults exactly: once
-        # adapter defaults are applied, every case resolves identically
-        helper = robustness_grid_study_spec(
-            isds_m=dict(by_name["robustness-grid"].axes)["isd_m"])
-        yaml_spec = by_name["robustness-grid"]
-        assert yaml_spec.axes == helper.axes
-        assert yaml_spec.seed == helper.seed
-        adapter = STUDY_ENGINES["mc"]
-        assert [adapter.resolve(c) for c in yaml_spec.cases()] \
-            == [adapter.resolve(c) for c in helper.cases()]
+        for spec in by_name.values():
+            for case in spec.cases():
+                STUDY_ENGINES[spec.engine].resolve(case)  # raises if invalid
 
     def test_shipped_sim_yaml_runs_end_to_end(self):
         """Acceptance: the (ISD x trains/day x policy) study end to end."""
