@@ -545,12 +545,14 @@ def build_network_parser() -> argparse.ArgumentParser:
                           "(default: %(default)s)")
     opt.add_argument("--energy-budget", type=float, default=None,
                      metavar="W_PER_KM",
-                     help="global energy budget per track km [W/km] "
+                     help="global energy budget per track km [W/km]; "
+                          "<= 0 means unconstrained, as in a network study "
                           "(default: unconstrained)")
     opt.add_argument("--cost-budget", type=float, default=None,
                      metavar="KEUR_PER_KM",
                      help="global cost budget per track km [kEUR/km] over "
-                          "the horizon (default: unconstrained)")
+                          "the horizon; <= 0 means unconstrained, as in a "
+                          "network study (default: unconstrained)")
     opt.add_argument("--technologies",
                      default="conventional,repeater,mobile_relay",
                      metavar="A,B,...",
@@ -581,6 +583,14 @@ def build_network_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _global_budget(per_km: float | None, scale: float) -> float | None:
+    """Scale a per-km CLI budget to a network total.
+
+    ``None`` or ``<= 0`` means unconstrained, as in the network study engine.
+    """
+    return None if per_km is None or per_km <= 0 else per_km * scale
+
+
 def network_main(argv: list[str]) -> int:
     """Entry point of the ``repro network`` subcommands."""
     from repro.errors import ReproError
@@ -602,10 +612,10 @@ def network_main(argv: list[str]) -> int:
             args.technologies, min_sleep_headway_s=args.min_sleep_headway)
         plan = optimize_network(
             graph, catalog,
-            energy_budget_w=(None if args.energy_budget is None
-                             else args.energy_budget * graph.length_km),
-            cost_budget_eur=(None if args.cost_budget is None
-                             else args.cost_budget * 1e3 * graph.length_km),
+            energy_budget_w=_global_budget(args.energy_budget,
+                                           graph.length_km),
+            cost_budget_eur=_global_budget(args.cost_budget,
+                                           1e3 * graph.length_km),
             resolution_m=args.resolution,
             horizon_years=args.horizon_years,
             jobs=args.jobs, engine=args.engine)

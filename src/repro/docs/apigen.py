@@ -24,6 +24,7 @@ Args/Returns".
 
 from __future__ import annotations
 
+import functools
 import inspect
 import re
 from dataclasses import dataclass
@@ -225,7 +226,7 @@ def _render_class(name: str, cls: type, module_name: str) -> list[str]:
     for attr, member in vars(cls).items():
         if attr.startswith("_"):
             continue
-        if isinstance(member, property):
+        if isinstance(member, (property, functools.cached_property)):
             doc = inspect.getdoc(member)
             if doc:
                 out += [f"#### `{name}.{attr}` *(property)*", "",
@@ -271,7 +272,7 @@ def render_module(module_name: str) -> str:
         obj = getattr(module, name)
         if inspect.isclass(obj):
             out += _render_class(name, obj, module_name)
-        elif inspect.isfunction(obj):
+        elif inspect.isfunction(inspect.unwrap(obj)):  # e.g. lru_cache'd
             out += [f"### `{name}{_signature(obj)}`", "",
                     _member_doc(name, obj, module_name), ""]
         else:

@@ -15,7 +15,7 @@ Per-segment technology frontiers are computed in one batched pass
 through :func:`repro.radio.batch.evaluate_scenarios` and unique
 (speed class, demand) profiles through
 :func:`repro.energy.scenario.segment_energy`); the assignment itself is a
-Lagrangian bisection over the ``[segment, option]`` arrays — never a
+Lagrangian bisection over the frontier's distinct rows — never a
 per-segment Python loop.  A bit-identical ``engine="scalar"`` per-segment
 reference is pinned by ``tests/test_engine_parity.py``.
 

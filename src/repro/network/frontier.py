@@ -33,6 +33,7 @@ asserts.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -246,6 +247,32 @@ class SegmentFrontiers:
         """Lowest achievable network energy (min feasible option per row)."""
         energy = np.where(self.feasible, self.energy_w, np.inf)
         return float(energy.min(axis=1).sum())
+
+    @functools.cached_property
+    def row_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Segments with identical frontier rows, as ``(first, inverse)``.
+
+        ``first`` holds the lowest segment index of each distinct row of
+        (``feasible``, ``energy_w``, ``cost_eur``) and ``inverse`` maps every
+        segment to its group, so ``energy_w[first][inverse]`` reproduces
+        ``energy_w``.  Infeasible cells are masked to NaN and feasible cells
+        compared bit for bit, so grouped rows score identically in the
+        optimizer.  A national graph's 10 000 segments share ~100 rows.
+        Computed on first use and cached on the frontier object.
+        """
+        feasible = self.feasible
+        keys = np.concatenate(
+            [np.where(feasible, self.energy_w, np.nan).view(np.int64),
+             np.where(feasible, self.cost_eur, np.nan).view(np.int64),
+             feasible.astype(np.int64)], axis=1)
+        # Stable sort, so each group's first sorted member is its lowest index.
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        starts = np.ones(order.size, dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        inverse = np.empty(order.size, dtype=np.intp)
+        inverse[order] = np.cumsum(starts) - 1
+        return order[starts], inverse
 
 
 def _segment_cost(length_km, n_seg, n_service, n_donor, energy_w,

@@ -5,9 +5,18 @@ Given the per-segment frontiers of :func:`repro.network.frontier.segment_frontie
 per segment to minimize total cost subject to a global energy budget (or,
 with only a cost budget, minimize energy subject to cost).  The segment
 choices are independent given a price on the constrained resource, so the
-dual is one-dimensional and the solver is a Lagrangian bisection over the
-``[segment, option]`` arrays — pure numpy argmin passes, never a
-per-segment Python loop.
+dual is one-dimensional and the solver is a Lagrangian bisection: double
+the price from 1 until the selection fits the budget, then bisect for 64
+iterations.
+
+Each selection is a numpy argmin over the *unique* frontier rows only
+(:attr:`~repro.network.frontier.SegmentFrontiers.row_groups`; ~100 rows for
+a 10 000-segment national graph), broadcast back to the segments, while
+budget totals are summed over every segment.  Each scored cell computes the
+same float as a full-row pass, so the plans are bit-identical to it.  An
+exact walk over the sorted λ breakpoints is deliberately not used: it
+changes the per-row float arithmetic, and where two rows cross within a
+few ulps of λ* it returns a different plan than the bisection.
 
 Determinism: ties in the penalized score break toward the lower constrained
 total and then the lowest option index, so the assignment is a pure
@@ -150,11 +159,18 @@ def _select(frontiers: SegmentFrontiers, objective: np.ndarray,
             constrained: np.ndarray, lam: float) -> np.ndarray:
     """Per-segment argmin of ``objective + lam * constrained``.
 
-    Infeasible cells are masked with ``inf`` *before* the price is applied
-    (``0 * inf`` would poison the score with NaN at ``lam == 0``).  Ties
-    break toward the lower constrained total, then the lowest option index.
+    Scores only one representative per distinct frontier row
+    (:attr:`SegmentFrontiers.row_groups`) and broadcasts its choice to the
+    row's segments; each scored cell computes the same float as in a
+    full-row pass, so the choices are identical.  Infeasible cells are
+    masked with ``inf`` *before* the price is applied (``0 * inf`` would
+    poison the score with NaN at ``lam == 0``).  Ties break toward the
+    lower constrained total, then the lowest option index.
     """
-    feasible = frontiers.feasible
+    first, inverse = frontiers.row_groups
+    feasible = frontiers.feasible[first]
+    objective = objective[first]
+    constrained = constrained[first]
     score = np.where(feasible, objective + lam * constrained, np.inf)
     best = score.min(axis=1, keepdims=True)
     tied = score == best
@@ -163,11 +179,12 @@ def _select(frontiers: SegmentFrontiers, objective: np.ndarray,
                           np.inf)
     best_metric = tie_metric.min(axis=1, keepdims=True)
     # ...and among those, the lowest option index (argmax of the mask).
-    return np.argmax(tie_metric == best_metric, axis=1)
+    return np.argmax(tie_metric == best_metric, axis=1)[inverse]
 
 
 def _totals(frontiers: SegmentFrontiers, choice: np.ndarray,
             values: np.ndarray) -> float:
+    """Network total of ``values`` under ``choice``, summed over every row."""
     rows = np.arange(choice.size)
     return float(values[rows, choice].sum())
 

@@ -10,6 +10,8 @@ default 10 000 segments is the workload the ``network`` study engine and
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import ConfigurationError
 from repro.network.graph import Corridor, DemandProfile, NetworkGraph, NetworkSegment
 
@@ -41,9 +43,13 @@ def _segment(corridor_index: int, segment_index: int,
                           speed_class="highspeed", demand=demand)
 
 
+@functools.lru_cache(maxsize=4)
 def build_graph(name: str, n_segments: int | None = None,
                 demand_scale: float = 1.0) -> NetworkGraph:
     """Build a named deterministic graph.
+
+    Graphs are frozen, so repeated calls with the same arguments return
+    one memoized instance (a study's technology-mix axis shares it).
 
     Args:
         name: ``"demo"`` (4 corridors, 48 segments) or ``"national"``

@@ -11,13 +11,19 @@ Seeded, deterministic properties of the Lagrangian assignment:
   energy totals exactly (``==``, not approximately);
 * **infeasibility discipline** — budgets below the minimum achievable raise
   :class:`~repro.errors.InfeasibleError` only after the full frontier scan,
-  with the true minima attached.
+  with the true minima attached;
+* **unique-row solving** — the optimizer scores one representative per
+  distinct frontier row, and its plans are bit-identical to a full-row
+  reference solver kept in this file.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.corridor.multisegment import LinePlan
 from repro.errors import ConfigurationError, GeometryError, InfeasibleError
@@ -26,12 +32,14 @@ from repro.network import (
     DemandProfile,
     NetworkGraph,
     NetworkSegment,
+    SegmentFrontiers,
     TechnologyCatalog,
     build_graph,
     fixed_options_power_w,
     optimize_network,
     segment_frontiers,
 )
+from repro.network.optimize import _select
 
 SEEDS = (0, 7, 1234)
 
@@ -280,3 +288,210 @@ class TestAssignmentSurface:
         catalog = TechnologyCatalog.from_names("conventional,mobile_relay")
         labels = [o.label for o in catalog.options()]
         assert labels == ["conventional@500", "mobile_relay@2650"]
+
+
+# -- unique-row solving vs. the full-row reference ----------------------------
+
+
+def _full_row_select(frontiers, objective, constrained, lam):
+    """Reference per-segment argmin over every ``[segment, option]`` row."""
+    feasible = frontiers.feasible
+    score = np.where(feasible, objective + lam * constrained, np.inf)
+    best = score.min(axis=1, keepdims=True)
+    tied = score == best
+    tie_metric = np.where(tied, np.where(feasible, constrained, np.inf),
+                          np.inf)
+    best_metric = tie_metric.min(axis=1, keepdims=True)
+    return np.argmax(tie_metric == best_metric, axis=1)
+
+
+def _full_row_total(choice, values):
+    return float(values[np.arange(choice.size), choice].sum())
+
+
+def _full_row_solve(frontiers, objective, constrained, budget):
+    """Reference Lagrangian bisection (64 iterations, doubling bracket)."""
+    choice = _full_row_select(frontiers, objective, constrained, 0.0)
+    if _full_row_total(choice, constrained) <= budget:
+        return choice, 0.0
+    masked = np.where(frontiers.feasible, constrained, np.inf)
+    if float(masked.min(axis=1).sum()) > budget:
+        raise InfeasibleError("below the minimum")
+    hi = 1.0
+    for _ in range(200):
+        choice = _full_row_select(frontiers, objective, constrained, hi)
+        if _full_row_total(choice, constrained) <= budget:
+            break
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        choice = _full_row_select(frontiers, objective, constrained, mid)
+        if _full_row_total(choice, constrained) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    return _full_row_select(frontiers, objective, constrained, hi), hi
+
+
+def _assert_matches_reference(frontiers, *, energy_budget_w=None,
+                              cost_budget_eur=None):
+    """The optimizer's plan equals the full-row reference bit for bit."""
+    cost, energy = frontiers.cost_eur, frontiers.energy_w
+    try:
+        if energy_budget_w is not None:
+            choice, lam = _full_row_solve(frontiers, cost, energy,
+                                          energy_budget_w)
+        else:
+            choice, lam = _full_row_solve(frontiers, energy, cost,
+                                          cost_budget_eur)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            optimize_network(frontiers=frontiers,
+                             energy_budget_w=energy_budget_w,
+                             cost_budget_eur=cost_budget_eur)
+        return False
+    plan = optimize_network(frontiers=frontiers,
+                            energy_budget_w=energy_budget_w,
+                            cost_budget_eur=cost_budget_eur)
+    assert np.array_equal(plan.option_index, choice)
+    assert plan.lambda_star == lam
+    assert plan.total_energy_w == _full_row_total(choice, energy)
+    assert plan.total_cost_eur == _full_row_total(choice, cost)
+    return True
+
+
+class TestUniqueRowSolving:
+    @pytest.mark.parametrize("technologies", [
+        "conventional,repeater,mobile_relay", "conventional,repeater"])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    def test_plans_match_full_row_reference(self, scale, technologies):
+        graph = build_graph("national", n_segments=1500, demand_scale=scale)
+        frontiers = segment_frontiers(
+            graph, TechnologyCatalog.from_names(technologies),
+            resolution_m=RESOLUTION_M)
+        assert len(frontiers.row_groups[0]) < frontiers.n_segments // 10
+        minimum = frontiers.min_energy_w()
+        energy_budgets = [0.99 * minimum, *np.linspace(
+            minimum, 200.0 * graph.length_km, 24)]
+        feasible = [_assert_matches_reference(frontiers, energy_budget_w=b)
+                    for b in energy_budgets]
+        assert feasible[0] is False and all(feasible[1:])
+        min_cost = float(np.where(frontiers.feasible, frontiers.cost_eur,
+                                  np.inf).min(axis=1).sum())
+        for factor in (0.99, 1.0, 1.02, 1.1, 1.5):
+            _assert_matches_reference(frontiers,
+                                      cost_budget_eur=factor * min_cost)
+
+    def test_near_tie_budget_keeps_bisection_plan(self):
+        # Two distinct rows' exact crossing prices lie 7 and 8 ulps above
+        # lambda*.  Selecting at those prices, as an exact breakpoint walk
+        # would, gives a 4055.64 MEUR plan instead of this one.
+        graph = build_graph("national", demand_scale=0.5)
+        frontiers = segment_frontiers(
+            graph, TechnologyCatalog.from_names("conventional,repeater"),
+            resolution_m=25.0)
+        assert _assert_matches_reference(frontiers,
+                                         energy_budget_w=3_026_287.5)
+        plan = optimize_network(frontiers=frontiers,
+                                energy_budget_w=3_026_287.5)
+        assert plan.total_cost_eur / 1e6 == pytest.approx(4052.64, abs=0.01)
+        assert plan.lambda_star == pytest.approx(549.822, abs=1e-3)
+
+
+_CELL_VALUES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, math.nan])
+
+
+@st.composite
+def _duplicated_frontiers(draw):
+    """Small frontiers whose segments repeat a few base rows.
+
+    Cell values come from a tiny set, so penalized scores tie exactly at
+    many prices; infeasible cells hold NaN, as both engines write them.
+    Some base rows are copies of another with one cell flipped feasible
+    but left NaN (possible only in a caller-built frontier): the grouping
+    must keep such a row apart from its NaN-identical original.
+    """
+    n_options = draw(st.integers(1, 4))
+    n_base = draw(st.integers(1, 4))
+    shape = (n_base, n_options)
+    feasible = draw(arrays(np.bool_, shape))
+    energy = np.where(feasible, draw(arrays(np.float64, shape,
+                                            elements=_CELL_VALUES)), np.nan)
+    cost = np.where(feasible, draw(arrays(np.float64, shape,
+                                          elements=_CELL_VALUES)), np.nan)
+    flips = draw(st.lists(st.tuples(st.integers(0, n_base - 1),
+                                    st.integers(0, n_options - 1)),
+                          max_size=3))
+    for row, cell in flips:
+        flipped = feasible[row].copy()
+        flipped[cell] = True
+        feasible = np.vstack([feasible, flipped])
+        energy = np.vstack([energy, energy[row]])
+        cost = np.vstack([cost, cost[row]])
+    rows = np.array(draw(st.lists(st.integers(0, len(feasible) - 1),
+                                  min_size=1, max_size=30)))
+    return SegmentFrontiers(
+        graph=None, catalog=None, options=(),
+        energy_w=energy[rows], cost_eur=cost[rows], feasible=feasible[rows],
+        eligible=np.zeros(rows.size, dtype=bool),
+        horizon_years=10.0, threshold_db=29.0)
+
+
+_PRICES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]),
+                    st.floats(0.0, 1e6, allow_nan=False))
+
+
+class TestRowGroups:
+    @settings(deadline=None, max_examples=200)
+    @given(frontiers=_duplicated_frontiers())
+    def test_groups_reproduce_the_frontier_arrays(self, frontiers):
+        first, inverse = frontiers.row_groups
+        # first[g] is the lowest segment index of group g.
+        assert np.array_equal(first, [np.flatnonzero(inverse == g)[0]
+                                      for g in range(first.size)])
+        for values in (frontiers.energy_w, frontiers.cost_eur):
+            assert np.array_equal(values[first][inverse], values,
+                                  equal_nan=True)
+        assert np.array_equal(frontiers.feasible[first][inverse],
+                              frontiers.feasible)
+
+    @settings(deadline=None, max_examples=200)
+    @given(frontiers=_duplicated_frontiers(), lam=_PRICES,
+           garbage=st.booleans())
+    def test_grouped_select_equals_full_row_select(self, frontiers, lam,
+                                                   garbage):
+        if garbage:
+            # A caller-built frontier may leave values in infeasible cells.
+            frontiers = dataclasses.replace(
+                frontiers,
+                energy_w=np.where(frontiers.feasible, frontiers.energy_w,
+                                  7.0),
+                cost_eur=np.where(frontiers.feasible, frontiers.cost_eur,
+                                  -1.0))
+        for objective, constrained in (
+                (frontiers.cost_eur, frontiers.energy_w),
+                (frontiers.energy_w, frontiers.cost_eur)):
+            assert np.array_equal(
+                _select(frontiers, objective, constrained, lam),
+                _full_row_select(frontiers, objective, constrained, lam))
+
+
+# -- CLI budgets --------------------------------------------------------------
+
+
+class TestCliBudgets:
+    def _table(self, capsys, *flags):
+        from repro.cli import main
+
+        argv = ["network", "optimize", "--graph", "demo",
+                "--resolution", f"{RESOLUTION_M:g}", *flags]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_non_positive_budgets_are_unconstrained(self, capsys):
+        unconstrained = self._table(capsys)
+        assert "lambda*" in unconstrained
+        assert self._table(capsys, "--energy-budget", "0") == unconstrained
+        assert self._table(capsys, "--cost-budget", "0") == unconstrained
+        assert self._table(capsys, "--cost-budget", "-5") == unconstrained
