@@ -305,7 +305,7 @@ def study_main(argv: list[str]) -> int:
     2 unloadable study, 3 partial run, 4 completed with quarantined
     shards.  ``merge``: 0 merged, 4 rejected shard set (validation or
     manifest failure), 2 unloadable study, 1 other error.  ``refresh``:
-    0 refreshed, 1 error, 2 unloadable study.
+    0 refreshed, 1 error, 2 unloadable study, 3 interrupted (partial).
     """
     from repro.errors import ReproError
     from repro.study import StudyStore, load_study, run_study
@@ -515,7 +515,7 @@ def _study_refresh(args: argparse.Namespace) -> int:
         refreshed.table.write_csv(args.csv, layout=args.layout)
     if args.json is not None:
         refreshed.table.write_json(args.json)
-    return 0
+    return 3 if refreshed.partial else 0
 
 
 # -- network optimizer --------------------------------------------------------
@@ -567,10 +567,6 @@ def build_network_parser() -> argparse.ArgumentParser:
                           "(default: %(default)s)")
     opt.add_argument("--horizon-years", type=float, default=10.0, metavar="Y",
                      help="cost horizon [years] (default: %(default)s)")
-    opt.add_argument("--engine", choices=("batched", "scalar"),
-                     default="batched",
-                     help="frontier engine (scalar is the bit-identical "
-                          "per-segment reference; default: %(default)s)")
     opt.add_argument("--jobs", type=int, default=None, metavar="N",
                      help="thread sharding of the batched radio pass")
     opt.add_argument("--limit", type=int, default=20, metavar="N",
@@ -618,7 +614,7 @@ def network_main(argv: list[str]) -> int:
                                            1e3 * graph.length_km),
             resolution_m=args.resolution,
             horizon_years=args.horizon_years,
-            jobs=args.jobs, engine=args.engine)
+            jobs=args.jobs)
     except ReproError as exc:
         print(f"network optimization failed: {exc}", file=sys.stderr)
         return 1

@@ -32,8 +32,9 @@ to a single-machine run — intact:
     Rolling re-evaluation for periodically updated inputs (timetable /
     demand feeds): diffs per-case content fingerprints
     (:func:`case_fingerprint`) of the updated spec against the previous
-    run's store, re-executes **only** the changed cases and reassembles the
-    full table — O(changed), not O(grid).
+    run's store and hands the unchanged rows to
+    :func:`~repro.study.runner.run_study`, which executes **only** the
+    changed cases under the supervisor — O(changed), not O(grid).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from repro.errors import (
     ManifestError,
     MergeValidationError,
 )
-from repro.study.journal import RunJournal, scan_journal
+from repro.study.journal import resolve_journal, scan_journal
 from repro.study.manifest import (
     ShardManifest,
     build_manifest,
@@ -108,16 +109,6 @@ def slice_shards(shard_count: int, index: int, of: int) -> list[int]:
         raise ConfigurationError(
             f"shard_count must be >= 1, got {shard_count}")
     return [i for i in range(shard_count) if i % of == index]
-
-
-def _resolve_journal(journal, store: StudyStore | None) -> RunJournal:
-    if isinstance(journal, RunJournal):
-        return journal
-    if journal is not None:
-        return RunJournal(journal)
-    if store is not None and store.cache_dir is not None:
-        return RunJournal(store.cache_dir / "run.jsonl")
-    return RunJournal(None)
 
 
 @dataclass(frozen=True)
@@ -210,7 +201,7 @@ def run_shard_slice(spec: StudySpec, index: int, of: int, store: StudyStore,
         shards = min(case_count, DEFAULT_MAX_SHARDS)
     layout = shard_ranges(case_count, shards)
     indices = slice_shards(len(layout), index, of)
-    log = _resolve_journal(journal, store)
+    log = resolve_journal(journal, store)
     backend = resolve_backend_name((context or {}).get("backend"))
 
     report: StudyRunReport | None = None
@@ -361,14 +352,7 @@ def merge_manifests(spec: StudySpec, manifest_paths,
     manifests = [manifests[i] for i in order]
     paths = [paths[i] for i in order]
 
-    if isinstance(journal, RunJournal):
-        log = journal
-    elif journal is not None:
-        log = RunJournal(journal)
-    elif out_store is not None and out_store.cache_dir is not None:
-        log = RunJournal(out_store.cache_dir / "merge.jsonl")
-    else:
-        log = RunJournal(None)
+    log = resolve_journal(journal, out_store, "merge.jsonl")
     t0 = time.monotonic()
     log.emit("merge_start", study=spec.name, compute_hash=spec.compute_hash,
              manifests=len(manifests),
@@ -547,10 +531,7 @@ def merge_manifests(spec: StudySpec, manifest_paths,
             for entry in manifest.shards:
                 table = worker_store.get_shard(spec, entry.start, entry.stop)
                 out_store.put_shard(spec, entry.start, entry.stop, table)
-        from repro import __version__
-        out_store.put_run_metadata(spec, {
-            "study": spec.name, "compute_hash": spec.compute_hash,
-            "backend": backend, "version": __version__})
+        out_store.put_run_metadata(spec, backend)
 
     table = build_table(spec, raw)
     log.emit("merge_end", rows=len(table),
@@ -604,11 +585,13 @@ class RefreshReport:
     spec / previous:
         The updated and the superseded study specification.
     table:
-        The full table of the updated spec.
+        The table of the updated spec (completed shards only if partial).
     changed:
-        Case indices (of the updated spec) that were actually recomputed.
+        Case indices (of the updated spec) this call computed.
     reused:
-        Cases copied verbatim from the previous run's store.
+        Table rows this call did not compute.
+    partial:
+        True when an interrupt stopped the run; rerun to finish it.
     """
 
     spec: StudySpec
@@ -616,12 +599,14 @@ class RefreshReport:
     table: StudyTable
     changed: tuple[int, ...]
     reused: int
+    partial: bool = False
 
     def summary(self) -> str:
         """One-line refresh summary for logs and the CLI."""
+        state = " — partial, rerun to finish" if self.partial else ""
         return (f"refreshed {self.spec.name!r}: {len(self.table)} cases "
                 f"({len(self.changed)} recomputed, {self.reused} reused "
-                f"from the previous run)")
+                f"from the previous run){state}")
 
 
 def refresh_study(spec: StudySpec, previous: StudySpec, store: StudyStore,
@@ -634,13 +619,14 @@ def refresh_study(spec: StudySpec, previous: StudySpec, store: StudyStore,
     """Re-evaluate an updated spec, recomputing only hash-changed cases.
 
     For every case of the updated ``spec``, its :func:`case_fingerprint`
-    is looked up among the fingerprints of ``previous``'s cases; matches
-    are copied verbatim from the previous run's stored shards (bit-exact —
-    the fingerprint proves the engine inputs are identical), and only the
-    remainder is executed.  The result is written to ``store`` as a
-    normal shard set of the updated spec (resumable, mergeable,
-    refreshable again), so a periodic feed update costs O(changed cases)
-    instead of O(grid).
+    is looked up among the fingerprints of ``previous``'s stored rows;
+    matches are reused verbatim (bit-exact — the fingerprint proves the
+    engine inputs are identical) as the ``reuse_rows`` of a
+    :func:`~repro.study.runner.run_study` call that computes only the
+    remainder, under the supervisor, into ``store`` as a normal shard set
+    of the updated spec (resumable, mergeable, refreshable again).  A
+    periodic feed update costs O(changed cases) instead of O(grid); a
+    failed or interrupted refresh resumes when run again.
 
     Args:
         spec: The updated study specification.
@@ -649,7 +635,8 @@ def refresh_study(spec: StudySpec, previous: StudySpec, store: StudyStore,
             fingerprints and recomputes everything).
         store: The store holding the previous run's shards; receives the
             updated spec's shards.
-        context: Optional engine context (``backend`` etc.).
+        context: Optional engine context (``backend``, ``cache_dir``,
+            ``fault_plan`` — see :func:`~repro.study.runner.run_study`).
         shards: Shard count for the updated spec's layout (defaults like
             :func:`~repro.study.runner.run_study`).
         journal: JSONL journal — a path, a
@@ -658,40 +645,31 @@ def refresh_study(spec: StudySpec, previous: StudySpec, store: StudyStore,
         force_backend: Accept a kernel backend differing from the one
             recorded for the previous run (the reused rows would then mix
             backends with the recomputed ones — normally refused).
-        progress: Optional ``progress(done, total, label)`` callback
-            (fires once after reuse and once per recomputed chunk).
+        progress: Optional ``progress(done, total, label)`` callback, per
+            shard as in :func:`~repro.study.runner.run_study`.
 
     Returns:
-        The :class:`RefreshReport` with the full updated table.
+        The :class:`RefreshReport` with the updated table.
 
     Raises:
         ConfigurationError: When the store has no disk layer, or the
-            resolved backend differs from the previous run's recorded one
-            (without ``force_backend``).
+            resolved backend differs from the one recorded for the
+            previous run or the updated spec (without ``force_backend``).
     """
     if store is None or store.cache_dir is None:
         raise ConfigurationError(
             "refresh needs a store with a disk layer — it diffs against "
             "the previous run's persisted shards")
-    context = dict(context or {})
-    backend = resolve_backend_name(context.get("backend"))
-    recorded = (store.run_metadata(previous) or {}).get("backend")
-    if (recorded is not None and recorded != backend
-            and not force_backend):
-        raise ConfigurationError(
-            f"previous run of {previous.name!r} was computed with backend "
-            f"{recorded!r}, but this refresh resolves to {backend!r}; "
-            f"reusing its rows would mix backends — rerun with the "
-            f"recorded backend or pass --force to accept the mix")
-    context["backend"] = backend
+    backend = resolve_backend_name((context or {}).get("backend"))
+    store.check_backend(previous, backend, force=force_backend)
 
-    log = _resolve_journal(journal, store)
+    log = resolve_journal(journal, store)
     t0 = time.monotonic()
     log.emit("refresh_start", study=spec.name,
              compute_hash=spec.compute_hash,
              previous_hash=previous.compute_hash, cases=spec.case_count)
 
-    from repro.study.engines import STUDY_ENGINES, run_cases
+    from repro.study.engines import STUDY_ENGINES
 
     metrics = list(STUDY_ENGINES[spec.engine].metrics)
 
@@ -700,63 +678,30 @@ def refresh_study(spec: StudySpec, previous: StudySpec, store: StudyStore,
     prev_cases = previous.cases()
     for start, stop in store.stored_ranges(previous):
         shard = store.get_shard(previous, start, stop)
-        if shard is None:
+        if shard is None or not set(metrics) <= set(shard):
             continue
         for r, case_index in enumerate(shard["case"]):
-            case_index = int(case_index)
-            if not 0 <= case_index < len(prev_cases):
-                continue
-            row = {m: shard[m][r] for m in metrics if m in shard}
-            if len(row) != len(metrics):
-                continue
-            fingerprint = case_fingerprint(previous, case_index,
-                                           prev_cases[case_index])
-            previous_rows[fingerprint] = row
+            if 0 <= case_index < len(prev_cases):
+                fingerprint = case_fingerprint(previous, case_index,
+                                               prev_cases[case_index])
+                previous_rows[fingerprint] = {m: shard[m][r]
+                                              for m in metrics}
 
     # Diff the updated grid against it.
-    cases = spec.cases()
-    rows: dict[int, dict] = {}
-    changed: list[int] = []
-    for i, case in enumerate(cases):
-        row = previous_rows.get(case_fingerprint(spec, i, case))
-        if row is not None:
-            rows[i] = row
-        else:
-            changed.append(i)
-    reused = len(rows)
-    if progress is not None and reused:
-        progress(reused, spec.case_count,
-                 f"{reused} cases reused from the previous run")
+    rows = {i: previous_rows[fingerprint]
+            for i, case in enumerate(spec.cases())
+            if (fingerprint := case_fingerprint(spec, i, case))
+            in previous_rows}
 
-    # Recompute only the changed cases.
-    if changed:
-        fresh = run_cases(spec.engine, [cases[i] for i in changed],
-                          [spec.case_seed(i) for i in changed],
-                          context=context)
-        for i, row in zip(changed, fresh):
-            rows[i] = {m: row[m] for m in metrics}
-        if progress is not None:
-            progress(spec.case_count, spec.case_count,
-                     f"{len(changed)} changed cases recomputed")
-
-    # Persist as a normal shard set of the updated spec.
-    if shards is None:
-        shards = min(spec.case_count, DEFAULT_MAX_SHARDS)
-    layout = shard_ranges(spec.case_count, shards)
-    shard_tables = []
-    for start, stop in layout:
-        shard = {"case": list(range(start, stop))}
-        for metric in metrics:
-            shard[metric] = [rows[i][metric] for i in range(start, stop)]
-        store.put_shard(spec, start, stop, shard)
-        shard_tables.append(shard)
-    from repro import __version__
-    store.put_run_metadata(spec, {
-        "study": spec.name, "compute_hash": spec.compute_hash,
-        "backend": backend, "version": __version__})
-
-    table = build_table(spec, merge_shards(shard_tables))
+    report = run_study(spec, shards=shards, store=store, progress=progress,
+                       context=context, journal=log,
+                       force_backend=force_backend, reuse_rows=rows)
+    changed = tuple(sorted(i for start, stop in report.computed_ranges
+                           for i in range(start, stop) if i not in rows))
+    reused = len(report.table) - len(changed)
     log.emit("refresh_end", changed=len(changed), reused=reused,
-             rows=len(table), wall_s=time.monotonic() - t0)
-    return RefreshReport(spec=spec, previous=previous, table=table,
-                         changed=tuple(changed), reused=reused)
+             rows=len(report.table), partial=report.partial,
+             wall_s=time.monotonic() - t0)
+    return RefreshReport(spec=spec, previous=previous, table=report.table,
+                         changed=changed, reused=reused,
+                         partial=report.partial)

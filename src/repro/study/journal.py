@@ -39,7 +39,7 @@ worker_replay  worker, source, events
 merge_crn_check  sampled, cases, backends
 merge_end   rows, shards, workers, wall_s
 refresh_start  study, compute_hash, previous_hash, cases
-refresh_end changed, reused, rows, wall_s
+refresh_end changed, reused, rows, partial, wall_s
 ========== =================================================================
 
 The distributed layer (:mod:`repro.study.distributed`) emits the last seven
@@ -49,7 +49,12 @@ around a manifest merge (each worker's journal is replayed verbatim into
 the merged journal via :meth:`RunJournal.append`, *between* its
 ``worker_replay`` marker and the next event, so the merged file is a
 superset of every worker's provenance), and ``refresh_start`` /
-``refresh_end`` around a rolling re-evaluation.
+``refresh_end`` around a rolling re-evaluation.  A refresh executes
+through the runner, so a full ``run_start`` ... ``run_end`` shard
+lifecycle sits between those markers (shards of reused rows only are
+journaled as ``reused``); an engine failure ends it before
+``refresh_end``.  :func:`resolve_journal` maps every ``journal=``
+argument to a writer.
 
 This table is load-bearing: ``tests/test_journal_schema.py`` introspects
 every ``emit(...)`` call site in the runner (and the service job store) and
@@ -72,7 +77,7 @@ import time
 import warnings
 from pathlib import Path
 
-__all__ = ["RunJournal", "read_journal", "scan_journal"]
+__all__ = ["RunJournal", "read_journal", "resolve_journal", "scan_journal"]
 
 
 class RunJournal:
@@ -176,6 +181,19 @@ class RunJournal:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def resolve_journal(journal, store=None,
+                    name: str = "run.jsonl") -> RunJournal:
+    """The writer for a ``journal=`` argument: a :class:`RunJournal` as is,
+    a path opened, ``None`` as file ``name`` in ``store``'s directory
+    (disabled when there is no store or it has no disk layer)."""
+    if isinstance(journal, RunJournal):
+        return journal
+    if journal is not None:
+        return RunJournal(journal)
+    cache_dir = getattr(store, "cache_dir", None)
+    return RunJournal(cache_dir / name if cache_dir is not None else None)
 
 
 def scan_journal(path: str | Path) -> tuple[list[dict], int]:

@@ -350,10 +350,26 @@ class StudyStore(ArrayCache):
             return None
         return document if isinstance(document, dict) else None
 
-    def put_run_metadata(self, spec: StudySpec, metadata: dict) -> None:
-        """Persist the run metadata sidecar for ``spec`` (best effort).
+    def check_backend(self, spec: StudySpec, backend: str,
+                      force: bool = False) -> None:
+        """Raise :class:`~repro.errors.ConfigurationError` when ``spec``'s
+        recorded backend differs from ``backend``, unless ``force`` (CLI
+        ``--force``): backends agree only to tolerance, so a store that
+        mixes them breaks bit-identical resumes, merges and refreshes."""
+        recorded = (self.run_metadata(spec) or {}).get("backend")
+        if recorded not in (None, backend) and not force:
+            raise ConfigurationError(
+                f"store holds results of {spec.name!r} computed with "
+                f"backend {recorded!r}, but this run resolves to "
+                f"{backend!r}; mixing backends in one store breaks "
+                f"bit-identical results — rerun with the recorded backend "
+                f"or pass --force to accept the mix")
 
-        Uses the same write-then-rename discipline as the array bundles;
+    def put_run_metadata(self, spec: StudySpec, backend: str) -> None:
+        """Record that ``spec``'s rows in this store come from ``backend``.
+
+        The sidecar holds ``{study, compute_hash, backend, version}``.  It
+        uses the same write-then-rename discipline as the array bundles;
         an unwritable directory degrades silently (counted in
         :attr:`~repro.scenario.cache.ArrayCache.disk_errors`) — metadata
         must never take down the run it describes.
@@ -361,6 +377,10 @@ class StudyStore(ArrayCache):
         path = self._metadata_path(spec)
         if path is None:
             return
+        from repro import __version__
+
+        metadata = {"study": spec.name, "compute_hash": spec.compute_hash,
+                    "backend": backend, "version": __version__}
         tmp_path = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             tmp_path.write_text(json.dumps(metadata, indent=2) + "\n")

@@ -6,7 +6,8 @@
 1. the case list (cartesian axis product) is split into ``shards`` contiguous
    chunks of near-equal size;
 2. shards already present in the optional :class:`~repro.study.results.StudyStore`
-   are reused (resume-from-partial);
+   are reused (resume-from-partial), as are shards made only of rows the
+   caller passes as ``reuse_rows`` (how a refresh carries rows over);
 3. the remaining shards run under a **supervisor loop** — inline for
    ``jobs=1``, otherwise on a :class:`~concurrent.futures.ProcessPoolExecutor`
    of ``jobs`` workers — with a ``[k/n]`` progress callback per completed
@@ -62,7 +63,7 @@ from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,7 +72,7 @@ from repro.errors import ConfigurationError, StudyExecutionError
 from repro.faults import CONTEXT_KEY as _FAULT_CONTEXT_KEY
 from repro.faults import FaultPlan
 from repro.study.engines import run_cases
-from repro.study.journal import RunJournal
+from repro.study.journal import RunJournal, resolve_journal
 from repro.study.results import (
     ShardTable,
     StudyStore,
@@ -156,7 +157,15 @@ def retry_delay(seed: int, shard_start: int, attempt: int,
     return exponential * (0.5 + 0.5 * float(unit))
 
 
-def _run_shard(payload: tuple[StudySpec, int, int, dict, int, int]
+def _shard_table(start: int, stop: int, rows: list[dict]) -> ShardTable:
+    """Columnize the metric rows of cases ``start, ..., stop - 1``."""
+    shard: ShardTable = {"case": list(range(start, stop))}
+    for metric in rows[0]:
+        shard[metric] = [row[metric] for row in rows]
+    return shard
+
+
+def _run_shard(payload: tuple[StudySpec, int, int, dict, int, int, dict]
                ) -> tuple[int, ShardTable]:
     """Worker entry point: evaluate the ``[start, stop)`` case range.
 
@@ -166,20 +175,22 @@ def _run_shard(payload: tuple[StudySpec, int, int, dict, int, int]
     (:mod:`repro.study.engines`) for shared state.  When the context carries
     a fault plan (:mod:`repro.faults`), the worker executes its own planned
     fault for this ``(shard, attempt)`` before computing — the supervisor
-    sees only the resulting failure, exactly like a real one.
+    sees only the resulting failure, exactly like a real one.  Cases in
+    ``known`` (reused rows) skip the engine.
     """
-    spec, start, stop, context, shard_index, attempt = payload
+    spec, start, stop, context, shard_index, attempt, known = payload
     plan = FaultPlan.from_context(context)
     if plan is not None:
         plan.execute(shard_index, attempt, study=spec, start=start, stop=stop)
-    cases = spec.cases()[start:stop]
-    seeds = [spec.case_seed(i) for i in range(start, stop)]
-    rows = run_cases(spec.engine, cases, seeds, context=context)
-    shard: ShardTable = {"case": list(range(start, stop))}
-    if rows:
-        for metric in rows[0]:
-            shard[metric] = [row[metric] for row in rows]
-    return start, shard
+    cases = spec.cases()
+    todo = [i for i in range(start, stop) if i not in known]
+    rows = run_cases(spec.engine, [cases[i] for i in todo],
+                     [spec.case_seed(i) for i in todo], context=context)
+    if known:
+        fresh = iter(rows)
+        rows = [known[i] if i in known else next(fresh)
+                for i in range(start, stop)]
+    return start, _shard_table(start, stop, rows)
 
 
 #: Context keys that are plain data and may cross a process boundary; live
@@ -224,7 +235,8 @@ class StudyRunReport:
     it (``interrupted``), the programmatic ``cancel`` hook fired
     (``cancelled`` — a service deadline or drain), or shards were
     quarantined (``failed_shards``); re-running with the same store
-    completes or re-attempts them.
+    completes or re-attempts them.  ``computed_ranges`` are the case
+    ranges of the shards this call computed, in completion order.
     """
 
     spec: StudySpec
@@ -237,6 +249,7 @@ class StudyRunReport:
     shard_attempts: dict = field(default_factory=dict)
     interrupted: bool = False
     cancelled: bool = False
+    computed_ranges: tuple[tuple[int, int], ...] = ()
 
     @property
     def partial(self) -> bool:
@@ -274,6 +287,7 @@ class _Attempt:
     index: int
     start: int
     stop: int
+    known: dict               # reused rows of this shard, by case index
     attempt: int = 0          # attempts started so far
     ready_at: float = 0.0     # monotonic time the next attempt may start
     last_error: BaseException | None = None
@@ -319,7 +333,9 @@ def run_study(spec: StudySpec,
               journal: str | Path | RunJournal | None = None,
               cancel: Callable[[], bool] | None = None,
               only_shards: Sequence[int] | None = None,
-              force_backend: bool = False) -> StudyRunReport:
+              force_backend: bool = False,
+              reuse_rows: Mapping[int, dict] | None = None
+              ) -> StudyRunReport:
     """Execute a study under the supervisor and merge its shards.
 
     Args:
@@ -376,6 +392,10 @@ def run_study(spec: StudySpec,
             recorded in the store's run metadata (the recorded value is
             then overwritten).  Without it, such a resume fails instead of
             silently mixing backends in one store (see Raises).
+        reuse_rows: Optional ``{case index: {metric: value}}`` rows that
+            need no computing.  A shard made only of them is stored and
+            journaled as ``reused``; a mixed shard sends just its other
+            cases to the engine.
 
     Returns:
         The :class:`StudyRunReport` with the merged
@@ -426,15 +446,9 @@ def run_study(spec: StudySpec,
                 f"only_shards indices {out_of_range} outside the "
                 f"{len(ranges)}-shard layout")
     context = dict(context or {})
+    reuse_rows = reuse_rows or {}
 
-    if isinstance(journal, RunJournal):
-        log = journal
-    elif journal is not None:
-        log = RunJournal(journal)
-    elif store is not None and store.cache_dir is not None:
-        log = RunJournal(store.cache_dir / "run.jsonl")
-    else:
-        log = RunJournal(None)
+    log = resolve_journal(journal, store)
     run_t0 = time.monotonic()
     log.emit("run_start", study=spec.name, compute_hash=spec.compute_hash,
              shards=len(ranges), jobs=jobs, retries=retries,
@@ -442,6 +456,7 @@ def run_study(spec: StudySpec,
 
     done: list[ShardTable] = []
     pending: list[tuple[int, int, int]] = []  # (shard index, start, stop)
+    from_rows: list[tuple[int, int, int]] = []  # shards made of reuse_rows
     stored = store.stored_ranges(spec) if store is not None else []
     for index, (start, stop) in enumerate(ranges):
         if selected is not None and index not in selected:
@@ -450,13 +465,10 @@ def run_study(spec: StudySpec,
         if cached is not None:
             done.append(cached)
             log.emit("reused", shard=index, start=start, stop=stop)
+        elif reuse_rows and all(i in reuse_rows for i in range(start, stop)):
+            from_rows.append((index, start, stop))
         else:
             pending.append((index, start, stop))
-    reused = len(done)
-    total = len(selected) if selected is not None else len(ranges)
-    finished = reused
-    if progress is not None and reused:
-        progress(finished, total, f"{reused} shards reused from store")
 
     foreign = sorted(set(stored) - set(ranges))
     if foreign:
@@ -478,23 +490,25 @@ def run_study(spec: StudySpec,
         pending = pending[:max_shards]
 
     backend = resolve_backend_name(context.get("backend"))
-    if store is not None and pending:
-        # About to compute new bundles into this store: refuse to mix
-        # kernel backends (their results agree only to tolerance, which
-        # would break the bit-identity contract of resumes and merges).
-        recorded = (store.run_metadata(spec) or {}).get("backend")
-        if (recorded is not None and recorded != backend
-                and not force_backend):
-            raise ConfigurationError(
-                f"store holds shards of {spec.name!r} computed with "
-                f"backend {recorded!r}, but this run resolves to "
-                f"{backend!r}; mixing backends in one store breaks "
-                f"bit-identical resume — rerun with the recorded backend "
-                f"or pass --force to accept the mix")
-        from repro import __version__
-        store.put_run_metadata(spec, {
-            "study": spec.name, "compute_hash": spec.compute_hash,
-            "backend": backend, "version": __version__})
+    if store is not None and (pending or from_rows):
+        # About to add new bundles to this store: refuse to mix kernel
+        # backends (pure reuse of stored shards never trips this).
+        store.check_backend(spec, backend, force=force_backend)
+        store.put_run_metadata(spec, backend)
+    for index, start, stop in from_rows:
+        shard = _shard_table(start, stop,
+                             [reuse_rows[i] for i in range(start, stop)])
+        if store is not None:
+            store.put_shard(spec, start, stop, shard)
+        done.append(shard)
+        log.emit("reused", shard=index, start=start, stop=stop)
+    reused = len(done)
+    total = len(selected) if selected is not None else len(ranges)
+    finished = reused
+    if progress is not None and reused:
+        progress(finished, total, f"{reused} shards reused from store")
+
+    computed: list[tuple[int, int]] = []
 
     def record(index: int, start: int, stop: int, shard: ShardTable,
                attempt: int, wall_s: float) -> None:
@@ -502,6 +516,7 @@ def run_study(spec: StudySpec,
         if store is not None:
             store.put_shard(spec, start, stop, shard)
         done.append(shard)
+        computed.append((start, stop))
         finished += 1
         log.emit("finish", shard=index, start=start, stop=stop,
                  attempt=attempt, wall_s=wall_s)
@@ -509,7 +524,9 @@ def run_study(spec: StudySpec,
             progress(finished, total, f"cases [{start}:{stop})")
 
     jobs_meta: dict[int, _Attempt] = {
-        index: _Attempt(index=index, start=start, stop=stop)
+        index: _Attempt(index=index, start=start, stop=stop,
+                        known={i: reuse_rows[i] for i in range(start, stop)
+                               if i in reuse_rows})
         for index, start, stop in pending}
     failed: list[FailedShard] = []
     max_attempts = retries + 1
@@ -563,11 +580,12 @@ def run_study(spec: StudySpec,
     table = build_table(spec, merge_shards(done))
     report = StudyRunReport(
         spec=spec, table=table, shards=total, reused_shards=reused,
-        computed_shards=len(done) - reused, jobs=jobs,
+        computed_shards=len(computed), jobs=jobs,
         failed_shards=tuple(failed),
         shard_attempts={index: meta.attempt
                         for index, meta in jobs_meta.items() if meta.attempt},
-        interrupted=interrupted, cancelled=cancelled)
+        interrupted=interrupted, cancelled=cancelled,
+        computed_ranges=tuple(computed))
     log.emit("run_end", computed=report.computed_shards,
              reused=report.reused_shards, failed=len(report.failed_shards),
              interrupted=interrupted, cancelled=cancelled,
@@ -598,7 +616,7 @@ def _run_inline(spec, context, jobs_meta, record, on_failure, final_error,
         t0 = time.monotonic()
         try:
             _, shard = _run_shard((spec, meta.start, meta.stop, context,
-                                   meta.index, meta.attempt))
+                                   meta.index, meta.attempt, meta.known))
         except KeyboardInterrupt:
             raise
         except Exception as exc:
@@ -634,7 +652,8 @@ def _run_supervised(spec, context, jobs_meta, record, on_failure, final_error,
         log.emit("submit", shard=meta.index, start=meta.start, stop=meta.stop,
                  attempt=meta.attempt)
         future = pool.submit(_run_shard, (spec, meta.start, meta.stop,
-                                          shipped, meta.index, meta.attempt))
+                                          shipped, meta.index, meta.attempt,
+                                          meta.known))
         running[future] = (meta, time.monotonic())
 
     def rebuild(lost_reason: str) -> None:

@@ -26,7 +26,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError, ManifestError, MergeValidationError
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultInjected, FaultPlan, FaultSpec
 from repro.study import (
     RunJournal,
     StudyStore,
@@ -407,6 +407,99 @@ class TestRefresh:
         assert end["changed"] + end["reused"] == updated.case_count
 
 
+def recording_engine(monkeypatch) -> list:
+    """Wrap the ``mc`` adapter; returns the list of cases it receives."""
+    from repro.study.engines import STUDY_ENGINES
+
+    adapter = STUDY_ENGINES["mc"]
+    seen = []
+
+    def runner(cases, seeds, context):
+        seen.extend((case["sigma_db"], case["isd_m"]) for case in cases)
+        return adapter.runner(cases, seeds, context)
+
+    monkeypatch.setitem(STUDY_ENGINES, "mc", replace(adapter, runner=runner))
+    return seen
+
+
+class TestSupervisedRefresh:
+    """Refresh runs through ``run_study``: case-granular reuse inside a
+    shard, per-shard persistence, fault plans, resume and backend guard."""
+
+    def seeded_store(self, tmp_path, name="store"):
+        spec = mc_spec()
+        store = StudyStore(maxsize=8, cache_dir=tmp_path / name)
+        run_study(spec, shards=4, store=store, journal=RunJournal(None))
+        return spec, parse_study(MC_TEXT_V2), store
+
+    def case_keys(self, spec, indices):
+        cases = spec.cases()
+        return sorted((cases[i]["sigma_db"], cases[i]["isd_m"])
+                      for i in indices)
+
+    def test_mixed_shard_sends_only_its_changed_cases(self, tmp_path,
+                                                      monkeypatch):
+        spec, updated, store = self.seeded_store(tmp_path)
+        previous_prints = {case_fingerprint(spec, i, case)
+                           for i, case in enumerate(spec.cases())}
+        diff = tuple(
+            i for i, case in enumerate(updated.cases())
+            if case_fingerprint(updated, i, case) not in previous_prints)
+        # Shard 1 of the 2-shard layout holds reused case 3 and the diff.
+        assert diff == (4, 5)
+        assert shard_ranges(updated.case_count, 2) == [(0, 3), (3, 6)]
+
+        seen = recording_engine(monkeypatch)
+        report = refresh_study(updated, spec, store, shards=2,
+                               journal=RunJournal(None))
+        assert sorted(seen) == self.case_keys(updated, diff)
+        assert report.changed == diff
+        fresh = run_study(updated, journal=RunJournal(None))
+        assert_tables_identical(report.table, fresh.table)
+
+    def test_failed_refresh_resumes_with_only_the_missing_cases(
+            self, tmp_path, monkeypatch):
+        spec, updated, store = self.seeded_store(tmp_path)
+        plan = FaultPlan(faults=(FaultSpec(shard=1, action="raise"),))
+        with pytest.raises(FaultInjected):
+            refresh_study(updated, spec, store, shards=2,
+                          context={"fault_plan": plan.to_context()})
+        layout = shard_ranges(updated.case_count, 2)
+        assert store.shard_checksum(updated, *layout[0]) is not None
+        assert store.shard_checksum(updated, *layout[1]) is None
+        events = [(event["event"], event.get("shard"))
+                  for event in read_journal(store.cache_dir / "run.jsonl")]
+        assert ("submit", 1) in events and ("failure", 1) in events
+        assert "refresh_end" not in [kind for kind, _ in events]
+
+        seen = recording_engine(monkeypatch)
+        resumed = refresh_study(updated, spec, store, shards=2)
+        assert resumed.changed == (4, 5)
+        assert sorted(seen) == self.case_keys(updated, (4, 5))
+
+        _, _, clean_store = self.seeded_store(tmp_path, "clean")
+        clean = refresh_study(updated, spec, clean_store, shards=2,
+                              journal=RunJournal(None))
+        assert_tables_identical(resumed.table, clean.table)
+
+    def test_refresh_refuses_a_backend_mix(self, tmp_path):
+        spec, updated, store = self.seeded_store(tmp_path)
+        assert store.run_metadata(spec)["backend"] == "numpy"
+        with pytest.raises(ConfigurationError, match="backend"):
+            refresh_study(updated, spec, store,
+                          context={"backend": "reference"},
+                          journal=RunJournal(None))
+        assert store.run_metadata(updated) is None
+
+    def test_force_backend_accepts_and_rerecords(self, tmp_path):
+        spec, updated, store = self.seeded_store(tmp_path)
+        report = refresh_study(updated, spec, store,
+                               context={"backend": "reference"},
+                               force_backend=True, journal=RunJournal(None))
+        assert len(report.table) == updated.case_count
+        assert store.run_metadata(updated)["backend"] == "reference"
+
+
 # -- fault injection across the trust boundary --------------------------------
 
 
@@ -503,6 +596,42 @@ class TestCli:
         assert main(["study", "refresh", str(new),
                      "--previous", str(old), "--store", str(store)]) == 0
         assert "recomputed" in capsys.readouterr().err  # the summary line
+
+    def test_refresh_cli_backend_guard(self, tmp_path, capsys):
+        old = tmp_path / "v1.yaml"
+        old.write_text(MC_TEXT)
+        new = tmp_path / "v2.yaml"
+        new.write_text(MC_TEXT_V2)
+        store = tmp_path / "store"
+        assert main(["study", "run", str(old), "--quiet",
+                     "--store", str(store)]) == 0
+        refresh = ["study", "refresh", str(new), "--previous", str(old),
+                   "--store", str(store), "--quiet", "--backend",
+                   "reference"]
+        assert main(refresh) == 1
+        assert "backend" in capsys.readouterr().err
+        assert main(refresh + ["--force"]) == 0
+
+    def test_interrupted_refresh_exits_3(self, tmp_path, capsys,
+                                         monkeypatch):
+        from repro.study.engines import STUDY_ENGINES
+
+        old = tmp_path / "v1.yaml"
+        old.write_text(MC_TEXT)
+        new = tmp_path / "v2.yaml"
+        new.write_text(MC_TEXT_V2)
+        store = tmp_path / "store"
+        assert main(["study", "run", str(old), "--quiet",
+                     "--store", str(store)]) == 0
+
+        def interrupt(cases, seeds, context):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(STUDY_ENGINES, "mc",
+                            replace(STUDY_ENGINES["mc"], runner=interrupt))
+        assert main(["study", "refresh", str(new), "--previous", str(old),
+                     "--store", str(store)]) == 3
+        assert "partial" in capsys.readouterr().err
 
     def test_shard_requires_a_store(self, tmp_path, capsys):
         path = self.write_study(tmp_path)

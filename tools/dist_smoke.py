@@ -16,11 +16,15 @@ Subprocess legs through the real ``repro study`` CLI:
    (all exit 0);
 3. **merge** — ``repro study merge`` over the three manifests (exit 0);
    the merged rows must be byte-identical to the clean leg;
-4. **tamper** — the merge re-run against a hand-corrupted manifest must be
+4. **refresh** — a v2 document (one value appended to the study's longest
+   numeric axis) refreshed with ``repro study refresh`` against the merged
+   store (exit 0); its rows must be byte-identical to a clean
+   ``repro study run`` of v2;
+5. **tamper** — the merge re-run against a hand-corrupted manifest must be
    rejected with exit 4 (structured validation, not a quiet wrong table).
 
 When ``BENCH_JSON_DIR`` is set, a ``BENCH_dist.json`` record (exit codes,
-wall times, retry evidence, parity verdict) is written so the distributed
+wall times, retry evidence, parity verdicts) is written so the distributed
 evidence rides the same CI artifact as the perf records.
 """
 
@@ -59,6 +63,20 @@ def run_cli(args: list[str], label: str) -> tuple[int, float]:
 
 def load_rows(path: Path) -> list[dict]:
     return json.loads(path.read_text())["rows"]
+
+
+def write_v2(study: Path, out: Path) -> None:
+    """Write ``study`` with one value appended to its longest numeric axis
+    (the axis whose new value adds the fewest cases)."""
+    import yaml
+
+    document = yaml.safe_load(study.read_text())
+    numeric = [values for values in document["axes"].values()
+               if len(values) > 1
+               and all(isinstance(v, (int, float)) for v in values)]
+    values = max(numeric, key=len)
+    values.append(values[-1] + (values[-1] - values[-2]))
+    out.write_text(yaml.safe_dump(document, sort_keys=False))
 
 
 def main(argv: list[str]) -> int:
@@ -135,7 +153,41 @@ def main(argv: list[str]) -> int:
             print("[dist-smoke] FAIL: merged rows differ from clean run")
             return 1
 
-        # Leg 4: a tampered manifest must be rejected with exit 4.
+        # Leg 4: refresh a v2 of the study against the merged store; its
+        # rows must be byte-identical to a clean run of v2.
+        v2 = work / "v2.yaml"
+        write_v2(Path(args.study), v2)
+        refreshed_json = work / "refreshed.json"
+        code, record["refresh_s"] = run_cli(
+            ["refresh", str(v2), "--previous", args.study,
+             "--store", str(merged_store), "--quiet",
+             "--json", str(refreshed_json)], "refresh")
+        record["refresh_exit"] = code
+        if code != 0:
+            print(f"[dist-smoke] FAIL: refresh exited {code}, expected 0")
+            return 1
+        end = [e for e in read_journal(merged_store / "run.jsonl")
+               if e["event"] == "refresh_end"][-1]
+        record["refresh_changed"] = end["changed"]
+        record["refresh_reused"] = end["reused"]
+        if not end["reused"]:
+            print("[dist-smoke] FAIL: refresh reused no rows of the merged "
+                  "store")
+            return 1
+        v2_json = work / "v2-clean.json"
+        code, record["v2_clean_s"] = run_cli(
+            ["run", str(v2), "--quiet", "--json", str(v2_json)], "v2 clean")
+        if code != 0:
+            print(f"[dist-smoke] FAIL: clean v2 run exited {code}")
+            return 1
+        parity = load_rows(refreshed_json) == load_rows(v2_json)
+        record["refresh_rows_identical"] = parity
+        if not parity:
+            print("[dist-smoke] FAIL: refreshed rows differ from a clean "
+                  "v2 run")
+            return 1
+
+        # Leg 5: a tampered manifest must be rejected with exit 4.
         document = json.loads(manifests[2].read_text())
         document["manifest"]["shards"][0]["checksum"] = "0" * 64
         manifests[2].write_text(json.dumps(document))
@@ -155,7 +207,8 @@ def main(argv: list[str]) -> int:
             (out / "BENCH_dist.json").write_text(
                 json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"[dist-smoke] PASS: {WORKERS}-worker merge identical to "
-              "clean run, faulted worker recovered, tampered manifest "
+              "clean run, faulted worker recovered, refresh of the merged "
+              "store identical to a clean v2 run, tampered manifest "
               "rejected (exit 4)")
         return 0
     finally:
