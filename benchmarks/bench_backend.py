@@ -29,6 +29,7 @@ import time
 import numpy as np
 
 from repro.corridor.layout import CorridorLayout
+from repro.kernels import BACKENDS
 from repro.optimize.mc import outage_matrix
 from repro.propagation.fading import LogNormalShadowing
 from repro.radio.batch import evaluate_scenarios
@@ -38,6 +39,10 @@ from repro.solar.battery import Battery
 from repro.solar.climates import LOCATIONS
 from repro.solar.offgrid import OffGridResult, OffGridSystem
 from repro.solar.pv import PvArray
+
+#: The fused default and the step-loop baseline, in the order
+#: :data:`repro.kernels.BACKENDS` lists them.
+FUSED, REFERENCE = BACKENDS
 
 N_REPEATERS = 8
 N_CANDIDATES = 20
@@ -93,18 +98,18 @@ def bench_backend_mc_min_scan(benchmark, bench_json):
 
     # Warm both paths once: the shared standard-normal matrix is drawn and
     # cached on first use, and must not count against either backend.
-    outage_matrix(profiles, shadowing, trials=TRIALS, backend="reference")
+    outage_matrix(profiles, shadowing, trials=TRIALS, backend=REFERENCE)
     benchmark.pedantic(
         lambda: outage_matrix(profiles, shadowing, trials=TRIALS,
-                              backend="numpy"),
+                              backend=FUSED),
         rounds=1, iterations=1)
 
     reference_s, reference = _best_of(
         lambda: outage_matrix(profiles, shadowing, trials=TRIALS,
-                              backend="reference"))
+                              backend=REFERENCE))
     fused_s, fused = _best_of(
         lambda: outage_matrix(profiles, shadowing, trials=TRIALS,
-                              backend="numpy"))
+                              backend=FUSED))
 
     # Parity inside the gate run: <= 1e-9 on every min-SNR sample and
     # identical outage decisions.
@@ -140,18 +145,18 @@ def bench_backend_solar_year(benchmark, bench_json):
 
     # Warm the weather cache: synthesis is backend-independent (the cache is
     # content-keyed) and must not count against either backend.
-    simulate_systems(systems, weather_cache=cache, backend="reference")
+    simulate_systems(systems, weather_cache=cache, backend=REFERENCE)
     benchmark.pedantic(
         lambda: simulate_systems(systems, weather_cache=cache,
-                                 backend="numpy"),
+                                 backend=FUSED),
         rounds=1, iterations=1)
 
     reference_s, reference = _best_of(
         lambda: simulate_systems(systems, weather_cache=cache,
-                                 backend="reference"))
+                                 backend=REFERENCE))
     fused_s, fused = _best_of(
         lambda: simulate_systems(systems, weather_cache=cache,
-                                 backend="numpy"))
+                                 backend=FUSED))
 
     # Parity inside the gate run: integer counts, metadata, and the
     # hour-order PV sums are exact; the SoC-dependent floats come from the

@@ -192,17 +192,8 @@ def build_study_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="persist Eq. (2) profiles / weather years under "
                             "DIR, shared by worker processes")
-        p.add_argument("--backend", metavar="NAME", default=None,
-                       help="kernel backend for the stochastic engines "
-                            "(reference | numpy; default: "
-                            "REPRO_BACKEND or the fused numpy kernels)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the results preview table")
-        p.add_argument("--force", action="store_true",
-                       help="accept a --backend that differs from the one "
-                            "recorded in the store's run metadata (normally "
-                            "refused: mixing backends breaks bit-identical "
-                            "resume)")
     for p in (run_parser, resume_parser):
         p.add_argument("--manifest", metavar="FILE", default=None,
                        help="also sign a 1-of-1 shard manifest over the "
@@ -272,16 +263,9 @@ def build_study_parser() -> argparse.ArgumentParser:
                                 metavar="K",
                                 help="shard count of the updated layout "
                                      "(default: min(cases, 16))")
-    refresh_parser.add_argument("--backend", metavar="NAME", default=None,
-                                help="kernel backend (must match the "
-                                     "previous run's recorded backend "
-                                     "unless --force)")
     refresh_parser.add_argument("--cache-dir", metavar="DIR", default=None,
                                 help="profile/weather cache for the "
                                      "recomputed cases")
-    refresh_parser.add_argument("--force", action="store_true",
-                                help="accept a backend differing from the "
-                                     "previous run's recorded one")
     refresh_parser.add_argument("--csv", metavar="FILE", default=None,
                                 help="write the refreshed table as CSV")
     refresh_parser.add_argument("--layout", choices=("long", "wide"),
@@ -368,14 +352,6 @@ def study_main(argv: list[str]) -> int:
     context = {}
     if args.cache_dir is not None:
         context["cache_dir"] = args.cache_dir
-    try:
-        from repro.backend import resolve_backend_name
-        resolved_backend = resolve_backend_name(args.backend)
-    except ReproError as exc:
-        print(f"study failed: {exc}", file=sys.stderr)
-        return 1
-    if args.backend is not None:
-        context["backend"] = resolved_backend
     if args.retries < 0:
         raise SystemExit("--retries must be >= 0")
     if args.fault_plan is not None:
@@ -398,7 +374,7 @@ def study_main(argv: list[str]) -> int:
                 context=context, retries=args.retries,
                 shard_timeout=args.shard_timeout,
                 keep_going=args.keep_going, progress=progress,
-                manifest_path=args.manifest, force_backend=args.force)
+                manifest_path=args.manifest)
             report = slice_result.report
         else:
             report = run_study(spec, jobs=args.jobs, shards=args.shards,
@@ -406,8 +382,7 @@ def study_main(argv: list[str]) -> int:
                                max_shards=args.max_shards, context=context,
                                retries=args.retries,
                                shard_timeout=args.shard_timeout,
-                               keep_going=args.keep_going,
-                               force_backend=args.force)
+                               keep_going=args.keep_going)
     except ReproError as exc:
         print(f"study failed: {exc}", file=sys.stderr)
         return 1
@@ -426,8 +401,7 @@ def study_main(argv: list[str]) -> int:
     if args.csv is not None:
         report.table.write_csv(args.csv, layout=args.layout)
     if args.json is not None:
-        report.table.write_json(args.json,
-                                metadata={"backend": resolved_backend})
+        report.table.write_json(args.json)
     if report.failed_shards:
         return 4  # completed with quarantined shards (--keep-going)
     return 3 if report.partial else 0
@@ -469,8 +443,7 @@ def _study_merge(args: argparse.Namespace) -> int:
         merged.table.write_csv(args.csv, layout=args.layout)
     if args.json is not None:
         merged.table.write_json(args.json,
-                                metadata={"backend": merged.backend,
-                                          "workers": len(merged.manifests)})
+                                metadata={"workers": len(merged.manifests)})
     return 0
 
 
@@ -492,8 +465,6 @@ def _study_refresh(args: argparse.Namespace) -> int:
     context = {}
     if args.cache_dir is not None:
         context["cache_dir"] = args.cache_dir
-    if args.backend is not None:
-        context["backend"] = args.backend
 
     def progress(done: int, total: int, label: str) -> None:
         if not args.quiet:
@@ -501,9 +472,7 @@ def _study_refresh(args: argparse.Namespace) -> int:
 
     try:
         refreshed = refresh_study(spec, previous, store, context=context,
-                                  shards=args.shards,
-                                  force_backend=args.force,
-                                  progress=progress)
+                                  shards=args.shards, progress=progress)
     except ReproError as exc:
         print(f"refresh failed: {exc}", file=sys.stderr)
         return 1

@@ -53,8 +53,6 @@ API_PAGES: tuple[ApiPage, ...] = (
             ("repro.radio.batch",)),
     ApiPage("api/solar-batch.md", "repro.solar.batch",
             ("repro.solar.batch",)),
-    ApiPage("api/backend.md", "repro.backend",
-            ("repro.backend",)),
     ApiPage("api/kernels.md", "repro.kernels",
             ("repro.kernels",)),
     ApiPage("api/optimize-mc.md", "repro.optimize.mc",

@@ -78,8 +78,8 @@ class MergeValidationError(ReproError, RuntimeError):
     """A distributed merge rejected its shard set before producing a table.
 
     Structured: :attr:`kind` names the violated invariant (``"spec_hash"``,
-    ``"layout"``, ``"overlap"``, ``"missing"``, ``"checksum"``,
-    ``"backend"`` or ``"crn"``) and :attr:`details` carries the evidence
+    ``"layout"``, ``"overlap"``, ``"missing"``, ``"checksum"`` or
+    ``"crn"``) and :attr:`details` carries the evidence
     (the offending ranges, hashes or case indices), so callers — the CLI's
     exit-code mapping, the dist-smoke CI leg — can react without parsing
     the message.

@@ -1,4 +1,4 @@
-"""Named sequential-scan kernels, registered per array backend.
+"""Named sequential-scan kernels, one implementation per backend.
 
 Each kernel is one of the recurrences the batch engines cannot vectorize
 away — the only remaining sequential loops in the codebase:
@@ -12,40 +12,39 @@ away — the only remaining sequential loops in the codebase:
 * :func:`occupancy_scan` — the occupancy-group wake-cycle walk (the sim
   engine's group scan).
 
-Importing this module registers the two backends with
-:mod:`repro.backend`: ``"numpy"`` (fused formulations, the default) and
-``"reference"`` (the original step loops, bit-identity anchor).
-Every dispatcher takes a ``backend=`` keyword resolved per call via
-:func:`repro.backend.get_backend` (explicit argument, then the
-``REPRO_BACKEND`` environment variable, then ``"numpy"``).
+:data:`BACKENDS` holds the two kernel tables: ``"numpy"`` (fused
+formulations, :mod:`repro.kernels.numpy_fused`) serves every run, and
+``"reference"`` (the original step loops, :mod:`repro.kernels.reference`)
+is the bit-identity oracle the parity tests and
+``benchmarks/bench_backend.py`` reach through the engines' ``backend=``
+keyword.  ``backend=None`` means ``"numpy"``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import Backend, get_backend, register_backend
+from repro.errors import ConfigurationError
 from repro.kernels import numpy_fused as _numpy
 from repro.kernels import reference as _reference
 
-__all__ = ["KERNEL_NAMES", "ar1_scan", "ar1_min_scan", "soc_scan",
-           "occupancy_scan"]
+__all__ = ["BACKENDS", "KERNEL_NAMES", "ar1_scan", "ar1_min_scan",
+           "soc_scan", "occupancy_scan"]
 
-#: The kernel names every backend must provide.
+#: The kernel names every backend provides.
 KERNEL_NAMES = ("ar1_scan", "ar1_min_scan", "soc_scan", "occupancy_scan")
 
-register_backend(Backend(
-    name="numpy",
-    description="fused pure-numpy kernels (blocked prefix scans, hoisted "
-                "accounting) — the default",
-    kernels=_numpy.KERNELS,
-))
-register_backend(Backend(
-    name="reference",
-    description="original step-loop kernels — the bit-identity anchor and "
-                "benchmark baseline",
-    kernels=_reference.KERNELS,
-))
+#: Kernel table per backend name; ``"numpy"`` is the default.
+BACKENDS = {"numpy": _numpy.KERNELS, "reference": _reference.KERNELS}
+
+
+def _kernel(name: str, backend: str | None):
+    """The ``name`` kernel of ``backend`` (``None`` means ``"numpy"``)."""
+    table = BACKENDS.get(backend or "numpy")
+    if table is None:
+        raise ConfigurationError(
+            f"unknown backend {backend!r}; available: {list(BACKENDS)}")
+    return table[name]
 
 
 def ar1_scan(z: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
@@ -58,14 +57,12 @@ def ar1_scan(z: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
         rho: Per-step AR coefficients, length ``>= p - 1``.
         innovation: Per-step innovation scales, length ``>= p - 1``.
         first_scale: Scale applied to the first sample.
-        backend: Backend name; ``None`` resolves via ``REPRO_BACKEND`` and
-            then the ``"numpy"`` default.
+        backend: Key of :data:`BACKENDS`; ``None`` means ``"numpy"``.
 
     Returns:
         The scanned series, same shape as ``z``.
     """
-    return get_backend(backend).kernels["ar1_scan"](
-        z, rho, innovation, first_scale)
+    return _kernel("ar1_scan", backend)(z, rho, innovation, first_scale)
 
 
 def ar1_min_scan(snr: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
@@ -84,13 +81,13 @@ def ar1_min_scan(snr: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
         z: Shared standard normals, shape ``(trials, p_max)``.
         first_scale: Stationary sigma scaling the first position.
         sizes: True per-candidate position counts, shape ``(n_cand,)``.
-        backend: Backend name; ``None`` resolves via ``REPRO_BACKEND``.
+        backend: Key of :data:`BACKENDS`; ``None`` means ``"numpy"``.
 
     Returns:
         Minimum shadowed SNR per (candidate, trial), shape
         ``(n_cand, trials)``.
     """
-    return get_backend(backend).kernels["ar1_min_scan"](
+    return _kernel("ar1_min_scan", backend)(
         snr, rho, innovation, z, first_scale, sizes)
 
 
@@ -109,14 +106,14 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
         efficiency: Charge efficiency per system, shape ``(n,)``.
         cutoff: Discharge cutoff SoC per system, shape ``(n,)``.
         initial_soc: State of charge before the first hour, in [0, 1].
-        backend: Backend name; ``None`` resolves via ``REPRO_BACKEND``.
+        backend: Key of :data:`BACKENDS`; ``None`` means ``"numpy"``.
 
     Returns:
         Dict of accounting arrays — ``min_soc``, ``full_days``,
         ``unmet_hours``, ``unmet_wh``, ``annual_pv_wh``, ``annual_load_wh``
         (``(n,)``), ``monthly_pv_wh``, ``monthly_unmet_hours`` (``(n, 12)``).
     """
-    return get_backend(backend).kernels["soc_scan"](
+    return _kernel("soc_scan", backend)(
         produced_w, demanded_w, months, capacity_wh, efficiency, cutoff,
         initial_soc)
 
@@ -137,11 +134,10 @@ def occupancy_scan(g_a: np.ndarray, g_b: np.ndarray,
         n_groups: Per-lane group counts, shape ``(lanes,)``.
         transition_s: Sleep-to-awake transition seconds.
         horizon_s: Simulation horizon seconds.
-
-        backend: Backend name; ``None`` resolves via ``REPRO_BACKEND``.
+        backend: Key of :data:`BACKENDS`; ``None`` means ``"numpy"``.
 
     Returns:
         ``(awake_time, waking_occ)`` per lane, both ``(lanes,)``.
     """
-    return get_backend(backend).kernels["occupancy_scan"](
+    return _kernel("occupancy_scan", backend)(
         g_a, g_b, first_wake_after, n_groups, transition_s, horizon_s)

@@ -388,7 +388,7 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
     }
 
 
-#: Kernel table registered for the ``"numpy"`` backend.
+#: Kernel table of the ``"numpy"`` backend.
 KERNELS = {
     "ar1_scan": ar1_scan,
     "ar1_min_scan": ar1_min_scan,

@@ -224,7 +224,7 @@ def occupancy_scan(g_a: np.ndarray, g_b: np.ndarray,
     return awake_time, waking_occ
 
 
-#: Kernel table registered for the ``"reference"`` backend.
+#: Kernel table of the ``"reference"`` backend.
 KERNELS = {
     "ar1_scan": ar1_scan,
     "ar1_min_scan": ar1_min_scan,

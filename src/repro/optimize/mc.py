@@ -25,7 +25,7 @@ below the SNR threshold.  This module batches that question across **every
   with zeros, so no validity mask is needed in the reduction.
 
 The scan itself is the :func:`repro.kernels.ar1_min_scan` kernel, selected
-per call via ``backend=`` / ``REPRO_BACKEND``.  ``engine="scalar"`` replays
+per call via ``backend=``.  ``engine="scalar"`` replays
 the same trials through :meth:`LogNormalShadowing.sample` one (candidate,
 trial) at a time and is trial-for-trial bit-identical to the batched engine
 under ``backend="reference"`` (same generator seeding, same draw order,
@@ -298,9 +298,8 @@ def outage_matrix(profiles,
         backend matches within 1e-9.
     backend:
         Kernel backend for the batched engine (``"numpy"`` or
-        ``"reference"``); ``None`` resolves via the ``REPRO_BACKEND``
-        environment variable and then the ``"numpy"`` default.  Ignored by
-        ``engine="scalar"``.
+        ``"reference"``); ``None`` means the ``"numpy"`` default.  Ignored
+        by ``engine="scalar"``.
 
     Each profile sees the same per-trial shadowing streams (CRN), so
     cross-profile comparisons — outage-vs-ISD curves, bisection over the

@@ -125,8 +125,8 @@ class LogNormalShadowing:
         Args:
             positions_m: Ordered position grid shared by every trial.
             rngs: Iterable of per-trial generators.
-            backend: Kernel backend; ``None`` resolves via
-                ``REPRO_BACKEND`` and then the ``"numpy"`` default.
+            backend: Kernel backend (see :data:`repro.kernels.BACKENDS`);
+                ``None`` means the ``"numpy"`` default.
         """
         pos = _validated_positions(positions_m)
         rngs = list(rngs)

@@ -379,9 +379,6 @@ class JobQueue:
     def _rebuild_result(self, job: Job) -> dict | None:
         """Reassemble a terminal job's document from stored shards."""
         request = job.request
-        context = {}
-        if request.backend is not None:
-            context["backend"] = request.backend
         cancel = None if job.state == "done" else (lambda: True)
         try:
             spec = request.spec()
@@ -392,24 +389,22 @@ class JobQueue:
                 slice_run = run_shard_slice(
                     spec, request.shard_index, request.shard_of,
                     self.study_store, shards=request.shards,
-                    context=context, journal=RunJournal(None),
-                    cancel=cancel)
+                    journal=RunJournal(None), cancel=cancel)
                 report = slice_run.report
                 if report is None:  # empty slice — nothing to document
                     return None
             else:
                 report = run_study(
                     spec, jobs=1, shards=request.shards,
-                    store=self.study_store, context=context,
-                    journal=RunJournal(None), cancel=cancel)
+                    store=self.study_store, journal=RunJournal(None),
+                    cancel=cancel)
         except ReproError:
             return None
         return report.table.to_document(metadata=self._result_metadata(job))
 
     def _result_metadata(self, job: Job) -> dict:
         metadata = {"job": job.job, "state": job.state,
-                    "compute_hash": job.compute_hash,
-                    "backend": job.request.backend}
+                    "compute_hash": job.compute_hash}
         if job.request.shard_of is not None:
             metadata["shard_index"] = job.request.shard_index
             metadata["shard_of"] = job.request.shard_of
@@ -441,8 +436,8 @@ class JobQueue:
                         client=str(record["client"] or "anonymous"),
                         **{key: record["options"].get(key)
                            for key in ("shards", "shard_timeout_s",
-                                       "deadline_s", "backend",
-                                       "shard_index", "shard_of")},
+                                       "deadline_s", "shard_index",
+                                       "shard_of")},
                         jobs=int(record["options"].get("jobs") or 1),
                         retries=int(record["options"].get("retries") or 0))
                     cases = request.spec().case_count
@@ -499,9 +494,6 @@ class JobQueue:
         request = job.request
         spec = request.spec()
         effective_jobs = min(request.jobs, self.max_job_procs)
-        context = {}
-        if request.backend is not None:
-            context["backend"] = request.backend
 
         def progress(done: int, total: int, label: str) -> None:
             with self._cv:
@@ -526,8 +518,7 @@ class JobQueue:
                 slice_run = run_shard_slice(
                     spec, request.shard_index, request.shard_of,
                     self.study_store, jobs=effective_jobs,
-                    shards=request.shards, context=context,
-                    retries=request.retries,
+                    shards=request.shards, retries=request.retries,
                     shard_timeout=(request.shard_timeout_s
                                    if effective_jobs > 1 else None),
                     journal=journal, progress=progress, cancel=cancelled)
@@ -536,7 +527,7 @@ class JobQueue:
                 report = run_study(
                     spec, jobs=effective_jobs, shards=request.shards,
                     store=self.study_store, progress=progress,
-                    context=context, retries=request.retries,
+                    retries=request.retries,
                     shard_timeout=(request.shard_timeout_s
                                    if effective_jobs > 1 else None),
                     journal=journal, cancel=cancelled)

@@ -2,7 +2,7 @@
 
 Validation happens **at the edge**: an HTTP payload is parsed into a frozen
 :class:`JobRequest` before anything touches the queue, so a malformed study
-document, a negative retry count or an unresolvable backend is a 400
+document, a negative retry count or an unknown option is a 400
 response — never a poisoned job.  The study document itself is validated by
 the same :func:`~repro.study.spec.study_from_mapping` path the CLI uses, so
 the service accepts exactly the documents ``repro study run`` accepts —
@@ -29,7 +29,7 @@ __all__ = ["JobRequest", "JobView"]
 MAX_REQUEST_JOBS = 8
 
 _REQUEST_KEYS = {"study", "jobs", "shards", "retries", "shard_timeout_s",
-                 "deadline_s", "backend", "shard_index", "shard_of"}
+                 "deadline_s", "shard_index", "shard_of"}
 
 
 def _positive_number(value, name: str, allow_none: bool = True):
@@ -75,9 +75,6 @@ class JobRequest:
         expiring job is cancelled through the runner's ``cancel`` hook and
         finishes in the ``"partial"`` state with its completed shards
         retrievable.
-    backend:
-        Kernel backend name for the stochastic engines (validated as
-        resolvable at the edge).
     shard_index / shard_of:
         When both are set, the job executes only worker ``shard_index``'s
         round-robin slice of an ``shard_of``-way distributed split
@@ -97,7 +94,6 @@ class JobRequest:
     retries: int = 0
     shard_timeout_s: float | None = None
     deadline_s: float | None = None
-    backend: str | None = None
     shard_index: int | None = None
     shard_of: int | None = None
     client: str = "anonymous"
@@ -116,9 +112,8 @@ class JobRequest:
 
         Raises:
             ConfigurationError: On a non-mapping payload, unknown keys, a
-                missing/invalid study document, out-of-range options or an
-                unresolvable backend — everything the edge turns into an
-                HTTP 400.
+                missing/invalid study document or out-of-range options —
+                everything the edge turns into an HTTP 400.
         """
         if not isinstance(payload, dict):
             raise ConfigurationError(
@@ -148,13 +143,6 @@ class JobRequest:
         shard_timeout_s = _positive_number(
             payload.get("shard_timeout_s"), "shard_timeout_s")
         deadline_s = _positive_number(payload.get("deadline_s"), "deadline_s")
-        backend = payload.get("backend")
-        if backend is not None:
-            if not isinstance(backend, str):
-                raise ConfigurationError(
-                    f"backend must be a string, got {backend!r}")
-            from repro.backend import resolve_backend_name
-            backend = resolve_backend_name(backend)
         shard_index = payload.get("shard_index")
         shard_of = payload.get("shard_of")
         if (shard_index is None) != (shard_of is None):
@@ -166,7 +154,7 @@ class JobRequest:
                                        shard_of - 1)
         return cls(document=dict(document), jobs=jobs, shards=shards,
                    retries=retries, shard_timeout_s=shard_timeout_s,
-                   deadline_s=deadline_s, backend=backend,
+                   deadline_s=deadline_s,
                    shard_index=shard_index, shard_of=shard_of,
                    client=str(client))
 
@@ -179,7 +167,7 @@ class JobRequest:
         return {"jobs": self.jobs, "shards": self.shards,
                 "retries": self.retries,
                 "shard_timeout_s": self.shard_timeout_s,
-                "deadline_s": self.deadline_s, "backend": self.backend,
+                "deadline_s": self.deadline_s,
                 "shard_index": self.shard_index, "shard_of": self.shard_of}
 
 

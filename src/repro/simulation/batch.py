@@ -407,8 +407,7 @@ def simulate_days(layout: CorridorLayout,
         wake_lead_m: Wake-up lead distance ahead of an approaching train [m].
         engine: ``"batch"`` (default) or the ``"event"`` escape hatch.
         backend: Kernel backend for the batch engine's group scan
-            (``None`` resolves via ``REPRO_BACKEND``); ignored by
-            ``engine="event"``.
+            (``None`` means ``"numpy"``); ignored by ``engine="event"``.
 
     Returns:
         The :class:`DayBatchResult` with read-only ``[realization, element]``

@@ -231,8 +231,8 @@ def simulate_systems(systems,
         weather_cache: Optional memo of synthesized weather tensors
             (weather is backend-independent to 1e-9; cached tensors are
             keyed by content, not by backend).
-        backend: Kernel backend; ``None`` resolves via ``REPRO_BACKEND``
-            and then the ``"numpy"`` default.
+        backend: Kernel backend (see :data:`repro.kernels.BACKENDS`);
+            ``None`` means the ``"numpy"`` default.
 
     Returns:
         One :class:`~repro.solar.offgrid.OffGridResult` per system, in input

@@ -18,7 +18,7 @@ to a single-machine run — intact:
 :func:`merge_manifests` (CLI ``repro study merge``)
     Reassembles one study from worker manifests, refusing to produce a
     table from inputs it cannot prove consistent: one spec hash, one
-    layout, one backend, disjoint and complete shard coverage, bundle
+    layout, disjoint and complete shard coverage, bundle
     checksums matching the manifests' signed claims — each violation is a
     structured :class:`~repro.errors.MergeValidationError` naming the
     invariant (``kind``) and the evidence (``details``).  It then replays
@@ -47,7 +47,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backend import resolve_backend_name
 from repro.errors import (
     ConfigurationError,
     ManifestError,
@@ -145,8 +144,7 @@ class SliceRunReport:
         state = "complete" if self.complete else "partial"
         return (f"worker {self.manifest.worker}/{self.manifest.of} of "
                 f"{self.manifest.study!r}: {len(self.manifest.shards)} "
-                f"shard(s) attested ({state}), backend "
-                f"{self.manifest.backend}, manifest "
+                f"shard(s) attested ({state}), manifest "
                 f"{self.manifest_path.name}")
 
 
@@ -157,8 +155,8 @@ def run_shard_slice(spec: StudySpec, index: int, of: int, store: StudyStore,
                     keep_going: bool = False,
                     progress: Callable[[int, int, str], None] | None = None,
                     journal=None, cancel: Callable[[], bool] | None = None,
-                    manifest_path: str | Path | None = None,
-                    force_backend: bool = False) -> SliceRunReport:
+                    manifest_path: str | Path | None = None
+                    ) -> SliceRunReport:
     """Execute worker ``index``'s slice of a study and sign its manifest.
 
     The global shard layout is ``shard_ranges(case_count, shards)`` — the
@@ -175,7 +173,7 @@ def run_shard_slice(spec: StudySpec, index: int, of: int, store: StudyStore,
         store: The worker's own store (must have a disk layer — the
             manifest attests on-disk bundles).
         jobs / shards / context / retries / shard_timeout / keep_going /
-        progress / journal / cancel / force_backend:
+        progress / journal / cancel:
             Forwarded to :func:`~repro.study.runner.run_study`; ``shards``
             is the **global** shard count (identical across workers).
         manifest_path: Manifest output file; defaults to
@@ -202,7 +200,6 @@ def run_shard_slice(spec: StudySpec, index: int, of: int, store: StudyStore,
     layout = shard_ranges(case_count, shards)
     indices = slice_shards(len(layout), index, of)
     log = resolve_journal(journal, store)
-    backend = resolve_backend_name((context or {}).get("backend"))
 
     report: StudyRunReport | None = None
     if indices:
@@ -210,21 +207,20 @@ def run_shard_slice(spec: StudySpec, index: int, of: int, store: StudyStore,
             spec, jobs=jobs, shards=len(layout), store=store,
             progress=progress, context=context, retries=retries,
             shard_timeout=shard_timeout, keep_going=keep_going,
-            journal=log, cancel=cancel, only_shards=indices,
-            force_backend=force_backend)
+            journal=log, cancel=cancel, only_shards=indices)
     # Attest only what verifiably completed: a partial or keep_going run
     # signs a truthful subset, and the merge's coverage check reports the
     # gap as "missing" rather than trusting an optimistic claim.
     completed = [i for i in indices
                  if store.shard_checksum(spec, *layout[i]) is not None]
     manifest = build_manifest(spec, store, layout, completed,
-                              worker=index, of=of, backend=backend)
+                              worker=index, of=of)
     if manifest_path is None:
         manifest_path = store.cache_dir / default_manifest_name(
             spec, index, of)
     path = write_manifest(manifest, manifest_path)
     log.emit("manifest", path=str(path), worker=index, of=of,
-             shards=len(manifest.shards), backend=backend)
+             shards=len(manifest.shards))
     return SliceRunReport(report=report, manifest=manifest,
                           manifest_path=path)
 
@@ -265,8 +261,6 @@ class MergeReport:
         bit-identical (NaN-aware) to a single-machine run.
     manifests:
         The verified worker manifests, in worker order.
-    backend:
-        The (single) kernel backend every worker used.
     crn_cases:
         Case indices the CRN spot-check recomputed inline.
     replayed_events:
@@ -276,7 +270,6 @@ class MergeReport:
     spec: StudySpec
     table: StudyTable
     manifests: tuple[ShardManifest, ...]
-    backend: str
     crn_cases: tuple[int, ...]
     replayed_events: int
 
@@ -286,9 +279,8 @@ class MergeReport:
         return (f"merged {self.spec.name!r}: {len(self.table)}/"
                 f"{self.spec.case_count} cases from "
                 f"{len(self.manifests)} worker(s), {shards} shards, "
-                f"backend {self.backend}, CRN-checked cases "
-                f"{list(self.crn_cases)}, {self.replayed_events} journal "
-                f"events replayed")
+                f"CRN-checked cases {list(self.crn_cases)}, "
+                f"{self.replayed_events} journal events replayed")
 
 
 def merge_manifests(spec: StudySpec, manifest_paths,
@@ -306,16 +298,12 @@ def merge_manifests(spec: StudySpec, manifest_paths,
        manifests from an earlier spec revision are refused;
     2. ``layout`` — every manifest must declare the same canonical shard
        layout, and every shard entry's range must match it;
-    3. ``backend`` — all workers must have used one kernel backend (their
-       results agree only to tolerance across backends), and that backend
-       must be resolvable here for the CRN check;
-    4. ``overlap`` / ``missing`` — shard ownership must be disjoint and
+    3. ``overlap`` / ``missing`` — shard ownership must be disjoint and
        must cover the full layout;
-    5. ``checksum`` — each bundle on disk (read from the directory next to
+    4. ``checksum`` — each bundle on disk (read from the directory next to
        its manifest) must carry exactly the checksum its manifest signed;
-    6. ``crn`` — a deterministic sample of cases is recomputed inline with
-       the workers' backend and compared bit-for-bit (NaN-aware) against
-       the stored rows.
+    5. ``crn`` — a deterministic sample of cases is recomputed inline and
+       compared bit-for-bit (NaN-aware) against the stored rows.
 
     Args:
         spec: The study to merge (the single source of truth).
@@ -332,8 +320,7 @@ def merge_manifests(spec: StudySpec, manifest_paths,
         crn_sample: Cases to recompute for the CRN spot-check (clamped to
             the case count; at least 1).
         context: Optional engine context for the spot-check recomputation
-            (e.g. ``cache_dir``); its ``backend`` entry, if any, must
-            match the workers' backend.
+            (e.g. ``cache_dir``).
 
     Returns:
         The :class:`MergeReport` with the merged table.
@@ -407,30 +394,7 @@ def merge_manifests(spec: StudySpec, manifest_paths,
                     kind="layout", manifest=str(path), shard=entry.index,
                     claimed=[entry.start, entry.stop])
 
-    # 3. one backend, resolvable here.
-    backends = sorted({m.backend for m in manifests})
-    if len(backends) > 1:
-        raise MergeValidationError(
-            f"workers used different kernel backends {backends}; their "
-            f"results agree only to tolerance, so the merge would not be "
-            f"bit-identical to any single-machine run — recompute the "
-            f"minority slice under one backend",
-            kind="backend", backends=backends)
-    requested = (context or {}).get("backend")
-    if requested is not None and requested != backends[0]:
-        raise MergeValidationError(
-            f"merge context requests backend {requested!r} but every "
-            f"worker computed with {backends[0]!r}",
-            kind="backend", backends=backends, requested=requested)
-    try:
-        backend = resolve_backend_name(backends[0])
-    except ConfigurationError as exc:
-        raise MergeValidationError(
-            f"workers' backend {backends[0]!r} is not available for the "
-            f"CRN spot-check on this machine: {exc}",
-            kind="backend", backends=backends) from None
-
-    # 4. disjoint, complete coverage of the layout.
+    # 3. disjoint, complete coverage of the layout.
     owners: dict[int, int] = {}
     for manifest in manifests:
         for entry in manifest.shards:
@@ -452,7 +416,7 @@ def merge_manifests(spec: StudySpec, manifest_paths,
             kind="missing", shards=missing,
             ranges=[list(layout[i]) for i in missing])
 
-    # 5. bundles on disk match the signed claims; collect the raw tables.
+    # 4. bundles on disk match the signed claims; collect the raw tables.
     shard_tables = []
     stores: dict[int, StudyStore] = {}
     case_owner: dict[int, int] = {}
@@ -493,21 +457,18 @@ def merge_manifests(spec: StudySpec, manifest_paths,
 
     raw = merge_shards(shard_tables)
 
-    # 6. CRN spot-check: recompute a deterministic case sample inline and
+    # 5. CRN spot-check: recompute a deterministic case sample inline and
     # compare bit-for-bit against what the workers stored.
     from repro.study.engines import STUDY_ENGINES, run_cases
 
     metrics = list(STUDY_ENGINES[spec.engine].metrics)
     sample = _crn_sample_indices(spec.case_count, crn_sample)
-    log.emit("merge_crn_check", sampled=len(sample), cases=sample,
-             backends=backends)
+    log.emit("merge_crn_check", sampled=len(sample), cases=sample)
     cases = spec.cases()
-    check_context = dict(context or {})
-    check_context["backend"] = backend
     row_of = {int(c): r for r, c in enumerate(raw["case"])}
     recomputed = run_cases(spec.engine, [cases[i] for i in sample],
                            [spec.case_seed(i) for i in sample],
-                           context=check_context)
+                           context=context)
     for i, fresh in zip(sample, recomputed):
         stored_row = {m: raw[m][row_of[i]] for m in metrics}
         for metric in metrics:
@@ -516,9 +477,8 @@ def merge_manifests(spec: StudySpec, manifest_paths,
                     f"CRN invariance violated at case {i}, metric "
                     f"{metric!r}: worker {case_owner[i]} "
                     f"stored {stored_row[metric]!r} but an inline "
-                    f"recomputation under backend {backend!r} produced "
-                    f"{fresh[metric]!r} — the worker's environment "
-                    f"diverged from this one",
+                    f"recomputation produced {fresh[metric]!r} — the "
+                    f"worker's environment diverged from this one",
                     kind="crn", case=i, metric=metric,
                     worker=case_owner[i],
                     stored=stored_row[metric], recomputed=fresh[metric])
@@ -531,14 +491,14 @@ def merge_manifests(spec: StudySpec, manifest_paths,
             for entry in manifest.shards:
                 table = worker_store.get_shard(spec, entry.start, entry.stop)
                 out_store.put_shard(spec, entry.start, entry.stop, table)
-        out_store.put_run_metadata(spec, backend)
+        out_store.put_run_metadata(spec)
 
     table = build_table(spec, raw)
     log.emit("merge_end", rows=len(table),
              shards=sum(len(m.shards) for m in manifests),
              workers=len(manifests), wall_s=time.monotonic() - t0)
     return MergeReport(spec=spec, table=table, manifests=tuple(manifests),
-                       backend=backend, crn_cases=tuple(sample),
+                       crn_cases=tuple(sample),
                        replayed_events=replayed)
 
 
@@ -613,7 +573,6 @@ def refresh_study(spec: StudySpec, previous: StudySpec, store: StudyStore,
                   *, context: dict | None = None,
                   shards: int | None = None,
                   journal=None,
-                  force_backend: bool = False,
                   progress: Callable[[int, int, str], None] | None = None
                   ) -> RefreshReport:
     """Re-evaluate an updated spec, recomputing only hash-changed cases.
@@ -635,16 +594,13 @@ def refresh_study(spec: StudySpec, previous: StudySpec, store: StudyStore,
             fingerprints and recomputes everything).
         store: The store holding the previous run's shards; receives the
             updated spec's shards.
-        context: Optional engine context (``backend``, ``cache_dir``,
-            ``fault_plan`` — see :func:`~repro.study.runner.run_study`).
+        context: Optional engine context (``cache_dir``, ``fault_plan`` —
+            see :func:`~repro.study.runner.run_study`).
         shards: Shard count for the updated spec's layout (defaults like
             :func:`~repro.study.runner.run_study`).
         journal: JSONL journal — a path, a
             :class:`~repro.study.journal.RunJournal`, or ``None`` to
             default to ``run.jsonl`` in the store directory.
-        force_backend: Accept a kernel backend differing from the one
-            recorded for the previous run (the reused rows would then mix
-            backends with the recomputed ones — normally refused).
         progress: Optional ``progress(done, total, label)`` callback, per
             shard as in :func:`~repro.study.runner.run_study`.
 
@@ -652,16 +608,12 @@ def refresh_study(spec: StudySpec, previous: StudySpec, store: StudyStore,
         The :class:`RefreshReport` with the updated table.
 
     Raises:
-        ConfigurationError: When the store has no disk layer, or the
-            resolved backend differs from the one recorded for the
-            previous run or the updated spec (without ``force_backend``).
+        ConfigurationError: When the store has no disk layer.
     """
     if store is None or store.cache_dir is None:
         raise ConfigurationError(
             "refresh needs a store with a disk layer — it diffs against "
             "the previous run's persisted shards")
-    backend = resolve_backend_name((context or {}).get("backend"))
-    store.check_backend(previous, backend, force=force_backend)
 
     log = resolve_journal(journal, store)
     t0 = time.monotonic()
@@ -694,8 +646,7 @@ def refresh_study(spec: StudySpec, previous: StudySpec, store: StudyStore,
             in previous_rows}
 
     report = run_study(spec, shards=shards, store=store, progress=progress,
-                       context=context, journal=log,
-                       force_backend=force_backend, reuse_rows=rows)
+                       context=context, journal=log, reuse_rows=rows)
     changed = tuple(sorted(i for start, stop in report.computed_ranges
                            for i in range(start, stop) if i not in rows))
     reused = len(report.table) - len(changed)

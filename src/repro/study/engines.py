@@ -68,8 +68,7 @@ class EngineAdapter:
         dicts (one per case, defaults already applied) and returns one metric
         dict per case, in order.  ``seeds[i]`` is the engine seed of case
         ``i`` (see :meth:`repro.study.spec.StudySpec.case_seed`); ``context``
-        optionally carries shared caches (``profile_cache``,
-        ``weather_cache``).
+        optionally names the disk cache directory (``cache_dir``).
     """
 
     name: str
@@ -95,13 +94,10 @@ class EngineAdapter:
 def _context_profile_cache(context: dict):
     from repro.scenario.cache import ProfileCache
 
-    cache = context.get("profile_cache")
-    if cache is None:
-        cache_dir = context.get("cache_dir")
-        cache = _process_cache(
-            ("profile", cache_dir),
-            lambda: ProfileCache(maxsize=256, cache_dir=cache_dir))
-    return cache
+    cache_dir = context.get("cache_dir")
+    return _process_cache(
+        ("profile", cache_dir),
+        lambda: ProfileCache(maxsize=256, cache_dir=cache_dir))
 
 
 def _context_weather_cache(context: dict):
@@ -109,14 +105,11 @@ def _context_weather_cache(context: dict):
 
     from repro.solar.batch import WeatherCache
 
-    cache = context.get("weather_cache")
-    if cache is None:
-        cache_dir = context.get("cache_dir")
-        weather_dir = None if cache_dir is None else Path(cache_dir) / "weather"
-        cache = _process_cache(
-            ("weather", cache_dir),
-            lambda: WeatherCache(maxsize=64, cache_dir=weather_dir))
-    return cache
+    cache_dir = context.get("cache_dir")
+    weather_dir = None if cache_dir is None else Path(cache_dir) / "weather"
+    return _process_cache(
+        ("weather", cache_dir),
+        lambda: WeatherCache(maxsize=64, cache_dir=weather_dir))
 
 
 #: Per-process shared caches, created lazily (one ProfileCache / WeatherCache
@@ -159,8 +152,8 @@ def _run_radio(cases: list[dict], seeds: list[int], context: dict) -> list[dict]
     from repro.radio.batch import evaluate_scenarios
 
     scenarios = [_radio_scenario(case) for case in cases]
-    profiles = evaluate_scenarios(scenarios, cache=_context_profile_cache(context),
-                                  jobs=context.get("jobs"))
+    profiles = evaluate_scenarios(scenarios,
+                                  cache=_context_profile_cache(context))
     rows = []
     for case, profile in zip(cases, profiles):
         threshold = float(case["threshold_db"])
@@ -209,8 +202,7 @@ def _run_solar(cases: list[dict], seeds: list[int], context: dict) -> list[dict]
                 rows[i] = row
         return rows
     results = simulate_systems(systems, days=days.pop(),
-                               weather_cache=_context_weather_cache(context),
-                               backend=context.get("backend"))
+                               weather_cache=_context_weather_cache(context))
     return [{
         "zero_downtime": int(r.zero_downtime),
         "unmet_hours": r.unmet_hours,
@@ -239,9 +231,7 @@ def _run_mc(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
             decorrelation_m=float(case["decorrelation_m"]))
         matrix = outage_matrix([profile], shadowing,
                                threshold_db=float(case["threshold_db"]),
-                               trials=int(case["trials"]), seed=seed,
-                               engine=str(case["engine"]),
-                               backend=context.get("backend"))
+                               trials=int(case["trials"]), seed=seed)
         ci_low, ci_high = matrix.ci95()
         rows.append({
             "outage_probability": float(matrix.outage_probability[0]),
@@ -319,9 +309,7 @@ def _run_sim(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
         sim = simulate_days(layout, mode=modes[policy], params=params,
                             timetables=timetables,
                             transition_s=float(case["transition_s"]),
-                            wake_lead_m=float(case["wake_lead_m"]),
-                            engine=str(case["engine"]),
-                            backend=context.get("backend"))
+                            wake_lead_m=float(case["wake_lead_m"]))
         ci_low, ci_high = sim.ci95_w_per_km()
         rows.append({
             "service_hours": service_hours, "feasible": 1,
@@ -353,7 +341,7 @@ def _network_frontiers(case: dict, context: dict):
     key = (str(case["graph"]), int(case["segments"]),
            float(case["demand_scale"]), str(case["technologies"]),
            float(case["min_sleep_headway_s"]), float(case["resolution_m"]),
-           float(case["horizon_years"]), str(case["engine"]))
+           float(case["horizon_years"]))
     hit = _FRONTIER_MEMO.get(key)
     if hit is not None:
         _FRONTIER_MEMO.move_to_end(key)
@@ -366,8 +354,7 @@ def _network_frontiers(case: dict, context: dict):
     frontiers = segment_frontiers(
         graph, catalog, resolution_m=float(case["resolution_m"]),
         horizon_years=float(case["horizon_years"]),
-        cache=_context_profile_cache(context), jobs=context.get("jobs"),
-        engine=str(case["engine"]))
+        cache=_context_profile_cache(context))
     _FRONTIER_MEMO[key] = frontiers
     while len(_FRONTIER_MEMO) > _FRONTIER_MEMO_MAX:
         _FRONTIER_MEMO.popitem(last=False)
@@ -476,7 +463,6 @@ STUDY_ENGINES: dict[str, EngineAdapter] = {
                 "decorrelation_m": 50.0,
                 "trials": 100,
                 "threshold_db": constants.PEAK_SNR_CRITERION_DB,
-                "engine": "batched",
             },
             metrics=("outage_probability", "outage_ci95_low",
                      "outage_ci95_high", "median_min_snr_db"),
@@ -495,7 +481,6 @@ STUDY_ENGINES: dict[str, EngineAdapter] = {
                 "realizations": 25,
                 "transition_s": constants.SLEEP_TRANSITION_S,
                 "wake_lead_m": 50.0,
-                "engine": "batch",
             },
             metrics=("service_hours", "feasible", "realizations",
                      "mean_w_per_km", "std_w_per_km", "ci95_low", "ci95_high",
@@ -516,7 +501,6 @@ STUDY_ENGINES: dict[str, EngineAdapter] = {
                 "min_sleep_headway_s": 300.0,
                 "resolution_m": 25.0,
                 "horizon_years": 10.0,
-                "engine": "batched",
             },
             metrics=("feasible", "total_cost_meur", "total_energy_kw",
                      "min_w_per_km", "mean_w_per_km", "sleeping_segments",
@@ -537,14 +521,11 @@ def run_cases(engine: str, cases: list[dict], seeds: list[int],
         cases: Case parameter dicts (axis points merged over fixed values;
             adapter defaults are applied here).
         seeds: Engine seed per case, aligned with ``cases``.
-        context: Optional shared state — ``profile_cache``, ``weather_cache``
-            (both fall back to per-process module caches), ``jobs`` (radio
-            thread sharding), and ``backend`` (kernel backend name forwarded
-            to the stochastic engines; ``None`` resolves via
-            ``REPRO_BACKEND``).  Other keys pass through untouched: the
-            supervised runner ships a ``fault_plan`` mapping here
-            (:mod:`repro.faults`), consumed by the worker entry point
-            before this function runs.
+        context: Optional ``cache_dir`` (a path string) under which the
+            per-process profile and weather caches persist.  Other keys
+            pass through untouched: the supervised runner ships a
+            ``fault_plan`` mapping here (:mod:`repro.faults`), consumed by
+            the worker entry point before this function runs.
 
     Returns:
         One ``{metric: value}`` dict per case, aligned with ``cases``, with

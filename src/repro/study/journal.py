@@ -33,10 +33,10 @@ interrupt   completed
 cancel      completed
 run_end     computed, reused, failed, interrupted, cancelled, partial,
             wall_s
-manifest    path, worker, of, shards, backend
+manifest    path, worker, of, shards
 merge_start study, compute_hash, manifests, shards
 worker_replay  worker, source, events
-merge_crn_check  sampled, cases, backends
+merge_crn_check  sampled, cases
 merge_end   rows, shards, workers, wall_s
 refresh_start  study, compute_hash, previous_hash, cases
 refresh_end changed, reused, rows, partial, wall_s

@@ -41,11 +41,12 @@ __all__ = ["MANIFEST_VERSION", "ShardEntry", "ShardManifest",
            "build_manifest", "default_manifest_name", "load_manifest",
            "sign_payload", "write_manifest"]
 
-#: Schema version of the manifest payload; bumped on incompatible change.
-MANIFEST_VERSION = 1
+#: Schema version of the manifest payload; bumped on incompatible change
+#: (version 2 dropped the ``backend`` field of version 1).
+MANIFEST_VERSION = 2
 
 _PAYLOAD_KEYS = {"manifest_version", "study", "engine", "compute_hash",
-                 "case_count", "seed", "seed_mode", "backend", "version",
+                 "case_count", "seed", "seed_mode", "version",
                  "worker", "of", "layout", "shards"}
 
 _ENTRY_KEYS = {"index", "start", "stop", "key", "checksum", "rows"}
@@ -107,9 +108,6 @@ class ShardManifest:
     study / engine / compute_hash / case_count / seed / seed_mode / version:
         Study identity and provenance (``version`` is the ``repro``
         release that produced the bundles).
-    backend:
-        Resolved kernel backend the slice was computed with — merges
-        refuse to mix backends, whose results agree only to tolerance.
     worker / of:
         This worker's position in the ``of``-way split.
     layout:
@@ -125,7 +123,6 @@ class ShardManifest:
     case_count: int
     seed: int
     seed_mode: str
-    backend: str
     version: str
     worker: int
     of: int
@@ -146,7 +143,6 @@ class ShardManifest:
             "case_count": self.case_count,
             "seed": self.seed,
             "seed_mode": self.seed_mode,
-            "backend": self.backend,
             "version": self.version,
             "worker": self.worker,
             "of": self.of,
@@ -169,25 +165,26 @@ class ShardManifest:
             The validated manifest.
 
         Raises:
-            ManifestError: On a non-mapping payload, unknown or missing
-                keys, an unsupported ``manifest_version`` or malformed
-                layout/shard entries.
+            ManifestError: On a non-mapping payload, an unsupported
+                ``manifest_version`` (checked first, so an older manifest
+                is named by its version), unknown or missing keys, or
+                malformed layout/shard entries.
         """
         if not isinstance(payload, dict):
             raise ManifestError(
                 f"{source}: manifest payload must be a mapping, "
                 f"got {type(payload).__name__}")
+        version = payload.get("manifest_version", MANIFEST_VERSION)
+        if version != MANIFEST_VERSION:
+            raise ManifestError(
+                f"{source}: unsupported manifest_version {version!r} "
+                f"(this build reads {MANIFEST_VERSION})")
         unknown = set(payload) - _PAYLOAD_KEYS
         missing = _PAYLOAD_KEYS - set(payload)
         if unknown or missing:
             raise ManifestError(
                 f"{source}: manifest keys mismatch — unknown "
                 f"{sorted(unknown)}, missing {sorted(missing)}")
-        if payload["manifest_version"] != MANIFEST_VERSION:
-            raise ManifestError(
-                f"{source}: unsupported manifest_version "
-                f"{payload['manifest_version']!r} (this build reads "
-                f"{MANIFEST_VERSION})")
         layout = payload["layout"]
         if (not isinstance(layout, list) or not layout
                 or not all(isinstance(r, list) and len(r) == 2
@@ -222,7 +219,6 @@ class ShardManifest:
                 case_count=int(payload["case_count"]),
                 seed=int(payload["seed"]),
                 seed_mode=str(payload["seed_mode"]),
-                backend=str(payload["backend"]),
                 version=str(payload["version"]),
                 worker=int(payload["worker"]), of=int(payload["of"]),
                 layout=tuple((int(s), int(e)) for s, e in layout),
@@ -234,7 +230,7 @@ class ShardManifest:
 
 def build_manifest(spec: StudySpec, store: StudyStore,
                    layout: list[tuple[int, int]], shard_indices,
-                   worker: int, of: int, backend: str) -> ShardManifest:
+                   worker: int, of: int) -> ShardManifest:
     """Assemble a manifest from the bundles a slice run left in ``store``.
 
     Every claimed shard is re-verified against the disk right here: its
@@ -249,7 +245,6 @@ def build_manifest(spec: StudySpec, store: StudyStore,
         shard_indices: Layout indices this worker owns.
         worker: Worker position in the split.
         of: Total workers in the split.
-        backend: Resolved kernel backend the shards were computed with.
 
     Returns:
         The manifest (unsigned until :func:`write_manifest`).
@@ -276,8 +271,8 @@ def build_manifest(spec: StudySpec, store: StudyStore,
     return ShardManifest(
         study=spec.name, engine=spec.engine,
         compute_hash=spec.compute_hash, case_count=spec.case_count,
-        seed=int(spec.seed), seed_mode=spec.seed_mode, backend=backend,
-        version=__version__, worker=int(worker), of=int(of),
+        seed=int(spec.seed), seed_mode=spec.seed_mode, version=__version__,
+        worker=int(worker), of=int(of),
         layout=tuple((int(s), int(e)) for s, e in layout),
         shards=tuple(entries))
 

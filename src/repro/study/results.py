@@ -131,7 +131,7 @@ class StudyTable:
 
         Args:
             metadata: Optional mapping embedded verbatim under a
-                ``"metadata"`` key (e.g. the resolved kernel backend).
+                ``"metadata"`` key (e.g. a merge's worker count).
 
         Returns:
             A plain dict with ``study``/``engine``/``axes``/``metrics``/
@@ -156,7 +156,7 @@ class StudyTable:
         """Write a JSON provenance document (study id + wide records).
 
         NaN cells (infeasible cases) are serialized as ``null`` so the output
-        is strict JSON.  ``metadata`` (e.g. the resolved kernel backend)
+        is strict JSON.  ``metadata`` (e.g. a merge's worker count)
         is embedded verbatim under a ``"metadata"`` key when given (see
         :meth:`to_document`).
         """
@@ -329,10 +329,8 @@ class StudyStore(ArrayCache):
     def run_metadata(self, spec: StudySpec) -> dict | None:
         """The run metadata recorded for ``spec``, or ``None``.
 
-        The runner persists a small JSON sidecar per spec (currently the
-        resolved kernel backend plus provenance) so a resume can detect
-        that it is about to compute new shards under different settings
-        than the shards already in the store.
+        The runner persists a small JSON sidecar per spec recording which
+        study and ``repro`` version wrote its shards into this store.
 
         Args:
             spec: The study whose metadata to read.
@@ -350,25 +348,10 @@ class StudyStore(ArrayCache):
             return None
         return document if isinstance(document, dict) else None
 
-    def check_backend(self, spec: StudySpec, backend: str,
-                      force: bool = False) -> None:
-        """Raise :class:`~repro.errors.ConfigurationError` when ``spec``'s
-        recorded backend differs from ``backend``, unless ``force`` (CLI
-        ``--force``): backends agree only to tolerance, so a store that
-        mixes them breaks bit-identical resumes, merges and refreshes."""
-        recorded = (self.run_metadata(spec) or {}).get("backend")
-        if recorded not in (None, backend) and not force:
-            raise ConfigurationError(
-                f"store holds results of {spec.name!r} computed with "
-                f"backend {recorded!r}, but this run resolves to "
-                f"{backend!r}; mixing backends in one store breaks "
-                f"bit-identical results — rerun with the recorded backend "
-                f"or pass --force to accept the mix")
+    def put_run_metadata(self, spec: StudySpec) -> None:
+        """Record which study and ``repro`` version wrote ``spec``'s rows.
 
-    def put_run_metadata(self, spec: StudySpec, backend: str) -> None:
-        """Record that ``spec``'s rows in this store come from ``backend``.
-
-        The sidecar holds ``{study, compute_hash, backend, version}``.  It
+        The sidecar holds ``{study, compute_hash, version}``.  It
         uses the same write-then-rename discipline as the array bundles;
         an unwritable directory degrades silently (counted in
         :attr:`~repro.scenario.cache.ArrayCache.disk_errors`) — metadata
@@ -380,7 +363,7 @@ class StudyStore(ArrayCache):
         from repro import __version__
 
         metadata = {"study": spec.name, "compute_hash": spec.compute_hash,
-                    "backend": backend, "version": __version__}
+                    "version": __version__}
         tmp_path = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             tmp_path.write_text(json.dumps(metadata, indent=2) + "\n")

@@ -67,9 +67,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.backend import resolve_backend_name
 from repro.errors import ConfigurationError, StudyExecutionError
-from repro.faults import CONTEXT_KEY as _FAULT_CONTEXT_KEY
 from repro.faults import FaultPlan
 from repro.study.engines import run_cases
 from repro.study.journal import RunJournal, resolve_journal
@@ -191,11 +189,6 @@ def _run_shard(payload: tuple[StudySpec, int, int, dict, int, int, dict]
         rows = [known[i] if i in known else next(fresh)
                 for i in range(start, stop)]
     return start, _shard_table(start, stop, rows)
-
-
-#: Context keys that are plain data and may cross a process boundary; live
-#: cache objects (``profile_cache``, ``weather_cache``) stay inline-only.
-_PICKLABLE_CONTEXT_KEYS = ("cache_dir", "jobs", "backend", _FAULT_CONTEXT_KEY)
 
 
 @dataclass(frozen=True)
@@ -333,7 +326,6 @@ def run_study(spec: StudySpec,
               journal: str | Path | RunJournal | None = None,
               cancel: Callable[[], bool] | None = None,
               only_shards: Sequence[int] | None = None,
-              force_backend: bool = False,
               reuse_rows: Mapping[int, dict] | None = None
               ) -> StudyRunReport:
     """Execute a study under the supervisor and merge its shards.
@@ -352,11 +344,11 @@ def run_study(spec: StudySpec,
         max_shards: Stop after computing this many new shards (reused shards
             don't count) — a smoke/ops hook that yields a ``partial`` report;
             rerun with the same store to continue.
-        context: Optional engine context.  ``profile_cache`` /
-            ``weather_cache`` objects are honoured inline (``jobs=1``) only;
-            ``cache_dir`` (a path string), ``backend`` and ``fault_plan``
-            (a :meth:`repro.faults.FaultPlan.to_context` mapping) are
-            forwarded to worker processes.
+        context: Optional engine context of plain, picklable data:
+            ``cache_dir`` (a path string) and ``fault_plan`` (a
+            :meth:`repro.faults.FaultPlan.to_context` mapping).  Every
+            shard attempt gets the same context, inline or in a worker
+            process.
         retries: Extra attempts per failing shard (``0`` keeps the historic
             fail-fast behaviour).
         shard_timeout: Wall-clock budget [s] per shard attempt; a hung
@@ -388,10 +380,6 @@ def run_study(spec: StudySpec,
             indices across workers — :mod:`repro.study.distributed` uses a
             round-robin slice — produces bundles a merge can reassemble
             bit-identically.
-        force_backend: Accept a kernel backend that differs from the one
-            recorded in the store's run metadata (the recorded value is
-            then overwritten).  Without it, such a resume fails instead of
-            silently mixing backends in one store (see Raises).
         reuse_rows: Optional ``{case index: {metric: value}}`` rows that
             need no computing.  A shard made only of them is stored and
             journaled as ``reused``; a mixed shard sends just its other
@@ -409,13 +397,7 @@ def run_study(spec: StudySpec,
 
     Raises:
         ConfigurationError: On invalid ``jobs``/``shards``/``retries``/
-            ``only_shards``; also when new shards are about to be computed
-            into a store whose recorded run metadata names a *different*
-            kernel backend than this run resolves to (``numpy`` vs
-            ``reference`` results agree only to tolerance,
-            not bit-for-bit, so mixing them would silently break the CRN
-            bit-identity contract) — pass ``force_backend=True``
-            (CLI ``--force``) to accept the mix.
+            ``only_shards``.
         StudyExecutionError: When a shard exhausts its retry budget through
             crashes or timeouts and ``keep_going`` is off.  Engine
             exceptions (including injected faults) are re-raised unchanged
@@ -489,12 +471,8 @@ def run_study(spec: StudySpec,
     if max_shards is not None:
         pending = pending[:max_shards]
 
-    backend = resolve_backend_name(context.get("backend"))
     if store is not None and (pending or from_rows):
-        # About to add new bundles to this store: refuse to mix kernel
-        # backends (pure reuse of stored shards never trips this).
-        store.check_backend(spec, backend, force=force_backend)
-        store.put_run_metadata(spec, backend)
+        store.put_run_metadata(spec)
     for index, start, stop in from_rows:
         shard = _shard_table(start, stop,
                              [reuse_rows[i] for i in range(start, stop)])
@@ -641,7 +619,6 @@ def _run_supervised(spec, context, jobs_meta, record, on_failure, final_error,
     ``_POLL_S`` while work is in flight); on cancellation the loop exits
     immediately and the ``finally`` teardown terminates in-flight workers.
     """
-    shipped = {k: context[k] for k in _PICKLABLE_CONTEXT_KEYS if k in context}
     workers = min(jobs, max(1, len(jobs_meta)))
     queue: deque[_Attempt] = deque(jobs_meta.values())
     running: dict[concurrent.futures.Future, tuple[_Attempt, float]] = {}
@@ -652,7 +629,7 @@ def _run_supervised(spec, context, jobs_meta, record, on_failure, final_error,
         log.emit("submit", shard=meta.index, start=meta.start, stop=meta.stop,
                  attempt=meta.attempt)
         future = pool.submit(_run_shard, (spec, meta.start, meta.stop,
-                                          shipped, meta.index, meta.attempt,
+                                          context, meta.index, meta.attempt,
                                           meta.known))
         running[future] = (meta, time.monotonic())
 

@@ -9,8 +9,9 @@ Pins the tentpole contracts of :mod:`repro.study.distributed` and
   ``merge_manifests``, is bit-identical (NaN-aware) to a single-machine
   run — including uneven slices and empty slices (more workers than
   shards);
-* the merge refuses overlapping, incomplete, stale, mixed-backend and
-  tampered shard sets with structured errors naming the violated rule;
+* the merge refuses overlapping, incomplete, stale and tampered shard
+  sets with structured errors naming the violated rule, and a manifest of
+  an older format by its version;
 * ``refresh_study`` re-executes exactly the hash-changed case set of an
   updated spec and reuses everything else verbatim;
 * the ``corrupt_manifest`` fault action tears a manifest mid-run and the
@@ -79,6 +80,15 @@ def assert_tables_identical(a, b):
         assert len(wide_a[column]) == len(wide_b[column])
         for x, y in zip(wide_a[column], wide_b[column]):
             assert same_value(x, y), (column, x, y)
+
+
+def write_v1_manifest(path):
+    """Rewrite a manifest as the version-1 format (with its ``backend``
+    field) and re-sign it, as a pre-version-2 worker would have left it."""
+    document = json.loads(path.read_text())
+    payload = dict(document["manifest"], manifest_version=1, backend="numpy")
+    path.write_text(json.dumps({"manifest": payload,
+                                "signature": sign_payload(payload)}))
 
 
 def run_split(spec, tmp_path, workers, shards=None, **kwargs):
@@ -168,13 +178,21 @@ class TestManifest:
         with pytest.raises(ManifestError, match="keys mismatch"):
             load_manifest(slice_run.manifest_path)
 
+    def test_version_1_manifest_refused_by_its_version(self, tmp_path):
+        # A manifest written before version 2 carries a backend field; it
+        # is named by its version, not reported as a key mismatch.
+        _, slice_run = self.slice_manifest(tmp_path)
+        write_v1_manifest(slice_run.manifest_path)
+        with pytest.raises(ManifestError,
+                           match="unsupported manifest_version 1"):
+            load_manifest(slice_run.manifest_path)
+
     def test_manifest_never_attests_missing_bundles(self, tmp_path):
         spec = mc_spec()
         store = StudyStore(maxsize=8, cache_dir=tmp_path / "w0")
         layout = shard_ranges(spec.case_count, 4)
         with pytest.raises(ManifestError, match="missing from the store"):
-            build_manifest(spec, store, layout, [0], worker=0, of=2,
-                           backend="numpy")
+            build_manifest(spec, store, layout, [0], worker=0, of=2)
 
 
 # -- merge parity -------------------------------------------------------------
@@ -191,7 +209,6 @@ class TestMergeParity:
         out_store = StudyStore(maxsize=8, cache_dir=tmp_path / "merged")
         report = merge_manifests(spec, manifests, out_store=out_store)
         assert_tables_identical(report.table, inline.table)
-        assert report.backend == report.manifests[0].backend
         assert 0 in report.crn_cases
         assert spec.case_count - 1 in max(
             [report.crn_cases], key=len)  # ends always sampled
@@ -284,8 +301,7 @@ class TestMergeRejection:
         # worker 0 — from worker 0's own (valid) bundles.
         store0 = StudyStore(maxsize=8, cache_dir=tmp_path / "worker0")
         layout = shard_ranges(spec.case_count, 4)
-        forged = build_manifest(spec, store0, layout, [0], worker=2, of=2,
-                                backend=load_manifest(manifests[0]).backend)
+        forged = build_manifest(spec, store0, layout, [0], worker=2, of=2)
         forged_path = write_manifest(forged, tmp_path / "worker0"
                                      / "forged.json")
         with pytest.raises(MergeValidationError) as excinfo:
@@ -298,22 +314,6 @@ class TestMergeRejection:
             merge_manifests(spec, manifests[:1])  # worker 1 never arrived
         assert self.kind_of(excinfo) == "missing"
         assert excinfo.value.details["shards"] == [1, 3]
-
-    def test_mixed_backends_rejected(self, tmp_path):
-        spec, manifests = self.split(tmp_path)
-        original = load_manifest(manifests[1])
-        rebadged = replace(original, backend="reference")
-        write_manifest(rebadged, manifests[1])
-        with pytest.raises(MergeValidationError) as excinfo:
-            merge_manifests(spec, manifests)
-        assert self.kind_of(excinfo) == "backend"
-
-    def test_context_backend_mismatch_rejected(self, tmp_path):
-        spec, manifests = self.split(tmp_path)
-        with pytest.raises(MergeValidationError) as excinfo:
-            merge_manifests(spec, manifests,
-                            context={"backend": "reference"})
-        assert self.kind_of(excinfo) == "backend"
 
     def test_tampered_bundle_rejected(self, tmp_path):
         spec, manifests = self.split(tmp_path)
@@ -337,9 +337,7 @@ class TestMergeRejection:
                                              dtype=float) + 0.25
         store0.put_shard(spec, start, stop, raw)
         layout = shard_ranges(spec.case_count, 4)
-        honest = build_manifest(
-            spec, store0, layout, [0, 2], worker=0, of=2,
-            backend=load_manifest(manifests[0]).backend)
+        honest = build_manifest(spec, store0, layout, [0, 2], worker=0, of=2)
         write_manifest(honest, manifests[0])
         with pytest.raises(MergeValidationError) as excinfo:
             merge_manifests(spec, manifests, crn_sample=spec.case_count)
@@ -424,7 +422,7 @@ def recording_engine(monkeypatch) -> list:
 
 class TestSupervisedRefresh:
     """Refresh runs through ``run_study``: case-granular reuse inside a
-    shard, per-shard persistence, fault plans, resume and backend guard."""
+    shard, per-shard persistence, fault plans and resume."""
 
     def seeded_store(self, tmp_path, name="store"):
         spec = mc_spec()
@@ -482,22 +480,12 @@ class TestSupervisedRefresh:
                               journal=RunJournal(None))
         assert_tables_identical(resumed.table, clean.table)
 
-    def test_refresh_refuses_a_backend_mix(self, tmp_path):
+    def test_refresh_records_the_updated_spec(self, tmp_path):
         spec, updated, store = self.seeded_store(tmp_path)
-        assert store.run_metadata(spec)["backend"] == "numpy"
-        with pytest.raises(ConfigurationError, match="backend"):
-            refresh_study(updated, spec, store,
-                          context={"backend": "reference"},
-                          journal=RunJournal(None))
         assert store.run_metadata(updated) is None
-
-    def test_force_backend_accepts_and_rerecords(self, tmp_path):
-        spec, updated, store = self.seeded_store(tmp_path)
-        report = refresh_study(updated, spec, store,
-                               context={"backend": "reference"},
-                               force_backend=True, journal=RunJournal(None))
-        assert len(report.table) == updated.case_count
-        assert store.run_metadata(updated)["backend"] == "reference"
+        refresh_study(updated, spec, store, journal=RunJournal(None))
+        assert store.run_metadata(updated)["compute_hash"] \
+            == updated.compute_hash
 
 
 # -- fault injection across the trust boundary --------------------------------
@@ -574,6 +562,24 @@ class TestCli:
         assert code == 4
         assert "[missing]" in capsys.readouterr().err
 
+    def test_merge_of_a_version_1_manifest_exits_4(self, tmp_path, capsys):
+        path = self.write_study(tmp_path)
+        manifests = []
+        for worker in range(2):
+            manifest = tmp_path / f"w{worker}" / "manifest.json"
+            assert main(["study", "shard", str(path), "--quiet",
+                         "--index", str(worker), "--of", "2",
+                         "--shards", "4", "--store", str(manifest.parent),
+                         "--manifest", str(manifest)]) == 0
+            manifests.append(manifest)
+        write_v1_manifest(manifests[1])
+        code = main(["study", "merge", str(path),
+                     *[str(m) for m in manifests], "--quiet"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "[manifest]" in err
+        assert "unsupported manifest_version 1" in err
+
     def test_run_with_manifest_is_a_1_of_1_slice(self, tmp_path, capsys):
         path = self.write_study(tmp_path)
         store = tmp_path / "store"
@@ -596,21 +602,6 @@ class TestCli:
         assert main(["study", "refresh", str(new),
                      "--previous", str(old), "--store", str(store)]) == 0
         assert "recomputed" in capsys.readouterr().err  # the summary line
-
-    def test_refresh_cli_backend_guard(self, tmp_path, capsys):
-        old = tmp_path / "v1.yaml"
-        old.write_text(MC_TEXT)
-        new = tmp_path / "v2.yaml"
-        new.write_text(MC_TEXT_V2)
-        store = tmp_path / "store"
-        assert main(["study", "run", str(old), "--quiet",
-                     "--store", str(store)]) == 0
-        refresh = ["study", "refresh", str(new), "--previous", str(old),
-                   "--store", str(store), "--quiet", "--backend",
-                   "reference"]
-        assert main(refresh) == 1
-        assert "backend" in capsys.readouterr().err
-        assert main(refresh + ["--force"]) == 0
 
     def test_interrupted_refresh_exits_3(self, tmp_path, capsys,
                                          monkeypatch):

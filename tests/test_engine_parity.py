@@ -22,7 +22,7 @@ sweep:
   runner for any ``jobs``/``shards`` layout (inline == pooled).
 
 Every stochastic comparison also sweeps the kernel-backend axis
-(:func:`repro.backend.registered_backends`): the solar engine is
+(:data:`repro.kernels.BACKENDS`): the solar engine is
 bit-identical on *every* backend, the mc engine is bit-identical on
 ``"reference"`` and pinned to <= 1e-9 on the fused numpy backend, and the sim
 engine's batch/event agreement holds per backend.
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backend import registered_backends
+from repro.kernels import BACKENDS
 
 from repro.corridor.layout import CorridorLayout
 from repro.energy.duty import EnergyParams
@@ -107,7 +107,7 @@ class TestSolarParity:
         # floats are pinned at 1e-9 while integer counts, metadata, and
         # the hour-order PV sums stay exact.
         soc_dependent = {"unmet_wh", "min_soc", "annual_load_kwh"}
-        for backend in registered_backends():
+        for backend in BACKENDS:
             batched = simulate_systems(systems, start_day_of_year=274,
                                        weather_cache=cache, backend=backend)
             for scalar, result in zip(scalars, batched):
@@ -148,7 +148,7 @@ class TestMcParity:
                                   backend="reference")
         assert np.array_equal(reference.min_snr_db, scalar.min_snr_db)
         assert np.array_equal(reference.outage_counts, scalar.outage_counts)
-        for backend in registered_backends():
+        for backend in BACKENDS:
             batched = outage_matrix(profiles, shadowing, trials=40,
                                     seed=seed, backend=backend)
             np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,
@@ -167,7 +167,7 @@ class TestMcParity:
         reference = model.sample_batch(pos, trial_generators(seed, 16),
                                        backend="reference")
         assert np.array_equal(reference, scalar)
-        for backend in registered_backends():
+        for backend in BACKENDS:
             batch = model.sample_batch(pos, trial_generators(seed, 16),
                                        backend=backend)
             np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9,
@@ -254,7 +254,7 @@ class TestSimParity:
         # must not depend on the backend at all.
         default = simulate_days(layout=self.LAYOUT, stochastic=True,
                                 realizations=3, seed=seed)
-        for backend in registered_backends():
+        for backend in BACKENDS:
             other = simulate_days(layout=self.LAYOUT, stochastic=True,
                                   realizations=3, seed=seed, backend=backend)
             for name in ("active_s", "awake_s", "energy_wh"):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.study.runner as runner
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjected, FaultPlan, FaultSpec, load_fault_plan
@@ -288,7 +289,10 @@ class TestExhaustion:
 
 
 class TestLayoutMismatch:
-    def test_resume_with_different_layout_warns(self, tmp_path):
+    def test_resume_with_different_layout_warns(self, tmp_path, monkeypatch):
+        # The warning fires once per process per fingerprint; an earlier
+        # test of the same spec and layouts must not swallow this one.
+        monkeypatch.setattr(runner, "_WARNED_LAYOUTS", set())
         store_dir = tmp_path / "store"
         run_study(mc_spec(), shards=4, store=StudyStore(cache_dir=store_dir))
         with pytest.warns(RuntimeWarning, match="different.*shard layout"):

@@ -11,8 +11,8 @@ quite produce in one run:
 * bitwise prefix stability (the common-random-numbers contract),
 * alone-vs-joint candidate grouping in the fused min-scan,
 * the hour-order summation helpers behind the fused SoC walk,
-* the backend registry itself (resolution order, duplicate registration,
-  unavailable backends).
+* the fixed backend table itself (both backends complete, ``None`` means
+  ``numpy``, unknown names refused).
 
 Reference-vs-fused tolerances: ``ar1_scan`` / ``ar1_min_scan`` are pinned to
 1e-12 (far inside the engines' 1e-9 budget); ``soc_scan`` pins the PV sums
@@ -24,12 +24,8 @@ on both backends.
 import numpy as np
 import pytest
 
-import repro.backend as backend_mod
-from repro.backend import (BACKEND_ENV_VAR, Backend, get_backend,
-                           register_backend, registered_backends,
-                           resolve_backend_name)
 from repro.errors import ConfigurationError
-from repro.kernels import (KERNEL_NAMES, ar1_min_scan, ar1_scan,
+from repro.kernels import (BACKENDS, KERNEL_NAMES, ar1_min_scan, ar1_scan,
                            occupancy_scan, soc_scan)
 from repro.kernels import numpy_fused, reference
 from repro.kernels.numpy_fused import _hour_order_sum, _monthly_sums
@@ -125,7 +121,7 @@ class TestAr1Scan:
         rho, innovation = _uniform_coeffs(50)
         ref = ar1_scan(z, rho, innovation, 1.0, backend="reference")
         assert np.array_equal(ref, reference.ar1_scan(z, rho, innovation, 1.0))
-        for name in registered_backends():
+        for name in BACKENDS:
             out = ar1_scan(z, rho, innovation, 1.0, backend=name)
             np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12,
                                        err_msg=name)
@@ -286,7 +282,7 @@ class TestOccupancyScan:
         n_groups = np.array([2, 1])
         expected = reference.occupancy_scan(g_a, g_b, first_wake, n_groups,
                                             5.0, 200.0)
-        for name in registered_backends():
+        for name in BACKENDS:
             awake, waking = occupancy_scan(g_a, g_b, first_wake, n_groups,
                                            5.0, 200.0, backend=name)
             assert np.array_equal(awake, expected[0]), name
@@ -294,51 +290,45 @@ class TestOccupancyScan:
 
 
 class TestRegistry:
-    """Backend registration and name resolution."""
+    """The fixed backend table behind the four dispatchers."""
 
     def test_known_backends_registered(self):
-        assert registered_backends() == ("numpy", "reference")
+        assert tuple(BACKENDS) == ("numpy", "reference")
 
     def test_every_available_backend_is_complete(self):
-        for name in registered_backends():
-            kernels = get_backend(name).kernels
+        for name, kernels in BACKENDS.items():
             assert set(kernels) == set(KERNEL_NAMES), name
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend(Backend(name="numpy", description="dup",
-                                     kernels={}))
+    def test_resolution_order(self):
+        # An explicit name selects its table; None means "numpy".
+        z = np.random.default_rng(4).standard_normal((3, 40))
+        rho, innovation = _uniform_coeffs(40)
+        for backend, module in ((None, numpy_fused), ("numpy", numpy_fused),
+                                ("reference", reference)):
+            assert np.array_equal(
+                ar1_scan(z, rho, innovation, 1.0, backend=backend),
+                module.ar1_scan(z, rho, innovation, 1.0)), backend
 
-    def test_resolution_order(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend_name() == "numpy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        assert resolve_backend_name() == "reference"
-        # An explicit argument beats the environment variable.
-        assert resolve_backend_name("numpy") == "numpy"
-        assert get_backend().name == "reference"
+    def test_unknown_backend_rejected(self):
+        # Every dispatcher refuses a name outside the table.
+        calls = [
+            (ar1_scan, (np.zeros((1, 2)), np.ones(1), np.ones(1), 1.0)),
+            (ar1_min_scan, (np.zeros((1, 2)), np.ones((1, 1)),
+                            np.ones((1, 1)), np.zeros((1, 2)), 1.0,
+                            np.array([2]))),
+            (soc_scan, (np.zeros((1, 24, 1)), np.zeros((24, 1)),
+                        np.zeros(1), np.ones(1), np.ones(1), np.zeros(1),
+                        1.0)),
+            (occupancy_scan, (np.zeros((1, 1)), np.zeros((1, 1)),
+                              np.zeros((1, 2)), np.ones(1), 1.0, 2.0)),
+        ]
+        for kernel, args in calls:
+            with pytest.raises(ConfigurationError, match="unknown backend"):
+                kernel(*args, backend="fortran")
 
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            resolve_backend_name("fortran")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            resolve_backend_name()
-
-    def test_unavailable_backend_explains_itself(self, monkeypatch):
-        # A backend that is not registered names the ones that are and how
-        # the selection was made, whether it came from backend= or the env.
-        message = r"unknown backend 'jit'; registered: \['numpy', 'reference'\]"
+    def test_unavailable_backend_explains_itself(self):
+        # An unknown name is refused with the names that do exist.
+        message = r"unknown backend 'jit'; available: \['numpy', 'reference'\]"
+        z = np.zeros((1, 2))
         with pytest.raises(ConfigurationError, match=message):
-            get_backend("jit")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "jit")
-        with pytest.raises(ConfigurationError, match=BACKEND_ENV_VAR):
-            get_backend()
-
-    def test_lazy_registration(self, monkeypatch):
-        # A fresh registry repopulates itself on first lookup by importing
-        # repro.kernels (which performs the register_backend calls).
-        import sys
-        monkeypatch.setattr(backend_mod, "_REGISTRY", {})
-        monkeypatch.delitem(sys.modules, "repro.kernels", raising=False)
-        assert "numpy" in registered_backends()
+            ar1_scan(z, np.ones(1), np.ones(1), 1.0, backend="jit")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backend import registered_backends
+from repro.kernels import BACKENDS
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
 from repro.optimize.mc import (
@@ -58,7 +58,7 @@ class TestSampleBatch:
         reference = model.sample_batch(pos, trial_generators(7, 20),
                                        backend="reference")
         assert np.array_equal(reference, scalar)
-        for backend in registered_backends():
+        for backend in BACKENDS:
             batch = model.sample_batch(pos, trial_generators(7, 20),
                                        backend=backend)
             np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9)
@@ -119,7 +119,7 @@ class TestOutageMatrix:
         reference = outage_matrix(profiles, shadowing, trials=64, seed=9,
                                   backend="reference")
         assert np.array_equal(reference.min_snr_db, scalar.min_snr_db)
-        for backend in registered_backends():
+        for backend in BACKENDS:
             batched = outage_matrix(profiles, shadowing, trials=64, seed=9,
                                     backend=backend)
             np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,

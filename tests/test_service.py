@@ -98,6 +98,7 @@ class TestJobRequest:
         {"shards": 0}, {"retries": -1}, {"retries": 17},
         {"shard_timeout_s": 0}, {"deadline_s": -5.0},
         {"backend": 7}, {"backend": "no-such-backend"},
+        {"backend": "numpy"},
     ])
     def test_rejects_out_of_range_options(self, payload):
         with pytest.raises(ConfigurationError):
@@ -455,6 +456,31 @@ class TestCrashRecovery:
             assert rebuilt["rows"] == document["rows"]
         finally:
             third.drain(5.0)
+
+    def test_recovers_a_job_journaled_with_a_backend_option(self, tmp_path):
+        # A jobs.jsonl written when requests still carried a kernel
+        # backend: the option is ignored and the job finishes normally.
+        store = JobStore(tmp_path / "jobs.jsonl")
+        spec = parse_study(json.dumps(MC_DOC))
+        store.job_submitted(
+            job="old", study=spec.name, compute_hash=spec.compute_hash,
+            client="c", document=MC_DOC,
+            options={"jobs": 1, "shards": 4, "retries": 0,
+                     "shard_timeout_s": None, "deadline_s": None,
+                     "backend": "numpy", "shard_index": None,
+                     "shard_of": None},
+            deadline_t=None)
+        store.close()
+        queue = JobQueue(tmp_path, workers=1)
+        queue.start()
+        try:
+            assert queue.get("old").request.shards == 4
+            assert wait_terminal(queue, "old").state == "done"
+            _, document = queue.result("old")
+            reference = run_study(spec, shards=4).table.to_document()
+            assert document["rows"] == reference["rows"]
+        finally:
+            assert queue.drain(10.0)
 
     def test_replay_folds_lifecycle_events(self, tmp_path):
         path = tmp_path / "jobs.jsonl"

@@ -289,8 +289,7 @@ class TestTable4Grid:
     """The shipped table4-grid study through the study runner."""
 
     def test_grid_experiment_matches_scalar(self):
-        table = run_study(_table4_grid((540.0, 600.0), (720.0, 1440.0)),
-                          context={"backend": "reference"}).table
+        table = run_study(_table4_grid((540.0, 600.0), (720.0, 1440.0))).table
         wide = table.wide()
         records = (dict(zip(wide, cells)) for cells in zip(*wide.values()))
         rows = {(r["location"], r["pv_peak_w"], r["battery_wh"]): r

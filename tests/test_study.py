@@ -309,9 +309,8 @@ class TestResults:
         plain = json.loads(table.write_json(tmp_path / "p.json").read_text())
         assert "metadata" not in plain
         tagged = json.loads(table.write_json(
-            tmp_path / "t.json",
-            metadata={"backend": "reference"}).read_text())
-        assert tagged["metadata"] == {"backend": "reference"}
+            tmp_path / "t.json", metadata={"workers": 3}).read_text())
+        assert tagged["metadata"] == {"workers": 3}
         assert tagged["rows"] == plain["rows"]
 
     def test_json_nan_becomes_null(self, tmp_path):
@@ -363,36 +362,46 @@ fixed:
         assert row["mean_snr_db"][0] == profile.mean_snr_db
 
     def test_mc_scalar_engine_hatch_identical(self):
+        # A study runs the batched engine; the scalar engine stays an oracle
+        # at the engine API and agrees with the study on every case.
+        from repro.corridor.layout import CorridorLayout
+        from repro.optimize.mc import outage_matrix
+        from repro.propagation.fading import LogNormalShadowing
+        from repro.radio.batch import evaluate_scenarios
+        from repro.scenario.spec import Scenario
+
         spec = mc_spec()
         batched = run_study(spec).table.wide()
-        scalar = run_study(
-            spec.with_overrides(engine="scalar")).table.wide()
-        assert scalar["outage_probability"] == batched["outage_probability"]
-        assert scalar["median_min_snr_db"] == batched["median_min_snr_db"]
+        for i, case in enumerate(spec.cases()):
+            case = STUDY_ENGINES["mc"].resolve(case)
+            layout = CorridorLayout.with_uniform_repeaters(
+                case["isd_m"], case["n_repeaters"], case["spacing_m"])
+            profile, = evaluate_scenarios(
+                [Scenario(layout=layout, resolution_m=case["resolution_m"])])
+            scalar = outage_matrix(
+                [profile], LogNormalShadowing(
+                    sigma_db=case["sigma_db"],
+                    decorrelation_m=case["decorrelation_m"]),
+                threshold_db=case["threshold_db"], trials=case["trials"],
+                seed=spec.case_seed(i), engine="scalar")
+            assert batched["outage_probability"][i] == \
+                scalar.outage_probability[0]
+            assert batched["median_min_snr_db"][i] == scalar.quantile(0.5)[0]
 
-    def test_backend_context_reference_matches_scalar(self):
-        # The reference backend routed through the study context reproduces
-        # the scalar escape hatch bit for bit; the default fused backend
-        # stays inside its 1e-9 parity budget on the same grid.
-        spec = mc_spec()
-        scalar = run_study(
-            spec.with_overrides(engine="scalar")).table.wide()
-        reference = run_study(
-            spec, context={"backend": "reference"}).table.wide()
-        fused = run_study(spec, context={"backend": "numpy"}).table.wide()
-        assert reference["outage_probability"] == scalar["outage_probability"]
-        assert reference["median_min_snr_db"] == scalar["median_min_snr_db"]
-        assert fused["outage_probability"] == scalar["outage_probability"]
-        for got, want in zip(fused["median_min_snr_db"],
-                             scalar["median_min_snr_db"]):
-            assert abs(got - want) <= 1e-9
+    def test_scalar_engine_is_not_a_study_parameter(self):
+        for engine in ("mc", "sim", "network"):
+            assert "engine" not in STUDY_ENGINES[engine].params
 
-    def test_backend_context_crosses_process_pool(self):
+    def test_context_is_the_same_inline_and_in_workers(self, tmp_path):
+        # The whole context crosses the process boundary: pooled workers
+        # persist their profiles under the context's cache_dir.
         spec = mc_spec()
-        inline = run_study(spec, context={"backend": "reference"}).table
         pooled = run_study(spec, jobs=2, shards=2,
-                           context={"backend": "reference"}).table
-        assert pooled.wide() == inline.wide()
+                           context={"cache_dir": str(tmp_path / "pool")})
+        assert list((tmp_path / "pool").glob("*.npz"))
+        inline = run_study(spec, shards=2,
+                           context={"cache_dir": str(tmp_path / "inline")})
+        assert pooled.table.wide() == inline.table.wide()
 
     def test_sim_unknown_policy_rejected(self):
         spec = parse_study("""
@@ -526,20 +535,36 @@ class TestStudyCli:
         assert (tmp_path / "out.csv").exists()
         assert json.loads((tmp_path / "out.json").read_text())["engine"] == "mc"
 
-    def test_backend_flag_tags_json_output(self, tmp_path, capsys):
-        path = self._write(tmp_path)
-        code = main(["study", "run", str(path), "--quiet",
-                     "--backend", "reference",
-                     "--json", str(tmp_path / "out.json")])
-        assert code == 0
-        document = json.loads((tmp_path / "out.json").read_text())
-        assert document["metadata"] == {"backend": "reference"}
-
-    def test_backend_flag_rejects_unknown(self, tmp_path, capsys):
+    def test_run_json_has_no_metadata(self, tmp_path, capsys):
         path = self._write(tmp_path)
         assert main(["study", "run", str(path), "--quiet",
-                     "--backend", "fortran"]) == 1
-        assert "unknown backend" in capsys.readouterr().err
+                     "--json", str(tmp_path / "out.json")]) == 0
+        document = json.loads((tmp_path / "out.json").read_text())
+        assert "metadata" not in document
+
+    @pytest.mark.parametrize("command,required", [
+        ("run", []), ("resume", []), ("shard", ["--index", "0", "--of", "1"]),
+        ("refresh", ["--previous", "x.yaml", "--store", "s"])],
+        ids=["run", "resume", "shard", "refresh"])
+    def test_backend_and_force_flags_are_gone(self, command, required,
+                                              capsys):
+        with pytest.raises(SystemExit):
+            main(["study", command, "--help"])
+        usage = capsys.readouterr().out
+        assert "--backend" not in usage and "--force" not in usage
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", command, "x.yaml", *required,
+                  "--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_scalar_engine_study_fails_to_load(self, tmp_path, capsys):
+        path = tmp_path / "scalar.yaml"
+        path.write_text(MC_TEXT.replace(
+            "  resolution_m: 50.0\n",
+            "  resolution_m: 50.0\n  engine: scalar\n"))
+        assert main(["study", "run", str(path), "--quiet"]) == 2
+        assert "does not accept ['engine']" in capsys.readouterr().err
 
     def test_resume_requires_store(self, tmp_path):
         path = self._write(tmp_path)
@@ -588,11 +613,8 @@ class TestStudyCli:
 # -- store guards (ISSUE-10 satellites) ---------------------------------------
 
 
-class TestStoreBackendGuard:
-    """A store records the kernel backend that computed it; a resume that
-    would compute *new* shards under a different backend must fail loudly
-    (mixed-backend stores are only tolerance-equal, never bit-identical)
-    instead of being silently accepted."""
+class TestRunMetadata:
+    """A store records which study and ``repro`` version wrote its rows."""
 
     def _seed_store(self, tmp_path):
         spec = mc_spec()
@@ -600,53 +622,27 @@ class TestStoreBackendGuard:
         run_study(spec, shards=4, store=store)
         return spec, store
 
-    def _drop_one_bundle(self, spec, tmp_path):
-        bundle = sorted((tmp_path / "store").glob(
-            f"{spec.compute_hash[:40]}-*.npz"))[0]
-        bundle.unlink()
+    def test_run_metadata_records_study_hash_and_version(self, tmp_path):
+        from repro import __version__
 
-    def test_pure_reuse_never_trips_the_guard(self, tmp_path):
-        spec, _ = self._seed_store(tmp_path)
-        # Nothing pending -> nothing mixes, any backend may read.
-        fresh = StudyStore(maxsize=8, cache_dir=tmp_path / "store")
-        report = run_study(spec, shards=4, store=fresh,
-                           context={"backend": "reference"})
-        assert report.computed_shards == 0
-
-    def test_resume_with_other_backend_refused(self, tmp_path):
         spec, store = self._seed_store(tmp_path)
-        assert store.run_metadata(spec)["backend"] == "numpy"
-        self._drop_one_bundle(spec, tmp_path)
-        fresh = StudyStore(maxsize=8, cache_dir=tmp_path / "store")
-        with pytest.raises(ConfigurationError, match="backend"):
-            run_study(spec, shards=4, store=fresh,
-                      context={"backend": "reference"})
+        assert store.run_metadata(spec) == {
+            "study": spec.name, "compute_hash": spec.compute_hash,
+            "version": __version__}
 
-    def test_force_backend_accepts_and_rerecords(self, tmp_path):
-        spec, _ = self._seed_store(tmp_path)
-        self._drop_one_bundle(spec, tmp_path)
+    def test_resume_rewrites_an_older_record(self, tmp_path):
+        # A store written before the record lost its backend field resumes
+        # like any other; the record is rewritten when shards are added.
+        spec, store = self._seed_store(tmp_path)
+        meta = tmp_path / "store" / f"{spec.compute_hash[:40]}-meta.json"
+        meta.write_text(json.dumps(dict(store.run_metadata(spec),
+                                        backend="reference")))
+        sorted((tmp_path / "store").glob(
+            f"{spec.compute_hash[:40]}-*.npz"))[0].unlink()
         fresh = StudyStore(maxsize=8, cache_dir=tmp_path / "store")
-        report = run_study(spec, shards=4, store=fresh,
-                           context={"backend": "reference"},
-                           force_backend=True)
-        assert report.computed_shards == 1
-        assert fresh.run_metadata(spec)["backend"] == "reference"
-
-    def test_cli_resume_backend_mismatch(self, tmp_path, capsys):
-        path = tmp_path / "study.yaml"
-        path.write_text(MC_TEXT)
-        store = tmp_path / "store"
-        assert main(["study", "run", str(path), "--quiet",
-                     "--store", str(store)]) == 0
-        spec = mc_spec()
-        sorted(store.glob(f"{spec.compute_hash[:40]}-*.npz"))[0].unlink()
-        assert main(["study", "resume", str(path), "--quiet",
-                     "--store", str(store),
-                     "--backend", "reference"]) == 1
-        assert "backend" in capsys.readouterr().err
-        assert main(["study", "resume", str(path), "--quiet",
-                     "--store", str(store), "--backend", "reference",
-                     "--force"]) == 0
+        report = run_study(spec, shards=4, store=fresh)
+        assert report.computed_shards == 1 and report.reused_shards == 3
+        assert "backend" not in fresh.run_metadata(spec)
 
 
 class TestLayoutMismatchWarning:

@@ -20,7 +20,11 @@ Subprocess legs through the real ``repro study`` CLI:
    numeric axis) refreshed with ``repro study refresh`` against the merged
    store (exit 0); its rows must be byte-identical to a clean
    ``repro study run`` of v2;
-5. **tamper** — the merge re-run against a hand-corrupted manifest must be
+5. **v1 manifest** — one worker manifest rewritten in the version-1
+   format (with its ``backend`` field) and re-signed must be rejected by
+   ``repro study merge`` with exit 4 and kind ``manifest``, naming the
+   unsupported version;
+6. **tamper** — the merge re-run against a hand-corrupted manifest must be
    rejected with exit 4 (structured validation, not a quiet wrong table).
 
 When ``BENCH_JSON_DIR`` is set, a ``BENCH_dist.json`` record (exit codes,
@@ -44,21 +48,25 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.study import read_journal  # noqa: E402
+from repro.study.manifest import sign_payload  # noqa: E402
 
 WORKERS = 3
 
 
-def run_cli(args: list[str], label: str) -> tuple[int, float]:
-    """Run a ``repro study`` subcommand; return (exit code, wall seconds)."""
+def run_cli(args: list[str], label: str) -> tuple[int, float, str]:
+    """Run a ``repro study`` subcommand; return (exit code, wall seconds,
+    stderr).  The stderr text is echoed as well as returned."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     command = [sys.executable, "-m", "repro", "study", *args]
     print(f"[dist-smoke] {label}: {' '.join(command[3:])}")
     t0 = time.perf_counter()
-    proc = subprocess.run(command, cwd=REPO, env=env)
+    proc = subprocess.run(command, cwd=REPO, env=env, stderr=subprocess.PIPE,
+                          text=True)
     wall_s = time.perf_counter() - t0
+    sys.stderr.write(proc.stderr)
     print(f"[dist-smoke] {label}: exit {proc.returncode} in {wall_s:.1f}s")
-    return proc.returncode, wall_s
+    return proc.returncode, wall_s, proc.stderr
 
 
 def load_rows(path: Path) -> list[dict]:
@@ -94,7 +102,7 @@ def main(argv: list[str]) -> int:
     try:
         # Leg 1: clean single-process reference.
         clean_json = work / "clean.json"
-        code, record["clean_s"] = run_cli(
+        code, record["clean_s"], _ = run_cli(
             ["run", args.study, "--quiet", "--shards", str(args.shards),
              "--json", str(clean_json)], "clean")
         if code != 0:
@@ -121,7 +129,7 @@ def main(argv: list[str]) -> int:
                 ]}))
                 cli += ["--jobs", "2", "--retries", "2",
                         "--fault-plan", str(plan)]
-            code, wall_s = run_cli(cli, f"worker {worker}/{WORKERS}")
+            code, wall_s, _ = run_cli(cli, f"worker {worker}/{WORKERS}")
             record["worker_s"].append(wall_s)
             if code != 0:
                 print(f"[dist-smoke] FAIL: worker {worker} exited {code}")
@@ -139,7 +147,7 @@ def main(argv: list[str]) -> int:
         # to the clean single-process run.
         merged_json = work / "merged.json"
         merged_store = work / "merged"
-        code, record["merge_s"] = run_cli(
+        code, record["merge_s"], _ = run_cli(
             ["merge", args.study, *[str(p) for p in manifests],
              "--out-store", str(merged_store), "--quiet",
              "--json", str(merged_json)], "merge")
@@ -158,7 +166,7 @@ def main(argv: list[str]) -> int:
         v2 = work / "v2.yaml"
         write_v2(Path(args.study), v2)
         refreshed_json = work / "refreshed.json"
-        code, record["refresh_s"] = run_cli(
+        code, record["refresh_s"], _ = run_cli(
             ["refresh", str(v2), "--previous", args.study,
              "--store", str(merged_store), "--quiet",
              "--json", str(refreshed_json)], "refresh")
@@ -175,7 +183,7 @@ def main(argv: list[str]) -> int:
                   "store")
             return 1
         v2_json = work / "v2-clean.json"
-        code, record["v2_clean_s"] = run_cli(
+        code, record["v2_clean_s"], _ = run_cli(
             ["run", str(v2), "--quiet", "--json", str(v2_json)], "v2 clean")
         if code != 0:
             print(f"[dist-smoke] FAIL: clean v2 run exited {code}")
@@ -187,11 +195,30 @@ def main(argv: list[str]) -> int:
                   "v2 run")
             return 1
 
-        # Leg 5: a tampered manifest must be rejected with exit 4.
+        # Leg 5: a version-1 manifest (with a backend field), re-signed,
+        # must be refused by its version: exit 4, kind "manifest".
+        v1_manifest = work / "worker1" / "manifest-w1-v1.json"
+        payload = dict(json.loads(manifests[1].read_text())["manifest"],
+                       manifest_version=1, backend="numpy")
+        v1_manifest.write_text(json.dumps(
+            {"manifest": payload, "signature": sign_payload(payload)}))
+        code, record["v1_manifest_s"], err = run_cli(
+            ["merge", args.study, str(manifests[0]), str(v1_manifest),
+             str(manifests[2]), "--quiet"], "v1 manifest")
+        record["v1_manifest_exit"] = code
+        record["v1_manifest_kind_manifest"] = (
+            "merge rejected [manifest]" in err
+            and "unsupported manifest_version 1" in err)
+        if code != 4 or not record["v1_manifest_kind_manifest"]:
+            print(f"[dist-smoke] FAIL: v1 manifest merge exited {code} "
+                  "(expected 4, kind manifest, naming version 1)")
+            return 1
+
+        # Leg 6: a tampered manifest must be rejected with exit 4.
         document = json.loads(manifests[2].read_text())
         document["manifest"]["shards"][0]["checksum"] = "0" * 64
         manifests[2].write_text(json.dumps(document))
-        code, record["tamper_s"] = run_cli(
+        code, record["tamper_s"], _ = run_cli(
             ["merge", args.study, *[str(p) for p in manifests],
              "--quiet"], "tamper")
         record["tamper_exit"] = code
@@ -208,8 +235,8 @@ def main(argv: list[str]) -> int:
                 json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"[dist-smoke] PASS: {WORKERS}-worker merge identical to "
               "clean run, faulted worker recovered, refresh of the merged "
-              "store identical to a clean v2 run, tampered manifest "
-              "rejected (exit 4)")
+              "store identical to a clean v2 run, v1 and tampered "
+              "manifests rejected (exit 4)")
         return 0
     finally:
         shutil.rmtree(work, ignore_errors=True)
