@@ -211,6 +211,36 @@ class ArrayCache:
             Unlike :meth:`get_by_hash`, a damaged file is *not* quarantined
             — the caller (a merge validator) owns the evidence.
         """
+        verified = self._read_verified(key)
+        return None if verified is None else verified[1]
+
+    def load_verified(self, key: str) -> tuple[object, str] | None:
+        """The on-disk value for ``key`` with its verified checksum.
+
+        One read serves both a checksum comparison and the value (what
+        :meth:`stored_checksum` followed by :meth:`get_by_hash` would read
+        twice).  Like :meth:`stored_checksum`, a damaged file is *not*
+        quarantined, and the in-memory layer is neither read nor filled.
+
+        Args:
+            key: Content-hash key of the bundle.
+
+        Returns:
+            ``(value, checksum)``, or ``None`` whenever
+            :meth:`stored_checksum` would return ``None`` or the verified
+            arrays do not unpack.
+        """
+        verified = self._read_verified(key)
+        if verified is None:
+            return None
+        arrays, checksum = verified
+        try:
+            return self._unpack(arrays), checksum
+        except (ValueError, KeyError, TypeError):
+            return None
+
+    def _read_verified(self, key: str) -> tuple[dict, str] | None:
+        """``(arrays, checksum)`` of the bundle for ``key`` if it verifies."""
         if self.cache_dir is None:
             return None
         path = self.cache_dir / f"{key}.npz"
@@ -226,7 +256,7 @@ class ArrayCache:
         computed = _bundle_checksum(arrays)
         if stored is not None and str(stored) != computed:
             return None
-        return computed
+        return arrays, computed
 
     def _quarantine(self, path: Path) -> None:
         """Move a damaged file into the sidecar directory (best effort)."""

@@ -416,17 +416,16 @@ def merge_manifests(spec: StudySpec, manifest_paths,
             kind="missing", shards=missing,
             ranges=[list(layout[i]) for i in missing])
 
-    # 4. bundles on disk match the signed claims; collect the raw tables.
-    shard_tables = []
-    stores: dict[int, StudyStore] = {}
+    # 4. bundles on disk match the signed claims; collect the raw tables
+    # from the same read that verified them.
+    verified = []  # (shard entry, raw table)
     case_owner: dict[int, int] = {}
     for manifest, path in zip(manifests, paths):
-        worker_store = StudyStore(maxsize=max(1, len(manifest.shards) or 1),
-                                  cache_dir=path.parent)
-        stores[manifest.worker] = worker_store
+        worker_store = StudyStore(cache_dir=path.parent)
         for entry in manifest.shards:
-            actual = worker_store.shard_checksum(spec, entry.start,
+            loaded = worker_store.verified_shard(spec, entry.start,
                                                  entry.stop)
+            actual = None if loaded is None else loaded[1]
             if actual != entry.checksum:
                 raise MergeValidationError(
                     f"shard {entry.index} of worker {manifest.worker}: "
@@ -435,13 +434,7 @@ def merge_manifests(spec: StudySpec, manifest_paths,
                     f"— the store was modified after the manifest signed it",
                     kind="checksum", manifest=str(path), shard=entry.index,
                     expected=entry.checksum, actual=actual)
-            table = worker_store.get_shard(spec, entry.start, entry.stop)
-            if table is None:  # pragma: no cover - checksum just verified
-                raise MergeValidationError(
-                    f"shard {entry.index} of worker {manifest.worker} "
-                    f"verified but failed to load",
-                    kind="checksum", shard=entry.index)
-            shard_tables.append(table)
+            verified.append((entry, loaded[0]))
             for case in range(entry.start, entry.stop):
                 case_owner[case] = manifest.worker
 
@@ -455,7 +448,7 @@ def merge_manifests(spec: StudySpec, manifest_paths,
             log.append(record)
         replayed += len(events)
 
-    raw = merge_shards(shard_tables)
+    raw = merge_shards([table for _, table in verified])
 
     # 5. CRN spot-check: recompute a deterministic case sample inline and
     # compare bit-for-bit against what the workers stored.
@@ -464,9 +457,8 @@ def merge_manifests(spec: StudySpec, manifest_paths,
     metrics = list(STUDY_ENGINES[spec.engine].metrics)
     sample = _crn_sample_indices(spec.case_count, crn_sample)
     log.emit("merge_crn_check", sampled=len(sample), cases=sample)
-    cases = spec.cases()
     row_of = {int(c): r for r, c in enumerate(raw["case"])}
-    recomputed = run_cases(spec.engine, [cases[i] for i in sample],
+    recomputed = run_cases(spec.engine, [spec.case(i) for i in sample],
                            [spec.case_seed(i) for i in sample],
                            context=context)
     for i, fresh in zip(sample, recomputed):
@@ -486,11 +478,8 @@ def merge_manifests(spec: StudySpec, manifest_paths,
     # Everything proved out: copy bundles into the merged store (making it
     # a normal single-machine store) and build the final table.
     if out_store is not None:
-        for manifest in manifests:
-            worker_store = stores[manifest.worker]
-            for entry in manifest.shards:
-                table = worker_store.get_shard(spec, entry.start, entry.stop)
-                out_store.put_shard(spec, entry.start, entry.stop, table)
+        for entry, table in verified:
+            out_store.put_shard(spec, entry.start, entry.stop, table)
         out_store.put_run_metadata(spec)
 
     table = build_table(spec, raw)
@@ -518,9 +507,8 @@ def case_fingerprint(spec: StudySpec, index: int,
         spec: The study the case belongs to.
         index: The case index (enters through
             :meth:`~repro.study.spec.StudySpec.case_seed`).
-        case: The resolved case parameters; looked up from
-            ``spec.cases()`` when omitted (pass it in loops — the lookup
-            expands the whole grid).
+        case: The case parameters; decoded with
+            :meth:`~repro.study.spec.StudySpec.case` when omitted.
 
     Returns:
         A SHA-256 hex digest.
@@ -530,7 +518,7 @@ def case_fingerprint(spec: StudySpec, index: int,
     from repro.scenario.spec import content_token
 
     if case is None:
-        case = spec.cases()[index]
+        case = spec.case(index)
     token = content_token((spec.engine, tuple(sorted(case.items())),
                            spec.case_seed(index)))
     return hashlib.sha256(token.encode()).hexdigest()

@@ -148,20 +148,42 @@ def _radio_scenario(case: dict):
                     resolution_m=float(case["resolution_m"]))
 
 
+#: Radio parameters that shape the Eq. (2) profile; ``threshold_db`` only
+#: judges it, so cases differing in the threshold share one evaluation.
+_RADIO_SCENARIO_PARAMS = ("isd_m", "n_repeaters", "spacing_m", "resolution_m",
+                          "hp_eirp_dbm", "lp_eirp_dbm",
+                          "terminal_noise_figure_db", "repeater_noise_figure_db")
+
+
 def _run_radio(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
     from repro.radio.batch import evaluate_scenarios
 
-    scenarios = [_radio_scenario(case) for case in cases]
-    profiles = evaluate_scenarios(scenarios,
+    # Group cases by their scenario parameters (first-occurrence order):
+    # one Scenario, one profile and one min/mean reduction per group.
+    # Parameters equal under == build equal scenarios (float()/int() of
+    # 1, 1.0 and True agree), so grouping never changes a row.
+    group_of: dict[tuple, int] = {}
+    firsts: list[dict] = []
+    groups = []
+    for case in cases:
+        key = tuple([case[name] for name in _RADIO_SCENARIO_PARAMS])
+        group = group_of.get(key)
+        if group is None:
+            group = group_of[key] = len(firsts)
+            firsts.append(case)
+        groups.append(group)
+    profiles = evaluate_scenarios([_radio_scenario(case) for case in firsts],
                                   cache=_context_profile_cache(context))
+    stats = [(profile.min_snr_db, profile.mean_snr_db) for profile in profiles]
     rows = []
-    for case, profile in zip(cases, profiles):
+    for case, group in zip(cases, groups):
+        min_snr, mean_snr = stats[group]
         threshold = float(case["threshold_db"])
         rows.append({
-            "min_snr_db": profile.min_snr_db,
-            "mean_snr_db": profile.mean_snr_db,
-            "feasible": int(profile.min_snr_db >= threshold),
-            "margin_db": profile.min_snr_db - threshold,
+            "min_snr_db": min_snr,
+            "mean_snr_db": mean_snr,
+            "feasible": int(min_snr >= threshold),
+            "margin_db": min_snr - threshold,
         })
     return rows
 
@@ -542,17 +564,22 @@ def run_cases(engine: str, cases: list[dict], seeds: list[int],
     if len(cases) != len(seeds):
         raise ConfigurationError(
             f"case/seed length mismatch: {len(cases)} != {len(seeds)}")
-    resolved = [adapter.resolve(case) for case in cases]
+    defaults = adapter.resolve({})
+    resolved = [defaults | case for case in cases]
     rows = adapter.runner(resolved, list(seeds), dict(context or {}))
     if len(rows) != len(cases):  # pragma: no cover - adapter contract
         raise ConfigurationError(
             f"engine {engine!r} returned {len(rows)} rows for "
             f"{len(cases)} cases")
+    metrics = adapter.metrics
     ordered = []
     for row in rows:
-        missing = set(adapter.metrics) - set(row)
-        if missing:  # pragma: no cover - adapter contract
-            raise ConfigurationError(
-                f"engine {engine!r} row is missing metrics {sorted(missing)}")
-        ordered.append({name: row[name] for name in adapter.metrics})
+        if tuple(row) != metrics:  # pragma: no cover - adapter contract
+            missing = set(metrics) - set(row)
+            if missing:
+                raise ConfigurationError(
+                    f"engine {engine!r} row is missing metrics "
+                    f"{sorted(missing)}")
+            row = {name: row[name] for name in metrics}
+        ordered.append(row)
     return ordered

@@ -24,6 +24,8 @@ poisoning the resume.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -106,6 +108,11 @@ class StudyTable:
     def write_csv(self, path: str | Path, layout: str = "long") -> Path:
         """Write the table as CSV.
 
+        The long layout streams: each case's ``case,axis…`` prefix is
+        formatted once and the file receives bounded chunks, so memory stays
+        O(chunk) however large the table.  The bytes equal
+        :func:`~repro.reporting.series.series_to_csv` of :meth:`long`.
+
         Args:
             path: Output file (parent directories are created).
             layout: ``"long"`` (tidy, default) or ``"wide"``.
@@ -114,11 +121,32 @@ class StudyTable:
             The resolved path.
         """
         if layout == "long":
-            return write_csv(path, self.long())
+            return self._write_long_csv(Path(path))
         if layout == "wide":
             return write_csv(path, self.wide())
         raise ConfigurationError(
             f"unknown CSV layout {layout!r}; expected 'long' or 'wide'")
+
+    def _write_long_csv(self, path: Path) -> Path:
+        cell = _CsvCells()
+        header = ("case",) + self.axis_names + ("metric", "value")
+        metrics = [cell(name) for name in self.metric_names]
+        prefix_columns = [self.columns["case"]] + [
+            self.columns[axis] for axis in self.axis_names]
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w") as out:
+            out.write(",".join(map(cell, header)) + "\r\n")
+            for lo in range(0, len(self), _CSV_CHUNK_CASES):
+                hi = lo + _CSV_CHUNK_CASES
+                prefixes = [",".join(parts) + "," for parts in zip(
+                    *(cell.column(c[lo:hi]) for c in prefix_columns))]
+                values = [cell.column(self.columns[name][lo:hi])
+                          for name in self.metric_names]
+                out.write("".join([
+                    f"{prefix}{metric},{value}\r\n"
+                    for prefix, *row in zip(prefixes, *values)
+                    for metric, value in zip(metrics, row)]))
+        return path
 
     def to_document(self, metadata: dict | None = None) -> dict:
         """The JSON-ready provenance document (study id + wide records).
@@ -181,6 +209,45 @@ class StudyTable:
                   f"{self.engine} engine{suffix}")
 
 
+#: Cases per chunk the long CSV writer formats and writes at once.
+_CSV_CHUNK_CASES = 2048
+
+_NUMBER_TYPES = {int, float}
+
+
+class _CsvCells:
+    """CSV cell formatter with the bytes :mod:`csv`'s default dialect writes.
+
+    Numbers format with ``str`` (what :mod:`csv` calls on them); any other
+    cell goes through a real ``csv.writer`` once per distinct text, so
+    quoting of ``,``, ``"`` and line breaks is :mod:`csv`'s own.
+    """
+
+    def __init__(self) -> None:
+        self._quoted: dict[str, str] = {}
+        self._buffer = io.StringIO()
+        self._writer = csv.writer(self._buffer)
+
+    def __call__(self, value) -> str:
+        if isinstance(value, (int, float)):
+            return str(value)
+        text = "" if value is None else str(value)
+        quoted = self._quoted.get(text)
+        if quoted is None:
+            self._buffer.seek(0)
+            self._buffer.truncate()
+            # A leading empty field keeps csv's lone-empty-field rule out.
+            self._writer.writerow(("", text))
+            quoted = self._quoted[text] = self._buffer.getvalue()[1:-2]
+        return quoted
+
+    def column(self, values: list) -> list[str]:
+        """Formatted cells of one column slice."""
+        if set(map(type, values)) <= _NUMBER_TYPES:
+            return list(map(str, values))
+        return [self(v) for v in values]
+
+
 def _json_cell(value):
     if isinstance(value, float) and math.isnan(value):
         return None
@@ -232,7 +299,12 @@ def build_table(spec: StudySpec, raw: ShardTable) -> StudyTable:
     Derived metrics are evaluated here (per case, over the raw metric
     environment) and the optional ``metrics`` subset filter is applied — both
     *after* the store layer, so editing a formula or the filter reuses cached
-    engine results.
+    engine results.  A formula that is undefined for a case (division by
+    zero, overflow, a math-domain error such as ``log(0)``) yields NaN for
+    that cell — the table's infeasible marker — instead of aborting the run.
+    Axis columns are decoded from the case indices
+    (:meth:`~repro.study.spec.StudySpec.axis_columns`), so the cost is
+    O(rows), not O(grid).
 
     Args:
         spec: The study the raw rows belong to.
@@ -244,15 +316,13 @@ def build_table(spec: StudySpec, raw: ShardTable) -> StudyTable:
     from repro.study.engines import STUDY_ENGINES
 
     adapter = STUDY_ENGINES[spec.engine]
-    cases = spec.cases()
     case_indices = [int(c) for c in raw["case"]]
     kept = spec.metrics or adapter.metrics
     derived = [(name, compile_expression(expression))
                for name, expression in spec.derived]
 
     columns: dict = {"case": case_indices}
-    for axis in spec.axis_names:
-        columns[axis] = [cases[i][axis] for i in case_indices]
+    columns.update(spec.axis_columns(case_indices))
     for metric in kept:
         # A fully empty merge (e.g. max_shards=0) carries no metric columns.
         columns[metric] = list(raw[metric]) if case_indices else []
@@ -260,7 +330,7 @@ def build_table(spec: StudySpec, raw: ShardTable) -> StudyTable:
         env_rows = [{m: raw[m][r] for m in adapter.metrics}
                     for r in range(len(case_indices))]
         for name, evaluate in derived:
-            columns[name] = [evaluate(env) for env in env_rows]
+            columns[name] = [_derived_cell(evaluate, env) for env in env_rows]
     return StudyTable(
         name=spec.name,
         engine=spec.engine,
@@ -268,6 +338,16 @@ def build_table(spec: StudySpec, raw: ShardTable) -> StudyTable:
         metric_names=tuple(kept) + tuple(name for name, _ in spec.derived),
         columns=columns,
     )
+
+
+def _derived_cell(evaluate, env: dict):
+    """One derived-metric value; NaN where the formula is undefined."""
+    try:
+        return evaluate(env)
+    except ConfigurationError:
+        raise
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return math.nan
 
 
 # -- disk layer ---------------------------------------------------------------
@@ -320,6 +400,17 @@ class StudyStore(ArrayCache):
         fails verification (see :meth:`~repro.scenario.cache.ArrayCache.stored_checksum`).
         """
         return self.stored_checksum(self.shard_key(spec, start, stop))
+
+    def verified_shard(self, spec: StudySpec, start: int, stop: int
+                       ) -> tuple[ShardTable, str] | None:
+        """The ``[start, stop)`` shard table with its verified checksum.
+
+        One disk read for what :meth:`shard_checksum` plus
+        :meth:`get_shard` would read twice; a damaged bundle returns
+        ``None`` and is left in place (see
+        :meth:`~repro.scenario.cache.ArrayCache.load_verified`).
+        """
+        return self.load_verified(self.shard_key(spec, start, stop))
 
     def _metadata_path(self, spec: StudySpec) -> Path | None:
         if self.cache_dir is None:

@@ -168,8 +168,9 @@ def _run_shard(payload: tuple[StudySpec, int, int, dict, int, int, dict]
     """Worker entry point: evaluate the ``[start, stop)`` case range.
 
     Module-level so it pickles into :class:`ProcessPoolExecutor` workers;
-    regenerates the case list from the spec (cheap, deterministic) instead of
-    shipping it, and relies on per-process engine caches
+    decodes its own cases from the spec (:meth:`StudySpec.cases` over the
+    range — O(shard), never the grid) instead of shipping them, and relies
+    on per-process engine caches
     (:mod:`repro.study.engines`) for shared state.  When the context carries
     a fault plan (:mod:`repro.faults`), the worker executes its own planned
     fault for this ``(shard, attempt)`` before computing — the supervisor
@@ -180,9 +181,9 @@ def _run_shard(payload: tuple[StudySpec, int, int, dict, int, int, dict]
     plan = FaultPlan.from_context(context)
     if plan is not None:
         plan.execute(shard_index, attempt, study=spec, start=start, stop=stop)
-    cases = spec.cases()
+    cases = spec.cases(start, stop)
     todo = [i for i in range(start, stop) if i not in known]
-    rows = run_cases(spec.engine, [cases[i] for i in todo],
+    rows = run_cases(spec.engine, [cases[i - start] for i in todo],
                      [spec.case_seed(i) for i in todo], context=context)
     if known:
         fresh = iter(rows)

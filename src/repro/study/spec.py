@@ -181,18 +181,77 @@ class StudySpec:
         """Number of cases (the cartesian product of axis lengths)."""
         return math.prod(len(values) for _, values in self.axes)
 
-    def cases(self) -> list[dict]:
+    def cases(self, start: int | None = None,
+              stop: int | None = None) -> list[dict]:
         """Expand the axes into the flat, ordered case-parameter list.
 
         Each case is ``dict(fixed) | {axis: value, ...}``; order is the
         cartesian product of the axes in declaration order (last axis
         fastest), so case index ``i`` is stable across runs, shard layouts
         and processes — the property the seeding and the results store key on.
+
+        Args:
+            start / stop: Optional case range, with the meaning of the slice
+                ``cases()[start:stop]``.  A range decodes only its own cases
+                (:meth:`axis_columns`), so a shard never expands the grid.
+
+        Returns:
+            The case parameter dicts, in case order.
         """
+        if start is None and stop is None:
+            points = product(*(values for _, values in self.axes))
+        else:
+            indices = range(*slice(start, stop).indices(self.case_count))
+            points = zip(*self.axis_columns(indices).values())
         base = dict(self.fixed)
         names = self.axis_names
-        return [base | dict(zip(names, point))
-                for point in product(*(values for _, values in self.axes))]
+        return [base | dict(zip(names, point)) for point in points]
+
+    def case(self, index: int) -> dict:
+        """Parameters of case ``index`` (``cases()[index]``, without the grid).
+
+        Raises:
+            IndexError: When ``index`` is outside ``[-case_count, case_count)``.
+        """
+        count = self.case_count
+        if not -count <= index < count:
+            raise IndexError(
+                f"case index {index} outside the {count}-case study "
+                f"{self.name!r}")
+        index %= count
+        return self.cases(index, index + 1)[0]
+
+    def axis_columns(self, indices) -> dict[str, list]:
+        """Axis values of the given case indices, one column per axis.
+
+        The mixed-radix decoder behind :meth:`case` and ranged
+        :meth:`cases`: digit ``k`` of case ``i`` is
+        ``(i // stride_k) % len(axis_k)``, where ``stride_k`` is the product
+        of the later axes' lengths (last axis fastest).  No case dicts are
+        built, so decoding ``n`` indices costs O(n x axes).
+
+        Args:
+            indices: Case indices, each in ``[0, case_count)``.
+
+        Returns:
+            One list of values per axis (aligned with ``indices``), keyed by
+            axis name in declaration order.
+
+        Raises:
+            IndexError: When an index is outside ``[0, case_count)``.
+        """
+        if len(indices) and not (0 <= min(indices)
+                                 and max(indices) < self.case_count):
+            raise IndexError(
+                f"case indices must lie in [0, {self.case_count}) for study "
+                f"{self.name!r}")
+        columns = {}
+        stride = 1
+        for name, values in reversed(self.axes):
+            size = len(values)
+            columns[name] = [values[(i // stride) % size] for i in indices]
+            stride *= size
+        return {name: columns[name] for name in self.axis_names}
 
     def case_seed(self, index: int) -> int:
         """Engine seed of case ``index`` under the study's seeding policy.
@@ -220,9 +279,16 @@ class StudySpec:
         the results store keys shards by this hash, so editing a formula or a
         label never invalidates cached engine results — only changes to the
         engine, axes, fixed parameters or seeding do.
+
+        Computed once per instance (the spec is frozen); the memo travels
+        with the spec when it is pickled into pool workers.
         """
-        core = replace(self, derived=(), metrics=(), description="")
-        return hashlib.sha256(content_token(core).encode()).hexdigest()
+        digest = self.__dict__.get("_compute_hash")
+        if digest is None:
+            core = replace(self, derived=(), metrics=(), description="")
+            digest = hashlib.sha256(content_token(core).encode()).hexdigest()
+            object.__setattr__(self, "_compute_hash", digest)
+        return digest
 
     def with_overrides(self, **fixed) -> "StudySpec":
         """Copy of the spec with ``fixed`` entries added/replaced.

@@ -7,6 +7,7 @@ shipped ``studies/*.yaml`` files, and the ``repro study`` CLI smoke.
 """
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from repro.study import (
     compile_expression,
     load_study,
     parse_study,
+    read_journal,
     run_study,
     shard_ranges,
 )
@@ -45,6 +47,24 @@ derived:
 
 def mc_spec() -> StudySpec:
     return parse_study(MC_TEXT)
+
+
+#: Derived formulas undefined on some cases: 1/0 and log(0) where the
+#: threshold is missed, exp(1000) (overflow) where it is met.
+UNDEFINED_DERIVED_TEXT = """
+name: radio-undefined
+engine: radio
+axes:
+  isd_m: [1500.0, 3000.0]
+  threshold_db: [10.0, 60.0]
+fixed:
+  resolution_m: 50.0
+derived:
+  inv: 1 / feasible
+  lg: log(feasible)
+  big: exp(1000 * feasible)
+  twice: 2 * margin_db
+"""
 
 
 # -- spec loading and validation ----------------------------------------------
@@ -330,6 +350,16 @@ fixed:
         assert document["rows"][0]["mean_w_per_km"] is None
         assert document["rows"][0]["feasible"] == 0
 
+    def test_undefined_derived_metric_is_nan(self):
+        table = run_study(parse_study(UNDEFINED_DERIVED_TEXT)).table
+        wide = table.wide()
+        assert wide["feasible"] == [1, 0, 1, 0]
+        nan = [math.isnan(v) for v in wide["inv"]]
+        assert nan == [False, True, False, True]
+        assert [math.isnan(v) for v in wide["lg"]] == nan
+        assert [math.isnan(v) for v in wide["big"]] == [True, False] * 2
+        assert wide["twice"] == [2 * m for m in wide["margin_db"]]
+
 
 # -- engine adapters ----------------------------------------------------------
 
@@ -565,6 +595,24 @@ class TestStudyCli:
             "  resolution_m: 50.0\n  engine: scalar\n"))
         assert main(["study", "run", str(path), "--quiet"]) == 2
         assert "does not accept ['engine']" in capsys.readouterr().err
+
+    def test_undefined_derived_metric_does_not_abort_the_run(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "undefined.yaml"
+        path.write_text(UNDEFINED_DERIVED_TEXT)
+        store = tmp_path / "store"
+        code = main(["study", "run", str(path), "--quiet",
+                     "--csv", str(tmp_path / "out.csv"),
+                     "--json", str(tmp_path / "out.json"),
+                     "--store", str(store)])
+        assert code == 0, capsys.readouterr().err
+        rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+        assert [row["inv"] for row in rows] == [1.0, None, 1.0, None]
+        assert [row["lg"] for row in rows] == [0.0, None, 0.0, None]
+        assert [row["big"] for row in rows] == [None, 1.0, None, 1.0]
+        assert "1,1500.0,60.0,inv,nan" in (tmp_path / "out.csv").read_text()
+        events = [e["event"] for e in read_journal(store / "run.jsonl")]
+        assert events[-1] == "run_end"
 
     def test_resume_requires_store(self, tmp_path):
         path = self._write(tmp_path)
