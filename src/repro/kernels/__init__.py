@@ -98,6 +98,10 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
     """Battery state-of-charge clip-recurrence over an hourly horizon,
     with the full energy accounting of the solar engine.
 
+    The ``"numpy"`` kernel streams the horizon in blocks of days, so its
+    working memory is a few blocks of ``(hours, n)`` buffers however many
+    lanes a call batches; its outputs do not depend on the block length.
+
     Args:
         produced_w: PV power, shape ``(days, 24, n)``.
         demanded_w: Load power, shape ``(24, n)``.

@@ -19,16 +19,18 @@ Three genuinely different formulations, not relabels of the step loops:
   per-candidate minimum prunes columns through an exact probe bound, then
   reduces only the surviving contiguous spans (sound pruning — exact, not
   approximate).
-* :func:`soc_scan` — single flattened hour-major walk *in SoC units*:
-  normalizing the hourly deficit by capacity and scaling the surplus by
-  ``efficiency / capacity`` once (full-tensor passes) collapses the
-  per-hour update to ``soc' = soc - min(dd, max(0, soc - cutoff))`` on
-  discharge and ``soc' = min(1, soc + min(ss, 1 - soc))`` on charge —
-  four to nine elementwise ops per hour vs. ~30 in the reference walk,
-  with each hour executing only the branch it needs.  Every non-recurrent
-  accumulation is hoisted out of the loop; PV sums replay the reference
-  summation order bitwise (``_hour_order_sum``), the SoC-dependent outputs
-  agree to a few ULPs — inside the 1e-9 parity budget.
+* :func:`soc_scan` — hour-major walk *in SoC units*, streamed over blocks
+  of days so its buffers stay O(block x lanes): normalizing the hourly
+  deficit by capacity and scaling the surplus by ``efficiency / capacity``
+  once per block collapses the per-hour update to
+  ``soc' = soc - min(dd, max(0, soc - cutoff))`` on discharge and
+  ``soc' = min(1, soc + min(ss, 1 - soc))`` on charge — four to nine
+  elementwise ops per hour vs. ~30 in the reference walk, with each hour
+  executing only the branch it needs.  Every non-recurrent accumulation is
+  hoisted out of the hourly loop into one reduction per block; PV sums
+  replay the reference summation order bitwise (``_hour_order_sum``), the
+  SoC-dependent outputs agree to a few ULPs — inside the 1e-9 parity
+  budget.
 
 ``occupancy_scan`` is re-exported from the reference backend unchanged:
 its lane axis is already fully batched and the group loop is a handful of
@@ -64,6 +66,11 @@ _SPAN_GAP = 64
 #: weights ``inn / Q`` would otherwise overflow toward 1e308.  Cutting is
 #: always safe (a chunk of length 1 degenerates to the plain recurrence).
 _Q_FLOOR = 1e-250
+
+#: Days per block of the streamed SoC walk.  Its buffers are
+#: ``(24 * _BLOCK_DAYS, n)``: ~0.2 MB each for 140 lanes, against ~10 MB
+#: for a whole year.  Outputs do not depend on the value, bit for bit.
+_BLOCK_DAYS = 7
 
 
 def ar1_scan(z: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
@@ -273,12 +280,12 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
              months: np.ndarray, capacity_wh: np.ndarray,
              efficiency: np.ndarray, cutoff: np.ndarray,
              initial_soc: float) -> dict:
-    """Flattened hour-major SoC walk in SoC units, with hoisted accounting.
+    """Hour-major SoC walk in SoC units, streamed over day blocks.
 
     The recurrence runs in state-of-charge units: with
     ``dd = (demanded - produced) / capacity`` and
     ``ss = (produced - demanded) * efficiency / capacity`` precomputed as
-    full-tensor passes, each hour reduces to
+    whole-block passes, each hour reduces to
 
     * pure discharge — ``delivered = min(dd, max(0, soc - cutoff))``,
       ``soc' = soc - delivered`` (4 ops);
@@ -286,97 +293,126 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
       is the (non-positive) deficit (5 ops);
     * mixed — both branches merged through the charging mask (9 ops).
 
-    All accounting is reconstructed after the loop: the PV/load/monthly
-    sums are bitwise the reference accumulation (hour-order summation over
-    untouched inputs, see :func:`_hour_order_sum`); the SoC-dependent
-    outputs (min SoC, full days, unmet accounting) differ from the
-    reference walk only by elementwise rounding — a few ULPs, far inside
-    the 1e-9 backend parity budget.  The ``"reference"`` backend is the
-    bitwise anchor.
+    The horizon is walked in blocks of :data:`_BLOCK_DAYS` days through
+    ``(block hours, n)`` buffers, so a call over many lanes holds no
+    horizon-sized temporary.  Each block's accounting is reduced before
+    the next block starts: min SoC, full days and unmet counts exactly
+    (integers and minima do not depend on grouping), and the unmet energy
+    by summing every block behind a running-accumulator row, which keeps
+    the hour-order association of one whole-horizon sum.  The PV sums are
+    hour-order sums over the untouched input (see :func:`_hour_order_sum`),
+    bitwise the reference accumulation; the SoC-dependent outputs differ
+    from the reference walk only by elementwise rounding — a few ULPs, far
+    inside the 1e-9 backend parity budget.  Every output is independent of
+    the block length, bit for bit, and each lane's outputs are independent
+    of the other lanes.  The ``"reference"`` backend is the bitwise anchor.
 
     Args / Returns: see :func:`repro.kernels.reference.soc_scan`.
     """
     days = produced_w.shape[0]
     n = produced_w.shape[-1]
-    hours = days * 24
-    produced = produced_w.reshape(hours, n)
+    produced = produced_w.reshape(days * 24, n)
+    surplus_scale = -(efficiency / capacity_wh)
+    unmet_floor = 1e-9 / capacity_wh
 
-    charging = (produced_w >= demanded_w[None]).reshape(hours, n)
-    any_charge = charging.any(axis=1).tolist()
-    all_charge = charging.all(axis=1).tolist()
-    # Hourly deficit and efficiency-scaled surplus, in SoC units.  The
-    # surplus is derived from the deficit tensor (exact sign flip) before
-    # the in-place normalization reuses it.
-    dd = (demanded_w[None] - produced_w).reshape(hours, n)
-    ss = dd * (-(efficiency / capacity_wh))
-    dd /= capacity_wh
-
-    socs = np.empty((hours, n))
-    delivered = np.empty((hours, n))      # in SoC units
-    soc = np.full(n, float(initial_soc))
+    block_rows = min(days, _BLOCK_DAYS) * 24
+    dd_buf = np.empty((block_rows, n))
+    ss_buf = np.empty((block_rows, n))
+    soc_buf = np.empty((block_rows, n))
+    # Row 0 carries the running unmet-energy sum into each block's sum.
+    delivered_buf = np.empty((block_rows + 1, n))   # in SoC units
+    charging_buf = np.empty((block_rows, n), dtype=bool)
     b1 = np.empty(n)
     b2 = np.empty(n)
-    # Pre-sliced row views: list indexing is several times cheaper than
-    # ndarray row indexing inside the 8760-iteration loop.
-    soc_rows = list(socs)
-    d_rows = list(delivered)
-    dd_rows = list(dd)
-    ss_rows = list(ss)
-    ch_rows = list(charging)
-    for h in range(hours):
-        soc_row = soc_rows[h]
-        d_row = d_rows[h]
-        if not any_charge[h]:
-            # Pure discharge: soc' = soc - min(dd, max(0, soc - cutoff)).
-            np.subtract(soc, cutoff, out=b2)
-            np.maximum(0.0, b2, out=b2)                 # usable
-            np.minimum(dd_rows[h], b2, out=d_row)       # delivered
-            np.subtract(soc, d_row, out=soc_row)
-        elif all_charge[h]:
-            # Pure charge: delivered == deficit (<= 0) exactly.
-            np.subtract(1.0, soc, out=b1)
-            np.minimum(ss_rows[h], b1, out=b1)          # taken
-            np.add(soc, b1, out=b1)
-            np.minimum(1.0, b1, out=soc_row)
-            np.copyto(d_row, dd_rows[h])
-        else:
-            # Mixed hour: both branches, merged like the reference.  On
-            # charging lanes dd <= 0 <= usable, so the delivered row is
-            # automatically the charge-branch deficit — no fixup needed.
-            np.subtract(1.0, soc, out=b1)
-            np.minimum(ss_rows[h], b1, out=b1)
-            np.add(soc, b1, out=b1)
-            np.minimum(1.0, b1, out=b1)                 # soc_charged
-            np.subtract(soc, cutoff, out=b2)
-            np.maximum(0.0, b2, out=b2)
-            np.minimum(dd_rows[h], b2, out=d_row)
-            np.subtract(soc, d_row, out=soc_row)        # soc_discharged
-            np.copyto(soc_row, b1, where=ch_rows[h])
-        soc = soc_row
 
-    # Shortfall (SoC units) and the unmet flag.  Scaling the reference's
-    # 1e-9 Wh threshold by capacity keeps the decision aligned up to one
-    # rounding of the knife edge; masking by multiplication is exact
-    # (True -> x * 1.0, False -> 0.0).
-    np.subtract(dd, delivered, out=dd)                  # shortfall
-    unmet = dd > (1e-9 / capacity_wh)
-    np.multiply(dd, unmet, out=dd)
-    # Integer counts are exact under any summation order, so each month-run
-    # collapses to one vectorized bool sum.
+    soc = np.full(n, float(initial_soc))
+    min_soc = soc.copy()
+    full_days = np.zeros(n, dtype=int)
+    unmet_hours = np.zeros(n, dtype=int)
     monthly_unmet = np.zeros((12, n), dtype=int)
-    run_starts = np.concatenate(
-        ([0], np.flatnonzero(np.diff(months) != 0) + 1))
-    run_ends = np.concatenate((run_starts[1:], [months.size]))
-    for a, b in zip(run_starts, run_ends):
-        monthly_unmet[int(months[a])] += unmet[a * 24:b * 24].sum(axis=0)
-    full = (socs.reshape(days, 24, n) >= 1.0 - 1e-9).any(axis=1)
+    unmet_sum = np.zeros(n)
+    for first_day in range(0, days, _BLOCK_DAYS):
+        block_days = min(_BLOCK_DAYS, days - first_day)
+        rows = block_days * 24
+        block = produced_w[first_day:first_day + block_days]
+        charging = charging_buf[:rows]
+        np.greater_equal(block, demanded_w[None],
+                         out=charging.reshape(block_days, 24, n))
+        any_charge = charging.any(axis=1).tolist()
+        all_charge = charging.all(axis=1).tolist()
+        # Hourly deficit and efficiency-scaled surplus, in SoC units.  The
+        # surplus is derived from the deficit (exact sign flip) before the
+        # in-place normalization reuses it.
+        dd = dd_buf[:rows]
+        np.subtract(demanded_w[None], block,
+                    out=dd.reshape(block_days, 24, n))
+        ss = np.multiply(dd, surplus_scale, out=ss_buf[:rows])
+        dd /= capacity_wh
+        socs = soc_buf[:rows]
+        delivered = delivered_buf[1:rows + 1]
+        # Pre-sliced row views: list indexing is several times cheaper
+        # than ndarray row indexing inside the hourly loop.
+        soc_rows = list(socs)
+        d_rows = list(delivered)
+        dd_rows = list(dd)
+        ss_rows = list(ss)
+        ch_rows = list(charging)
+        for h in range(rows):
+            soc_row = soc_rows[h]
+            d_row = d_rows[h]
+            if not any_charge[h]:
+                # Pure discharge: soc' = soc - min(dd, max(0, soc - cutoff)).
+                np.subtract(soc, cutoff, out=b2)
+                np.maximum(0.0, b2, out=b2)                 # usable
+                np.minimum(dd_rows[h], b2, out=d_row)       # delivered
+                np.subtract(soc, d_row, out=soc_row)
+            elif all_charge[h]:
+                # Pure charge: delivered == deficit (<= 0) exactly.
+                np.subtract(1.0, soc, out=b1)
+                np.minimum(ss_rows[h], b1, out=b1)          # taken
+                np.add(soc, b1, out=b1)
+                np.minimum(1.0, b1, out=soc_row)
+                np.copyto(d_row, dd_rows[h])
+            else:
+                # Mixed hour: both branches, merged like the reference.  On
+                # charging lanes dd <= 0 <= usable, so the delivered row is
+                # automatically the charge-branch deficit — no fixup needed.
+                np.subtract(1.0, soc, out=b1)
+                np.minimum(ss_rows[h], b1, out=b1)
+                np.add(soc, b1, out=b1)
+                np.minimum(1.0, b1, out=b1)                 # soc_charged
+                np.subtract(soc, cutoff, out=b2)
+                np.maximum(0.0, b2, out=b2)
+                np.minimum(dd_rows[h], b2, out=d_row)
+                np.subtract(soc, d_row, out=soc_row)        # soc_discharged
+                np.copyto(soc_row, b1, where=ch_rows[h])
+            soc = soc_row
+        # The next block overwrites this buffer; carry the state out of it.
+        soc = soc.copy()
+
+        np.minimum(min_soc, socs.min(axis=0), out=min_soc)
+        full_days += (socs.reshape(block_days, 24, n)
+                      >= 1.0 - 1e-9).any(axis=1).sum(axis=0)
+        # Shortfall (SoC units) and the unmet flag.  Scaling the
+        # reference's 1e-9 Wh threshold by capacity keeps the decision
+        # aligned up to one rounding of the knife edge; masking by
+        # multiplication is exact (True -> x * 1.0, False -> 0.0).
+        np.subtract(dd, delivered, out=delivered)           # shortfall
+        unmet = np.greater(delivered, unmet_floor, out=charging)
+        np.multiply(delivered, unmet, out=delivered)
+        unmet_hours += unmet.sum(axis=0)
+        # Integer counts are exact under any grouping, so each day adds
+        # its count to its month in one scatter.
+        np.add.at(monthly_unmet, months[first_day:first_day + block_days],
+                  unmet.reshape(block_days, 24, n).sum(axis=1))
+        delivered_buf[0] = unmet_sum
+        unmet_sum = _hour_order_sum(delivered_buf[:rows + 1])
 
     return {
-        "min_soc": np.minimum(np.full(n, float(initial_soc)),
-                              socs.min(axis=0)),
-        "full_days": full.sum(axis=0),
-        "unmet_hours": unmet.sum(axis=0),
-        "unmet_wh": _hour_order_sum(dd) * capacity_wh,
+        "min_soc": min_soc,
+        "full_days": full_days,
+        "unmet_hours": unmet_hours,
+        "unmet_wh": unmet_sum * capacity_wh,
         "annual_pv_wh": _hour_order_sum(produced),
         # The demand tile repeats one 24-row block, so its sequential sum
         # collapses to a closed form (equal to the reference accumulation

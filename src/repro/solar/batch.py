@@ -211,8 +211,9 @@ def simulate_systems(systems,
 
     Weather is synthesized once per unique :class:`WeatherKey` (memoized
     through ``weather_cache``); the battery clip-recurrence then runs
-    through the :func:`repro.kernels.soc_scan` kernel — a single flattened
-    hour-major walk whose element-wise operation order matches
+    through the :func:`repro.kernels.soc_scan` kernel — an hour-major
+    walk, streamed over blocks of days, whose element-wise operation order
+    matches
     :meth:`~repro.solar.offgrid.OffGridSystem.simulate_year` exactly, so
     the returned results are bit-identical to the scalar path under both
     the ``"reference"`` and the fused ``"numpy"`` backend (the fused walk
@@ -253,9 +254,11 @@ def simulate_systems(systems,
              else start_day_of_year)
 
     # One weather synthesis per unique key; systems index into the pool.
+    # Each system's production fills its lane of one preallocated tensor,
+    # so at most one per-system temporary is alive at a time.
     pool: dict[str, WeatherYear] = {}
-    pv_powers = []
-    for system in systems:
+    produced_w = np.empty((days, 24, len(systems)))
+    for i, system in enumerate(systems):
         weather = SyntheticWeather(system.location, params=system.weather,
                                    seed=system.seed)
         key = WeatherKey.for_weather(weather, days, start).content_hash
@@ -263,10 +266,8 @@ def simulate_systems(systems,
             pool[key] = _weather_year_for(weather, days, start, weather_cache)
         # Same element-wise conversion as the scalar path's per-day
         # ``pv.power_w(day.poa_w_m2)`` calls, applied to the whole tensor.
-        pv_powers.append(system.pv.power_w(pool[key].poa_w_m2))
+        produced_w[..., i] = system.pv.power_w(pool[key].poa_w_m2)
 
-    n = len(systems)
-    produced_w = np.stack(pv_powers, axis=-1)          # (days, 24, n)
     demanded_w = np.array([s.load.hourly_w for s in systems]).T   # (24, n)
     months = months_of_days((start - 1 + np.arange(days)) % 365 + 1)
 

@@ -21,8 +21,9 @@ event       extra fields
 run_start   study, compute_hash, shards, jobs, retries, shard_timeout_s,
             keep_going
 reused      shard, start, stop
-submit      shard, start, stop, attempt
-finish      shard, start, stop, attempt, wall_s
+submit      shard, start, stop, attempt, group
+finish      shard, start, stop, attempt, wall_s, group
+group_split group, shards (list of shard indices re-run alone), error
 retry       shard, start, stop, attempt (the one that failed), delay_s,
             error, kind ("error" | "timeout" | "crash")
 timeout     shard, start, stop, attempt, timeout_s
@@ -41,6 +42,15 @@ merge_end   rows, shards, workers, wall_s
 refresh_start  study, compute_hash, previous_hash, cases
 refresh_end changed, reused, rows, partial, wall_s
 ========== =================================================================
+
+``group`` is the first shard index of the attempt that ran the shard: an
+inline run batches consecutive shards into one attempt (one engine call),
+a pool run or a run with a ``cancel`` hook attempts each shard alone
+(``group == shard``).  A grouped
+shard's ``wall_s`` is its case share of the attempt's wall, so summing
+``finish`` walls counts each attempt once.  ``group_split`` records a
+failed group attempt; it charges no shard, and its members re-run alone
+under the same attempt numbers.
 
 The distributed layer (:mod:`repro.study.distributed`) emits the last seven
 events: ``manifest`` when a shard-slice run signs its sidecar,

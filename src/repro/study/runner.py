@@ -11,7 +11,14 @@
 3. the remaining shards run under a **supervisor loop** — inline for
    ``jobs=1``, otherwise on a :class:`~concurrent.futures.ProcessPoolExecutor`
    of ``jobs`` workers — with a ``[k/n]`` progress callback per completed
-   shard;
+   shard.  Inline, consecutive pending shards form **attempt groups** of
+   at most :data:`_GROUP_CASES` cases: one engine call per group, its rows
+   split back per shard, each shard then stored, journaled and reported
+   on its own.  A ``KeyboardInterrupt`` during the engine call loses at
+   most that group.  A run with a ``cancel`` hook keeps one shard per
+   attempt, so the hook's granularity stays one shard, and pool attempts
+   are always one shard (timeouts and crashes are attributed per
+   attempt);
 4. completed shards persist to the store and merge, in case order, into the
    final table.
 
@@ -21,7 +28,9 @@ supervisor treats them as schedulable events rather than run-enders:
 
 * a failing shard is retried up to ``retries`` times with capped exponential
   backoff, **deterministically jittered** from the study seed
-  (:func:`retry_delay`) so a rerun reproduces the schedule exactly;
+  (:func:`retry_delay`) so a rerun reproduces the schedule exactly; a
+  failing attempt group charges no shard — its members re-run alone under
+  the same attempt numbers, so retries count per shard;
 * a shard exceeding ``shard_timeout`` seconds of wall clock is declared
   hung: its worker pool is torn down (terminating the stuck process), lost
   in-flight shards requeue, and the timed-out attempt counts against the
@@ -86,6 +95,13 @@ __all__ = ["FailedShard", "StudyRunReport", "retry_delay", "run_study",
 #: Default upper bound on the shard count (kept independent of ``jobs`` so a
 #: resumed run finds the same shard layout regardless of its parallelism).
 DEFAULT_MAX_SHARDS = 16
+
+#: Case cap of one inline attempt group.  Every shipped study (24-140
+#: cases) runs as one engine call.  A 20 000-case radio sweep's 312-case
+#: shards stay singletons: uncapped, that sweep measured 45 -> 57 MB peak
+#: RSS inline for no real speed gain, since a radio shard is already a
+#: wide batch.
+_GROUP_CASES = 256
 
 #: Supervisor poll interval [s] while futures are in flight.
 _POLL_S = 0.05
@@ -163,33 +179,53 @@ def _shard_table(start: int, stop: int, rows: list[dict]) -> ShardTable:
     return shard
 
 
+def _run_shards(spec: StudySpec, context: dict, members: list[tuple]
+                ) -> list[ShardTable]:
+    """Evaluate one attempt over ``members``, one engine call in all.
+
+    Each member is ``(shard index, start, stop, attempt, known)``.  The
+    cases are decoded from the spec (:meth:`StudySpec.cases` over each
+    range — O(shard), never the grid) and shared state comes from the
+    per-process engine caches (:mod:`repro.study.engines`).  When the
+    context carries a fault plan (:mod:`repro.faults`), each member's
+    planned fault for its ``(shard, attempt)`` fires before anything is
+    computed — the supervisor sees only the resulting failure, exactly like
+    a real one.  Cases in ``known`` (reused rows) skip the engine.  Every
+    engine is columnwise (a case's row does not depend on the other cases
+    of the call), so the rows split back per member are bit-identical to
+    one call per member.
+    """
+    plan = FaultPlan.from_context(context)
+    if plan is not None:
+        for index, start, stop, attempt, _ in members:
+            plan.execute(index, attempt, study=spec, start=start, stop=stop)
+    todo: list[int] = []
+    cases: list[dict] = []
+    for _, start, stop, _, known in members:
+        decoded = spec.cases(start, stop)
+        for i in range(start, stop):
+            if i not in known:
+                todo.append(i)
+                cases.append(decoded[i - start])
+    fresh = iter(run_cases(spec.engine, cases,
+                           [spec.case_seed(i) for i in todo],
+                           context=context))
+    return [_shard_table(start, stop, [known[i] if i in known else next(fresh)
+                                       for i in range(start, stop)])
+            for _, start, stop, _, known in members]
+
+
 def _run_shard(payload: tuple[StudySpec, int, int, dict, int, int, dict]
                ) -> tuple[int, ShardTable]:
     """Worker entry point: evaluate the ``[start, stop)`` case range.
 
     Module-level so it pickles into :class:`ProcessPoolExecutor` workers;
-    decodes its own cases from the spec (:meth:`StudySpec.cases` over the
-    range — O(shard), never the grid) instead of shipping them, and relies
-    on per-process engine caches
-    (:mod:`repro.study.engines`) for shared state.  When the context carries
-    a fault plan (:mod:`repro.faults`), the worker executes its own planned
-    fault for this ``(shard, attempt)`` before computing — the supervisor
-    sees only the resulting failure, exactly like a real one.  Cases in
-    ``known`` (reused rows) skip the engine.
+    one pool attempt is one shard (see :func:`_run_shards`).
     """
     spec, start, stop, context, shard_index, attempt, known = payload
-    plan = FaultPlan.from_context(context)
-    if plan is not None:
-        plan.execute(shard_index, attempt, study=spec, start=start, stop=stop)
-    cases = spec.cases(start, stop)
-    todo = [i for i in range(start, stop) if i not in known]
-    rows = run_cases(spec.engine, [cases[i - start] for i in todo],
-                     [spec.case_seed(i) for i in todo], context=context)
-    if known:
-        fresh = iter(rows)
-        rows = [known[i] if i in known else next(fresh)
-                for i in range(start, stop)]
-    return start, _shard_table(start, stop, rows)
+    shard, = _run_shards(spec, context,
+                         [(shard_index, start, stop, attempt, known)])
+    return start, shard
 
 
 @dataclass(frozen=True)
@@ -293,6 +329,26 @@ class _Attempt:
         return f"shard {self.index} {self.last_kind} (no exception captured)"
 
 
+def _attempt_groups(metas: Sequence[_Attempt], cap: int
+                    ) -> list[list[_Attempt]]:
+    """Batch consecutive shards into attempts of at most ``cap`` cases.
+
+    A group always takes at least one shard, so ``cap=0`` gives one shard
+    per attempt.
+    """
+    groups: list[list[_Attempt]] = []
+    cases = 0
+    for meta in metas:
+        size = meta.stop - meta.start
+        if groups and cases + size <= cap:
+            groups[-1].append(meta)
+            cases += size
+        else:
+            groups.append([meta])
+            cases = size
+    return groups
+
+
 def _kill_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
     """Tear a pool down hard, terminating workers that ignore shutdown.
 
@@ -341,7 +397,9 @@ def run_study(spec: StudySpec,
         store: Optional :class:`~repro.study.results.StudyStore`; completed
             shards persist there and are reused by later runs (resume).
         progress: Optional ``progress(done, total, label)`` callback invoked
-            once per finished shard (reused shards report first).
+            once per finished shard (reused shards report first; the
+            shards of one attempt group report one after another once the
+            group's engine call returns).
         max_shards: Stop after computing this many new shards (reused shards
             don't count) — a smoke/ops hook that yields a ``partial`` report;
             rerun with the same store to continue.
@@ -372,7 +430,8 @@ def run_study(spec: StudySpec,
             workers terminated), completed shards stay persisted — and the
             report comes back with :attr:`StudyRunReport.cancelled` set.
             This is the deadline/drain hook of the scenario-planning
-            service (:mod:`repro.service`).
+            service (:mod:`repro.service`).  With a hook, inline attempts
+            cover one shard each, so the hook is polled between shards.
         only_shards: Optional shard indices (into the run's layout) this
             call is responsible for; every other shard is neither reused
             nor computed, and the report's ``shards`` total refers to the
@@ -490,7 +549,7 @@ def run_study(spec: StudySpec,
     computed: list[tuple[int, int]] = []
 
     def record(index: int, start: int, stop: int, shard: ShardTable,
-               attempt: int, wall_s: float) -> None:
+               attempt: int, wall_s: float, group: int) -> None:
         nonlocal finished
         if store is not None:
             store.put_shard(spec, start, stop, shard)
@@ -498,7 +557,7 @@ def run_study(spec: StudySpec,
         computed.append((start, stop))
         finished += 1
         log.emit("finish", shard=index, start=start, stop=stop,
-                 attempt=attempt, wall_s=wall_s)
+                 attempt=attempt, wall_s=wall_s, group=group)
         if progress is not None:
             progress(finished, total, f"cases [{start}:{stop})")
 
@@ -574,38 +633,61 @@ def run_study(spec: StudySpec,
 
 def _run_inline(spec, context, jobs_meta, record, on_failure, final_error,
                 keep_going, log, cancel=None) -> None:
-    """Inline (jobs=1) supervisor: retry/backoff without a process pool.
+    """Inline (jobs=1) supervisor: grouped attempts, retry/backoff without
+    a process pool.
 
-    ``shard_timeout`` is not enforceable here (the attempt runs on this very
-    thread) and ``crash`` faults would take the caller down — both need
-    ``jobs > 1``.  The ``cancel`` hook is polled between shard attempts (a
-    running attempt cannot be preempted inline).
+    Consecutive pending shards share one attempt — one engine call — while
+    the group stays within :data:`_GROUP_CASES` cases; each member is still
+    stored, journaled and reported on its own.  A failed group charges no
+    shard: its members re-run as singleton attempts under the same attempt
+    numbers, so fault plans, retry budgets and quarantine keep their
+    per-shard meaning.  A run with a ``cancel`` hook keeps one shard per
+    attempt, because the hook is polled between attempts (a running attempt
+    cannot be preempted inline).  ``shard_timeout`` is not enforceable here
+    and ``crash`` faults would take the caller down — both need
+    ``jobs > 1``.
     """
-    queue = deque(jobs_meta.values())
+    cap = _GROUP_CASES if cancel is None else 0
+    queue = deque(_attempt_groups(list(jobs_meta.values()), cap))
     while queue:
         if cancel is not None and cancel():
             raise _RunCancelled
-        meta = queue.popleft()
-        wait = meta.ready_at - time.monotonic()
+        group = queue.popleft()
+        head = group[0].index
+        wait = max(meta.ready_at for meta in group) - time.monotonic()
         if wait > 0:
             time.sleep(wait)
-        meta.attempt += 1
-        log.emit("submit", shard=meta.index, start=meta.start, stop=meta.stop,
-                 attempt=meta.attempt)
+        for meta in group:
+            meta.attempt += 1
+            log.emit("submit", shard=meta.index, start=meta.start,
+                     stop=meta.stop, attempt=meta.attempt, group=head)
         t0 = time.monotonic()
         try:
-            _, shard = _run_shard((spec, meta.start, meta.stop, context,
-                                   meta.index, meta.attempt, meta.known))
-        except KeyboardInterrupt:
-            raise
+            shards = _run_shards(spec, context, [
+                (meta.index, meta.start, meta.stop, meta.attempt, meta.known)
+                for meta in group])
         except Exception as exc:
+            if len(group) > 1:
+                for meta in group:
+                    meta.attempt -= 1
+                log.emit("group_split", group=head,
+                         shards=[meta.index for meta in group],
+                         error=repr(exc))
+                queue.extendleft([meta] for meta in reversed(group))
+                continue
+            meta, = group
             if on_failure(meta, exc, "error"):
-                queue.append(meta)
+                queue.append(group)
             elif not keep_going:
                 raise final_error(meta) from None
             continue
-        record(meta.index, meta.start, meta.stop, shard, meta.attempt,
-               time.monotonic() - t0)
+        wall_s = time.monotonic() - t0
+        cases = sum(meta.stop - meta.start for meta in group)
+        for meta, shard in zip(group, shards):
+            # Each member is charged its case share of the attempt's wall,
+            # so summing ``finish`` walls counts the engine call once.
+            record(meta.index, meta.start, meta.stop, shard, meta.attempt,
+                   wall_s * ((meta.stop - meta.start) / cases), head)
 
 
 def _run_supervised(spec, context, jobs_meta, record, on_failure, final_error,
@@ -628,7 +710,7 @@ def _run_supervised(spec, context, jobs_meta, record, on_failure, final_error,
     def submit(meta: _Attempt) -> None:
         meta.attempt += 1
         log.emit("submit", shard=meta.index, start=meta.start, stop=meta.stop,
-                 attempt=meta.attempt)
+                 attempt=meta.attempt, group=meta.index)
         future = pool.submit(_run_shard, (spec, meta.start, meta.stop,
                                           context, meta.index, meta.attempt,
                                           meta.known))
@@ -710,7 +792,7 @@ def _run_supervised(spec, context, jobs_meta, record, on_failure, final_error,
                         raise final_error(meta) from None
                     continue
                 record(meta.index, meta.start, meta.stop, shard,
-                       meta.attempt, time.monotonic() - t0)
+                       meta.attempt, time.monotonic() - t0, meta.index)
             if broken:
                 for meta, _ in running.values():
                     meta.last_error = None

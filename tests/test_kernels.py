@@ -268,6 +268,58 @@ class TestSocScan:
                 assert np.array_equal(_monthly_sums(hourly, months), acc)
 
 
+class TestStreamedSocScan:
+    """The fused walk streams day blocks: outputs do not depend on the
+    block length, bit for bit, and the walk holds no horizon-sized
+    temporary."""
+
+    def _problem(self, n, days, months):
+        rng = np.random.default_rng(n * 1000 + days)
+        produced = rng.uniform(0.0, 400.0, (days, 24, n))
+        produced[:, :6] = 0.0
+        demanded = rng.uniform(10.0, 120.0, (24, n))
+        return (produced, demanded, months, rng.uniform(500.0, 3000.0, n),
+                rng.uniform(0.8, 0.95, n), rng.uniform(0.1, 0.3, n))
+
+    @pytest.mark.parametrize("n,days,start", [
+        (1, 23, 1),      # one lane; 23 days is no multiple of 5
+        (6, 60, 1),
+        (3, 400, 274),   # Oct-1 start over more than a year: split months
+    ])
+    def test_block_length_invariance_bitwise(self, monkeypatch, n, days,
+                                             start):
+        from repro.solar.climates import months_of_days
+
+        months = months_of_days((start - 1 + np.arange(days)) % 365 + 1)
+        args = self._problem(n, days, months)
+        outputs = []
+        for block_days in (1, 5, days + 1):
+            monkeypatch.setattr(numpy_fused, "_BLOCK_DAYS", block_days)
+            outputs.append(numpy_fused.soc_scan(*args, 0.7))
+        for out in outputs[1:]:
+            assert set(out) == set(outputs[0])
+            for key, value in out.items():
+                assert value.dtype == outputs[0][key].dtype, key
+                assert value.tobytes() == outputs[0][key].tobytes(), key
+
+    def test_peak_memory_is_below_two_production_tensors(self):
+        import tracemalloc
+
+        from repro.solar.climates import months_of_days
+
+        months = months_of_days((273 + np.arange(365)) % 365 + 1)
+        args = self._problem(140, 365, months)
+        produced = args[0]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            numpy_fused.soc_scan(*args, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * produced.nbytes
+
+
 class TestOccupancyScan:
     """The numpy backend reuses the reference group scan unchanged."""
 
