@@ -17,59 +17,7 @@ Quickstart::
     print(profile.min_snr_db, energy.w_per_km)
 """
 
-from repro import constants
-from repro.capacity import TruncatedShannonModel, peak_snr_threshold_db, throughput_profile
-from repro.corridor import (
-    CatenaryGrid,
-    CorridorDeployment,
-    CorridorLayout,
-    donor_node_count,
-    validate_layout,
-)
-from repro.energy import (
-    EnergyParams,
-    OperatingMode,
-    compare_deployments,
-    conventional_reference_w_per_km,
-    fig4_rows,
-    segment_energy,
-)
-from repro.optimize import (
-    max_isd_for_n,
-    optimize_placement,
-    outage_matrix,
-    outage_probability,
-    robust_max_isd,
-    sweep_max_isd,
-)
-from repro.power import (
-    EarthPowerModel,
-    HP_RRH_PROFILE,
-    LP_REPEATER_PROFILE,
-    PowerState,
-    hp_site_power_w,
-    repeater_prototype_bill,
-)
-from repro.radio import (
-    LinkParams,
-    NrCarrier,
-    RepeaterNoiseModel,
-    compute_snr_profile,
-    evaluate_scenarios,
-    min_snr_batch,
-)
-from repro.radio.uplink import UplinkParams, compute_uplink_profile
-from repro.scenario import ProfileCache, Scenario, ScenarioGrid
-from repro.traffic import (
-    TrafficParams,
-    day_timetables,
-    duty_cycle,
-    generate_timetable,
-)
-from repro.simulation import CorridorSimulation, simulate_days
-from repro.mobility import simulate_traversal
-from repro.emf import node_compliance
-from repro.economics import corridor_cost, retrofit_payback_years
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -124,3 +72,38 @@ __all__ = [
     "retrofit_payback_years",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "capacity": (
+        "TruncatedShannonModel", "peak_snr_threshold_db", "throughput_profile",
+    ),
+    "corridor": (
+        "CatenaryGrid", "CorridorDeployment", "CorridorLayout",
+        "donor_node_count", "validate_layout",
+    ),
+    "energy": (
+        "EnergyParams", "OperatingMode", "compare_deployments",
+        "conventional_reference_w_per_km", "fig4_rows", "segment_energy",
+    ),
+    "optimize": (
+        "max_isd_for_n", "optimize_placement", "outage_matrix",
+        "outage_probability", "robust_max_isd", "sweep_max_isd",
+    ),
+    "power": (
+        "EarthPowerModel", "HP_RRH_PROFILE", "LP_REPEATER_PROFILE",
+        "PowerState", "hp_site_power_w", "repeater_prototype_bill",
+    ),
+    "radio": (
+        "LinkParams", "NrCarrier", "RepeaterNoiseModel", "compute_snr_profile",
+        "evaluate_scenarios", "min_snr_batch",
+    ),
+    "radio.uplink": ("UplinkParams", "compute_uplink_profile"),
+    "scenario": ("ProfileCache", "Scenario", "ScenarioGrid"),
+    "traffic": (
+        "TrafficParams", "day_timetables", "duty_cycle", "generate_timetable",
+    ),
+    "simulation": ("CorridorSimulation", "simulate_days"),
+    "mobility": ("simulate_traversal",),
+    "emf": ("node_compliance",),
+    "economics": ("corridor_cost", "retrofit_payback_years"),
+})

@@ -7,9 +7,7 @@
   explaining why the paper uses out-of-band repeaters outdoors.
 """
 
-from repro.baselines.conventional import ConventionalCorridor
-from repro.baselines.onboard_relay import OnboardRelayFleet
-from repro.baselines.inband import InbandFeasibility, inband_isolation_margin_db
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ConventionalCorridor",
@@ -17,3 +15,9 @@ __all__ = [
     "InbandFeasibility",
     "inband_isolation_margin_db",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "conventional": ("ConventionalCorridor",),
+    "onboard_relay": ("OnboardRelayFleet",),
+    "inband": ("InbandFeasibility", "inband_isolation_margin_db"),
+})

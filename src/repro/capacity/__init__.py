@@ -6,8 +6,7 @@ efficiency 5.84 bps/Hz) and helpers that turn an SNR profile along the track
 into a throughput profile.
 """
 
-from repro.capacity.shannon import TruncatedShannonModel, peak_snr_threshold_db
-from repro.capacity.throughput import ThroughputProfile, throughput_profile
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TruncatedShannonModel",
@@ -15,3 +14,8 @@ __all__ = [
     "ThroughputProfile",
     "throughput_profile",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "shannon": ("TruncatedShannonModel", "peak_snr_threshold_db"),
+    "throughput": ("ThroughputProfile", "throughput_profile"),
+})

@@ -28,10 +28,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.experiments.runner import ALL_EXPERIMENTS, run_all, run_experiment
-from repro.scenario.cache import ProfileCache
-from repro.solar.batch import WeatherCache
-
 __all__ = ["main", "build_parser", "study_main", "docs_main", "serve_main",
            "network_main", "SUBCOMMANDS"]
 
@@ -114,6 +110,9 @@ def _print_result(experiment_id: str, result, quiet: bool) -> None:
 
 def _engine_kwargs(args: argparse.Namespace) -> dict:
     """Shared engine options forwarded to every experiment runner."""
+    from repro.scenario.cache import ProfileCache
+    from repro.solar.batch import WeatherCache
+
     kwargs: dict = {}
     if args.jobs is not None:
         if args.jobs < 1:
@@ -692,6 +691,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] in SUBCOMMANDS:
         return SUBCOMMANDS[argv[0]](list(argv[1:]))
     args = build_parser().parse_args(argv)
+    from repro.experiments.runner import ALL_EXPERIMENTS, run_all, run_experiment
 
     if args.experiment == "list":
         width = max(len(k) for k in ALL_EXPERIMENTS)

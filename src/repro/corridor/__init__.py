@@ -5,10 +5,7 @@ unit the capacity model evaluates.  A *deployment* tiles layouts along a whole
 corridor and is the unit the energy model normalizes per kilometre.
 """
 
-from repro.corridor.geometry import CatenaryGrid, TrackSegment
-from repro.corridor.layout import CorridorLayout, donor_node_count
-from repro.corridor.deployment import CorridorDeployment, DeploymentKind
-from repro.corridor.validation import validate_layout, LayoutReport
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TrackSegment",
@@ -20,3 +17,10 @@ __all__ = [
     "validate_layout",
     "LayoutReport",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "geometry": ("CatenaryGrid", "TrackSegment"),
+    "layout": ("CorridorLayout", "donor_node_count"),
+    "deployment": ("CorridorDeployment", "DeploymentKind"),
+    "validation": ("validate_layout", "LayoutReport"),
+})

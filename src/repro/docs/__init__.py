@@ -13,9 +13,7 @@ CLI: ``repro docs build [--strict] [--output DIR]`` and
 ``repro docs api [--check]``.
 """
 
-from repro.docs.apigen import API_PAGES, check, generate, render_page
-from repro.docs.md import render, slugify
-from repro.docs.site import BuildReport, build_site, load_config
+from repro._lazy import lazy_exports
 
 __all__ = [
     "API_PAGES",
@@ -28,3 +26,9 @@ __all__ = [
     "build_site",
     "load_config",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "apigen": ("API_PAGES", "check", "generate", "render_page"),
+    "md": ("render", "slugify"),
+    "site": ("BuildReport", "build_site", "load_config"),
+})

@@ -7,12 +7,7 @@ installation CAPEX, energy and maintenance OPEX, and the payback period of
 the repeater retrofit.
 """
 
-from repro.economics.costmodel import (
-    CostAssumptions,
-    DeploymentCost,
-    corridor_cost,
-    retrofit_payback_years,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CostAssumptions",
@@ -20,3 +15,10 @@ __all__ = [
     "corridor_cost",
     "retrofit_payback_years",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "costmodel": (
+        "CostAssumptions", "DeploymentCost", "corridor_cost",
+        "retrofit_payback_years",
+    ),
+})

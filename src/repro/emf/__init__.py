@@ -11,15 +11,7 @@ national installation limits, and the EMF argument for low-power repeaters
 (their 10 W EIRP is compliant within metres even under the strictest rules).
 """
 
-from repro.emf.compliance import (
-    EmfLimit,
-    ICNIRP_GENERAL_PUBLIC,
-    STRICT_INSTALLATION_LIMITS,
-    compliance_distance_m,
-    power_density_w_m2,
-    field_strength_v_m,
-    node_compliance,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EmfLimit",
@@ -30,3 +22,11 @@ __all__ = [
     "compliance_distance_m",
     "node_compliance",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "compliance": (
+        "EmfLimit", "ICNIRP_GENERAL_PUBLIC", "STRICT_INSTALLATION_LIMITS",
+        "compliance_distance_m", "power_density_w_m2", "field_strength_v_m",
+        "node_compliance",
+    ),
+})

@@ -7,23 +7,7 @@ compares: continuously powered repeaters, sleep-mode repeaters, and
 solar-powered repeaters.
 """
 
-from repro.energy.duty import (
-    DonorDutyModel,
-    EnergyParams,
-    donor_average_power_w,
-    hp_mast_average_power_w,
-    lp_node_average_power_w,
-)
-from repro.energy.scenario import OperatingMode, SegmentEnergy, segment_energy
-from repro.energy.analysis import (
-    CorridorComparison,
-    PolicyEnergy,
-    compare_deployments,
-    conventional_reference_w_per_km,
-    fig4_rows,
-    savings_fraction,
-    simulated_policy_comparison,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EnergyParams",
@@ -42,3 +26,16 @@ __all__ = [
     "PolicyEnergy",
     "simulated_policy_comparison",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "duty": (
+        "DonorDutyModel", "EnergyParams", "donor_average_power_w",
+        "hp_mast_average_power_w", "lp_node_average_power_w",
+    ),
+    "scenario": ("OperatingMode", "SegmentEnergy", "segment_energy"),
+    "analysis": (
+        "CorridorComparison", "PolicyEnergy", "compare_deployments",
+        "conventional_reference_w_per_km", "fig4_rows", "savings_fraction",
+        "simulated_policy_comparison",
+    ),
+})

@@ -6,14 +6,7 @@ Each module exposes ``run(...)`` returning a structured result with
 EXPERIMENTS.md generation use.
 """
 
-from repro.experiments.fig3 import run_fig3
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.maxisd import run_maxisd
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.table3 import run_table3
-from repro.experiments.table4 import run_table4
-from repro.experiments.runner import ALL_EXPERIMENTS, run_all, run_experiment
+from repro._lazy import lazy_exports
 
 __all__ = [
     "run_fig3",
@@ -27,3 +20,14 @@ __all__ = [
     "run_all",
     "run_experiment",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "fig3": ("run_fig3",),
+    "fig4": ("run_fig4",),
+    "maxisd": ("run_maxisd",),
+    "table1": ("run_table1",),
+    "table2": ("run_table2",),
+    "table3": ("run_table3",),
+    "table4": ("run_table4",),
+    "runner": ("ALL_EXPERIMENTS", "run_all", "run_experiment"),
+})

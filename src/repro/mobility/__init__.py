@@ -7,14 +7,16 @@ volume per segment, time spent at peak rate — and models the serving-cell
 handover count a corridor avoids compared to a macro network.
 """
 
-from repro.mobility.traversal import (
-    TraversalResult,
-    simulate_traversal,
-    segment_data_volume_gbit,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TraversalResult",
     "simulate_traversal",
     "segment_data_volume_gbit",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "traversal": (
+        "TraversalResult", "simulate_traversal", "segment_data_volume_gbit",
+    ),
+})

@@ -28,24 +28,7 @@ Quickstart::
     print(plan.table())
 """
 
-from repro.network.graph import (
-    Corridor,
-    DemandProfile,
-    NetworkGraph,
-    NetworkSegment,
-    SPEED_CLASSES,
-    SpeedClass,
-)
-from repro.network.frontier import (
-    SegmentFrontiers,
-    Technology,
-    TechnologyCatalog,
-    TechnologyOption,
-    fixed_options_power_w,
-    segment_frontiers,
-)
-from repro.network.optimize import NetworkAssignment, optimize_network
-from repro.network.presets import NAMED_GRAPHS, build_graph
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SpeedClass",
@@ -65,3 +48,16 @@ __all__ = [
     "NAMED_GRAPHS",
     "build_graph",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "graph": (
+        "Corridor", "DemandProfile", "NetworkGraph", "NetworkSegment",
+        "SPEED_CLASSES", "SpeedClass",
+    ),
+    "frontier": (
+        "SegmentFrontiers", "Technology", "TechnologyCatalog",
+        "TechnologyOption", "fixed_options_power_w", "segment_frontiers",
+    ),
+    "optimize": ("NetworkAssignment", "optimize_network"),
+    "presets": ("NAMED_GRAPHS", "build_graph"),
+})

@@ -11,16 +11,7 @@
   (extension).
 """
 
-from repro.optimize.isd import IsdSweepResult, max_isd_for_n, sweep_max_isd
-from repro.optimize.mc import (
-    OutageMatrix,
-    outage_matrix,
-    trial_generators,
-    wilson_interval,
-)
-from repro.optimize.placement import PlacementResult, optimize_placement
-from repro.optimize.pareto import ParetoPoint, energy_capacity_frontier
-from repro.optimize.robustness import OutageResult, outage_probability, robust_max_isd
+from repro._lazy import lazy_exports
 
 __all__ = [
     "max_isd_for_n",
@@ -38,3 +29,13 @@ __all__ = [
     "energy_capacity_frontier",
     "ParetoPoint",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "isd": ("IsdSweepResult", "max_isd_for_n", "sweep_max_isd"),
+    "mc": (
+        "OutageMatrix", "outage_matrix", "trial_generators", "wilson_interval",
+    ),
+    "placement": ("PlacementResult", "optimize_placement"),
+    "pareto": ("ParetoPoint", "energy_capacity_frontier"),
+    "robustness": ("OutageResult", "outage_probability", "robust_max_isd"),
+})

@@ -7,19 +7,7 @@
   aggregation.
 """
 
-from repro.power.earth_model import EarthPowerModel, PowerState
-from repro.power.components import (
-    Component,
-    ComponentMode,
-    RepeaterBill,
-    repeater_prototype_bill,
-)
-from repro.power.profiles import (
-    HP_RRH_PROFILE,
-    LP_REPEATER_PROFILE,
-    hp_site_power_w,
-    PowerProfile,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EarthPowerModel",
@@ -33,3 +21,15 @@ __all__ = [
     "LP_REPEATER_PROFILE",
     "hp_site_power_w",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "earth_model": ("EarthPowerModel", "PowerState"),
+    "components": (
+        "Component", "ComponentMode", "RepeaterBill",
+        "repeater_prototype_bill",
+    ),
+    "profiles": (
+        "HP_RRH_PROFILE", "LP_REPEATER_PROFILE", "hp_site_power_w",
+        "PowerProfile",
+    ),
+})

@@ -6,29 +6,7 @@ path-loss laws, train-wagon penetration loss, the mmWave donor fronthaul link
 budget, and log-normal shadowing for Monte-Carlo extensions.
 """
 
-from repro.propagation.friis import (
-    CalibratedFriis,
-    free_space_path_loss_db,
-    friis_constant_db,
-)
-from repro.propagation.pathloss import (
-    DualSlopeModel,
-    FreeSpaceModel,
-    LogDistanceModel,
-    PathLossModel,
-)
-from repro.propagation.penetration import (
-    PenetrationLoss,
-    WINDOW_PRESETS,
-    WagonWindowType,
-    effective_calibration_db,
-)
-from repro.propagation.fronthaul import (
-    FronthaulBudget,
-    FronthaulParams,
-    FronthaulTopology,
-)
-from repro.propagation.fading import LogNormalShadowing
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CalibratedFriis",
@@ -47,3 +25,19 @@ __all__ = [
     "FronthaulBudget",
     "LogNormalShadowing",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "friis": (
+        "CalibratedFriis", "free_space_path_loss_db", "friis_constant_db",
+    ),
+    "pathloss": (
+        "DualSlopeModel", "FreeSpaceModel", "LogDistanceModel",
+        "PathLossModel",
+    ),
+    "penetration": (
+        "PenetrationLoss", "WINDOW_PRESETS", "WagonWindowType",
+        "effective_calibration_db",
+    ),
+    "fronthaul": ("FronthaulBudget", "FronthaulParams", "FronthaulTopology"),
+    "fading": ("LogNormalShadowing",),
+})

@@ -5,11 +5,7 @@ track: per-subcarrier transmit powers (RSTP) from EIRP, calibrated attenuation
 per node class, noise aggregation (terminal + repeater) and the resulting SNR.
 """
 
-from repro.radio.carrier import NrCarrier, rstp_dbm_from_eirp
-from repro.radio.nodes import DonorNode, HighPowerSite, RepeaterNode
-from repro.radio.noise import RepeaterNoiseModel, thermal_noise_dbm
-from repro.radio.link import LinkParams, SnrProfile, chain_hop_assignment, compute_snr_profile
-from repro.radio.batch import evaluate_scenarios, min_snr_batch
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NrCarrier",
@@ -26,3 +22,14 @@ __all__ = [
     "evaluate_scenarios",
     "min_snr_batch",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "carrier": ("NrCarrier", "rstp_dbm_from_eirp"),
+    "nodes": ("DonorNode", "HighPowerSite", "RepeaterNode"),
+    "noise": ("RepeaterNoiseModel", "thermal_noise_dbm"),
+    "link": (
+        "LinkParams", "SnrProfile", "chain_hop_assignment",
+        "compute_snr_profile",
+    ),
+    "batch": ("evaluate_scenarios", "min_snr_batch"),
+})

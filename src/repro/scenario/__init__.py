@@ -4,17 +4,17 @@
   evaluation with a stable content hash.
 * :mod:`repro.scenario.grid` — :class:`ScenarioGrid`, declarative sweep axes
   (ISD x N x link perturbations) expanded into scenario batches.
-* :mod:`repro.scenario.cache` — :class:`ArrayCache`, the generic LRU + disk
-  memo machinery, and :class:`ProfileCache`, its specialization for evaluated
-  profiles keyed by scenario hash (the off-grid weather memo
-  :class:`repro.solar.batch.WeatherCache` builds on the same base).
+* :mod:`repro.scenario.cache` — :func:`content_token`, the canonical
+  parameter token every content hash is built from; :class:`ArrayCache`,
+  the generic LRU + disk memo machinery; and :class:`ProfileCache`, its
+  specialization for evaluated profiles keyed by scenario hash (the off-grid
+  weather memo :class:`repro.solar.batch.WeatherCache` builds on the same
+  base).
 
 The batch evaluator that consumes these lives in :mod:`repro.radio.batch`.
 """
 
-from repro.scenario.spec import Scenario, content_token
-from repro.scenario.grid import ScenarioGrid, isd_candidates
-from repro.scenario.cache import ArrayCache, ProfileCache
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Scenario",
@@ -24,3 +24,9 @@ __all__ = [
     "content_token",
     "isd_candidates",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "spec": ("Scenario",),
+    "grid": ("ScenarioGrid", "isd_candidates"),
+    "cache": ("ArrayCache", "ProfileCache", "content_token"),
+})

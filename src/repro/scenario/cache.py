@@ -8,6 +8,11 @@ Two layers, shared by every cache in the repository:
   files named by hash, so repeated experiment runs (``repro maxisd
   --cache-dir ...``) skip the evaluation entirely.
 
+:func:`content_token` renders a parameter object as the canonical string
+every cache key is hashed from (scenario hashes, weather keys, study
+hashes).  It depends on nothing but numpy, so the study and solar layers
+key their stores without importing the radio engine.
+
 :class:`ArrayCache` is the generic machinery: it stores any value that can be
 packed into a named bundle of numpy arrays.  :class:`ProfileCache`
 specializes it for Eq. (2) :class:`~repro.radio.link.SnrProfile` objects; the
@@ -35,20 +40,25 @@ misbehaving runs:
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import os
 import threading
 import zipfile
 from collections import OrderedDict
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.radio.link import SnrProfile
-from repro.scenario.spec import Scenario
 
-__all__ = ["ArrayCache", "ProfileCache", "QUARANTINE_DIR"]
+if TYPE_CHECKING:
+    from repro.radio.link import SnrProfile
+    from repro.scenario.spec import Scenario
+
+__all__ = ["content_token", "ArrayCache", "ProfileCache", "QUARANTINE_DIR"]
 
 _PROFILE_FIELDS = ("positions_m", "source_rsrp_dbm", "total_signal_dbm",
                    "total_noise_dbm", "snr_db")
@@ -58,6 +68,44 @@ _CHECKSUM_KEY = "__checksum__"
 
 #: Sidecar directory (under ``cache_dir``) damaged files are moved into.
 QUARANTINE_DIR = "quarantine"
+
+
+def content_token(obj) -> str:
+    """Canonical, repr-stable token of a parameter object.
+
+    Recurses through dataclasses, enums, tuples/lists and numpy scalars;
+    floats are rendered with ``float.hex`` so the token is exact (no rounding
+    ambiguity between values that print alike).
+
+    Args:
+        obj: A dataclass instance, enum member, ``None``, bool/int/str,
+            float (or numpy floating), sequence of the above, or a numpy
+            array.
+
+    Returns:
+        A deterministic string — equal tokens imply equal parameter content
+        across processes and sessions (the hashing contract every cache in
+        the repository keys on).
+
+    Raises:
+        ConfigurationError: For types without a canonical rendering.
+    """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        inner = ",".join(
+            f"{f.name}={content_token(getattr(obj, f.name))}" for f in fields(obj))
+        return f"{type(obj).__name__}({inner})"
+    if isinstance(obj, enum.Enum):
+        return f"{type(obj).__name__}.{obj.name}"
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return repr(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    if isinstance(obj, (tuple, list)):
+        return "(" + ",".join(content_token(v) for v in obj) + ")"
+    if isinstance(obj, np.ndarray):
+        return "(" + ",".join(content_token(v) for v in obj.tolist()) + ")"
+    raise ConfigurationError(
+        f"cannot build a content token for {type(obj).__name__!r}")
 
 
 def _bundle_checksum(arrays: dict[str, np.ndarray]) -> str:
@@ -284,6 +332,8 @@ class ProfileCache(ArrayCache):
         return {name: getattr(value, name) for name in _PROFILE_FIELDS}
 
     def _unpack(self, arrays: dict[str, np.ndarray]) -> SnrProfile:
+        from repro.radio.link import SnrProfile
+
         return SnrProfile(**{name: arrays[name] for name in _PROFILE_FIELDS})
 
     def get(self, scenario: Scenario) -> SnrProfile | None:

@@ -10,9 +10,8 @@ produce bit-identical profiles.
 
 from __future__ import annotations
 
-import enum
 import hashlib
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,46 +19,9 @@ from repro import constants
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
 from repro.radio.link import LinkParams, SnrProfile, compute_snr_profile
+from repro.scenario.cache import content_token
 
-__all__ = ["Scenario", "content_token"]
-
-
-def content_token(obj) -> str:
-    """Canonical, repr-stable token of a parameter object.
-
-    Recurses through dataclasses, enums, tuples/lists and numpy scalars;
-    floats are rendered with ``float.hex`` so the token is exact (no rounding
-    ambiguity between values that print alike).
-
-    Args:
-        obj: A dataclass instance, enum member, ``None``, bool/int/str,
-            float (or numpy floating), sequence of the above, or a numpy
-            array.
-
-    Returns:
-        A deterministic string — equal tokens imply equal parameter content
-        across processes and sessions (the hashing contract every cache in
-        the repository keys on).
-
-    Raises:
-        ConfigurationError: For types without a canonical rendering.
-    """
-    if is_dataclass(obj) and not isinstance(obj, type):
-        inner = ",".join(
-            f"{f.name}={content_token(getattr(obj, f.name))}" for f in fields(obj))
-        return f"{type(obj).__name__}({inner})"
-    if isinstance(obj, enum.Enum):
-        return f"{type(obj).__name__}.{obj.name}"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return repr(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj).hex()
-    if isinstance(obj, (tuple, list)):
-        return "(" + ",".join(content_token(v) for v in obj) + ")"
-    if isinstance(obj, np.ndarray):
-        return "(" + ",".join(content_token(v) for v in obj.tolist()) + ")"
-    raise ConfigurationError(
-        f"cannot build a content token for {type(obj).__name__!r}")
+__all__ = ["Scenario"]
 
 
 @dataclass(frozen=True)

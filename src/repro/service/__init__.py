@@ -31,10 +31,7 @@ machine, and ``docs/robustness.md`` for how job states map to HTTP status
 codes and CLI exit codes.
 """
 
-from repro.service.app import ScenarioService, ServiceApp, serve
-from repro.service.jobstore import JobStore
-from repro.service.queue import JOB_STATES, TERMINAL_STATES, Job, JobQueue
-from repro.service.schemas import JobRequest, JobView
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ScenarioService",
@@ -48,3 +45,10 @@ __all__ = [
     "JobRequest",
     "JobView",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "app": ("ScenarioService", "ServiceApp", "serve"),
+    "jobstore": ("JobStore",),
+    "queue": ("JOB_STATES", "TERMINAL_STATES", "Job", "JobQueue"),
+    "schemas": ("JobRequest", "JobView"),
+})

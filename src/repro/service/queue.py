@@ -53,6 +53,7 @@ from repro.errors import (
 from repro.service.jobstore import JobStore
 from repro.service.schemas import JobRequest, JobView
 from repro.study.distributed import run_shard_slice
+from repro.study.engines import STUDY_ENGINES, import_engine
 from repro.study.journal import RunJournal
 from repro.study.results import StudyStore
 from repro.study.runner import run_study
@@ -463,7 +464,13 @@ class JobQueue:
         return requeued
 
     def start(self) -> None:
-        """Recover open jobs, spawn the worker threads, journal the start."""
+        """Recover open jobs, spawn the worker threads, journal the start.
+
+        Every engine is imported here, before the first worker starts, so
+        no job's latency includes an engine import.
+        """
+        for engine in STUDY_ENGINES:
+            import_engine(engine)
         recovered = self.recover()
         self.jobstore.service_start(
             workers=self.workers, max_queue=self.max_queue,

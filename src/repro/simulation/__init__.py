@@ -8,13 +8,7 @@ cross-check of the analytic numbers and a way to quantify non-idealities
 (wake latency, detection margins, irregular timetables).
 """
 
-from repro.simulation.engine import Simulator
-from repro.simulation.statemachine import NodeState, PowerStateMachine
-from repro.simulation.detectors import PhotoelectricBarrier
-from repro.simulation.recorder import EnergyRecorder
-from repro.simulation.elements import ElementSpec, corridor_elements
-from repro.simulation.batch import DayBatchResult, simulate_days
-from repro.simulation.corridor_sim import CorridorSimulation, SimulatedEnergy
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Simulator",
@@ -29,3 +23,13 @@ __all__ = [
     "CorridorSimulation",
     "SimulatedEnergy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": ("Simulator",),
+    "statemachine": ("NodeState", "PowerStateMachine"),
+    "detectors": ("PhotoelectricBarrier",),
+    "recorder": ("EnergyRecorder",),
+    "elements": ("ElementSpec", "corridor_elements"),
+    "batch": ("DayBatchResult", "simulate_days"),
+    "corridor_sim": ("CorridorSimulation", "SimulatedEnergy"),
+})

@@ -18,21 +18,7 @@ so this package implements the pieces of it the paper consumes:
 See DESIGN.md section 3 for the substitution rationale and calibration notes.
 """
 
-from repro.solar.geometry import SolarGeometry, declination_rad, sunset_hour_angle_rad
-from repro.solar.climates import LOCATIONS, Location
-from repro.solar.irradiance import SyntheticWeather, WeatherParams, DayIrradiance, WeatherYear
-from repro.solar.pv import PvArray
-from repro.solar.battery import Battery
-from repro.solar.offgrid import LoadProfile, OffGridResult, OffGridSystem, repeater_load_profile
-from repro.solar.sizing import SizingResult, find_minimal_system
-from repro.solar.batch import (
-    WeatherCache,
-    WeatherKey,
-    candidate_grid,
-    simulate_candidates,
-    simulate_systems,
-    synthesize_weather_year,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SolarGeometry",
@@ -59,3 +45,22 @@ __all__ = [
     "SizingResult",
     "find_minimal_system",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "geometry": ("SolarGeometry", "declination_rad", "sunset_hour_angle_rad"),
+    "climates": ("LOCATIONS", "Location"),
+    "irradiance": (
+        "SyntheticWeather", "WeatherParams", "DayIrradiance", "WeatherYear",
+    ),
+    "pv": ("PvArray",),
+    "battery": ("Battery",),
+    "offgrid": (
+        "LoadProfile", "OffGridResult", "OffGridSystem",
+        "repeater_load_profile",
+    ),
+    "sizing": ("SizingResult", "find_minimal_system"),
+    "batch": (
+        "WeatherCache", "WeatherKey", "candidate_grid", "simulate_candidates",
+        "simulate_systems", "synthesize_weather_year",
+    ),
+})

@@ -32,8 +32,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.kernels import soc_scan
-from repro.scenario.cache import ArrayCache
-from repro.scenario.spec import content_token
+from repro.scenario.cache import ArrayCache, content_token
 from repro.solar.battery import Battery
 from repro.solar.climates import Location, months_of_days
 from repro.solar.irradiance import SyntheticWeather, WeatherParams, WeatherYear

@@ -21,35 +21,7 @@ and the national network), run from the command line with
 ``repro study run``.
 """
 
-from repro.study.distributed import (
-    MergeReport,
-    RefreshReport,
-    SliceRunReport,
-    case_fingerprint,
-    merge_manifests,
-    refresh_study,
-    run_shard_slice,
-    slice_shards,
-)
-from repro.study.engines import STUDY_ENGINES, EngineAdapter, run_cases
-from repro.study.expressions import compile_expression
-from repro.study.journal import RunJournal, read_journal, scan_journal
-from repro.study.manifest import (
-    ShardEntry,
-    ShardManifest,
-    build_manifest,
-    load_manifest,
-    write_manifest,
-)
-from repro.study.results import StudyStore, StudyTable, build_table, merge_shards
-from repro.study.runner import (
-    FailedShard,
-    StudyRunReport,
-    retry_delay,
-    run_study,
-    shard_ranges,
-)
-from repro.study.spec import StudySpec, load_study, parse_study, study_from_mapping
+from repro._lazy import lazy_exports
 
 __all__ = [
     "STUDY_ENGINES",
@@ -86,3 +58,23 @@ __all__ = [
     "parse_study",
     "study_from_mapping",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "distributed": (
+        "MergeReport", "RefreshReport", "SliceRunReport", "case_fingerprint",
+        "merge_manifests", "refresh_study", "run_shard_slice", "slice_shards",
+    ),
+    "engines": ("STUDY_ENGINES", "EngineAdapter", "run_cases"),
+    "expressions": ("compile_expression",),
+    "journal": ("RunJournal", "read_journal", "scan_journal"),
+    "manifest": (
+        "ShardEntry", "ShardManifest", "build_manifest", "load_manifest",
+        "write_manifest",
+    ),
+    "results": ("StudyStore", "StudyTable", "build_table", "merge_shards"),
+    "runner": (
+        "FailedShard", "StudyRunReport", "retry_delay", "run_study",
+        "shard_ranges",
+    ),
+    "spec": ("StudySpec", "load_study", "parse_study", "study_from_mapping"),
+})

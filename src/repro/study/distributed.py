@@ -515,7 +515,7 @@ def case_fingerprint(spec: StudySpec, index: int,
     """
     import hashlib
 
-    from repro.scenario.spec import content_token
+    from repro.scenario.cache import content_token
 
     if case is None:
         case = spec.case(index)

@@ -27,6 +27,7 @@ engine call uses — a study result is bit-identical to a hand-written sweep.
 
 from __future__ import annotations
 
+import importlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
@@ -532,6 +533,28 @@ STUDY_ENGINES: dict[str, EngineAdapter] = {
         ),
     )
 }
+
+
+#: Per adapter, modules whose import closure covers every import its
+#: runner makes (pinned by ``tests/test_import_layering.py``).
+_ENGINE_MODULES: dict[str, tuple[str, ...]] = {
+    "radio": ("repro.radio.batch",),
+    "solar": ("repro.solar.batch",),
+    "mc": ("repro.optimize.mc", "repro.scenario.spec"),
+    "sim": ("repro.simulation.batch",),
+    "network": ("repro.network.optimize", "repro.network.presets",
+                "repro.radio.batch"),
+}
+
+
+def import_engine(engine: str) -> None:
+    """Import the modules adapter ``engine``'s runner needs, now.
+
+    A process pool calls this in its parent before the first worker forks,
+    so the workers inherit the engine instead of each importing it.
+    """
+    for module in _ENGINE_MODULES[engine]:
+        importlib.import_module(module)
 
 
 def run_cases(engine: str, cases: list[dict], seeds: list[int],

@@ -65,20 +65,18 @@ and the fault-injection matrix ``tests/test_faults.py``.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 import warnings
 from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, StudyExecutionError
 from repro.faults import FaultPlan
-from repro.study.engines import run_cases
+from repro.study.engines import import_engine, run_cases
 from repro.study.journal import RunJournal, resolve_journal
 from repro.study.results import (
     ShardTable,
@@ -88,6 +86,9 @@ from repro.study.results import (
     merge_shards,
 )
 from repro.study.spec import StudySpec
+
+if TYPE_CHECKING:
+    import concurrent.futures
 
 __all__ = ["FailedShard", "StudyRunReport", "retry_delay", "run_study",
            "shard_ranges"]
@@ -702,9 +703,13 @@ def _run_supervised(spec, context, jobs_meta, record, on_failure, final_error,
     ``_POLL_S`` while work is in flight); on cancellation the loop exits
     immediately and the ``finally`` teardown terminates in-flight workers.
     """
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
     workers = min(jobs, max(1, len(jobs_meta)))
     queue: deque[_Attempt] = deque(jobs_meta.values())
     running: dict[concurrent.futures.Future, tuple[_Attempt, float]] = {}
+    import_engine(spec.engine)  # forked workers inherit it
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
 
     def submit(meta: _Attempt) -> None:

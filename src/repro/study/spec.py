@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.scenario.spec import content_token
+from repro.scenario.cache import content_token
 from repro.study.expressions import compile_expression, expression_names
 
 __all__ = ["StudySpec", "load_study", "parse_study", "study_from_mapping"]

@@ -7,19 +7,7 @@ generation, and the coverage-section occupancy math that drives every duty
 cycle in the paper.
 """
 
-from repro.traffic.trains import Train, TrafficParams
-from repro.traffic.timetable import (
-    Timetable,
-    TrainRun,
-    day_timetables,
-    generate_timetable,
-)
-from repro.traffic.occupancy import (
-    full_load_seconds_per_train,
-    duty_cycle,
-    occupancy_seconds_per_day,
-    trains_per_day,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Train",
@@ -33,3 +21,14 @@ __all__ = [
     "occupancy_seconds_per_day",
     "trains_per_day",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "trains": ("Train", "TrafficParams"),
+    "timetable": (
+        "Timetable", "TrainRun", "day_timetables", "generate_timetable",
+    ),
+    "occupancy": (
+        "full_load_seconds_per_train", "duty_cycle",
+        "occupancy_seconds_per_day", "trains_per_day",
+    ),
+})
