@@ -15,8 +15,10 @@ Parity is asserted in-run: both engines must produce bit-identical
 frontier arrays on the same graph.  The scalar reference is timed once
 (it dominates the benchmark's wall clock); the batched pass takes the
 best of three.  The assignment is timed at a binding 125 W/km budget and
-recorded with the frontier's unique-row count.  Thresholds are advisory under CI (noisy shared runners);
-the parity assertions always hold.  Emits ``BENCH_network.json`` when
+recorded with the frontier's unique-row count, and the columnar graph
+build is timed cold (memo cleared) as ``build_graph_s``.  Thresholds are
+advisory under CI (noisy shared runners); the parity assertions always
+hold.  Emits ``BENCH_network.json`` when
 ``BENCH_JSON_DIR`` is set.
 """
 
@@ -26,6 +28,7 @@ import time
 import numpy as np
 
 from repro.network import build_graph, optimize_network, segment_frontiers
+from repro.network.presets import _build_graph
 
 N_SEGMENTS = 10_000
 RESOLUTION_M = 50.0
@@ -48,7 +51,11 @@ def _best_of(fn, repeats=BATCHED_REPEATS):
 
 
 def bench_network_frontier_batched_vs_scalar(benchmark, bench_json):
+    # Cold build: the memo is cleared, so this times the columnar builder.
+    _build_graph.cache_clear()
+    t0 = time.perf_counter()
     graph = build_graph("national", n_segments=N_SEGMENTS)
+    build_graph_s = time.perf_counter() - t0
     assert graph.n_segments == N_SEGMENTS
 
     # Warm the batched path once (imports, numpy pools) outside the timing.
@@ -83,6 +90,7 @@ def bench_network_frontier_batched_vs_scalar(benchmark, bench_json):
         "network": {
             "grid": {"segments": N_SEGMENTS, "options": len(batched.options),
                      "resolution_m": RESOLUTION_M},
+            "build_graph_s": build_graph_s,
             "reference_s": scalar_s,
             "fused_s": batched_s,
             "assign_s": assign_s,

@@ -537,7 +537,8 @@ def build_network_parser() -> argparse.ArgumentParser:
                      help="cost horizon [years] (default: %(default)s)")
     opt.add_argument("--jobs", type=int, default=None, metavar="N",
                      help="thread sharding of the batched radio pass")
-    opt.add_argument("--limit", type=int, default=20, metavar="N",
+    opt.add_argument("--limit", type=_non_negative_int, default=20,
+                     metavar="N",
                      help="per-segment rows shown in the assignment table "
                           "(default: %(default)s)")
     opt.add_argument("--csv", metavar="FILE", default=None,
@@ -545,6 +546,18 @@ def build_network_parser() -> argparse.ArgumentParser:
     opt.add_argument("--quiet", action="store_true",
                      help="suppress the assignment table")
     return parser
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for a count ``>= 0`` (a bad value exits 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _global_budget(per_km: float | None, scale: float) -> float | None:

@@ -244,7 +244,14 @@ class SegmentFrontiers:
         return int(self.energy_w.size)
 
     def min_energy_w(self) -> float:
-        """Lowest achievable network energy (min feasible option per row)."""
+        """Lowest achievable network energy (min feasible option per row).
+
+        Computed on first use and cached on the frontier object.
+        """
+        return self._min_energy_w
+
+    @functools.cached_property
+    def _min_energy_w(self) -> float:
         energy = np.where(self.feasible, self.energy_w, np.inf)
         return float(energy.min(axis=1).sum())
 
@@ -441,26 +448,22 @@ def segment_frontiers(graph: NetworkGraph,
 def _frontiers_batched(graph, catalog, options, assumptions, link,
                        resolution_m, horizon_years, threshold_db,
                        cache, jobs) -> SegmentFrontiers:
-    segments = graph.segments
-    n_seg = len(segments)
+    lengths = graph.segment_length_km
+    n_seg = lengths.size
     n_opt = len(options)
-    lengths = np.array([s.length_km for s in segments], dtype=np.float64)
     lengths_m = lengths * 1000.0
 
     # One batched Eq. (2) pass over the unique candidate layouts.
     min_snrs = _min_snr_batched(options, link, resolution_m, cache, jobs)
 
-    # Unique (speed class, demand) profiles and the row -> profile map.
-    profile_keys: dict[tuple, int] = {}
-    profile_of = np.empty(n_seg, dtype=np.intp)
-    profiles: list[tuple[str, DemandProfile]] = []
-    for i, seg in enumerate(segments):
-        key = (seg.speed_class, seg.demand)
-        index = profile_keys.get(key)
-        if index is None:
-            index = profile_keys[key] = len(profiles)
-            profiles.append((seg.speed_class, seg.demand))
-        profile_of[i] = index
+    # Distinct (speed class, demand) profiles and the row -> profile map,
+    # straight from the graph's index columns.
+    n_demands = len(graph.demands)
+    keys, profile_of = np.unique(
+        graph.speed_index * n_demands + graph.demand_index,
+        return_inverse=True)
+    profiles = [(graph.speed_classes[key // n_demands],
+                 graph.demands[key % n_demands]) for key in keys.tolist()]
 
     eligible_p = np.array([catalog.sleep_eligible(d) for _, d in profiles],
                           dtype=bool)

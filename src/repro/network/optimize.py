@@ -123,18 +123,29 @@ class NetworkAssignment:
 
     def rows(self) -> list[tuple[str, str, float, float, bool]]:
         """Per-segment assignment rows: name, option, W, EUR, sleeping."""
-        names = self.graph.segment_names
-        energy = self.segment_energy_w
-        cost = self.segment_cost_eur
-        return [
-            (names[i], self.options[self.option_index[i]].label,
-             float(energy[i]), float(cost[i]),
-             bool(self.frontiers.eligible[i]))
-            for i in range(self.option_index.size)
-        ]
+        return self._rows(self.graph.segment_names)
+
+    def _rows(self, names) -> list[tuple[str, str, float, float, bool]]:
+        """Assignment rows of the first ``len(names)`` segments."""
+        n = len(names)
+        labels = [option.label for option in self.options]
+        return list(zip(
+            names, [labels[k] for k in self.option_index[:n].tolist()],
+            self.segment_energy_w[:n].tolist(),
+            self.segment_cost_eur[:n].tolist(),
+            self.frontiers.eligible[:n].tolist()))
 
     def table(self, limit: int = 20) -> str:
-        """Render the assignment summary plus the first ``limit`` segments."""
+        """Render the assignment summary plus the first ``limit`` segments.
+
+        Only the shown rows are built.
+
+        Raises:
+            ConfigurationError: For a negative ``limit``.
+        """
+        if limit < 0:
+            raise ConfigurationError(
+                f"table limit must be >= 0, got {limit}")
         counts = self.technology_counts()
         summary = [
             ("segments", f"{self.option_index.size}"),
@@ -145,7 +156,8 @@ class NetworkAssignment:
         ] + [(f"n {name}", f"{count}") for name, count in counts.items()]
         out = format_table(("quantity", "value"), summary,
                            title="network assignment")
-        shown = self.rows()[:limit]
+        shown = self._rows([self.graph.segment_name(i) for i in
+                            range(min(limit, self.option_index.size))])
         body = [(name, label, f"{w:.2f}", f"{eur:,.0f}",
                  "yes" if asleep else "no")
                 for name, label, w, eur, asleep in shown]
@@ -155,22 +167,14 @@ class NetworkAssignment:
         return out
 
 
-def _select(frontiers: SegmentFrontiers, objective: np.ndarray,
-            constrained: np.ndarray, lam: float) -> np.ndarray:
-    """Per-segment argmin of ``objective + lam * constrained``.
+def _select_rows(feasible: np.ndarray, objective: np.ndarray,
+                 constrained: np.ndarray, lam: float) -> np.ndarray:
+    """Per-row argmin of ``objective + lam * constrained``.
 
-    Scores only one representative per distinct frontier row
-    (:attr:`SegmentFrontiers.row_groups`) and broadcasts its choice to the
-    row's segments; each scored cell computes the same float as in a
-    full-row pass, so the choices are identical.  Infeasible cells are
-    masked with ``inf`` *before* the price is applied (``0 * inf`` would
-    poison the score with NaN at ``lam == 0``).  Ties break toward the
-    lower constrained total, then the lowest option index.
+    Infeasible cells are masked with ``inf`` *before* the price is applied
+    (``0 * inf`` would poison the score with NaN at ``lam == 0``).  Ties
+    break toward the lower constrained total, then the lowest option index.
     """
-    first, inverse = frontiers.row_groups
-    feasible = frontiers.feasible[first]
-    objective = objective[first]
-    constrained = constrained[first]
     score = np.where(feasible, objective + lam * constrained, np.inf)
     best = score.min(axis=1, keepdims=True)
     tied = score == best
@@ -179,7 +183,21 @@ def _select(frontiers: SegmentFrontiers, objective: np.ndarray,
                           np.inf)
     best_metric = tie_metric.min(axis=1, keepdims=True)
     # ...and among those, the lowest option index (argmax of the mask).
-    return np.argmax(tie_metric == best_metric, axis=1)[inverse]
+    return np.argmax(tie_metric == best_metric, axis=1)
+
+
+def _select(frontiers: SegmentFrontiers, objective: np.ndarray,
+            constrained: np.ndarray, lam: float) -> np.ndarray:
+    """Per-segment argmin of ``objective + lam * constrained``.
+
+    Scores only one representative per distinct frontier row
+    (:attr:`SegmentFrontiers.row_groups`) and broadcasts its choice to the
+    row's segments; each scored cell computes the same float as in a
+    full-row pass, so the choices are identical.
+    """
+    first, inverse = frontiers.row_groups
+    return _select_rows(frontiers.feasible[first], objective[first],
+                        constrained[first], lam)[inverse]
 
 
 def _totals(frontiers: SegmentFrontiers, choice: np.ndarray,
@@ -192,15 +210,34 @@ def _totals(frontiers: SegmentFrontiers, choice: np.ndarray,
 def _solve_budget(frontiers: SegmentFrontiers, objective: np.ndarray,
                   constrained: np.ndarray, budget: float,
                   budget_name: str) -> tuple[np.ndarray, float]:
-    """Min total objective s.t. total constrained <= budget (Lagrangian)."""
+    """Min total objective s.t. total constrained <= budget (Lagrangian).
+
+    Works on the distinct frontier rows throughout and expands the final
+    per-row choice to segments once.  Each total still sums the per-segment
+    values in segment order (the row values gathered through ``inverse``
+    form the same array a full per-segment gather would), so it has the
+    same bits as a full-row solve.
+    """
+    first, inverse = frontiers.row_groups
+    feasible = frontiers.feasible[first]
+    objective = objective[first]
+    constrained = constrained[first]
+    rows = np.arange(first.size)
+
+    def select(lam: float) -> np.ndarray:
+        return _select_rows(feasible, objective, constrained, lam)
+
+    def fits(choice: np.ndarray) -> bool:
+        return float(constrained[rows, choice][inverse].sum()) <= budget
+
     # Unpriced solution: if it already fits, the budget is slack.
-    choice = _select(frontiers, objective, constrained, 0.0)
-    if _totals(frontiers, choice, constrained) <= budget:
-        return choice, 0.0
+    choice = select(0.0)
+    if fits(choice):
+        return choice[inverse], 0.0
 
     # Full-scan minima: definitive infeasibility check before any pricing.
-    masked = np.where(frontiers.feasible, constrained, np.inf)
-    min_constrained = float(masked.min(axis=1).sum())
+    masked = np.where(feasible, constrained, np.inf)
+    min_constrained = float(masked.min(axis=1)[inverse].sum())
     if min_constrained > budget:
         raise InfeasibleError(
             f"{budget_name} budget {budget:g} is below the minimum "
@@ -213,8 +250,7 @@ def _solve_budget(frontiers: SegmentFrontiers, objective: np.ndarray,
     # Bracket the price: grow hi until its selection fits the budget.
     hi = 1.0
     for _ in range(_LAMBDA_GROWTH_LIMIT):
-        choice = _select(frontiers, objective, constrained, hi)
-        if _totals(frontiers, choice, constrained) <= budget:
+        if fits(select(hi)):
             break
         hi *= 2.0
     else:  # pragma: no cover - min_constrained check makes this unreachable
@@ -226,12 +262,11 @@ def _solve_budget(frontiers: SegmentFrontiers, objective: np.ndarray,
     lo = 0.0
     for _ in range(_BISECTION_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        choice = _select(frontiers, objective, constrained, mid)
-        if _totals(frontiers, choice, constrained) <= budget:
+        if fits(select(mid)):
             hi = mid
         else:
             lo = mid
-    return _select(frontiers, objective, constrained, hi), hi
+    return select(hi)[inverse], hi
 
 
 def optimize_network(graph: NetworkGraph | None = None,

@@ -5,15 +5,20 @@ The builders are pure index arithmetic — no RNG — so the same
 graph, which keeps study cases CRN-safe and shard-layout independent
 without shipping multi-megabyte topology files.  ``national`` at its
 default 10 000 segments is the workload the ``network`` study engine and
-``benchmarks/bench_network.py`` exercise.
+``benchmarks/bench_network.py`` exercise.  The segments are computed as
+numpy columns (:meth:`NetworkGraph.from_columns`), never as per-segment
+objects.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+
+import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.network.graph import Corridor, DemandProfile, NetworkGraph, NetworkSegment
+from repro.network.graph import DemandProfile, NetworkGraph
 
 __all__ = ["NAMED_GRAPHS", "build_graph"]
 
@@ -26,30 +31,19 @@ NAMED_GRAPHS: dict[str, int] = {"demo": 48, "national": 10_000}
 # policy and the monotonicity properties exercise.
 _DEMAND_TIERS = ((2.0, 7.0), (4.0, 6.0), (8.0, 5.0), (12.0, 4.0))
 
-
-def _segment(corridor_index: int, segment_index: int,
-             demand: DemandProfile) -> NetworkSegment:
-    """One deterministic segment: class and length from index arithmetic."""
-    c, i = corridor_index, segment_index
-    if i % 16 == 0:
-        return NetworkSegment(name=f"s{i:04d}", length_km=1.0,
-                              speed_class="station", demand=demand)
-    if (c + i) % 3 == 0:
-        length = 1.5 + 0.1 * ((3 * i + c) % 12)
-        return NetworkSegment(name=f"s{i:04d}", length_km=length,
-                              speed_class="regional", demand=demand)
-    length = 2.0 + 0.1 * ((5 * i + 2 * c) % 15)
-    return NetworkSegment(name=f"s{i:04d}", length_km=length,
-                          speed_class="highspeed", demand=demand)
+#: Speed-class table of the preset graphs, indexed by their
+#: ``speed_index`` column.
+_SPEED_CLASSES = ("station", "regional", "highspeed")
 
 
-@functools.lru_cache(maxsize=4)
 def build_graph(name: str, n_segments: int | None = None,
                 demand_scale: float = 1.0) -> NetworkGraph:
     """Build a named deterministic graph.
 
-    Graphs are frozen, so repeated calls with the same arguments return
-    one memoized instance (a study's technology-mix axis shares it).
+    Graphs are frozen, so repeated calls that resolve to the same graph
+    return one memoized instance (a study's technology-mix axis shares it),
+    however the size is spelled: omitted, ``0`` or the named default,
+    positional or keyword.
 
     Args:
         name: ``"demo"`` (4 corridors, 48 segments) or ``"national"``
@@ -73,18 +67,49 @@ def build_graph(name: str, n_segments: int | None = None,
     if total <= 0:
         raise ConfigurationError(
             f"segment count must be positive, got {total}")
+    return _build_graph(name, total, float(demand_scale))
+
+
+@functools.lru_cache(maxsize=4)
+def _build_graph(name: str, total: int, demand_scale: float) -> NetworkGraph:
+    """The graph of resolved arguments, as columns by index arithmetic.
+
+    Segment ``i`` of corridor ``c`` is a 1 km station every 16th segment,
+    else regional when ``(c + i) % 3 == 0``, else highspeed; the regional
+    and highspeed lengths cycle in 0.1 km steps.
+    """
     n_corridors = 4 if name == "demo" else max(1, total // 400)
     base, extra = divmod(total, n_corridors)
     if base == 0:
         n_corridors, base, extra = total, 1, 0
+    sizes = base + (np.arange(n_corridors) < extra)
+    starts = np.cumsum(sizes) - sizes
+    c = np.repeat(np.arange(n_corridors), sizes)
+    i = np.arange(total) - np.repeat(starts, sizes)
 
-    corridors = []
-    for c in range(n_corridors):
-        tph, quiet = _DEMAND_TIERS[c % len(_DEMAND_TIERS)]
-        demand = DemandProfile(trains_per_hour=tph,
-                               night_quiet_hours=quiet).scaled(demand_scale)
-        count = base + (1 if c < extra else 0)
-        corridors.append(Corridor(
-            name=f"c{c:02d}",
-            segments=tuple(_segment(c, i, demand) for i in range(count))))
-    return NetworkGraph(corridors=tuple(corridors))
+    station = i % 16 == 0
+    regional = ~station & ((c + i) % 3 == 0)
+    length_km = np.where(
+        station, 1.0,
+        np.where(regional, 1.5 + 0.1 * ((3 * i + c) % 12),
+                 2.0 + 0.1 * ((5 * i + 2 * c) % 15)))
+    speed_index = np.where(station, 0, np.where(regional, 1, 2))
+
+    # One profile per tier in use; from_columns expects distinct values.
+    tiers = [DemandProfile(trains_per_hour=tph,
+                           night_quiet_hours=quiet).scaled(demand_scale)
+             for tph, quiet in _DEMAND_TIERS[:n_corridors]]
+    demands = tuple(dict.fromkeys(tiers))
+    tier_index = np.array([demands.index(tier) for tier in tiers])
+
+    names = [f"s{k:04d}" for k in range(base + (extra > 0))]
+    return NetworkGraph.from_columns(
+        corridor_names=tuple(f"c{k:02d}" for k in range(n_corridors)),
+        corridor_sizes=sizes,
+        local_names=tuple(itertools.chain.from_iterable(
+            names[:size] for size in sizes.tolist())),
+        segment_length_km=length_km,
+        speed_classes=_SPEED_CLASSES,
+        speed_index=speed_index,
+        demands=demands,
+        demand_index=tier_index[c % len(_DEMAND_TIERS)])

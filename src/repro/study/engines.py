@@ -361,16 +361,17 @@ def _network_frontiers(case: dict, context: dict):
     from repro.network.frontier import TechnologyCatalog, segment_frontiers
     from repro.network.presets import build_graph
 
-    key = (str(case["graph"]), int(case["segments"]),
-           float(case["demand_scale"]), str(case["technologies"]),
+    # build_graph is memoized on its resolved arguments, so the graph
+    # object itself keys the frontier (identity hash, O(1)).
+    graph = build_graph(str(case["graph"]), n_segments=int(case["segments"]),
+                        demand_scale=float(case["demand_scale"]))
+    key = (graph, str(case["technologies"]),
            float(case["min_sleep_headway_s"]), float(case["resolution_m"]),
            float(case["horizon_years"]))
     hit = _FRONTIER_MEMO.get(key)
     if hit is not None:
         _FRONTIER_MEMO.move_to_end(key)
         return hit
-    graph = build_graph(str(case["graph"]), n_segments=int(case["segments"]),
-                        demand_scale=float(case["demand_scale"]))
     catalog = TechnologyCatalog.from_names(
         str(case["technologies"]),
         min_sleep_headway_s=float(case["min_sleep_headway_s"]))

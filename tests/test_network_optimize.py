@@ -14,7 +14,10 @@ Seeded, deterministic properties of the Lagrangian assignment:
   with the true minima attached;
 * **unique-row solving** — the optimizer scores one representative per
   distinct frontier row, and its plans are bit-identical to a full-row
-  reference solver kept in this file.
+  reference solver kept in this file;
+* **columnar graphs** — ``build_graph`` equals the per-segment builder kept
+  in this file as the oracle, and the frontier/optimizer/report path never
+  builds a preset graph's segment objects (counted, not timed).
 """
 
 import dataclasses
@@ -32,6 +35,7 @@ from repro.network import (
     DemandProfile,
     NetworkGraph,
     NetworkSegment,
+    SPEED_CLASSES,
     SegmentFrontiers,
     TechnologyCatalog,
     build_graph,
@@ -40,6 +44,7 @@ from repro.network import (
     segment_frontiers,
 )
 from repro.network.optimize import _select
+from repro.network.presets import _DEMAND_TIERS, _build_graph
 
 SEEDS = (0, 7, 1234)
 
@@ -114,6 +119,178 @@ class TestGraphModel:
         with pytest.raises(ConfigurationError):
             build_graph("demo", n_segments=-3)
         assert build_graph("national", n_segments=10).n_segments == 10
+
+
+# -- columnar graphs vs. the per-segment oracle --------------------------------
+
+
+def _segment(corridor_index, segment_index, demand):
+    """Oracle: one preset segment as an object, by index arithmetic."""
+    c, i = corridor_index, segment_index
+    if i % 16 == 0:
+        return NetworkSegment(name=f"s{i:04d}", length_km=1.0,
+                              speed_class="station", demand=demand)
+    if (c + i) % 3 == 0:
+        length = 1.5 + 0.1 * ((3 * i + c) % 12)
+        return NetworkSegment(name=f"s{i:04d}", length_km=length,
+                              speed_class="regional", demand=demand)
+    length = 2.0 + 0.1 * ((5 * i + 2 * c) % 15)
+    return NetworkSegment(name=f"s{i:04d}", length_km=length,
+                          speed_class="highspeed", demand=demand)
+
+
+def _oracle_corridors(name, n_segments, demand_scale):
+    """Oracle: a preset graph's corridors, built segment by segment."""
+    from repro.network.presets import NAMED_GRAPHS
+
+    total = NAMED_GRAPHS[name] if not n_segments else n_segments
+    n_corridors = 4 if name == "demo" else max(1, total // 400)
+    base, extra = divmod(total, n_corridors)
+    if base == 0:
+        n_corridors, base, extra = total, 1, 0
+    corridors = []
+    for c in range(n_corridors):
+        tph, quiet = _DEMAND_TIERS[c % len(_DEMAND_TIERS)]
+        demand = DemandProfile(trains_per_hour=tph,
+                               night_quiet_hours=quiet).scaled(demand_scale)
+        count = base + (1 if c < extra else 0)
+        corridors.append(Corridor(
+            name=f"c{c:02d}",
+            segments=tuple(_segment(c, i, demand) for i in range(count))))
+    return tuple(corridors)
+
+
+def _resolved_columns(graph):
+    """Per-segment (speed class, demand) values behind the index columns."""
+    return ([graph.speed_classes[k] for k in graph.speed_index.tolist()],
+            [graph.demands[k] for k in graph.demand_index.tolist()])
+
+
+class TestColumnarGraph:
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("name,n_segments", [
+        ("demo", 0), ("national", 0), ("national", 10), ("national", 399),
+        ("national", 401), ("national", 10_001)])
+    def test_build_graph_matches_per_segment_oracle(self, name, n_segments,
+                                                    scale):
+        corridors = _oracle_corridors(name, n_segments, scale)
+        segments = [s for c in corridors for s in c.segments]
+        graph = build_graph(name, n_segments=n_segments, demand_scale=scale)
+        hand_built = NetworkGraph(corridors=corridors)
+
+        assert graph.corridor_names == tuple(c.name for c in corridors)
+        assert graph.segment_names == tuple(
+            f"{c.name}/{s.name}" for c in corridors for s in c.segments)
+        classes, demands = _resolved_columns(graph)
+        assert classes == [s.speed_class for s in segments]
+        assert demands == [s.demand for s in segments]
+        oracle_lengths = np.array([s.length_km for s in segments])
+        assert np.array_equal(graph.segment_length_km.view(np.int64),
+                              oracle_lengths.view(np.int64))
+        # Today's summation order, on the running interpreter.
+        assert graph.length_km == sum(c.length_km for c in corridors)
+        assert len(graph.demands) == len(set(graph.demands))
+
+        # A hand-built graph derives the same columns from its objects.
+        assert hand_built.corridor_names == graph.corridor_names
+        assert hand_built.local_names == graph.local_names
+        assert np.array_equal(hand_built.corridor_offsets,
+                              graph.corridor_offsets)
+        assert np.array_equal(hand_built.segment_length_km.view(np.int64),
+                              graph.segment_length_km.view(np.int64))
+        assert _resolved_columns(hand_built) == (classes, demands)
+        assert hand_built.length_km == graph.length_km
+        assert hand_built.segments == tuple(segments)
+
+        # The preset builds equal objects on first access, once.
+        assert graph.segments == tuple(segments)
+        assert graph.corridors == corridors
+        assert graph.corridors[-1].segments[-1] is graph.segments[-1]
+        for i in (0, graph.n_segments // 2, graph.n_segments - 1):
+            assert graph.segment_name(i) == graph.segment_names[i]
+
+    def test_build_graph_memo_resolves_size_spellings(self):
+        graph = build_graph("national")
+        assert build_graph("national", n_segments=0) is graph
+        assert build_graph("national", n_segments=10_000) is graph
+        assert build_graph("national", 10_000) is graph
+        assert build_graph("national", 10_000, 1) is graph
+
+    def test_graph_is_immutable(self):
+        graph = build_graph("demo")
+        with pytest.raises(ValueError):
+            graph.segment_length_km[0] = 5.0
+        with pytest.raises(AttributeError):
+            graph.corridor_names = ("x",)
+
+    @pytest.mark.parametrize("change,error", [
+        ({"segment_length_km": [1.0, 0.0]}, GeometryError),
+        ({"segment_length_km": [1.0, -2.0]}, GeometryError),
+        ({"speed_classes": ("maglev",)}, ConfigurationError),
+        ({"local_names": ("a", "")}, ConfigurationError),
+        ({"local_names": ("a", "a")}, ConfigurationError),
+        ({"corridor_names": ("",)}, ConfigurationError),
+        ({"corridor_names": ("c", "c"), "corridor_sizes": [1, 1]},
+         ConfigurationError),
+        ({"corridor_names": (), "corridor_sizes": []}, ConfigurationError),
+        ({"corridor_names": ("c", "d"), "corridor_sizes": [2, 0]},
+         ConfigurationError),
+        ({"demand_index": [0, 1]}, ConfigurationError),
+        ({"speed_index": [0]}, ConfigurationError),
+    ])
+    def test_from_columns_validates_like_objects(self, change, error):
+        columns = dict(
+            corridor_names=("c",), corridor_sizes=[2],
+            local_names=("a", "b"), segment_length_km=[1.0, 2.0],
+            speed_classes=("highspeed",), speed_index=[0, 0],
+            demands=(DemandProfile(),), demand_index=[0, 0])
+        NetworkGraph.from_columns(**columns)
+        with pytest.raises(error):
+            NetworkGraph.from_columns(**{**columns, **change})
+
+    def test_hot_path_builds_no_segment_objects(self, monkeypatch):
+        created = []
+        original = NetworkSegment.__init__
+
+        def spy(self, *args, **kwargs):
+            created.append(1)
+            original(self, *args, **kwargs)
+
+        _build_graph.cache_clear()
+        monkeypatch.setattr(NetworkSegment, "__init__", spy)
+        graph = build_graph("national")
+        frontiers = segment_frontiers(graph, resolution_m=RESOLUTION_M)
+        plan = optimize_network(frontiers=frontiers,
+                                energy_budget_w=125.0 * graph.length_km)
+        assert plan.lambda_star > 0  # a binding budget: full bisection
+        assert "first 20 of 10000 segments" in plan.table()
+        assert created == []
+        assert "corridors" not in vars(graph)
+        assert len(graph.corridors) == 25
+        assert len(created) == graph.n_segments
+        _build_graph.cache_clear()
+
+    def test_one_energy_evaluation_per_distinct_profile(self, monkeypatch):
+        import repro.network.frontier as frontier
+
+        calls = []
+        original = frontier.segment_energy
+
+        def spy(layout, mode, params):
+            calls.append((layout, mode, params.traffic))
+            return original(layout, mode, params)
+
+        monkeypatch.setattr(frontier, "segment_energy", spy)
+        graph = build_graph("national")
+        frontiers = segment_frontiers(graph, resolution_m=RESOLUTION_M)
+        profiles = set(zip(*_resolved_columns(graph)))
+        # 25 corridors share 4 demand tiers: 12 (class, demand) profiles.
+        assert len(graph.corridor_names) == 25 and len(profiles) == 12
+        assert len(calls) == len(set(calls))
+        assert {traffic for _, _, traffic in calls} == {
+            demand.traffic(SPEED_CLASSES[name].train_speed_kmh)
+            for name, demand in profiles}
+        assert len(calls) <= len(frontiers.options) * len(profiles)
 
 
 # -- budget monotonicity ------------------------------------------------------
@@ -283,6 +460,12 @@ class TestAssignmentSurface:
         text = plan.table(limit=5)
         assert "network assignment" in text
         assert rows[0][0] in text
+
+    def test_negative_table_limit_is_rejected(self):
+        plan = optimize_network(frontiers=_frontiers(segments=12))
+        assert "first 0 of 12 segments" in plan.table(limit=0)
+        with pytest.raises(ConfigurationError):
+            plan.table(limit=-3)
 
     def test_catalog_round_trips_comma_names(self):
         catalog = TechnologyCatalog.from_names("conventional,mobile_relay")
@@ -495,3 +678,11 @@ class TestCliBudgets:
         assert self._table(capsys, "--energy-budget", "0") == unconstrained
         assert self._table(capsys, "--cost-budget", "0") == unconstrained
         assert self._table(capsys, "--cost-budget", "-5") == unconstrained
+
+    def test_negative_limit_exits_2(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["network", "optimize", "--graph", "demo", "--limit", "-3"])
+        assert exc.value.code == 2
+        assert "--limit: must be >= 0" in capsys.readouterr().err
