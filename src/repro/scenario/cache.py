@@ -345,9 +345,11 @@ class ProfileCache(ArrayCache):
         self.put_by_hash(scenario.content_hash, profile)
 
     def get_or_compute(self, scenario: Scenario) -> SnrProfile:
-        """Cached profile, evaluating (and storing) on a miss."""
-        profile = self.get(scenario)
+        """Cached profile, evaluating (and storing) on a miss; the scenario
+        is hashed once either way."""
+        key = scenario.content_hash
+        profile = self.get_by_hash(key)
         if profile is None:
             profile = scenario.evaluate()
-            self.put(scenario, profile)
+            self.put_by_hash(key, profile)
         return profile

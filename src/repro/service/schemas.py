@@ -17,6 +17,7 @@ poll ``/jobs/{id}``, list ``/jobs`` or receive a submit acknowledgement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from repro.errors import ConfigurationError
@@ -37,6 +38,9 @@ def _positive_number(value, name: str, allow_none: bool = True):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        # json.loads accepts NaN and Infinity; a NaN deadline never fires.
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
     if value <= 0:
         raise ConfigurationError(f"{name} must be > 0, got {value!r}")
     return float(value)

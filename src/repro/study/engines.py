@@ -15,9 +15,11 @@ adapter       engine entry point                                 stochastic
 ===========  ==================================================  ==========
 
 Adapters evaluate *whole shards* at once where the engine allows it (radio
-stacks every scenario of the shard into one batched call; solar runs one
-``simulate_systems`` pass over all cases), so the study layer inherits the
-engines' vectorization instead of falling back to per-case scalar loops.
+stacks every scenario of the shard into one batched call; mc stacks the
+profiles sharing a shadowing draw into one ``outage_matrix`` call; solar
+runs one ``simulate_systems`` pass over all cases), so the study layer
+inherits the engines' vectorization instead of falling back to per-case
+scalar loops.
 
 Per-process caches (Eq. (2) profiles, weather years, timetable fleets) are
 module-level, so a worker process reuses computations across the shards it
@@ -240,28 +242,62 @@ def _run_solar(cases: list[dict], seeds: list[int], context: dict) -> list[dict]
 # -- mc: Monte-Carlo shadowing outage -----------------------------------------
 
 
+def _trial_count(value) -> int:
+    """The ``trials`` parameter as a positive int (12.7 is an error, not 12)."""
+    try:
+        trials = float(value)
+    except (TypeError, ValueError):
+        trials = float("nan")
+    if not (trials.is_integer() and trials >= 1):
+        raise ConfigurationError(
+            f"trials must be a positive integer, got {value!r}")
+    return int(trials)
+
+
 def _run_mc(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
-    from repro.optimize.mc import outage_matrix
+    import numpy as np
+
+    from repro.optimize.mc import outage_matrix, wilson_interval
     from repro.propagation.fading import LogNormalShadowing
 
+    # One Scenario, hash and profile-cache lookup per distinct scenario, and
+    # one outage_matrix call per distinct shadowing draw (first-occurrence
+    # order).  Under CRN a profile's row does not depend on the profiles
+    # stacked beside it, so each case reads its row, against its own
+    # threshold, bit-identical to a call of its own.
     cache = _context_profile_cache(context)
-    rows = []
-    for case, seed in zip(cases, seeds):
-        scenario = _radio_scenario(case)
-        profile = cache.get_or_compute(scenario)
-        shadowing = LogNormalShadowing(
-            sigma_db=float(case["sigma_db"]),
-            decorrelation_m=float(case["decorrelation_m"]))
-        matrix = outage_matrix([profile], shadowing,
-                               threshold_db=float(case["threshold_db"]),
-                               trials=int(case["trials"]), seed=seed)
-        ci_low, ci_high = matrix.ci95()
-        rows.append({
-            "outage_probability": float(matrix.outage_probability[0]),
-            "outage_ci95_low": float(ci_low[0]),
-            "outage_ci95_high": float(ci_high[0]),
-            "median_min_snr_db": float(matrix.quantile(0.5)[0]),
-        })
+    profiles: dict[tuple, object] = {}
+    draws: dict[tuple, list[tuple[int, tuple]]] = {}
+    for i, (case, seed) in enumerate(zip(cases, seeds)):
+        scenario_key = tuple([case[name] for name in _RADIO_SCENARIO_PARAMS])
+        if scenario_key not in profiles:
+            profiles[scenario_key] = cache.get_or_compute(
+                _radio_scenario(case))
+        draw = (float(case["sigma_db"]), float(case["decorrelation_m"]),
+                _trial_count(case["trials"]), seed)
+        draws.setdefault(draw, []).append((i, scenario_key))
+    rows: list[dict] = [None] * len(cases)  # type: ignore[list-item]
+    for (sigma, decorrelation, trials, seed), members in draws.items():
+        lane_of = {key: lane for lane, key in
+                   enumerate(dict.fromkeys(key for _, key in members))}
+        matrix = outage_matrix(
+            [profiles[key] for key in lane_of],
+            LogNormalShadowing(sigma_db=sigma, decorrelation_m=decorrelation),
+            trials=trials, seed=seed)
+        lanes = [lane_of[key] for _, key in members]
+        mins = matrix.min_snr_db[lanes]
+        thresholds = np.array([float(cases[i]["threshold_db"])
+                               for i, _ in members])
+        counts = np.count_nonzero(mins < thresholds[:, None], axis=1)
+        ci_low, ci_high = wilson_interval(counts, trials)
+        median = matrix.quantile(0.5)[lanes]
+        for j, (i, _) in enumerate(members):
+            rows[i] = {
+                "outage_probability": float(counts[j] / trials),
+                "outage_ci95_low": float(ci_low[j]),
+                "outage_ci95_high": float(ci_high[j]),
+                "median_min_snr_db": float(median[j]),
+            }
     return rows
 
 

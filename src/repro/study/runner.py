@@ -15,9 +15,10 @@
    at most :data:`_GROUP_CASES` cases: one engine call per group, its rows
    split back per shard, each shard then stored, journaled and reported
    on its own.  A ``KeyboardInterrupt`` during the engine call loses at
-   most that group.  A run with a ``cancel`` hook keeps one shard per
-   attempt, so the hook's granularity stays one shard, and pool attempts
-   are always one shard (timeouts and crashes are attributed per
+   most that group.  Under a ``cancel`` hook the groups are also bounded
+   by time — each holds about :data:`_POLL_S` of predicted wall, at least
+   one shard — so the hook's granularity stays one running group.  Pool
+   attempts are always one shard (timeouts and crashes are attributed per
    attempt);
 4. completed shards persist to the store and merge, in case order, into the
    final table.
@@ -104,7 +105,8 @@ DEFAULT_MAX_SHARDS = 16
 #: wide batch.
 _GROUP_CASES = 256
 
-#: Supervisor poll interval [s] while futures are in flight.
+#: Supervisor poll interval [s] while futures are in flight, and the
+#: predicted wall of one inline attempt group under a ``cancel`` hook.
 _POLL_S = 0.05
 
 #: Layout mismatches already warned about this process, keyed by
@@ -330,26 +332,6 @@ class _Attempt:
         return f"shard {self.index} {self.last_kind} (no exception captured)"
 
 
-def _attempt_groups(metas: Sequence[_Attempt], cap: int
-                    ) -> list[list[_Attempt]]:
-    """Batch consecutive shards into attempts of at most ``cap`` cases.
-
-    A group always takes at least one shard, so ``cap=0`` gives one shard
-    per attempt.
-    """
-    groups: list[list[_Attempt]] = []
-    cases = 0
-    for meta in metas:
-        size = meta.stop - meta.start
-        if groups and cases + size <= cap:
-            groups[-1].append(meta)
-            cases += size
-        else:
-            groups.append([meta])
-            cases = size
-    return groups
-
-
 def _kill_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
     """Tear a pool down hard, terminating workers that ignore shutdown.
 
@@ -431,8 +413,11 @@ def run_study(spec: StudySpec,
             workers terminated), completed shards stay persisted — and the
             report comes back with :attr:`StudyRunReport.cancelled` set.
             This is the deadline/drain hook of the scenario-planning
-            service (:mod:`repro.service`).  With a hook, inline attempts
-            cover one shard each, so the hook is polled between shards.
+            service (:mod:`repro.service`).  Inline, the hook is polled
+            between attempts, and each attempt after the first (one
+            shard) holds as many cases as fit in :data:`_POLL_S` at the
+            previous attempt's per-case wall, at least one shard — so a
+            cancel waits out at most one such group.
         only_shards: Optional shard indices (into the run's layout) this
             call is responsible for; every other shard is neither reused
             nor computed, and the report's ``shards`` total refers to the
@@ -637,24 +622,35 @@ def _run_inline(spec, context, jobs_meta, record, on_failure, final_error,
     """Inline (jobs=1) supervisor: grouped attempts, retry/backoff without
     a process pool.
 
-    Consecutive pending shards share one attempt — one engine call — while
+    Consecutive fresh shards share one attempt — one engine call — while
     the group stays within :data:`_GROUP_CASES` cases; each member is still
     stored, journaled and reported on its own.  A failed group charges no
     shard: its members re-run as singleton attempts under the same attempt
     numbers, so fault plans, retry budgets and quarantine keep their
-    per-shard meaning.  A run with a ``cancel`` hook keeps one shard per
-    attempt, because the hook is polled between attempts (a running attempt
-    cannot be preempted inline).  ``shard_timeout`` is not enforceable here
-    and ``crash`` faults would take the caller down — both need
-    ``jobs > 1``.
+    per-shard meaning; retried shards run alone too.  The ``cancel`` hook
+    is polled between attempts (a running attempt cannot be preempted
+    inline), so under a hook the group is also bounded by time: the first
+    attempt is one shard, and each later group takes as many cases as fit
+    in :data:`_POLL_S` at the previous attempt's per-case wall — always at
+    least one shard.  ``shard_timeout`` is not enforceable here and
+    ``crash`` faults would take the caller down — both need ``jobs > 1``.
     """
+    # (shard, may join a group): split members and retries run alone.
+    queue = deque((meta, True) for meta in jobs_meta.values())
     cap = _GROUP_CASES if cancel is None else 0
-    queue = deque(_attempt_groups(list(jobs_meta.values()), cap))
     while queue:
         if cancel is not None and cancel():
             raise _RunCancelled
-        group = queue.popleft()
-        head = group[0].index
+        first, fresh = queue.popleft()
+        group = [first]
+        cases = first.stop - first.start
+        while fresh and queue and queue[0][1]:
+            size = queue[0][0].stop - queue[0][0].start
+            if cases + size > cap:
+                break
+            group.append(queue.popleft()[0])
+            cases += size
+        head = first.index
         wait = max(meta.ready_at for meta in group) - time.monotonic()
         if wait > 0:
             time.sleep(wait)
@@ -674,21 +670,24 @@ def _run_inline(spec, context, jobs_meta, record, on_failure, final_error,
                 log.emit("group_split", group=head,
                          shards=[meta.index for meta in group],
                          error=repr(exc))
-                queue.extendleft([meta] for meta in reversed(group))
+                queue.extendleft((meta, False) for meta in reversed(group))
                 continue
-            meta, = group
-            if on_failure(meta, exc, "error"):
-                queue.append(group)
+            if on_failure(first, exc, "error"):
+                queue.append((first, False))
             elif not keep_going:
-                raise final_error(meta) from None
+                raise final_error(first) from None
             continue
         wall_s = time.monotonic() - t0
-        cases = sum(meta.stop - meta.start for meta in group)
         for meta, shard in zip(group, shards):
             # Each member is charged its case share of the attempt's wall,
             # so summing ``finish`` walls counts the engine call once.
             record(meta.index, meta.start, meta.stop, shard, meta.attempt,
                    wall_s * ((meta.stop - meta.start) / cases), head)
+        if cancel is not None:
+            # The hook waits out the whole attempt, storing included.
+            elapsed = time.monotonic() - t0
+            cap = (_GROUP_CASES if elapsed <= 0 else
+                   min(_GROUP_CASES, int(_POLL_S * cases / elapsed)))
 
 
 def _run_supervised(spec, context, jobs_meta, record, on_failure, final_error,

@@ -10,16 +10,22 @@ safe and invisible:
   ``run_cases`` on the parts (over the shard layouts of the invariance
   tests and seeded random cuts);
 * the grouping rules: one engine call for a small study, singletons past
-  the case cap, one shard per attempt under a ``cancel`` hook;
+  the case cap, and under a ``cancel`` hook a first attempt of one shard,
+  then groups sized to the supervisor's poll interval at the previous
+  attempt's per-case wall (at least one shard);
 * faults under grouping: a failed group charges no shard and its members
   re-run alone under the same attempt numbers, so ``shard_attempts``,
-  quarantine and persistence match one attempt per shard.
+  quarantine and persistence match one attempt per shard;
+* the ``mc`` adapter's batching: one scenario hash per distinct scenario,
+  one ``outage_matrix`` call per distinct shadowing draw, and rows equal,
+  bit for bit, to evaluating every case on its own.
 """
 
 import numpy as np
 import pytest
 
 import repro.study.runner as runner
+from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, FaultSpec
 from repro.study import (
     StudyStore,
@@ -169,14 +175,42 @@ class TestGrouping:
         # 2-case shards: two fit under a cap of 5, a third would not.
         assert engine_calls == [4, 4]
 
-    def test_cancel_hook_keeps_one_shard_per_attempt(self, engine_calls,
-                                                     tmp_path):
+    def test_cancel_hook_without_poll_budget_runs_shards_alone(
+            self, engine_calls, monkeypatch, tmp_path, clean_table):
+        monkeypatch.setattr(runner, "_POLL_S", 0.0)
         journal = tmp_path / "run.jsonl"
-        run_study(parse_study(MC_TEXT), shards=4, journal=journal,
-                  cancel=lambda: False)
+        report = run_study(parse_study(MC_TEXT), shards=4, journal=journal,
+                           cancel=lambda: False)
         assert engine_calls == [2, 2, 2, 2]
         assert all(event["group"] == event["shard"]
                    for event in journal_events(journal, "finish"))
+        assert report.table.long() == clean_table
+
+    def test_cancel_hook_groups_after_a_one_shard_probe(
+            self, engine_calls, monkeypatch, tmp_path, clean_table):
+        monkeypatch.setattr(runner, "_POLL_S", 1e9)
+        journal = tmp_path / "run.jsonl"
+        report = run_study(parse_study(MC_TEXT), shards=4, journal=journal,
+                           cancel=lambda: False)
+        # The first attempt is one shard; its per-case wall fits every
+        # other case into the next group, still capped by _GROUP_CASES.
+        assert engine_calls == [2, 6]
+        assert [event["group"] for event in
+                journal_events(journal, "finish")] == [0, 1, 1, 1]
+        assert report.table.long() == clean_table
+
+    def test_cancel_hook_polls_between_groups(self, engine_calls,
+                                              monkeypatch):
+        monkeypatch.setattr(runner, "_POLL_S", 1e9)
+        polls = []
+
+        def cancel():
+            polls.append(len(engine_calls))
+            return len(engine_calls) == 1
+
+        report = run_study(parse_study(MC_TEXT), shards=4, cancel=cancel)
+        assert report.cancelled and polls == [0, 1]
+        assert report.computed_ranges == ((0, 2),)
 
     def test_grouped_walls_are_case_shares(self, tmp_path):
         journal = tmp_path / "run.jsonl"
@@ -227,6 +261,25 @@ class TestFaultsUnderGrouping:
                            (0, 1, 0), (1, 1, 1), (2, 1, 2), (3, 1, 3),
                            (2, 2, 2)]
 
+    def test_raise_inside_a_cancel_hook_group(self, clean_table,
+                                              monkeypatch, tmp_path):
+        def run(poll_s, journal):
+            monkeypatch.setattr(runner, "_POLL_S", poll_s)
+            return run_study(parse_study(MC_TEXT), shards=4, retries=1,
+                             backoff_base=0.0, journal=journal,
+                             cancel=lambda: False,
+                             context=fault_context(FaultSpec(shard=2)))
+
+        grouped = run(1e9, tmp_path / "grouped.jsonl")
+        alone = run(0.0, tmp_path / "alone.jsonl")
+        assert grouped.table.long() == alone.table.long() == clean_table
+        # The split charges no shard: attempts match a per-shard run.
+        assert grouped.shard_attempts == alone.shard_attempts \
+            == {0: 1, 1: 1, 2: 2, 3: 1}
+        split, = journal_events(tmp_path / "grouped.jsonl", "group_split")
+        assert split["group"] == 1 and split["shards"] == [1, 2, 3]
+        assert not journal_events(tmp_path / "alone.jsonl", "group_split")
+
     def test_keep_going_quarantines_only_the_faulting_member(self, tmp_path):
         report = run_study(parse_study(MC_TEXT), shards=4, retries=1,
                            backoff_base=0.0, keep_going=True,
@@ -257,3 +310,120 @@ class TestFaultsUnderGrouping:
                                                           False, False]
         finished = journal_events(store_dir / "run.jsonl", "finish")
         assert [event["shard"] for event in finished] == [0, 1]
+
+
+# -- mc adapter batching ------------------------------------------------------
+
+
+#: Ragged grids (two resolutions), a threshold axis and sigma 0.0 (the
+#: engine's no-shadowing branch): every scenario repeats across the
+#: threshold and sigma axes.
+MC_BATCH_TEXT = """
+name: p-mc-batch
+engine: mc
+seed: 11
+seed_mode: {seed_mode}
+axes:
+  threshold_db: [20.0, 29.0, 33.0]
+  resolution_m: [25.0, 40.0]
+  sigma_db: [0.0, 3.0]
+  isd_m: [1800.0, 2400.0]
+fixed:
+  n_repeaters: 4
+  trials: 16
+"""
+
+def per_case_mc(cases, seeds):
+    """The ``mc`` adapter as a per-case loop: one scenario, one profile
+    and one ``outage_matrix`` call per case."""
+    from repro.optimize.mc import outage_matrix
+    from repro.propagation.fading import LogNormalShadowing
+    from repro.study.engines import _radio_scenario
+
+    adapter = STUDY_ENGINES["mc"]
+    rows = []
+    for case, seed in zip(cases, seeds):
+        case = adapter.resolve(case)
+        matrix = outage_matrix(
+            [_radio_scenario(case).evaluate()],
+            LogNormalShadowing(sigma_db=float(case["sigma_db"]),
+                               decorrelation_m=float(case["decorrelation_m"])),
+            threshold_db=float(case["threshold_db"]),
+            trials=int(case["trials"]), seed=seed)
+        ci_low, ci_high = matrix.ci95()
+        rows.append({
+            "outage_probability": float(matrix.outage_probability[0]),
+            "outage_ci95_low": float(ci_low[0]),
+            "outage_ci95_high": float(ci_high[0]),
+            "median_min_snr_db": float(matrix.quantile(0.5)[0]),
+        })
+    return rows
+
+
+@pytest.fixture
+def mc_spies(monkeypatch):
+    """Count scenario hashes and record every ``outage_matrix`` draw key."""
+    import repro.optimize.mc as mc
+    from repro.scenario.spec import Scenario
+
+    hashes, draws = [], []
+    content_hash = Scenario.content_hash.fget
+
+    def counted_hash(self):
+        hashes.append(self)
+        return content_hash(self)
+
+    outage_matrix = mc.outage_matrix
+
+    def recorded(profiles, shadowing, *args, trials, seed, **kwargs):
+        draws.append((shadowing.sigma_db, shadowing.decorrelation_m,
+                      trials, seed))
+        return outage_matrix(profiles, shadowing, *args, trials=trials,
+                             seed=seed, **kwargs)
+
+    monkeypatch.setattr(Scenario, "content_hash", property(counted_hash))
+    monkeypatch.setattr(mc, "outage_matrix", recorded)
+    return hashes, draws
+
+
+class TestMcBatching:
+    @pytest.mark.parametrize("seed_mode", ["shared", "per-case"])
+    def test_rows_equal_the_per_case_loop(self, seed_mode):
+        spec = parse_study(MC_BATCH_TEXT.format(seed_mode=seed_mode))
+        cases = spec.cases()
+        seeds = [spec.case_seed(i) for i in range(len(cases))]
+        oracle = [bits(row) for row in per_case_mc(cases, seeds)]
+        assert [bits(row) for row in run_cases("mc", cases, seeds)] == oracle
+        order = np.random.default_rng(5).permutation(len(cases))
+        shuffled = run_cases("mc", [cases[i] for i in order],
+                             [seeds[i] for i in order])
+        assert [bits(row) for row in shuffled] == [oracle[i] for i in order]
+
+    @pytest.mark.parametrize("seed_mode", ["shared", "per-case"])
+    def test_one_hash_per_scenario_one_call_per_draw(self, seed_mode,
+                                                     mc_spies):
+        hashes, draws = mc_spies
+        spec = parse_study(MC_BATCH_TEXT.format(seed_mode=seed_mode))
+        cases = [STUDY_ENGINES["mc"].resolve(case) for case in spec.cases()]
+        seeds = [spec.case_seed(i) for i in range(len(cases))]
+        run_cases("mc", cases, seeds)
+        # Only the resolution and ISD axes shape the scenario.
+        scenarios = {(case["resolution_m"], case["isd_m"]) for case in cases}
+        keys = {(case["sigma_db"], case["decorrelation_m"], case["trials"],
+                 seed) for case, seed in zip(cases, seeds)}
+        assert len(hashes) == len(scenarios) == 4
+        assert len(draws) == len(set(draws)) and set(draws) == keys
+        assert len(keys) == (2 if seed_mode == "shared" else len(cases))
+
+    @pytest.mark.parametrize("trials", [12.7, 0, -3, float("nan"), "many"])
+    def test_invalid_trials_are_rejected(self, trials):
+        spec = parse_study(MC_TEXT)
+        with pytest.raises(ConfigurationError, match="trials"):
+            run_cases("mc", [dict(case, trials=trials)
+                             for case in spec.cases(0, 2)], [7, 7])
+
+    def test_integral_float_trials_run_as_int(self):
+        spec = parse_study(MC_TEXT)
+        cases = spec.cases(0, 2)
+        assert run_cases("mc", [dict(case, trials=12.0) for case in cases],
+                         [7, 7]) == run_cases("mc", cases, [7, 7])

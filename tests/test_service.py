@@ -16,6 +16,7 @@ The pinned behaviours, in order of the issue's acceptance criteria:
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,8 @@ from repro.service import (
     ServiceApp,
 )
 from repro.study import parse_study, run_study
+
+STUDIES_DIR = Path(__file__).resolve().parents[1] / "studies"
 
 MC_DOC = {
     "name": "mc-tiny",
@@ -103,6 +106,13 @@ class TestJobRequest:
     def test_rejects_out_of_range_options(self, payload):
         with pytest.raises(ConfigurationError):
             JobRequest.from_mapping({"study": MC_DOC, **payload})
+
+    @pytest.mark.parametrize("name", ["deadline_s", "shard_timeout_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_non_finite_numbers(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            JobRequest.from_mapping({"study": MC_DOC, name: value})
 
     def test_options_round_trip_rebuilds_request(self):
         request = JobRequest.from_mapping(
@@ -363,6 +373,51 @@ class TestDeadline:
         assert job.deadline_t == pytest.approx(time.time() + 3600.0, abs=5.0)
 
 
+# -- engine calls per job -----------------------------------------------------
+
+
+class TestEngineCalls:
+    def test_robustness_job_is_a_few_batched_engine_calls(self, tmp_path,
+                                                          monkeypatch):
+        # A huge poll budget pins the grouping structure, not the host
+        # speed: a first attempt of one shard, then one group of the rest.
+        import yaml
+
+        import repro.optimize.mc as mc
+        import repro.study.runner as runner
+        from repro.scenario.spec import Scenario
+
+        calls = {"run_cases": 0, "outage_matrix": 0, "content_hash": 0}
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(runner, "_POLL_S", 1e9)
+        monkeypatch.setattr(runner, "run_cases",
+                            counting("run_cases", runner.run_cases))
+        monkeypatch.setattr(mc, "outage_matrix",
+                            counting("outage_matrix", mc.outage_matrix))
+        monkeypatch.setattr(Scenario, "content_hash", property(counting(
+            "content_hash", Scenario.content_hash.fget)))
+        document = yaml.safe_load(
+            (STUDIES_DIR / "robustness_grid.yaml").read_text())
+        queue = JobQueue(tmp_path, workers=1)
+        queue.start()
+        try:
+            job, _ = queue.submit(JobRequest.from_mapping(
+                {"study": document}, client="c"))
+            assert wait_terminal(queue, job.job).state == "done"
+        finally:
+            queue.drain(5.0)
+        # 27 cases in 16 shards; 3 scenarios, 9 shadowing draws.
+        assert calls["run_cases"] <= 2
+        assert calls["outage_matrix"] <= 10
+        assert calls["content_hash"] <= 6
+
+
 # -- cancellation -------------------------------------------------------------
 
 
@@ -587,6 +642,17 @@ class TestServiceApp:
         assert app.dispatch("POST", "/jobs", b"[]", "c")[0] == 400
         status, _, payload = self.submit(app, document={"name": "x"})
         assert status == 400 and "error" in payload
+
+    @pytest.mark.parametrize("name", ["deadline_s", "shard_timeout_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_json_number_is_400(self, app, name, value):
+        # The body carries the literal NaN / Infinity, which json.loads
+        # parses; the edge must refuse it before the queue sees it.
+        body = json.dumps({"study": MC_DOC, name: value}).encode()
+        assert b"NaN" in body or b"Infinity" in body
+        status, _, payload = app.dispatch("POST", "/jobs", body, "c")
+        assert status == 400 and name in payload["error"]
+        assert app.dispatch("GET", "/jobs", b"", "c")[2]["jobs"] == []
 
     def test_overload_is_429_with_retry_after(self, tmp_path):
         queue = JobQueue(tmp_path / "np", workers=1, max_queue=1,
