@@ -32,7 +32,7 @@ def main() -> None:
                  det.avg_w_per_km])
     for seed in (1, 2, 3):
         timetable = generate_timetable(TrafficParams(), stochastic=True,
-                                       seed=seed, segment_length_m=layout.isd_m)
+                                       seed=seed)
         sim = CorridorSimulation(layout, mode=OperatingMode.SLEEP,
                                  timetable=timetable).run()
         rows.append([f"stochastic seed={seed} ({len(timetable)} trains)",

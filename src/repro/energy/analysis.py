@@ -177,10 +177,9 @@ def simulated_policy_comparison(layout: CorridorLayout,
     params = params or EnergyParams()
     if stochastic:
         timetables = day_timetables(params.traffic, realizations=realizations,
-                                    seed=seed, segment_length_m=layout.isd_m)
+                                    seed=seed)
     else:
-        timetables = (generate_timetable(
-            params.traffic, segment_length_m=layout.isd_m),) * max(1, realizations)
+        timetables = (generate_timetable(params.traffic),) * max(1, realizations)
     ref = conventional_reference_w_per_km(params)
 
     comparison: dict[OperatingMode, PolicyEnergy] = {}

@@ -176,8 +176,8 @@ def occupancy_scan(g_a: np.ndarray, g_b: np.ndarray,
                    horizon_s: float) -> tuple[np.ndarray, np.ndarray]:
     """Sequential scan over occupancy groups, one group column per step.
 
-    The sim engine's only loop, verbatim from
-    :func:`repro.simulation.batch._simulate_batch`: track the open wake
+    The sim engine's only loop, called once per
+    :func:`repro.simulation.batch.occupancy_stage`: track the open wake
     cycle per lane.  A cycle opens at min(next wake, group start), finishes
     waking ``transition_s`` later, and closes at the first group end
     strictly after the finish (the unit stays awake through group ends that

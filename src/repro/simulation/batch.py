@@ -33,6 +33,16 @@ event *ties* (two events at the same float instant on one element) follow the
 event queue's scheduling order in the event engine and the documented
 half-open convention here — they do not occur on non-degenerate timetables.
 
+The batch engine runs in two stages.  The **occupancy stage**
+(:func:`occupancy_stage`) reads only the element sections, the fleet, the
+transition time, the wake lead and the horizon; it returns per lane the
+awake and waking-occupied seconds an always-sleep-capable unit would have,
+plus the total occupied seconds.  The **power stage** (:func:`power_stage`)
+applies one policy's ``sleep_capable`` flags and watts.  So every policy over
+one geometry and fleet shares one occupancy pass, and passes that share a
+transition time and horizon share one kernel scan (the study ``sim``
+adapter batches on exactly this).
+
 ``engine="event"`` replays the same timetables through the event queue (one
 :class:`~repro.simulation.engine.Simulator` per realization) and returns the
 same per-element structure — the escape hatch the cross-engine parity tests
@@ -45,7 +55,9 @@ day for every layout/policy sharing a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +71,8 @@ from repro.optimize.mc import readonly_array
 from repro.simulation.elements import ElementSpec, corridor_elements
 from repro.traffic.timetable import Timetable, day_timetables, generate_timetable
 
-__all__ = ["DayBatchResult", "simulate_days"]
+__all__ = ["DayBatchResult", "Occupancy", "occupancy_stage", "pack_runs",
+           "power_stage", "simulate_days"]
 
 _ENGINES = ("batch", "event")
 
@@ -142,9 +155,9 @@ class DayBatchResult:
 # -- input assembly --------------------------------------------------------------
 
 
-def _resolve_timetables(params: EnergyParams, layout: CorridorLayout,
-                        timetables, realizations, stochastic: bool,
-                        seed: int, days: float) -> tuple[Timetable, ...]:
+def _resolve_timetables(params: EnergyParams, timetables, realizations,
+                        stochastic: bool, seed: int,
+                        days: float) -> tuple[Timetable, ...]:
     if timetables is not None:
         resolved = tuple(timetables)
         if realizations is not None and realizations != len(resolved):
@@ -154,11 +167,9 @@ def _resolve_timetables(params: EnergyParams, layout: CorridorLayout,
     elif stochastic:
         resolved = day_timetables(params.traffic,
                                   realizations=1 if realizations is None else realizations,
-                                  seed=seed, days=days,
-                                  segment_length_m=layout.isd_m)
+                                  seed=seed, days=days)
     else:
-        base = generate_timetable(params.traffic, days=days,
-                                  segment_length_m=layout.isd_m)
+        base = generate_timetable(params.traffic, days=days)
         resolved = (base,) * (1 if realizations is None else max(1, realizations))
     if not resolved:
         raise ConfigurationError("need at least one timetable realization")
@@ -171,8 +182,12 @@ def _resolve_timetables(params: EnergyParams, layout: CorridorLayout,
     return resolved
 
 
-def _run_tensors(timetables: tuple[Timetable, ...]):
-    """Pack the fleet into padded [realization, run] arrays."""
+def pack_runs(timetables: tuple[Timetable, ...]) -> tuple[np.ndarray, ...]:
+    """Pack a fleet into padded ``[realization, run]`` arrays.
+
+    Returns ``(t0, speed, length, direction, valid)``; padding slots are
+    ``valid == False``.  A fleet shared by many passes is packed once.
+    """
     n_max = max(len(tt) for tt in timetables)
     shape = (len(timetables), max(n_max, 1))
     t0 = np.zeros(shape)
@@ -181,25 +196,45 @@ def _run_tensors(timetables: tuple[Timetable, ...]):
     direction = np.ones(shape)
     valid = np.zeros(shape, dtype=bool)
     for r, tt in enumerate(timetables):
-        for n, run in enumerate(tt):
-            t0[r, n] = run.t0_s
-            speed[r, n] = run.train.speed_ms
-            length[r, n] = run.train.length_m
-            direction[r, n] = run.direction
-            valid[r, n] = True
+        n = len(tt)
+        t0[r, :n] = [run.t0_s for run in tt]
+        speed[r, :n] = [run.train.speed_ms for run in tt]
+        length[r, :n] = [run.train.length_m for run in tt]
+        direction[r, :n] = [run.direction for run in tt]
+        valid[r, :n] = True
     return t0, speed, length, direction, valid
 
 
-# -- the batched kernel ----------------------------------------------------------
+# -- stage 1: occupancy ----------------------------------------------------------
 
 
-def _simulate_batch(specs: tuple[ElementSpec, ...],
-                    timetables: tuple[Timetable, ...],
-                    seg_m: float, horizon_s: float, transition_s: float,
-                    wake_lead_m: float, backend: str | None = None):
-    n_real, n_elem = len(timetables), len(specs)
-    t0, speed, length, direction, valid = _run_tensors(timetables)
-    n_runs = t0.shape[1]
+class Occupancy(NamedTuple):
+    """Per-lane outcome of one occupancy pass, lanes in ``[realization,
+    element]`` order: seconds awake and occupied-while-waking if every
+    element could sleep, and total occupied seconds."""
+
+    awake_time: np.ndarray
+    waking_occ: np.ndarray
+    occ_total: np.ndarray
+
+
+def _interval_groups(specs: tuple[ElementSpec, ...], runs: tuple[np.ndarray, ...],
+                     seg_m: float, horizon_s: float, wake_lead_m: float,
+                     g_a: np.ndarray, g_b: np.ndarray,
+                     first_wake_after: np.ndarray):
+    """Interval algebra of one pass, at the fleet's own run width.
+
+    Writes the pass's occupancy groups into its rows of the stacked scan
+    inputs ``g_a`` / ``g_b`` / ``first_wake_after`` (``+inf`` filled;
+    columns past the pass's width stay ``+inf``) and returns ``(n_groups,
+    occ_total)`` per lane.  Temporaries are dropped as soon as they are
+    used, so a stacked call holds one pass's working set at a time.
+    """
+    t0, speed, length, direction, valid = runs
+    n_real, n_runs = t0.shape
+    n_elem = len(specs)
+    lanes = n_real * n_elem
+    g_a, g_b = g_a[:, :n_runs], g_b[:, :n_runs]
 
     start = np.array([s.section_start_m for s in specs])[None, :, None]
     end = np.array([s.section_end_m for s in specs])[None, :, None]
@@ -219,20 +254,22 @@ def _simulate_batch(specs: tuple[ElementSpec, ...],
 
     alive = valid3 & (exit_ > 0.0) & (wake < horizon_s)
 
-    enter_c = np.maximum(0.0, enter)
-    exit_c = np.maximum(0.0, exit_)
-    wake_c = np.maximum(0.0, wake)
+    # Clip at t = 0 in place (the same ufunc, so the same bits).
+    for instants in (enter, exit_, wake):
+        np.maximum(0.0, instants, out=instants)
 
-    lanes = n_real * n_elem
-    occupied = alive & (enter_c <= horizon_s)
-    a = np.where(occupied, enter_c, np.inf).reshape(lanes, n_runs)
-    b = np.where(occupied, np.minimum(exit_c, horizon_s), np.inf).reshape(lanes, n_runs)
+    occupied = alive & (enter <= horizon_s)
+    a = np.where(occupied, enter, np.inf).reshape(lanes, n_runs)
+    b = np.where(occupied, np.minimum(exit_, horizon_s), np.inf).reshape(lanes, n_runs)
+    wk = np.sort(np.where(alive, wake, np.inf).reshape(lanes, n_runs), axis=1)
+    del enter, exit_, wake, alive, occupied
 
     # Merge per-lane [enter, exit) intervals into disjoint occupancy groups.
     order = np.argsort(a, axis=1, kind="stable")
     a_s = np.take_along_axis(a, order, axis=1)
-    b_s = np.take_along_axis(b, order, axis=1)
-    cummax_b = np.maximum.accumulate(b_s, axis=1)
+    cummax_b = np.maximum.accumulate(np.take_along_axis(b, order, axis=1),
+                                     axis=1)
+    del a, b, order
     new_group = np.ones((lanes, n_runs), dtype=bool)
     # Touching intervals (next enter == previous exit) do NOT merge: the event
     # queue fires the earlier run's exit first, so the unit sleeps and takes a
@@ -241,8 +278,6 @@ def _simulate_batch(specs: tuple[ElementSpec, ...],
     finite = a_s < np.inf
     gid = np.cumsum(new_group, axis=1) - 1
 
-    g_a = np.full((lanes, n_runs), np.inf)
-    g_b = np.full((lanes, n_runs), np.inf)
     lane_idx = np.broadcast_to(np.arange(lanes)[:, None], (lanes, n_runs))
     first = new_group & finite
     g_a[lane_idx[first], gid[first]] = a_s[first]
@@ -251,7 +286,10 @@ def _simulate_batch(specs: tuple[ElementSpec, ...],
     last = is_last & finite
     g_b[lane_idx[last], gid[last]] = cummax_b[last]
     n_groups = np.where(finite, gid + 1, 0).max(axis=1)
+    del a_s, cummax_b, new_group, finite, gid, first, is_last, last
 
+    # Row sums at the pass's own width: numpy's pairwise summation regroups
+    # when a row gains padded zeros, so padding here could change bits.
     has_group = g_a < np.inf
     occ_total = (np.where(has_group, g_b, 0.0)
                  - np.where(has_group, g_a, 0.0)).sum(axis=1)
@@ -259,46 +297,96 @@ def _simulate_batch(specs: tuple[ElementSpec, ...],
     # First barrier wake strictly after each candidate sleep time.  Queries
     # are (sentinel -1, group end 0, group end 1, ...); both sides are sorted,
     # so one stable argsort of the concatenation yields every rank at once.
-    wk = np.sort(np.where(alive, wake_c, np.inf).reshape(lanes, n_runs), axis=1)
-    queries = np.concatenate([np.full((lanes, 1), -1.0), g_b], axis=1)
-    combined = np.concatenate([wk, queries], axis=1)
+    combined = np.concatenate([wk, np.full((lanes, 1), -1.0), g_b], axis=1)
     ranks = np.empty_like(combined, dtype=np.int64)
     np.put_along_axis(
         ranks, np.argsort(combined, axis=1, kind="stable"),
         np.broadcast_to(np.arange(combined.shape[1]), combined.shape), axis=1)
+    del combined
     count_le = ranks[:, n_runs:] - np.arange(n_runs + 1)
+    del ranks
     wk_ext = np.concatenate([wk, np.full((lanes, 1), np.inf)], axis=1)
-    first_wake_after = np.take_along_axis(wk_ext, count_le, axis=1)
+    first_wake_after[:, :n_runs + 1] = np.take_along_axis(wk_ext, count_le,
+                                                          axis=1)
+    return n_groups, occ_total
 
-    # Sequential scan over occupancy groups (the only loop), delegated to
-    # the :func:`repro.kernels.occupancy_scan` kernel: track the open wake
-    # cycle per lane.  A cycle opens at min(next wake, group start),
-    # finishes waking transition_s later, and closes at the first group end
-    # strictly after the finish (the unit stays awake through group ends that
-    # land inside the transition — the event engine's "missed sleep" case).
+
+def occupancy_stage(passes, transition_s: float, horizon_s: float,
+                    backend: str | None = None) -> list[Occupancy]:
+    """Occupancy of several passes that share a transition time and horizon.
+
+    A pass is ``(specs, runs, seg_m, wake_lead_m)``: the element sections
+    (``specs``; only their coverage sections are read), a fleet packed by
+    :func:`pack_runs`, the segment length and the barrier wake lead.  Each
+    pass runs its own interval algebra at its own run width; then every
+    pass's lanes go through **one** :func:`repro.kernels.occupancy_scan`
+    call, with narrower passes padded by ``+inf`` group columns (an
+    inactive column adds ``+0.0``, so padding is exact).  Policy does not
+    enter here — see :func:`power_stage`.
+
+    Args:
+        passes: Sequence of ``(specs, runs, seg_m, wake_lead_m)`` tuples.
+        transition_s: Sleep/wake transition time [s], shared by all passes.
+        horizon_s: Fleet horizon [s], shared by all passes.
+        backend: Kernel backend of the scan (``None`` means ``"numpy"``).
+
+    Returns:
+        One :class:`Occupancy` per pass, in input order.
+    """
+    # Each pass writes its rows of the stacked scan inputs directly.
+    lanes = [runs[0].shape[0] * len(specs) for specs, runs, _, _ in passes]
+    bounds = np.cumsum([0, *lanes])
+    width = max(runs[0].shape[1] for _, runs, _, _ in passes)
+    g_a = np.full((bounds[-1], width), np.inf)
+    g_b = np.full((bounds[-1], width), np.inf)
+    first_wake_after = np.full((bounds[-1], width + 1), np.inf)
+    n_groups = np.zeros(bounds[-1], dtype=np.int64)
+    occ_totals = []
+    for lo, hi, (specs, runs, seg_m, wake_lead_m) in zip(
+            bounds[:-1], bounds[1:], passes):
+        n_groups[lo:hi], occ_total = _interval_groups(
+            specs, runs, seg_m, horizon_s, wake_lead_m,
+            g_a[lo:hi], g_b[lo:hi], first_wake_after[lo:hi])
+        occ_totals.append(occ_total)
     awake_time, waking_occ = occupancy_scan(
         g_a, g_b, first_wake_after, n_groups, transition_s, horizon_s,
         backend=backend)
+    return [Occupancy(awake_time[lo:hi], waking_occ[lo:hi], occ_total)
+            for lo, hi, occ_total in zip(bounds[:-1], bounds[1:], occ_totals)]
 
+
+# -- stage 2: power --------------------------------------------------------------
+
+
+def power_stage(layout: CorridorLayout, mode: OperatingMode,
+                specs: tuple[ElementSpec, ...], horizon_s: float,
+                occupancy: Occupancy) -> DayBatchResult:
+    """Apply one policy's sleep capability and watts to an occupancy pass.
+
+    ``specs`` are :func:`corridor_elements` of ``layout`` under ``mode``
+    (the sections the pass was computed on; the policy only changes
+    ``sleep_capable`` and the power levels).
+    """
+    shape = (occupancy.occ_total.shape[0] // len(specs), len(specs))
+    awake_time, waking_occ, occ_total = (lane.reshape(shape)
+                                         for lane in occupancy)
     capable = np.array([s.sleep_capable for s in specs])
-    capable_l = np.broadcast_to(capable[None, :], (n_real, n_elem)).reshape(lanes)
-    awake_s = np.where(capable_l, awake_time, horizon_s)
-    active_s = np.where(capable_l, occ_total - waking_occ, occ_total)
+    awake_s = np.where(capable, awake_time, horizon_s)
+    active_s = np.where(capable, occ_total - waking_occ, occ_total)
 
     full_w = np.array([s.full_load_w for s in specs])
     no_load_w = np.array([s.no_load_w for s in specs])
     sleep_w = np.array([s.sleep_w for s in specs])
-    full_l = np.broadcast_to(full_w[None, :], (n_real, n_elem)).reshape(lanes)
-    no_l = np.broadcast_to(no_load_w[None, :], (n_real, n_elem)).reshape(lanes)
-    sl_l = np.broadcast_to(sleep_w[None, :], (n_real, n_elem)).reshape(lanes)
-    energy_j = (sl_l * (horizon_s - awake_s)
-                + no_l * (awake_s - active_s)
-                + full_l * active_s)
+    energy_j = (sleep_w * (horizon_s - awake_s)
+                + no_load_w * (awake_s - active_s)
+                + full_w * active_s)
 
-    shape = (n_real, n_elem)
-    return (active_s.reshape(shape), awake_s.reshape(shape),
-            (energy_j / 3600.0).reshape(shape),
-            np.zeros(n_real, dtype=np.int64))
+    return DayBatchResult(
+        layout=layout, mode=mode, horizon_s=horizon_s,
+        element_names=tuple(s.name for s in specs),
+        element_kinds=tuple(s.kind for s in specs),
+        active_s=active_s, awake_s=awake_s, energy_wh=energy_j / 3600.0,
+        events_processed=np.zeros(shape[0], dtype=np.int64), engine="batch")
 
 
 # -- the event escape hatch ------------------------------------------------------
@@ -414,32 +502,33 @@ def simulate_days(layout: CorridorLayout,
         tensors.
 
     Raises:
-        ConfigurationError: On an unknown engine, negative transition/lead,
-            or inconsistent timetable horizons.
+        ConfigurationError: On an unknown engine, a negative or non-finite
+            transition/lead, or inconsistent timetable horizons.
     """
     if engine not in _ENGINES:
         raise ConfigurationError(
             f"engine must be one of {_ENGINES}, got {engine!r}")
-    if transition_s < 0:
+    if not (math.isfinite(transition_s) and transition_s >= 0):
         raise ConfigurationError(
-            f"transition time must be >= 0, got {transition_s}")
-    if wake_lead_m < 0:
-        raise ConfigurationError(f"wake lead must be >= 0, got {wake_lead_m}")
+            f"transition time must be finite and >= 0, got {transition_s}")
+    if not (math.isfinite(wake_lead_m) and wake_lead_m >= 0):
+        raise ConfigurationError(
+            f"wake lead must be finite and >= 0, got {wake_lead_m}")
     params = params or EnergyParams()
-    resolved = _resolve_timetables(params, layout, timetables, realizations,
+    resolved = _resolve_timetables(params, timetables, realizations,
                                    stochastic, seed, days)
     specs = corridor_elements(layout, mode, params)
     horizon = resolved[0].horizon_s
 
     if engine == "batch":
-        active_s, awake_s, energy_wh, events = _simulate_batch(
-            specs, resolved, layout.isd_m, horizon,
-            float(transition_s), float(wake_lead_m), backend=backend)
-    else:
-        active_s, awake_s, energy_wh, events = _simulate_event(
-            specs, resolved, layout.isd_m, horizon,
-            float(transition_s), float(wake_lead_m))
+        (occupancy,) = occupancy_stage(
+            [(specs, pack_runs(resolved), layout.isd_m, float(wake_lead_m))],
+            float(transition_s), horizon, backend=backend)
+        return power_stage(layout, mode, specs, horizon, occupancy)
 
+    active_s, awake_s, energy_wh, events = _simulate_event(
+        specs, resolved, layout.isd_m, horizon,
+        float(transition_s), float(wake_lead_m))
     return DayBatchResult(
         layout=layout, mode=mode, horizon_s=horizon,
         element_names=tuple(s.name for s in specs),

@@ -69,8 +69,7 @@ class CorridorSimulation:
 
     def __post_init__(self) -> None:
         if self.timetable is None:
-            self.timetable = generate_timetable(self.params.traffic,
-                                                segment_length_m=self.layout.isd_m)
+            self.timetable = generate_timetable(self.params.traffic)
 
     def run(self, engine: str = "batch") -> SimulatedEnergy:
         """Simulate the whole timetable horizon and integrate energy.

@@ -17,9 +17,11 @@ adapter       engine entry point                                 stochastic
 Adapters evaluate *whole shards* at once where the engine allows it (radio
 stacks every scenario of the shard into one batched call; mc stacks the
 profiles sharing a shadowing draw into one ``outage_matrix`` call; solar
-runs one ``simulate_systems`` pass over all cases), so the study layer
-inherits the engines' vectorization instead of falling back to per-case
-scalar loops.
+runs one ``simulate_systems`` pass over all cases; sim runs one occupancy
+pass per distinct geometry and fleet, one ``occupancy_scan`` call per
+transition time and horizon, and only the power stage per policy), so the
+study layer inherits the engines' vectorization instead of falling back to
+per-case scalar loops.
 
 Per-process caches (Eq. (2) profiles, weather years, timetable fleets) are
 module-level, so a worker process reuses computations across the shards it
@@ -30,6 +32,7 @@ engine call uses — a study result is bit-identical to a hand-written sweep.
 from __future__ import annotations
 
 import importlib
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
@@ -242,16 +245,22 @@ def _run_solar(cases: list[dict], seeds: list[int], context: dict) -> list[dict]
 # -- mc: Monte-Carlo shadowing outage -----------------------------------------
 
 
-def _trial_count(value) -> int:
-    """The ``trials`` parameter as a positive int (12.7 is an error, not 12)."""
+def _number(value) -> float:
+    """``float(value)``, with NaN for anything that is not a number."""
     try:
-        trials = float(value)
+        return float(value)
     except (TypeError, ValueError):
-        trials = float("nan")
-    if not (trials.is_integer() and trials >= 1):
+        return float("nan")
+
+
+def _count(name: str, value, minimum: int = 1) -> int:
+    """An integer parameter as an int >= ``minimum`` (12.7 is an error, not
+    12)."""
+    number = _number(value)
+    if not (number.is_integer() and number >= minimum):
         raise ConfigurationError(
-            f"trials must be a positive integer, got {value!r}")
-    return int(trials)
+            f"{name} must be >= {minimum} and a whole number, got {value!r}")
+    return int(number)
 
 
 def _run_mc(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
@@ -274,7 +283,7 @@ def _run_mc(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
             profiles[scenario_key] = cache.get_or_compute(
                 _radio_scenario(case))
         draw = (float(case["sigma_db"]), float(case["decorrelation_m"]),
-                _trial_count(case["trials"]), seed)
+                _count("trials", case["trials"]), seed)
         draws.setdefault(draw, []).append((i, scenario_key))
     rows: list[dict] = [None] * len(cases)  # type: ignore[list-item]
     for (sigma, decorrelation, trials, seed), members in draws.items():
@@ -304,81 +313,117 @@ def _run_mc(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
 # -- sim: corridor day simulation ---------------------------------------------
 
 
-#: Per-process memo of seeded timetable fleets: cells that share the traffic
-#: scenario (e.g. the three policies of one demand point) reuse one fleet —
-#: common random numbers across the policy axis.
+#: Per-process memo of seeded timetable fleets and their packed run tensors:
+#: cells that share the traffic scenario (e.g. every ISD and policy of one
+#: demand point) reuse one fleet — common random numbers across those axes.
 _TIMETABLE_MEMO: OrderedDict[tuple, tuple] = OrderedDict()
 _TIMETABLE_MEMO_MAX = 32
 
 
-def _timetable_fleet(headway_s: float, service_hours: float, isd_m: float,
+def _timetable_fleet(headway_s: float, service_hours: float,
                      realizations: int, seed: int):
+    from repro.simulation.batch import pack_runs
     from repro.traffic.timetable import day_timetables
     from repro.traffic.trains import TrafficParams
 
-    key = (headway_s, service_hours, isd_m, realizations, seed)
+    key = (headway_s, service_hours, realizations, seed)
     hit = _TIMETABLE_MEMO.get(key)
     if hit is not None:
         _TIMETABLE_MEMO.move_to_end(key)
         return hit
     traffic = TrafficParams(trains_per_hour=3600.0 / headway_s,
                             night_quiet_hours=24.0 - service_hours)
-    fleet = (traffic, day_timetables(traffic, realizations=realizations,
-                                     seed=seed, segment_length_m=isd_m))
+    timetables = day_timetables(traffic, realizations=realizations, seed=seed)
+    fleet = (traffic, timetables[0].horizon_s, pack_runs(timetables))
     _TIMETABLE_MEMO[key] = fleet
     while len(_TIMETABLE_MEMO) > _TIMETABLE_MEMO_MAX:
         _TIMETABLE_MEMO.popitem(last=False)
     return fleet
 
 
+def _finite(name: str, value, positive: bool = False) -> float:
+    """A parameter as a finite float, > 0 or >= 0 (NaN is an error)."""
+    number = _number(value)
+    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)):
+        raise ConfigurationError(
+            f"{name} must be finite and {'> 0' if positive else '>= 0'}, "
+            f"got {value!r}")
+    return number
+
+
 def _run_sim(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
     from repro.corridor.layout import CorridorLayout
     from repro.energy.duty import EnergyParams
     from repro.energy.scenario import OperatingMode, segment_energy
-    from repro.simulation.batch import simulate_days
+    from repro.simulation.batch import occupancy_stage, power_stage
+    from repro.simulation.elements import corridor_elements
 
+    # Validate every case before any compute, then key each feasible case
+    # by its occupancy pass: policy enters only in the power stage, so the
+    # policies over one geometry and fleet share one pass.
     modes = {mode.value: mode for mode in OperatingMode}
     nan = float("nan")
-    rows = []
-    for case, seed in zip(cases, seeds):
+    rows: list[dict] = [None] * len(cases)  # type: ignore[list-item]
+    passes: dict[tuple, list[int]] = {}
+    for i, (case, seed) in enumerate(zip(cases, seeds)):
         policy = str(case["policy"])
         if policy not in modes:
             raise ConfigurationError(
                 f"unknown policy {policy!r}; available: {sorted(modes)}")
         headway = float(case["headway_s"])
         tpd = float(case["trains_per_day"])
-        if headway <= 0 or tpd <= 0:
+        if not (headway > 0 and tpd > 0):
             raise ConfigurationError(
                 f"headway_s and trains_per_day must be positive, got "
                 f"({headway}, {tpd})")
         service_hours = tpd * headway / 3600.0
+        key = (_finite("isd_m", case["isd_m"], positive=True),
+               _count("n_repeaters", case["n_repeaters"], minimum=0),
+               headway, service_hours,
+               _count("realizations", case["realizations"]), seed,
+               _finite("transition_s", case["transition_s"]),
+               _finite("wake_lead_m", case["wake_lead_m"]))
         if service_hours > 24.0:
-            rows.append({
+            rows[i] = {
                 "service_hours": service_hours, "feasible": 0,
                 "realizations": 0, "mean_w_per_km": nan, "std_w_per_km": nan,
                 "ci95_low": nan, "ci95_high": nan, "analytic_w_per_km": nan,
-            })
-            continue
-        isd = float(case["isd_m"])
-        layout = CorridorLayout.with_uniform_repeaters(
-            isd, int(case["n_repeaters"]))
-        traffic, timetables = _timetable_fleet(
-            headway, service_hours, isd, int(case["realizations"]), seed)
+            }
+        else:
+            passes.setdefault(key, []).append(i)
+
+    # One interval pass per distinct key (a fleet is built and packed once,
+    # in the memo); one occupancy_scan call per (transition_s, horizon_s).
+    scans: dict[tuple, list[tuple]] = {}
+    for key in passes:
+        isd, n_repeaters, headway, service_hours, realizations, seed, \
+            transition, lead = key
+        traffic, horizon, runs = _timetable_fleet(
+            headway, service_hours, realizations, seed)
+        layout = CorridorLayout.with_uniform_repeaters(isd, n_repeaters)
         params = EnergyParams(traffic=traffic)
-        sim = simulate_days(layout, mode=modes[policy], params=params,
-                            timetables=timetables,
-                            transition_s=float(case["transition_s"]),
-                            wake_lead_m=float(case["wake_lead_m"]))
-        ci_low, ci_high = sim.ci95_w_per_km()
-        rows.append({
-            "service_hours": service_hours, "feasible": 1,
-            "realizations": sim.realizations,
-            "mean_w_per_km": sim.mean_w_per_km(),
-            "std_w_per_km": sim.std_w_per_km(),
-            "ci95_low": ci_low, "ci95_high": ci_high,
-            "analytic_w_per_km": segment_energy(layout, modes[policy],
-                                                params).w_per_km,
-        })
+        sections = corridor_elements(layout, params=params)
+        scans.setdefault((transition, horizon), []).append(
+            (key, layout, params, (sections, runs, layout.isd_m, lead)))
+    for (transition, horizon), members in scans.items():
+        occupancies = occupancy_stage([member[3] for member in members],
+                                      transition, horizon)
+        for (key, layout, params, _), occupancy in zip(members, occupancies):
+            for i in passes[key]:
+                mode = modes[str(cases[i]["policy"])]
+                sim = power_stage(layout, mode,
+                                  corridor_elements(layout, mode, params),
+                                  horizon, occupancy)
+                ci_low, ci_high = sim.ci95_w_per_km()
+                rows[i] = {
+                    "service_hours": key[3], "feasible": 1,
+                    "realizations": sim.realizations,
+                    "mean_w_per_km": sim.mean_w_per_km(),
+                    "std_w_per_km": sim.std_w_per_km(),
+                    "ci95_low": ci_low, "ci95_high": ci_high,
+                    "analytic_w_per_km": segment_energy(layout, mode,
+                                                        params).w_per_km,
+                }
     return rows
 
 

@@ -87,7 +87,6 @@ class Timetable:
 
 def generate_timetable(params: TrafficParams | None = None,
                        days: float = 1.0,
-                       segment_length_m: float = 0.0,
                        stochastic: bool = False,
                        seed: int | Sequence[int] | None = None) -> Timetable:
     """Build a timetable matching the Table III scenario.
@@ -98,10 +97,6 @@ def generate_timetable(params: TrafficParams | None = None,
     mean rate; ``seed`` is anything :func:`numpy.random.default_rng` accepts
     (an int, or a ``[seed, realization]`` sequence for the common-random-
     number convention of :func:`day_timetables`).
-
-    ``segment_length_m`` extends the service window so trains that *enter*
-    before the window closes still fully traverse the segment (irrelevant for
-    duty-cycle totals, but keeps the event simulation self-consistent).
     """
     params = params or TrafficParams()
     if days <= 0:
@@ -144,8 +139,7 @@ def generate_timetable(params: TrafficParams | None = None,
 def day_timetables(params: TrafficParams | None = None,
                    realizations: int = 1,
                    seed: int = 0,
-                   days: float = 1.0,
-                   segment_length_m: float = 0.0) -> tuple[Timetable, ...]:
+                   days: float = 1.0) -> tuple[Timetable, ...]:
     """Seeded fleet of stochastic day timetables under common random numbers.
 
     Realization ``r`` is generated from ``default_rng([seed, r])`` — the same
@@ -158,6 +152,5 @@ def day_timetables(params: TrafficParams | None = None,
         raise ConfigurationError(
             f"realizations must be >= 1, got {realizations}")
     return tuple(
-        generate_timetable(params, days=days, segment_length_m=segment_length_m,
-                           stochastic=True, seed=[seed, r])
+        generate_timetable(params, days=days, stochastic=True, seed=[seed, r])
         for r in range(realizations))

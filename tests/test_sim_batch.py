@@ -2,11 +2,14 @@
 
 Cross-engine equality lives in tests/test_engine_parity.py; this module
 covers the batch engine's own semantics: CRN timetable fleets, result
-accounting, validation, the sleep-policy comparison in repro.energy, and the
-shipped sim-grid study.
+accounting, validation, the sleep-policy comparison in repro.energy, the
+shipped sim-grid study, and the ``sim`` study adapter's batching (one
+occupancy pass per distinct geometry and fleet, one kernel scan per
+transition time and horizon, rows equal bit for bit to a per-case loop).
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +23,8 @@ from repro.energy.scenario import OperatingMode, segment_energy
 from repro.errors import ConfigurationError
 from repro.simulation.batch import simulate_days
 from repro.simulation.elements import ElementSpec, corridor_elements
-from repro.study import load_study, run_study
+from repro.study import load_study, parse_study, run_study
+from repro.study.engines import STUDY_ENGINES, run_cases
 from repro.traffic.timetable import Timetable, TrainRun, day_timetables, generate_timetable
 from repro.traffic.trains import TrafficParams
 
@@ -147,6 +151,13 @@ class TestSimulateDays:
         with pytest.raises(ConfigurationError):
             simulate_days(LAYOUT, wake_lead_m=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_transition_and_lead(self, value):
+        with pytest.raises(ConfigurationError, match="transition"):
+            simulate_days(LAYOUT, transition_s=value)
+        with pytest.raises(ConfigurationError, match="wake lead"):
+            simulate_days(LAYOUT, wake_lead_m=value)
+
     def test_rejects_mismatched_horizons(self):
         mixed = (generate_timetable(days=1.0), generate_timetable(days=2.0))
         with pytest.raises(ConfigurationError):
@@ -243,8 +254,7 @@ class TestSimGridExperiment:
                 mode=OperatingMode(case["policy"]),
                 params=EnergyParams(traffic=traffic),
                 timetables=day_timetables(
-                    traffic, realizations=2, seed=spec.case_seed(i),
-                    segment_length_m=case["isd_m"]),
+                    traffic, realizations=2, seed=spec.case_seed(i)),
                 engine="event")
             event["mean_w_per_km"].append(sim.mean_w_per_km())
             event["std_w_per_km"].append(sim.std_w_per_km())
@@ -277,3 +287,180 @@ class TestCorridorSimulationRouting:
         assert event.events_processed > 1000
         assert batch.total_mains_wh == pytest.approx(event.total_mains_wh,
                                                      rel=1e-9)
+
+
+# -- the sim adapter's batching -------------------------------------------------
+
+#: Every axis the adapter batches over: policy (power stage only),
+#: n_repeaters (geometry), transition_s (a second scan call), trains_per_day
+#: (304 at 450 s is infeasible, interleaved with feasible cells) and
+#: realizations (two fleets per demand point).
+SIM_BATCH_TEXT = """
+name: p-sim-batch
+engine: sim
+seed: 5
+seed_mode: {seed_mode}
+axes:
+  trains_per_day: [76.0, 304.0, 152.0]
+  n_repeaters: [8, 4]
+  transition_s: [0.3, 5.0]
+  realizations: [2, 3]
+  policy: [continuous, sleep, solar]
+fixed:
+  isd_m: 2400.0
+  headway_s: 450.0
+"""
+
+
+def bits(row: dict) -> list:
+    """A row as exactly comparable values: ``repr`` round-trips every
+    float, NaN compares equal to NaN."""
+    return [(name, type(value), repr(value)) for name, value in row.items()]
+
+
+def per_case_sim(cases, seeds):
+    """The ``sim`` adapter as a per-case loop: one fleet and one
+    :func:`simulate_days` call per case."""
+    adapter = STUDY_ENGINES["sim"]
+    nan = float("nan")
+    rows = []
+    for case, seed in zip(cases, seeds):
+        case = adapter.resolve(case)
+        headway = float(case["headway_s"])
+        service_hours = float(case["trains_per_day"]) * headway / 3600.0
+        if service_hours > 24.0:
+            rows.append({
+                "service_hours": service_hours, "feasible": 0,
+                "realizations": 0, "mean_w_per_km": nan,
+                "std_w_per_km": nan, "ci95_low": nan, "ci95_high": nan,
+                "analytic_w_per_km": nan})
+            continue
+        traffic = TrafficParams(trains_per_hour=3600.0 / headway,
+                                night_quiet_hours=24.0 - service_hours)
+        params = EnergyParams(traffic=traffic)
+        layout = CorridorLayout.with_uniform_repeaters(
+            float(case["isd_m"]), int(case["n_repeaters"]))
+        mode = OperatingMode(case["policy"])
+        sim = simulate_days(
+            layout, mode=mode, params=params,
+            timetables=day_timetables(
+                traffic, realizations=int(case["realizations"]), seed=seed),
+            transition_s=float(case["transition_s"]),
+            wake_lead_m=float(case["wake_lead_m"]))
+        ci_low, ci_high = sim.ci95_w_per_km()
+        rows.append({
+            "service_hours": service_hours, "feasible": 1,
+            "realizations": sim.realizations,
+            "mean_w_per_km": sim.mean_w_per_km(),
+            "std_w_per_km": sim.std_w_per_km(),
+            "ci95_low": ci_low, "ci95_high": ci_high,
+            "analytic_w_per_km": segment_energy(layout, mode,
+                                                params).w_per_km})
+    return rows
+
+
+@pytest.fixture
+def sim_spies(monkeypatch):
+    """Count fleet builds, occupancy passes and ``occupancy_scan`` calls,
+    starting from an empty fleet memo."""
+    import repro.simulation.batch as batch
+    import repro.study.engines as engines
+    import repro.traffic.timetable as timetable
+
+    counts = {"fleets": 0, "passes": 0, "scans": []}
+    monkeypatch.setattr(engines, "_TIMETABLE_MEMO", OrderedDict())
+
+    def spy(module, attr, record):
+        original = getattr(module, attr)
+
+        def wrapped(*args, **kwargs):
+            record(*args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapped)
+
+    def bump(key):
+        def record(*args):
+            counts[key] += 1
+        return record
+
+    spy(timetable, "day_timetables", bump("fleets"))
+    spy(batch, "_interval_groups", bump("passes"))
+    spy(batch, "occupancy_scan",
+        lambda g_a, *args: counts["scans"].append(g_a.shape[0]))
+    return counts
+
+
+def _cases(text, seed_mode="shared"):
+    spec = parse_study(text.format(seed_mode=seed_mode))
+    cases = spec.cases()
+    return cases, [spec.case_seed(i) for i in range(len(cases))]
+
+
+class TestSimBatching:
+    @pytest.mark.parametrize("seed_mode", ["shared", "per-case"])
+    def test_rows_equal_the_per_case_loop(self, seed_mode):
+        cases, seeds = _cases(SIM_BATCH_TEXT, seed_mode)
+        rows = per_case_sim(cases, seeds)
+        assert {row["feasible"] for row in rows} == {0, 1}
+        oracle = [bits(row) for row in rows]
+        assert [bits(row) for row in run_cases("sim", cases, seeds)] == oracle
+        order = np.random.default_rng(9).permutation(len(cases))
+        shuffled = run_cases("sim", [cases[i] for i in order],
+                             [seeds[i] for i in order])
+        assert [bits(row) for row in shuffled] == [oracle[i] for i in order]
+
+    def test_one_pass_per_key_one_scan_per_transition(self, sim_spies):
+        cases, seeds = _cases(SIM_BATCH_TEXT)
+        run_cases("sim", cases, seeds)
+        # Feasible demand points (76, 152) x realizations (2, 3) fleets;
+        # x n_repeaters x transition_s passes; one scan per transition_s.
+        assert sim_spies["fleets"] == 4
+        assert sim_spies["passes"] == 16
+        assert len(sim_spies["scans"]) == 2
+
+    def test_sim_grid_makes_six_passes_two_fleets_one_scan(self, sim_spies):
+        spec = load_study(STUDIES_DIR / "sim_grid.yaml")
+        cases = spec.cases()
+        seeds = [spec.case_seed(i) for i in range(len(cases))]
+        rows = run_cases("sim", cases, seeds)
+        assert sum(row["feasible"] for row in rows) == 18
+        assert sim_spies["fleets"] <= 2
+        assert sim_spies["passes"] <= 6
+        # One scan over every pass's 25 realizations x 11 elements.
+        assert sim_spies["scans"] == [sim_spies["passes"] * 25 * 11]
+        assert [bits(row) for row in rows] == \
+            [bits(row) for row in per_case_sim(cases, seeds)]
+
+    def test_hp_only_corridor_runs(self):
+        cases, seeds = _cases(SIM_BATCH_TEXT)
+        cases = [dict(case, n_repeaters=0) for case in cases[:6]]
+        assert [bits(row) for row in run_cases("sim", cases, seeds[:6])] == \
+            [bits(row) for row in per_case_sim(cases, seeds[:6])]
+
+    def test_integral_floats_run_as_ints(self):
+        cases, seeds = _cases(SIM_BATCH_TEXT)
+        cases, seeds = cases[:6], seeds[:6]
+        floats = [dict(case, realizations=float(case["realizations"]),
+                       n_repeaters=float(case["n_repeaters"]))
+                  for case in cases]
+        assert run_cases("sim", floats, seeds) == run_cases("sim", cases, seeds)
+
+    @pytest.mark.parametrize("name, value", [
+        ("realizations", 3.7), ("realizations", 0), ("realizations", -2),
+        ("realizations", "many"),
+        ("n_repeaters", 8.9), ("n_repeaters", -1),
+        ("isd_m", float("nan")), ("isd_m", 0.0), ("isd_m", float("inf")),
+        ("transition_s", float("nan")), ("transition_s", -1.0),
+        ("transition_s", float("inf")),
+        ("wake_lead_m", float("nan")), ("wake_lead_m", -5.0),
+        ("headway_s", float("nan")), ("trains_per_day", float("nan")),
+    ])
+    def test_invalid_values_are_rejected_before_any_compute(
+            self, name, value, sim_spies):
+        cases, seeds = _cases(SIM_BATCH_TEXT)
+        # The bad case comes last, after a feasible one.
+        cases = [cases[0], dict(cases[1], **{name: value})]
+        with pytest.raises(ConfigurationError, match=name):
+            run_cases("sim", cases, seeds[:2])
+        assert sim_spies["fleets"] == sim_spies["passes"] == 0
+        assert sim_spies["scans"] == []

@@ -361,8 +361,7 @@ class TestCorridorSimulation:
         det = CorridorSimulation(layout).run()
         sto = CorridorSimulation(
             layout,
-            timetable=generate_timetable(stochastic=True, seed=3,
-                                         segment_length_m=layout.isd_m)).run()
+            timetable=generate_timetable(stochastic=True, seed=3)).run()
         assert sto.avg_w_per_km == pytest.approx(det.avg_w_per_km, rel=0.05)
 
     def test_multi_day_scales_linearly(self):
