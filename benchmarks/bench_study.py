@@ -22,13 +22,22 @@ The overhead gate rides in the same ``BENCH_study.json`` record (as
 A journal-emit micro-benchmark rides along in ``overhead.journal``: the
 persistent-append-handle :class:`~repro.study.journal.RunJournal` writer
 vs. a naive open/write/close per event, over the same record shape.
+
+A store micro-benchmark rides along in ``store``: put plus verified load of
+a 2-case ``mc`` shard through :class:`~repro.study.results.StudyStore` (one
+raw bundle file per shard) vs. ``np.savez`` plus ``np.load`` of the same
+packed arrays.  The bundle leg must be at least ``STORE_THRESHOLD`` times
+faster; like the other timing gates it is asserted locally and printed
+under CI.
 """
 
 import json
 import os
 import time
 
-from repro.study import RunJournal, parse_study, run_study
+import numpy as np
+
+from repro.study import RunJournal, StudyStore, parse_study, run_study
 
 JOBS = 4
 THRESHOLD = 2.0
@@ -91,6 +100,60 @@ def _bench_journal_emit(tmp_dir) -> dict:
     }
 
 
+#: Shards per leg of the store micro-benchmark.
+STORE_SHARDS = 500
+#: Min speedup of bundle put + load over ``np.savez`` + ``np.load``.
+STORE_THRESHOLD = 1.5
+#: A 2-case ``mc`` shard table: what a service job writes per shard.
+STORE_SHARD = {
+    "case": [0, 1],
+    "outage_probability": [0.02, 0.07],
+    "outage_ci95_low": [0.0055, 0.0343],
+    "outage_ci95_high": [0.0700, 0.1375],
+    "median_min_snr_db": [9.8125, 8.4375],
+}
+
+
+def _bench_store(tmp_dir) -> dict:
+    """Bundle put + verified load vs ``np.savez`` + ``np.load`` per shard.
+
+    Both legs write and read the same packed arrays, one file per shard;
+    the ratio lands in the ``store`` node of ``BENCH_study.json``.
+    """
+    store = StudyStore(maxsize=1, cache_dir=os.path.join(tmp_dir, "bundles"))
+    keys = [f"shard-{i:04d}" for i in range(STORE_SHARDS)]
+    t0 = time.perf_counter()
+    for key in keys:
+        store.put_by_hash(key, STORE_SHARD)
+    loaded = [store.load_verified(key) for key in keys]
+    bundle_s = time.perf_counter() - t0
+    assert all(value == STORE_SHARD for value, _ in loaded)
+
+    arrays = store._pack(STORE_SHARD)
+    npz_dir = os.path.join(tmp_dir, "npz")
+    os.makedirs(npz_dir)
+    paths = [os.path.join(npz_dir, f"{key}.npz") for key in keys]
+    t0 = time.perf_counter()
+    for path in paths:
+        np.savez(path, **arrays)
+    for path in paths:
+        with np.load(path) as data:
+            unpacked = {name: data[name] for name in data.files}
+    npz_s = time.perf_counter() - t0
+    assert store._unpack(unpacked) == STORE_SHARD
+
+    return {
+        "shards": STORE_SHARDS,
+        "bundle_put_load_s": bundle_s,
+        "npz_save_load_s": npz_s,
+        "bytes_per_bundle": os.path.getsize(store.bundle_path(keys[0])),
+        "bytes_per_npz": os.path.getsize(paths[0]),
+        "speedup": npz_s / bundle_s,
+        "threshold": STORE_THRESHOLD,
+        "enforced": not os.environ.get("CI"),
+    }
+
+
 def bench_study_parallel_speedup(benchmark, bench_json, tmp_path):
     spec = parse_study(STUDY_TEXT)
     assert spec.case_count == 8
@@ -124,6 +187,7 @@ def bench_study_parallel_speedup(benchmark, bench_json, tmp_path):
     overhead_speedup = pooled_s / supervised_s
     cpus = os.cpu_count() or 1
     timing_enforced = cpus >= JOBS and not os.environ.get("CI")
+    store = _bench_store(tmp_path)
     bench_json("study", {
         "grid": {"cases": spec.case_count, "engine": spec.engine,
                  "realizations": 250, "jobs": JOBS, "shards": 8},
@@ -147,10 +211,18 @@ def bench_study_parallel_speedup(benchmark, bench_json, tmp_path):
             "enforced": timing_enforced,
             "journal": _bench_journal_emit(tmp_path),
         },
+        "store": store,
     })
     # Shared CI runners have noisy neighbours and unstable clocks, so the
     # timing thresholds are advisory there (the parity assertions always
     # hold); likewise a <4-CPU box cannot demonstrate a 2x pool speedup.
+    if store["enforced"]:
+        assert store["speedup"] >= STORE_THRESHOLD, \
+            (f"bundle put + load only {store['speedup']:.1f}x faster than "
+             "np.savez + np.load")
+    else:
+        print(f"store bundle vs npz: {store['speedup']:.1f}x "
+              "(threshold not enforced)")
     if not timing_enforced:
         print(f"study pool speedup: {speedup:.1f}x, supervisor overhead "
               f"{100.0 * (supervised_s / pooled_s - 1.0):+.1f}% on {cpus} "

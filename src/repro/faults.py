@@ -201,9 +201,8 @@ class FaultPlan:
             raise ConfigurationError(
                 "a 'corrupt' fault needs the study spec to locate its "
                 "store file")
-        key = StudyStore.shard_key(study, start, stop)
-        path = Path(self.store_dir) / f"{key}.npz"
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = StudyStore(cache_dir=self.store_dir).bundle_path(
+            StudyStore.shard_key(study, start, stop))
         path.write_bytes(b"PK\x03\x04torn-by-fault-injection")
         raise FaultInjected(f"injected store corruption: {label} ({path.name})")
 

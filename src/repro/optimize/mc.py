@@ -37,6 +37,7 @@ speedup over the reference kernel.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -178,32 +179,58 @@ class OutageMatrix:
 #: longest matrix drawn so far for that key; shorter position counts are
 #: served as prefix views (bit-identical — trial t's row IS the prefix of
 #: ``default_rng([seed, t])``'s stream).  Grid studies re-evaluate the same
-#: (seed, trials) across many shadowing parameters; this avoids redrawing
-#: identical normals per cell.  Matrices above the byte cap are returned
-#: without being stored, so huge trial counts never pin gigabytes in module
-#: state.
+#: (seed, trials) across many shadowing parameters and ISDs; this avoids
+#: redrawing identical normals per cell.  Matrices above the byte cap are
+#: returned without being stored, so huge trial counts never pin gigabytes
+#: in module state.  Service threads share the memo, hence the lock.
 _Z_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _Z_CACHE_MAX = 4
 _Z_CACHE_MAX_BYTES = 64 * 1024 * 1024
+#: Each trial's bit-generator state after its row of the newest stored
+#: matrix, under that matrix's key: a longer grid for the key resumes the
+#: streams and draws only the missing columns (``standard_normal(a)`` then
+#: ``standard_normal(b)`` equals ``standard_normal(a + b)``).  One key
+#: only, since a state costs ~0.4 kB per trial; a job draws one key.
+_Z_STATES: dict[tuple, list[dict]] = {}
+_Z_LOCK = threading.Lock()
+
+
+def _resumed_generators(states: list[dict]):
+    """One generator, moved to each stored trial state in turn."""
+    rng = np.random.default_rng(0)
+    for state in states:
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _standard_normal_matrix(seed: int, trials: int, p_max: int) -> np.ndarray:
     """Read-only ``[trials, p_max]`` matrix of per-trial standard normals."""
     key = (seed, trials)
-    hit = _Z_CACHE.get(key)
-    if hit is None or hit.shape[1] < p_max:
+    with _Z_LOCK:
+        hit = _Z_CACHE.get(key)
+        if hit is not None and hit.shape[1] >= p_max:
+            _Z_CACHE.move_to_end(key)
+            return hit[:, :p_max]
         z = np.empty((trials, p_max))
-        for t, rng in enumerate(trial_generators(seed, trials)):
-            z[t] = rng.standard_normal(p_max)
+        if key in _Z_STATES:
+            drawn = hit.shape[1]
+            z[:, :drawn] = hit
+            rngs = _resumed_generators(_Z_STATES[key])
+        else:
+            drawn, rngs = 0, trial_generators(seed, trials)
+        states = []
+        for t, rng in enumerate(rngs):
+            z[t, drawn:] = rng.standard_normal(p_max - drawn)
+            states.append(rng.bit_generator.state)
         z.flags.writeable = False
         if z.nbytes <= _Z_CACHE_MAX_BYTES:
             _Z_CACHE[key] = z
             _Z_CACHE.move_to_end(key)  # replacing a key keeps its old slot
             if len(_Z_CACHE) > _Z_CACHE_MAX:
                 _Z_CACHE.popitem(last=False)
+            _Z_STATES.clear()
+            _Z_STATES[key] = states
         return z
-    _Z_CACHE.move_to_end(key)
-    return hit[:, :p_max]
 
 
 def _outage_matrix_scalar(profiles, shadowing: LogNormalShadowing,

@@ -4,9 +4,9 @@ Two layers, shared by every cache in the repository:
 
 * an in-memory LRU (``maxsize`` entries) for hot loops such as the placement
   optimizer, which revisits the same layouts across coordinate-descent rounds;
-* an optional on-disk layer (``cache_dir``) that persists values as ``.npz``
-  files named by hash, so repeated experiment runs (``repro maxisd
-  --cache-dir ...``) skip the evaluation entirely.
+* an optional on-disk layer (``cache_dir``) that persists values as
+  ``<key>.bundle`` files named by hash, so repeated experiment runs
+  (``repro maxisd --cache-dir ...``) skip the evaluation entirely.
 
 :func:`content_token` renders a parameter object as the canonical string
 every cache key is hashed from (scenario hashes, weather keys, study
@@ -22,14 +22,29 @@ same base for ``(days, 24)`` weather-year tensors.
 Cached values are bit-identical to fresh ones: the arrays are stored as-is
 without any rounding, and the in-memory layer returns the very same object.
 
+A bundle file is one raw blob, written with one ``write``:
+
+* a magic line (``repro-bundle 1``) and an 8-byte little-endian header
+  length;
+* a JSON header: ``{"arrays": [[name, dtype.str, shape, nbytes], ...],
+  "checksum": ...}``;
+* the arrays' C-order bytes, concatenated in header order.
+
+Only plain dtypes (kinds ``b i u f U S``) are stored, so a bundle never holds
+pickled objects.  Files of any other layout, including the ``.npz`` zips of
+older releases, are not read: an old store recomputes.
+
 The disk layer is hardened against the failure modes of killed and
 misbehaving runs:
 
 * writes are **atomic** (temp file + ``os.replace``), so a killed writer
-  never leaves a torn ``.npz`` under the final name;
+  never leaves a torn bundle under the final name; the temp name carries
+  the pid and the thread id, so concurrent writers never share one;
 * every bundle carries a **content checksum** (SHA-256 over the packed
-  arrays); a mismatch on load — bit rot, a torn write from a pre-hardening
-  run, deliberate fault injection — is treated as a miss, not a crash;
+  arrays) in its header; a mismatch on load — bit rot, tampering,
+  deliberate fault injection — is treated as a miss, not a crash;
+* every header entry is validated against the file (magic, header length,
+  dtype kind, ``nbytes == prod(shape) * itemsize``, exact body coverage);
 * corrupt, truncated or checksum-failing files are **quarantined** into a
   ``quarantine/`` sidecar directory (and recomputed), preserving the
   evidence instead of silently overwriting it;
@@ -42,9 +57,11 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import json
+import math
 import os
+import struct
 import threading
-import zipfile
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -63,8 +80,12 @@ __all__ = ["content_token", "ArrayCache", "ProfileCache", "QUARANTINE_DIR"]
 _PROFILE_FIELDS = ("positions_m", "source_rsrp_dbm", "total_signal_dbm",
                    "total_noise_dbm", "snr_db")
 
-#: Reserved bundle entry carrying the content checksum of the other arrays.
-_CHECKSUM_KEY = "__checksum__"
+#: First line of every bundle file.
+_MAGIC = b"repro-bundle 1\n"
+#: Byte length of the JSON header, right after the magic line.
+_HEADER_LEN = struct.Struct("<Q")
+#: dtype kinds a bundle may hold: no objects, no void or structured arrays.
+_KINDS = "biufUS"
 
 #: Sidecar directory (under ``cache_dir``) damaged files are moved into.
 QUARANTINE_DIR = "quarantine"
@@ -112,14 +133,74 @@ def _bundle_checksum(arrays: dict[str, np.ndarray]) -> str:
     """SHA-256 over the packed arrays (names, dtypes, shapes, raw bytes)."""
     digest = hashlib.sha256()
     for name in sorted(arrays):
-        if name == _CHECKSUM_KEY:
-            continue
         arr = np.ascontiguousarray(arrays[name])
         digest.update(name.encode())
         digest.update(str(arr.dtype).encode())
         digest.update(str(arr.shape).encode())
         digest.update(arr.tobytes())
     return digest.hexdigest()
+
+
+def _encode_bundle(arrays: dict[str, np.ndarray]) -> bytes:
+    """The bundle file holding ``arrays`` and their checksum."""
+    entries, chunks = [], []
+    for name, value in arrays.items():
+        arr = np.asarray(value)
+        if arr.dtype.kind not in _KINDS:
+            raise ValueError(f"array {name!r}: dtype {arr.dtype} cannot be "
+                             "stored in a bundle")
+        raw = arr.tobytes()
+        entries.append([name, arr.dtype.str, list(arr.shape), len(raw)])
+        chunks.append(raw)
+    header = json.dumps({"arrays": entries,
+                         "checksum": _bundle_checksum(arrays)}).encode()
+    # Space-pad the header so the body starts 8-byte aligned: a bundle of
+    # float arrays reads back as aligned arrays.
+    header += b" " * (-(len(_MAGIC) + _HEADER_LEN.size + len(header)) % 8)
+    return b"".join([_MAGIC, _HEADER_LEN.pack(len(header)), header, *chunks])
+
+
+def _decode_bundle(buf: bytearray) -> tuple[dict[str, np.ndarray], str]:
+    """``(arrays, recorded checksum)`` of a bundle file's bytes.
+
+    The arrays are writeable views into ``buf``.  The checksum is returned
+    as recorded, not verified.
+
+    Raises:
+        ValueError: For anything but a well-formed bundle: bad magic, a
+            header length past the end of the file, a malformed header, a
+            dtype outside :data:`_KINDS`, an entry whose ``nbytes`` is not
+            ``prod(shape) * itemsize``, or a body the entries do not cover
+            exactly.
+    """
+    start = len(_MAGIC) + _HEADER_LEN.size
+    if not buf.startswith(_MAGIC) or len(buf) < start:
+        raise ValueError("not a bundle file")
+    (header_len,) = _HEADER_LEN.unpack_from(buf, len(_MAGIC))
+    offset = start + header_len
+    if offset > len(buf):
+        raise ValueError("bundle header runs past the end of the file")
+    try:
+        header = json.loads(buf[start:offset])
+        checksum = header["checksum"]
+        entries = [(name, np.dtype(dtype), tuple(shape), nbytes)
+                   for name, dtype, shape, nbytes in header["arrays"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed bundle header: {exc}") from exc
+    arrays = {}
+    for name, dtype, shape, nbytes in entries:
+        if (not isinstance(name, str) or dtype.kind not in _KINDS
+                or not all(type(n) is int and n >= 0 for n in shape)
+                or type(nbytes) is not int
+                or nbytes != math.prod(shape) * dtype.itemsize
+                or offset + nbytes > len(buf)):
+            raise ValueError(f"bad bundle entry {name!r}")
+        arrays[name] = np.frombuffer(buf, dtype, math.prod(shape),
+                                     offset).reshape(shape)
+        offset += nbytes
+    if offset != len(buf) or not isinstance(checksum, str):
+        raise ValueError("bundle body does not match its header")
+    return arrays, checksum
 
 
 class ArrayCache:
@@ -193,22 +274,28 @@ class ArrayCache:
         with self._lock:
             self._remember(key, value)
         if self.cache_dir is not None:
-            arrays = dict(self._pack(value))
-            arrays[_CHECKSUM_KEY] = np.array(_bundle_checksum(arrays),
-                                             dtype=np.str_)
+            data = _encode_bundle(self._pack(value))
+            path = self.bundle_path(key)
             # Write-then-rename so an interrupted run never leaves a torn
-            # .npz behind for later runs to choke on.
-            tmp_path = self.cache_dir / f".{key}.{os.getpid()}.tmp.npz"
+            # bundle behind.  Threads of one process share the pid, so the
+            # temp name carries the thread id too.
+            tmp_path = path.with_name(
+                f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
             try:
-                np.savez(tmp_path, **arrays)
-                os.replace(tmp_path, self.cache_dir / f"{key}.npz")
+                with open(tmp_path, "wb") as handle:
+                    handle.write(data)
+                os.replace(tmp_path, path)
             except OSError:
                 self.disk_errors += 1
-            finally:
                 try:
                     tmp_path.unlink(missing_ok=True)
                 except OSError:
                     pass
+
+    def bundle_path(self, key: str) -> Path:
+        """Path of the on-disk bundle for ``key`` (the store must have a
+        ``cache_dir``)."""
+        return self.cache_dir / f"{key}.bundle"
 
     # -- internals ----------------------------------------------------------
 
@@ -221,32 +308,23 @@ class ArrayCache:
     def _load_disk(self, key: str):
         if self.cache_dir is None:
             return None
-        path = self.cache_dir / f"{key}.npz"
-        if not path.exists():
-            return None
         try:
-            with np.load(path) as data:
-                arrays = {name: data[name] for name in data.files}
-            stored = arrays.pop(_CHECKSUM_KEY, None)
-            if stored is not None and str(stored) != _bundle_checksum(arrays):
-                raise ValueError(f"checksum mismatch in {path.name}")
-            return self._unpack(arrays)
-        except (OSError, EOFError, ValueError, KeyError, TypeError,
-                zipfile.BadZipFile):
+            verified = self._read_bundle(key)
+            return None if verified is None else self._unpack(verified[0])
+        except (OSError, ValueError, KeyError, TypeError):
             # A corrupt, truncated or checksum-failing file is a miss, not a
             # crash: quarantine the evidence and recompute (the fresh put()
             # rewrites the final name atomically).
-            self._quarantine(path)
+            self._quarantine(self.bundle_path(key))
             return None
 
     def stored_checksum(self, key: str) -> str | None:
         """Verified content checksum of the on-disk bundle for ``key``.
 
-        Loads the ``.npz`` bundle, recomputes the SHA-256 over its packed
-        arrays and compares it with the embedded ``__checksum__`` entry —
-        the same digest :meth:`put_by_hash` stamped at write time, which is
-        what shard manifests (:mod:`repro.study.manifest`) record per array
-        bundle.
+        Reads the bundle, recomputes the SHA-256 over its arrays and
+        compares it with the checksum in its header — the same digest
+        :meth:`put_by_hash` stamped at write time, which is what shard
+        manifests (:mod:`repro.study.manifest`) record per array bundle.
 
         Args:
             key: Content-hash key of the bundle.
@@ -254,10 +332,10 @@ class ArrayCache:
         Returns:
             The hex digest when the file exists and its checksum verifies;
             ``None`` when the store has no disk layer, the file is absent,
-            unreadable, or its content no longer matches the embedded
-            checksum (tampering, bit rot, a torn pre-hardening write).
-            Unlike :meth:`get_by_hash`, a damaged file is *not* quarantined
-            — the caller (a merge validator) owns the evidence.
+            unreadable, malformed, or its content no longer matches the
+            recorded checksum (tampering, bit rot, a torn write).  Unlike
+            :meth:`get_by_hash`, a damaged file is *not* quarantined — the
+            caller (a merge validator) owns the evidence.
         """
         verified = self._read_verified(key)
         return None if verified is None else verified[1]
@@ -291,19 +369,30 @@ class ArrayCache:
         """``(arrays, checksum)`` of the bundle for ``key`` if it verifies."""
         if self.cache_dir is None:
             return None
-        path = self.cache_dir / f"{key}.npz"
-        if not path.exists():
-            return None
         try:
-            with np.load(path) as data:
-                arrays = {name: data[name] for name in data.files}
-        except (OSError, EOFError, ValueError, KeyError, TypeError,
-                zipfile.BadZipFile):
+            return self._read_bundle(key)
+        except (OSError, ValueError):
             return None
-        stored = arrays.pop(_CHECKSUM_KEY, None)
+
+    def _read_bundle(self, key: str) -> tuple[dict, str] | None:
+        """``(arrays, checksum)`` of the bundle for ``key``; ``None`` when
+        there is no such file.
+
+        Raises:
+            OSError: The file exists but cannot be read.
+            ValueError: The file is not a well-formed bundle, or its arrays
+                do not match the checksum in its header.
+        """
+        path = self.bundle_path(key)
+        try:
+            with open(path, "rb") as handle:
+                buf = bytearray(handle.read())
+        except FileNotFoundError:
+            return None
+        arrays, stored = _decode_bundle(buf)
         computed = _bundle_checksum(arrays)
-        if stored is not None and str(stored) != computed:
-            return None
+        if stored != computed:
+            raise ValueError(f"checksum mismatch in {path.name}")
         return arrays, computed
 
     def _quarantine(self, path: Path) -> None:

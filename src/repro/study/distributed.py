@@ -429,7 +429,7 @@ def merge_manifests(spec: StudySpec, manifest_paths,
             if actual != entry.checksum:
                 raise MergeValidationError(
                     f"shard {entry.index} of worker {manifest.worker}: "
-                    f"bundle {entry.key}.npz "
+                    f"bundle {worker_store.bundle_path(entry.key).name} "
                     f"{'is missing or unreadable' if actual is None else 'does not match the signed checksum'} "
                     f"— the store was modified after the manifest signed it",
                     kind="checksum", manifest=str(path), shard=entry.index,

@@ -12,8 +12,8 @@ worker claims to have computed:
   every worker agreed on one layout);
 * the worker's position (``worker`` of ``of``) and, per shard it owns, the
   case range, the store key and the bundle's content checksum — the very
-  ``__checksum__`` :class:`~repro.scenario.cache.ArrayCache` stamped into
-  the ``.npz`` at write time.
+  checksum :class:`~repro.scenario.cache.ArrayCache` stamped into the
+  ``.bundle`` header at write time.
 
 The document is **signed**: the file stores ``{"manifest": payload,
 "signature": sha256(canonical-json(payload))}``.  The signature is not a
@@ -68,7 +68,7 @@ def default_manifest_name(spec: StudySpec, worker: int, of: int) -> str:
 
     Includes the spec's hash prefix (so one directory can host slices of
     several studies) and ends in ``.json`` — outside the store's
-    ``*.npz`` shard namespace.
+    ``*.bundle`` shard namespace.
     """
     return f"{spec.compute_hash[:40]}-manifest-w{worker:03d}of{of:03d}.json"
 
@@ -86,7 +86,7 @@ class ShardEntry:
     key:
         The bundle's store key (:meth:`~repro.study.results.StudyStore.shard_key`).
     checksum:
-        The bundle's verified ``__checksum__`` digest at manifest time.
+        The bundle's verified header checksum at manifest time.
     rows:
         Case rows in the bundle (``stop - start``).
     """
@@ -234,7 +234,7 @@ def build_manifest(spec: StudySpec, store: StudyStore,
     """Assemble a manifest from the bundles a slice run left in ``store``.
 
     Every claimed shard is re-verified against the disk right here: its
-    checksum is recomputed from the ``.npz`` bytes
+    checksum is recomputed from the ``.bundle`` bytes
     (:meth:`~repro.study.results.StudyStore.shard_checksum`), so a manifest
     never attests to a bundle that is absent, torn or already tampered.
 

@@ -11,7 +11,7 @@ writes as
 * JSON — a provenance document (spec echo + wide records).
 
 :class:`StudyStore` is the disk layer of the sharded runner: each completed
-shard's raw engine metrics persist as one checksummed ``.npz`` bundle (the
+shard's raw engine metrics persist as one checksummed ``.bundle`` file (the
 same atomic write-then-rename :class:`~repro.scenario.cache.ArrayCache`
 machinery as the profile and weather caches), keyed by the spec's
 :attr:`~repro.study.spec.StudySpec.compute_hash` and the shard's case range —
@@ -19,7 +19,8 @@ so an interrupted run resumes from its completed shards, and the merged table
 is bit-identical to an uninterrupted run.  Corrupt or truncated bundles (a
 killed pre-hardening writer, bit rot, injected faults) are detected by the
 checksum, quarantined into a sidecar directory and recomputed instead of
-poisoning the resume.
+poisoning the resume.  A store written by an older release holds ``.npz``
+files, which are not read: its shards recompute.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import io
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -393,8 +395,8 @@ class StudyStore(ArrayCache):
     def shard_checksum(self, spec: StudySpec, start: int, stop: int) -> str | None:
         """Verified bundle checksum of the ``[start, stop)`` shard, if stored.
 
-        The digest is the same ``__checksum__`` every bundle carries on
-        disk; shard manifests record it per case range so a merge can
+        The digest is the same checksum every bundle carries in its
+        header; shard manifests record it per case range so a merge can
         detect tampering without trusting the worker.  Returns ``None``
         when the shard is absent, the store has no disk layer, or the file
         fails verification (see :meth:`~repro.scenario.cache.ArrayCache.stored_checksum`).
@@ -455,13 +457,13 @@ class StudyStore(ArrayCache):
 
         metadata = {"study": spec.name, "compute_hash": spec.compute_hash,
                     "version": __version__}
-        tmp_path = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        tmp_path = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             tmp_path.write_text(json.dumps(metadata, indent=2) + "\n")
             os.replace(tmp_path, path)
         except OSError:
             self.disk_errors += 1
-        finally:
             try:
                 tmp_path.unlink(missing_ok=True)
             except OSError:
@@ -485,7 +487,7 @@ class StudyStore(ArrayCache):
             return []
         prefix = spec.compute_hash[:40]
         ranges = []
-        for path in self.cache_dir.glob(f"{prefix}-*.npz"):
+        for path in self.cache_dir.glob(self.bundle_path(f"{prefix}-*").name):
             parts = path.stem.rsplit("-", 2)
             try:
                 ranges.append((int(parts[1]), int(parts[2])))

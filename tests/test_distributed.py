@@ -150,7 +150,7 @@ class TestManifest:
         name = default_manifest_name(spec, 0, 2)
         assert slice_run.manifest_path.name == name
         assert spec.compute_hash[:40] in name
-        assert name.endswith(".json")  # outside the *.npz store namespace
+        assert name.endswith(".json")  # outside the *.bundle store namespace
 
     def test_any_payload_edit_fails_the_signature(self, tmp_path):
         _, slice_run = self.slice_manifest(tmp_path)
@@ -315,11 +315,29 @@ class TestMergeRejection:
         assert self.kind_of(excinfo) == "missing"
         assert excinfo.value.details["shards"] == [1, 3]
 
-    def test_tampered_bundle_rejected(self, tmp_path):
+    @pytest.mark.parametrize("damage", [
+        lambda data: b"PK\x03\x04torn",
+        lambda data: data[:-3],
+        lambda data: data + b"\x00",
+        lambda data: data[:-1] + bytes([data[-1] ^ 1]),
+    ], ids=["not_a_bundle", "truncated", "trailing_bytes", "bit_flip"])
+    def test_tampered_bundle_rejected(self, tmp_path, damage):
         spec, manifests = self.split(tmp_path)
-        bundles = sorted((tmp_path / "worker1").glob("*.npz"))
-        bundles[0].write_bytes(b"PK\x03\x04torn")
+        bundles = sorted((tmp_path / "worker1").glob("*.bundle"))
+        bundles[0].write_bytes(damage(bundles[0].read_bytes()))
         with pytest.raises(MergeValidationError) as excinfo:
+            merge_manifests(spec, manifests)
+        assert self.kind_of(excinfo) == "checksum"
+        assert bundles[0].exists()  # the evidence stays in place
+
+    def test_legacy_npz_store_is_a_missing_bundle(self, tmp_path):
+        # A worker store from an older release holds .npz files, which are
+        # not read: the merge reports the bundle missing.
+        spec, manifests = self.split(tmp_path)
+        bundles = sorted((tmp_path / "worker1").glob("*.bundle"))
+        bundles[0].rename(bundles[0].with_suffix(".npz"))
+        with pytest.raises(MergeValidationError,
+                           match="missing or unreadable") as excinfo:
             merge_manifests(spec, manifests)
         assert self.kind_of(excinfo) == "checksum"
 

@@ -201,7 +201,7 @@ class TestRecoveryMatrix:
     def test_resume_after_store_corruption(self, clean_table, tmp_path):
         store_dir = tmp_path / "store"
         run_study(mc_spec(), shards=4, store=StudyStore(cache_dir=store_dir))
-        victim = sorted(store_dir.glob("*.npz"))[2]
+        victim = sorted(store_dir.glob("*.bundle"))[2]
         victim.write_bytes(b"\x00" * 64)  # torn by a killed writer
         store = StudyStore(cache_dir=store_dir)
         report = run_study(mc_spec(), shards=4, store=store)

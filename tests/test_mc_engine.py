@@ -9,11 +9,14 @@ matches within 1e-9 while preserving the CRN prefix properties bitwise
 (kernel-level coverage lives in ``tests/test_kernels.py``).
 """
 
+import threading
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.optimize.mc as mc
 from repro.kernels import BACKENDS
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
@@ -197,6 +200,84 @@ class TestOutageMatrix:
         for engine in ("batched", "scalar"):
             with pytest.raises(ConfigurationError):
                 outage_matrix([empty], trials=5, engine=engine)
+
+
+class TestStandardNormalMemo:
+    """The (seed, trials) memo draws each trial stream once, extending the
+    newest matrix column by column from the stored generator states."""
+
+    @pytest.fixture
+    def generators_made(self, monkeypatch):
+        made = []
+
+        def spy(seed, trials):
+            made.append(trials)
+            return trial_generators(seed, trials)
+
+        monkeypatch.setattr(mc, "trial_generators", spy)
+        monkeypatch.setattr(mc, "_Z_CACHE", OrderedDict())
+        monkeypatch.setattr(mc, "_Z_STATES", {})
+        return made
+
+    @pytest.mark.parametrize("seed", [0, 3, 2022])
+    def test_extension_equals_one_fresh_draw(self, generators_made, seed):
+        widths = (5, 13, 13, 40, 7)
+        parts = [mc._standard_normal_matrix(seed, 6, p) for p in widths]
+        fresh = np.array([rng.standard_normal(40)
+                          for rng in trial_generators(seed, 6)])
+        for width, part in zip(widths, parts):
+            assert np.array_equal(part, fresh[:, :width])
+            assert not part.flags.writeable
+        assert generators_made == [6]
+
+    def test_oversized_matrix_leaves_the_entry_intact(self, generators_made,
+                                                      monkeypatch):
+        mc._standard_normal_matrix(1, 4, 10)
+        monkeypatch.setattr(mc, "_Z_CACHE_MAX_BYTES", 4 * 20 * 8)
+        wide = mc._standard_normal_matrix(1, 4, 30)
+        assert mc._Z_CACHE[(1, 4)].shape == (4, 10)
+        fresh = np.array([rng.standard_normal(30)
+                          for rng in trial_generators(1, 4)])
+        assert np.array_equal(wide, fresh)
+        assert np.array_equal(mc._standard_normal_matrix(1, 4, 12),
+                              fresh[:, :12])
+        assert generators_made == [4]
+
+    def test_only_the_newest_key_resumes(self, generators_made):
+        old = mc._standard_normal_matrix(1, 3, 10)
+        mc._standard_normal_matrix(2, 3, 10)
+        longer = mc._standard_normal_matrix(1, 3, 20)  # a full redraw
+        assert np.array_equal(longer[:, :10], old)
+        assert list(mc._Z_STATES) == [(1, 3)]
+        assert generators_made == [3, 3, 3]
+
+    def test_concurrent_extensions_agree(self, generators_made):
+        fresh = np.array([rng.standard_normal(64)
+                          for rng in trial_generators(9, 8)])
+        results = {}
+
+        def draw(width):
+            results[width] = mc._standard_normal_matrix(9, 8, width)
+
+        threads = [threading.Thread(target=draw, args=(w,))
+                   for w in range(8, 65, 8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for width, matrix in results.items():
+            assert np.array_equal(matrix, fresh[:, :width])
+
+    def test_a_cancel_hook_job_draws_each_stream_once(self, generators_made):
+        # Under a cancel hook the first attempt is one shard at ISD 2000
+        # and a later group needs ISD 2400's longer grid: the extension
+        # reuses the first attempt's generators.
+        from repro.study import load_study, run_study
+
+        spec = load_study(STUDIES_DIR / "robustness_grid.yaml")
+        report = run_study(spec, cancel=lambda: False)
+        assert not report.partial
+        assert generators_made == [100]
 
 
 class TestWilsonInterval:

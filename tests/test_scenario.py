@@ -171,9 +171,10 @@ class TestProfileCache:
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = ProfileCache(maxsize=4, cache_dir=tmp_path)
         sc = make_scenario()
-        (tmp_path / f"{sc.content_hash}.npz").write_bytes(b"torn write")
+        cache.bundle_path(sc.content_hash).write_bytes(b"torn write")
         profile = cache.get_or_compute(sc)  # must recompute, not crash
         assert profile is not None
+        assert cache.quarantined == 1
         # The fresh put overwrote the corrupt file with a loadable one.
         cold = ProfileCache(maxsize=4, cache_dir=tmp_path)
         assert cold.get(sc) is not None
@@ -181,7 +182,7 @@ class TestProfileCache:
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = ProfileCache(maxsize=4, cache_dir=tmp_path)
         cache.get_or_compute(make_scenario())
-        assert not [p for p in tmp_path.iterdir() if p.suffix != ".npz"]
+        assert not [p for p in tmp_path.iterdir() if p.suffix != ".bundle"]
 
 
 class TestGridLen:

@@ -197,12 +197,16 @@ class TestWeatherCache:
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = WeatherCache(maxsize=4, cache_dir=tmp_path)
         synthesize_weather_year(LOCATIONS["madrid"], seed=4, cache=cache)
-        for path in tmp_path.glob("*.npz"):
-            path.write_bytes(b"not an npz")
+        bundles = list(tmp_path.glob("*.bundle"))
+        assert bundles
+        for path in bundles:
+            path.write_bytes(b"not a bundle")
         cold = WeatherCache(maxsize=4, cache_dir=tmp_path)
         key = WeatherKey.for_weather(
             SyntheticWeather(LOCATIONS["madrid"], seed=4), 365, 1)
+        assert cold.load_verified(key.content_hash) is None
         assert cold.get(key) is None
+        assert cold.quarantined == 1
 
     def test_key_hash_stable_and_content_sensitive(self):
         weather = SyntheticWeather(LOCATIONS["madrid"], seed=4)

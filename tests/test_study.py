@@ -428,7 +428,7 @@ fixed:
         spec = mc_spec()
         pooled = run_study(spec, jobs=2, shards=2,
                            context={"cache_dir": str(tmp_path / "pool")})
-        assert list((tmp_path / "pool").glob("*.npz"))
+        assert list((tmp_path / "pool").glob("*.bundle"))
         inline = run_study(spec, shards=2,
                            context={"cache_dir": str(tmp_path / "inline")})
         assert pooled.table.wide() == inline.table.wide()
@@ -686,7 +686,7 @@ class TestRunMetadata:
         meta.write_text(json.dumps(dict(store.run_metadata(spec),
                                         backend="reference")))
         sorted((tmp_path / "store").glob(
-            f"{spec.compute_hash[:40]}-*.npz"))[0].unlink()
+            f"{spec.compute_hash[:40]}-*.bundle"))[0].unlink()
         fresh = StudyStore(maxsize=8, cache_dir=tmp_path / "store")
         report = run_study(spec, shards=4, store=fresh)
         assert report.computed_shards == 1 and report.reused_shards == 3
