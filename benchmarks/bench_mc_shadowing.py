@@ -12,18 +12,35 @@ the only sequential loop.
 Asserts (a) trial-for-trial bit-identical outage counts and min-SNR samples
 on a 20-candidate x 500-trial grid and (b) a >= 10x wall-time speedup for
 the batched engine.
+
+A second node measures the study adapter the service runs: ``JOBS``
+``robustness_grid`` jobs, each with a fresh seed, in process under a
+cancel hook on one store.  The ``mc`` adapter makes one
+:func:`repro.optimize.mc.min_snr_matrix` call per trial stream; the
+baseline swaps in a per-draw loop — one ``outage_matrix`` call per
+(sigma, decorrelation) draw — over the same cases.  Asserts identical
+tables and a ``>= JOBS_THRESHOLD`` speedup of the wall spent inside the
+adapter over the jobs (the runner, store and table work around it is the
+same code in both legs; whole-job walls are recorded beside it),
+asserted locally and printed under CI; the record is
+``BENCH_mc_jobs.json``.  This node is a layer measurement: the end-to-end
+claim for service jobs rests on perfbench's ``service_jobs`` workload.
 """
 
+import dataclasses
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.corridor.layout import CorridorLayout
-from repro.optimize.mc import outage_matrix
+from repro.optimize.mc import outage_matrix, wilson_interval
 from repro.propagation.fading import LogNormalShadowing
 from repro.radio.batch import evaluate_scenarios
 from repro.scenario.spec import Scenario
+from repro.study import RunJournal, StudyStore, load_study, run_study
+from repro.study import engines
 
 N_REPEATERS = 8
 N_CANDIDATES = 20
@@ -91,3 +108,124 @@ def bench_mc_shadowing_speedup(benchmark, bench_json):
               "enforced under CI)")
     else:
         assert speedup >= 10.0, f"batched MC engine only {speedup:.1f}x faster"
+
+
+#: Service-style jobs per leg of the adapter node.
+JOBS = 30
+#: Min speedup of the per-stream adapter over the per-draw loop.
+JOBS_THRESHOLD = 1.2
+#: Alternating rounds per leg; each leg's best round is compared.
+ROUNDS = 5
+STUDY = Path(__file__).resolve().parents[1] / "studies" / "robustness_grid.yaml"
+
+
+def per_draw_mc(cases, seeds, context=None):
+    """The ``mc`` adapter as one ``outage_matrix`` call per distinct
+    (sigma, decorrelation, trials, seed) draw, over the draw's distinct
+    scenarios in first-occurrence order.  Takes resolved cases, like an
+    adapter runner.  The baseline leg below, and the bit-for-bit oracle of
+    ``tests/test_mc_engine.py``."""
+    cache = engines._context_profile_cache(context or {})
+    profiles, draws = {}, {}
+    for i, (case, seed) in enumerate(zip(cases, seeds)):
+        key = tuple(case[name] for name in engines._RADIO_SCENARIO_PARAMS)
+        if key not in profiles:
+            profiles[key] = cache.get_or_compute(engines._radio_scenario(case))
+        draw = (float(case["sigma_db"]), float(case["decorrelation_m"]),
+                int(case["trials"]), seed)
+        draws.setdefault(draw, []).append((i, key))
+    rows = [None] * len(cases)
+    for (sigma, decorrelation, trials, seed), members in draws.items():
+        lane_of = {key: lane for lane, key in
+                   enumerate(dict.fromkeys(key for _, key in members))}
+        matrix = outage_matrix(
+            [profiles[key] for key in lane_of],
+            LogNormalShadowing(sigma_db=sigma, decorrelation_m=decorrelation),
+            trials=trials, seed=seed)
+        lanes = [lane_of[key] for _, key in members]
+        thresholds = np.array([float(cases[i]["threshold_db"])
+                               for i, _ in members])
+        counts = np.count_nonzero(
+            matrix.min_snr_db[lanes] < thresholds[:, None], axis=1)
+        ci_low, ci_high = wilson_interval(counts, trials)
+        median = matrix.quantile(0.5)[lanes]
+        for j, (i, _) in enumerate(members):
+            rows[i] = {
+                "outage_probability": float(counts[j] / trials),
+                "outage_ci95_low": float(ci_low[j]),
+                "outage_ci95_high": float(ci_high[j]),
+                "median_min_snr_db": float(median[j]),
+            }
+    return rows
+
+
+def _service_jobs(store_dir, runner) -> tuple[float, float, list]:
+    """``JOBS`` fresh-seed jobs on one store with ``runner`` as the ``mc``
+    adapter: total job wall, CPU time inside the adapter (process time:
+    a shared host's stolen time does not count), long tables."""
+    adapter = engines.STUDY_ENGINES["mc"]
+    inside = [0.0]
+
+    def timed(cases, seeds, context):
+        t0 = time.process_time()
+        try:
+            return runner(cases, seeds, context)
+        finally:
+            inside[0] += time.process_time() - t0
+
+    spec = load_study(STUDY)
+    store = StudyStore(maxsize=64, cache_dir=store_dir)
+    tables = []
+    engines.STUDY_ENGINES["mc"] = dataclasses.replace(adapter, runner=timed)
+    try:
+        t0 = time.perf_counter()
+        for job in range(JOBS):
+            report = run_study(dataclasses.replace(spec, seed=job),
+                               store=store, journal=RunJournal(None),
+                               cancel=lambda: False)
+            tables.append(report.table.long())
+        wall = time.perf_counter() - t0
+    finally:
+        engines.STUDY_ENGINES["mc"] = adapter
+    return wall, inside[0], tables
+
+
+def bench_mc_service_jobs(benchmark, bench_json, tmp_path):
+    per_stream = engines.STUDY_ENGINES["mc"].runner
+    _service_jobs(tmp_path / "warm", per_stream)   # imports, profile cache
+
+    def compare():
+        # Best of alternating rounds, each on a fresh store: the
+        # shared-host noise of one round is as large as the gap gated.
+        legs = {"per_draw": [], "per_stream": []}
+        for round_ in range(ROUNDS):
+            *walls, oracle = _service_jobs(tmp_path / f"draw-{round_}",
+                                           per_draw_mc)
+            legs["per_draw"].append(walls)
+            *walls, tables = _service_jobs(tmp_path / f"stream-{round_}",
+                                           per_stream)
+            legs["per_stream"].append(walls)
+            assert tables == oracle
+        return {leg: [min(column) for column in zip(*rounds)]
+                for leg, rounds in legs.items()}
+
+    best = benchmark.pedantic(compare, rounds=1, iterations=1)
+    speedup = best["per_draw"][1] / best["per_stream"][1]
+    bench_json("mc_jobs", {
+        "jobs": JOBS,
+        "study": STUDY.name,
+        "per_draw_job_s": best["per_draw"][0],
+        "per_stream_job_s": best["per_stream"][0],
+        "per_draw_adapter_s": best["per_draw"][1],
+        "per_stream_adapter_s": best["per_stream"][1],
+        "job_speedup": best["per_draw"][0] / best["per_stream"][0],
+        "speedup": speedup,
+        "threshold": JOBS_THRESHOLD,
+        "enforced": not os.environ.get("CI"),
+    })
+    if os.environ.get("CI"):
+        print(f"mc adapter speedup over service jobs: {speedup:.2f}x "
+              "(threshold not enforced under CI)")
+    else:
+        assert speedup >= JOBS_THRESHOLD, \
+            f"per-stream mc adapter only {speedup:.2f}x faster"

@@ -66,7 +66,8 @@ def ar1_scan(z: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
 
 
 def ar1_min_scan(snr: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
-                 z: np.ndarray, first_scale: float, sizes: np.ndarray,
+                 z: np.ndarray, first_scale: float | np.ndarray,
+                 sizes: np.ndarray,
                  backend: str | None = None) -> np.ndarray:
     """AR(1) shadow recurrence fused with a running minimum of
     ``snr + shadow`` — the ``[cand, trial, pos]`` tensor is never
@@ -79,7 +80,10 @@ def ar1_min_scan(snr: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
             zero-padded.
         innovation: Innovation scales, same shape/padding as ``rho``.
         z: Shared standard normals, shape ``(trials, p_max)``.
-        first_scale: Stationary sigma scaling the first position.
+        first_scale: Stationary sigma scaling the first position: a float,
+            or one per candidate (shape ``(n_cand,)``), so one call covers
+            candidates of several shadowing draws on the same trial
+            streams.
         sizes: True per-candidate position counts, shape ``(n_cand,)``.
         backend: Key of :data:`BACKENDS`; ``None`` means ``"numpy"``.
 

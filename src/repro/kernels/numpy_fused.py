@@ -14,11 +14,11 @@ Three genuinely different formulations, not relabels of the step loops:
   of the grid equals the prefix of the scan.  That property is what keeps
   common-random-number candidate independence exact in
   :func:`ar1_min_scan`.
-* :func:`ar1_min_scan` — candidates whose coefficient vectors share a
-  prefix (every uniform ladder at one resolution) share **one** scan; the
-  per-candidate minimum prunes columns through an exact probe bound, then
-  reduces only the surviving contiguous spans (sound pruning — exact, not
-  approximate).
+* :func:`ar1_min_scan` — candidates whose first scale and coefficient
+  vectors share a prefix (every uniform ladder at one resolution and one
+  shadowing draw) share **one** scan; the per-candidate minimum prunes
+  columns through an exact probe bound, then reduces only the surviving
+  contiguous spans (sound pruning — exact, not approximate).
 * :func:`soc_scan` — hour-major walk *in SoC units*, streamed over blocks
   of days so its buffers stay O(block x lanes): normalizing the hourly
   deficit by capacity and scaling the surplus by ``efficiency / capacity``
@@ -73,6 +73,44 @@ _Q_FLOOR = 1e-250
 _BLOCK_DAYS = 7
 
 
+def _chunk_plan(rho: np.ndarray, innovation: np.ndarray, first_scale: float,
+                p: int) -> list[tuple]:
+    """Chunk schedule of the blocked scan over ``p`` positions.
+
+    Returns ``(s, e, head, q, w)`` per chunk ``[s, e)``: the coefficient
+    carrying the previous chunk's last value in, the prefix products and
+    the rescaled weights.  A virtual coefficient 0 and innovation
+    ``first_scale`` ahead of position 0 turn the seed into a regular step.
+    Chunks are cut greedily left to right — when the prefix product would
+    underflow the rescaling floor, at a zero coefficient, or at the
+    :data:`_BLOCK` cap — so the cuts, like every output, depend only on the
+    coefficient prefix.
+    """
+    rho_eff = np.empty(p)
+    rho_eff[0] = 0.0
+    rho_eff[1:] = rho[:p - 1]
+    inn_eff = np.empty(p)
+    inn_eff[0] = first_scale
+    inn_eff[1:] = innovation[:p - 1]
+    plan = []
+    s = 0
+    while s < p:
+        stop = min(s + _BLOCK, p)
+        qp = np.cumprod(rho_eff[s + 1:stop])
+        bad = np.flatnonzero(np.abs(qp) < _Q_FLOOR)
+        if bad.size:
+            e = s + 1 + int(bad[0])
+            qp = qp[:int(bad[0])]
+        else:
+            e = stop
+        q = np.empty(e - s)
+        q[0] = 1.0
+        q[1:] = qp
+        plan.append((s, e, rho_eff[s], q, inn_eff[s:e] / q))
+        s = e
+    return plan
+
+
 def ar1_scan(z: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
              first_scale: float) -> np.ndarray:
     """Blocked rescaled-prefix AR(1) scan over the last axis.
@@ -93,147 +131,144 @@ def ar1_scan(z: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
         The recurrence output, same shape as ``z``.
     """
     z = np.asarray(z, dtype=float)
-    p = z.shape[-1]
     out = np.empty_like(z)
-    # Uniform step treatment: a virtual coefficient 0 and innovation
-    # ``first_scale`` ahead of position 0 turn the seed into a regular step.
-    rho_eff = np.empty(p)
-    rho_eff[0] = 0.0
-    rho_eff[1:] = rho[:p - 1]
-    inn_eff = np.empty(p)
-    inn_eff[0] = first_scale
-    inn_eff[1:] = innovation[:p - 1]
-
     carry = np.zeros(z.shape[:-1] + (1,))
-    s = 0
-    while s < p:
-        stop = min(s + _BLOCK, p)
-        r = rho_eff[s + 1:stop]
-        qp = np.cumprod(r)
-        bad = np.flatnonzero(np.abs(qp) < _Q_FLOOR)
-        if bad.size:
-            # Greedy early cut at the first underflow/zero coefficient —
-            # decisions depend only on the coefficient prefix, so chunk
-            # boundaries (and therefore outputs) are prefix-stable.
-            e = s + 1 + int(bad[0])
-            qp = qp[:int(bad[0])]
-        else:
-            e = stop
-        q = np.empty(e - s)
-        q[0] = 1.0
-        q[1:] = qp
-        w = inn_eff[s:e] / q
+    for s, e, head, q, w in _chunk_plan(rho, innovation, first_scale,
+                                        z.shape[-1]):
         seg = out[..., s:e]
-        head = rho_eff[s] * carry      # exactly 0 at s=0 and after a zero rho
         np.multiply(z[..., s:e], w, out=seg)
         # Seeding the head into the first column lets the cumsum carry it
         # across the chunk — one full elementwise pass fewer than adding it
-        # to every column afterwards.
-        np.add(seg[..., :1], head, out=seg[..., :1])
+        # to every column afterwards.  The head is exactly 0 at s = 0 and
+        # after a zero coefficient.
+        np.add(seg[..., :1], head * carry, out=seg[..., :1])
         np.cumsum(seg, axis=-1, out=seg)
         np.multiply(seg, q, out=seg)
         carry = out[..., e - 1:e]
-        s = e
     return out
 
 
+def _scan_t(z_t: np.ndarray, plan: list[tuple]) -> np.ndarray:
+    """:func:`ar1_scan` of one chunk schedule, position-major.
+
+    ``z_t`` is the ``[position, trial]`` draw and ``plan`` the
+    :func:`_chunk_plan` of the coefficients.  Returns ``[position,
+    trial]``, bitwise the transpose of :func:`ar1_scan`: every element sees
+    the same multiplies and the same sequential cumulative adds, only
+    along the other axis — and the span reduction of :func:`_group_minima`
+    then runs down contiguous trial lanes without a transposed copy.
+    """
+    out = np.empty(z_t.shape)
+    carry = np.zeros((1, z_t.shape[1]))
+    for s, e, head, q, w in plan:
+        seg = out[s:e]
+        np.multiply(z_t[s:e], w[:, None], out=seg)
+        np.add(seg[:1], head * carry, out=seg[:1])
+        np.cumsum(seg, axis=0, out=seg)
+        np.multiply(seg, q[:, None], out=seg)
+        carry = out[e - 1:e]
+    return out
+
+
+def _group_minima(scan_t: np.ndarray, snr: np.ndarray, sizes: np.ndarray,
+                  members: list[int], mins: np.ndarray) -> None:
+    """Fill ``mins[c]`` for each member from its group's ``[position,
+    trial]`` scan: the minimum over ``i < sizes[c]`` of
+    ``snr[c, i] + scan_t[i]``, visiting only columns that can win.
+
+    Exact pruning, two bounds deep: a strided probe's per-trial minimum
+    ``u`` is a true upper bound on each trial's final minimum, so any
+    column whose best case ``snr + col_min`` exceeds ``T = max(u)`` can
+    never achieve any trial's minimum — and each trial's argmin column
+    survives the cut (its value is ``<= u_t <= T``).  Survivors merge into
+    contiguous spans, reduced through one reused cache-resident buffer
+    with the minimum running down contiguous trial lanes.
+    """
+    trials = scan_t.shape[1]
+    col_min = scan_t.min(axis=1)
+    # One contiguous copy of every _PROBE_STRIDE-th position: the
+    # per-candidate probe then runs on dense memory.
+    probe_scan = np.ascontiguousarray(scan_t[::_PROBE_STRIDE])
+    plans = []
+    widest = 1
+    pbuf = np.empty((probe_scan.shape[0], trials))
+    cbuf = np.empty(scan_t.shape[0])
+    for c in members:
+        pc = int(sizes[c])
+        row = snr[c, :pc]
+        k = -(-pc // _PROBE_STRIDE)   # probe columns 16*i < pc
+        np.add(probe_scan[:k], row[::_PROBE_STRIDE, None], out=pbuf[:k])
+        # u is itself an exact minimum over probe columns, so reducing it
+        # straight into the output row seeds the span reduction; every
+        # argmin column is inside some span.
+        u = mins[c]
+        np.minimum.reduce(pbuf[:k], axis=0, out=u)
+        np.add(row, col_min[:pc], out=cbuf[:pc])
+        keep = np.flatnonzero(cbuf[:pc] <= u.max())
+        # Merge survivors into contiguous spans; dominated columns
+        # swallowed by a span are harmless (they never win).
+        cuts = np.flatnonzero(np.diff(keep) > _SPAN_GAP)
+        starts = np.concatenate(([keep[0]], keep[cuts + 1]))
+        ends = np.concatenate((keep[cuts], [keep[-1]])) + 1
+        plans.append((c, row, starts, ends))
+        widest = max(widest, int((ends - starts).max()))
+    buf = np.empty((widest, trials))
+    for c, row, starts, ends in plans:
+        for lo, hi in zip(starts, ends):
+            part = np.add(scan_t[lo:hi], row[lo:hi, None], out=buf[:hi - lo])
+            np.minimum(mins[c], part.min(axis=0), out=mins[c])
+
+
 def ar1_min_scan(snr: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
-                 z: np.ndarray, first_scale: float,
+                 z: np.ndarray, first_scale: float | np.ndarray,
                  sizes: np.ndarray) -> np.ndarray:
     """Grouped blocked scan + pruned minimum over shadowed SNR columns.
 
-    Candidates are grouped by shared coefficient prefix (after sorting by
-    grid size, a candidate joins a group when its coefficients equal the
-    leader's over its own length); each group runs **one** blocked scan of
-    the shared normal draws — prefix stability makes the first ``p_c``
-    columns bitwise equal to the scan the candidate would run alone, so
+    Candidates are grouped by first scale and shared coefficient prefix
+    (after sorting by grid size, a candidate joins a group when its scale
+    equals the leader's and its coefficients equal the leader's, bit for
+    bit, over its own length); each group needs **one** scan of the shared
+    normal draws — prefix stability makes the first ``p_c`` positions
+    bitwise equal to the scan the candidate would run alone, so
     common-random-number independence across candidates is preserved
-    exactly.  The per-candidate minimum then visits only columns that can
-    possibly win: a strided probe of columns yields an exact per-trial
-    upper bound ``u_t`` on the final minimum, and with ``T = max_t u_t``
-    any column whose best case ``snr[i] + col_min[i]`` exceeds ``T`` loses
-    in every trial — while each trial's argmin column survives the cut
-    (its value is ``<= u_t <= T``), so pruning is exact, not approximate.
-    Surviving columns are merged into contiguous spans and reduced span by
-    span through one reused cache-resident buffer.
+    exactly.  Each group's scan runs position-major (:func:`_scan_t`), and
+    each candidate's minimum then comes from :func:`_group_minima`'s exact
+    pruned reduction.
 
     Args / Returns: see :func:`repro.kernels.reference.ar1_min_scan`.
     """
     n_cand = snr.shape[0]
     trials = z.shape[0]
     sizes = np.asarray(sizes, dtype=np.intp)
+    scales = np.broadcast_to(np.asarray(first_scale, dtype=float),
+                             (n_cand,)).tolist()
     mins = np.empty((n_cand, trials))
 
-    # Group by coefficient prefix, longest grids first so group leaders
-    # cover their members.
-    order = np.argsort(-sizes, kind="stable")
+    # Group by scale and coefficient prefix, longest grids first so group
+    # leaders cover their members.  Bytes prefixes compare bit for bit.
+    leads: list[tuple[float, bytes, bytes]] = []
     groups: list[list[int]] = []
-    for c in map(int, order):
-        pc = int(sizes[c])
-        for g in groups:
-            lead = g[0]
-            if (np.array_equal(rho[c, :pc - 1], rho[lead, :pc - 1])
-                    and np.array_equal(innovation[c, :pc - 1],
-                                       innovation[lead, :pc - 1])):
+    for c in np.argsort(-sizes, kind="stable").tolist():
+        steps = int(sizes[c]) - 1
+        key = (scales[c], rho[c, :steps].tobytes(),
+               innovation[c, :steps].tobytes())
+        for (scale, r, i), g in zip(leads, groups):
+            if scale == key[0] and r.startswith(key[1]) \
+                    and i.startswith(key[2]):
                 g.append(c)
                 break
         else:
+            leads.append(key)
             groups.append([c])
 
+    # A transposed view of the draw: each scan reads it once, and a
+    # position-major copy would add a scan-sized array to the peak.
+    z_t = z.T
     for g in groups:
         lead = g[0]
-        pl = int(sizes[lead])
-        scan = ar1_scan(z[:, :pl], rho[lead], innovation[lead], first_scale)
-        col_min = scan.min(axis=0)
-        # Position-major copy: the span reduction then runs its minimum
-        # down contiguous trial lanes (one vectorized ``minimum`` per
-        # position) instead of paying a per-trial inner-loop setup on
-        # every short row.  Values are identical floats, so pruning
-        # decisions and minima are unchanged by the layout.  The
-        # trial-major original is dropped immediately to keep the live
-        # footprint at one scan-sized array.
-        scan_t = np.ascontiguousarray(scan.T)
-        del scan
-        # One contiguous copy of every _PROBE_STRIDE-th position: the
-        # per-candidate probe then runs on dense memory instead of paying
-        # the strided access once per candidate.
-        probe_scan = np.ascontiguousarray(scan_t[::_PROBE_STRIDE])
-        # Exact pruning, two bounds deep: the strided probe's per-trial
-        # minimum u is a true upper bound on each trial's final minimum,
-        # so any column whose best case row + col_min exceeds T = max(u)
-        # can never achieve any trial's minimum — and each trial's argmin
-        # column survives the cut (its value is <= u_t <= T).  Dropping
-        # pruned columns therefore leaves every reduced minimum unchanged.
-        plans = []
-        widest = 1
-        pbuf = np.empty((probe_scan.shape[0], trials))
-        cbuf = np.empty(pl)
-        for c in g:
-            pc = int(sizes[c])
-            row = snr[c, :pc]
-            k = -(-pc // _PROBE_STRIDE)   # probe columns 16*i < pc
-            np.add(probe_scan[:k], row[::_PROBE_STRIDE, None],
-                   out=pbuf[:k])
-            # u is itself an exact minimum over probe columns, so reducing
-            # it straight into the output row seeds the span reduction;
-            # every argmin column is inside some span.
-            u = mins[c]
-            np.minimum.reduce(pbuf[:k], axis=0, out=u)
-            np.add(row, col_min[:pc], out=cbuf[:pc])
-            keep = np.flatnonzero(cbuf[:pc] <= u.max())
-            # Merge survivors into contiguous spans; dominated columns
-            # swallowed by a span are harmless (they never win).
-            cuts = np.flatnonzero(np.diff(keep) > _SPAN_GAP)
-            starts = np.concatenate(([keep[0]], keep[cuts + 1]))
-            ends = np.concatenate((keep[cuts], [keep[-1]])) + 1
-            plans.append((c, row, starts, ends))
-            widest = max(widest, int((ends - starts).max()))
-        buf = np.empty((widest, trials))
-        for c, row, starts, ends in plans:
-            for lo, hi in zip(starts, ends):
-                part = np.add(scan_t[lo:hi], row[lo:hi, None],
-                              out=buf[:hi - lo])
-                np.minimum(mins[c], part.min(axis=0), out=mins[c])
+        p = int(sizes[lead])
+        plan = _chunk_plan(rho[lead], innovation[lead], scales[lead], p)
+        _group_minima(_scan_t(z_t[:p], plan), snr, sizes, g, mins)
     return mins
 
 

@@ -49,7 +49,7 @@ def ar1_scan(z: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
 
 
 def ar1_min_scan(snr: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
-                 z: np.ndarray, first_scale: float,
+                 z: np.ndarray, first_scale: float | np.ndarray,
                  sizes: np.ndarray) -> np.ndarray:
     """Fused AR(1) shadow recurrence + running SNR minimum, step-loop form.
 
@@ -66,15 +66,18 @@ def ar1_min_scan(snr: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
             zero-padded past each candidate's grid end.
         innovation: Innovation scales, same shape/padding as ``rho``.
         z: Shared standard normals, shape ``(trials, p_max)``.
-        first_scale: Stationary sigma scaling the first position's draw.
+        first_scale: Stationary sigma scaling the first position's draw —
+            one float for every candidate, or one per candidate, shape
+            ``(n_cand,)`` (candidates of different shadowing draws).
         sizes: Per-candidate true position counts, shape ``(n_cand,)``.
 
     Returns:
         Per-(candidate, trial) minimum shadowed SNR, shape
         ``(n_cand, trials)``.
     """
-    shadow = np.empty((snr.shape[0], z.shape[0]))
-    shadow[:] = first_scale * z[:, 0]
+    scales = np.broadcast_to(np.asarray(first_scale, dtype=float),
+                             (snr.shape[0],))
+    shadow = np.multiply.outer(scales, z[:, 0])
     mins = snr[:, :1] + shadow
     for i in range(1, snr.shape[1]):
         shadow = rho[:, i - 1:i] * shadow + innovation[:, i - 1:i] * z[:, i]

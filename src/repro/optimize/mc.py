@@ -14,12 +14,18 @@ below the SNR threshold.  This module batches that question across **every
   feasibility boundary sound — see
   :func:`repro.optimize.robustness.robust_max_isd`, pinned equal to the
   exhaustive scan across seed sweeps in the tests);
-* one standard-normal matrix ``[trial, position]`` is drawn per evaluation
-  and shared by all candidates;
+* one standard-normal matrix ``[trial, position]`` is drawn per
+  ``(seed, trials)`` stream, at the longest grid of the call, and shared by
+  all candidates;
+* a candidate is a (profile, shadowing) pair: :func:`min_snr_matrix`
+  evaluates every shadowing draw of one stream — a whole robustness grid
+  under a shared seed — in one kernel call, and :func:`outage_matrix` is
+  its one-shadowing case;
 * the Gudmundson AR(1) recurrence advances a ``[candidate, trial]`` shadow
   state with position as the only sequential loop, using the per-step
   ``rho``/``innovation`` vectors precomputed (and memoized) by
-  :meth:`repro.propagation.fading.LogNormalShadowing.coefficients`;
+  :meth:`repro.propagation.fading.LogNormalShadowing.coefficients` and each
+  candidate's own sigma as the first-position scale;
 * ragged per-candidate position grids are handled by padding: deterministic
   SNR is padded with ``+inf`` (never the minimum) and the AR(1) coefficients
   with zeros, so no validity mask is needed in the reduction.
@@ -48,8 +54,8 @@ from repro.errors import ConfigurationError
 from repro.kernels import ar1_min_scan
 from repro.propagation.fading import LogNormalShadowing
 
-__all__ = ["OutageMatrix", "outage_matrix", "readonly_array",
-           "trial_generators", "wilson_interval"]
+__all__ = ["OutageMatrix", "min_snr_matrix", "outage_matrix",
+           "readonly_array", "trial_generators", "wilson_interval"]
 
 
 def readonly_array(values) -> np.ndarray:
@@ -245,58 +251,90 @@ def _outage_matrix_scalar(profiles, shadowing: LogNormalShadowing,
     return mins
 
 
-def _outage_matrix_batched(profiles, shadowing: LogNormalShadowing,
-                           trials: int, seed: int,
-                           backend: str | None = None) -> np.ndarray:
-    """Batched kernel: AR(1) over a [candidate, trial] state, running min.
+def _check_profiles(profiles: list, trials: int) -> None:
+    """Refuse an empty call, an empty grid or a non-positive trial count."""
+    if not profiles:
+        raise ConfigurationError("at least one profile is required")
+    if any(np.asarray(p.positions_m).size == 0 for p in profiles):
+        raise ConfigurationError("profiles must have at least one position")
+    if trials <= 0:
+        raise ConfigurationError(f"trials must be positive, got {trials}")
 
-    The recurrence mirrors :meth:`LogNormalShadowing.sample_batch` but cannot
-    delegate to it: folding the candidate axis into the state (with padding)
-    and reducing to a running minimum is what keeps one sequential loop for
-    the whole batch and avoids materializing [candidate, trial, position].
-    The scan itself is the :func:`repro.kernels.ar1_min_scan` kernel —
-    ``backend="reference"`` is the historical step loop, pinned
-    bit-identical to the scalar ``sample`` walk in ``tests/test_mc_engine.py``;
-    the fused default matches it within 1e-9 and preserves the CRN
-    candidate-independence property bitwise (prefix-stable scans).
+
+def min_snr_matrix(profiles, shadowings, trials: int, seed: int,
+                   backend: str | None = None) -> np.ndarray:
+    """Worst shadowed SNR per (candidate, trial), every candidate on the
+    same ``(seed, trials)`` trial streams — one draw, one kernel call.
+
+    Candidate ``c`` is ``profiles[c]`` under ``shadowings[c]``, so one call
+    covers every shadowing draw a study grid evaluates on one stream.  The
+    standard-normal matrix is drawn once, at the longest grid of the call;
+    candidate ``c`` consumes the first ``sizes[c]`` columns of each trial's
+    stream — exactly what the scalar path draws — so its row does not
+    depend on the candidates stacked beside it (the CRN contract, bitwise).
+    The :func:`repro.kernels.ar1_min_scan` kernel then advances a
+    ``[candidate, trial]`` shadow state with position as the only
+    sequential loop.  It mirrors :meth:`LogNormalShadowing.sample_batch`
+    but cannot delegate to it: folding the candidate axis into the state
+    (with padding) and reducing to a running minimum is what keeps one
+    scan for the whole batch.  ``backend="reference"`` is the historical
+    step loop, pinned bit-identical to the scalar ``sample`` walk in
+    ``tests/test_mc_engine.py``; the fused default matches it within 1e-9.
+
+    Args:
+        profiles: :class:`repro.radio.link.SnrProfile` per candidate; grids
+            may be ragged.
+        shadowings: :class:`LogNormalShadowing` per candidate.
+        trials: Trials per candidate (> 0).
+        seed: Root seed of the trial streams.
+        backend: Kernel backend; ``None`` means ``"numpy"``.
+
+    Returns:
+        A read-only ``[candidate, trial]`` float array.
+
+    Raises:
+        ConfigurationError: On no profiles, an empty grid, ``trials <= 0``
+            or a shadowing count other than the profile count.
     """
-    positions = [np.asarray(p.positions_m, dtype=float) for p in profiles]
-    sizes = [pos.size for pos in positions]
-    n_cand, p_max = len(profiles), max(sizes)
-
-    # Deterministic SNR padded with +inf: padded positions never win the min,
-    # so the ragged grids need no validity mask.
-    snr = np.full((n_cand, p_max), np.inf)
-    for c, profile in enumerate(profiles):
-        snr[c, :sizes[c]] = profile.snr_db
-
-    # Per-candidate AR(1) coefficients, zero-padded: past a candidate's grid
-    # end the shadow state collapses to 0 and the (inf) SNR keeps it inert.
-    rho = np.zeros((n_cand, max(p_max - 1, 1)))
-    innovation = np.zeros_like(rho)
-    for c, pos in enumerate(positions):
-        if pos.size > 1:
-            r, inn = shadowing.coefficients(pos)
-            rho[c, :pos.size - 1] = r
-            innovation[c, :pos.size - 1] = inn
-
-    sigma = shadowing.sigma_db
-    if sigma == 0.0:
-        # No shadowing: every trial reduces to the deterministic minimum
-        # (bit-identical to the scalar path, which adds an all-zeros trace).
-        det = np.array([np.min(profile.snr_db) for profile in profiles])
-        mins = np.broadcast_to(det[:, None], (n_cand, trials)).copy()
-        mins.flags.writeable = False
-        return mins
-
-    # One standard-normal draw per (trial, position), shared by all
-    # candidates: candidate c consumes the first sizes[c] columns of each
-    # trial's stream — exactly what the scalar path draws.  Memoized per
-    # (seed, trials) so repeated evaluations (grid cells, bisection probes)
-    # don't redraw identical normals.
-    z = _standard_normal_matrix(seed, trials, p_max)
-    mins = ar1_min_scan(snr, rho, innovation, z, sigma,
-                        np.asarray(sizes), backend=backend)
+    profiles, shadowings = list(profiles), list(shadowings)
+    _check_profiles(profiles, trials)
+    if len(shadowings) != len(profiles):
+        raise ConfigurationError(
+            f"{len(profiles)} profiles need as many shadowings, "
+            f"got {len(shadowings)}")
+    sizes = [np.asarray(p.positions_m).size for p in profiles]
+    mins = np.empty((len(profiles), trials))
+    # No shadowing: every trial reduces to the deterministic minimum
+    # (bit-identical to the scalar path, which adds an all-zeros trace).
+    lanes = []
+    for c, (profile, shadowing) in enumerate(zip(profiles, shadowings)):
+        if shadowing.sigma_db == 0.0:
+            mins[c] = np.min(profile.snr_db)
+        else:
+            lanes.append(c)
+    if lanes:
+        p_max = max(sizes[c] for c in lanes)
+        # Deterministic SNR padded with +inf (padded positions never win
+        # the min) and AR(1) coefficients padded with zeros (past a grid's
+        # end the shadow state collapses to 0), so the ragged grids need
+        # no validity mask.
+        snr = np.full((len(lanes), p_max), np.inf)
+        rho = np.zeros((len(lanes), max(p_max - 1, 1)))
+        innovation = np.zeros_like(rho)
+        for j, c in enumerate(lanes):
+            size = sizes[c]
+            snr[j, :size] = profiles[c].snr_db
+            if size > 1:
+                r, inn = shadowings[c].coefficients(profiles[c].positions_m)
+                rho[j, :size - 1] = r
+                innovation[j, :size - 1] = inn
+        # Memoized per (seed, trials), so repeated evaluations (bisection
+        # probes, later attempts of a study) don't redraw the normals.
+        z = _standard_normal_matrix(seed, trials, p_max)
+        mins[lanes] = ar1_min_scan(
+            snr, rho, innovation, z,
+            np.array([shadowings[c].sigma_db for c in lanes]),
+            np.array([sizes[c] for c in lanes]), backend=backend)
     mins.flags.writeable = False
     return mins
 
@@ -343,18 +381,13 @@ def outage_matrix(profiles,
     derived lazily.
     """
     profiles = list(profiles)
-    if not profiles:
-        raise ConfigurationError("outage_matrix needs at least one profile")
-    if any(np.asarray(p.positions_m).size == 0 for p in profiles):
-        raise ConfigurationError("profiles must have at least one position")
-    if trials <= 0:
-        raise ConfigurationError(f"trials must be positive, got {trials}")
+    _check_profiles(profiles, trials)
     shadowing = shadowing or LogNormalShadowing()
     if engine == "scalar":
         mins = _outage_matrix_scalar(profiles, shadowing, trials, seed)
     elif engine == "batched":
-        mins = _outage_matrix_batched(profiles, shadowing, trials, seed,
-                                      backend=backend)
+        mins = min_snr_matrix(profiles, [shadowing] * len(profiles), trials,
+                              seed, backend=backend)
     else:
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected 'batched' or 'scalar'")

@@ -9,14 +9,15 @@ adapter       engine entry point                                 stochastic
 ===========  ==================================================  ==========
 ``radio``     :func:`repro.radio.batch.evaluate_scenarios`       no
 ``solar``     :func:`repro.solar.batch.simulate_systems`         seeded
-``mc``        :func:`repro.optimize.mc.outage_matrix`            seeded
+``mc``        :func:`repro.optimize.mc.min_snr_matrix`           seeded
 ``sim``       :func:`repro.simulation.batch.simulate_days`       seeded
 ``network``   :func:`repro.network.optimize.optimize_network`    no
 ===========  ==================================================  ==========
 
 Adapters evaluate *whole shards* at once where the engine allows it (radio
-stacks every scenario of the shard into one batched call; mc stacks the
-profiles sharing a shadowing draw into one ``outage_matrix`` call; solar
+stacks every scenario of the shard into one batched call; mc stacks every
+(scenario, shadowing) pair of one trial stream into one ``min_snr_matrix``
+call, one draw and one kernel call; solar
 runs one ``simulate_systems`` pass over all cases; sim runs one occupancy
 pass per distinct geometry and fleet, one ``occupancy_scan`` call per
 transition time and horizon, and only the power stage per policy), so the
@@ -266,40 +267,43 @@ def _count(name: str, value, minimum: int = 1) -> int:
 def _run_mc(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
     import numpy as np
 
-    from repro.optimize.mc import outage_matrix, wilson_interval
+    from repro.optimize.mc import min_snr_matrix, wilson_interval
     from repro.propagation.fading import LogNormalShadowing
 
     # One Scenario, hash and profile-cache lookup per distinct scenario, and
-    # one outage_matrix call per distinct shadowing draw (first-occurrence
-    # order).  Under CRN a profile's row does not depend on the profiles
-    # stacked beside it, so each case reads its row, against its own
-    # threshold, bit-identical to a call of its own.
+    # one min_snr_matrix call — one draw, one kernel call — per (trials,
+    # seed) stream, whose lanes are its distinct (scenario, sigma,
+    # decorrelation) pairs in first-occurrence order.  Under CRN a lane's
+    # row does not depend on the lanes stacked beside it, so each case
+    # reads its row, against its own threshold, bit-identical to an
+    # outage_matrix call of its own.
     cache = _context_profile_cache(context)
     profiles: dict[tuple, object] = {}
-    draws: dict[tuple, list[tuple[int, tuple]]] = {}
+    streams: dict[tuple, tuple[dict, list]] = {}
     for i, (case, seed) in enumerate(zip(cases, seeds)):
         scenario_key = tuple([case[name] for name in _RADIO_SCENARIO_PARAMS])
         if scenario_key not in profiles:
             profiles[scenario_key] = cache.get_or_compute(
                 _radio_scenario(case))
-        draw = (float(case["sigma_db"]), float(case["decorrelation_m"]),
-                _count("trials", case["trials"]), seed)
-        draws.setdefault(draw, []).append((i, scenario_key))
+        lane = (scenario_key, float(case["sigma_db"]),
+                float(case["decorrelation_m"]))
+        lanes, members = streams.setdefault(
+            (_count("trials", case["trials"]), seed), ({}, []))
+        members.append((i, lanes.setdefault(lane, len(lanes))))
     rows: list[dict] = [None] * len(cases)  # type: ignore[list-item]
-    for (sigma, decorrelation, trials, seed), members in draws.items():
-        lane_of = {key: lane for lane, key in
-                   enumerate(dict.fromkeys(key for _, key in members))}
-        matrix = outage_matrix(
-            [profiles[key] for key in lane_of],
-            LogNormalShadowing(sigma_db=sigma, decorrelation_m=decorrelation),
-            trials=trials, seed=seed)
-        lanes = [lane_of[key] for _, key in members]
-        mins = matrix.min_snr_db[lanes]
+    for (trials, seed), (lanes, members) in streams.items():
+        matrix = min_snr_matrix(
+            [profiles[key] for key, _, _ in lanes],
+            [LogNormalShadowing(sigma_db=sigma, decorrelation_m=decorrelation)
+             for _, sigma, decorrelation in lanes],
+            trials, seed)
+        index = [lane for _, lane in members]
         thresholds = np.array([float(cases[i]["threshold_db"])
                                for i, _ in members])
-        counts = np.count_nonzero(mins < thresholds[:, None], axis=1)
+        counts = np.count_nonzero(matrix[index] < thresholds[:, None],
+                                  axis=1)
         ci_low, ci_high = wilson_interval(counts, trials)
-        median = matrix.quantile(0.5)[lanes]
+        median = np.quantile(matrix, 0.5, axis=1)[index]
         for j, (i, _) in enumerate(members):
             rows[i] = {
                 "outage_probability": float(counts[j] / trials),
@@ -554,7 +558,7 @@ STUDY_ENGINES: dict[str, EngineAdapter] = {
         EngineAdapter(
             name="mc",
             description="Monte-Carlo shadowing outage "
-                        "(repro.optimize.mc.outage_matrix)",
+                        "(repro.optimize.mc.min_snr_matrix)",
             params={
                 "isd_m": REQUIRED,
                 "n_repeaters": 0,

@@ -17,7 +17,10 @@
    on its own.  A ``KeyboardInterrupt`` during the engine call loses at
    most that group.  Under a ``cancel`` hook the groups are also bounded
    by time — each holds about :data:`_POLL_S` of predicted wall, at least
-   one shard — so the hook's granularity stays one running group.  Pool
+   one shard — so the hook's granularity stays one running group; the
+   pace comes from the latest attempt of the same spec shape on the same
+   store (:data:`_PACES`), so a steady-state service job is one group and
+   only a never-measured shape starts with a one-shard probe.  Pool
    attempts are always one shard (timeouts and crashes are attributed per
    attempt);
 4. completed shards persist to the store and merge, in case order, into the
@@ -68,6 +71,7 @@ from __future__ import annotations
 
 import time
 import warnings
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,6 +113,17 @@ _GROUP_CASES = 256
 #: predicted wall of one inline attempt group under a ``cancel`` hook.
 _POLL_S = 0.05
 
+#: Per-case wall [s] of the latest inline attempt, per study store and spec
+#: shape (:func:`_shape`): under a ``cancel`` hook a later run of the same
+#: shape on the same store sizes its first group from it instead of
+#: probing with one shard.  In memory only; it dies with its store.
+_PACES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+#: Shapes remembered per store.  A full memo is cleared rather than
+#: evicted entry by entry (one atomic call under the service's threads);
+#: the cost is one more probe per shape.
+_PACE_SHAPES = 64
+
 #: Layout mismatches already warned about this process, keyed by
 #: ``(compute_hash, stored layout, current layout)`` — a large resume (or a
 #: service process supervising many runs) reports each mismatch once, not
@@ -143,6 +158,13 @@ def shard_ranges(case_count: int, shards: int) -> list[tuple[int, int]]:
     shards = min(shards, case_count)
     bounds = [round(i * case_count / shards) for i in range(shards + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(shards)]
+
+
+def _shape(spec: StudySpec) -> tuple:
+    """What fixes the engine work of ``spec`` apart from its seed: runs
+    that differ only in seed (a service request with a fresh seed) share
+    a shape, and so a per-case pace."""
+    return (spec.engine, spec.axes, spec.fixed, spec.seed_mode)
 
 
 def retry_delay(seed: int, shard_start: int, attempt: int,
@@ -414,10 +436,12 @@ def run_study(spec: StudySpec,
             report comes back with :attr:`StudyRunReport.cancelled` set.
             This is the deadline/drain hook of the scenario-planning
             service (:mod:`repro.service`).  Inline, the hook is polled
-            between attempts, and each attempt after the first (one
-            shard) holds as many cases as fit in :data:`_POLL_S` at the
-            previous attempt's per-case wall, at least one shard — so a
-            cancel waits out at most one such group.
+            between attempts, and each attempt holds as many cases as fit
+            in :data:`_POLL_S` at the latest per-case wall measured for
+            the spec's shape (the spec without its seed) on ``store``, at
+            least one shard — so a cancel waits out at most one such
+            group.  A shape not yet measured on this store (or a run
+            without a store) first probes with one shard.
         only_shards: Optional shard indices (into the run's layout) this
             call is responsible for; every other shard is neither reused
             nor computed, and the report's ``shards`` total refers to the
@@ -485,7 +509,9 @@ def run_study(spec: StudySpec,
     done: list[ShardTable] = []
     pending: list[tuple[int, int, int]] = []  # (shard index, start, stop)
     from_rows: list[tuple[int, int, int]] = []  # shards made of reuse_rows
-    stored = store.stored_ranges(spec) if store is not None else []
+    # A spec without a run record has no stored shards: skip the listing.
+    stored = (store.stored_ranges(spec) if store is not None
+              and store.run_metadata(spec) is not None else [])
     for index, (start, stop) in enumerate(ranges):
         if selected is not None and index not in selected:
             continue
@@ -588,8 +614,10 @@ def run_study(spec: StudySpec,
     cancelled = False
     try:
         if jobs == 1 or not jobs_meta:
+            paces = (_PACES.setdefault(store, {}) if store is not None
+                     else {})
             _run_inline(spec, context, jobs_meta, record, on_failure,
-                        final_error, keep_going, log, cancel)
+                        final_error, keep_going, log, cancel, paces)
         else:
             _run_supervised(spec, context, jobs_meta, record, on_failure,
                             final_error, keep_going, jobs, shard_timeout, log,
@@ -618,7 +646,7 @@ def run_study(spec: StudySpec,
 
 
 def _run_inline(spec, context, jobs_meta, record, on_failure, final_error,
-                keep_going, log, cancel=None) -> None:
+                keep_going, log, cancel, paces) -> None:
     """Inline (jobs=1) supervisor: grouped attempts, retry/backoff without
     a process pool.
 
@@ -629,15 +657,29 @@ def _run_inline(spec, context, jobs_meta, record, on_failure, final_error,
     numbers, so fault plans, retry budgets and quarantine keep their
     per-shard meaning; retried shards run alone too.  The ``cancel`` hook
     is polled between attempts (a running attempt cannot be preempted
-    inline), so under a hook the group is also bounded by time: the first
-    attempt is one shard, and each later group takes as many cases as fit
-    in :data:`_POLL_S` at the previous attempt's per-case wall — always at
-    least one shard.  ``shard_timeout`` is not enforceable here and
+    inline), so under a hook the group is also bounded by time: each group
+    takes as many cases as fit in :data:`_POLL_S` at the latest measured
+    per-case wall — always at least one shard.  ``paces`` (the store's
+    :data:`_PACES` entry) carries that wall across runs of one spec shape,
+    so a steady-state run is one group; a shape never measured first
+    probes with one shard.  ``shard_timeout`` is not enforceable here and
     ``crash`` faults would take the caller down — both need ``jobs > 1``.
     """
+    def fit(pace: float) -> int:
+        """Cases of one group at ``pace`` seconds per case."""
+        return (_GROUP_CASES if pace <= 0 else
+                min(_GROUP_CASES, int(_POLL_S / pace)))
+
+    shape = _shape(spec)
     # (shard, may join a group): split members and retries run alone.
     queue = deque((meta, True) for meta in jobs_meta.values())
-    cap = _GROUP_CASES if cancel is None else 0
+    # ``paces`` is shared by the service's worker threads, which may clear
+    # it at any time: read and write it only through one call each.
+    pace = paces.get(shape)
+    if cancel is None:
+        cap = _GROUP_CASES
+    else:
+        cap = fit(pace) if pace is not None else 0
     while queue:
         if cancel is not None and cancel():
             raise _RunCancelled
@@ -683,11 +725,13 @@ def _run_inline(spec, context, jobs_meta, record, on_failure, final_error,
             # so summing ``finish`` walls counts the engine call once.
             record(meta.index, meta.start, meta.stop, shard, meta.attempt,
                    wall_s * ((meta.stop - meta.start) / cases), head)
+        # The hook waits out the whole attempt, storing included.
+        pace = (time.monotonic() - t0) / cases
+        if shape not in paces and len(paces) >= _PACE_SHAPES:
+            paces.clear()
+        paces[shape] = pace
         if cancel is not None:
-            # The hook waits out the whole attempt, storing included.
-            elapsed = time.monotonic() - t0
-            cap = (_GROUP_CASES if elapsed <= 0 else
-                   min(_GROUP_CASES, int(_POLL_S * cases / elapsed)))
+            cap = fit(pace)
 
 
 def _run_supervised(spec, context, jobs_meta, record, on_failure, final_error,

@@ -10,16 +10,19 @@ safe and invisible:
   ``run_cases`` on the parts (over the shard layouts of the invariance
   tests and seeded random cuts);
 * the grouping rules: one engine call for a small study, singletons past
-  the case cap, and under a ``cancel`` hook a first attempt of one shard,
-  then groups sized to the supervisor's poll interval at the previous
-  attempt's per-case wall (at least one shard);
+  the case cap, and under a ``cancel`` hook groups sized to the
+  supervisor's poll interval at the latest per-case wall (at least one
+  shard) — a first attempt of one shard for a shape the store has not
+  measured yet, one group for a shape it has;
 * faults under grouping: a failed group charges no shard and its members
   re-run alone under the same attempt numbers, so ``shard_attempts``,
   quarantine and persistence match one attempt per shard;
 * the ``mc`` adapter's batching: one scenario hash per distinct scenario,
-  one ``outage_matrix`` call per distinct shadowing draw, and rows equal,
-  bit for bit, to evaluating every case on its own.
+  one ``ar1_min_scan`` kernel call per (trials, seed) stream, and rows
+  equal, bit for bit, to evaluating every case on its own.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,6 +215,92 @@ class TestGrouping:
         assert report.cancelled and polls == [0, 1]
         assert report.computed_ranges == ((0, 2),)
 
+    def test_a_measured_shape_skips_the_probe(self, engine_calls,
+                                              monkeypatch, tmp_path):
+        # The store remembers the pace of the spec's shape (the spec
+        # without its seed): a later run of that shape on the same store
+        # is one group; another store, or another shape, probes again.
+        monkeypatch.setattr(runner, "_POLL_S", 1e9)
+        spec = parse_study(MC_TEXT)
+        store = StudyStore(cache_dir=tmp_path / "a")
+
+        def run(spec, store):
+            engine_calls.clear()
+            report = run_study(spec, shards=4, store=store,
+                               cancel=lambda: False)
+            assert not report.partial
+            return list(engine_calls)
+
+        assert run(spec, store) == [2, 6]
+        reseeded = replace(spec, seed=spec.seed + 1)
+        assert run(reseeded, store) == [8]
+        assert run(replace(spec, name="renamed", seed=99), store) == [8]
+        assert run(reseeded, StudyStore(cache_dir=tmp_path / "b")) == [2, 6]
+        assert run(spec.with_overrides(trials=13), store) == [2, 6]
+
+    def test_the_pace_memo_is_bounded(self, engine_calls, monkeypatch,
+                                      tmp_path):
+        monkeypatch.setattr(runner, "_POLL_S", 1e9)
+        monkeypatch.setattr(runner, "_PACE_SHAPES", 2)
+        spec = parse_study(MC_TEXT)
+        store = StudyStore(cache_dir=tmp_path / "store")
+        shapes = [spec.with_overrides(trials=trials) for trials in (5, 6, 7)]
+        for shape in shapes:
+            run_study(shape, shards=4, store=store, cancel=lambda: False)
+        assert len(runner._PACES[store]) == 1
+        # The first shape was forgotten: a fresh seed of it probes again.
+        engine_calls.clear()
+        run_study(replace(shapes[0], seed=99), shards=4, store=store,
+                  cancel=lambda: False)
+        assert engine_calls == [2, 6]
+
+    def test_a_memo_cleared_by_another_thread_does_not_fail_the_run(
+            self, engine_calls, monkeypatch, tmp_path, clean_table):
+        # Service worker threads share a store's memo, and a thread that
+        # fills it clears it: here every membership test and every write
+        # is followed at once by such a clear, and the engine call clears
+        # it too.  The run reads the pace it found and finishes.
+        class ClearedByAnotherThread(dict):
+            def __contains__(self, key):
+                found = super().__contains__(key)
+                self.clear()
+                return found
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.clear()
+
+        monkeypatch.setattr(runner, "_POLL_S", 1e9)
+        spec = parse_study(MC_TEXT)
+        store = StudyStore(cache_dir=tmp_path / "store")
+        paces = ClearedByAnotherThread({runner._shape(spec): 1e-9})
+        runner._PACES[store] = paces
+        spy = runner.run_cases
+
+        def engine(*args, **kwargs):
+            paces.clear()
+            return spy(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_cases", engine)
+        report = run_study(spec, shards=4, store=store, cancel=lambda: False)
+        assert engine_calls == [8] and report.table.long() == clean_table
+        # The pace written after that run was cleared too: a probe again.
+        engine_calls.clear()
+        report = run_study(replace(spec, seed=8), shards=4, store=store,
+                           cancel=lambda: False)
+        assert engine_calls == [2, 6] and not report.partial
+
+    def test_a_slow_pace_keeps_later_runs_shard_by_shard(
+            self, engine_calls, monkeypatch, tmp_path):
+        monkeypatch.setattr(runner, "_POLL_S", 0.0)
+        spec = parse_study(MC_TEXT)
+        store = StudyStore(cache_dir=tmp_path / "store")
+        run_study(spec, shards=4, store=store, cancel=lambda: False)
+        engine_calls.clear()
+        run_study(replace(spec, seed=8), shards=4, store=store,
+                  cancel=lambda: False)
+        assert engine_calls == [2, 2, 2, 2]
+
     def test_grouped_walls_are_case_shares(self, tmp_path):
         journal = tmp_path / "run.jsonl"
         run_study(parse_study(MC_TEXT), shards=4, journal=journal)
@@ -362,28 +451,27 @@ def per_case_mc(cases, seeds):
 
 @pytest.fixture
 def mc_spies(monkeypatch):
-    """Count scenario hashes and record every ``outage_matrix`` draw key."""
-    import repro.optimize.mc as mc
+    """Count scenario hashes and record every fused ``ar1_min_scan`` call
+    as ``(trials, lanes)``."""
+    from repro.kernels import BACKENDS
     from repro.scenario.spec import Scenario
 
-    hashes, draws = [], []
+    hashes, scans = [], []
     content_hash = Scenario.content_hash.fget
 
     def counted_hash(self):
         hashes.append(self)
         return content_hash(self)
 
-    outage_matrix = mc.outage_matrix
+    kernel = BACKENDS["numpy"]["ar1_min_scan"]
 
-    def recorded(profiles, shadowing, *args, trials, seed, **kwargs):
-        draws.append((shadowing.sigma_db, shadowing.decorrelation_m,
-                      trials, seed))
-        return outage_matrix(profiles, shadowing, *args, trials=trials,
-                             seed=seed, **kwargs)
+    def recorded(snr, rho, innovation, z, first_scale, sizes):
+        scans.append((z.shape[0], snr.shape[0]))
+        return kernel(snr, rho, innovation, z, first_scale, sizes)
 
     monkeypatch.setattr(Scenario, "content_hash", property(counted_hash))
-    monkeypatch.setattr(mc, "outage_matrix", recorded)
-    return hashes, draws
+    monkeypatch.setitem(BACKENDS["numpy"], "ar1_min_scan", recorded)
+    return hashes, scans
 
 
 class TestMcBatching:
@@ -400,20 +488,27 @@ class TestMcBatching:
         assert [bits(row) for row in shuffled] == [oracle[i] for i in order]
 
     @pytest.mark.parametrize("seed_mode", ["shared", "per-case"])
-    def test_one_hash_per_scenario_one_call_per_draw(self, seed_mode,
-                                                     mc_spies):
-        hashes, draws = mc_spies
+    def test_one_hash_per_scenario_one_scan_per_stream(self, seed_mode,
+                                                       mc_spies):
+        hashes, scans = mc_spies
         spec = parse_study(MC_BATCH_TEXT.format(seed_mode=seed_mode))
         cases = [STUDY_ENGINES["mc"].resolve(case) for case in spec.cases()]
         seeds = [spec.case_seed(i) for i in range(len(cases))]
         run_cases("mc", cases, seeds)
         # Only the resolution and ISD axes shape the scenario.
         scenarios = {(case["resolution_m"], case["isd_m"]) for case in cases}
-        keys = {(case["sigma_db"], case["decorrelation_m"], case["trials"],
-                 seed) for case, seed in zip(cases, seeds)}
         assert len(hashes) == len(scenarios) == 4
-        assert len(draws) == len(set(draws)) and set(draws) == keys
-        assert len(keys) == (2 if seed_mode == "shared" else len(cases))
+        # One kernel call per (trials, seed) stream that shadows at all;
+        # its lanes are the stream's distinct (scenario, sigma > 0) pairs.
+        shadowed = [(case, seed) for case, seed in zip(cases, seeds)
+                    if case["sigma_db"] > 0.0]
+        streams = {(case["trials"], seed) for case, seed in shadowed}
+        lanes = {(case["resolution_m"], case["isd_m"], case["sigma_db"],
+                  case["trials"], seed) for case, seed in shadowed}
+        assert len(scans) == len(streams) \
+            == (1 if seed_mode == "shared" else len(shadowed))
+        assert sum(width for _, width in scans) == len(lanes)
+        assert {trials for trials, _ in scans} == {16}
 
     @pytest.mark.parametrize("trials", [12.7, 0, -3, float("nan"), "many"])
     def test_invalid_trials_are_rejected(self, trials):

@@ -9,7 +9,8 @@ quite produce in one run:
 * irregular grids and zero spacings (``rho == 1`` / ``innovation == 0``),
 * coefficient underflow forcing mid-block subdivision,
 * bitwise prefix stability (the common-random-numbers contract),
-* alone-vs-joint candidate grouping in the fused min-scan,
+* alone-vs-joint candidate grouping in the fused min-scan, also across
+  shadowing draws (per-candidate first scales and chunk cuts),
 * the hour-order summation helpers behind the fused SoC walk,
 * the fixed backend table itself (both backends complete, ``None`` means
   ``numpy``, unknown names refused).
@@ -180,6 +181,80 @@ class TestAr1MinScan:
         ref = reference.ar1_min_scan(snr, rho, innovation, z, 1.5,
                                      np.array([1]))
         np.testing.assert_allclose(fused, ref, rtol=0.0, atol=1e-12)
+
+    def _draws_problem(self, seed=6, decorrelations=(25.0, 50.0, 0.05)):
+        """One trial stream under several shadowing draws: ragged uniform
+        grids x (sigma, decorrelation) pairs, one first scale per
+        candidate.  The tiny decorrelation underflows the prefix product
+        within a few steps, forcing a chunk cut every few positions."""
+        rng = np.random.default_rng(seed)
+        grids = [rng.uniform(-5.0, 25.0, size) for size in (97, 97, 60, 1)]
+        draws = [(sigma, decorrelation) for sigma in (2.0, 6.0)
+                 for decorrelation in decorrelations]
+        lanes = [(grid, sigma, decorrelation) for grid in grids
+                 for sigma, decorrelation in draws]
+        sizes = np.array([grid.size for grid, _, _ in lanes])
+        p_max = int(sizes.max())
+        snr = np.full((len(lanes), p_max), np.inf)
+        rho = np.zeros((len(lanes), p_max - 1))
+        innovation = np.zeros_like(rho)
+        for c, (grid, sigma, decorrelation) in enumerate(lanes):
+            snr[c, :grid.size] = grid
+            if grid.size > 1:
+                model = LogNormalShadowing(sigma_db=sigma,
+                                           decorrelation_m=decorrelation)
+                r, inn = model.coefficients(10.0 * np.arange(grid.size))
+                rho[c, :grid.size - 1] = r
+                innovation[c, :grid.size - 1] = inn
+        scales = np.array([sigma for _, sigma, _ in lanes])
+        z = rng.standard_normal((30, p_max))
+        return snr, rho, innovation, z, scales, sizes
+
+    def test_mixed_first_scales_match_reference(self):
+        snr, rho, innovation, z, scales, sizes = self._draws_problem()
+        fused = numpy_fused.ar1_min_scan(snr, rho, innovation, z, scales,
+                                         sizes)
+        ref = reference.ar1_min_scan(snr, rho, innovation, z, scales, sizes)
+        np.testing.assert_allclose(fused, ref, rtol=0.0, atol=1e-12)
+
+    def test_uniform_scale_array_equals_the_float(self):
+        snr, rho, innovation, z, sizes = self._ragged_problem()
+        scales = np.full(sizes.size, 2.0)
+        for kernels in (numpy_fused, reference):
+            assert np.array_equal(
+                kernels.ar1_min_scan(snr, rho, innovation, z, scales, sizes),
+                kernels.ar1_min_scan(snr, rho, innovation, z, 2.0, sizes))
+
+    def test_candidate_bits_do_not_depend_on_other_draws(self):
+        # Adding candidates of other draws (other scales, other chunk
+        # cuts) leaves every candidate's row bitwise unchanged: the
+        # common-random-numbers contract across draws.
+        snr, rho, innovation, z, scales, sizes = self._draws_problem()
+        joint = numpy_fused.ar1_min_scan(snr, rho, innovation, z, scales,
+                                         sizes)
+        for c in range(sizes.size):
+            pc = int(sizes[c])
+            alone = numpy_fused.ar1_min_scan(
+                snr[c:c + 1, :pc], rho[c:c + 1, :max(pc - 1, 1)],
+                innovation[c:c + 1, :max(pc - 1, 1)], z[:, :pc],
+                scales[c], sizes[c:c + 1])
+            assert np.array_equal(alone[0], joint[c]), c
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            subset = np.sort(rng.choice(sizes.size, size=7, replace=False))
+            part = numpy_fused.ar1_min_scan(
+                snr[subset], rho[subset], innovation[subset], z,
+                scales[subset], sizes[subset])
+            assert np.array_equal(part, joint[subset])
+
+    def test_tiny_decorrelation_cuts_chunks(self):
+        # The test above really mixes chunk schedules: the 25 m draw scans
+        # in one chunk, the 0.05 m draw in many.
+        _, rho, innovation, _, scales, _ = self._draws_problem()
+        chunks = [len(numpy_fused._chunk_plan(rho[c], innovation[c],
+                                              scales[c], 97))
+                  for c in (0, 2)]   # decorrelation 25 m, 0.05 m
+        assert chunks[0] == 1 and chunks[1] > 10
 
     def test_sigma_zero_short_circuits_before_kernel(self):
         # The shadowing model returns zeros before any kernel dispatch, so

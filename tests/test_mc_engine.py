@@ -202,6 +202,134 @@ class TestOutageMatrix:
                 outage_matrix([empty], trials=5, engine=engine)
 
 
+class TestMinSnrMatrix:
+    """One call over many (profile, shadowing) candidates of one trial
+    stream equals one :func:`outage_matrix` call per candidate."""
+
+    SHADOWINGS = [LogNormalShadowing(sigma_db=sigma, decorrelation_m=d)
+                  for sigma, d in ((4.0, 50.0), (0.0, 50.0), (2.0, 25.0),
+                                   (6.0, 0.05), (4.0, 100.0))]
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_rows_equal_one_call_per_candidate(self, backend):
+        profiles = _profiles() + _profiles(resolution_m=25.0)
+        pairs = [(profile, shadowing) for profile in profiles
+                 for shadowing in self.SHADOWINGS]
+        joint = mc.min_snr_matrix([p for p, _ in pairs],
+                                  [s for _, s in pairs], 12, 5,
+                                  backend=backend)
+        assert joint.shape == (len(pairs), 12) and not joint.flags.writeable
+        for c, (profile, shadowing) in enumerate(pairs):
+            alone = outage_matrix([profile], shadowing, trials=12, seed=5,
+                                  backend=backend)
+            assert np.array_equal(alone.min_snr_db[0], joint[c]), c
+
+    def test_reference_backend_equals_the_scalar_walk(self):
+        profiles = _profiles()
+        joint = mc.min_snr_matrix(profiles * 2, [self.SHADOWINGS[0]] * 3
+                                  + [self.SHADOWINGS[2]] * 3, 9, 1,
+                                  backend="reference")
+        for c, profile in enumerate(profiles * 2):
+            shadowing = self.SHADOWINGS[0 if c < 3 else 2]
+            scalar = outage_matrix([profile], shadowing, trials=9, seed=1,
+                                   engine="scalar")
+            assert np.array_equal(scalar.min_snr_db[0], joint[c])
+
+    @pytest.mark.parametrize("shadowings", [2, 4])
+    def test_shadowing_count_must_match(self, shadowings):
+        with pytest.raises(ConfigurationError, match="as many shadowings"):
+            mc.min_snr_matrix(_profiles(), self.SHADOWINGS[:shadowings],
+                              4, 0)
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trials_must_be_positive(self, trials):
+        with pytest.raises(ConfigurationError, match="trials"):
+            mc.min_snr_matrix(_profiles(), self.SHADOWINGS[:3], trials, 0)
+
+    def test_profiles_must_not_be_empty(self):
+        with pytest.raises(ConfigurationError, match="at least one profile"):
+            mc.min_snr_matrix([], [], 4, 0)
+        empty = _synthetic_profile(np.empty(0), np.empty(0))
+        with pytest.raises(ConfigurationError, match="at least one position"):
+            mc.min_snr_matrix([empty], self.SHADOWINGS[:1], 4, 0)
+
+    def test_no_shadowing_draws_no_normals(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew normals for sigma 0")
+
+        monkeypatch.setattr(mc, "_standard_normal_matrix", refuse)
+        profiles = _profiles()
+        mins = mc.min_snr_matrix(profiles, [self.SHADOWINGS[1]] * 3, 4, 0)
+        for c, profile in enumerate(profiles):
+            assert np.all(mins[c] == np.min(profile.snr_db))
+
+
+#: Ragged grids (two resolutions, two ISDs), sigma 0 among the draws, two
+#: decorrelations, mixed trial counts and a threshold axis.
+MC_ADAPTER_TEXT = """
+name: mc-adapter-oracle
+engine: mc
+seed: 13
+seed_mode: {seed_mode}
+axes:
+  trials: [8, 16]
+  sigma_db: [0.0, 3.0, 5.0]
+  decorrelation_m: [20.0, 80.0]
+  resolution_m: [25.0, 40.0]
+  isd_m: [1800.0, 2400.0]
+  threshold_db: [24.0, 29.0]
+fixed:
+  n_repeaters: 4
+"""
+
+
+def per_draw_mc(cases, seeds):
+    """The per-draw oracle of ``benchmarks/bench_mc_shadowing.py`` (one
+    :func:`outage_matrix` call per shadowing draw) on unresolved cases."""
+    import importlib.util
+
+    from repro.study.engines import STUDY_ENGINES
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_mc_shadowing", Path(__file__).resolve().parents[1]
+        / "benchmarks" / "bench_mc_shadowing.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    adapter = STUDY_ENGINES["mc"]
+    return bench.per_draw_mc([adapter.resolve(case) for case in cases],
+                             seeds)
+
+
+def bits(rows):
+    """Rows as exactly comparable values (``repr`` round-trips floats)."""
+    return [[(name, repr(value)) for name, value in row.items()]
+            for row in rows]
+
+
+class TestMcAdapterOracle:
+    """The ``mc`` adapter's one kernel call per stream equals, bit for
+    bit, one :func:`outage_matrix` call per shadowing draw."""
+
+    @pytest.mark.parametrize("seed_mode", ["shared", "per-case"])
+    def test_rows_equal_per_draw_calls(self, seed_mode):
+        from repro.study import parse_study
+        from repro.study.engines import run_cases
+
+        spec = parse_study(MC_ADAPTER_TEXT.format(seed_mode=seed_mode))
+        cases = spec.cases()
+        seeds = [spec.case_seed(i) for i in range(len(cases))]
+        oracle = bits(per_draw_mc(cases, seeds))
+        assert bits(run_cases("mc", cases, seeds)) == oracle
+        # Shuffled subsets: each stream's lanes and their order change,
+        # every row stays the same.
+        rng = np.random.default_rng(17)
+        for size in (1, 5, 23, len(cases)):
+            pick = rng.permutation(len(cases))[:size]
+            rows = run_cases("mc", [cases[i] for i in pick],
+                             [seeds[i] for i in pick])
+            assert bits(rows) == [oracle[i] for i in pick], size
+
+
 class TestStandardNormalMemo:
     """The (seed, trials) memo draws each trial stream once, extending the
     newest matrix column by column from the stored generator states."""

@@ -1,13 +1,9 @@
-"""Tests for reporting helpers, scenario config round-trip, and the CLI."""
-
-import json
+"""Tests for reporting helpers and the CLI."""
 
 import pytest
 
-from repro.config import ScenarioConfig, load_config, save_config
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.radio.noise import RepeaterNoiseModel
 from repro.reporting.series import series_to_csv, write_csv
 from repro.reporting.tables import format_table
 
@@ -55,51 +51,6 @@ class TestSeries:
     def test_write_creates_dirs(self, tmp_path):
         out = write_csv(tmp_path / "deep" / "nested" / "data.csv", {"x": [1]})
         assert out.exists()
-
-
-class TestScenarioConfig:
-    def test_defaults_match_paper(self):
-        config = ScenarioConfig()
-        assert config.hp_eirp_dbm == 64.0
-        assert config.n_subcarriers == 3300
-        assert config.trains_per_hour == 8
-
-    def test_json_round_trip(self):
-        config = ScenarioConfig(trains_per_hour=12, lp_eirp_dbm=37.0)
-        restored = ScenarioConfig.from_json(config.to_json())
-        assert restored == config
-
-    def test_file_round_trip(self, tmp_path):
-        config = ScenarioConfig(repeater_noise_model="fronthaul_star")
-        path = save_config(config, tmp_path / "scenario.json")
-        assert load_config(path) == config
-
-    def test_unknown_keys_rejected(self):
-        payload = json.dumps({"not_a_real_key": 1})
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig.from_json(payload)
-
-    def test_bad_noise_model_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(repeater_noise_model="telepathy")
-
-    def test_link_params_builder(self):
-        config = ScenarioConfig(repeater_noise_model="fronthaul_chain",
-                                fronthaul_snr_at_1km_db=30.0)
-        link = config.link_params()
-        assert link.repeater_noise_model is RepeaterNoiseModel.FRONTHAUL_CHAIN
-        assert link.fronthaul.snr_at_1km_db == 30.0
-
-    def test_traffic_params_builder(self):
-        config = ScenarioConfig(trains_per_hour=4, train_speed_kmh=160.0)
-        traffic = config.traffic_params()
-        assert traffic.trains_per_hour == 4
-        assert traffic.train.speed_kmh == 160.0
-
-    def test_energy_params_builder(self):
-        config = ScenarioConfig(lp_node_spacing_m=250.0)
-        energy = config.energy_params()
-        assert energy.lp_section_m == 250.0
 
 
 class TestCli:

@@ -380,14 +380,16 @@ class TestEngineCalls:
     def test_robustness_job_is_a_few_batched_engine_calls(self, tmp_path,
                                                           monkeypatch):
         # A huge poll budget pins the grouping structure, not the host
-        # speed: a first attempt of one shard, then one group of the rest.
+        # speed: the first job of a shape probes with one shard, then runs
+        # one group of the rest; a second job of the same shape on the
+        # same queue is one group from the start.
         import yaml
 
-        import repro.optimize.mc as mc
         import repro.study.runner as runner
+        from repro.kernels import BACKENDS
         from repro.scenario.spec import Scenario
 
-        calls = {"run_cases": 0, "outage_matrix": 0, "content_hash": 0}
+        calls = {"run_cases": 0, "ar1_min_scan": 0, "content_hash": 0}
 
         def counting(name, function):
             def counted(*args, **kwargs):
@@ -398,8 +400,10 @@ class TestEngineCalls:
         monkeypatch.setattr(runner, "_POLL_S", 1e9)
         monkeypatch.setattr(runner, "run_cases",
                             counting("run_cases", runner.run_cases))
-        monkeypatch.setattr(mc, "outage_matrix",
-                            counting("outage_matrix", mc.outage_matrix))
+        # The kernel table is read at call time, so this counts every
+        # fused min-scan however the caller imported the dispatcher.
+        monkeypatch.setitem(BACKENDS["numpy"], "ar1_min_scan", counting(
+            "ar1_min_scan", BACKENDS["numpy"]["ar1_min_scan"]))
         monkeypatch.setattr(Scenario, "content_hash", property(counting(
             "content_hash", Scenario.content_hash.fget)))
         document = yaml.safe_load(
@@ -410,12 +414,19 @@ class TestEngineCalls:
             job, _ = queue.submit(JobRequest.from_mapping(
                 {"study": document}, client="c"))
             assert wait_terminal(queue, job.job).state == "done"
+            # 27 cases in 16 shards; 3 scenarios, 9 shadowing draws on
+            # one trial stream.
+            assert calls["run_cases"] <= 2
+            assert 1 <= calls["ar1_min_scan"] <= 10
+            assert calls["content_hash"] <= 6
+            calls.update(run_cases=0, ar1_min_scan=0)
+            again, _ = queue.submit(JobRequest.from_mapping(
+                {"study": dict(document, seed=document["seed"] + 1)},
+                client="c"))
+            assert wait_terminal(queue, again.job).state == "done"
         finally:
             queue.drain(5.0)
-        # 27 cases in 16 shards; 3 scenarios, 9 shadowing draws.
-        assert calls["run_cases"] <= 2
-        assert calls["outage_matrix"] <= 10
-        assert calls["content_hash"] <= 6
+        assert (calls["run_cases"], calls["ar1_min_scan"]) == (1, 1)
 
 
 # -- cancellation -------------------------------------------------------------

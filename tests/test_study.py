@@ -693,6 +693,62 @@ class TestRunMetadata:
         assert "backend" not in fresh.run_metadata(spec)
 
 
+class TestStoreListing:
+    """The layout check lists the store only for a spec with a run record."""
+
+    @pytest.fixture
+    def listed(self, monkeypatch):
+        """Count the directory entries every ``os.scandir`` yields."""
+        import os
+
+        class Listing(list):
+            """The entries, usable like the ``os.scandir`` iterator."""
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def close(self):
+                pass
+
+        counts = []
+        scandir = os.scandir
+
+        def counted(*args, **kwargs):
+            with scandir(*args, **kwargs) as entries:
+                listing = Listing(entries)
+            counts.append(len(listing))
+            return listing
+
+        monkeypatch.setattr(os, "scandir", counted)
+        return counts
+
+    def _busy_store(self, tmp_path):
+        store = StudyStore(maxsize=8, cache_dir=tmp_path / "store")
+        for seed in range(20):   # 20 foreign specs, 80 bundles
+            run_study(replace(mc_spec(), seed=100 + seed), shards=4,
+                      store=store)
+        return store
+
+    def test_a_fresh_spec_lists_no_entries(self, tmp_path, listed):
+        store = self._busy_store(tmp_path)
+        listed.clear()
+        report = run_study(mc_spec(), shards=4, store=store)
+        assert report.computed_shards == 4
+        assert sum(listed) == 0
+
+    def test_a_recorded_spec_is_listed(self, tmp_path, listed):
+        # The spy sees the listing when there is one to make.
+        store = self._busy_store(tmp_path)
+        run_study(mc_spec(), shards=4, store=store)
+        listed.clear()
+        report = run_study(mc_spec(), shards=4, store=store)
+        assert report.reused_shards == 4
+        assert sum(listed) > 80
+
+
 class TestLayoutMismatchWarning:
     def test_layout_mismatch_warns_once_per_process(self, tmp_path):
         import repro.study.runner as runner_mod
