@@ -1,11 +1,12 @@
-"""Reference vs. fused-numpy kernel backends — the PR-acceptance speedup gates.
+"""Step-loop vs. fused-numpy kernels — the PR-acceptance speedup gates.
 
-Both engines already run batched; this benchmark isolates the *kernel
-backend* axis inside them.  The ``"reference"`` backend advances the
-original step loops (one Python iteration per position / hour), the
-``"numpy"`` backend runs the fused formulations (blocked prefix-product
-AR(1) scan with shared-scan candidate grouping, flattened branch-specialized
-SoC walk with hoisted accounting).
+Both engines already run batched; this benchmark isolates the *kernel*
+inside them.  The step-loop oracles (``tests/oracles/kernels.py``, swapped
+into the engines by ``oracles.kernels.substituted``) advance the original
+loops (one Python iteration per position / hour); the fused kernels every
+run uses (:mod:`repro.kernels`) are blocked prefix-product AR(1) scans with
+shared-scan candidate grouping and a flattened branch-specialized SoC walk
+with hoisted accounting.
 
 Gates:
 
@@ -16,7 +17,7 @@ Gates:
   hour-order PV sums bit-identical, SoC-dependent floats <= 1e-9 (the
   fused walk runs the recurrence in SoC units).
 
-Each backend is timed as the best of five runs (single-shot timings on a
+Each kernel is timed as the best of five runs (single-shot timings on a
 busy host swing by tens of percent); thresholds are advisory under CI
 (noisy shared runners), and the parity assertions always hold.  Emits ``BENCH_backend.json`` when
 ``BENCH_JSON_DIR`` is set.
@@ -28,8 +29,8 @@ import time
 
 import numpy as np
 
+from oracles import kernels as oracle_kernels
 from repro.corridor.layout import CorridorLayout
-from repro.kernels import BACKENDS
 from repro.optimize.mc import outage_matrix
 from repro.propagation.fading import LogNormalShadowing
 from repro.radio.batch import evaluate_scenarios
@@ -39,10 +40,6 @@ from repro.solar.battery import Battery
 from repro.solar.climates import LOCATIONS
 from repro.solar.offgrid import OffGridResult, OffGridSystem
 from repro.solar.pv import PvArray
-
-#: The fused default and the step-loop baseline, in the order
-#: :data:`repro.kernels.BACKENDS` lists them.
-FUSED, REFERENCE = BACKENDS
 
 N_REPEATERS = 8
 N_CANDIDATES = 20
@@ -67,6 +64,14 @@ def _best_of(fn, repeats=REPEATS):
         result = fn()
         best_s = min(best_s, time.perf_counter() - t0)
     return best_s, result
+
+
+def _on_step_loops(fn):
+    """``fn`` run with the step-loop kernel oracles swapped in."""
+    def run():
+        with oracle_kernels.substituted():
+            return fn()
+    return run
 
 
 def _mc_profiles():
@@ -96,20 +101,16 @@ def bench_backend_mc_min_scan(benchmark, bench_json):
     assert max(r.positions_m.size for r in profiles) >= 2000
     shadowing = LogNormalShadowing(sigma_db=SIGMA_DB)
 
-    # Warm both paths once: the shared standard-normal matrix is drawn and
-    # cached on first use, and must not count against either backend.
-    outage_matrix(profiles, shadowing, trials=TRIALS, backend=REFERENCE)
-    benchmark.pedantic(
-        lambda: outage_matrix(profiles, shadowing, trials=TRIALS,
-                              backend=FUSED),
-        rounds=1, iterations=1)
+    def run():
+        return outage_matrix(profiles, shadowing, trials=TRIALS)
 
-    reference_s, reference = _best_of(
-        lambda: outage_matrix(profiles, shadowing, trials=TRIALS,
-                              backend=REFERENCE))
-    fused_s, fused = _best_of(
-        lambda: outage_matrix(profiles, shadowing, trials=TRIALS,
-                              backend=FUSED))
+    # Warm both paths once: the shared standard-normal matrix is drawn and
+    # cached on first use, and must not count against either kernel.
+    _on_step_loops(run)()
+    benchmark.pedantic(run, rounds=1, iterations=1)
+
+    reference_s, reference = _best_of(_on_step_loops(run))
+    fused_s, fused = _best_of(run)
 
     # Parity inside the gate run: <= 1e-9 on every min-SNR sample and
     # identical outage decisions.
@@ -131,7 +132,7 @@ def bench_backend_mc_min_scan(benchmark, bench_json):
         },
     })
     if os.environ.get("CI"):
-        print(f"fused mc backend speedup: {speedup:.1f}x (threshold not "
+        print(f"fused mc kernel speedup: {speedup:.1f}x (threshold not "
               "enforced under CI)")
     else:
         assert speedup >= MC_THRESHOLD, \
@@ -143,20 +144,16 @@ def bench_backend_solar_year(benchmark, bench_json):
     assert len(systems) == 200
     cache = WeatherCache()
 
-    # Warm the weather cache: synthesis is backend-independent (the cache is
-    # content-keyed) and must not count against either backend.
-    simulate_systems(systems, weather_cache=cache, backend=REFERENCE)
-    benchmark.pedantic(
-        lambda: simulate_systems(systems, weather_cache=cache,
-                                 backend=FUSED),
-        rounds=1, iterations=1)
+    def run():
+        return simulate_systems(systems, weather_cache=cache)
 
-    reference_s, reference = _best_of(
-        lambda: simulate_systems(systems, weather_cache=cache,
-                                 backend=REFERENCE))
-    fused_s, fused = _best_of(
-        lambda: simulate_systems(systems, weather_cache=cache,
-                                 backend=FUSED))
+    # Warm the weather cache: synthesis does not depend on the SoC kernel
+    # (the cache is content-keyed) and must not count against either one.
+    _on_step_loops(run)()
+    benchmark.pedantic(run, rounds=1, iterations=1)
+
+    reference_s, reference = _best_of(_on_step_loops(run))
+    fused_s, fused = _best_of(run)
 
     # Parity inside the gate run: integer counts, metadata, and the
     # hour-order PV sums are exact; the SoC-dependent floats come from the
@@ -183,7 +180,7 @@ def bench_backend_solar_year(benchmark, bench_json):
         },
     })
     if os.environ.get("CI"):
-        print(f"fused solar backend speedup: {speedup:.1f}x (threshold not "
+        print(f"fused solar kernel speedup: {speedup:.1f}x (threshold not "
               "enforced under CI)")
     else:
         assert speedup >= SOLAR_THRESHOLD, \

@@ -1,6 +1,7 @@
 """Scalar vs. batched Monte-Carlo shadowing — the PR-acceptance speedup benchmark.
 
-The scalar reference walks the AR(1) recurrence one (candidate, trial)
+The scalar oracle (:func:`oracles.mc.outage_matrix_scalar`) walks the AR(1)
+recurrence one (candidate, trial)
 pair at a time in Python, drawing one standard normal per position — the
 seed robustness loop's shape, though it too now benefits from the hoisted
 (memoized) per-step coefficients, so the gate understates the win over the
@@ -17,8 +18,9 @@ A second node measures the study adapter the service runs: ``JOBS``
 ``robustness_grid`` jobs, each with a fresh seed, in process under a
 cancel hook on one store.  The ``mc`` adapter makes one
 :func:`repro.optimize.mc.min_snr_matrix` call per trial stream; the
-baseline swaps in a per-draw loop — one ``outage_matrix`` call per
-(sigma, decorrelation) draw — over the same cases.  Asserts identical
+baseline swaps in a per-draw loop (:func:`oracles.mc.per_draw_mc`, one
+``outage_matrix`` call per (sigma, decorrelation) draw) over the same
+cases.  Asserts identical
 tables and a ``>= JOBS_THRESHOLD`` speedup of the wall spent inside the
 adapter over the jobs (the runner, store and table work around it is the
 same code in both legs; whole-job walls are recorded beside it),
@@ -34,8 +36,10 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles import kernels as oracle_kernels
+from oracles.mc import outage_matrix_scalar, per_draw_mc
 from repro.corridor.layout import CorridorLayout
-from repro.optimize.mc import outage_matrix, wilson_interval
+from repro.optimize.mc import outage_matrix
 from repro.propagation.fading import LogNormalShadowing
 from repro.radio.batch import evaluate_scenarios
 from repro.scenario.spec import Scenario
@@ -64,7 +68,7 @@ def bench_mc_shadowing_speedup(benchmark, bench_json):
     shadowing = LogNormalShadowing(sigma_db=SIGMA_DB)
 
     t0 = time.perf_counter()
-    scalar = outage_matrix(profiles, shadowing, trials=TRIALS, engine="scalar")
+    scalar = outage_matrix_scalar(profiles, shadowing, TRIALS, 2022)
     scalar_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -75,15 +79,14 @@ def bench_mc_shadowing_speedup(benchmark, bench_json):
 
     # Bit-identical min-SNR samples and outage counts (the PR acceptance
     # criterion): same per-trial streams, same draw order, same arithmetic.
-    # The default (fused) backend is pinned <= 1e-9 instead — the reference
-    # backend is the bit-exact anchor (see benchmarks/bench_backend.py).
-    reference = outage_matrix(profiles, shadowing, trials=TRIALS,
-                              backend="reference")
-    assert np.array_equal(reference.min_snr_db, scalar.min_snr_db)
-    assert np.array_equal(reference.outage_counts, scalar.outage_counts)
-    np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,
+    # The fused kernel is pinned <= 1e-9 instead — the step-loop kernel
+    # is the bit-exact anchor (see benchmarks/bench_backend.py).
+    with oracle_kernels.substituted():
+        reference = outage_matrix(profiles, shadowing, trials=TRIALS)
+    assert np.array_equal(reference.min_snr_db, scalar)
+    assert np.array_equal(reference.outage_counts, batched.outage_counts)
+    np.testing.assert_allclose(batched.min_snr_db, scalar,
                                rtol=0.0, atol=1e-9)
-    assert np.array_equal(batched.outage_counts, scalar.outage_counts)
     # The stretched candidates around the registered maximum are fragile
     # under shadowing, and common random numbers keep the outage curve
     # rising across the ladder (trial noise cancels between candidates).
@@ -117,46 +120,6 @@ JOBS_THRESHOLD = 1.2
 #: Alternating rounds per leg; each leg's best round is compared.
 ROUNDS = 5
 STUDY = Path(__file__).resolve().parents[1] / "studies" / "robustness_grid.yaml"
-
-
-def per_draw_mc(cases, seeds, context=None):
-    """The ``mc`` adapter as one ``outage_matrix`` call per distinct
-    (sigma, decorrelation, trials, seed) draw, over the draw's distinct
-    scenarios in first-occurrence order.  Takes resolved cases, like an
-    adapter runner.  The baseline leg below, and the bit-for-bit oracle of
-    ``tests/test_mc_engine.py``."""
-    cache = engines._context_profile_cache(context or {})
-    profiles, draws = {}, {}
-    for i, (case, seed) in enumerate(zip(cases, seeds)):
-        key = tuple(case[name] for name in engines._RADIO_SCENARIO_PARAMS)
-        if key not in profiles:
-            profiles[key] = cache.get_or_compute(engines._radio_scenario(case))
-        draw = (float(case["sigma_db"]), float(case["decorrelation_m"]),
-                int(case["trials"]), seed)
-        draws.setdefault(draw, []).append((i, key))
-    rows = [None] * len(cases)
-    for (sigma, decorrelation, trials, seed), members in draws.items():
-        lane_of = {key: lane for lane, key in
-                   enumerate(dict.fromkeys(key for _, key in members))}
-        matrix = outage_matrix(
-            [profiles[key] for key in lane_of],
-            LogNormalShadowing(sigma_db=sigma, decorrelation_m=decorrelation),
-            trials=trials, seed=seed)
-        lanes = [lane_of[key] for _, key in members]
-        thresholds = np.array([float(cases[i]["threshold_db"])
-                               for i, _ in members])
-        counts = np.count_nonzero(
-            matrix.min_snr_db[lanes] < thresholds[:, None], axis=1)
-        ci_low, ci_high = wilson_interval(counts, trials)
-        median = matrix.quantile(0.5)[lanes]
-        for j, (i, _) in enumerate(members):
-            rows[i] = {
-                "outage_probability": float(counts[j] / trials),
-                "outage_ci95_low": float(ci_low[j]),
-                "outage_ci95_high": float(ci_high[j]),
-                "median_min_snr_db": float(median[j]),
-            }
-    return rows
 
 
 def _service_jobs(store_dir, runner) -> tuple[float, float, list]:

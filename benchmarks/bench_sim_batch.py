@@ -1,7 +1,7 @@
 """Event vs. batched day simulation — the PR-acceptance speedup benchmark.
 
-The event reference walks 200 seeded Poisson timetable days one at a time
-through the scalar event queue (heapq, callbacks, per-event energy updates).
+The event oracle (:func:`oracles.des.simulate_days_event`) walks 200 seeded
+Poisson timetable days one at a time through the scalar event queue (heapq, callbacks, per-event energy updates).
 The batched engine (:func:`repro.simulation.batch.simulate_days`) evaluates
 the same fleet as stacked ``[realization, element, run]`` interval tensors
 with one short scan over merged occupancy groups.
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles.des import simulate_days_event
 from repro.corridor.layout import CorridorLayout
 from repro.energy.duty import EnergyParams
 from repro.energy.scenario import OperatingMode, segment_energy
@@ -46,14 +47,14 @@ def bench_sim_batch_speedup(benchmark, bench_json):
     timetables = day_timetables(realizations=REALIZATIONS, seed=SEED)
 
     t0 = time.perf_counter()
-    event = simulate_days(layout, mode=OperatingMode.SLEEP,
-                          timetables=timetables, engine="event")
+    event, _ = simulate_days_event(layout, mode=OperatingMode.SLEEP,
+                                   timetables=timetables)
     event_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     batched = benchmark.pedantic(
         lambda: simulate_days(layout, mode=OperatingMode.SLEEP,
-                              timetables=timetables, engine="batch"),
+                              timetables=timetables),
         rounds=1, iterations=1)
     batched_s = time.perf_counter() - t0
 

@@ -1,15 +1,15 @@
 """Scalar vs. batched off-grid simulation — the PR-acceptance speedup benchmark.
 
-The scalar reference replicates the seed implementation of the Table IV
-workload exactly: one :meth:`OffGridSystem.simulate_year` call per (PV,
+The scalar oracle replicates the seed implementation of the Table IV
+workload exactly: one :func:`oracles.solar.simulate_year` call per (PV,
 battery) candidate in a Python loop, each re-running the hourly double loop
 and its own weather synthesis.  The batched path
 (:func:`repro.solar.batch.simulate_systems`) synthesizes one weather tensor
 per location and advances every candidate's battery recurrence together.
 
 Asserts (a) bit-identical ``OffGridResult`` outputs on a 4-location ×
-25-candidate grid — under the ``"reference"`` kernel backend, the bit-exact
-anchor; the default fused backend's 1e-9 tolerance contract is gated in
+25-candidate grid — with the step-loop ``soc_scan`` oracle swapped in, the
+bit-exact anchor; the fused kernel's 1e-9 tolerance contract is gated in
 ``benchmarks/bench_backend.py`` — and (b) a >= 5x wall-time speedup for
 the batched engine.
 """
@@ -18,6 +18,8 @@ import dataclasses
 import os
 import time
 
+from oracles import kernels as oracle_kernels
+from oracles.solar import simulate_year
 from repro.solar.batch import WeatherCache, simulate_systems
 from repro.solar.battery import Battery
 from repro.solar.climates import LOCATIONS
@@ -47,7 +49,7 @@ def bench_solar_batch_speedup(benchmark, bench_json):
     assert len(systems) == 100
 
     t0 = time.perf_counter()
-    scalar = [system.simulate_year() for system in systems]
+    scalar = [simulate_year(system) for system in systems]
     scalar_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -57,11 +59,11 @@ def bench_solar_batch_speedup(benchmark, bench_json):
     batched_s = time.perf_counter() - t0
 
     # Bit-identical outputs on every field (the PR acceptance criterion):
-    # the reference backend replays the scalar walk exactly.  The timed
-    # (default, fused) run is pinned exact on integers/PV sums and <= 1e-9
-    # on the SoC-dependent floats — the backend parity contract.
-    reference = simulate_systems(systems, weather_cache=WeatherCache(),
-                                 backend="reference")
+    # the step-loop kernel replays the scalar walk exactly.  The timed
+    # (fused) run is pinned exact on integers/PV sums and <= 1e-9 on the
+    # SoC-dependent floats — the kernel parity contract.
+    with oracle_kernels.substituted():
+        reference = simulate_systems(systems, weather_cache=WeatherCache())
     soc_dependent = {"unmet_wh", "min_soc", "annual_load_kwh"}
     for batch_result, fused_result, scalar_result in zip(
             reference, batched, scalar):

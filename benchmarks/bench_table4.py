@@ -29,8 +29,12 @@ def bench_table4_sizing(benchmark):
 
 def bench_table4_single_year_sim(benchmark):
     """Microbenchmark of one hourly off-grid year simulation."""
+    from repro.solar.batch import WeatherCache, simulate_systems
     from repro.solar.climates import LOCATIONS
     from repro.solar.offgrid import OffGridSystem
 
-    result = benchmark(lambda: OffGridSystem(LOCATIONS["vienna"]).simulate_year())
+    # A fresh weather cache per call: each year synthesizes its weather.
+    result, = benchmark(
+        lambda: simulate_systems([OffGridSystem(LOCATIONS["vienna"])],
+                                 weather_cache=WeatherCache()))
     assert result.days == 365

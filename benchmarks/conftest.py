@@ -13,13 +13,23 @@ When ``BENCH_JSON_DIR`` is set, speedup benchmarks additionally emit
 ``BENCH_<name>.json`` files (wall times and speedup ratios) through the
 ``bench_json`` fixture; CI uploads that directory as a workflow artifact so
 the performance trajectory is tracked across PRs.
+
+The scalar engines and step-loop kernels the speedup gates measure against
+are test oracles in ``tests/oracles/``; the repository's ``tests/``
+directory is put on ``sys.path`` here so the benchmarks import them as
+``oracles.<module>``.
 """
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
+
+_TESTS_DIR = str(Path(__file__).resolve().parents[1] / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ Run:  python examples/solar_autonomy.py      (takes ~30 s)
 
 from repro.energy.duty import lp_node_average_power_w
 from repro.reporting.tables import format_table
+from repro.solar.batch import simulate_systems
 from repro.solar.battery import Battery
 from repro.solar.climates import LOCATIONS
 from repro.solar.offgrid import LoadProfile, OffGridSystem, repeater_load_profile
@@ -61,14 +62,13 @@ def main() -> None:
     # --- what-if: two repeater nodes on one mast ------------------------------
     double_load = LoadProfile(hourly_w=tuple(2 * w for w in load.hourly_w))
     print("\nWhat-if: powering TWO repeater nodes from one mast's PV system:")
-    for key in ("madrid", "berlin"):
-        sizing = sizings[key]
-        system = OffGridSystem(
-            LOCATIONS[key],
-            pv=PvArray(peak_w=sizing.pv_peak_w),
-            battery=Battery(capacity_wh=sizing.battery_capacity_wh),
-            load=double_load)
-        result = system.simulate_year()
+    keys = ("madrid", "berlin")
+    systems = [OffGridSystem(
+        LOCATIONS[key],
+        pv=PvArray(peak_w=sizings[key].pv_peak_w),
+        battery=Battery(capacity_wh=sizings[key].battery_capacity_wh),
+        load=double_load) for key in keys]
+    for key, result in zip(keys, simulate_systems(systems)):
         verdict = "still zero downtime" if result.zero_downtime \
             else f"{result.unmet_hours} h downtime"
         print(f"  {LOCATIONS[key].name:8s}: {verdict}")

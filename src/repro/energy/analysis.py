@@ -161,8 +161,7 @@ def simulated_policy_comparison(layout: CorridorLayout,
                                 params: EnergyParams | None = None,
                                 realizations: int = 20,
                                 stochastic: bool = True,
-                                seed: int = 0,
-                                engine: str = "batch",
+                                seed: int = 0
                                 ) -> dict[OperatingMode, PolicyEnergy]:
     """Sleep-policy energy comparison through the day-simulation engine.
 
@@ -185,7 +184,7 @@ def simulated_policy_comparison(layout: CorridorLayout,
     comparison: dict[OperatingMode, PolicyEnergy] = {}
     for mode in OperatingMode:
         sim = simulate_days(layout, mode=mode, params=params,
-                            timetables=timetables, engine=engine)
+                            timetables=timetables)
         analytic = segment_energy(layout, mode, params).w_per_km
         comparison[mode] = PolicyEnergy(
             mode=mode,

@@ -189,8 +189,8 @@ class RobustnessResult:
 
 
 def run_robustness(sigma_db: float = 4.0, trials: int = 60,
-                   counts=(1, 4, 8, 10), jobs: int | None = None,
-                   engine: str = "batched") -> RobustnessResult:
+                   counts=(1, 4, 8, 10),
+                   jobs: int | None = None) -> RobustnessResult:
     """Outage probability of the paper's operating points under shadowing.
 
     The deterministic profiles of all operating points come from one
@@ -209,7 +209,7 @@ def run_robustness(sigma_db: float = 4.0, trials: int = 60,
     ]
     profiles = evaluate_scenarios(
         [Scenario(layout=lo, resolution_m=10.0) for lo in layouts], jobs=jobs)
-    matrix = outage_matrix(profiles, shadowing, trials=trials, engine=engine)
+    matrix = outage_matrix(profiles, shadowing, trials=trials)
     ci_low, ci_high = matrix.ci95()
     rows = [
         (n, layout.isd_m, float(outage), float(low), float(high))

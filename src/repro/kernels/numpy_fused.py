@@ -1,6 +1,10 @@
-"""Fused pure-numpy kernels (the default ``"numpy"`` backend).
+"""Fused pure-numpy kernels — the only kernel implementation.
 
-Three genuinely different formulations, not relabels of the step loops:
+The engines' original step loops (one time/position step per Python
+iteration) are kept as test oracles in ``tests/oracles/kernels.py``; the
+parity tests pin these kernels to them and ``benchmarks/bench_backend.py``
+measures the speedup.  Three of the four kernels are genuinely different
+formulations, not relabels of the step loops:
 
 * :func:`ar1_scan` — a blocked *rescaled prefix scan*: within a chunk the
   recurrence ``y[i] = rho[i] y[i-1] + inn[i] z[i]`` telescopes to
@@ -25,26 +29,23 @@ Three genuinely different formulations, not relabels of the step loops:
   once per block collapses the per-hour update to
   ``soc' = soc - min(dd, max(0, soc - cutoff))`` on discharge and
   ``soc' = min(1, soc + min(ss, 1 - soc))`` on charge — four to nine
-  elementwise ops per hour vs. ~30 in the reference walk, with each hour
+  elementwise ops per hour vs. ~30 in the step-loop walk, with each hour
   executing only the branch it needs.  Every non-recurrent accumulation is
   hoisted out of the hourly loop into one reduction per block; PV sums
-  replay the reference summation order bitwise (``_hour_order_sum``), the
+  replay the step loop's summation order bitwise (``_hour_order_sum``), the
   SoC-dependent outputs agree to a few ULPs — inside the 1e-9 parity
   budget.
 
-``occupancy_scan`` is re-exported from the reference backend unchanged:
-its lane axis is already fully batched and the group loop is a handful of
-iterations, so no fused formulation is needed.
+:func:`occupancy_scan` is a step loop over occupancy groups: its lane axis
+is already fully batched and the group loop is a handful of iterations, so
+no fused formulation is needed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.reference import occupancy_scan
-
-__all__ = ["ar1_scan", "ar1_min_scan", "soc_scan", "occupancy_scan",
-           "KERNELS"]
+__all__ = ["ar1_scan", "ar1_min_scan", "soc_scan", "occupancy_scan"]
 
 #: Chunk-length cap of the blocked scan.  The rescaling floor below is
 #: what actually bounds chunk length (underflow forces an early cut); the
@@ -115,11 +116,12 @@ def ar1_scan(z: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
              first_scale: float) -> np.ndarray:
     """Blocked rescaled-prefix AR(1) scan over the last axis.
 
-    Same contract as the reference kernel (see
-    :func:`repro.kernels.reference.ar1_scan`); rounding introduced at step
-    ``i`` decays into step ``j`` by ``rho^(j-i)``, so the output matches
-    the reference to ``~eps * min(p, 1/(1-rho))`` absolute — well inside
-    the 1e-9 parity pin — and is bitwise prefix-stable in ``p``.
+    Computes ``out[..., 0] = first_scale * z[..., 0]`` and
+    ``out[..., i] = rho[i-1] * out[..., i-1] + innovation[i-1] * z[..., i]``.
+    Rounding introduced at step ``i`` decays into step ``j`` by
+    ``rho^(j-i)``, so the output matches the step loop to
+    ``~eps * min(p, 1/(1-rho))`` absolute — well inside the 1e-9 parity
+    pin — and is bitwise prefix-stable in ``p``.
 
     Args:
         z: Standard normals, shape ``(..., p)``.
@@ -233,9 +235,25 @@ def ar1_min_scan(snr: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
     common-random-number independence across candidates is preserved
     exactly.  Each group's scan runs position-major (:func:`_scan_t`), and
     each candidate's minimum then comes from :func:`_group_minima`'s exact
-    pruned reduction.
+    pruned reduction.  The ``[cand, trial, pos]`` tensor is never
+    materialized.
 
-    Args / Returns: see :func:`repro.kernels.reference.ar1_min_scan`.
+    Args:
+        snr: Deterministic SNR, shape ``(n_cand, p_max)``, +inf padded
+            past each candidate's grid end.
+        rho: AR coefficients, shape ``(n_cand, max(p_max - 1, 1))``,
+            zero-padded.
+        innovation: Innovation scales, same shape/padding as ``rho``.
+        z: Shared standard normals, shape ``(trials, p_max)``.
+        first_scale: Stationary sigma scaling the first position: a float,
+            or one per candidate (shape ``(n_cand,)``), so one call covers
+            candidates of several shadowing draws on the same trial
+            streams.
+        sizes: True per-candidate position counts, shape ``(n_cand,)``.
+
+    Returns:
+        Minimum shadowed SNR per (candidate, trial), shape
+        ``(n_cand, trials)``.
     """
     n_cand = snr.shape[0]
     trials = z.shape[0]
@@ -277,7 +295,7 @@ def _hour_order_sum(hourly: np.ndarray) -> np.ndarray:
 
     numpy's axis-0 reduction over a C-ordered 2-D array accumulates row by
     row (vectorized over the lanes) when there is more than one lane —
-    exactly the reference loop's association.  The single-lane case falls
+    exactly the step loop's association.  The single-lane case falls
     back to pairwise summation inside numpy, so it is routed through
     ``np.add.at``, which is documented to apply updates one by one.
     """
@@ -293,9 +311,9 @@ def _monthly_sums(hourly: np.ndarray, months: np.ndarray) -> np.ndarray:
 
     When every month forms a single contiguous day-run (any 365-day
     horizon, e.g. the Oct-1 default) each month's sum is one
-    :func:`_hour_order_sum` over its slice — bitwise the reference
+    :func:`_hour_order_sum` over its slice — bitwise the step loop's
     accumulation.  Split months (wrapped starts, multi-year horizons) fall
-    back to ``np.add.at``'s one-by-one updates, which replay the reference
+    back to ``np.add.at``'s one-by-one updates, which replay the step loop's
     order exactly.
     """
     out = np.zeros((12, hourly.shape[1]))
@@ -336,13 +354,25 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
     by summing every block behind a running-accumulator row, which keeps
     the hour-order association of one whole-horizon sum.  The PV sums are
     hour-order sums over the untouched input (see :func:`_hour_order_sum`),
-    bitwise the reference accumulation; the SoC-dependent outputs differ
-    from the reference walk only by elementwise rounding — a few ULPs, far
-    inside the 1e-9 backend parity budget.  Every output is independent of
-    the block length, bit for bit, and each lane's outputs are independent
-    of the other lanes.  The ``"reference"`` backend is the bitwise anchor.
+    bitwise the step loop's accumulation; the SoC-dependent outputs differ
+    from the step-loop walk only by elementwise rounding — a few ULPs, far
+    inside the 1e-9 parity budget.  Every output is independent of the block
+    length, bit for bit, and each lane's outputs are independent of the
+    other lanes.
 
-    Args / Returns: see :func:`repro.kernels.reference.soc_scan`.
+    Args:
+        produced_w: PV power, shape ``(days, 24, n)``.
+        demanded_w: Load power, shape ``(24, n)`` (same every day).
+        months: Month index (0..11) per day, shape ``(days,)``.
+        capacity_wh: Battery capacity per system, shape ``(n,)``.
+        efficiency: Charge efficiency per system, shape ``(n,)``.
+        cutoff: Discharge cutoff SoC per system, shape ``(n,)``.
+        initial_soc: State of charge before the first hour, in [0, 1].
+
+    Returns:
+        Dict of accounting arrays — ``min_soc``, ``full_days``,
+        ``unmet_hours``, ``unmet_wh``, ``annual_pv_wh``, ``annual_load_wh``
+        (``(n,)``), ``monthly_pv_wh``, ``monthly_unmet_hours`` (``(n, 12)``).
     """
     days = produced_w.shape[0]
     n = produced_w.shape[-1]
@@ -409,7 +439,7 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
                 np.minimum(1.0, b1, out=soc_row)
                 np.copyto(d_row, dd_rows[h])
             else:
-                # Mixed hour: both branches, merged like the reference.  On
+                # Mixed hour: both branches, merged like the step loop.  On
                 # charging lanes dd <= 0 <= usable, so the delivered row is
                 # automatically the charge-branch deficit — no fixup needed.
                 np.subtract(1.0, soc, out=b1)
@@ -429,7 +459,7 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
         full_days += (socs.reshape(block_days, 24, n)
                       >= 1.0 - 1e-9).any(axis=1).sum(axis=0)
         # Shortfall (SoC units) and the unmet flag.  Scaling the
-        # reference's 1e-9 Wh threshold by capacity keeps the decision
+        # step loop's 1e-9 Wh threshold by capacity keeps the decision
         # aligned up to one rounding of the knife edge; masking by
         # multiplication is exact (True -> x * 1.0, False -> 0.0).
         np.subtract(dd, delivered, out=delivered)           # shortfall
@@ -450,7 +480,7 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
         "unmet_wh": unmet_sum * capacity_wh,
         "annual_pv_wh": _hour_order_sum(produced),
         # The demand tile repeats one 24-row block, so its sequential sum
-        # collapses to a closed form (equal to the reference accumulation
+        # collapses to a closed form (equal to the step-loop accumulation
         # to ~1e-13 relative).
         "annual_load_wh": demanded_w.sum(axis=0) * float(days),
         "monthly_pv_wh": np.ascontiguousarray(
@@ -459,10 +489,55 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
     }
 
 
-#: Kernel table of the ``"numpy"`` backend.
-KERNELS = {
-    "ar1_scan": ar1_scan,
-    "ar1_min_scan": ar1_min_scan,
-    "soc_scan": soc_scan,
-    "occupancy_scan": occupancy_scan,
-}
+def occupancy_scan(g_a: np.ndarray, g_b: np.ndarray,
+                   first_wake_after: np.ndarray, n_groups: np.ndarray,
+                   transition_s: float,
+                   horizon_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sequential scan over occupancy groups, one group column per step.
+
+    The sim engine's only loop, called once per
+    :func:`repro.simulation.batch.occupancy_stage`: track the open wake
+    cycle per lane.  A cycle opens at min(next wake, group start), finishes
+    waking ``transition_s`` later, and closes at the first group end
+    strictly after the finish (the unit stays awake through group ends that
+    land inside the transition — the event engine's "missed sleep" case).
+
+    Args:
+        g_a: Occupancy group starts, shape ``(lanes, n_runs)``, +inf padded.
+        g_b: Occupancy group ends, same shape/padding.
+        first_wake_after: First barrier wake strictly after each query
+            instant, shape ``(lanes, n_runs + 1)`` (sentinel column first).
+        n_groups: Per-lane group counts, shape ``(lanes,)``.
+        transition_s: Sleep-to-awake transition time in seconds.
+        horizon_s: Simulation horizon in seconds.
+
+    Returns:
+        ``(awake_time, waking_occ)`` per lane, both shape ``(lanes,)``:
+        total awake seconds and occupancy seconds spent inside wake
+        transitions.
+    """
+    lanes = g_a.shape[0]
+    asleep = np.ones(lanes, dtype=bool)
+    alpha = np.zeros(lanes)
+    finish = np.zeros(lanes)
+    awake_time = np.zeros(lanes)
+    waking_occ = np.zeros(lanes)
+    for k in range(int(n_groups.max()) if n_groups.size else 0):
+        ga, gb = g_a[:, k], g_b[:, k]
+        active = ga < np.inf
+        starting = active & asleep
+        alpha = np.where(starting, np.minimum(first_wake_after[:, k], ga), alpha)
+        finish = np.where(starting, alpha + transition_s, finish)
+        asleep &= ~starting
+        waking_occ += np.where(
+            active, np.maximum(0.0, np.minimum(gb, finish) - ga), 0.0)
+        sleeps = active & (gb > finish)
+        awake_time += np.where(sleeps, gb - alpha, 0.0)
+        asleep |= sleeps
+    awake_time += np.where(~asleep, horizon_s - alpha, 0.0)
+    # Tail: a barrier may fire after the last sleep for a run whose section
+    # entry lies beyond the horizon — the unit wakes and idles until the end.
+    tail_wake = np.take_along_axis(first_wake_after, n_groups[:, None], axis=1)[:, 0]
+    awake_time += np.where(asleep & (tail_wake < horizon_s),
+                           horizon_s - tail_wake, 0.0)
+    return awake_time, waking_occ

@@ -30,15 +30,14 @@ below the SNR threshold.  This module batches that question across **every
   SNR is padded with ``+inf`` (never the minimum) and the AR(1) coefficients
   with zeros, so no validity mask is needed in the reduction.
 
-The scan itself is the :func:`repro.kernels.ar1_min_scan` kernel, selected
-per call via ``backend=``.  ``engine="scalar"`` replays
-the same trials through :meth:`LogNormalShadowing.sample` one (candidate,
-trial) at a time and is trial-for-trial bit-identical to the batched engine
-under ``backend="reference"`` (same generator seeding, same draw order,
-elementwise-identical arithmetic) — asserted in ``tests/test_mc_engine.py``.
-The fused default backend matches within 1e-9 while preserving the CRN
-candidate-independence bitwise; ``benchmarks/bench_backend.py`` gates its
-speedup over the reference kernel.
+The scan itself is the :func:`repro.kernels.ar1_min_scan` kernel.  The
+per-trial walk through :meth:`LogNormalShadowing.sample` (one (candidate,
+trial) at a time) is a test oracle (``tests/oracles/mc.py``): the batched
+engine with the step-loop kernel substituted is trial-for-trial
+bit-identical to it (same generator seeding, same draw order,
+elementwise-identical arithmetic), and the fused kernel matches it within
+1e-9 while preserving the CRN candidate-independence bitwise — asserted in
+``tests/test_mc_engine.py``.
 """
 
 from __future__ import annotations
@@ -239,30 +238,8 @@ def _standard_normal_matrix(seed: int, trials: int, p_max: int) -> np.ndarray:
         return z
 
 
-def _outage_matrix_scalar(profiles, shadowing: LogNormalShadowing,
-                          trials: int, seed: int) -> np.ndarray:
-    """Reference path: one :meth:`sample` walk per (candidate, trial)."""
-    mins = np.empty((len(profiles), trials))
-    for c, profile in enumerate(profiles):
-        for t, rng in enumerate(trial_generators(seed, trials)):
-            trace = shadowing.sample(profile.positions_m, rng)
-            mins[c, t] = np.min(profile.snr_db + trace)
-    mins.flags.writeable = False
-    return mins
-
-
-def _check_profiles(profiles: list, trials: int) -> None:
-    """Refuse an empty call, an empty grid or a non-positive trial count."""
-    if not profiles:
-        raise ConfigurationError("at least one profile is required")
-    if any(np.asarray(p.positions_m).size == 0 for p in profiles):
-        raise ConfigurationError("profiles must have at least one position")
-    if trials <= 0:
-        raise ConfigurationError(f"trials must be positive, got {trials}")
-
-
-def min_snr_matrix(profiles, shadowings, trials: int, seed: int,
-                   backend: str | None = None) -> np.ndarray:
+def min_snr_matrix(profiles, shadowings, trials: int,
+                   seed: int) -> np.ndarray:
     """Worst shadowed SNR per (candidate, trial), every candidate on the
     same ``(seed, trials)`` trial streams — one draw, one kernel call.
 
@@ -270,16 +247,15 @@ def min_snr_matrix(profiles, shadowings, trials: int, seed: int,
     covers every shadowing draw a study grid evaluates on one stream.  The
     standard-normal matrix is drawn once, at the longest grid of the call;
     candidate ``c`` consumes the first ``sizes[c]`` columns of each trial's
-    stream — exactly what the scalar path draws — so its row does not
-    depend on the candidates stacked beside it (the CRN contract, bitwise).
+    stream — exactly what a per-trial ``sample`` walk draws — so its row
+    does not depend on the candidates stacked beside it (the CRN contract,
+    bitwise).
     The :func:`repro.kernels.ar1_min_scan` kernel then advances a
     ``[candidate, trial]`` shadow state with position as the only
     sequential loop.  It mirrors :meth:`LogNormalShadowing.sample_batch`
     but cannot delegate to it: folding the candidate axis into the state
     (with padding) and reducing to a running minimum is what keeps one
-    scan for the whole batch.  ``backend="reference"`` is the historical
-    step loop, pinned bit-identical to the scalar ``sample`` walk in
-    ``tests/test_mc_engine.py``; the fused default matches it within 1e-9.
+    scan for the whole batch.
 
     Args:
         profiles: :class:`repro.radio.link.SnrProfile` per candidate; grids
@@ -287,7 +263,6 @@ def min_snr_matrix(profiles, shadowings, trials: int, seed: int,
         shadowings: :class:`LogNormalShadowing` per candidate.
         trials: Trials per candidate (> 0).
         seed: Root seed of the trial streams.
-        backend: Kernel backend; ``None`` means ``"numpy"``.
 
     Returns:
         A read-only ``[candidate, trial]`` float array.
@@ -297,7 +272,12 @@ def min_snr_matrix(profiles, shadowings, trials: int, seed: int,
             or a shadowing count other than the profile count.
     """
     profiles, shadowings = list(profiles), list(shadowings)
-    _check_profiles(profiles, trials)
+    if not profiles:
+        raise ConfigurationError("at least one profile is required")
+    if any(np.asarray(p.positions_m).size == 0 for p in profiles):
+        raise ConfigurationError("profiles must have at least one position")
+    if trials <= 0:
+        raise ConfigurationError(f"trials must be positive, got {trials}")
     if len(shadowings) != len(profiles):
         raise ConfigurationError(
             f"{len(profiles)} profiles need as many shadowings, "
@@ -334,7 +314,7 @@ def min_snr_matrix(profiles, shadowings, trials: int, seed: int,
         mins[lanes] = ar1_min_scan(
             snr, rho, innovation, z,
             np.array([shadowings[c].sigma_db for c in lanes]),
-            np.array([sizes[c] for c in lanes]), backend=backend)
+            np.array([sizes[c] for c in lanes]))
     mins.flags.writeable = False
     return mins
 
@@ -343,9 +323,7 @@ def outage_matrix(profiles,
                   shadowing: LogNormalShadowing | None = None,
                   threshold_db: float = constants.PEAK_SNR_CRITERION_DB,
                   trials: int = 200,
-                  seed: int = 2022,
-                  engine: str = "batched",
-                  backend: str | None = None) -> OutageMatrix:
+                  seed: int = 2022) -> OutageMatrix:
     """Monte-Carlo shadowing outage of many profiles, common random numbers.
 
     Parameters
@@ -356,15 +334,6 @@ def outage_matrix(profiles,
         ragged across profiles.
     shadowing:
         The :class:`LogNormalShadowing` overlay (default parameters if None).
-    engine:
-        ``"batched"`` (default) or ``"scalar"``; the scalar path is the
-        audit/reference implementation.  The batched engine under
-        ``backend="reference"`` is bit-identical to it; the fused default
-        backend matches within 1e-9.
-    backend:
-        Kernel backend for the batched engine (``"numpy"`` or
-        ``"reference"``); ``None`` means the ``"numpy"`` default.  Ignored
-        by ``engine="scalar"``.
 
     Each profile sees the same per-trial shadowing streams (CRN), so
     cross-profile comparisons — outage-vs-ISD curves, bisection over the
@@ -381,14 +350,6 @@ def outage_matrix(profiles,
     derived lazily.
     """
     profiles = list(profiles)
-    _check_profiles(profiles, trials)
     shadowing = shadowing or LogNormalShadowing()
-    if engine == "scalar":
-        mins = _outage_matrix_scalar(profiles, shadowing, trials, seed)
-    elif engine == "batched":
-        mins = min_snr_matrix(profiles, [shadowing] * len(profiles), trials,
-                              seed, backend=backend)
-    else:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'batched' or 'scalar'")
+    mins = min_snr_matrix(profiles, [shadowing] * len(profiles), trials, seed)
     return OutageMatrix(min_snr_db=mins, threshold_db=threshold_db, seed=seed)

@@ -92,9 +92,7 @@ def outage_probability(layout: CorridorLayout,
                        trials: int = 200,
                        resolution_m: float = 5.0,
                        seed: int = 2022,
-                       profile: SnrProfile | None = None,
-                       engine: str = "batched",
-                       backend: str | None = None) -> OutageResult:
+                       profile: SnrProfile | None = None) -> OutageResult:
     """Probability that shadowing pushes some position below the threshold.
 
     One shadowing trace per trial is applied to the *total* signal (the
@@ -102,10 +100,7 @@ def outage_probability(layout: CorridorLayout,
     avoids per-source correlation assumptions.  A precomputed ``profile`` for
     the layout (e.g. from the batched engine) skips the deterministic
     evaluation.  Trials are seeded individually (``default_rng([seed, t])``)
-    and run through :func:`repro.optimize.mc.outage_matrix` (``backend``
-    selects the scan kernel); ``engine="scalar"`` replays them through the
-    reference path, trial-for-trial bit-identical to the batched engine
-    under ``backend="reference"``.
+    and run through :func:`repro.optimize.mc.outage_matrix`.
     """
     if trials <= 0:
         raise ConfigurationError(f"trials must be positive, got {trials}")
@@ -113,8 +108,7 @@ def outage_probability(layout: CorridorLayout,
     if profile is None:
         profile = compute_snr_profile(layout, link, resolution_m=resolution_m)
     matrix = outage_matrix([profile], shadowing, threshold_db=threshold_db,
-                           trials=trials, seed=seed, engine=engine,
-                           backend=backend)
+                           trials=trials, seed=seed)
     return OutageResult(layout=layout, threshold_db=threshold_db, trials=trials,
                         outages=int(matrix.outage_counts[0]),
                         min_snr_samples_db=matrix.min_snr_db[0])
@@ -132,8 +126,6 @@ def robust_max_isd(n_repeaters: int,
                    seed: int = 2022,
                    cache: ProfileCache | None = None,
                    jobs: int | None = None,
-                   engine: str = "batched",
-                   backend: str | None = None,
                    exhaustive: bool = False) -> tuple[float, float]:
     """Largest ISD whose shadowing outage stays below ``target_outage``.
 
@@ -172,7 +164,7 @@ def robust_max_isd(n_repeaters: int,
     def outage_of(indices) -> np.ndarray:
         matrix = outage_matrix([profiles[i] for i in indices], shadowing,
                                threshold_db=threshold_db, trials=trials,
-                               seed=seed, engine=engine, backend=backend)
+                               seed=seed)
         return matrix.outage_probability
 
     def scan() -> tuple[float, float]:

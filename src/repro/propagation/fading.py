@@ -17,9 +17,8 @@ depend only on the grid spacings (uniform grids collapse to a constant per
 step), so they are precomputed once per spacing fingerprint and shared by the
 scalar and batched sampling paths; :meth:`LogNormalShadowing.sample_batch`
 runs the recurrence through the :func:`repro.kernels.ar1_scan` kernel with a
-``[trial]`` leading axis — trial-for-trial bit-identical to
-:meth:`LogNormalShadowing.sample` under ``backend="reference"``, and within
-1e-9 under the fused default backend.
+``[trial]`` leading axis — trial-for-trial within 1e-9 of
+:meth:`LogNormalShadowing.sample`.
 """
 
 from __future__ import annotations
@@ -111,22 +110,18 @@ class LogNormalShadowing:
             out[i] = rho[i - 1] * out[i - 1] + innovation[i - 1] * rng.standard_normal()
         return out
 
-    def sample_batch(self, positions_m: np.ndarray, rngs,
-                     backend: str | None = None) -> np.ndarray:
+    def sample_batch(self, positions_m: np.ndarray, rngs) -> np.ndarray:
         """Draw one trace per generator, stacked as ``[trial, position]``.
 
         The recurrence runs through the :func:`repro.kernels.ar1_scan`
         kernel with a ``[trial]`` leading axis — position is the only
         sequential dimension.  Row ``t`` matches ``sample(positions_m,
         rngs[t])``: each generator is consumed in the same order (one
-        standard normal per position), bit-identically under
-        ``backend="reference"`` and to ``<= 1e-9`` under the fused default.
+        standard normal per position), to ``<= 1e-9``.
 
         Args:
             positions_m: Ordered position grid shared by every trial.
             rngs: Iterable of per-trial generators.
-            backend: Kernel backend (see :data:`repro.kernels.BACKENDS`);
-                ``None`` means the ``"numpy"`` default.
         """
         pos = _validated_positions(positions_m)
         rngs = list(rngs)
@@ -136,4 +131,4 @@ class LogNormalShadowing:
         for t, rng in enumerate(rngs):
             z[t] = rng.standard_normal(pos.size)
         rho, innovation = self.coefficients(pos)
-        return ar1_scan(z, rho, innovation, self.sigma_db, backend=backend)
+        return ar1_scan(z, rho, innovation, self.sigma_db)

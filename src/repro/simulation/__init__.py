@@ -1,21 +1,17 @@
-"""Discrete-event simulation of the corridor's sleep-mode operation.
+"""Simulation of the corridor's sleep-mode operation.
 
 The analytic energy model (:mod:`repro.energy`) assumes ideal, instantaneous
-state switching.  This package simulates the corridor event by event — trains
+state switching.  This package simulates the corridor's timetable — trains
 move, photoelectric barriers fire, nodes wake with a finite transition time,
-energy integrates over the actual power trajectory — providing an independent
-cross-check of the analytic numbers and a way to quantify non-idealities
-(wake latency, detection margins, irregular timetables).
+energy integrates over the actual power trajectory — as interval algebra over
+whole fleets of days (:mod:`repro.simulation.batch`), providing an
+independent cross-check of the analytic numbers and a way to quantify
+non-idealities (wake latency, detection margins, irregular timetables).
 """
 
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "Simulator",
-    "NodeState",
-    "PowerStateMachine",
-    "PhotoelectricBarrier",
-    "EnergyRecorder",
     "ElementSpec",
     "corridor_elements",
     "DayBatchResult",
@@ -25,10 +21,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "engine": ("Simulator",),
-    "statemachine": ("NodeState", "PowerStateMachine"),
-    "detectors": ("PhotoelectricBarrier",),
-    "recorder": ("EnergyRecorder",),
     "elements": ("ElementSpec", "corridor_elements"),
     "batch": ("DayBatchResult", "simulate_days"),
     "corridor_sim": ("CorridorSimulation", "SimulatedEnergy"),

@@ -1,11 +1,11 @@
 """Vectorized corridor day-simulation engine.
 
-The event engine (:mod:`repro.simulation.corridor_sim`) walks one timetable
-realization at a time through a scalar event queue.  This module replaces the
-per-event walk with **interval-overlap algebra**: each element's active time
-is the measure of the union of train-passage intervals over its coverage
-section, computed on stacked ``[realization, element, run]`` tensors, so
-hundreds of seeded Poisson-timetable days evaluate in one pass.
+A scalar event engine (kept as the test oracle ``tests/oracles/des``) walks
+one timetable realization at a time through an event queue.  This module
+replaces the per-event walk with **interval-overlap algebra**: each element's
+active time is the measure of the union of train-passage intervals over its
+coverage section, computed on stacked ``[realization, element, run]``
+tensors, so hundreds of seeded Poisson-timetable days evaluate in one pass.
 
 How the event semantics map onto interval algebra
 -------------------------------------------------
@@ -25,9 +25,9 @@ by three facts:
   occupancy minus the per-cycle waking windows.
 
 Event times are computed with the same floating-point expressions as
-:meth:`repro.traffic.timetable.TrainRun.interval_over` /
-:meth:`repro.simulation.detectors.PhotoelectricBarrier.events_for`, so both
-engines see bit-identical event instants; the derived measures and energies
+:meth:`repro.traffic.timetable.TrainRun.interval_over` and the event
+engine's photoelectric barriers, so both engines see bit-identical event
+instants; the derived measures and energies
 agree to ~1e-9 (they only differ by floating-point summation order).  Exact
 event *ties* (two events at the same float instant on one element) follow the
 event queue's scheduling order in the event engine and the documented
@@ -43,10 +43,10 @@ one geometry and fleet shares one occupancy pass, and passes that share a
 transition time and horizon share one kernel scan (the study ``sim``
 adapter batches on exactly this).
 
-``engine="event"`` replays the same timetables through the event queue (one
-:class:`~repro.simulation.engine.Simulator` per realization) and returns the
-same per-element structure — the escape hatch the cross-engine parity tests
-and ``benchmarks/bench_sim_batch.py`` compare against.  Stochastic fleets use
+The event oracle replays the same timetables through its event queue (one
+simulator per realization) and returns the same per-element structure; the
+cross-engine parity tests and ``benchmarks/bench_sim_batch.py`` compare
+against it.  Stochastic fleets use
 the common-random-number seeding of
 :func:`repro.traffic.timetable.day_timetables` (``default_rng([seed, r])``,
 matching :mod:`repro.optimize.mc`), so realization ``r`` is the same Poisson
@@ -74,8 +74,6 @@ from repro.traffic.timetable import Timetable, day_timetables, generate_timetabl
 __all__ = ["DayBatchResult", "Occupancy", "occupancy_stage", "pack_runs",
            "power_stage", "simulate_days"]
 
-_ENGINES = ("batch", "event")
-
 
 @dataclass(frozen=True, eq=False)
 class DayBatchResult:
@@ -94,11 +92,9 @@ class DayBatchResult:
     active_s: np.ndarray
     awake_s: np.ndarray
     energy_wh: np.ndarray
-    events_processed: np.ndarray
-    engine: str
 
     def __post_init__(self) -> None:
-        for name in ("active_s", "awake_s", "energy_wh", "events_processed"):
+        for name in ("active_s", "awake_s", "energy_wh"):
             object.__setattr__(self, name, readonly_array(getattr(self, name)))
 
     @property
@@ -311,8 +307,8 @@ def _interval_groups(specs: tuple[ElementSpec, ...], runs: tuple[np.ndarray, ...
     return n_groups, occ_total
 
 
-def occupancy_stage(passes, transition_s: float, horizon_s: float,
-                    backend: str | None = None) -> list[Occupancy]:
+def occupancy_stage(passes, transition_s: float,
+                    horizon_s: float) -> list[Occupancy]:
     """Occupancy of several passes that share a transition time and horizon.
 
     A pass is ``(specs, runs, seg_m, wake_lead_m)``: the element sections
@@ -328,7 +324,6 @@ def occupancy_stage(passes, transition_s: float, horizon_s: float,
         passes: Sequence of ``(specs, runs, seg_m, wake_lead_m)`` tuples.
         transition_s: Sleep/wake transition time [s], shared by all passes.
         horizon_s: Fleet horizon [s], shared by all passes.
-        backend: Kernel backend of the scan (``None`` means ``"numpy"``).
 
     Returns:
         One :class:`Occupancy` per pass, in input order.
@@ -349,8 +344,7 @@ def occupancy_stage(passes, transition_s: float, horizon_s: float,
             g_a[lo:hi], g_b[lo:hi], first_wake_after[lo:hi])
         occ_totals.append(occ_total)
     awake_time, waking_occ = occupancy_scan(
-        g_a, g_b, first_wake_after, n_groups, transition_s, horizon_s,
-        backend=backend)
+        g_a, g_b, first_wake_after, n_groups, transition_s, horizon_s)
     return [Occupancy(awake_time[lo:hi], waking_occ[lo:hi], occ_total)
             for lo, hi, occ_total in zip(bounds[:-1], bounds[1:], occ_totals)]
 
@@ -385,69 +379,7 @@ def power_stage(layout: CorridorLayout, mode: OperatingMode,
         layout=layout, mode=mode, horizon_s=horizon_s,
         element_names=tuple(s.name for s in specs),
         element_kinds=tuple(s.kind for s in specs),
-        active_s=active_s, awake_s=awake_s, energy_wh=energy_j / 3600.0,
-        events_processed=np.zeros(shape[0], dtype=np.int64), engine="batch")
-
-
-# -- the event escape hatch ------------------------------------------------------
-
-
-def _simulate_event(specs: tuple[ElementSpec, ...],
-                    timetables: tuple[Timetable, ...],
-                    seg_m: float, horizon_s: float, transition_s: float,
-                    wake_lead_m: float):
-    """Replay the fleet through the scalar event queue, one day at a time.
-
-    Per-state seconds are read back from the recorder's time-at-power
-    accounting, which assumes the three power levels of an element are
-    pairwise distinct (true for the paper's Table II/III parameters);
-    energies are exact regardless.
-    """
-    from repro.simulation.detectors import PhotoelectricBarrier
-    from repro.simulation.engine import Simulator
-    from repro.simulation.recorder import EnergyRecorder
-    from repro.simulation.statemachine import PowerStateMachine
-
-    seg = seg_m
-    shape = (len(timetables), len(specs))
-    active_s = np.zeros(shape)
-    awake_s = np.zeros(shape)
-    energy_wh = np.zeros(shape)
-    events = np.zeros(len(timetables), dtype=np.int64)
-
-    for r, timetable in enumerate(timetables):
-        sim = Simulator()
-        recorder = EnergyRecorder()
-        devices = []
-        for spec in specs:
-            machine = PowerStateMachine(
-                name=spec.name, full_load_w=spec.full_load_w,
-                no_load_w=spec.no_load_w, sleep_w=spec.sleep_w,
-                sleep_capable=spec.sleep_capable, transition_s=transition_s)
-            machine.attach(recorder, sim)
-            devices.append((machine, PhotoelectricBarrier(
-                spec.section_start_m, spec.section_end_m, wake_lead_m)))
-
-        for run in timetable:
-            for machine, barrier in devices:
-                wake, enter, exit_ = barrier.events_for(run, seg)
-                if exit_ <= 0 or wake >= horizon_s:
-                    continue
-                if machine.sleep_capable:
-                    sim.schedule_at(max(0.0, wake), machine.wake)
-                sim.schedule_at(max(0.0, enter), machine.train_enter)
-                sim.schedule_at(max(0.0, exit_), machine.train_exit)
-
-        sim.run(until=horizon_s)
-        recorder.finalize(horizon_s)
-        events[r] = sim.processed
-        for e, spec in enumerate(specs):
-            active_s[r, e] = recorder.seconds_at(spec.name, spec.full_load_w)
-            awake_s[r, e] = (
-                horizon_s - recorder.seconds_at(spec.name, spec.sleep_w)
-                if spec.sleep_capable else horizon_s)
-            energy_wh[r, e] = recorder.energy_wh(spec.name)
-    return active_s, awake_s, energy_wh, events
+        active_s=active_s, awake_s=awake_s, energy_wh=energy_j / 3600.0)
 
 
 # -- public entry point ----------------------------------------------------------
@@ -462,9 +394,7 @@ def simulate_days(layout: CorridorLayout,
                   seed: int = 0,
                   days: float = 1.0,
                   transition_s: float = constants.SLEEP_TRANSITION_S,
-                  wake_lead_m: float = 50.0,
-                  engine: str = "batch",
-                  backend: str | None = None) -> DayBatchResult:
+                  wake_lead_m: float = 50.0) -> DayBatchResult:
     """Simulate a fleet of corridor days and integrate per-element energy.
 
     Either pass explicit ``timetables`` (one per realization, sharing one
@@ -473,10 +403,9 @@ def simulate_days(layout: CorridorLayout,
     (:func:`repro.traffic.timetable.day_timetables`), otherwise the
     deterministic Table III timetable is replicated.
 
-    ``engine="batch"`` (default) evaluates the whole fleet as stacked
-    ``[realization, element, run]`` interval tensors; ``engine="event"`` is
-    the scalar event-queue escape hatch.  Both return the same per-element
-    active seconds, awake seconds and energies (equal to ~1e-9; asserted in
+    The whole fleet is evaluated as stacked ``[realization, element, run]``
+    interval tensors.  The per-element active seconds, awake seconds and
+    energies equal the scalar event-queue oracle's to ~1e-9 (asserted in
     ``tests/test_engine_parity.py`` and gated at >= 10x speedup in
     ``benchmarks/bench_sim_batch.py``).
 
@@ -493,21 +422,15 @@ def simulate_days(layout: CorridorLayout,
         days: Horizon length in days for generated timetables.
         transition_s: Sleep/wake transition time [s].
         wake_lead_m: Wake-up lead distance ahead of an approaching train [m].
-        engine: ``"batch"`` (default) or the ``"event"`` escape hatch.
-        backend: Kernel backend for the batch engine's group scan
-            (``None`` means ``"numpy"``); ignored by ``engine="event"``.
 
     Returns:
         The :class:`DayBatchResult` with read-only ``[realization, element]``
         tensors.
 
     Raises:
-        ConfigurationError: On an unknown engine, a negative or non-finite
-            transition/lead, or inconsistent timetable horizons.
+        ConfigurationError: On a negative or non-finite transition/lead,
+            or inconsistent timetable horizons.
     """
-    if engine not in _ENGINES:
-        raise ConfigurationError(
-            f"engine must be one of {_ENGINES}, got {engine!r}")
     if not (math.isfinite(transition_s) and transition_s >= 0):
         raise ConfigurationError(
             f"transition time must be finite and >= 0, got {transition_s}")
@@ -520,18 +443,7 @@ def simulate_days(layout: CorridorLayout,
     specs = corridor_elements(layout, mode, params)
     horizon = resolved[0].horizon_s
 
-    if engine == "batch":
-        (occupancy,) = occupancy_stage(
-            [(specs, pack_runs(resolved), layout.isd_m, float(wake_lead_m))],
-            float(transition_s), horizon, backend=backend)
-        return power_stage(layout, mode, specs, horizon, occupancy)
-
-    active_s, awake_s, energy_wh, events = _simulate_event(
-        specs, resolved, layout.isd_m, horizon,
-        float(transition_s), float(wake_lead_m))
-    return DayBatchResult(
-        layout=layout, mode=mode, horizon_s=horizon,
-        element_names=tuple(s.name for s in specs),
-        element_kinds=tuple(s.kind for s in specs),
-        active_s=active_s, awake_s=awake_s, energy_wh=energy_wh,
-        events_processed=events, engine=engine)
+    (occupancy,) = occupancy_stage(
+        [(specs, pack_runs(resolved), layout.isd_m, float(wake_lead_m))],
+        float(transition_s), horizon)
+    return power_stage(layout, mode, specs, horizon, occupancy)

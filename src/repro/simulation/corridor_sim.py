@@ -2,12 +2,9 @@
 
 Builds the segment's elements (HP mast RRHs, service nodes, donor nodes) from
 the shared :mod:`repro.simulation.elements` specs, feeds a timetable through
-them and integrates energy.  Since PR 4 the heavy lifting happens in the
-vectorized day engine (:func:`repro.simulation.batch.simulate_days`);
-``engine="event"`` replays the same timetable through the scalar event queue
-(photoelectric barrier -> power state machine -> energy recorder) and is the
-bit-comparable escape hatch.  The result carries the same per-kilometre
-figures as the analytic model for direct comparison.
+them and integrates energy through the vectorized day engine
+(:func:`repro.simulation.batch.simulate_days`).  The result carries the same
+per-kilometre figures as the analytic model for direct comparison.
 """
 
 from __future__ import annotations
@@ -25,11 +22,7 @@ __all__ = ["CorridorSimulation", "SimulatedEnergy"]
 
 @dataclass(frozen=True)
 class SimulatedEnergy:
-    """Energy outcome of a simulated corridor segment day.
-
-    ``events_processed`` counts fired event-queue callbacks and is 0 under
-    the batched engine (which has no event queue).
-    """
+    """Energy outcome of a simulated corridor segment day."""
 
     layout: CorridorLayout
     mode: OperatingMode
@@ -37,7 +30,6 @@ class SimulatedEnergy:
     hp_wh: float
     service_wh: float
     donor_wh: float
-    events_processed: int
 
     @property
     def total_mains_wh(self) -> float:
@@ -71,19 +63,14 @@ class CorridorSimulation:
         if self.timetable is None:
             self.timetable = generate_timetable(self.params.traffic)
 
-    def run(self, engine: str = "batch") -> SimulatedEnergy:
-        """Simulate the whole timetable horizon and integrate energy.
-
-        ``engine="batch"`` (default) routes through the vectorized day
-        engine; ``engine="event"`` walks the scalar event queue (identical
-        results to ~1e-9, asserted in the cross-engine parity tests).
-        """
+    def run(self) -> SimulatedEnergy:
+        """Simulate the whole timetable horizon and integrate energy."""
         from repro.simulation.batch import simulate_days
 
         result = simulate_days(
             self.layout, mode=self.mode, params=self.params,
             timetables=(self.timetable,), transition_s=self.transition_s,
-            wake_lead_m=self.wake_lead_m, engine=engine)
+            wake_lead_m=self.wake_lead_m)
         return SimulatedEnergy(
             layout=self.layout,
             mode=self.mode,
@@ -91,5 +78,4 @@ class CorridorSimulation:
             hp_wh=float(result.hp_wh[0]),
             service_wh=float(result.service_wh[0]),
             donor_wh=float(result.donor_wh[0]),
-            events_processed=int(result.events_processed[0]),
         )

@@ -1,9 +1,9 @@
 """Shared element construction for the corridor simulation engines.
 
 One segment is simulated as a set of *elements* — the HP mast (all its RRHs
-jointly), the LP service nodes and the donor nodes.  Both simulation engines
-(:mod:`repro.simulation.corridor_sim`'s event queue and the vectorized
-:mod:`repro.simulation.batch`) build their devices from the same
+jointly), the LP service nodes and the donor nodes.  The vectorized
+:mod:`repro.simulation.batch` engine and the event-queue oracle of the
+parity tests (``tests/oracles/des``) build their devices from the same
 :func:`corridor_elements` list, so the element order, coverage sections and
 power levels are identical by construction and cross-engine parity reduces to
 the time-integration semantics.

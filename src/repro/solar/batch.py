@@ -1,10 +1,9 @@
 """Batched off-grid engine — the Table IV workload as (candidate × location)
 tensors.
 
-The scalar reference (:meth:`repro.solar.offgrid.OffGridSystem.simulate_year`)
-walks a Python ``for day / for hour`` double loop per system and re-runs the
-full synthetic-weather synthesis for every candidate.  This module removes
-both costs:
+A per-system scalar walk (a Python ``for day / for hour`` double loop that
+re-runs the full synthetic-weather synthesis for every candidate; kept as the
+test oracle ``tests/oracles/solar.py``) pays two costs this module removes:
 
 * :func:`synthesize_weather_year` produces the whole year as one
   ``(days, 24)`` plane-of-array tensor per ``(location, WeatherParams, seed,
@@ -17,10 +16,15 @@ both costs:
   ``[system]`` leading axis that callers lay out as candidate × location (or
   service-year) grids.
 
-Every :class:`~repro.solar.offgrid.OffGridResult` out of the batched path is
-bit-identical to ``simulate_year`` on the same system — the recurrence uses
-the exact same operation order, only element-wise over the batch axis
-(asserted field-by-field in ``tests/test_solar_batch.py``).
+With the step-loop ``soc_scan`` oracle substituted for the fused kernel,
+every :class:`~repro.solar.offgrid.OffGridResult` out of the batched path is
+bit-identical to the scalar walk on the same system — the recurrence uses the
+exact same operation order, only element-wise over the batch axis.  The
+fused kernel keeps the integer counts (full days, unmet hours, monthly unmet
+hours) and the hour-order PV sums bitwise; the SoC-dependent floats
+(``min_soc``, ``unmet_wh``) and the load total agree to 1e-9 (asserted
+field by field in ``tests/test_solar_batch.py`` and
+``tests/test_engine_parity.py``).
 """
 
 from __future__ import annotations
@@ -204,22 +208,17 @@ def simulate_systems(systems,
                      days: int = 365,
                      initial_soc: float = 1.0,
                      start_day_of_year: int | None = None,
-                     weather_cache: WeatherCache | None = None,
-                     backend: str | None = None) -> list[OffGridResult]:
+                     weather_cache: WeatherCache | None = None
+                     ) -> list[OffGridResult]:
     """Batched hourly energy balance over every system at once.
 
     Weather is synthesized once per unique :class:`WeatherKey` (memoized
     through ``weather_cache``); the battery clip-recurrence then runs
     through the :func:`repro.kernels.soc_scan` kernel — an hour-major
-    walk, streamed over blocks of days, whose element-wise operation order
-    matches
-    :meth:`~repro.solar.offgrid.OffGridSystem.simulate_year` exactly, so
-    the returned results are bit-identical to the scalar path under both
-    the ``"reference"`` and the fused ``"numpy"`` backend (the fused walk
-    hoists all accounting out of the loop but reproduces the reference
-    accumulation order bitwise) — ``system.simulate_year(days)`` is the
-    per-system escape hatch / audit path, pinned equal in
-    ``tests/test_engine_parity.py``.
+    walk, streamed over blocks of days.  Against the per-system scalar
+    walk (the test oracle, pinned in ``tests/test_engine_parity.py``) the
+    integer counts and the PV sums are bitwise equal, and ``min_soc``,
+    ``unmet_wh`` and ``annual_load_kwh`` agree to 1e-9.
 
     Args:
         systems: Sequence of :class:`~repro.solar.offgrid.OffGridSystem`;
@@ -228,11 +227,8 @@ def simulate_systems(systems,
         initial_soc: Battery state of charge at the first hour, in [0, 1].
         start_day_of_year: First day of year; ``None`` uses the Oct-1
             default that puts one continuous winter mid-simulation.
-        weather_cache: Optional memo of synthesized weather tensors
-            (weather is backend-independent to 1e-9; cached tensors are
-            keyed by content, not by backend).
-        backend: Kernel backend (see :data:`repro.kernels.BACKENDS`);
-            ``None`` means the ``"numpy"`` default.
+        weather_cache: Optional memo of synthesized weather tensors,
+            keyed by content.
 
     Returns:
         One :class:`~repro.solar.offgrid.OffGridResult` per system, in input
@@ -263,7 +259,7 @@ def simulate_systems(systems,
         key = WeatherKey.for_weather(weather, days, start).content_hash
         if key not in pool:
             pool[key] = _weather_year_for(weather, days, start, weather_cache)
-        # Same element-wise conversion as the scalar path's per-day
+        # Same element-wise conversion as a per-day
         # ``pv.power_w(day.poa_w_m2)`` calls, applied to the whole tensor.
         produced_w[..., i] = system.pv.power_w(pool[key].poa_w_m2)
 
@@ -275,7 +271,7 @@ def simulate_systems(systems,
     cutoff = np.array([s.battery.discharge_cutoff for s in systems])
 
     acc = soc_scan(produced_w, demanded_w, months, capacity, efficiency,
-                   cutoff, float(initial_soc), backend=backend)
+                   cutoff, float(initial_soc))
 
     return [
         OffGridResult(
@@ -303,8 +299,8 @@ def simulate_candidates(location: Location,
                         weather: WeatherParams | None = None,
                         seed: int = 2022,
                         performance_ratio: float = 0.80,
-                        weather_cache: WeatherCache | None = None,
-                        backend: str | None = None) -> list[OffGridResult]:
+                        weather_cache: WeatherCache | None = None
+                        ) -> list[OffGridResult]:
     """Evaluate a whole (PV peak, battery Wh) candidate ladder in one pass.
 
     Args:
@@ -316,12 +312,10 @@ def simulate_candidates(location: Location,
         seed: Weather-year seed shared by every candidate.
         performance_ratio: PV performance ratio.
         weather_cache: Optional memo of synthesized weather tensors.
-        backend: Kernel backend forwarded to :func:`simulate_systems`.
 
     Returns:
         One :class:`~repro.solar.offgrid.OffGridResult` per candidate, in
-        order — the batched equivalent of calling ``simulate_year`` per
-        rung (bit-identical; the scalar method remains the audit path).
+        order — the batched equivalent of simulating each rung alone.
     """
     systems = [
         OffGridSystem(
@@ -334,5 +328,4 @@ def simulate_candidates(location: Location,
         )
         for pv_peak_w, battery_wh in candidates
     ]
-    return simulate_systems(systems, weather_cache=weather_cache,
-                            backend=backend)
+    return simulate_systems(systems, weather_cache=weather_cache)

@@ -8,7 +8,7 @@ downtime across its service life with a linear capacity-fade model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.solar.battery import Battery
@@ -99,7 +99,7 @@ def _fade_schedule(battery_capacity_wh: float, pv_peak_w: float,
     The cycle-fade term consumes each year's equivalent full cycles, which
     depend only on the yearly load energy (not on the weather draw), so the
     whole schedule can be advanced without running any simulation — it is
-    bit-identical to the schedule the per-year scalar loop produces.
+    bit-identical to the schedule a year-by-year loop produces.
     """
     schedule: list[tuple[float, float]] = []
     cumulative_efc = 0.0
@@ -124,76 +124,38 @@ def project_lifetime(location: Location,
                      aging: AgingParams | None = None,
                      load: LoadProfile | None = None,
                      seed: int = 2022,
-                     engine: str = "batch",
-                     weather_cache=None,
-                     backend: str | None = None) -> LifetimeResult:
+                     weather_cache=None) -> LifetimeResult:
     """Simulate each service year with faded capacities.
 
     Each year runs the full synthetic-weather simulation (different seeds per
     year) against the capacity remaining at the start of that year.
 
-    ``engine="batch"`` (default) precomputes the fade schedule (the
-    equivalent-full-cycle recurrence depends only on the load, see
-    :func:`_fade_schedule`), then evaluates all service years as one batched
-    pass with the per-year fade factors applied as array scalars and the
-    per-year weather tensors memoized; ``engine="scalar"`` runs the original
-    year-by-year loop.  ``backend`` selects the batch engine's kernel
-    backend: ``"reference"`` reproduces the scalar loop bit-identically,
-    the default fused backend agrees to 1e-9 on SoC-dependent floats.
+    The fade schedule is precomputed (the equivalent-full-cycle recurrence
+    depends only on the load, see :func:`_fade_schedule`), then all service
+    years run as one batched pass with the per-year fade factors applied as
+    array scalars and the per-year weather tensors memoized.
     """
     if service_years <= 0:
         raise ConfigurationError(f"service years must be positive, got {service_years}")
     if pv_peak_w <= 0 or battery_capacity_wh <= 0:
         raise ConfigurationError("PV and battery sizes must be positive")
-    if engine not in ("batch", "scalar"):
-        raise ConfigurationError(
-            f"engine must be 'batch' or 'scalar', got {engine!r}")
     aging = aging or AgingParams()
 
-    if engine == "batch":
-        from repro.solar.batch import simulate_systems
-        yearly_load_kwh = annual_load_wh(load or repeater_load_profile()) / 1000.0
-        schedule = _fade_schedule(battery_capacity_wh, pv_peak_w, aging,
-                                  service_years, yearly_load_kwh)
-        systems = [
-            OffGridSystem(location=location, pv=PvArray(peak_w=pv_now),
-                          battery=Battery(capacity_wh=battery_now),
-                          load=load, seed=seed + year)
-            for year, (battery_now, pv_now) in enumerate(schedule, start=1)
-        ]
-        results = simulate_systems(systems, weather_cache=weather_cache,
-                                   backend=backend)
-        outcomes = []
+    from repro.solar.batch import simulate_systems
+    yearly_load_kwh = annual_load_wh(load or repeater_load_profile()) / 1000.0
+    schedule = _fade_schedule(battery_capacity_wh, pv_peak_w, aging,
+                              service_years, yearly_load_kwh)
+    systems = [
+        OffGridSystem(location=location, pv=PvArray(peak_w=pv_now),
+                      battery=Battery(capacity_wh=battery_now),
+                      load=load, seed=seed + year)
+        for year, (battery_now, pv_now) in enumerate(schedule, start=1)
+    ]
+    results = simulate_systems(systems, weather_cache=weather_cache)
+    return LifetimeResult(years=tuple(
+        YearOutcome(year=year, battery_capacity_wh=battery_now,
+                    pv_peak_w=pv_now, result=result,
+                    equivalent_full_cycles=_equivalent_full_cycles(
+                        result, battery_now))
         for year, ((battery_now, pv_now), result) in enumerate(
-                zip(schedule, results), start=1):
-            outcomes.append(YearOutcome(
-                year=year, battery_capacity_wh=battery_now, pv_peak_w=pv_now,
-                result=result,
-                equivalent_full_cycles=_equivalent_full_cycles(result, battery_now)))
-        return LifetimeResult(years=tuple(outcomes))
-
-    outcomes: list[YearOutcome] = []
-    cumulative_efc = 0.0
-    for year in range(1, service_years + 1):
-        calendar_years = year - 1
-        battery_fade = (aging.calendar_fade_per_year * calendar_years
-                        + aging.cycle_fade_per_efc * cumulative_efc)
-        battery_now = battery_capacity_wh * max(0.0, 1.0 - battery_fade)
-        pv_now = pv_peak_w * (1.0 - aging.pv_fade_per_year) ** calendar_years
-        if battery_now <= 0:
-            raise ConfigurationError(f"battery fully faded in year {year}")
-
-        system = OffGridSystem(
-            location=location,
-            pv=PvArray(peak_w=pv_now),
-            battery=Battery(capacity_wh=battery_now),
-            load=load,
-            seed=seed + year,
-        )
-        result = system.simulate_year()
-        efc = _equivalent_full_cycles(result, battery_now)
-        cumulative_efc += efc
-        outcomes.append(YearOutcome(year=year, battery_capacity_wh=battery_now,
-                                    pv_peak_w=pv_now, result=result,
-                                    equivalent_full_cycles=efc))
-    return LifetimeResult(years=tuple(outcomes))
+            zip(schedule, results), start=1)))

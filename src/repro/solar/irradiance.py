@@ -151,8 +151,8 @@ class SyntheticWeather:
 
     # -- daily clearness series ----------------------------------------------
 
-    def daily_clearness(self, days: int = 365, start_day_of_year: int = 1,
-                        backend: str | None = None) -> np.ndarray:
+    def daily_clearness(self, days: int = 365,
+                        start_day_of_year: int = 1) -> np.ndarray:
         """AR(1) daily clearness-index series around the monthly means.
 
         Vectorized over the day axis: the whole normal vector is drawn up
@@ -161,8 +161,7 @@ class SyntheticWeather:
         the AR(1) recursion runs through the shared
         :func:`repro.kernels.ar1_scan` kernel — a zero-initialized series
         is the same recurrence with the innovation scale on the first
-        sample.  ``backend="reference"`` reproduces the historical step
-        loop bit-for-bit; the fused default matches it within 1e-9 (well
+        sample.  It matches the step-loop recurrence within 1e-9 (well
         inside the golden-snapshot tolerance).
         """
         rng = np.random.default_rng(self.seed)
@@ -172,7 +171,7 @@ class SyntheticWeather:
         innovation = np.sqrt(max(1e-12, 1.0 - p.rho**2))
         steps = max(days - 1, 1)
         z = ar1_scan(rng.standard_normal(days), np.full(steps, p.rho),
-                     np.full(steps, innovation), innovation, backend=backend)
+                     np.full(steps, innovation), innovation)
         return np.clip(means + p.sigma_kt * z, p.kt_min, p.kt_max)
 
     # -- hourly synthesis ------------------------------------------------------

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro import constants
 from repro.energy.duty import EnergyParams, lp_node_average_power_w
 from repro.errors import ConfigurationError
 from repro.solar.battery import Battery
 from repro.solar.climates import Location
-from repro.solar.irradiance import SyntheticWeather, WeatherParams
+from repro.solar.irradiance import WeatherParams
 from repro.solar.pv import PvArray
 
 __all__ = ["LoadProfile", "repeater_load_profile", "annual_load_wh",
@@ -67,10 +65,9 @@ def repeater_load_profile(params: EnergyParams | None = None,
 def annual_load_wh(load: LoadProfile, days: int = 365) -> float:
     """Yearly load energy, accumulated hour by hour.
 
-    The fold order matches :meth:`OffGridSystem.simulate_year`'s running
-    ``annual_load_wh`` sum exactly, so callers that need the load total
-    without a simulation (e.g. the degradation fade precomputation) get the
-    bit-identical value.
+    The fold order is the hour-by-hour running sum of a step-loop year
+    simulation, so callers that need the load total without a simulation
+    (e.g. the degradation fade precomputation) get the bit-identical value.
     """
     total = 0.0
     for _ in range(days):
@@ -109,7 +106,11 @@ class OffGridResult:
 
 @dataclass
 class OffGridSystem:
-    """A PV + battery system powering one repeater node at a location."""
+    """A PV + battery system powering one repeater node at a location.
+
+    :func:`repro.solar.batch.simulate_systems` runs the hourly energy
+    balance of any number of systems at once.
+    """
 
     location: Location
     pv: PvArray = field(default_factory=PvArray)
@@ -127,67 +128,3 @@ class OffGridSystem:
     #: mid-simulation (a Jan-Dec year would split the winter across both ends
     #: and start it with a freshly full battery, hiding autonomy failures).
     START_DAY_OF_YEAR = 274
-
-    def simulate_year(self, days: int = 365, initial_soc: float = 1.0,
-                      start_day_of_year: int | None = None) -> OffGridResult:
-        """Hourly energy balance over a synthetic year.
-
-        Surplus PV charges the battery (charge-efficiency limited); deficits
-        discharge it down to the cutoff, below which load goes unmet
-        (downtime).  A day counts as "full battery" when the battery reaches
-        100 % at any hour of that day.
-        """
-        if days <= 0:
-            raise ConfigurationError(f"days must be positive, got {days}")
-        start = self.START_DAY_OF_YEAR if start_day_of_year is None else start_day_of_year
-        weather = SyntheticWeather(self.location, params=self.weather, seed=self.seed)
-        self.battery.reset(initial_soc)
-
-        full_days = 0
-        unmet_hours = 0
-        unmet_wh = 0.0
-        min_soc = self.battery.soc
-        annual_pv_wh = 0.0
-        annual_load_wh = 0.0
-        monthly_pv_wh = np.zeros(12)
-        monthly_unmet = np.zeros(12, dtype=int)
-
-        for day_index, day in enumerate(weather.year(days, start)):
-            month = self.location.month_of_day(day.day_of_year)
-            pv_w = self.pv.power_w(day.poa_w_m2)
-            became_full = False
-            for hour in range(24):
-                produced = float(pv_w[hour])
-                demanded = self.load.hourly_w[hour]
-                annual_pv_wh += produced
-                annual_load_wh += demanded
-                monthly_pv_wh[month] += produced
-                if produced >= demanded:
-                    self.battery.charge(produced - demanded)
-                else:
-                    deficit = demanded - produced
-                    delivered = self.battery.discharge(deficit)
-                    if delivered < deficit - 1e-9:
-                        unmet_hours += 1
-                        unmet_wh += deficit - delivered
-                        monthly_unmet[month] += 1
-                if self.battery.is_full:
-                    became_full = True
-                min_soc = min(min_soc, self.battery.soc)
-            if became_full:
-                full_days += 1
-
-        return OffGridResult(
-            location_name=self.location.name,
-            pv_peak_w=self.pv.peak_w,
-            battery_capacity_wh=self.battery.capacity_wh,
-            days=days,
-            full_battery_days=full_days,
-            unmet_hours=unmet_hours,
-            unmet_wh=unmet_wh,
-            min_soc=min_soc,
-            annual_pv_kwh=annual_pv_wh / 1000.0,
-            annual_load_kwh=annual_load_wh / 1000.0,
-            monthly_pv_kwh=tuple(monthly_pv_wh / 1000.0),
-            monthly_unmet_hours=tuple(int(x) for x in monthly_unmet),
-        )

@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import constants
-from repro.errors import ConfigurationError, InfeasibleError
-from repro.solar.battery import Battery
+from repro.errors import InfeasibleError
 from repro.solar.climates import Location
 from repro.solar.irradiance import WeatherParams
-from repro.solar.offgrid import LoadProfile, OffGridResult, OffGridSystem
-from repro.solar.pv import PvArray
+from repro.solar.offgrid import LoadProfile, OffGridResult
 
 __all__ = ["SizingResult", "find_minimal_system"]
 
@@ -54,44 +52,20 @@ def find_minimal_system(location: Location,
                         weather: WeatherParams | None = None,
                         seed: int = 2022,
                         performance_ratio: float = 0.80,
-                        engine: str = "batch",
-                        weather_cache=None,
-                        backend: str | None = None) -> SizingResult:
+                        weather_cache=None) -> SizingResult:
     """First zero-downtime configuration from the candidate ladder.
 
     Raises :class:`InfeasibleError` when even the largest candidate has
     downtime (e.g. an unrealistically large load).  ``weather=None`` uses the
     location's calibrated weather character.
 
-    ``engine="batch"`` (default) evaluates the whole ladder in one vectorized
-    pass with the weather year synthesized once and memoized
-    (:mod:`repro.solar.batch`); ``engine="scalar"`` walks the ladder with
-    per-candidate :meth:`~repro.solar.offgrid.OffGridSystem.simulate_year`
-    calls.  ``backend`` selects the kernel backend of the batch engine
-    (``"reference"`` is bit-identical to the scalar walk; the default fused
-    backend agrees to 1e-9 on SoC-dependent floats and exactly on
-    everything else, so both engines pick the same configuration).
+    The whole ladder is evaluated in one vectorized pass with the weather
+    year synthesized once and memoized (:mod:`repro.solar.batch`).
     """
-    if engine == "batch":
-        from repro.solar.batch import simulate_candidates
-        results = simulate_candidates(
-            location, candidates, load=load, weather=weather, seed=seed,
-            performance_ratio=performance_ratio, weather_cache=weather_cache,
-            backend=backend)
-    elif engine == "scalar":
-        results = (
-            OffGridSystem(
-                location=location,
-                pv=PvArray(peak_w=pv_peak_w, performance_ratio=performance_ratio),
-                battery=Battery(capacity_wh=battery_wh),
-                load=load,
-                weather=weather,
-                seed=seed,
-            ).simulate_year()
-            for pv_peak_w, battery_wh in candidates)
-    else:
-        raise ConfigurationError(
-            f"engine must be 'batch' or 'scalar', got {engine!r}")
+    from repro.solar.batch import simulate_candidates
+    results = simulate_candidates(
+        location, candidates, load=load, weather=weather, seed=seed,
+        performance_ratio=performance_ratio, weather_cache=weather_cache)
 
     rejected: list[tuple[float, float]] = []
     for (pv_peak_w, battery_wh), result in zip(candidates, results):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import kernels as oracle_kernels
+
 from repro.corridor.layout import CorridorLayout
 from repro.energy.duty import EnergyParams
 from repro.radio.link import LinkParams
@@ -38,3 +40,13 @@ def fig3_layout() -> CorridorLayout:
 def conventional_layout() -> CorridorLayout:
     """The conventional 500 m HP-only segment."""
     return CorridorLayout.conventional()
+
+
+@pytest.fixture
+def reference_kernels():
+    """Substitute the step-loop kernel oracles for the fused kernels in the
+    engines the bitwise parity pins cover: the Monte-Carlo scan
+    (``repro.optimize.mc``), the solar SoC walk (``repro.solar.batch``) and
+    the batched shadowing traces (``repro.propagation.fading``)."""
+    with oracle_kernels.substituted():
+        yield

@@ -17,8 +17,8 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.simulation.engine import Simulator
-from repro.simulation.recorder import EnergyRecorder
+from oracles.des.engine import Simulator
+from oracles.des.recorder import EnergyRecorder
 
 __all__ = ["NodeState", "PowerStateMachine"]
 

@@ -1,21 +1,53 @@
-"""Step-loop reference kernels (the ``"reference"`` backend).
+"""Step-loop kernel oracles.
 
-These are the engines' original sequential loops, moved verbatim so that
-every backend implements the same named kernels.  They advance one
-time/position step per Python iteration and are the bit-identity anchor:
-the scalar escape hatches (``engine="scalar"`` / per-system
-``simulate_year`` / ``engine="event"``) are pinned equal to *these* in the
-parity matrix, and the fused numpy kernels are pinned to them in
+These are the engines' original sequential loops, kept verbatim with the
+same signatures as the fused kernels of :mod:`repro.kernels`.  They advance
+one time/position step per Python iteration and are the bit-identity
+anchor: with them substituted for the fused kernels (the
+``reference_kernels`` fixture), the batch engines are pinned equal to the
+scalar oracles of this package, and the fused kernels are pinned to them in
 turn (bit-identical where documented, ``<= 1e-9`` otherwise).  They are
 also the honest baseline measured by ``benchmarks/bench_backend.py``.
+
+``occupancy_scan`` has no oracle here: the production kernel is itself a
+step loop, and the sim engine's oracle is the event DES (:mod:`oracles.des`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import importlib
+
 import numpy as np
 
-__all__ = ["ar1_scan", "ar1_min_scan", "soc_scan", "occupancy_scan",
-           "KERNELS"]
+__all__ = ["ar1_scan", "ar1_min_scan", "soc_scan", "substituted"]
+
+#: The kernel bindings the bitwise parity pins cover: ``(module, name)``.
+#: Weather synthesis (``repro.solar.irradiance``) keeps the fused
+#: ``ar1_scan``: its tensors are memoized process-wide by content, so a
+#: substituted kernel would leak into later callers.
+ENGINE_BINDINGS = (
+    ("repro.optimize.mc", "ar1_min_scan"),
+    ("repro.solar.batch", "soc_scan"),
+    ("repro.propagation.fading", "ar1_scan"),
+)
+
+
+@contextlib.contextmanager
+def substituted():
+    """Route the engines' kernel calls (:data:`ENGINE_BINDINGS`) to these
+    step loops for the duration of the block, then restore the fused
+    kernels."""
+    saved = []
+    try:
+        for module_name, name in ENGINE_BINDINGS:
+            module = importlib.import_module(module_name)
+            saved.append((module, name, getattr(module, name)))
+            setattr(module, name, globals()[name])
+        yield
+    finally:
+        for module, name, kernel in reversed(saved):
+            setattr(module, name, kernel)
 
 
 def ar1_scan(z: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
@@ -171,66 +203,3 @@ def soc_scan(produced_w: np.ndarray, demanded_w: np.ndarray,
         "monthly_pv_wh": monthly_pv_wh,
         "monthly_unmet_hours": monthly_unmet,
     }
-
-
-def occupancy_scan(g_a: np.ndarray, g_b: np.ndarray,
-                   first_wake_after: np.ndarray, n_groups: np.ndarray,
-                   transition_s: float,
-                   horizon_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential scan over occupancy groups, one group column per step.
-
-    The sim engine's only loop, called once per
-    :func:`repro.simulation.batch.occupancy_stage`: track the open wake
-    cycle per lane.  A cycle opens at min(next wake, group start), finishes
-    waking ``transition_s`` later, and closes at the first group end
-    strictly after the finish (the unit stays awake through group ends that
-    land inside the transition — the event engine's "missed sleep" case).
-
-    Args:
-        g_a: Occupancy group starts, shape ``(lanes, n_runs)``, +inf padded.
-        g_b: Occupancy group ends, same shape/padding.
-        first_wake_after: First barrier wake strictly after each query
-            instant, shape ``(lanes, n_runs + 1)`` (sentinel column first).
-        n_groups: Per-lane group counts, shape ``(lanes,)``.
-        transition_s: Sleep-to-awake transition time in seconds.
-        horizon_s: Simulation horizon in seconds.
-
-    Returns:
-        ``(awake_time, waking_occ)`` per lane, both shape ``(lanes,)``:
-        total awake seconds and occupancy seconds spent inside wake
-        transitions.
-    """
-    lanes = g_a.shape[0]
-    asleep = np.ones(lanes, dtype=bool)
-    alpha = np.zeros(lanes)
-    finish = np.zeros(lanes)
-    awake_time = np.zeros(lanes)
-    waking_occ = np.zeros(lanes)
-    for k in range(int(n_groups.max()) if n_groups.size else 0):
-        ga, gb = g_a[:, k], g_b[:, k]
-        active = ga < np.inf
-        starting = active & asleep
-        alpha = np.where(starting, np.minimum(first_wake_after[:, k], ga), alpha)
-        finish = np.where(starting, alpha + transition_s, finish)
-        asleep &= ~starting
-        waking_occ += np.where(
-            active, np.maximum(0.0, np.minimum(gb, finish) - ga), 0.0)
-        sleeps = active & (gb > finish)
-        awake_time += np.where(sleeps, gb - alpha, 0.0)
-        asleep |= sleeps
-    awake_time += np.where(~asleep, horizon_s - alpha, 0.0)
-    # Tail: a barrier may fire after the last sleep for a run whose section
-    # entry lies beyond the horizon — the unit wakes and idles until the end.
-    tail_wake = np.take_along_axis(first_wake_after, n_groups[:, None], axis=1)[:, 0]
-    awake_time += np.where(asleep & (tail_wake < horizon_s),
-                           horizon_s - tail_wake, 0.0)
-    return awake_time, waking_occ
-
-
-#: Kernel table of the ``"reference"`` backend.
-KERNELS = {
-    "ar1_scan": ar1_scan,
-    "ar1_min_scan": ar1_min_scan,
-    "soc_scan": soc_scan,
-    "occupancy_scan": occupancy_scan,
-}

@@ -451,9 +451,9 @@ def per_case_mc(cases, seeds):
 
 @pytest.fixture
 def mc_spies(monkeypatch):
-    """Count scenario hashes and record every fused ``ar1_min_scan`` call
-    as ``(trials, lanes)``."""
-    from repro.kernels import BACKENDS
+    """Count scenario hashes and record every ``ar1_min_scan`` call the
+    Monte-Carlo engine makes as ``(trials, lanes)``."""
+    import repro.optimize.mc as mc
     from repro.scenario.spec import Scenario
 
     hashes, scans = [], []
@@ -463,14 +463,14 @@ def mc_spies(monkeypatch):
         hashes.append(self)
         return content_hash(self)
 
-    kernel = BACKENDS["numpy"]["ar1_min_scan"]
+    kernel = mc.ar1_min_scan
 
     def recorded(snr, rho, innovation, z, first_scale, sizes):
         scans.append((z.shape[0], snr.shape[0]))
         return kernel(snr, rho, innovation, z, first_scale, sizes)
 
     monkeypatch.setattr(Scenario, "content_hash", property(counted_hash))
-    monkeypatch.setitem(BACKENDS["numpy"], "ar1_min_scan", recorded)
+    monkeypatch.setattr(mc, "ar1_min_scan", recorded)
     return hashes, scans
 
 
@@ -509,6 +509,22 @@ class TestMcBatching:
             == (1 if seed_mode == "shared" else len(shadowed))
         assert sum(width for _, width in scans) == len(lanes)
         assert {trials for trials, _ in scans} == {16}
+
+    def test_the_spied_binding_is_the_one_called(self, monkeypatch):
+        # A spy on ``repro.optimize.mc.ar1_min_scan`` intercepts the scan:
+        # shifting its minima 100 dB down turns every shadowed row into a
+        # certain outage.
+        import repro.optimize.mc as mc
+
+        kernel = mc.ar1_min_scan
+        spec = parse_study(MC_TEXT)
+        cases = spec.cases(0, 2)
+        clean = run_cases("mc", cases, [7, 7])
+        monkeypatch.setattr(mc, "ar1_min_scan",
+                            lambda *args: kernel(*args) - 100.0)
+        shifted = run_cases("mc", cases, [7, 7])
+        assert [row["outage_probability"] for row in shifted] == [1.0, 1.0]
+        assert shifted != clean
 
     @pytest.mark.parametrize("trials", [12.7, 0, -3, float("nan"), "many"])
     def test_invalid_trials_are_rejected(self, trials):

@@ -89,12 +89,6 @@ class TestRealSite:
                 "repro.solar.batch", "repro.optimize.mc",
                 "repro.simulation.batch", "repro.study.spec"} <= documented
 
-    def test_generated_pages_mention_escape_hatches(self):
-        mc = (REPO_ROOT / "docs/api/optimize-mc.md").read_text()
-        assert "scalar" in mc  # the engine="scalar" audit-path note
-        sim = (REPO_ROOT / "docs/api/simulation-batch.md").read_text()
-        assert 'engine="event"' in sim or "escape hatch" in sim
-
 
 # -- strict checks catch real failures ----------------------------------------
 

@@ -1,31 +1,31 @@
-"""Cross-engine parity matrix — scalar vs. batched, all four engines.
+"""Cross-engine parity matrix — scalar oracle vs. batched, all engines.
 
-Every vectorized engine in the codebase ships with a scalar escape hatch;
-this module is the single place asserting they agree, over one shared seed
-sweep:
+Every vectorized engine in the codebase has a scalar oracle (the radio
+engine's is the public scalar :func:`repro.radio.link.compute_snr_profile`;
+the others live in ``tests/oracles/``); this module is the single place
+asserting they agree, over one shared seed sweep:
 
 * **radio**  — :func:`repro.radio.batch.evaluate_scenarios` vs. the scalar
   :func:`repro.radio.link.compute_snr_profile` (deterministic: bit-identical
   arrays, no seed axis);
-* **solar**  — :func:`repro.solar.batch.simulate_systems` vs. per-system
-  :meth:`repro.solar.offgrid.OffGridSystem.simulate_year` (bit-identical
-  result fields per weather seed);
-* **mc**     — :func:`repro.optimize.mc.outage_matrix` batched vs.
-  ``engine="scalar"`` (trial-for-trial bit-identical under common random
-  numbers with ``backend="reference"``; fused backends pinned <= 1e-9);
-* **sim**    — :func:`repro.simulation.batch.simulate_days` batch vs.
-  ``engine="event"`` (equal to 1e-9: both engines see bit-identical event
-  instants and differ only by float summation order);
+* **solar**  — :func:`repro.solar.batch.simulate_systems` vs. the
+  per-system year walk :func:`oracles.solar.simulate_year`;
+* **mc**     — :func:`repro.optimize.mc.outage_matrix` vs. the per-trial
+  walk :func:`oracles.mc.outage_matrix_scalar`;
+* **sim**    — :func:`repro.simulation.batch.simulate_days` vs. the event
+  DES :func:`oracles.des.simulate_days_event` (equal to 1e-9: both engines
+  see bit-identical event instants and differ only by float summation
+  order);
 * **network** — :func:`repro.network.frontier.segment_frontiers`
   ``engine="batched"`` vs. the ``engine="scalar"`` per-segment reference
   (bit-identical frontier arrays), and the optimizer through the study
   runner for any ``jobs``/``shards`` layout (inline == pooled).
 
-Every stochastic comparison also sweeps the kernel-backend axis
-(:data:`repro.kernels.BACKENDS`): the solar engine is
-bit-identical on *every* backend, the mc engine is bit-identical on
-``"reference"`` and pinned to <= 1e-9 on the fused numpy backend, and the sim
-engine's batch/event agreement holds per backend.
+The solar and mc engines are compared twice: with the step-loop kernel
+oracles substituted (the ``reference_kernels`` fixture) they are
+bit-identical to the scalar oracle; on the fused kernels the mc minima and
+the solar SoC-dependent floats are pinned to <= 1e-9, everything else
+exactly.
 
 It replaces the per-PR ad-hoc equality tests that previously lived in
 ``test_batch.py`` / ``test_solar_batch.py`` / ``test_mc_engine.py``;
@@ -39,12 +39,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.kernels import BACKENDS
+from oracles.des import simulate_days_event
+from oracles.mc import outage_matrix_scalar
+from oracles.solar import simulate_year
 
 from repro.corridor.layout import CorridorLayout
 from repro.energy.duty import EnergyParams
 from repro.energy.scenario import OperatingMode
-from repro.optimize.mc import outage_matrix, trial_generators
+from repro.constants import PEAK_SNR_CRITERION_DB
+from repro.optimize.mc import OutageMatrix, outage_matrix, trial_generators
 from repro.propagation.fading import LogNormalShadowing
 from repro.radio.batch import evaluate_scenarios
 from repro.radio.link import LinkParams, compute_snr_profile
@@ -91,37 +94,45 @@ class TestRadioParity:
 class TestSolarParity:
     FIELDS = tuple(f.name for f in dataclasses.fields(OffGridResult))
 
-    @pytest.mark.parametrize("key", tuple(LOCATIONS))
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_every_field_matches_scalar(self, key, seed):
-        systems = [
+    @staticmethod
+    def _systems(key, seed):
+        return [
             OffGridSystem(LOCATIONS[key], pv=PvArray(peak_w=pv),
                           battery=Battery(capacity_wh=wh), seed=seed)
             for pv, wh in ((360.0, 720.0), (540.0, 720.0), (600.0, 1440.0))
         ]
-        cache = WeatherCache()
-        scalars = [system.simulate_year(start_day_of_year=274)
-                   for system in systems]
-        # The reference backend replays the scalar walk bitwise; fused
-        # backends run the SoC-space formulation, so their SoC-dependent
-        # floats are pinned at 1e-9 while integer counts, metadata, and
-        # the hour-order PV sums stay exact.
-        soc_dependent = {"unmet_wh", "min_soc", "annual_load_kwh"}
-        for backend in BACKENDS:
-            batched = simulate_systems(systems, start_day_of_year=274,
-                                       weather_cache=cache, backend=backend)
-            for scalar, result in zip(scalars, batched):
-                for name in self.FIELDS:
-                    got, want = getattr(result, name), getattr(scalar, name)
-                    if backend != "reference" and name in soc_dependent:
-                        np.testing.assert_allclose(
-                            got, want, rtol=1e-9, atol=1e-9,
-                            err_msg=f"{backend}:{name}")
-                    else:
-                        assert got == want, f"{backend}:{name}"
 
+    @pytest.mark.parametrize("key", tuple(LOCATIONS))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_field_matches_scalar(self, key, seed):
+        systems = self._systems(key, seed)
+        scalars = [simulate_year(system, start_day_of_year=274)
+                   for system in systems]
+        # The fused kernel runs the SoC-space formulation, so its
+        # SoC-dependent floats are pinned at 1e-9 while integer counts,
+        # metadata, and the hour-order PV sums stay exact.
+        soc_dependent = {"unmet_wh", "min_soc", "annual_load_kwh"}
+        batched = simulate_systems(systems, start_day_of_year=274,
+                                   weather_cache=WeatherCache())
+        for scalar, result in zip(scalars, batched):
+            for name in self.FIELDS:
+                got, want = getattr(result, name), getattr(scalar, name)
+                if name in soc_dependent:
+                    np.testing.assert_allclose(got, want, rtol=1e-9,
+                                               atol=1e-9, err_msg=name)
+                else:
+                    assert got == want, name
+
+    @pytest.mark.parametrize("key", tuple(LOCATIONS))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_step_loop_kernel_bit_identical(self, key, seed,
+                                            reference_kernels):
+        # The step-loop soc_scan replays the scalar walk bitwise.
+        systems = self._systems(key, seed)
+        scalars = [simulate_year(system, start_day_of_year=274)
+                   for system in systems]
         reference = simulate_systems(systems, start_day_of_year=274,
-                                     weather_cache=cache, backend="reference")
+                                     weather_cache=WeatherCache())
         for scalar, result in zip(scalars, reference):
             assert result == scalar
 
@@ -137,41 +148,52 @@ def _mc_profiles():
         [Scenario(layout=lo, resolution_m=10.0) for lo in layouts])
 
 
+def _mc_scalar(seed):
+    profiles = _mc_profiles()
+    shadowing = LogNormalShadowing(sigma_db=4.0)
+    scalar = OutageMatrix(outage_matrix_scalar(profiles, shadowing, 40, seed),
+                          threshold_db=PEAK_SNR_CRITERION_DB, seed=seed)
+    return profiles, shadowing, scalar
+
+
+def _trace_scalar(seed):
+    model = LogNormalShadowing(sigma_db=3.0, decorrelation_m=30.0)
+    pos = np.array([0.0, 4.0, 5.0, 50.0, 51.0, 300.0, 1000.0])
+    scalar = np.stack([model.sample(pos, rng)
+                       for rng in trial_generators(seed, 16)])
+    return model, pos, scalar
+
+
 class TestMcParity:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_ragged_grid_bit_identical(self, seed):
-        profiles = _mc_profiles()
-        shadowing = LogNormalShadowing(sigma_db=4.0)
-        scalar = outage_matrix(profiles, shadowing, trials=40, seed=seed,
-                               engine="scalar")
-        reference = outage_matrix(profiles, shadowing, trials=40, seed=seed,
-                                  backend="reference")
+    def test_ragged_grid_within_1e9(self, seed):
+        profiles, shadowing, scalar = _mc_scalar(seed)
+        batched = outage_matrix(profiles, shadowing, trials=40, seed=seed)
+        np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,
+                                   rtol=0.0, atol=1e-9)
+        assert np.array_equal(batched.outage_counts, scalar.outage_counts)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_ragged_grid_bit_identical_on_step_loop_kernel(
+            self, seed, reference_kernels):
+        profiles, shadowing, scalar = _mc_scalar(seed)
+        reference = outage_matrix(profiles, shadowing, trials=40, seed=seed)
         assert np.array_equal(reference.min_snr_db, scalar.min_snr_db)
         assert np.array_equal(reference.outage_counts, scalar.outage_counts)
-        for backend in BACKENDS:
-            batched = outage_matrix(profiles, shadowing, trials=40,
-                                    seed=seed, backend=backend)
-            np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,
-                                       rtol=0.0, atol=1e-9,
-                                       err_msg=backend)
-            assert np.array_equal(batched.outage_counts,
-                                  scalar.outage_counts), backend
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_trial_streams_shared_across_engines(self, seed):
-        # Both engines consume the same per-trial generator prefix.
-        model = LogNormalShadowing(sigma_db=3.0, decorrelation_m=30.0)
-        pos = np.array([0.0, 4.0, 5.0, 50.0, 51.0, 300.0, 1000.0])
-        scalar = np.stack([model.sample(pos, rng)
-                           for rng in trial_generators(seed, 16)])
-        reference = model.sample_batch(pos, trial_generators(seed, 16),
-                                       backend="reference")
+        # Both paths consume the same per-trial generator prefix.
+        model, pos, scalar = _trace_scalar(seed)
+        batch = model.sample_batch(pos, trial_generators(seed, 16))
+        np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_trial_streams_bit_identical_on_step_loop_kernel(
+            self, seed, reference_kernels):
+        model, pos, scalar = _trace_scalar(seed)
+        reference = model.sample_batch(pos, trial_generators(seed, 16))
         assert np.array_equal(reference, scalar)
-        for backend in BACKENDS:
-            batch = model.sample_batch(pos, trial_generators(seed, 16),
-                                       backend=backend)
-            np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9,
-                                       err_msg=backend)
 
 
 # --- sim: batched interval algebra vs. the event queue ----------------------------
@@ -188,8 +210,8 @@ def _mixed_timetable():
 
 
 def assert_sim_engines_agree(**kwargs):
-    batch = simulate_days(engine="batch", **kwargs)
-    event = simulate_days(engine="event", **kwargs)
+    batch = simulate_days(**kwargs)
+    event, events_processed = simulate_days_event(**kwargs)
     assert batch.element_names == event.element_names
     assert batch.element_kinds == event.element_kinds
     for name in ("active_s", "awake_s", "energy_wh"):
@@ -197,7 +219,7 @@ def assert_sim_engines_agree(**kwargs):
         assert x.shape == y.shape, name
         diff = np.max(np.abs(x - y) / np.maximum(1.0, np.abs(y)))
         assert diff <= 1e-9, f"{name} diverges: {diff:.2e}"
-    assert np.all(event.events_processed >= 0)
+    assert np.all(events_processed >= 0)
     return batch, event
 
 
@@ -246,21 +268,6 @@ class TestSimParity:
         params = EnergyParams(traffic=TrafficParams(trains_per_hour=60.0))
         assert_sim_engines_agree(layout=self.LAYOUT, params=params,
                                  stochastic=True, realizations=2, seed=1)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_backends_bit_identical(self, seed):
-        # The group-scan kernel sees bit-identical inputs on every backend
-        # and performs the same per-lane walk, so the batch engine's output
-        # must not depend on the backend at all.
-        default = simulate_days(layout=self.LAYOUT, stochastic=True,
-                                realizations=3, seed=seed)
-        for backend in BACKENDS:
-            other = simulate_days(layout=self.LAYOUT, stochastic=True,
-                                  realizations=3, seed=seed, backend=backend)
-            for name in ("active_s", "awake_s", "energy_wh"):
-                assert np.array_equal(getattr(default, name),
-                                      getattr(other, name)), \
-                    f"{backend}:{name}"
 
 
 # --- network: batched frontier vs. scalar reference, layout invariance -------

@@ -25,8 +25,8 @@ REPO_ROOT = SRC.parent
 STUDIES = REPO_ROOT / "studies"
 
 #: Packages whose ``__init__`` is a lazy front door (``repro`` itself plus
-#: every subpackage except :mod:`repro.kernels`, which holds the dispatch
-#: code itself).
+#: every subpackage except :mod:`repro.kernels`, which eagerly re-exports
+#: its one implementation module, :mod:`repro.kernels.numpy_fused`).
 LAZY_PACKAGES = sorted(
     ["repro"] + [f"repro.{init.parent.name}"
                  for init in SRC.glob("repro/*/__init__.py")
@@ -113,6 +113,17 @@ class TestImportBudget:
             "m for m in sys.modules if m.split('.')[0] == 'repro')))"))
         assert len(modules) <= 40, modules
         assert "repro.experiments" not in modules
+
+    def test_kernels_load_only_the_fused_kernels(self):
+        # The step-loop kernels are test oracles: importing the kernels
+        # front door loads it and the fused implementation, nothing else.
+        added = json.loads(_python(
+            "import json, sys, repro\n"
+            "before = set(sys.modules)\n"
+            "import repro.kernels\n"
+            "print(json.dumps(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] == 'repro')))"))
+        assert added == ["repro.kernels", "repro.kernels.numpy_fused"]
 
     def test_study_list_loads_no_engine(self, tmp_path):
         code, modules = _cli_modules("study", "list", str(tmp_path))

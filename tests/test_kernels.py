@@ -1,4 +1,4 @@
-"""Kernel property suite — fused backends vs. the reference step loops.
+"""Kernel property suite — fused kernels vs. the step-loop oracles.
 
 The parity matrix (``test_engine_parity.py``) compares whole engines; this
 module attacks the kernels directly on adversarial inputs the engines never
@@ -12,23 +12,25 @@ quite produce in one run:
 * alone-vs-joint candidate grouping in the fused min-scan, also across
   shadowing draws (per-candidate first scales and chunk cuts),
 * the hour-order summation helpers behind the fused SoC walk,
-* the fixed backend table itself (both backends complete, ``None`` means
-  ``numpy``, unknown names refused).
+* the occupancy group scan on hand-worked lanes,
+* the ``repro.kernels`` front door (the fused kernels, and nothing else).
 
-Reference-vs-fused tolerances: ``ar1_scan`` / ``ar1_min_scan`` are pinned to
+Oracle-vs-fused tolerances: ``ar1_scan`` / ``ar1_min_scan`` are pinned to
 1e-12 (far inside the engines' 1e-9 budget); ``soc_scan`` pins the PV sums
 and integer counts exactly and the SoC-dependent floats at 1e-12 (the fused
-walk runs in SoC units); ``occupancy_scan`` is the identical function object
-on both backends.
+walk runs in SoC units).  ``occupancy_scan`` has no step-loop oracle: it is
+itself a step loop, pinned here by hand and end to end against the event
+DES in ``test_engine_parity.py``.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.kernels import (BACKENDS, KERNEL_NAMES, ar1_min_scan, ar1_scan,
-                           occupancy_scan, soc_scan)
-from repro.kernels import numpy_fused, reference
+import repro.kernels
+from oracles import kernels as reference
+from repro.kernels import KERNEL_NAMES, numpy_fused
 from repro.kernels.numpy_fused import _hour_order_sum, _monthly_sums
 from repro.propagation.fading import LogNormalShadowing
 
@@ -116,16 +118,6 @@ class TestAr1Scan:
                                         else rho[:1], innovation[:k - 1]
                                         if k > 1 else innovation[:1], 1.0)
             assert np.array_equal(part, full[:, :k]), k
-
-    def test_dispatcher_backend_axis(self):
-        z = np.random.default_rng(0).standard_normal((2, 50))
-        rho, innovation = _uniform_coeffs(50)
-        ref = ar1_scan(z, rho, innovation, 1.0, backend="reference")
-        assert np.array_equal(ref, reference.ar1_scan(z, rho, innovation, 1.0))
-        for name in BACKENDS:
-            out = ar1_scan(z, rho, innovation, 1.0, backend=name)
-            np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12,
-                                       err_msg=name)
 
 
 class TestAr1MinScan:
@@ -256,21 +248,26 @@ class TestAr1MinScan:
                   for c in (0, 2)]   # decorrelation 25 m, 0.05 m
         assert chunks[0] == 1 and chunks[1] > 10
 
-    def test_sigma_zero_short_circuits_before_kernel(self):
-        # The shadowing model returns zeros before any kernel dispatch, so
-        # even a backend that cannot run resolves fine at sigma == 0.
+    def test_sigma_zero_short_circuits_before_kernel(self, monkeypatch):
+        # The shadowing model returns zeros before any kernel call, so even
+        # a kernel that cannot run resolves fine at sigma == 0.
+        import repro.propagation.fading
+
+        def broken(*args):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(repro.propagation.fading, "ar1_scan", broken)
         model = LogNormalShadowing(sigma_db=0.0)
         out = model.sample_batch(np.array([0.0, 10.0, 20.0]),
-                                 [np.random.default_rng(0)] * 4,
-                                 backend="definitely-not-a-backend")
+                                 [np.random.default_rng(0)] * 4)
         assert np.array_equal(out, np.zeros((4, 3)))
 
 
 class TestSocScan:
-    """Fused SoC-space walk vs. the reference Wh walk.
+    """Fused SoC-space walk vs. the step-loop Wh walk.
 
     The fused kernel runs the recurrence in SoC units, so SoC-dependent
-    floats agree with the reference to a few ULPs (asserted at 1e-12
+    floats agree with the step loop to a few ULPs (asserted at 1e-12
     relative — three decades inside the 1e-9 engine budget); integer
     counts and the hour-order PV sums are exact.
     """
@@ -396,66 +393,47 @@ class TestStreamedSocScan:
 
 
 class TestOccupancyScan:
-    """The numpy backend reuses the reference group scan unchanged."""
+    """The group scan on hand-worked lanes (transition 5 s, horizon 200 s)."""
 
-    def test_numpy_aliases_reference(self):
-        assert numpy_fused.KERNELS["occupancy_scan"] is \
-            reference.KERNELS["occupancy_scan"]
+    def test_hand_worked_lanes(self):
+        inf = np.inf
+        # Lane 0: two groups, each closing a wake cycle (awake 10 + 25 s).
+        # Lane 1: a wake 5 s ahead of the group (awake 45..60 s).
+        # Lane 2: no group, but a barrier wake at 150 s idles to the end.
+        # Lane 3: the first group ends inside the transition, so the unit
+        #         stays awake into the second (the missed-sleep case).
+        g_a = np.array([[0.0, 100.0], [50.0, inf], [inf, inf], [0.0, 4.0]])
+        g_b = np.array([[10.0, 120.0], [60.0, inf], [inf, inf], [3.0, 20.0]])
+        first_wake = np.array([[0.0, 95.0, inf], [45.0, inf, inf],
+                               [150.0, inf, inf], [0.0, inf, inf]])
+        n_groups = np.array([2, 1, 0, 2])
+        awake, waking = numpy_fused.occupancy_scan(
+            g_a, g_b, first_wake, n_groups, 5.0, 200.0)
+        assert awake.tolist() == [35.0, 15.0, 50.0, 20.0]
+        assert waking.tolist() == [5.0, 0.0, 0.0, 4.0]
 
-    def test_dispatcher_routes(self):
-        g_a = np.array([[0.0, 100.0], [50.0, np.inf]])
-        g_b = np.array([[10.0, 120.0], [60.0, np.inf]])
-        first_wake = np.array([[0.0, 95.0, np.inf], [45.0, np.inf, np.inf]])
-        n_groups = np.array([2, 1])
-        expected = reference.occupancy_scan(g_a, g_b, first_wake, n_groups,
-                                            5.0, 200.0)
-        for name in BACKENDS:
-            awake, waking = occupancy_scan(g_a, g_b, first_wake, n_groups,
-                                           5.0, 200.0, backend=name)
-            assert np.array_equal(awake, expected[0]), name
-            assert np.array_equal(waking, expected[1]), name
 
+class TestFrontDoor:
+    """``repro.kernels`` is the fused kernels, nothing else."""
 
-class TestRegistry:
-    """The fixed backend table behind the four dispatchers."""
+    def test_kernel_names_are_the_fused_kernels(self):
+        for name in KERNEL_NAMES:
+            assert getattr(repro.kernels, name) is getattr(numpy_fused, name)
+        assert set(repro.kernels.__all__) == {"KERNEL_NAMES", *KERNEL_NAMES}
 
-    def test_known_backends_registered(self):
-        assert tuple(BACKENDS) == ("numpy", "reference")
+    def test_oracles_share_the_fused_signatures(self):
+        for name in ("ar1_scan", "ar1_min_scan", "soc_scan"):
+            assert (inspect.signature(getattr(reference, name)).parameters.keys()
+                    == inspect.signature(getattr(numpy_fused, name))
+                    .parameters.keys()), name
 
-    def test_every_available_backend_is_complete(self):
-        for name, kernels in BACKENDS.items():
-            assert set(kernels) == set(KERNEL_NAMES), name
+    def test_substitution_is_scoped(self):
+        import importlib
 
-    def test_resolution_order(self):
-        # An explicit name selects its table; None means "numpy".
-        z = np.random.default_rng(4).standard_normal((3, 40))
-        rho, innovation = _uniform_coeffs(40)
-        for backend, module in ((None, numpy_fused), ("numpy", numpy_fused),
-                                ("reference", reference)):
-            assert np.array_equal(
-                ar1_scan(z, rho, innovation, 1.0, backend=backend),
-                module.ar1_scan(z, rho, innovation, 1.0)), backend
-
-    def test_unknown_backend_rejected(self):
-        # Every dispatcher refuses a name outside the table.
-        calls = [
-            (ar1_scan, (np.zeros((1, 2)), np.ones(1), np.ones(1), 1.0)),
-            (ar1_min_scan, (np.zeros((1, 2)), np.ones((1, 1)),
-                            np.ones((1, 1)), np.zeros((1, 2)), 1.0,
-                            np.array([2]))),
-            (soc_scan, (np.zeros((1, 24, 1)), np.zeros((24, 1)),
-                        np.zeros(1), np.ones(1), np.ones(1), np.zeros(1),
-                        1.0)),
-            (occupancy_scan, (np.zeros((1, 1)), np.zeros((1, 1)),
-                              np.zeros((1, 2)), np.ones(1), 1.0, 2.0)),
-        ]
-        for kernel, args in calls:
-            with pytest.raises(ConfigurationError, match="unknown backend"):
-                kernel(*args, backend="fortran")
-
-    def test_unavailable_backend_explains_itself(self):
-        # An unknown name is refused with the names that do exist.
-        message = r"unknown backend 'jit'; available: \['numpy', 'reference'\]"
-        z = np.zeros((1, 2))
-        with pytest.raises(ConfigurationError, match=message):
-            ar1_scan(z, np.ones(1), np.ones(1), 1.0, backend="jit")
+        modules = [(importlib.import_module(module), name)
+                   for module, name in reference.ENGINE_BINDINGS]
+        with reference.substituted():
+            for module, name in modules:
+                assert getattr(module, name) is getattr(reference, name)
+        for module, name in modules:
+            assert getattr(module, name) is getattr(numpy_fused, name)

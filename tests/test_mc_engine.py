@@ -1,12 +1,13 @@
 """Tests for the vectorized Monte-Carlo shadowing engine.
 
-The contract mirrors the radio and solar batch layers: the batched engine
-under ``backend="reference"`` is trial-for-trial **bit-identical** to the
-scalar reference (same generator seeding, same draw order,
-elementwise-identical arithmetic), across uniform and irregular position
-grids, zero sigma, and single-position profiles.  The fused default backend
-matches within 1e-9 while preserving the CRN prefix properties bitwise
-(kernel-level coverage lives in ``tests/test_kernels.py``).
+The contract mirrors the radio and solar batch layers: with the step-loop
+kernel oracle substituted (the ``reference_kernels`` fixture) the batched
+engine is trial-for-trial **bit-identical** to the per-trial scalar oracle
+(same generator seeding, same draw order, elementwise-identical
+arithmetic), across uniform and irregular position grids, zero sigma, and
+single-position profiles.  The fused kernel matches within 1e-9 while
+preserving the CRN prefix properties bitwise (kernel-level coverage lives in
+``tests/test_kernels.py``).
 """
 
 import threading
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro.optimize.mc as mc
-from repro.kernels import BACKENDS
+from oracles.mc import outage_matrix_scalar
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
 from repro.optimize.mc import (
@@ -52,19 +53,24 @@ def _synthetic_profile(positions, snr):
                       snr_db=snr)
 
 
+def _uniform_traces():
+    model = LogNormalShadowing(sigma_db=4.0)
+    pos = np.arange(0.0, 500.0, 5.0)
+    scalar = np.stack([model.sample(pos, rng)
+                       for rng in trial_generators(7, 20)])
+    return model, pos, scalar
+
+
 class TestSampleBatch:
     def test_matches_scalar_uniform_grid(self):
-        model = LogNormalShadowing(sigma_db=4.0)
-        pos = np.arange(0.0, 500.0, 5.0)
-        scalar = np.stack([model.sample(pos, rng)
-                           for rng in trial_generators(7, 20)])
-        reference = model.sample_batch(pos, trial_generators(7, 20),
-                                       backend="reference")
+        model, pos, scalar = _uniform_traces()
+        batch = model.sample_batch(pos, trial_generators(7, 20))
+        np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9)
+
+    def test_step_loop_kernel_bit_identical(self, reference_kernels):
+        model, pos, scalar = _uniform_traces()
+        reference = model.sample_batch(pos, trial_generators(7, 20))
         assert np.array_equal(reference, scalar)
-        for backend in BACKENDS:
-            batch = model.sample_batch(pos, trial_generators(7, 20),
-                                       backend=backend)
-            np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9)
 
     # (Irregular-grid scalar equality over the shared seed sweep lives in
     # tests/test_engine_parity.py.)
@@ -106,35 +112,41 @@ class TestSampleBatch:
         assert not np.array_equal(a[0], a[1])
 
 
+IRREGULAR_PROFILES = [
+    _synthetic_profile([0.0, 3.0, 10.0, 200.0], [30.0, 29.5, 31.0, 28.0]),
+    _synthetic_profile([0.0, 50.0], [35.0, 27.0]),
+    _synthetic_profile([42.0], [29.5]),
+]
+IRREGULAR_SHADOWING = LogNormalShadowing(sigma_db=5.0, decorrelation_m=20.0)
+
+
 class TestOutageMatrix:
     # Ragged-grid scalar-vs-batched bit-identity over the shared seed sweep
     # lives in tests/test_engine_parity.py.
 
     def test_irregular_positions_supported(self):
-        profiles = [
-            _synthetic_profile([0.0, 3.0, 10.0, 200.0], [30.0, 29.5, 31.0, 28.0]),
-            _synthetic_profile([0.0, 50.0], [35.0, 27.0]),
-            _synthetic_profile([42.0], [29.5]),
-        ]
-        shadowing = LogNormalShadowing(sigma_db=5.0, decorrelation_m=20.0)
-        scalar = outage_matrix(profiles, shadowing, trials=64, seed=9,
-                               engine="scalar")
-        reference = outage_matrix(profiles, shadowing, trials=64, seed=9,
-                                  backend="reference")
-        assert np.array_equal(reference.min_snr_db, scalar.min_snr_db)
-        for backend in BACKENDS:
-            batched = outage_matrix(profiles, shadowing, trials=64, seed=9,
-                                    backend=backend)
-            np.testing.assert_allclose(batched.min_snr_db, scalar.min_snr_db,
-                                       rtol=0.0, atol=1e-9)
+        scalar = outage_matrix_scalar(IRREGULAR_PROFILES, IRREGULAR_SHADOWING,
+                                      64, 9)
+        batched = outage_matrix(IRREGULAR_PROFILES, IRREGULAR_SHADOWING,
+                                trials=64, seed=9)
+        np.testing.assert_allclose(batched.min_snr_db, scalar,
+                                   rtol=0.0, atol=1e-9)
+
+    def test_irregular_positions_bit_identical_on_step_loop_kernel(
+            self, reference_kernels):
+        scalar = outage_matrix_scalar(IRREGULAR_PROFILES, IRREGULAR_SHADOWING,
+                                      64, 9)
+        reference = outage_matrix(IRREGULAR_PROFILES, IRREGULAR_SHADOWING,
+                                  trials=64, seed=9)
+        assert np.array_equal(reference.min_snr_db, scalar)
 
     def test_zero_sigma_reduces_to_deterministic(self):
         profiles = _profiles()
         matrix = outage_matrix(profiles, LogNormalShadowing(sigma_db=0.0),
                                trials=6)
-        scalar = outage_matrix(profiles, LogNormalShadowing(sigma_db=0.0),
-                               trials=6, engine="scalar")
-        assert np.array_equal(matrix.min_snr_db, scalar.min_snr_db)
+        scalar = outage_matrix_scalar(
+            profiles, LogNormalShadowing(sigma_db=0.0), 6, 2022)
+        assert np.array_equal(matrix.min_snr_db, scalar)
         for c, profile in enumerate(profiles):
             assert np.all(matrix.min_snr_db[c] == profile.min_snr_db)
 
@@ -151,18 +163,23 @@ class TestOutageMatrix:
     def test_z_cache_prefix_reuse_bit_identical(self):
         # Evaluations at different grid lengths under one (seed, trials)
         # share the memoized standard-normal matrix (prefix views); results
-        # must stay bit-identical to the scalar path in any call order.
+        # must stay within 1e-9 of the scalar path in any call order.
         profiles = _profiles()
         small_first = outage_matrix([profiles[2]], trials=15, seed=21)
         big = outage_matrix(profiles, trials=15, seed=21)
-        scalar = outage_matrix(profiles, trials=15, seed=21, engine="scalar")
-        big_ref = outage_matrix(profiles, trials=15, seed=21,
-                                backend="reference")
-        assert np.array_equal(big_ref.min_snr_db, scalar.min_snr_db)
-        np.testing.assert_allclose(big.min_snr_db, scalar.min_snr_db,
+        scalar = outage_matrix_scalar(profiles, LogNormalShadowing(), 15, 21)
+        np.testing.assert_allclose(big.min_snr_db, scalar,
                                    rtol=0.0, atol=1e-9)
-        # The fused default preserves the prefix property bitwise.
+        # The fused kernel preserves the prefix property bitwise.
         assert np.array_equal(small_first.min_snr_db[0], big.min_snr_db[2])
+
+    def test_z_cache_prefix_reuse_on_step_loop_kernel(self,
+                                                      reference_kernels):
+        profiles = _profiles()
+        outage_matrix([profiles[2]], trials=15, seed=21)
+        big_ref = outage_matrix(profiles, trials=15, seed=21)
+        scalar = outage_matrix_scalar(profiles, LogNormalShadowing(), 15, 21)
+        assert np.array_equal(big_ref.min_snr_db, scalar)
 
     def test_seed_changes_samples(self):
         profiles = _profiles()[:1]
@@ -193,13 +210,9 @@ class TestOutageMatrix:
             outage_matrix([], trials=10)
         with pytest.raises(ConfigurationError):
             outage_matrix(_profiles(), trials=0)
-        with pytest.raises(ConfigurationError):
-            outage_matrix(_profiles(), trials=10, engine="gpu")
-        # An empty position grid must fail on both engines alike.
         empty = _synthetic_profile(np.empty(0), np.empty(0))
-        for engine in ("batched", "scalar"):
-            with pytest.raises(ConfigurationError):
-                outage_matrix([empty], trials=5, engine=engine)
+        with pytest.raises(ConfigurationError):
+            outage_matrix([empty], trials=5)
 
 
 class TestMinSnrMatrix:
@@ -210,30 +223,32 @@ class TestMinSnrMatrix:
                   for sigma, d in ((4.0, 50.0), (0.0, 50.0), (2.0, 25.0),
                                    (6.0, 0.05), (4.0, 100.0))]
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_rows_equal_one_call_per_candidate(self, backend):
+    def _assert_rows_equal_one_call_per_candidate(self):
         profiles = _profiles() + _profiles(resolution_m=25.0)
         pairs = [(profile, shadowing) for profile in profiles
                  for shadowing in self.SHADOWINGS]
         joint = mc.min_snr_matrix([p for p, _ in pairs],
-                                  [s for _, s in pairs], 12, 5,
-                                  backend=backend)
+                                  [s for _, s in pairs], 12, 5)
         assert joint.shape == (len(pairs), 12) and not joint.flags.writeable
         for c, (profile, shadowing) in enumerate(pairs):
-            alone = outage_matrix([profile], shadowing, trials=12, seed=5,
-                                  backend=backend)
+            alone = outage_matrix([profile], shadowing, trials=12, seed=5)
             assert np.array_equal(alone.min_snr_db[0], joint[c]), c
 
-    def test_reference_backend_equals_the_scalar_walk(self):
+    def test_rows_equal_one_call_per_candidate(self):
+        self._assert_rows_equal_one_call_per_candidate()
+
+    def test_rows_equal_one_call_per_candidate_on_step_loop_kernel(
+            self, reference_kernels):
+        self._assert_rows_equal_one_call_per_candidate()
+
+    def test_step_loop_kernel_equals_the_scalar_walk(self, reference_kernels):
         profiles = _profiles()
         joint = mc.min_snr_matrix(profiles * 2, [self.SHADOWINGS[0]] * 3
-                                  + [self.SHADOWINGS[2]] * 3, 9, 1,
-                                  backend="reference")
+                                  + [self.SHADOWINGS[2]] * 3, 9, 1)
         for c, profile in enumerate(profiles * 2):
             shadowing = self.SHADOWINGS[0 if c < 3 else 2]
-            scalar = outage_matrix([profile], shadowing, trials=9, seed=1,
-                                   engine="scalar")
-            assert np.array_equal(scalar.min_snr_db[0], joint[c])
+            scalar = outage_matrix_scalar([profile], shadowing, 9, 1)
+            assert np.array_equal(scalar[0], joint[c])
 
     @pytest.mark.parametrize("shadowings", [2, 4])
     def test_shadowing_count_must_match(self, shadowings):
@@ -284,20 +299,14 @@ fixed:
 
 
 def per_draw_mc(cases, seeds):
-    """The per-draw oracle of ``benchmarks/bench_mc_shadowing.py`` (one
-    :func:`outage_matrix` call per shadowing draw) on unresolved cases."""
-    import importlib.util
-
+    """:func:`oracles.mc.per_draw_mc` (one :func:`outage_matrix` call per
+    shadowing draw) on unresolved cases."""
+    from oracles import mc as oracle_mc
     from repro.study.engines import STUDY_ENGINES
 
-    spec = importlib.util.spec_from_file_location(
-        "bench_mc_shadowing", Path(__file__).resolve().parents[1]
-        / "benchmarks" / "bench_mc_shadowing.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
     adapter = STUDY_ENGINES["mc"]
-    return bench.per_draw_mc([adapter.resolve(case) for case in cases],
-                             seeds)
+    return oracle_mc.per_draw_mc([adapter.resolve(case) for case in cases],
+                                 seeds)
 
 
 def bits(rows):
@@ -456,20 +465,28 @@ class TestOutageResultHelpers:
         low, high = result.ci95()
         assert low <= result.outage_probability <= high
 
-    def test_engine_scalar_bit_identical(self):
+    @staticmethod
+    def _scalar(layout):
+        from repro.radio.link import compute_snr_profile
+
+        profile = compute_snr_profile(layout, resolution_m=10.0)
+        return outage_matrix_scalar([profile], LogNormalShadowing(), 30,
+                                    2022)[0]
+
+    def test_matches_the_scalar_walk(self):
         layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
-        scalar = outage_probability(layout, trials=30, resolution_m=10.0,
-                                    engine="scalar")
-        reference = outage_probability(layout, trials=30, resolution_m=10.0,
-                                       backend="reference")
-        assert reference.outages == scalar.outages
-        assert np.array_equal(reference.min_snr_samples_db,
-                              scalar.min_snr_samples_db)
+        scalar = self._scalar(layout)
         batched = outage_probability(layout, trials=30, resolution_m=10.0)
-        assert batched.outages == scalar.outages
-        np.testing.assert_allclose(batched.min_snr_samples_db,
-                                   scalar.min_snr_samples_db,
+        assert batched.outages == int(np.count_nonzero(
+            scalar < batched.threshold_db))
+        np.testing.assert_allclose(batched.min_snr_samples_db, scalar,
                                    rtol=0.0, atol=1e-9)
+
+    def test_step_loop_kernel_bit_identical(self, reference_kernels):
+        layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
+        reference = outage_probability(layout, trials=30, resolution_m=10.0)
+        assert np.array_equal(reference.min_snr_samples_db,
+                              self._scalar(layout))
 
 
 class TestRobustMaxIsdBisection:
@@ -490,12 +507,15 @@ class TestRobustMaxIsdBisection:
         assert (robust_max_isd(2, **kwargs)
                 == robust_max_isd(2, exhaustive=True, **kwargs))
 
-    def test_scalar_engine_equals_batched(self):
+    def test_step_loop_kernel_equals_fused(self):
+        from oracles import kernels as oracle_kernels
+
         kwargs = dict(target_outage=0.1,
                       shadowing=LogNormalShadowing(sigma_db=4.0), trials=30,
                       resolution_m=10.0, isd_max_m=1500.0, seed=3)
-        assert (robust_max_isd(1, engine="scalar", **kwargs)
-                == robust_max_isd(1, **kwargs))
+        fused = robust_max_isd(1, **kwargs)
+        with oracle_kernels.substituted():
+            assert robust_max_isd(1, **kwargs) == fused
 
     @pytest.mark.parametrize("exhaustive", (False, True))
     def test_infeasible_raises_infeasible_error(self, exhaustive):

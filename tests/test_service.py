@@ -385,8 +385,8 @@ class TestEngineCalls:
         # same queue is one group from the start.
         import yaml
 
+        import repro.optimize.mc as mc
         import repro.study.runner as runner
-        from repro.kernels import BACKENDS
         from repro.scenario.spec import Scenario
 
         calls = {"run_cases": 0, "ar1_min_scan": 0, "content_hash": 0}
@@ -400,10 +400,10 @@ class TestEngineCalls:
         monkeypatch.setattr(runner, "_POLL_S", 1e9)
         monkeypatch.setattr(runner, "run_cases",
                             counting("run_cases", runner.run_cases))
-        # The kernel table is read at call time, so this counts every
-        # fused min-scan however the caller imported the dispatcher.
-        monkeypatch.setitem(BACKENDS["numpy"], "ar1_min_scan", counting(
-            "ar1_min_scan", BACKENDS["numpy"]["ar1_min_scan"]))
+        # The binding the Monte-Carlo engine calls (the spy's reach is
+        # pinned in tests/test_attempt_groups.py).
+        monkeypatch.setattr(mc, "ar1_min_scan", counting(
+            "ar1_min_scan", mc.ar1_min_scan))
         monkeypatch.setattr(Scenario, "content_hash", property(counting(
             "content_hash", Scenario.content_hash.fget)))
         document = yaml.safe_load(

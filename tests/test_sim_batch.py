@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles.des import simulate_days_event
 from repro.corridor.layout import CorridorLayout
 from repro.energy.analysis import simulated_policy_comparison
 from repro.energy.duty import EnergyParams
@@ -141,10 +142,6 @@ class TestSimulateDays:
         slow = simulate_days(LAYOUT, transition_s=5.0, wake_lead_m=300.0)
         assert slow.total_mains_wh[0] > fast.total_mains_wh[0]
 
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError):
-            simulate_days(LAYOUT, engine="gpu")
-
     def test_rejects_negative_transition_and_lead(self):
         with pytest.raises(ConfigurationError):
             simulate_days(LAYOUT, transition_s=-1.0)
@@ -239,8 +236,8 @@ class TestSimGridExperiment:
         assert table.table().startswith("study sim-grid-demand: 3 cases")
 
     def test_engines_agree_cell_for_cell(self):
-        # The study runs the batch engine; the event engine stays an oracle
-        # at the engine API and agrees with the study on every cell.
+        # The study runs the batch engine; the event oracle agrees with the
+        # study on every cell.
         spec = _sim_grid((152.0,), 2, seed=4)
         batch = run_study(spec).table.wide()
         event = {"mean_w_per_km": [], "std_w_per_km": []}
@@ -249,13 +246,12 @@ class TestSimGridExperiment:
                 trains_per_hour=3600.0 / case["headway_s"],
                 night_quiet_hours=24.0 - case["trains_per_day"]
                 * case["headway_s"] / 3600.0)
-            sim = simulate_days(
+            sim, _ = simulate_days_event(
                 CorridorLayout.with_uniform_repeaters(case["isd_m"], 8),
                 mode=OperatingMode(case["policy"]),
                 params=EnergyParams(traffic=traffic),
                 timetables=day_timetables(
-                    traffic, realizations=2, seed=spec.case_seed(i)),
-                engine="event")
+                    traffic, realizations=2, seed=spec.case_seed(i)))
             event["mean_w_per_km"].append(sim.mean_w_per_km())
             event["std_w_per_km"].append(sim.std_w_per_km())
         assert batch["mean_w_per_km"] == pytest.approx(
@@ -273,20 +269,16 @@ class TestSimGridExperiment:
 
 
 class TestCorridorSimulationRouting:
-    def test_default_routes_through_batch_engine(self):
-        sim = __import__("repro.simulation.corridor_sim",
-                         fromlist=["CorridorSimulation"])
-        result = sim.CorridorSimulation(LAYOUT).run()
-        assert result.events_processed == 0  # no event queue in batch mode
+    def test_matches_the_event_oracle(self):
+        from repro.simulation.corridor_sim import CorridorSimulation
 
-    def test_event_engine_escape_hatch(self):
-        sim = __import__("repro.simulation.corridor_sim",
-                         fromlist=["CorridorSimulation"])
-        batch = sim.CorridorSimulation(LAYOUT).run()
-        event = sim.CorridorSimulation(LAYOUT).run(engine="event")
-        assert event.events_processed > 1000
-        assert batch.total_mains_wh == pytest.approx(event.total_mains_wh,
-                                                     rel=1e-9)
+        corridor = CorridorSimulation(LAYOUT)
+        batch = corridor.run()
+        event, events_processed = simulate_days_event(
+            LAYOUT, timetables=(corridor.timetable,))
+        assert events_processed[0] > 1000
+        assert batch.total_mains_wh == pytest.approx(
+            float(event.total_mains_wh[0]), rel=1e-9)
 
 
 # -- the sim adapter's batching -------------------------------------------------

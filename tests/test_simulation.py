@@ -1,15 +1,16 @@
-"""Tests for the discrete-event simulation substrate."""
+"""Tests for the discrete-event simulation oracle (``tests/oracles/des``)
+and the corridor simulation front end."""
 
 import pytest
 
+from oracles.des.detectors import PhotoelectricBarrier
+from oracles.des.engine import Simulator
+from oracles.des.recorder import EnergyRecorder
+from oracles.des.statemachine import NodeState, PowerStateMachine
 from repro.corridor.layout import CorridorLayout
 from repro.energy.scenario import OperatingMode, segment_energy
 from repro.errors import ConfigurationError, SimulationError
 from repro.simulation.corridor_sim import CorridorSimulation
-from repro.simulation.detectors import PhotoelectricBarrier
-from repro.simulation.engine import Simulator
-from repro.simulation.recorder import EnergyRecorder
-from repro.simulation.statemachine import NodeState, PowerStateMachine
 from repro.traffic.timetable import Timetable, TrainRun, generate_timetable
 from repro.traffic.trains import TrafficParams
 

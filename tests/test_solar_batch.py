@@ -1,13 +1,13 @@
 """Tests for the batched off-grid engine and the weather-tensor cache.
 
-The central guarantee mirrors ``test_batch.py``: every result out of
-:func:`repro.solar.batch.simulate_systems` under the ``"reference"``
-kernel backend is bit-identical to the scalar
-:meth:`OffGridSystem.simulate_year` on the same system, the weather-year
-tensor is bit-identical to stacking the per-day synthesis, and weather is
-synthesized exactly once per key.  The default fused backend's tolerance
-contract (exact integers/PV sums, 1e-9 SoC-dependent floats) lives in
-``tests/test_engine_parity.py``.
+The central guarantee mirrors ``test_batch.py``: with the step-loop
+``soc_scan`` oracle substituted (the ``reference_kernels`` fixture), every
+result out of :func:`repro.solar.batch.simulate_systems` is bit-identical to
+the scalar year walk :func:`oracles.solar.simulate_year` on the same system,
+the weather-year tensor is bit-identical to stacking the per-day synthesis,
+and weather is synthesized exactly once per key.  The fused kernel's
+tolerance contract (exact integers/PV sums, 1e-9 SoC-dependent floats)
+lives in ``tests/test_engine_parity.py``.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles.solar import project_lifetime_scalar, simulate_year
 from repro.errors import ConfigurationError
 from repro.solar.batch import (
     WeatherCache,
@@ -99,7 +100,8 @@ class TestBatchBitIdentity:
     # tests/test_engine_parity.py; this class keeps the heterogeneous-batch
     # and error behaviours.
 
-    def test_mixed_locations_seeds_and_loads_in_one_batch(self):
+    def test_mixed_locations_seeds_and_loads_in_one_batch(
+            self, reference_kernels):
         heavy = LoadProfile(hourly_w=(20.0,) * 24)
         systems = [
             OffGridSystem(LOCATIONS["madrid"], seed=1),
@@ -111,15 +113,15 @@ class TestBatchBitIdentity:
                                           discharge_cutoff=0.3)),
         ]
         for system, result in zip(systems, simulate_systems(
-                systems, weather_cache=WeatherCache(), backend="reference")):
-            assert_results_equal(result, system.simulate_year())
+                systems, weather_cache=WeatherCache())):
+            assert_results_equal(result, simulate_year(system))
 
-    def test_partial_year_and_initial_soc(self):
+    def test_partial_year_and_initial_soc(self, reference_kernels):
         system = OffGridSystem(LOCATIONS["berlin"], seed=5)
         batched, = simulate_systems([system], days=45, initial_soc=0.6,
-                                    weather_cache=WeatherCache(),
-                                    backend="reference")
-        assert_results_equal(batched, system.simulate_year(days=45, initial_soc=0.6))
+                                    weather_cache=WeatherCache())
+        assert_results_equal(batched, simulate_year(system, days=45,
+                                                    initial_soc=0.6))
 
     def test_empty_batch(self):
         assert simulate_systems([]) == []
@@ -228,27 +230,35 @@ class TestWeatherCache:
         assert default.content_hash != overridden.content_hash
 
 
+def _minimal_system_scalar(location):
+    """The sizing ladder walked one :func:`simulate_year` per rung."""
+    from repro.solar.sizing import DEFAULT_CANDIDATES
+
+    rejected = []
+    for pv, wh in DEFAULT_CANDIDATES:
+        result = simulate_year(OffGridSystem(
+            location, pv=PvArray(peak_w=pv), battery=Battery(capacity_wh=wh)))
+        if result.zero_downtime:
+            return (pv, wh), tuple(rejected), result
+        rejected.append((pv, wh))
+    raise AssertionError("no feasible rung")
+
+
 class TestRoutedConsumers:
     @pytest.mark.parametrize("key", ALL_LOCATIONS)
-    def test_sizing_engines_agree(self, key):
-        batch = find_minimal_system(LOCATIONS[key], weather_cache=WeatherCache(),
-                                    backend="reference")
-        scalar = find_minimal_system(LOCATIONS[key], engine="scalar")
-        assert (batch.pv_peak_w, batch.battery_capacity_wh) == \
-            (scalar.pv_peak_w, scalar.battery_capacity_wh)
-        assert batch.rejected == scalar.rejected
-        assert_results_equal(batch.result, scalar.result)
+    def test_sizing_matches_scalar_ladder_walk(self, key, reference_kernels):
+        batch = find_minimal_system(LOCATIONS[key],
+                                    weather_cache=WeatherCache())
+        chosen, rejected, result = _minimal_system_scalar(LOCATIONS[key])
+        assert (batch.pv_peak_w, batch.battery_capacity_wh) == chosen
+        assert batch.rejected == rejected
+        assert_results_equal(batch.result, result)
 
-    def test_sizing_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError):
-            find_minimal_system(LOCATIONS["madrid"], engine="magic")
-
-    def test_lifetime_engines_agree(self):
+    def test_lifetime_matches_year_by_year_loop(self, reference_kernels):
         batch = project_lifetime(LOCATIONS["vienna"], 540.0, 1440.0,
-                                 service_years=4, weather_cache=WeatherCache(),
-                                 backend="reference")
-        scalar = project_lifetime(LOCATIONS["vienna"], 540.0, 1440.0,
-                                  service_years=4, engine="scalar")
+                                 service_years=4, weather_cache=WeatherCache())
+        scalar = project_lifetime_scalar(LOCATIONS["vienna"], 540.0, 1440.0,
+                                         service_years=4)
         assert len(batch.years) == len(scalar.years)
         for b, s in zip(batch.years, scalar.years):
             assert b.year == s.year
@@ -257,26 +267,21 @@ class TestRoutedConsumers:
             assert b.equivalent_full_cycles == s.equivalent_full_cycles
             assert_results_equal(b.result, s.result)
 
-    def test_lifetime_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError):
-            project_lifetime(LOCATIONS["vienna"], 540.0, 1440.0, engine="magic")
-
     def test_annual_load_fold_matches_simulation(self):
         load = repeater_load_profile()
-        result = OffGridSystem(LOCATIONS["madrid"], load=load).simulate_year()
+        result = simulate_year(OffGridSystem(LOCATIONS["madrid"], load=load))
         assert annual_load_wh(load) / 1000.0 == result.annual_load_kwh
 
-    def test_simulate_candidates_order_and_identity(self):
+    def test_simulate_candidates_order_and_identity(self, reference_kernels):
         candidates = ((360.0, 720.0), (540.0, 1440.0))
         results = simulate_candidates(LOCATIONS["vienna"], candidates,
-                                      weather_cache=WeatherCache(),
-                                      backend="reference")
+                                      weather_cache=WeatherCache())
         assert [(r.pv_peak_w, r.battery_capacity_wh) for r in results] == \
             list(candidates)
         for (pv, wh), result in zip(candidates, results):
             system = OffGridSystem(LOCATIONS["vienna"], pv=PvArray(peak_w=pv),
                                    battery=Battery(capacity_wh=wh))
-            assert_results_equal(result, system.simulate_year())
+            assert_results_equal(result, simulate_year(system))
 
 
 def _table4_grid(pv_peaks, battery_whs):
@@ -303,7 +308,7 @@ class TestTable4Grid:
         row = rows[("berlin", 600.0, 1440.0)]
         system = OffGridSystem(LOCATIONS["berlin"], pv=PvArray(peak_w=600.0),
                                battery=Battery(capacity_wh=1440.0))
-        scalar = system.simulate_year()
+        scalar = simulate_year(system)
         assert row["zero_downtime"] == int(scalar.zero_downtime)
         assert row["unmet_hours"] == scalar.unmet_hours
         assert row["unmet_wh"] == scalar.unmet_wh

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro import constants
 from repro.energy.duty import lp_node_average_power_w
 from repro.errors import ConfigurationError, InfeasibleError
+from repro.solar.batch import simulate_systems
 from repro.solar.battery import Battery
 from repro.solar.climates import LOCATIONS
 from repro.solar.offgrid import LoadProfile, OffGridSystem, repeater_load_profile
@@ -129,31 +130,36 @@ class TestLoadProfile:
             LoadProfile(hourly_w=(-1.0,) + (1.0,) * 23)
 
 
+def _year(system, days=365):
+    """One system's hourly energy balance through the batch engine."""
+    return simulate_systems([system], days=days)[0]
+
+
 class TestOffGridSimulation:
     def test_madrid_base_zero_downtime(self):
-        result = OffGridSystem(LOCATIONS["madrid"]).simulate_year()
+        result = _year(OffGridSystem(LOCATIONS["madrid"]))
         assert result.zero_downtime
         assert result.full_battery_days_pct > 97.0
 
     def test_lyon_base_zero_downtime(self):
-        result = OffGridSystem(LOCATIONS["lyon"]).simulate_year()
+        result = _year(OffGridSystem(LOCATIONS["lyon"]))
         assert result.zero_downtime
 
     def test_vienna_base_has_downtime(self):
-        result = OffGridSystem(LOCATIONS["vienna"]).simulate_year()
+        result = _year(OffGridSystem(LOCATIONS["vienna"]))
         assert not result.zero_downtime
 
     def test_vienna_doubled_battery_recovers(self):
-        result = OffGridSystem(LOCATIONS["vienna"],
-                               battery=Battery(capacity_wh=1440.0)).simulate_year()
+        result = _year(OffGridSystem(LOCATIONS["vienna"],
+                                     battery=Battery(capacity_wh=1440.0)))
         assert result.zero_downtime
 
     def test_berlin_needs_bigger_pv_too(self):
-        small_pv = OffGridSystem(LOCATIONS["berlin"],
-                                 battery=Battery(capacity_wh=1440.0)).simulate_year()
+        small_pv = _year(OffGridSystem(LOCATIONS["berlin"],
+                                       battery=Battery(capacity_wh=1440.0)))
         assert not small_pv.zero_downtime
-        big = OffGridSystem(LOCATIONS["berlin"], pv=PvArray(peak_w=600.0),
-                            battery=Battery(capacity_wh=1440.0)).simulate_year()
+        big = _year(OffGridSystem(LOCATIONS["berlin"], pv=PvArray(peak_w=600.0),
+                                  battery=Battery(capacity_wh=1440.0)))
         assert big.zero_downtime
 
     def test_full_days_ordering_matches_paper(self):
@@ -161,43 +167,43 @@ class TestOffGridSimulation:
         configs = {"madrid": (540.0, 720.0), "lyon": (540.0, 720.0),
                    "vienna": (540.0, 1440.0), "berlin": (600.0, 1440.0)}
         for key, (pv, batt) in configs.items():
-            result = OffGridSystem(LOCATIONS[key], pv=PvArray(peak_w=pv),
-                                   battery=Battery(capacity_wh=batt)).simulate_year()
+            result = _year(OffGridSystem(LOCATIONS[key], pv=PvArray(peak_w=pv),
+                                         battery=Battery(capacity_wh=batt)))
             pct[key] = result.full_battery_days_pct
         assert pct["madrid"] > pct["lyon"] > pct["vienna"] > pct["berlin"]
 
     def test_annual_load_consistency(self):
-        result = OffGridSystem(LOCATIONS["madrid"]).simulate_year()
+        result = _year(OffGridSystem(LOCATIONS["madrid"]))
         assert result.annual_load_kwh == pytest.approx(0.1241 * 365, rel=0.01)
 
     def test_monthly_stats_shapes(self):
-        result = OffGridSystem(LOCATIONS["madrid"]).simulate_year()
+        result = _year(OffGridSystem(LOCATIONS["madrid"]))
         assert len(result.monthly_pv_kwh) == 12
         assert len(result.monthly_unmet_hours) == 12
         assert sum(result.monthly_unmet_hours) == result.unmet_hours
 
     def test_winter_months_least_pv(self):
-        result = OffGridSystem(LOCATIONS["berlin"]).simulate_year()
+        result = _year(OffGridSystem(LOCATIONS["berlin"]))
         monthly = result.monthly_pv_kwh
         assert min(monthly) == min(monthly[11], monthly[0])  # Dec or Jan darkest
 
     def test_huge_load_causes_downtime_everywhere(self):
         big_load = LoadProfile(hourly_w=(500.0,) * 24)
-        result = OffGridSystem(LOCATIONS["madrid"], load=big_load).simulate_year()
+        result = _year(OffGridSystem(LOCATIONS["madrid"], load=big_load))
         assert result.unmet_hours > 1000
 
     def test_seed_determinism(self):
-        a = OffGridSystem(LOCATIONS["vienna"], seed=7).simulate_year()
-        b = OffGridSystem(LOCATIONS["vienna"], seed=7).simulate_year()
+        a = _year(OffGridSystem(LOCATIONS["vienna"], seed=7))
+        b = _year(OffGridSystem(LOCATIONS["vienna"], seed=7))
         assert a.full_battery_days == b.full_battery_days
         assert a.unmet_hours == b.unmet_hours
 
     def test_rejects_zero_days(self):
         with pytest.raises(ConfigurationError):
-            OffGridSystem(LOCATIONS["madrid"]).simulate_year(days=0)
+            _year(OffGridSystem(LOCATIONS["madrid"]), days=0)
 
     def test_min_soc_never_below_cutoff(self):
-        result = OffGridSystem(LOCATIONS["berlin"]).simulate_year()
+        result = _year(OffGridSystem(LOCATIONS["berlin"]))
         assert result.min_soc >= 0.4 - 1e-9
 
 

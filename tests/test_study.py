@@ -391,11 +391,12 @@ fixed:
         assert row["min_snr_db"][0] == profile.min_snr_db
         assert row["mean_snr_db"][0] == profile.mean_snr_db
 
-    def test_mc_scalar_engine_hatch_identical(self):
-        # A study runs the batched engine; the scalar engine stays an oracle
-        # at the engine API and agrees with the study on every case.
+    def test_mc_scalar_oracle_identical(self):
+        # A study runs the batched engine; the per-trial scalar oracle
+        # agrees with the study on every case.
+        from oracles.mc import outage_matrix_scalar
         from repro.corridor.layout import CorridorLayout
-        from repro.optimize.mc import outage_matrix
+        from repro.optimize.mc import OutageMatrix
         from repro.propagation.fading import LogNormalShadowing
         from repro.radio.batch import evaluate_scenarios
         from repro.scenario.spec import Scenario
@@ -408,12 +409,12 @@ fixed:
                 case["isd_m"], case["n_repeaters"], case["spacing_m"])
             profile, = evaluate_scenarios(
                 [Scenario(layout=layout, resolution_m=case["resolution_m"])])
-            scalar = outage_matrix(
+            scalar = OutageMatrix(outage_matrix_scalar(
                 [profile], LogNormalShadowing(
                     sigma_db=case["sigma_db"],
                     decorrelation_m=case["decorrelation_m"]),
-                threshold_db=case["threshold_db"], trials=case["trials"],
-                seed=spec.case_seed(i), engine="scalar")
+                case["trials"], spec.case_seed(i)),
+                threshold_db=case["threshold_db"], seed=spec.case_seed(i))
             assert batched["outage_probability"][i] == \
                 scalar.outage_probability[0]
             assert batched["median_min_snr_db"][i] == scalar.quantile(0.5)[0]

@@ -14,11 +14,15 @@ with the published "days with full battery" ordering.  This script evaluates
 the shipped parameters and prints the margin of each constraint, so a change
 to the weather model can be re-validated at a glance.
 
-Run:  python tools/calibrate_weather.py     (takes ~1 min)
+Run:  python tools/calibrate_weather.py     (exits 1 when a constraint is
+violated)
 """
+
+import sys
 
 from repro import constants
 from repro.reporting.tables import format_table
+from repro.solar.batch import simulate_systems
 from repro.solar.battery import Battery
 from repro.solar.climates import LOCATIONS
 from repro.solar.offgrid import OffGridSystem
@@ -36,13 +40,19 @@ CONSTRAINTS = (
 )
 
 
-def main() -> None:
+def _simulate(configs):
+    """One year per ``(location key, pv W, battery Wh)``, in one batch."""
+    return simulate_systems([
+        OffGridSystem(LOCATIONS[key], pv=PvArray(peak_w=pv),
+                      battery=Battery(capacity_wh=battery))
+        for key, pv, battery in configs])
+
+
+def main() -> int:
     rows = []
     all_ok = True
-    for key, pv, battery, expect_zero in CONSTRAINTS:
-        system = OffGridSystem(LOCATIONS[key], pv=PvArray(peak_w=pv),
-                               battery=Battery(capacity_wh=battery))
-        result = system.simulate_year()
+    results = _simulate([c[:3] for c in CONSTRAINTS])
+    for (key, pv, battery, expect_zero), result in zip(CONSTRAINTS, results):
         ok = result.zero_downtime == expect_zero
         all_ok &= ok
         rows.append([
@@ -60,16 +70,16 @@ def main() -> None:
     print("\nfull-battery-days vs paper (at the final configurations):")
     finals = {"madrid": (540.0, 720.0), "lyon": (540.0, 720.0),
               "vienna": (540.0, 1440.0), "berlin": (600.0, 1440.0)}
-    for key, (pv, battery) in finals.items():
-        system = OffGridSystem(LOCATIONS[key], pv=PvArray(peak_w=pv),
-                               battery=Battery(capacity_wh=battery))
-        measured = system.simulate_year().full_battery_days_pct
+    results = _simulate([(key, *config) for key, config in finals.items()])
+    for key, result in zip(finals, results):
+        measured = result.full_battery_days_pct
         paper = constants.PAPER_FULL_BATTERY_DAYS_PCT[key]
         print(f"  {LOCATIONS[key].name:8s}: measured {measured:6.2f} %  "
               f"paper {paper:6.2f} %  (delta {measured - paper:+.2f} pp)")
 
     print("\nall constraints satisfied" if all_ok else "\nCALIBRATION BROKEN")
+    return 0 if all_ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
