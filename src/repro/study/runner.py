@@ -8,21 +8,18 @@
 2. shards already present in the optional :class:`~repro.study.results.StudyStore`
    are reused (resume-from-partial), as are shards made only of rows the
    caller passes as ``reuse_rows`` (how a refresh carries rows over);
-3. the remaining shards run under a **supervisor loop** — inline for
-   ``jobs=1``, otherwise on a :class:`~concurrent.futures.ProcessPoolExecutor`
-   of ``jobs`` workers — with a ``[k/n]`` progress callback per completed
-   shard.  Inline, consecutive pending shards form **attempt groups** of
-   at most :data:`_GROUP_CASES` cases: one engine call per group, its rows
-   split back per shard, each shard then stored, journaled and reported
-   on its own.  A ``KeyboardInterrupt`` during the engine call loses at
-   most that group.  Under a ``cancel`` hook the groups are also bounded
-   by time — each holds about :data:`_POLL_S` of predicted wall, at least
-   one shard — so the hook's granularity stays one running group; the
-   pace comes from the latest attempt of the same spec shape on the same
-   store (:data:`_PACES`), so a steady-state service job is one group and
-   only a never-measured shape starts with a one-shard probe.  Pool
-   attempts are always one shard (timeouts and crashes are attributed per
-   attempt);
+3. the remaining shards run under one **supervisor loop** (:func:`_supervise`)
+   with a ``[k/n]`` progress callback per completed shard.  An attempt is
+   one engine call over an **attempt group** of consecutive pending
+   shards, its rows split back per shard and each shard stored, journaled
+   and reported on its own.  With ``jobs=1`` an attempt runs in this
+   process as it is submitted, over at most :data:`_GROUP_CASES` cases —
+   under a ``cancel`` hook, about :data:`_POLL_S` of wall at the pace last
+   measured for the spec's shape on the same store (:data:`_PACES`), so a
+   steady-state service job is one group; at least one shard either way.
+   With ``jobs > 1`` attempts run one shard each on a
+   :class:`~concurrent.futures.ProcessPoolExecutor` of ``jobs`` workers,
+   so timeouts and crashes are attributed per shard;
 4. completed shards persist to the store and merge, in case order, into the
    final table.
 
@@ -35,10 +32,10 @@ supervisor treats them as schedulable events rather than run-enders:
   (:func:`retry_delay`) so a rerun reproduces the schedule exactly; a
   failing attempt group charges no shard — its members re-run alone under
   the same attempt numbers, so retries count per shard;
-* a shard exceeding ``shard_timeout`` seconds of wall clock is declared
-  hung: its worker pool is torn down (terminating the stuck process), lost
-  in-flight shards requeue, and the timed-out attempt counts against the
-  shard's retry budget;
+* a pool attempt exceeding ``shard_timeout`` seconds of wall clock is
+  declared hung: its worker pool is torn down (terminating the stuck
+  process), lost in-flight shards requeue, and the timed-out attempt
+  counts against the shard's retry budget;
 * a worker killed hard (OOM, SIGKILL, ``os._exit``) surfaces as
   ``BrokenProcessPool``: the supervisor rebuilds the pool and requeues only
   the shards that were in flight — completed shards are kept;
@@ -48,7 +45,8 @@ supervisor treats them as schedulable events rather than run-enders:
   exception is re-raised (or :class:`~repro.errors.StudyExecutionError` for
   crashes/timeouts) after completed shards have been persisted;
 * ``KeyboardInterrupt`` cancels pending work, persists what finished and
-  returns a partial report instead of losing the run;
+  returns a partial report instead of losing the run (inline, it loses at
+  most the running group);
 * a **programmatic cancellation hook** (``cancel=`` — any zero-argument
   callable, e.g. ``threading.Event.is_set``) does the same under caller
   control: the scenario-planning service uses it to enforce per-job
@@ -136,7 +134,7 @@ class _RunCancelled(BaseException):
 
     Derives from :class:`BaseException` (like ``KeyboardInterrupt``) so it
     cannot be swallowed by engine-level ``except Exception`` handlers on its
-    way out of the supervisor loops.
+    way out of the supervisor loop.
     """
 
 
@@ -238,19 +236,6 @@ def _run_shards(spec: StudySpec, context: dict, members: list[tuple]
     return [_shard_table(start, stop, [known[i] if i in known else next(fresh)
                                        for i in range(start, stop)])
             for _, start, stop, _, known in members]
-
-
-def _run_shard(payload: tuple[StudySpec, int, int, dict, int, int, dict]
-               ) -> tuple[int, ShardTable]:
-    """Worker entry point: evaluate the ``[start, stop)`` case range.
-
-    Module-level so it pickles into :class:`ProcessPoolExecutor` workers;
-    one pool attempt is one shard (see :func:`_run_shards`).
-    """
-    spec, start, stop, context, shard_index, attempt, known = payload
-    shard, = _run_shards(spec, context,
-                         [(shard_index, start, stop, attempt, known)])
-    return start, shard
 
 
 @dataclass(frozen=True)
@@ -394,7 +379,8 @@ def run_study(spec: StudySpec,
 
     Args:
         spec: The validated study specification.
-        jobs: Worker processes; ``1`` (default) runs inline in this process.
+        jobs: Worker processes; ``1`` (default) runs each attempt in this
+            process as the supervisor submits it.
         shards: Number of contiguous case chunks.  Defaults to
             ``min(case_count, 16)``; a resumed run must use the same shard
             layout as the run that populated the store (a differing layout
@@ -415,10 +401,10 @@ def run_study(spec: StudySpec,
             process.
         retries: Extra attempts per failing shard (``0`` keeps the historic
             fail-fast behaviour).
-        shard_timeout: Wall-clock budget [s] per shard attempt; a hung
+        shard_timeout: Wall-clock budget [s] per pool attempt; a hung
             worker is terminated (pool rebuild) and the attempt counts
-            against the retry budget.  Requires ``jobs > 1`` — inline
-            execution cannot preempt itself, so the timeout is ignored there.
+            against the retry budget.  Ignored at ``jobs=1``: an attempt
+            running in this process cannot be preempted.
         keep_going: Quarantine shards that exhaust their retry budget into
             :attr:`StudyRunReport.failed_shards` instead of aborting.
         backoff_base: First-retry backoff scale [s] (``0`` disables backoff;
@@ -435,13 +421,14 @@ def run_study(spec: StudySpec,
             workers terminated), completed shards stay persisted — and the
             report comes back with :attr:`StudyRunReport.cancelled` set.
             This is the deadline/drain hook of the scenario-planning
-            service (:mod:`repro.service`).  Inline, the hook is polled
-            between attempts, and each attempt holds as many cases as fit
-            in :data:`_POLL_S` at the latest per-case wall measured for
-            the spec's shape (the spec without its seed) on ``store``, at
-            least one shard — so a cancel waits out at most one such
-            group.  A shape not yet measured on this store (or a run
-            without a store) first probes with one shard.
+            service (:mod:`repro.service`).  The hook is polled once per
+            supervisor round: every :data:`_POLL_S` on a pool, between
+            attempts at ``jobs=1``.  There each attempt holds the cases
+            that fit in :data:`_POLL_S` at the per-case wall last measured
+            for the spec's shape (the spec without its seed) on ``store``,
+            at least one shard, so a cancel waits out at most one such
+            group; a shape not yet measured there first probes with one
+            shard.
         only_shards: Optional shard indices (into the run's layout) this
             call is responsible for; every other shard is neither reused
             nor computed, and the report's ``shards`` total refers to the
@@ -583,7 +570,9 @@ def run_study(spec: StudySpec,
 
     def on_failure(meta: _Attempt, error: BaseException | None,
                    kind: str) -> bool:
-        """Register a failed attempt; True when the shard may retry."""
+        """Register a failed attempt; True when the shard may retry.  A
+        shard out of attempts is quarantined under ``keep_going`` and
+        otherwise ends the run with its last error."""
         meta.last_error = error
         meta.last_kind = kind
         if meta.attempt < max_attempts:
@@ -597,31 +586,23 @@ def run_study(spec: StudySpec,
         log.emit("failure", shard=meta.index, start=meta.start,
                  stop=meta.stop, attempts=meta.attempt,
                  error=meta.describe_error(), kind=kind)
+        if not keep_going:
+            if error is not None:
+                raise error from None
+            raise StudyExecutionError(
+                f"shard {meta.index} (cases [{meta.start}:{meta.stop})) "
+                f"failed {meta.attempt} attempt(s) by {kind} "
+                f"(see the run journal for provenance)") from None
         failed.append(FailedShard(
             index=meta.index, start=meta.start, stop=meta.stop,
             attempts=meta.attempt, error=meta.describe_error(), kind=kind))
         return False
 
-    def final_error(meta: _Attempt) -> BaseException:
-        if meta.last_error is not None:
-            return meta.last_error
-        return StudyExecutionError(
-            f"shard {meta.index} (cases [{meta.start}:{meta.stop})) failed "
-            f"{meta.attempt} attempt(s) by {meta.last_kind} "
-            f"(see the run journal for provenance)")
-
     interrupted = False
     cancelled = False
     try:
-        if jobs == 1 or not jobs_meta:
-            paces = (_PACES.setdefault(store, {}) if store is not None
-                     else {})
-            _run_inline(spec, context, jobs_meta, record, on_failure,
-                        final_error, keep_going, log, cancel, paces)
-        else:
-            _run_supervised(spec, context, jobs_meta, record, on_failure,
-                            final_error, keep_going, jobs, shard_timeout, log,
-                            cancel)
+        _supervise(spec, context, jobs_meta, record, on_failure, jobs,
+                   shard_timeout, log, cancel, store)
     except KeyboardInterrupt:
         interrupted = True
         log.emit("interrupt", completed=finished)
@@ -645,129 +626,97 @@ def run_study(spec: StudySpec,
     return report
 
 
-def _run_inline(spec, context, jobs_meta, record, on_failure, final_error,
-                keep_going, log, cancel, paces) -> None:
-    """Inline (jobs=1) supervisor: grouped attempts, retry/backoff without
-    a process pool.
+class _Finished:
+    """An inline attempt: run when submitted, then read like a pool
+    future (:meth:`result` returns its value or raises its error)."""
 
-    Consecutive fresh shards share one attempt — one engine call — while
-    the group stays within :data:`_GROUP_CASES` cases; each member is still
-    stored, journaled and reported on its own.  A failed group charges no
-    shard: its members re-run as singleton attempts under the same attempt
-    numbers, so fault plans, retry budgets and quarantine keep their
-    per-shard meaning; retried shards run alone too.  The ``cancel`` hook
-    is polled between attempts (a running attempt cannot be preempted
-    inline), so under a hook the group is also bounded by time: each group
-    takes as many cases as fit in :data:`_POLL_S` at the latest measured
-    per-case wall — always at least one shard.  ``paces`` (the store's
-    :data:`_PACES` entry) carries that wall across runs of one spec shape,
-    so a steady-state run is one group; a shape never measured first
-    probes with one shard.  ``shard_timeout`` is not enforceable here and
-    ``crash`` faults would take the caller down — both need ``jobs > 1``.
+    def __init__(self, fn: Callable, *args) -> None:
+        try:
+            self._value, self._error = fn(*args), None
+        except Exception as exc:
+            self._value, self._error = None, exc
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _supervise(spec, context, jobs_meta, record, on_failure, jobs,
+               shard_timeout, log, cancel, store) -> None:
+    """The one supervisor loop of :func:`run_study`.
+
+    Each round polls ``cancel``, submits attempts whose backoff has
+    elapsed while a slot is free, and collects the finished ones.  An
+    attempt is one :func:`_run_shards` call over consecutive fresh shards
+    of at most ``cap`` cases, at least one shard.  A failed group charges
+    no shard: its members re-run alone under the same attempt numbers, as
+    retries do, so retry budgets and quarantine stay per shard.
+
+    At ``jobs=1`` an attempt runs when submitted (:class:`_Finished`), and
+    ``cap`` is :data:`_GROUP_CASES` — under a hook, what fits in
+    :data:`_POLL_S` at the pace :data:`_PACES` holds for the spec's shape,
+    or one shard until it holds one.  Such an attempt cannot be preempted
+    by ``shard_timeout``, and a ``crash`` fault would end the caller.
+    Otherwise at most ``jobs`` pool workers run one-shard attempts, so
+    timeouts and crashes are charged per shard, and an attempt's
+    ``shard_timeout`` clock starts when a worker slot takes it.
     """
     def fit(pace: float) -> int:
         """Cases of one group at ``pace`` seconds per case."""
         return (_GROUP_CASES if pace <= 0 else
                 min(_GROUP_CASES, int(_POLL_S / pace)))
 
-    shape = _shape(spec)
     # (shard, may join a group): split members and retries run alone.
     queue = deque((meta, True) for meta in jobs_meta.values())
-    # ``paces`` is shared by the service's worker threads, which may clear
-    # it at any time: read and write it only through one call each.
-    pace = paces.get(shape)
-    if cancel is None:
-        cap = _GROUP_CASES
+    running: dict = {}  # future -> (attempt group, start time)
+    if jobs == 1 or not jobs_meta:
+        pool, workers, lost_errors = None, 1, ()
+        shape = _shape(spec)
+        # ``paces`` is shared by the service's worker threads, which may
+        # clear it at any time: read and write it only through one call
+        # each.
+        paces = _PACES.setdefault(store, {}) if store is not None else {}
+        if cancel is None:
+            cap = _GROUP_CASES
+        else:
+            pace = paces.get(shape)
+            cap = fit(pace) if pace is not None else 0
     else:
-        cap = fit(pace) if pace is not None else 0
-    while queue:
-        if cancel is not None and cancel():
-            raise _RunCancelled
-        first, fresh = queue.popleft()
-        group = [first]
-        cases = first.stop - first.start
-        while fresh and queue and queue[0][1]:
-            size = queue[0][0].stop - queue[0][0].start
-            if cases + size > cap:
-                break
-            group.append(queue.popleft()[0])
-            cases += size
-        head = first.index
-        wait = max(meta.ready_at for meta in group) - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
+        import concurrent.futures
+
+        workers = min(jobs, len(jobs_meta))
+        lost_errors = (concurrent.futures.BrokenExecutor,)
+        cap = 0
+        import_engine(spec.engine)  # forked workers inherit it
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+
+    def submit(group: list[_Attempt]) -> None:
         for meta in group:
             meta.attempt += 1
             log.emit("submit", shard=meta.index, start=meta.start,
-                     stop=meta.stop, attempt=meta.attempt, group=head)
+                     stop=meta.stop, attempt=meta.attempt,
+                     group=group[0].index)
+        members = [(meta.index, meta.start, meta.stop, meta.attempt,
+                    meta.known) for meta in group]
         t0 = time.monotonic()
-        try:
-            shards = _run_shards(spec, context, [
-                (meta.index, meta.start, meta.stop, meta.attempt, meta.known)
-                for meta in group])
-        except Exception as exc:
-            if len(group) > 1:
-                for meta in group:
-                    meta.attempt -= 1
-                log.emit("group_split", group=head,
-                         shards=[meta.index for meta in group],
-                         error=repr(exc))
-                queue.extendleft((meta, False) for meta in reversed(group))
-                continue
-            if on_failure(first, exc, "error"):
-                queue.append((first, False))
-            elif not keep_going:
-                raise final_error(first) from None
-            continue
-        wall_s = time.monotonic() - t0
-        for meta, shard in zip(group, shards):
-            # Each member is charged its case share of the attempt's wall,
-            # so summing ``finish`` walls counts the engine call once.
-            record(meta.index, meta.start, meta.stop, shard, meta.attempt,
-                   wall_s * ((meta.stop - meta.start) / cases), head)
-        # The hook waits out the whole attempt, storing included.
-        pace = (time.monotonic() - t0) / cases
-        if shape not in paces and len(paces) >= _PACE_SHAPES:
-            paces.clear()
-        paces[shape] = pace
-        if cancel is not None:
-            cap = fit(pace)
+        future = (_Finished(_run_shards, spec, context, members)
+                  if pool is None else
+                  pool.submit(_run_shards, spec, context, members))
+        running[future] = (group, t0)
 
+    def charge(meta: _Attempt, error: BaseException | None,
+               kind: str) -> None:
+        """Register a failed attempt and requeue the shard if it may
+        retry."""
+        if on_failure(meta, error, kind):
+            queue.append((meta, False))
 
-def _run_supervised(spec, context, jobs_meta, record, on_failure, final_error,
-                    keep_going, jobs, shard_timeout, log,
-                    cancel=None) -> None:
-    """Process-pool supervisor loop: at most ``jobs`` shards in flight.
-
-    Shards are submitted only when a worker slot is free, so each attempt's
-    wall clock (the ``shard_timeout`` reference point) starts when the
-    worker actually starts, not when the shard was queued behind others.
-    The ``cancel`` hook is polled once per supervisor round (every
-    ``_POLL_S`` while work is in flight); on cancellation the loop exits
-    immediately and the ``finally`` teardown terminates in-flight workers.
-    """
-    import concurrent.futures
-    from concurrent.futures.process import BrokenProcessPool
-
-    workers = min(jobs, max(1, len(jobs_meta)))
-    queue: deque[_Attempt] = deque(jobs_meta.values())
-    running: dict[concurrent.futures.Future, tuple[_Attempt, float]] = {}
-    import_engine(spec.engine)  # forked workers inherit it
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-
-    def submit(meta: _Attempt) -> None:
-        meta.attempt += 1
-        log.emit("submit", shard=meta.index, start=meta.start, stop=meta.stop,
-                 attempt=meta.attempt, group=meta.index)
-        future = pool.submit(_run_shard, (spec, meta.start, meta.stop,
-                                          context, meta.index, meta.attempt,
-                                          meta.known))
-        running[future] = (meta, time.monotonic())
-
-    def rebuild(lost_reason: str) -> None:
-        """Tear down the pool, requeue in-flight shards, start fresh."""
+    def rebuild(lost_reason: str, timed_out: Sequence[_Attempt] = ()) -> None:
+        """Tear down the pool and start fresh: every in-flight attempt is
+        lost, charged as a timeout if it ran out of time, else a crash."""
         nonlocal pool
-        lost = [meta for meta, _ in running.values()]
+        lost = [meta for group, _ in running.values() for meta in group]
         running.clear()
         _kill_pool(pool)
         log.emit("pool_broken", lost=[meta.index for meta in lost],
@@ -777,74 +726,89 @@ def _run_supervised(spec, context, jobs_meta, record, on_failure, final_error,
             # The in-flight attempt died with the pool: it counts against
             # the budget (a crashing shard must not retry forever), and the
             # shard re-enters the queue behind its deterministic backoff.
-            if on_failure(meta, meta.last_error, meta.last_kind):
-                queue.append(meta)
-            elif not keep_going:
-                raise final_error(meta) from None
+            charge(meta, None, "timeout" if meta in timed_out else "crash")
 
     try:
         while queue or running:
             if cancel is not None and cancel():
                 raise _RunCancelled
             now = time.monotonic()
-            # Fill free worker slots with shards whose backoff has elapsed.
+            # Fill free slots with attempts whose backoff has elapsed.
             for _ in range(len(queue)):
                 if len(running) >= workers:
                     break
-                meta = queue.popleft()
+                meta, fresh = queue.popleft()
                 if meta.ready_at > now:
-                    queue.append(meta)  # not ready; rotate
+                    queue.append((meta, fresh))  # not ready; rotate
                     continue
+                group, cases = [meta], meta.stop - meta.start
+                while fresh and queue and queue[0][1] and cases + (
+                        queue[0][0].stop - queue[0][0].start) <= cap:
+                    group.append(queue.popleft()[0])
+                    cases += group[-1].stop - group[-1].start
                 try:
-                    submit(meta)
-                except concurrent.futures.BrokenExecutor:
+                    submit(group)
+                except lost_errors:
                     # The pool broke before we noticed (submit is the first
                     # call to see it): the attempt never ran, but the pool
                     # loss is real — charge it and rebuild.
-                    if on_failure(meta, None, "crash"):
-                        queue.append(meta)
-                    elif not keep_going:
-                        raise final_error(meta) from None
-                    for other, _ in running.values():
-                        other.last_error = None
-                        other.last_kind = "crash"
+                    for meta in group:
+                        charge(meta, None, "crash")
                     rebuild("worker process lost (detected at submit)")
                     break
             if not running:
                 if queue:  # everyone is backing off — sleep to the earliest
-                    time.sleep(max(0.0, min(m.ready_at for m in queue) - now))
+                    time.sleep(max(0.0, min(meta.ready_at for meta, _ in queue)
+                                   - now))
                 continue
 
-            finished_futures = concurrent.futures.wait(
-                list(running), timeout=_POLL_S,
-                return_when=concurrent.futures.FIRST_COMPLETED).done
+            finished = (list(running) if pool is None else
+                        concurrent.futures.wait(
+                            list(running), timeout=_POLL_S,
+                            return_when=concurrent.futures.FIRST_COMPLETED
+                        ).done)
             broken = False
-            for future in finished_futures:
-                meta, t0 = running.pop(future)
+            for future in finished:
+                group, t0 = running.pop(future)
                 try:
-                    _, shard = future.result()
-                except (BrokenProcessPool,
-                        concurrent.futures.BrokenExecutor):
+                    shards = future.result()
+                except lost_errors:
                     # A hard-killed worker poisons every in-flight future;
                     # keep collecting (a shard may still have finished in
                     # this round) and rebuild once below.
-                    meta.last_error = None
-                    meta.last_kind = "crash"
-                    running[future] = (meta, t0)
+                    running[future] = (group, t0)
                     broken = True
                     continue
                 except Exception as exc:
-                    if on_failure(meta, exc, "error"):
-                        queue.append(meta)
-                    elif not keep_going:
-                        raise final_error(meta) from None
+                    if len(group) == 1:
+                        charge(group[0], exc, "error")
+                        continue
+                    for meta in group:
+                        meta.attempt -= 1
+                    log.emit("group_split", group=group[0].index,
+                             shards=[meta.index for meta in group],
+                             error=repr(exc))
+                    queue.extendleft((meta, False) for meta in reversed(group))
                     continue
-                record(meta.index, meta.start, meta.stop, shard,
-                       meta.attempt, time.monotonic() - t0, meta.index)
+                wall_s = time.monotonic() - t0
+                cases = sum(meta.stop - meta.start for meta in group)
+                for meta, shard in zip(group, shards):
+                    # Each member is charged its case share of the
+                    # attempt's wall, so summing ``finish`` walls counts
+                    # the engine call once.
+                    record(meta.index, meta.start, meta.stop, shard,
+                           meta.attempt,
+                           wall_s * ((meta.stop - meta.start) / cases),
+                           group[0].index)
+                if pool is None:
+                    # The hook waits out the whole attempt, storing included.
+                    pace = (time.monotonic() - t0) / cases
+                    if shape not in paces and len(paces) >= _PACE_SHAPES:
+                        paces.clear()
+                    paces[shape] = pace
+                    if cancel is not None:
+                        cap = fit(pace)
             if broken:
-                for meta, _ in running.values():
-                    meta.last_error = None
-                    meta.last_kind = "crash"
                 rebuild("worker process lost (BrokenProcessPool)")
                 continue
 
@@ -852,20 +816,15 @@ def _run_supervised(spec, context, jobs_meta, record, on_failure, final_error,
             # the future, so the pool is torn down and rebuilt.
             if shard_timeout is not None:
                 now = time.monotonic()
-                timed_out = [(future, meta, t0)
-                             for future, (meta, t0) in running.items()
-                             if now - t0 > shard_timeout]
+                timed_out = [meta for group, t0 in running.values()
+                             if now - t0 > shard_timeout for meta in group]
+                for meta in timed_out:
+                    log.emit("timeout", shard=meta.index, start=meta.start,
+                             stop=meta.stop, attempt=meta.attempt,
+                             timeout_s=shard_timeout)
                 if timed_out:
-                    for future, meta, t0 in timed_out:
-                        log.emit("timeout", shard=meta.index, start=meta.start,
-                                 stop=meta.stop, attempt=meta.attempt,
-                                 timeout_s=shard_timeout)
-                        meta.last_error = None
-                        meta.last_kind = "timeout"
-                    for meta, _ in running.values():
-                        if meta.last_kind != "timeout":
-                            meta.last_error = None
-                            meta.last_kind = "crash"
-                    rebuild(f"shard timeout after {shard_timeout}s")
+                    rebuild(f"shard timeout after {shard_timeout}s",
+                            timed_out)
     finally:
-        _kill_pool(pool)
+        if pool is not None:
+            _kill_pool(pool)

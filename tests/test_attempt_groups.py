@@ -17,12 +17,19 @@ safe and invisible:
 * faults under grouping: a failed group charges no shard and its members
   re-run alone under the same attempt numbers, so ``shard_attempts``,
   quarantine and persistence match one attempt per shard;
+* one supervisor loop: pool attempts stay single shards, a failure is
+  charged alike at ``jobs=1`` and ``jobs=2``, and an inline run never
+  imports :mod:`concurrent.futures`;
 * the ``mc`` adapter's batching: one scenario hash per distinct scenario,
   one ``ar1_min_scan`` kernel call per (trials, seed) stream, and rows
   equal, bit for bit, to evaluating every case on its own.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +406,59 @@ class TestFaultsUnderGrouping:
                                                           False, False]
         finished = journal_events(store_dir / "run.jsonl", "finish")
         assert [event["shard"] for event in finished] == [0, 1]
+
+
+# -- one supervisor loop ------------------------------------------------------
+
+
+class TestOneSupervisorLoop:
+    """Inline and pool attempts run through the same loop: pool attempts
+    stay one shard, and a failure is charged the same way on both."""
+
+    def test_pool_attempts_are_single_shards(self, tmp_path, clean_table):
+        journal = tmp_path / "run.jsonl"
+        report = run_study(parse_study(MC_TEXT), jobs=2, shards=4,
+                           journal=journal)
+        submits = journal_events(journal, "submit")
+        assert sorted(event["shard"] for event in submits) == [0, 1, 2, 3]
+        assert all(event["group"] == event["shard"] for event in submits)
+        assert report.table.long() == clean_table
+
+    def test_a_raise_is_charged_alike_inline_and_on_a_pool(self, tmp_path,
+                                                           clean_table):
+        def run(jobs):
+            journal = tmp_path / f"jobs-{jobs}.jsonl"
+            report = run_study(parse_study(MC_TEXT), jobs=jobs, shards=4,
+                               retries=2, backoff_base=0.0, journal=journal,
+                               context=fault_context(FaultSpec(shard=1)))
+            # Submits differ by design: inline, the failed 4-shard group
+            # adds submits and a group_split before its members run alone.
+            events = sorted((event["event"], event["shard"], event["attempt"])
+                            for event in read_journal(journal)
+                            if event["event"] in ("retry", "finish"))
+            return report, events
+
+        inline, inline_events = run(1)
+        pool, pool_events = run(2)
+        assert inline_events == pool_events
+        assert ("retry", 1, 1) in inline_events
+        assert inline.shard_attempts == pool.shard_attempts \
+            == {0: 1, 1: 2, 2: 1, 3: 1}
+        assert inline.table.long() == pool.table.long() == clean_table
+
+    def test_an_inline_run_leaves_the_pool_unimported(self):
+        # Importing concurrent.futures costs about 10 ms of startup.
+        code = ("import sys\n"
+                "from repro.study import parse_study, run_study\n"
+                "report = run_study(parse_study(sys.argv[1]), shards=4)\n"
+                "assert report.computed_shards == 4\n"
+                "print('concurrent.futures' in sys.modules)\n")
+        src = Path(runner.__file__).resolve().parents[2]
+        proc = subprocess.run([sys.executable, "-c", code, MC_TEXT],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
 
 # -- mc adapter batching ------------------------------------------------------

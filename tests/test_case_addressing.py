@@ -6,7 +6,7 @@ proportional to their own rows:
 * ``StudySpec.case(i)`` and ``cases(start, stop)`` decode exactly the
   cases of the full ``cases()`` expansion (the oracle), for any axis
   shape and value type;
-* ``_run_shard`` and a one-shard ``run_study`` slice never expand the
+* ``_run_shards`` and a one-shard ``run_study`` slice never expand the
   grid, so a 1 000-case shard of a 10^6-case study runs as fast as a
   1 000-case study;
 * the radio adapter evaluates each distinct scenario once and fans the
@@ -39,7 +39,7 @@ from repro.study import (
     run_study,
 )
 from repro.study.engines import run_cases
-from repro.study.runner import _run_shard
+from repro.study.runner import _run_shards
 
 STUDIES_DIR = Path(__file__).resolve().parents[1] / "studies"
 
@@ -137,17 +137,16 @@ def full_expansions(monkeypatch):
 class TestShardsStayLocal:
     def test_run_shard_decodes_only_its_range(self, full_expansions):
         spec = million_case_spec()
-        start, shard = _run_shard((spec, 500_000, 501_000, {}, 500, 1, {}))
-        assert start == 500_000
+        shard, = _run_shards(spec, {}, [(500, 500_000, 501_000, 1, {})])
         assert shard["case"] == list(range(500_000, 501_000))
         assert full_expansions == []
 
     def test_known_rows_skip_the_engine(self, full_expansions):
         spec = million_case_spec()
-        _, fresh = _run_shard((spec, 10, 20, {}, 0, 1, {}))
+        fresh, = _run_shards(spec, {}, [(0, 10, 20, 1, {})])
         known = {i: {m: fresh[m][i - 10] for m in fresh if m != "case"}
                  for i in (10, 13, 19)}
-        _, mixed = _run_shard((spec, 10, 20, {}, 0, 1, known))
+        mixed, = _run_shards(spec, {}, [(0, 10, 20, 1, known)])
         assert mixed == fresh
         assert full_expansions == []
 
