@@ -1,8 +1,9 @@
 """Ablation — repeater-noise model comparison on the max-ISD sweep.
 
-Quantifies DESIGN.md #4.1: the literal Eq. (2) noise term overshoots the
-paper's registered list at high repeater counts, while the calibrated
-amplify-and-forward fronthaul model reproduces the diminishing-returns tail.
+Quantifies Modelling decisions §4.1 (docs/reproducing.md): the literal
+Eq. (2) noise term overshoots the paper's registered list at high repeater
+counts, while the calibrated amplify-and-forward fronthaul model reproduces
+the diminishing-returns tail.
 """
 
 from repro import constants

@@ -1,7 +1,7 @@
 """Event-driven cross-check — DES vs. the analytic duty-cycle energy model.
 
-Not a figure of the paper, but the validation experiment DESIGN.md commits
-to: the 24 h discrete-event simulation (the event oracle in
+Not a figure of the paper, but a validation experiment for the analytic
+energy model: the 24 h discrete-event simulation (the event oracle in
 ``tests/oracles/des``) of the N = 10 corridor segment must land within 2 % of
 the analytic Fig. 4 value, and the corridor simulation within 2 % in every
 operating mode.

@@ -1,7 +1,7 @@
 """Benchmark-suite configuration.
 
 Each ``bench_*`` module regenerates one table or figure of the paper (see
-DESIGN.md section 5) and asserts the reproduced values, so the benchmark run
+docs/reproducing.md) and asserts the reproduced values, so the benchmark run
 doubles as an end-to-end verification pass:
 
     pytest benchmarks/ --benchmark-only

@@ -58,7 +58,8 @@ def main() -> None:
         profile = compute_snr_profile(layout, link, resolution_m=2.0)
         print(f"  {model.value:15s}: min SNR {profile.min_snr_db:6.2f} dB")
     print("\nThe fronthaul models reproduce the diminishing-returns tail the "
-          "literal formula misses (DESIGN.md section 4.1).")
+          "literal formula misses (docs/reproducing.md, Modelling "
+          "decisions §4.1).")
 
 
 if __name__ == "__main__":

@@ -11,13 +11,13 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
+    CatenaryGrid,
     CorridorLayout,
     OperatingMode,
     compute_snr_profile,
     conventional_reference_w_per_km,
     segment_energy,
     throughput_profile,
-    validate_layout,
 )
 
 
@@ -28,8 +28,9 @@ def main() -> None:
           f"+ {layout.n_donor_nodes} donor nodes")
     print(f"  repeaters at: {[f'{p:.0f}' for p in layout.repeater_positions_m]} m")
 
-    report = validate_layout(layout)
-    print(f"  installable on the 50 m catenary grid: {report.ok}")
+    grid = CatenaryGrid()
+    on_grid = all(grid.is_on_grid(p) for p in layout.repeater_positions_m)
+    print(f"  installable on the 50 m catenary grid: {on_grid}")
 
     # 2. Radio: Eq. (1)/(2) SNR profile along the track.
     profile = compute_snr_profile(layout)

@@ -5,7 +5,7 @@ The package models a railway cellular corridor: high-power RRH masts providing
 a linear 5G NR cell, low-power out-of-band repeater nodes extending the
 inter-site distance, the traffic-driven sleep mode, and off-grid solar
 powering of the repeaters — together with the analysis that reproduces every
-table and figure of the paper (see DESIGN.md and EXPERIMENTS.md).
+table and figure of the paper (see docs/reproducing.md and EXPERIMENTS.md).
 
 Quickstart::
 
@@ -27,7 +27,6 @@ __all__ = [
     "CorridorDeployment",
     "CatenaryGrid",
     "donor_node_count",
-    "validate_layout",
     "LinkParams",
     "NrCarrier",
     "RepeaterNoiseModel",
@@ -79,7 +78,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "corridor": (
         "CatenaryGrid", "CorridorDeployment", "CorridorLayout",
-        "donor_node_count", "validate_layout",
+        "donor_node_count",
     ),
     "energy": (
         "EnergyParams", "OperatingMode", "compare_deployments",

@@ -1,8 +1,9 @@
 """Physical constants and every numeric constant published in the paper.
 
 Single source of truth: other modules import from here instead of re-typing
-magic numbers.  Where the paper is internally inconsistent (see DESIGN.md
-section 4) the paper's published value is kept and the discrepancy noted.
+magic numbers.  Where the paper is internally inconsistent (see Modelling
+decisions §5 in docs/reproducing.md) the paper's published value is kept and
+the discrepancy noted.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ LP_CALIBRATION_DB = 20.0
 # --- Noise (Eq. 2) -----------------------------------------------------------
 #: Thermal noise floor per subcarrier (paper value; corresponds to a 15 kHz
 #: subcarrier although 3300 subcarriers in 100 MHz imply 30 kHz — kept as
-#: published, see DESIGN.md #5).
+#: published, see Modelling decisions §5 in docs/reproducing.md).
 NOISE_FLOOR_RSRP_DBM = -132.0
 #: Noise figure of a typical mobile terminal.
 TERMINAL_NOISE_FIGURE_DB = 5.0
@@ -52,7 +53,8 @@ THROUGHPUT_MIN_SNR_DB = -10.0
 #: "the throughput still matches the peak throughput of 5G NR at an
 #: SNR > 29 dB" (Section V).  The exact saturation point of the truncated
 #: Shannon bound is 29.30 dB; using the stated 29.0 dB reproduces the
-#: registered ISD list exactly for N = 1..4 (see DESIGN.md #4.1).
+#: registered ISD list exactly for N = 1..4 (see Modelling decisions §4.1 in
+#: docs/reproducing.md).
 PEAK_SNR_CRITERION_DB = 29.0
 
 # --- Power model parameters (Table II, per radio unit) -----------------------

@@ -1,4 +1,4 @@
-"""Corridor geometry: tracks, layouts, deployment plans, validation.
+"""Corridor geometry: tracks, catenary masts, layouts, deployment plans.
 
 A *layout* is one HP-mast-to-HP-mast segment with its repeater field — the
 unit the capacity model evaluates.  A *deployment* tiles layouts along a whole
@@ -14,13 +14,10 @@ __all__ = [
     "donor_node_count",
     "CorridorDeployment",
     "DeploymentKind",
-    "validate_layout",
-    "LayoutReport",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "geometry": ("CatenaryGrid", "TrackSegment"),
     "layout": ("CorridorLayout", "donor_node_count"),
     "deployment": ("CorridorDeployment", "DeploymentKind"),
-    "validation": ("validate_layout", "LayoutReport"),
 })

@@ -23,8 +23,6 @@ __all__ = [
     "fig4_rows",
     "CorridorComparison",
     "compare_deployments",
-    "PolicyEnergy",
-    "simulated_policy_comparison",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -34,8 +32,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "scenario": ("OperatingMode", "SegmentEnergy", "segment_energy"),
     "analysis": (
-        "CorridorComparison", "PolicyEnergy", "compare_deployments",
+        "CorridorComparison", "compare_deployments",
         "conventional_reference_w_per_km", "fig4_rows", "savings_fraction",
-        "simulated_policy_comparison",
     ),
 })

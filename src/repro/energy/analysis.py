@@ -17,8 +17,6 @@ __all__ = [
     "Fig4Row",
     "CorridorComparison",
     "compare_deployments",
-    "PolicyEnergy",
-    "simulated_policy_comparison",
 ]
 
 
@@ -133,66 +131,3 @@ def compare_deployments(layout: CorridorLayout,
         proposed_w_per_km=segment_energy(layout, mode, params).w_per_km,
     )
 
-
-@dataclass(frozen=True)
-class PolicyEnergy:
-    """Simulated vs. analytic energy of one operating policy.
-
-    ``mean_w_per_km`` / ``std_w_per_km`` / ``ci95_w_per_km`` summarize the
-    simulated realizations; ``analytic_w_per_km`` is the duty-cycle model and
-    ``savings`` the fraction saved vs. the conventional corridor.
-    """
-
-    mode: OperatingMode
-    realizations: int
-    mean_w_per_km: float
-    std_w_per_km: float
-    ci95_w_per_km: tuple[float, float]
-    analytic_w_per_km: float
-    savings: float
-
-    @property
-    def simulated_minus_analytic_pct(self) -> float:
-        """Bias of the simulation vs. the analytic model, in percent."""
-        return 100.0 * (self.mean_w_per_km / self.analytic_w_per_km - 1.0)
-
-
-def simulated_policy_comparison(layout: CorridorLayout,
-                                params: EnergyParams | None = None,
-                                realizations: int = 20,
-                                stochastic: bool = True,
-                                seed: int = 0
-                                ) -> dict[OperatingMode, PolicyEnergy]:
-    """Sleep-policy energy comparison through the day-simulation engine.
-
-    Simulates the three Fig. 4 operating policies over one shared fleet of
-    timetable realizations — common random numbers across policies, so the
-    simulated policy gap is free of timetable noise — and pairs each with its
-    analytic duty-cycle figure and savings vs. the conventional corridor.
-    """
-    from repro.simulation.batch import simulate_days
-    from repro.traffic.timetable import day_timetables, generate_timetable
-
-    params = params or EnergyParams()
-    if stochastic:
-        timetables = day_timetables(params.traffic, realizations=realizations,
-                                    seed=seed)
-    else:
-        timetables = (generate_timetable(params.traffic),) * max(1, realizations)
-    ref = conventional_reference_w_per_km(params)
-
-    comparison: dict[OperatingMode, PolicyEnergy] = {}
-    for mode in OperatingMode:
-        sim = simulate_days(layout, mode=mode, params=params,
-                            timetables=timetables)
-        analytic = segment_energy(layout, mode, params).w_per_km
-        comparison[mode] = PolicyEnergy(
-            mode=mode,
-            realizations=sim.realizations,
-            mean_w_per_km=sim.mean_w_per_km(),
-            std_w_per_km=sim.std_w_per_km(),
-            ci95_w_per_km=sim.ci95_w_per_km(),
-            analytic_w_per_km=analytic,
-            savings=1.0 - sim.mean_w_per_km() / ref,
-        )
-    return comparison

@@ -18,7 +18,7 @@ from repro.errors import ConfigurationError
 from repro.radio.link import LinkParams, compute_snr_profile
 from repro.traffic.trains import Train
 
-__all__ = ["TraversalResult", "simulate_traversal", "segment_data_volume_gbit"]
+__all__ = ["TraversalResult", "simulate_traversal"]
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,3 @@ def simulate_traversal(layout: CorridorLayout,
         train=train,
     )
 
-
-def segment_data_volume_gbit(layout: CorridorLayout,
-                             train: Train | None = None,
-                             link: LinkParams | None = None) -> float:
-    """Data volume one traversal of the segment can deliver [Gbit]."""
-    result = simulate_traversal(layout, train, link)
-    return result.data_volume_bit / 1e9

@@ -7,8 +7,6 @@
 * :mod:`repro.optimize.robustness` — outage probability and the robust
   max-ISD boundary under shadowing (extension).
 * :mod:`repro.optimize.placement` — repeater placement refinement (extension).
-* :mod:`repro.optimize.pareto` — energy-vs-capacity trade-off curves
-  (extension).
 """
 
 from repro._lazy import lazy_exports
@@ -26,8 +24,6 @@ __all__ = [
     "robust_max_isd",
     "optimize_placement",
     "PlacementResult",
-    "energy_capacity_frontier",
-    "ParetoPoint",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -36,6 +32,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "OutageMatrix", "outage_matrix", "trial_generators", "wilson_interval",
     ),
     "placement": ("PlacementResult", "optimize_placement"),
-    "pareto": ("ParetoPoint", "energy_capacity_frontier"),
     "robustness": ("OutageResult", "outage_probability", "robust_max_isd"),
 })

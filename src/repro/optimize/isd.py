@@ -163,7 +163,8 @@ def sweep_max_isd(n_max: int = 10,
 
     With default (paper-literal) link parameters and the paper's stated
     29 dB criterion the result matches the registered list exactly for
-    N = 1..4 and exceeds it for large N (see DESIGN.md #4.1); with
+    N = 1..4 and exceeds it for large N (see Modelling decisions §4.1 in
+    docs/reproducing.md); with
     ``RepeaterNoiseModel.FRONTHAUL_STAR`` the diminishing-returns tail is
     also reproduced.
 

@@ -51,7 +51,11 @@ import numpy as np
 from repro import constants
 from repro.errors import ConfigurationError
 from repro.kernels import ar1_min_scan
-from repro.propagation.fading import LogNormalShadowing
+from repro.propagation.fading import (
+    LogNormalShadowing,
+    _ar1_coefficients,
+    _spacing_key,
+)
 
 __all__ = ["OutageMatrix", "min_snr_matrix", "outage_matrix",
            "readonly_array", "trial_generators", "wilson_interval"]
@@ -301,13 +305,20 @@ def min_snr_matrix(profiles, shadowings, trials: int,
         snr = np.full((len(lanes), p_max), np.inf)
         rho = np.zeros((len(lanes), max(p_max - 1, 1)))
         innovation = np.zeros_like(rho)
+        # Each distinct profile's grid is validated and keyed once (what
+        # LogNormalShadowing.coefficients does per call); its lanes differ
+        # only in (sigma, decorrelation).
+        keys: dict[int, bytes] = {}
         for j, c in enumerate(lanes):
             size = sizes[c]
             snr[j, :size] = profiles[c].snr_db
             if size > 1:
-                r, inn = shadowings[c].coefficients(profiles[c].positions_m)
-                rho[j, :size - 1] = r
-                innovation[j, :size - 1] = inn
+                key = keys.get(id(profiles[c]))
+                if key is None:
+                    key = keys[id(profiles[c])] = _spacing_key(
+                        profiles[c].positions_m)
+                rho[j, :size - 1], innovation[j, :size - 1] = _ar1_coefficients(
+                    shadowings[c].sigma_db, shadowings[c].decorrelation_m, key)
         # Memoized per (seed, trials), so repeated evaluations (bisection
         # probes, later attempts of a study) don't redraw the normals.
         z = _standard_normal_matrix(seed, trials, p_max)

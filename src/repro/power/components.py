@@ -4,7 +4,8 @@ The prototype consists of a controller, a GNSS-disciplined OCXO, a local
 oscillator with frequency doubler, RF switches, and per-direction LNA/PA
 chains (two paths each for DL and UL, cross-polarized).
 
-Reconciliation with the paper's totals (see DESIGN.md #4.4):
+Reconciliation with the paper's totals (see Modelling decisions §4.4 in
+docs/reproducing.md):
 
 * Sleep: controller + DOCXO + LO-in-sleep = 2 + 2.22 + 0.5 = 4.72 W  (exact).
 * No load: all components on, the four PAs at quiescent drive.  The paper's

@@ -60,6 +60,11 @@ def _validated_positions(positions_m) -> np.ndarray:
     return pos
 
 
+def _spacing_key(positions_m) -> bytes:
+    """A validated grid's spacings: the :func:`_ar1_coefficients` memo key."""
+    return np.diff(_validated_positions(positions_m)).tobytes()
+
+
 @dataclass(frozen=True)
 class LogNormalShadowing:
     """Spatially correlated log-normal shadowing (Gudmundson model).
@@ -88,9 +93,8 @@ class LogNormalShadowing:
         spacings, so results are memoized per spacing fingerprint (read-only
         arrays shared between callers).
         """
-        pos = _validated_positions(positions_m)
         return _ar1_coefficients(self.sigma_db, self.decorrelation_m,
-                                 np.diff(pos).tobytes())
+                                 _spacing_key(positions_m))
 
     def sample(self, positions_m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw one correlated shadowing trace (dB) over ordered positions.

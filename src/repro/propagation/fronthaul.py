@@ -5,7 +5,8 @@ mmWave carrier; service nodes mix it back down and re-amplify it.  Because the
 service node is an analog amplify-and-forward device, the *fronthaul* SNR at
 the service node input bounds the SNR of its re-transmitted signal — this is
 what makes far-away repeaters noisier and produces the diminishing ISD returns
-observed in the paper's registered ISD list (see DESIGN.md #4.1).
+observed in the paper's registered ISD list (see Modelling decisions §4.1 in
+docs/reproducing.md).
 
 Two topologies are modeled:
 

@@ -1,4 +1,4 @@
-"""Radio layer: NR carrier accounting, node descriptions, noise, SNR profiles.
+"""Radio layer: NR carrier accounting, noise, SNR profiles.
 
 This package turns a corridor layout into the Eq. (2) SNR profile along the
 track: per-subcarrier transmit powers (RSTP) from EIRP, calibrated attenuation
@@ -10,9 +10,6 @@ from repro._lazy import lazy_exports
 __all__ = [
     "NrCarrier",
     "rstp_dbm_from_eirp",
-    "HighPowerSite",
-    "RepeaterNode",
-    "DonorNode",
     "RepeaterNoiseModel",
     "thermal_noise_dbm",
     "LinkParams",
@@ -25,7 +22,6 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "carrier": ("NrCarrier", "rstp_dbm_from_eirp"),
-    "nodes": ("DonorNode", "HighPowerSite", "RepeaterNode"),
     "noise": ("RepeaterNoiseModel", "thermal_noise_dbm"),
     "link": (
         "LinkParams", "SnrProfile", "chain_hop_assignment",

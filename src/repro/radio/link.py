@@ -32,8 +32,9 @@ __all__ = ["LinkParams", "SnrProfile", "chain_hop_assignment", "compute_snr_prof
 class LinkParams:
     """Everything Eq. (1) and Eq. (2) need.
 
-    Defaults are the paper's published constants; see DESIGN.md for the
-    provenance of each value.
+    Defaults are the paper's published constants (:mod:`repro.constants`);
+    Modelling decisions in docs/reproducing.md covers where they depart
+    from a literal reading.
     """
 
     carrier: NrCarrier = field(default_factory=NrCarrier)

@@ -20,7 +20,8 @@ received from the n-th repeater.  Two repeater-noise models are provided:
     radiates is ``P_LP,RSTP / SNR_fronthaul`` per subcarrier, attenuated by the
     same service path loss as the signal.  The fronthaul SNR comes from
     :class:`repro.propagation.fronthaul.FronthaulBudget`.  This reproduces the
-    diminishing ISD returns of the paper's registered list (DESIGN.md #4.1).
+    diminishing ISD returns of the paper's registered list (Modelling
+    decisions §4.1 in docs/reproducing.md).
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ so this package implements the pieces of it the paper consumes:
   Table IV ("days with full battery", downtime), and
 * a sizing search that finds the minimal zero-downtime configuration.
 
-See DESIGN.md section 3 for the substitution rationale and calibration notes.
+See Modelling decisions §3 in docs/reproducing.md for the substitution
+rationale and calibration notes.
 """
 
 from repro._lazy import lazy_exports

@@ -11,7 +11,8 @@ from geometry.
 sees in winter (horizon shading, snow on the vertical module's frame, dirt)
 that PVGIS's COSMO database implicitly contains relative to clear-sky
 climatology; it is applied November-February.  Its default was calibrated so
-that the paper's Table IV sizing outcome emerges (see DESIGN.md section 3).
+that the paper's Table IV sizing outcome emerges (see Modelling decisions §3
+in docs/reproducing.md).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class Location:
     (moderate rho, low kt_min); continental winters are dominated by long,
     shallow anticyclonic stratus episodes (high rho, raised kt_min).  These
     and the winter derate are the calibrated quantities of the PVGIS
-    substitution (DESIGN.md section 3).
+    substitution (Modelling decisions §3 in docs/reproducing.md).
     """
 
     name: str
@@ -129,7 +130,8 @@ class Location:
 #: parameters are calibrated (seed 2022) so the paper's Table IV sizing
 #: outcome emerges from the zero-downtime requirement: Madrid and Lyon run on
 #: the standard 540 Wp / 720 Wh system, Vienna needs the doubled battery, and
-#: Berlin needs the doubled battery plus 600 Wp (see DESIGN.md section 3).
+#: Berlin needs the doubled battery plus 600 Wp (see Modelling decisions §3 in
+#: docs/reproducing.md).
 LOCATIONS: dict[str, Location] = {
     "madrid": Location(
         name="Madrid", latitude_deg=40.42, longitude_deg=-3.70,

@@ -44,8 +44,9 @@ class WeatherParams:
 
     ``sigma_kt`` and ``rho`` control day-to-day clearness variability and
     persistence; both were calibrated against the paper's Table IV outcome
-    (DESIGN.md section 3).  ``albedo`` is the ground reflectance used for the
-    reflected irradiance on the vertical module.
+    (Modelling decisions §3 in docs/reproducing.md).  ``albedo`` is the
+    ground reflectance used for the reflected irradiance on the vertical
+    module.
     """
 
     sigma_kt: float = 0.13

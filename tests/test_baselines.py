@@ -1,29 +1,9 @@
-"""Tests for the baseline deployments."""
+"""Tests for the onboard-relay baseline."""
 
 import pytest
 
-from repro.baselines.conventional import ConventionalCorridor
-from repro.baselines.inband import InbandFeasibility, inband_isolation_margin_db
 from repro.baselines.onboard_relay import OnboardRelayFleet
 from repro.errors import ConfigurationError
-
-
-class TestConventional:
-    def test_sustains_peak(self):
-        assert ConventionalCorridor().sustains_peak()
-
-    def test_min_snr_comfortable(self):
-        # At 500 m ISD the conventional corridor has several dB of margin.
-        assert ConventionalCorridor().min_snr_db() > 32.0
-
-    def test_energy_reference(self):
-        assert ConventionalCorridor().w_per_km == pytest.approx(467.2, abs=0.5)
-
-    def test_longer_isd_less_power_less_snr(self):
-        short = ConventionalCorridor(isd_m=500.0)
-        long = ConventionalCorridor(isd_m=900.0)
-        assert long.w_per_km < short.w_per_km
-        assert long.min_snr_db() < short.min_snr_db()
 
 
 class TestOnboardRelay:
@@ -58,38 +38,3 @@ class TestOnboardRelay:
             OnboardRelayFleet().fleet_average_power_w(-1)
         with pytest.raises(ConfigurationError):
             OnboardRelayFleet().per_km_equivalent_w(10, 0.0)
-
-
-class TestInband:
-    def test_corridor_gain_requirement_infeasible(self):
-        # A corridor node needs ~+4.8 dBm RSTP from a ~-95 dBm donor signal:
-        # ~100 dB gain, far beyond outdoor antenna isolation.
-        assessment = InbandFeasibility.for_corridor_node(
-            donor_rsrp_dbm=-95.0, target_rstp_dbm=4.81)
-        assert assessment.required_gain_db == pytest.approx(99.81)
-        assert not assessment.feasible
-        assert assessment.margin_db < -40.0
-
-    def test_indoor_scenario_feasible(self):
-        # Indoor deployments achieve >100 dB isolation at modest gains.
-        assessment = InbandFeasibility(required_gain_db=70.0,
-                                       achievable_isolation_db=110.0)
-        assert assessment.feasible
-
-    def test_max_stable_gain(self):
-        assessment = InbandFeasibility(required_gain_db=50.0,
-                                       achievable_isolation_db=70.0)
-        assert assessment.max_stable_gain_db == pytest.approx(55.0)
-
-    def test_margin_helper(self):
-        assert inband_isolation_margin_db(50.0, 70.0) == pytest.approx(5.0)
-        assert inband_isolation_margin_db(60.0, 70.0) == pytest.approx(-5.0)
-
-    def test_no_gain_needed_rejected(self):
-        with pytest.raises(ConfigurationError):
-            InbandFeasibility.for_corridor_node(donor_rsrp_dbm=10.0,
-                                                target_rstp_dbm=0.0)
-
-    def test_negative_gain_rejected(self):
-        with pytest.raises(ConfigurationError):
-            inband_isolation_margin_db(-1.0, 70.0)

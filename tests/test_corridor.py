@@ -1,4 +1,4 @@
-"""Tests for corridor geometry, layouts, deployments and validation."""
+"""Tests for corridor geometry, layouts and deployments."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro import constants
 from repro.corridor.deployment import CorridorDeployment, DeploymentKind
 from repro.corridor.geometry import CatenaryGrid, TrackSegment
 from repro.corridor.layout import CorridorLayout, donor_node_count
-from repro.corridor.validation import validate_layout
 from repro.errors import GeometryError
 
 
@@ -188,39 +187,3 @@ class TestDeployment:
     def test_segments_rejects_zero_length(self):
         with pytest.raises(GeometryError):
             CorridorDeployment.conventional().segments_for_length(0.0)
-
-
-class TestValidation:
-    def test_paper_layout_valid(self):
-        report = validate_layout(CorridorLayout.with_uniform_repeaters(2400.0, 8))
-        assert report.ok
-        assert bool(report)
-        assert report.issues == ()
-
-    def test_single_node_625_within_tolerance(self):
-        # 625 m is 25 m from the nearest 50 m mast: at the tolerance boundary.
-        report = validate_layout(CorridorLayout.with_uniform_repeaters(1250.0, 1))
-        assert report.ok
-
-    def test_off_grid_flagged(self):
-        layout = CorridorLayout(isd_m=1000.0, repeater_positions_m=(333.0,))
-        report = validate_layout(layout, grid_tolerance_m=10.0)
-        assert not report.ok
-        assert report.off_grid_positions_m == (333.0,)
-
-    def test_close_spacing_flagged(self):
-        layout = CorridorLayout(isd_m=1000.0, repeater_positions_m=(500.0, 530.0))
-        report = validate_layout(layout, grid_tolerance_m=30.0)
-        assert not report.ok
-        assert any("closer" in issue for issue in report.issues)
-
-    def test_eirp_limit_flagged(self):
-        layout = CorridorLayout.conventional()
-        report = validate_layout(layout, hp_eirp_dbm=70.0)
-        assert not report.ok
-        assert any("EIRP" in issue for issue in report.issues)
-
-    def test_node_too_close_to_mast_flagged(self):
-        layout = CorridorLayout(isd_m=1000.0, repeater_positions_m=(30.0,))
-        report = validate_layout(layout, grid_tolerance_m=40.0)
-        assert not report.ok

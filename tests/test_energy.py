@@ -82,6 +82,9 @@ class TestNodeAverages:
 class TestConventionalReference:
     def test_467_w_per_km(self):
         assert conventional_reference_w_per_km() == pytest.approx(467.2, abs=0.5)
+        # Fewer masts per km on a longer conventional ISD.
+        assert conventional_reference_w_per_km(isd_m=900.0) \
+            < conventional_reference_w_per_km()
 
     def test_savings_of_reference_is_zero(self):
         conv = segment_energy(CorridorLayout.conventional(), OperatingMode.SLEEP)

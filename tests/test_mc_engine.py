@@ -10,6 +10,7 @@ preserving the CRN prefix properties bitwise (kernel-level coverage lives in
 ``tests/test_kernels.py``).
 """
 
+import hashlib
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -267,6 +268,36 @@ class TestMinSnrMatrix:
         empty = _synthetic_profile(np.empty(0), np.empty(0))
         with pytest.raises(ConfigurationError, match="at least one position"):
             mc.min_snr_matrix([empty], self.SHADOWINGS[:1], 4, 0)
+
+    def test_a_robustness_grid_job_validates_each_grid_once(self, monkeypatch):
+        # 27 lanes over 3 profiles: each grid's sort check runs once, not
+        # once per lane, and the matrix keeps its bytes (sha256 recorded
+        # when every lane validated its own grid).
+        import repro.propagation.fading as fading
+        from repro.study import load_study
+        from repro.study.engines import run_cases
+
+        validated, matrices = [], []
+        real_validate, real_matrix = fading._validated_positions, mc.min_snr_matrix
+
+        def count(positions_m):
+            validated.append(positions_m)
+            return real_validate(positions_m)
+
+        def keep(*args):
+            matrices.append(real_matrix(*args))
+            return matrices[-1]
+
+        monkeypatch.setattr(fading, "_validated_positions", count)
+        monkeypatch.setattr(mc, "min_snr_matrix", keep)
+        spec = load_study(STUDIES_DIR / "robustness_grid.yaml")
+        cases = spec.cases()
+        run_cases("mc", cases, [spec.case_seed(i) for i in range(len(cases))])
+        assert len(validated) <= 3
+        [matrix] = matrices
+        assert matrix.shape == (27, 100)
+        assert hashlib.sha256(matrix.tobytes()).hexdigest() == (
+            "de172a6f201f3bf517fd84aff5402288e7dd8eef0055fd1726694af68692fc59")
 
     def test_no_shadowing_draws_no_normals(self, monkeypatch):
         def refuse(*args):

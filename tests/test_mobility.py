@@ -5,10 +5,7 @@ import pytest
 
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
-from repro.mobility.traversal import (
-    segment_data_volume_gbit,
-    simulate_traversal,
-)
+from repro.mobility.traversal import simulate_traversal
 from repro.traffic.trains import Train
 
 
@@ -57,12 +54,6 @@ class TestTraversal:
         layout = CorridorLayout.conventional()
         with pytest.raises(ConfigurationError):
             simulate_traversal(layout, time_step_s=0.0)
-
-    def test_volume_helper_consistent(self):
-        layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
-        volume = segment_data_volume_gbit(layout)
-        result = simulate_traversal(layout)
-        assert volume == pytest.approx(result.data_volume_bit / 1e9)
 
     def test_conventional_and_extended_equal_per_km_capacity(self):
         # The paper's claim: same capacity with fewer masts.  Volume per km

@@ -1,4 +1,4 @@
-"""Tests for the max-ISD sweep, placement optimizer, and Pareto frontier."""
+"""Tests for the max-ISD sweep and the placement optimizer."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.capacity.shannon import TruncatedShannonModel
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.optimize.isd import max_isd_for_n, sweep_max_isd
-from repro.optimize.pareto import energy_capacity_frontier
 from repro.optimize.placement import optimize_placement
 from repro.radio.link import LinkParams, compute_snr_profile
 from repro.radio.noise import RepeaterNoiseModel
@@ -139,34 +138,3 @@ class TestPlacement:
         check = compute_snr_profile(result.layout, LinkParams(),
                                     resolution_m=4.0).min_snr_db
         assert check == pytest.approx(result.min_snr_db, abs=1e-9)
-
-
-class TestPareto:
-    @pytest.fixture(scope="class")
-    def frontier(self):
-        return energy_capacity_frontier(
-            n_values=range(0, 4), isd_values_m=[500.0, 1000.0, 1500.0, 2000.0],
-            resolution_m=10.0)
-
-    def test_nonempty(self, frontier):
-        assert frontier
-        assert any(p.efficient for p in frontier)
-
-    def test_efficient_points_undominated(self, frontier):
-        efficient = [p for p in frontier if p.efficient]
-        for p in efficient:
-            for q in frontier:
-                if q is p:
-                    continue
-                dominates = (q.w_per_km < p.w_per_km - 1e-9
-                             and q.min_throughput_mbps >= p.min_throughput_mbps - 1e-9)
-                assert not dominates
-
-    def test_throughput_bounded_by_peak(self, frontier):
-        for p in frontier:
-            assert p.min_throughput_mbps <= 584.0 + 1e-6
-            assert p.mean_throughput_mbps >= p.min_throughput_mbps - 1e-9
-
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ConfigurationError):
-            energy_capacity_frontier(n_values=[-1], isd_values_m=[1000.0])

@@ -1,4 +1,4 @@
-"""Tests for path-loss model family, penetration loss, fronthaul, fading."""
+"""Tests for the fronthaul link budget and log-normal shadowing."""
 
 import numpy as np
 import pytest
@@ -11,100 +11,6 @@ from repro.propagation.fronthaul import (
     FronthaulParams,
     FronthaulTopology,
 )
-from repro.propagation.pathloss import (
-    DualSlopeModel,
-    FreeSpaceModel,
-    LogDistanceModel,
-    PathLossModel,
-)
-from repro.propagation.penetration import (
-    WINDOW_PRESETS,
-    PenetrationLoss,
-    WagonWindowType,
-    effective_calibration_db,
-)
-
-
-class TestPathLossModels:
-    def test_free_space_satisfies_protocol(self):
-        assert isinstance(FreeSpaceModel(3.5e9), PathLossModel)
-
-    def test_log_distance_exponent_2_equals_free_space(self):
-        fs = FreeSpaceModel(3.5e9)
-        ld = LogDistanceModel(3.5e9, exponent=2.0)
-        for d in (10.0, 100.0, 1000.0):
-            assert ld.path_loss_db(d) == pytest.approx(fs.path_loss_db(d), abs=1e-9)
-
-    def test_higher_exponent_more_loss(self):
-        n2 = LogDistanceModel(3.5e9, exponent=2.0)
-        n4 = LogDistanceModel(3.5e9, exponent=4.0)
-        assert n4.path_loss_db(100.0) > n2.path_loss_db(100.0)
-
-    def test_log_distance_custom_reference(self):
-        model = LogDistanceModel(3.5e9, exponent=3.0, reference_m=10.0,
-                                 reference_loss_db=70.0)
-        assert model.path_loss_db(10.0) == pytest.approx(70.0)
-        assert model.path_loss_db(100.0) == pytest.approx(100.0)
-
-    def test_log_distance_rejects_bad_exponent(self):
-        with pytest.raises(ConfigurationError):
-            LogDistanceModel(3.5e9, exponent=0.0)
-
-    def test_dual_slope_continuous_at_breakpoint(self):
-        model = DualSlopeModel(3.5e9, breakpoint_m=300.0)
-        just_below = model.path_loss_db(299.999)
-        just_above = model.path_loss_db(300.001)
-        assert just_above == pytest.approx(just_below, abs=0.01)
-
-    def test_dual_slope_steeper_beyond_breakpoint(self):
-        model = DualSlopeModel(3.5e9, breakpoint_m=300.0, exponent_near=2.0,
-                               exponent_far=4.0)
-        delta_near = model.path_loss_db(200.0) - model.path_loss_db(100.0)
-        delta_far = model.path_loss_db(1200.0) - model.path_loss_db(600.0)
-        assert delta_near == pytest.approx(6.02, abs=0.05)
-        assert delta_far == pytest.approx(12.04, abs=0.05)
-
-    def test_dual_slope_rejects_bad_breakpoint(self):
-        with pytest.raises(ConfigurationError):
-            DualSlopeModel(3.5e9, breakpoint_m=0.0)
-
-
-class TestPenetration:
-    def test_coated_worse_than_uncoated(self):
-        coated = WINDOW_PRESETS[WagonWindowType.COATED_LOW_E].loss_db(3.5e9)
-        uncoated = WINDOW_PRESETS[WagonWindowType.UNCOATED].loss_db(3.5e9)
-        assert coated > uncoated + 15.0
-
-    def test_fss_recovers_most_of_uncoated(self):
-        fss = WINDOW_PRESETS[WagonWindowType.FSS_TREATED].loss_db(3.5e9)
-        coated = WINDOW_PRESETS[WagonWindowType.COATED_LOW_E].loss_db(3.5e9)
-        assert fss < coated - 10.0
-
-    def test_loss_grows_with_frequency(self):
-        preset = WINDOW_PRESETS[WagonWindowType.COATED_LOW_E]
-        assert preset.loss_db(6.0e9) > preset.loss_db(2.0e9)
-
-    def test_loss_clamped_at_zero(self):
-        model = PenetrationLoss(loss_at_ref_db=1.0, slope_db_per_octave=2.0)
-        assert model.loss_db(1e8) == 0.0
-
-    def test_rejects_negative_loss(self):
-        with pytest.raises(ConfigurationError):
-            PenetrationLoss(loss_at_ref_db=-5.0)
-
-    def test_rejects_zero_frequency_query(self):
-        with pytest.raises(ConfigurationError):
-            PenetrationLoss(5.0).loss_db(0.0)
-
-    def test_effective_calibration_coated_is_harsher(self):
-        base = 33.0
-        coated = effective_calibration_db(base, WagonWindowType.COATED_LOW_E, 3.5e9)
-        assert coated > base
-
-    def test_effective_calibration_identity_for_treated(self):
-        base = 33.0
-        same = effective_calibration_db(base, WagonWindowType.FSS_TREATED, 3.5e9)
-        assert same == pytest.approx(base)
 
 
 class TestFronthaul:

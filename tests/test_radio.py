@@ -1,16 +1,16 @@
-"""Tests for the radio layer: carrier, nodes, noise, SNR profiles (Eq. 2)."""
+"""Tests for the radio layer: carrier, noise, SNR profiles (Eq. 2)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import constants
+from repro.capacity.throughput import throughput_profile
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError, GeometryError
 from repro.propagation.fronthaul import FronthaulParams
 from repro.radio.carrier import NrCarrier, rstp_dbm_from_eirp
 from repro.radio.link import LinkParams, compute_snr_profile
-from repro.radio.nodes import DonorNode, HighPowerSite, RepeaterNode
 from repro.radio.noise import RepeaterNoiseModel, thermal_noise_dbm
 
 
@@ -44,26 +44,6 @@ class TestCarrier:
     @given(st.integers(min_value=1, max_value=100_000))
     def test_rstp_below_eirp(self, n_sc):
         assert rstp_dbm_from_eirp(64.0, n_sc) <= 64.0
-
-
-class TestNodes:
-    def test_defaults_from_paper(self):
-        site = HighPowerSite(position_m=0.0)
-        assert site.eirp_dbm == constants.HP_EIRP_DBM
-        node = RepeaterNode(position_m=625.0)
-        assert node.noise_figure_db == constants.REPEATER_NOISE_FIGURE_DB
-
-    def test_hp_rejects_implausible_eirp(self):
-        with pytest.raises(ConfigurationError):
-            HighPowerSite(position_m=0.0, eirp_dbm=90.0)
-
-    def test_lp_rejects_implausible_eirp(self):
-        with pytest.raises(ConfigurationError):
-            RepeaterNode(position_m=0.0, eirp_dbm=60.0)
-
-    def test_donor_rejects_negative_indices(self):
-        with pytest.raises(ConfigurationError):
-            DonorNode(position_m=0.0, serves_node_indices=(-1,))
 
 
 class TestNoise:
@@ -150,9 +130,14 @@ class TestSnrProfile:
         assert mid == pytest.approx(np.min(profile.snr_db), abs=0.2)
 
     def test_conventional_midpoint_snr(self, conventional_layout):
-        # Validated hand-calculation: ~34.5 dB at the 250 m midpoint.
+        # Validated hand-calculation: ~34.5 dB at the 250 m midpoint, so the
+        # 500 m baseline keeps several dB of margin and sustains peak rate.
         profile = compute_snr_profile(conventional_layout)
         assert profile.snr_at(250.0) == pytest.approx(34.5, abs=0.5)
+        assert profile.min_snr_db > 32.0
+        assert throughput_profile(profile).sustains_peak_everywhere
+        longer = compute_snr_profile(CorridorLayout.conventional(900.0))
+        assert longer.min_snr_db < profile.min_snr_db
 
     def test_rejects_zero_resolution(self, conventional_layout):
         with pytest.raises(ConfigurationError):

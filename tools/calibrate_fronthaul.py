@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Calibration pass for the fronthaul-noise parameter (DESIGN.md #4.1).
+"""Calibration pass for the fronthaul-noise parameter.
+
+See Modelling decisions §4.1 in docs/reproducing.md.
 
 The amplify-and-forward repeater-noise models have one free parameter: the
 fronthaul SNR at 1 km donor-service separation (``FronthaulParams.

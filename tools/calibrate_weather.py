@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Calibration pass for the synthetic-weather parameters (DESIGN.md §3).
+"""Calibration pass for the synthetic-weather parameters.
+
+See Modelling decisions §3 in docs/reproducing.md.
 
 The PVGIS substitution has, per location, four calibrated quantities:
 ``sigma_kt`` / ``rho`` / ``kt_min`` (the AR(1) daily clearness process) and
