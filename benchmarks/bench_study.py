@@ -24,11 +24,11 @@ persistent-append-handle :class:`~repro.study.journal.RunJournal` writer
 vs. a naive open/write/close per event, over the same record shape.
 
 A store micro-benchmark rides along in ``store``: put plus verified load of
-a 2-case ``mc`` shard through :class:`~repro.study.results.StudyStore` (one
-raw bundle file per shard) vs. ``np.savez`` plus ``np.load`` of the same
-packed arrays.  The bundle leg must be at least ``STORE_THRESHOLD`` times
-faster; like the other timing gates it is asserted locally and printed
-under CI.
+a 2-case ``mc`` shard through :class:`~repro.study.results.StudyStore`'s
+bundle layer (one raw bundle file per put) vs. ``np.savez`` plus
+``np.load`` of the same packed arrays.  The bundle leg must be at least
+``STORE_THRESHOLD`` times faster; like the other timing gates it is
+asserted locally and printed under CI.
 """
 
 import json

@@ -24,9 +24,10 @@ Supported actions (:data:`FAULT_ACTIONS`):
     Hard-kill the worker process via ``os._exit(exit_code)`` — no exception
     propagates, the pool breaks, and the supervisor must rebuild it.
 ``corrupt``
-    Overwrite the shard's :class:`~repro.study.results.StudyStore` file with
-    garbage bytes, then raise :class:`FaultInjected` — exercises the store's
-    checksum/quarantine path and the atomic rewrite on retry.
+    Overwrite the :class:`~repro.study.results.StudyStore` bundle that the
+    run record names for the shard with garbage bytes (when the shard is
+    stored), then raise :class:`FaultInjected` — exercises the store's
+    checksum/quarantine path: every member of the torn bundle recomputes.
 ``corrupt_manifest``
     Overwrite the file at the plan's ``manifest_path`` with a torn manifest
     document and let the attempt *continue normally* — a write-path fault,
@@ -192,19 +193,23 @@ class FaultPlan:
             path.write_text('{"manifest": {"study": "torn-by-fault-'
                             'injection"}, "signature": "0000"}\n')
             return
-        # corrupt: tear the shard's store file the way a killed writer would
-        # (truncated garbage), then fail the attempt; the retry recomputes
-        # and the store's atomic replace repairs the file.
+        # corrupt: tear the bundle the run record names for the shard the
+        # way a killed writer would (truncated garbage), then fail the
+        # attempt; every member of that bundle recomputes on a later run.
         from repro.study.results import StudyStore
 
         if study is None:
             raise ConfigurationError(
                 "a 'corrupt' fault needs the study spec to locate its "
                 "store file")
-        path = StudyStore(cache_dir=self.store_dir).bundle_path(
-            StudyStore.shard_key(study, start, stop))
-        path.write_bytes(b"PK\x03\x04torn-by-fault-injection")
-        raise FaultInjected(f"injected store corruption: {label} ({path.name})")
+        store = StudyStore(cache_dir=self.store_dir)
+        stored = store.run_record(study).shards.get((start, stop))
+        target = "shard not stored"
+        if stored is not None:
+            path = store.bundle_path(stored[0])
+            path.write_bytes(b"PK\x03\x04torn-by-fault-injection")
+            target = path.name
+        raise FaultInjected(f"injected store corruption: {label} ({target})")
 
     # -- context round trip ---------------------------------------------------
 

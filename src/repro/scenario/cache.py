@@ -141,8 +141,8 @@ def _bundle_checksum(arrays: dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def _encode_bundle(arrays: dict[str, np.ndarray]) -> bytes:
-    """The bundle file holding ``arrays`` and their checksum."""
+def _encode_bundle(arrays: dict[str, np.ndarray]) -> tuple[bytes, str]:
+    """The bundle file holding ``arrays``, and their checksum."""
     entries, chunks = [], []
     for name, value in arrays.items():
         arr = np.asarray(value)
@@ -152,12 +152,13 @@ def _encode_bundle(arrays: dict[str, np.ndarray]) -> bytes:
         raw = arr.tobytes()
         entries.append([name, arr.dtype.str, list(arr.shape), len(raw)])
         chunks.append(raw)
-    header = json.dumps({"arrays": entries,
-                         "checksum": _bundle_checksum(arrays)}).encode()
+    checksum = _bundle_checksum(arrays)
+    header = json.dumps({"arrays": entries, "checksum": checksum}).encode()
     # Space-pad the header so the body starts 8-byte aligned: a bundle of
     # float arrays reads back as aligned arrays.
     header += b" " * (-(len(_MAGIC) + _HEADER_LEN.size + len(header)) % 8)
-    return b"".join([_MAGIC, _HEADER_LEN.pack(len(header)), header, *chunks])
+    return (b"".join([_MAGIC, _HEADER_LEN.pack(len(header)), header, *chunks]),
+            checksum)
 
 
 def _decode_bundle(buf: bytearray) -> tuple[dict[str, np.ndarray], str]:
@@ -274,23 +275,34 @@ class ArrayCache:
         with self._lock:
             self._remember(key, value)
         if self.cache_dir is not None:
-            data = _encode_bundle(self._pack(value))
-            path = self.bundle_path(key)
-            # Write-then-rename so an interrupted run never leaves a torn
-            # bundle behind.  Threads of one process share the pid, so the
-            # temp name carries the thread id too.
-            tmp_path = path.with_name(
-                f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
+            self._write_bundle(key, self.encode(value)[0])
+
+    def encode(self, value) -> tuple[bytes, str]:
+        """The bundle file bytes of ``value`` and their content checksum."""
+        return _encode_bundle(self._pack(value))
+
+    def _write_bundle(self, key: str, data: bytes) -> bool:
+        """Write bundle bytes under ``key``; False when the disk refused.
+
+        Write-then-rename, so an interrupted run never leaves a torn bundle
+        behind.  Threads of one process share the pid, so the temp name
+        carries the thread id too.
+        """
+        path = self.bundle_path(key)
+        tmp_path = path.with_name(
+            f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            with open(tmp_path, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp_path, path)
+            return True
+        except OSError:
+            self.disk_errors += 1
             try:
-                with open(tmp_path, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp_path, path)
+                tmp_path.unlink(missing_ok=True)
             except OSError:
-                self.disk_errors += 1
-                try:
-                    tmp_path.unlink(missing_ok=True)
-                except OSError:
-                    pass
+                pass
+            return False
 
     def bundle_path(self, key: str) -> Path:
         """Path of the on-disk bundle for ``key`` (the store must have a
@@ -318,43 +330,26 @@ class ArrayCache:
             self._quarantine(self.bundle_path(key))
             return None
 
-    def stored_checksum(self, key: str) -> str | None:
-        """Verified content checksum of the on-disk bundle for ``key``.
-
-        Reads the bundle, recomputes the SHA-256 over its arrays and
-        compares it with the checksum in its header — the same digest
-        :meth:`put_by_hash` stamped at write time, which is what shard
-        manifests (:mod:`repro.study.manifest`) record per array bundle.
-
-        Args:
-            key: Content-hash key of the bundle.
-
-        Returns:
-            The hex digest when the file exists and its checksum verifies;
-            ``None`` when the store has no disk layer, the file is absent,
-            unreadable, malformed, or its content no longer matches the
-            recorded checksum (tampering, bit rot, a torn write).  Unlike
-            :meth:`get_by_hash`, a damaged file is *not* quarantined — the
-            caller (a merge validator) owns the evidence.
-        """
-        verified = self._read_verified(key)
-        return None if verified is None else verified[1]
-
     def load_verified(self, key: str) -> tuple[object, str] | None:
         """The on-disk value for ``key`` with its verified checksum.
 
-        One read serves both a checksum comparison and the value (what
-        :meth:`stored_checksum` followed by :meth:`get_by_hash` would read
-        twice).  Like :meth:`stored_checksum`, a damaged file is *not*
-        quarantined, and the in-memory layer is neither read nor filled.
+        Reads the bundle, recomputes the SHA-256 over its arrays and
+        compares it with the checksum in its header — the same digest
+        :meth:`put_by_hash` stamped at write time, which shard manifests
+        (:mod:`repro.study.manifest`) attest per bundle.  One read serves
+        both the comparison and the value.  Unlike :meth:`get_by_hash`, a
+        damaged file is *not* quarantined — the caller (a merge validator)
+        owns the evidence — and the in-memory layer is neither read nor
+        filled.
 
         Args:
             key: Content-hash key of the bundle.
 
         Returns:
-            ``(value, checksum)``, or ``None`` whenever
-            :meth:`stored_checksum` would return ``None`` or the verified
-            arrays do not unpack.
+            ``(value, checksum)``, or ``None`` when the store has no disk
+            layer, the file is absent, unreadable, malformed, its content
+            no longer matches the recorded checksum (tampering, bit rot, a
+            torn write) or its arrays do not unpack.
         """
         verified = self._read_verified(key)
         if verified is None:

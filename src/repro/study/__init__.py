@@ -44,6 +44,7 @@ __all__ = [
     "RunJournal",
     "read_journal",
     "scan_journal",
+    "RunRecord",
     "StudyStore",
     "StudyTable",
     "build_table",
@@ -71,7 +72,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "ShardEntry", "ShardManifest", "build_manifest", "load_manifest",
         "write_manifest",
     ),
-    "results": ("StudyStore", "StudyTable", "build_table", "merge_shards"),
+    "results": (
+        "RunRecord", "StudyStore", "StudyTable", "build_table",
+        "merge_shards",
+    ),
     "runner": (
         "FailedShard", "StudyRunReport", "retry_delay", "run_study",
         "shard_ranges",

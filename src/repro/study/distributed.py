@@ -211,8 +211,8 @@ def run_shard_slice(spec: StudySpec, index: int, of: int, store: StudyStore,
     # Attest only what verifiably completed: a partial or keep_going run
     # signs a truthful subset, and the merge's coverage check reports the
     # gap as "missing" rather than trusting an optimistic claim.
-    completed = [i for i in indices
-                 if store.shard_checksum(spec, *layout[i]) is not None]
+    verified = store.verified_shards(spec, [layout[i] for i in indices])
+    completed = [i for i in indices if layout[i] in verified]
     manifest = build_manifest(spec, store, layout, completed,
                               worker=index, of=of)
     if manifest_path is None:
@@ -301,7 +301,8 @@ def merge_manifests(spec: StudySpec, manifest_paths,
     3. ``overlap`` / ``missing`` — shard ownership must be disjoint and
        must cover the full layout;
     4. ``checksum`` — each bundle on disk (read from the directory next to
-       its manifest) must carry exactly the checksum its manifest signed;
+       its manifest) must carry exactly the checksum its manifest signed,
+       and hold each claimed shard's cases at the signed row offset;
     5. ``crn`` — a deterministic sample of cases is recomputed inline and
        compared bit-for-bit (NaN-aware) against the stored rows.
 
@@ -310,9 +311,9 @@ def merge_manifests(spec: StudySpec, manifest_paths,
         manifest_paths: The worker manifest files; each worker's shard
             bundles (and optional ``run.jsonl``) are read from the
             manifest's directory.
-        out_store: Optional store the merged shard bundles are copied
-            into (becomes a normal single-machine store: resumable,
-            refreshable, servable).
+        out_store: Optional store the merged shards are copied into, one
+            bundle per worker (becomes a normal single-machine store:
+            resumable, refreshable, servable).
         journal: Merged provenance journal — a path, a
             :class:`~repro.study.journal.RunJournal`, or ``None`` to
             default to ``merge.jsonl`` in ``out_store`` (disabled without
@@ -417,26 +418,34 @@ def merge_manifests(spec: StudySpec, manifest_paths,
             ranges=[list(layout[i]) for i in missing])
 
     # 4. bundles on disk match the signed claims; collect the raw tables
-    # from the same read that verified them.
-    verified = []  # (shard entry, raw table)
+    # from the same read that verified them, one read per bundle.
+    verified = []  # per worker: [(shard entry, raw table), ...]
     case_owner: dict[int, int] = {}
     for manifest, path in zip(manifests, paths):
         worker_store = StudyStore(cache_dir=path.parent)
-        for entry in manifest.shards:
-            loaded = worker_store.verified_shard(spec, entry.start,
-                                                 entry.stop)
-            actual = None if loaded is None else loaded[1]
-            if actual != entry.checksum:
-                raise MergeValidationError(
-                    f"shard {entry.index} of worker {manifest.worker}: "
-                    f"bundle {worker_store.bundle_path(entry.key).name} "
-                    f"{'is missing or unreadable' if actual is None else 'does not match the signed checksum'} "
-                    f"— the store was modified after the manifest signed it",
-                    kind="checksum", manifest=str(path), shard=entry.index,
-                    expected=entry.checksum, actual=actual)
-            verified.append((entry, loaded[0]))
-            for case in range(entry.start, entry.stop):
-                case_owner[case] = manifest.worker
+        tables = []
+        for checksum, entries in manifest.bundles().items():
+            loaded = worker_store.load_verified(checksum)
+            table = None if loaded is None else loaded[0]
+            for entry in entries:
+                rows = slice(entry.offset,
+                             entry.offset + entry.stop - entry.start)
+                if table is None or table["case"][rows] != list(
+                        range(entry.start, entry.stop)):
+                    raise MergeValidationError(
+                        f"shard {entry.index} of worker {manifest.worker}: "
+                        f"bundle {worker_store.bundle_path(checksum).name} "
+                        f"{'is missing or unreadable' if table is None else 'does not hold its cases'} "
+                        f"— the store was modified after the manifest "
+                        f"signed it",
+                        kind="checksum", manifest=str(path),
+                        shard=entry.index, expected=checksum,
+                        actual=None if loaded is None else loaded[1])
+                tables.append((entry, {name: column[rows]
+                                       for name, column in table.items()}))
+                for case in range(entry.start, entry.stop):
+                    case_owner[case] = manifest.worker
+        verified.append(tables)
 
     # Replay every worker's journal into the merged provenance journal.
     replayed = 0
@@ -448,7 +457,8 @@ def merge_manifests(spec: StudySpec, manifest_paths,
             log.append(record)
         replayed += len(events)
 
-    raw = merge_shards([table for _, table in verified])
+    raw = merge_shards([table for tables in verified
+                        for _, table in tables])
 
     # 5. CRN spot-check: recompute a deterministic case sample inline and
     # compare bit-for-bit against what the workers stored.
@@ -475,12 +485,15 @@ def merge_manifests(spec: StudySpec, manifest_paths,
                     worker=case_owner[i],
                     stored=stored_row[metric], recomputed=fresh[metric])
 
-    # Everything proved out: copy bundles into the merged store (making it
-    # a normal single-machine store) and build the final table.
+    # Everything proved out: copy the shards into the merged store, one
+    # bundle per worker (making it a normal single-machine store), and
+    # build the final table.
     if out_store is not None:
-        for entry, table in verified:
-            out_store.put_shard(spec, entry.start, entry.stop, table)
-        out_store.put_run_metadata(spec)
+        out_store.begin_run(spec, list(layout))
+        for tables in verified:
+            if tables:
+                out_store.put_bundle(spec, [(entry.start, entry.stop, table)
+                                            for entry, table in tables])
 
     table = build_table(spec, raw)
     log.emit("merge_end", rows=len(table),
@@ -616,9 +629,10 @@ def refresh_study(spec: StudySpec, previous: StudySpec, store: StudyStore,
     # Index the previous run's rows by content fingerprint.
     previous_rows: dict[str, dict] = {}
     prev_cases = previous.cases()
-    for start, stop in store.stored_ranges(previous):
-        shard = store.get_shard(previous, start, stop)
-        if shard is None or not set(metrics) <= set(shard):
+    recorded = store.run_record(previous)
+    for shard in store.load_shards(recorded,
+                                   recorded.stored_ranges()).values():
+        if not set(metrics) <= set(shard):
             continue
         for r, case_index in enumerate(shard["case"]):
             if 0 <= case_index < len(prev_cases):

@@ -219,10 +219,10 @@ def scan_journal(path: str | Path) -> tuple[list[dict], int]:
         is dropped without counting; a missing file reads as
         ``([], 0)``.
     """
-    path = Path(path)
-    if not path.exists():
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (FileNotFoundError, NotADirectoryError):
         return [], 0
-    lines = path.read_text().splitlines()
     events: list[dict] = []
     skipped = 0
     for number, line in enumerate(lines, start=1):

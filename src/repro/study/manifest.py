@@ -10,10 +10,11 @@ worker claims to have computed:
   case count, CRN seed root and seed mode, ``repro`` version);
 * the **global** shard layout the slice was cut from (so a merge can prove
   every worker agreed on one layout);
-* the worker's position (``worker`` of ``of``) and, per shard it owns, the
-  case range, the store key and the bundle's content checksum — the very
-  checksum :class:`~repro.scenario.cache.ArrayCache` stamped into the
-  ``.bundle`` header at write time.
+* the worker's position (``worker`` of ``of``) and, per bundle holding
+  shards it owns, the bundle's content checksum — the very checksum
+  :class:`~repro.scenario.cache.ArrayCache` stamped into the ``.bundle``
+  header at write time, which also names the bundle file — with the case
+  range and row offset of each of those shards.
 
 The document is **signed**: the file stores ``{"manifest": payload,
 "signature": sha256(canonical-json(payload))}``.  The signature is not a
@@ -42,14 +43,18 @@ __all__ = ["MANIFEST_VERSION", "ShardEntry", "ShardManifest",
            "sign_payload", "write_manifest"]
 
 #: Schema version of the manifest payload; bumped on incompatible change
-#: (version 2 dropped the ``backend`` field of version 1).
-MANIFEST_VERSION = 2
+#: (version 2 dropped the ``backend`` field of version 1; version 3 attests
+#: bundles, each with the shard ranges it covers, instead of one bundle per
+#: shard).
+MANIFEST_VERSION = 3
 
 _PAYLOAD_KEYS = {"manifest_version", "study", "engine", "compute_hash",
                  "case_count", "seed", "seed_mode", "version",
-                 "worker", "of", "layout", "shards"}
+                 "worker", "of", "layout", "bundles"}
 
-_ENTRY_KEYS = {"index", "start", "stop", "key", "checksum", "rows"}
+_BUNDLE_KEYS = {"checksum", "shards"}
+
+_ENTRY_KEYS = {"index", "start", "stop", "offset"}
 
 
 def sign_payload(payload: dict) -> str:
@@ -75,7 +80,7 @@ def default_manifest_name(spec: StudySpec, worker: int, of: int) -> str:
 
 @dataclass(frozen=True)
 class ShardEntry:
-    """One shard bundle a worker claims: its range, store key and checksum.
+    """One shard a worker claims: its range and the bundle that holds it.
 
     Attributes
     ----------
@@ -83,20 +88,18 @@ class ShardEntry:
         Shard index in the global layout.
     start / stop:
         The shard's ``[start, stop)`` case range.
-    key:
-        The bundle's store key (:meth:`~repro.study.results.StudyStore.shard_key`).
     checksum:
-        The bundle's verified header checksum at manifest time.
-    rows:
-        Case rows in the bundle (``stop - start``).
+        The verified header checksum of the bundle holding the shard at
+        manifest time, which is also the bundle's store key.
+    offset:
+        Row of the shard's first case in that bundle.
     """
 
     index: int
     start: int
     stop: int
-    key: str
     checksum: str
-    rows: int
+    offset: int
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,13 @@ class ShardManifest:
         """Global layout indices of the shards this worker claims."""
         return tuple(entry.index for entry in self.shards)
 
+    def bundles(self) -> dict[str, list[ShardEntry]]:
+        """The claimed shards grouped by bundle checksum, in shard order."""
+        grouped: dict[str, list[ShardEntry]] = {}
+        for entry in self.shards:
+            grouped.setdefault(entry.checksum, []).append(entry)
+        return grouped
+
     def to_payload(self) -> dict:
         """The JSON payload that gets signed and written."""
         return {
@@ -147,9 +157,11 @@ class ShardManifest:
             "worker": self.worker,
             "of": self.of,
             "layout": [[start, stop] for start, stop in self.layout],
-            "shards": [{"index": e.index, "start": e.start, "stop": e.stop,
-                        "key": e.key, "checksum": e.checksum, "rows": e.rows}
-                       for e in self.shards],
+            "bundles": [{"checksum": checksum,
+                         "shards": [{"index": e.index, "start": e.start,
+                                     "stop": e.stop, "offset": e.offset}
+                                    for e in entries]}
+                        for checksum, entries in self.bundles().items()],
         }
 
     @classmethod
@@ -168,7 +180,7 @@ class ShardManifest:
             ManifestError: On a non-mapping payload, an unsupported
                 ``manifest_version`` (checked first, so an older manifest
                 is named by its version), unknown or missing keys, or
-                malformed layout/shard entries.
+                malformed layout/bundle/shard entries.
         """
         if not isinstance(payload, dict):
             raise ManifestError(
@@ -193,25 +205,31 @@ class ShardManifest:
             raise ManifestError(
                 f"{source}: 'layout' must be a non-empty list of "
                 f"[start, stop] integer pairs")
-        entries = payload["shards"]
-        if not isinstance(entries, list):
-            raise ManifestError(f"{source}: 'shards' must be a list")
+        bundles = payload["bundles"]
+        if not isinstance(bundles, list) or not all(
+                isinstance(b, dict) and set(b) == _BUNDLE_KEYS
+                and isinstance(b["shards"], list) for b in bundles):
+            raise ManifestError(
+                f"{source}: 'bundles' must be a list of mappings with keys "
+                f"{sorted(_BUNDLE_KEYS)} and a list of shards")
         shards = []
-        for entry in entries:
-            if not isinstance(entry, dict) or set(entry) != _ENTRY_KEYS:
-                raise ManifestError(
-                    f"{source}: each shard entry must be a mapping with "
-                    f"keys {sorted(_ENTRY_KEYS)}")
-            try:
-                shards.append(ShardEntry(
-                    index=int(entry["index"]), start=int(entry["start"]),
-                    stop=int(entry["stop"]), key=str(entry["key"]),
-                    checksum=str(entry["checksum"]),
-                    rows=int(entry["rows"])))
-            except (TypeError, ValueError) as exc:
-                raise ManifestError(
-                    f"{source}: malformed shard entry {entry!r}: {exc}"
-                ) from None
+        for bundle in bundles:
+            for entry in bundle["shards"]:
+                if not isinstance(entry, dict) or set(entry) != _ENTRY_KEYS:
+                    raise ManifestError(
+                        f"{source}: each shard entry must be a mapping with "
+                        f"keys {sorted(_ENTRY_KEYS)}")
+                try:
+                    shards.append(ShardEntry(
+                        index=int(entry["index"]), start=int(entry["start"]),
+                        stop=int(entry["stop"]),
+                        checksum=str(bundle["checksum"]),
+                        offset=int(entry["offset"])))
+                except (TypeError, ValueError) as exc:
+                    raise ManifestError(
+                        f"{source}: malformed shard entry {entry!r}: {exc}"
+                    ) from None
+        shards.sort(key=lambda entry: entry.index)
         try:
             return cls(
                 study=str(payload["study"]), engine=str(payload["engine"]),
@@ -233,10 +251,12 @@ def build_manifest(spec: StudySpec, store: StudyStore,
                    worker: int, of: int) -> ShardManifest:
     """Assemble a manifest from the bundles a slice run left in ``store``.
 
-    Every claimed shard is re-verified against the disk right here: its
-    checksum is recomputed from the ``.bundle`` bytes
-    (:meth:`~repro.study.results.StudyStore.shard_checksum`), so a manifest
-    never attests to a bundle that is absent, torn or already tampered.
+    Every claimed shard is re-verified against the disk right here: the
+    store's run record names the bundle holding it, and that bundle's
+    checksum is recomputed from its bytes, once per bundle
+    (:meth:`~repro.study.results.StudyStore.verified_shards`), so a
+    manifest never attests to a bundle that is absent, torn or already
+    tampered.
 
     Args:
         spec: The study the slice belongs to.
@@ -255,19 +275,19 @@ def build_manifest(spec: StudySpec, store: StudyStore,
     """
     from repro import __version__
 
+    indices = sorted(int(i) for i in shard_indices)
+    found = store.verified_shards(spec, [layout[i] for i in indices])
     entries = []
-    for index in sorted(int(i) for i in shard_indices):
+    for index in indices:
         start, stop = layout[index]
-        checksum = store.shard_checksum(spec, start, stop)
-        if checksum is None:
+        if (start, stop) not in found:
             raise ManifestError(
                 f"shard {index} (cases [{start}:{stop})) of {spec.name!r} "
                 f"is missing from the store or fails its checksum — "
                 f"cannot attest to it in a manifest")
-        entries.append(ShardEntry(
-            index=index, start=start, stop=stop,
-            key=store.shard_key(spec, start, stop),
-            checksum=checksum, rows=stop - start))
+        _, checksum, offset = found[(start, stop)]
+        entries.append(ShardEntry(index=index, start=start, stop=stop,
+                                  checksum=checksum, offset=offset))
     return ShardManifest(
         study=spec.name, engine=spec.engine,
         compute_hash=spec.compute_hash, case_count=spec.case_count,

@@ -10,17 +10,25 @@ writes as
 * **wide** CSV — one row per case, one column per metric;
 * JSON — a provenance document (spec echo + wide records).
 
-:class:`StudyStore` is the disk layer of the sharded runner: each completed
-shard's raw engine metrics persist as one checksummed ``.bundle`` file (the
-same atomic write-then-rename :class:`~repro.scenario.cache.ArrayCache`
-machinery as the profile and weather caches), keyed by the spec's
-:attr:`~repro.study.spec.StudySpec.compute_hash` and the shard's case range —
-so an interrupted run resumes from its completed shards, and the merged table
-is bit-identical to an uninterrupted run.  Corrupt or truncated bundles (a
-killed pre-hardening writer, bit rot, injected faults) are detected by the
-checksum, quarantined into a sidecar directory and recomputed instead of
-poisoning the resume.  A store written by an older release holds ``.npz``
-files, which are not read: its shards recompute.
+:class:`StudyStore` is the disk layer of the sharded runner.  The raw engine
+metrics of the shards completed together — one supervisor attempt, a
+refresh's carried-over rows, one worker's shards in a merge — persist as
+one checksummed ``<checksum>.bundle`` file (the same atomic
+write-then-rename :class:`~repro.scenario.cache.ArrayCache` machinery as the
+profile and weather caches), named after its content checksum.  A per-spec,
+append-only run record, ``{compute_hash[:40]}-run.jsonl``, indexes them: a
+header line ``{study, compute_hash, version, layout}`` when a run with
+pending work starts, then one line per bundle, written after its rename,
+mapping each member's case range to the bundle and its row slice
+(:class:`RunRecord`).  A run reads the record once and each bundle it needs
+once, and never lists the directory; an interrupted run resumes from its
+recorded shards, and the merged table is bit-identical to an uninterrupted
+run.  A missing, torn or checksum-failing bundle (bit rot, injected faults)
+is quarantined into a sidecar directory and exactly its member shards
+recompute instead of poisoning the resume; a torn last record line (a
+killed writer) is skipped, so its bundle's shards recompute too.  A store
+written by an older release has no run record and is not read: its shards
+recompute.
 """
 
 from __future__ import annotations
@@ -30,8 +38,7 @@ import io
 import json
 import math
 import os
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +48,11 @@ from repro.reporting.series import write_csv
 from repro.reporting.tables import format_table
 from repro.scenario.cache import ArrayCache
 from repro.study.expressions import compile_expression
+from repro.study.journal import scan_journal
 from repro.study.spec import StudySpec
 
-__all__ = ["ShardTable", "StudyTable", "StudyStore", "build_table",
-           "merge_shards"]
+__all__ = ["RunRecord", "ShardTable", "StudyTable", "StudyStore",
+           "build_table", "merge_shards"]
 
 #: Raw per-shard payload: ``{"case": [...], metric: [...], ...}`` columns.
 ShardTable = dict
@@ -355,14 +363,65 @@ def _derived_cell(evaluate, env: dict):
 # -- disk layer ---------------------------------------------------------------
 
 
-class StudyStore(ArrayCache):
-    """LRU + disk memo of raw shard tables, keyed by (spec, case range).
+@dataclass(frozen=True)
+class RunRecord:
+    """What a spec's run record says: its latest header and stored shards.
 
-    Values are :data:`ShardTable` column mappings; numeric columns persist as
-    float/int arrays, string columns as unicode arrays.  The round trip is
-    exact (float64 bits, int, str), so a resumed run's merged table is
-    bit-identical to an uninterrupted one.
+    Attributes
+    ----------
+    header:
+        The latest header line (``study``, ``compute_hash``, ``version``,
+        ``layout``), or ``None`` when no run with pending work started.
+    shards:
+        ``{(start, stop): (bundle key, first row, stop row)}``: for each
+        stored case range, the last bundle line that wrote it.
     """
+
+    header: dict | None = None
+    shards: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_lines(cls, lines: list) -> "RunRecord":
+        """Fold parsed record lines; a malformed line is skipped whole."""
+        header, shards = None, {}
+        for line in lines:
+            try:
+                if "bundle" in line:
+                    key = line["bundle"]
+                    if not isinstance(key, str):
+                        continue
+                    shards.update({(int(start), int(stop)): (key, int(lo),
+                                                             int(hi))
+                                   for start, stop, lo, hi in line["shards"]})
+                elif "compute_hash" in line:
+                    header = line
+            except (KeyError, TypeError, ValueError):
+                continue
+        return cls(header, shards)
+
+    def stored_ranges(self) -> list[tuple[int, int]]:
+        """The recorded case ranges, sorted."""
+        return sorted(self.shards)
+
+
+class StudyStore(ArrayCache):
+    """LRU + disk memo of raw shard tables, one bundle per write batch.
+
+    :meth:`put_bundle` stores the shards one attempt completed together as
+    one ``<checksum>.bundle`` (the columns of the members, concatenated),
+    then appends a line to the spec's run record mapping each member's
+    case range to the bundle and its row slice.  Numeric columns persist
+    as float/int arrays, string columns as unicode arrays.  The round trip
+    is exact (float64 bits, int, str), so a resumed run's merged table is
+    bit-identical to an uninterrupted one.  A bundle is named after its
+    content checksum, so one name never holds two different contents.
+    """
+
+    def __init__(self, maxsize: int = 128,
+                 cache_dir: str | Path | None = None) -> None:
+        super().__init__(maxsize, cache_dir)
+        # The run records of a store without a disk layer.
+        self._records: dict[str, list] = {}
 
     def _pack(self, value: ShardTable) -> dict[str, np.ndarray]:
         arrays = {"__columns__": np.array(list(value), dtype=np.str_)}
@@ -378,119 +437,165 @@ class StudyStore(ArrayCache):
         return {name: arrays[f"col{i}"].tolist()
                 for i, name in enumerate(names)}
 
-    @staticmethod
-    def shard_key(spec: StudySpec, start: int, stop: int) -> str:
-        """Store key of the ``[start, stop)`` case range of ``spec``."""
-        return f"{spec.compute_hash[:40]}-{start:06d}-{stop:06d}"
+    def _read_bundle(self, key: str) -> tuple[dict, str] | None:
+        verified = super()._read_bundle(key)
+        if verified is not None and verified[1] != key:
+            raise ValueError(f"bundle {key} holds other content")
+        return verified
+
+    # -- the run record ------------------------------------------------------
+
+    def _record_path(self, spec: StudySpec) -> Path:
+        return self.cache_dir / f"{spec.compute_hash[:40]}-run.jsonl"
+
+    def run_record(self, spec: StudySpec) -> RunRecord:
+        """Read ``spec``'s run record (one open; absent means empty).
+
+        A torn last line, the trace of a killed writer, is skipped, so the
+        bundle it would have recorded counts as not stored.
+        """
+        if self.cache_dir is None:
+            with self._lock:
+                lines = list(self._records.get(spec.compute_hash, ()))
+        else:
+            try:
+                lines, _ = scan_journal(self._record_path(spec))
+            except OSError:  # an unreadable record stores nothing
+                lines = []
+        return RunRecord.from_lines(lines)
+
+    def _append_record(self, spec: StudySpec, line: dict) -> None:
+        """Append one line to ``spec``'s run record with one ``write``.
+
+        A record that ends in a torn line gets a line break first, so the
+        new line stays whole.  A failing write is counted in
+        :attr:`~repro.scenario.cache.ArrayCache.disk_errors`: the record
+        must never take down the run it describes.
+        """
+        if self.cache_dir is None:
+            with self._lock:
+                self._records.setdefault(spec.compute_hash, []).append(line)
+            return
+        data = (json.dumps(line) + "\n").encode()
+        try:
+            fd = os.open(self._record_path(spec),
+                         os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+            try:
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    data = b"\n" + data
+                os.write(fd, data)
+            finally:
+                os.close(fd)
+        except OSError:
+            self.disk_errors += 1
+
+    def begin_run(self, spec: StudySpec,
+                  layout: list[tuple[int, int]]) -> None:
+        """Record that a run of ``spec`` over ``layout`` starts writing.
+
+        The header line holds ``{study, compute_hash, version, layout}``.
+        """
+        from repro import __version__
+
+        self._append_record(spec, {
+            "study": spec.name, "compute_hash": spec.compute_hash,
+            "version": __version__, "layout": [list(r) for r in layout]})
+
+    # -- shards --------------------------------------------------------------
+
+    def put_bundle(self, spec: StudySpec,
+                   members: list[tuple[int, int, ShardTable]]) -> str | None:
+        """Persist shards completed together as one bundle, then record it.
+
+        Args:
+            spec: The study the shards belong to.
+            members: ``(start, stop, shard table)`` per shard, all with the
+                same columns.
+
+        Returns:
+            The bundle key, or ``None`` when the disk refused the bundle
+            (its shards then stay unrecorded and recompute next run).
+        """
+        names = list(members[0][2])
+        table: ShardTable = {name: [] for name in names}
+        slices = []
+        for start, stop, shard in members:
+            if list(shard) != names:
+                raise ConfigurationError(
+                    f"shard columns differ: {list(shard)} != {names}")
+            lo = len(table["case"])
+            for name in names:
+                table[name].extend(shard[name])
+            slices.append([start, stop, lo, len(table["case"])])
+        data, key = self.encode(table)
+        with self._lock:
+            self._remember(key, table)
+        if self.cache_dir is not None and not self._write_bundle(key, data):
+            return None
+        self._append_record(spec, {"bundle": key, "shards": slices})
+        return key
+
+    def _sliced(self, record: RunRecord, ranges, load):
+        """``((start, stop), bundle key, first row, shard)`` for each of
+        ``ranges`` the record maps to a bundle ``load`` returns, reading
+        each bundle once; a slice that does not hold its cases is left
+        out."""
+        by_bundle: dict[str, list] = {}
+        for case_range in ranges:
+            if case_range in record.shards:
+                key, lo, hi = record.shards[case_range]
+                by_bundle.setdefault(key, []).append((case_range, lo, hi))
+        for key, members in by_bundle.items():
+            table = load(key)
+            if table is None:
+                continue
+            for (start, stop), lo, hi in members:
+                shard = {name: column[lo:hi] for name, column in table.items()}
+                if shard["case"] == list(range(start, stop)):
+                    yield (start, stop), key, lo, shard
+
+    def load_shards(self, record: RunRecord, ranges
+                    ) -> dict[tuple[int, int], ShardTable]:
+        """The shard tables of ``ranges`` that ``record`` maps to a bundle.
+
+        Each bundle is read once.  A bundle that is missing, or damaged
+        (quarantined, see :meth:`~repro.scenario.cache.ArrayCache.get_by_hash`),
+        leaves out exactly its member shards, which then recompute.
+        """
+        return {case_range: shard for case_range, _, _, shard
+                in self._sliced(record, ranges, self.get_by_hash)}
+
+    def verified_shards(self, spec: StudySpec, ranges
+                        ) -> dict[tuple[int, int], tuple[ShardTable, str, int]]:
+        """``{(start, stop): (shard, bundle checksum, first row)}`` for the
+        recorded shards of ``ranges`` whose bundle verifies on disk.
+
+        The checksum is the one the bundle header carries, which is also
+        the bundle's name; shard manifests attest it.  A damaged bundle is
+        left in place (see
+        :meth:`~repro.scenario.cache.ArrayCache.load_verified`).
+        """
+        def load(key):
+            loaded = self.load_verified(key)
+            return None if loaded is None else loaded[0]
+
+        return {case_range: (shard, key, lo) for case_range, key, lo, shard
+                in self._sliced(self.run_record(spec), ranges, load)}
 
     def get_shard(self, spec: StudySpec, start: int, stop: int) -> ShardTable | None:
-        """Cached shard table, or ``None`` when the range was never stored."""
-        return self.get_by_hash(self.shard_key(spec, start, stop))
+        """Cached shard table, or ``None`` when the range is not stored."""
+        return self.load_shards(self.run_record(spec),
+                                [(start, stop)]).get((start, stop))
 
     def put_shard(self, spec: StudySpec, start: int, stop: int,
                   value: ShardTable) -> None:
-        """Persist one completed shard's raw table."""
-        self.put_by_hash(self.shard_key(spec, start, stop), value)
+        """Persist one completed shard's raw table as its own bundle."""
+        self.put_bundle(spec, [(start, stop, value)])
 
     def shard_checksum(self, spec: StudySpec, start: int, stop: int) -> str | None:
-        """Verified bundle checksum of the ``[start, stop)`` shard, if stored.
-
-        The digest is the same checksum every bundle carries in its
-        header; shard manifests record it per case range so a merge can
-        detect tampering without trusting the worker.  Returns ``None``
-        when the shard is absent, the store has no disk layer, or the file
-        fails verification (see :meth:`~repro.scenario.cache.ArrayCache.stored_checksum`).
-        """
-        return self.stored_checksum(self.shard_key(spec, start, stop))
-
-    def verified_shard(self, spec: StudySpec, start: int, stop: int
-                       ) -> tuple[ShardTable, str] | None:
-        """The ``[start, stop)`` shard table with its verified checksum.
-
-        One disk read for what :meth:`shard_checksum` plus
-        :meth:`get_shard` would read twice; a damaged bundle returns
-        ``None`` and is left in place (see
-        :meth:`~repro.scenario.cache.ArrayCache.load_verified`).
-        """
-        return self.load_verified(self.shard_key(spec, start, stop))
-
-    def _metadata_path(self, spec: StudySpec) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{spec.compute_hash[:40]}-meta.json"
-
-    def run_metadata(self, spec: StudySpec) -> dict | None:
-        """The run metadata recorded for ``spec``, or ``None``.
-
-        The runner persists a small JSON sidecar per spec recording which
-        study and ``repro`` version wrote its shards into this store.
-
-        Args:
-            spec: The study whose metadata to read.
-
-        Returns:
-            The recorded mapping, or ``None`` when the store has no disk
-            layer, nothing was recorded, or the sidecar is unreadable.
-        """
-        path = self._metadata_path(spec)
-        if path is None or not path.exists():
-            return None
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        return document if isinstance(document, dict) else None
-
-    def put_run_metadata(self, spec: StudySpec) -> None:
-        """Record which study and ``repro`` version wrote ``spec``'s rows.
-
-        The sidecar holds ``{study, compute_hash, version}``.  It
-        uses the same write-then-rename discipline as the array bundles;
-        an unwritable directory degrades silently (counted in
-        :attr:`~repro.scenario.cache.ArrayCache.disk_errors`) — metadata
-        must never take down the run it describes.
-        """
-        path = self._metadata_path(spec)
-        if path is None:
-            return
-        from repro import __version__
-
-        metadata = {"study": spec.name, "compute_hash": spec.compute_hash,
-                    "version": __version__}
-        tmp_path = path.with_name(
-            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            tmp_path.write_text(json.dumps(metadata, indent=2) + "\n")
-            os.replace(tmp_path, path)
-        except OSError:
-            self.disk_errors += 1
-            try:
-                tmp_path.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-    def stored_ranges(self, spec: StudySpec) -> list[tuple[int, int]]:
-        """Case ranges of ``spec`` present in the disk layer, sorted.
-
-        Used by the runner to detect a resume whose shard layout differs
-        from the run that populated the store (the keys embed the ranges,
-        so a different layout would silently recompute everything).
-
-        Args:
-            spec: The study whose shards to look for.
-
-        Returns:
-            Sorted ``(start, stop)`` ranges found on disk; empty when the
-            store has no disk layer or holds nothing for this spec.
-        """
-        if self.cache_dir is None:
-            return []
-        prefix = spec.compute_hash[:40]
-        ranges = []
-        for path in self.cache_dir.glob(self.bundle_path(f"{prefix}-*").name):
-            parts = path.stem.rsplit("-", 2)
-            try:
-                ranges.append((int(parts[1]), int(parts[2])))
-            except (IndexError, ValueError):  # pragma: no cover - foreign file
-                continue
-        return sorted(ranges)
+        """Verified checksum of the bundle holding the ``[start, stop)``
+        shard, or ``None`` when it is not stored or fails verification
+        (see :meth:`verified_shards`)."""
+        found = self.verified_shards(spec, [(start, stop)]).get((start, stop))
+        return None if found is None else found[1]

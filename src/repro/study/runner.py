@@ -5,23 +5,23 @@
 
 1. the case list (cartesian axis product) is split into ``shards`` contiguous
    chunks of near-equal size;
-2. shards already present in the optional :class:`~repro.study.results.StudyStore`
-   are reused (resume-from-partial), as are shards made only of rows the
-   caller passes as ``reuse_rows`` (how a refresh carries rows over);
+2. shards the optional :class:`~repro.study.results.StudyStore`'s run record
+   lists are reused (resume-from-partial), as are shards made only of rows
+   the caller passes as ``reuse_rows`` (how a refresh carries rows over);
 3. the remaining shards run under one **supervisor loop** (:func:`_supervise`)
    with a ``[k/n]`` progress callback per completed shard.  An attempt is
    one engine call over an **attempt group** of consecutive pending
-   shards, its rows split back per shard and each shard stored, journaled
-   and reported on its own.  With ``jobs=1`` an attempt runs in this
-   process as it is submitted, over at most :data:`_GROUP_CASES` cases —
-   under a ``cancel`` hook, about :data:`_POLL_S` of wall at the pace last
-   measured for the spec's shape on the same store (:data:`_PACES`), so a
-   steady-state service job is one group; at least one shard either way.
+   shards, its rows split back per shard, each shard journaled and
+   reported on its own, and the group stored as one bundle.  With
+   ``jobs=1`` an attempt runs in this process as it is submitted, over at
+   most :data:`_GROUP_CASES` cases — under a ``cancel`` hook, about
+   :data:`_POLL_S` of wall at the pace last measured for the spec's shape
+   on the same store (:data:`_PACES`), so a steady-state service job is
+   one group; at least one shard either way.
    With ``jobs > 1`` attempts run one shard each on a
    :class:`~concurrent.futures.ProcessPoolExecutor` of ``jobs`` workers,
    so timeouts and crashes are attributed per shard;
-4. completed shards persist to the store and merge, in case order, into the
-   final table.
+4. completed shards merge, in case order, into the final table.
 
 **Fault tolerance.**  At network scale (tens of thousands of segments x
 scenarios) individual worker failures are routine, not exceptional, so the
@@ -82,6 +82,7 @@ from repro.faults import FaultPlan
 from repro.study.engines import import_engine, run_cases
 from repro.study.journal import RunJournal, resolve_journal
 from repro.study.results import (
+    RunRecord,
     ShardTable,
     StudyStore,
     StudyTable,
@@ -385,8 +386,9 @@ def run_study(spec: StudySpec,
             ``min(case_count, 16)``; a resumed run must use the same shard
             layout as the run that populated the store (a differing layout
             recomputes, and is reported — see Warns below).
-        store: Optional :class:`~repro.study.results.StudyStore`; completed
-            shards persist there and are reused by later runs (resume).
+        store: Optional :class:`~repro.study.results.StudyStore`; each
+            attempt's completed shards persist there as one bundle, and
+            later runs reuse every shard its run record lists (resume).
         progress: Optional ``progress(done, total, label)`` callback invoked
             once per finished shard (reused shards report first; the
             shards of one attempt group report one after another once the
@@ -496,13 +498,16 @@ def run_study(spec: StudySpec,
     done: list[ShardTable] = []
     pending: list[tuple[int, int, int]] = []  # (shard index, start, stop)
     from_rows: list[tuple[int, int, int]] = []  # shards made of reuse_rows
-    # A spec without a run record has no stored shards: skip the listing.
-    stored = (store.stored_ranges(spec) if store is not None
-              and store.run_metadata(spec) is not None else [])
+    # The run record is read once: it lists what is stored, bundle by
+    # bundle, so no shard probes the disk on its own.
+    recorded = store.run_record(spec) if store is not None else RunRecord()
+    stored_shards = {} if store is None else store.load_shards(
+        recorded, [r for index, r in enumerate(ranges)
+                   if selected is None or index in selected])
     for index, (start, stop) in enumerate(ranges):
         if selected is not None and index not in selected:
             continue
-        cached = store.get_shard(spec, start, stop) if store is not None else None
+        cached = stored_shards.get((start, stop))
         if cached is not None:
             done.append(cached)
             log.emit("reused", shard=index, start=start, stop=stop)
@@ -511,6 +516,7 @@ def run_study(spec: StudySpec,
         else:
             pending.append((index, start, stop))
 
+    stored = recorded.stored_ranges()
     foreign = sorted(set(stored) - set(ranges))
     if foreign:
         log.emit("layout_mismatch", stored=[list(r) for r in stored],
@@ -531,14 +537,16 @@ def run_study(spec: StudySpec,
         pending = pending[:max_shards]
 
     if store is not None and (pending or from_rows):
-        store.put_run_metadata(spec)
-    for index, start, stop in from_rows:
-        shard = _shard_table(start, stop,
-                             [reuse_rows[i] for i in range(start, stop)])
+        store.begin_run(spec, ranges)
+    if from_rows:
+        batch = [(start, stop, _shard_table(
+                      start, stop, [reuse_rows[i] for i in range(start, stop)]))
+                 for _, start, stop in from_rows]
         if store is not None:
-            store.put_shard(spec, start, stop, shard)
-        done.append(shard)
-        log.emit("reused", shard=index, start=start, stop=stop)
+            store.put_bundle(spec, batch)
+        for (index, start, stop), (_, _, shard) in zip(from_rows, batch):
+            done.append(shard)
+            log.emit("reused", shard=index, start=start, stop=stop)
     reused = len(done)
     total = len(selected) if selected is not None else len(ranges)
     finished = reused
@@ -547,18 +555,34 @@ def run_study(spec: StudySpec,
 
     computed: list[tuple[int, int]] = []
 
-    def record(index: int, start: int, stop: int, shard: ShardTable,
-               attempt: int, wall_s: float, group: int) -> None:
+    def record(group: list[_Attempt], shards: list[ShardTable],
+               wall_s: float) -> None:
+        """Journal and report each member of a finished attempt, then
+        store the members reported so far as one bundle: a progress
+        callback that interrupts mid-group leaves exactly the reported
+        shards stored."""
         nonlocal finished
-        if store is not None:
-            store.put_shard(spec, start, stop, shard)
-        done.append(shard)
-        computed.append((start, stop))
-        finished += 1
-        log.emit("finish", shard=index, start=start, stop=stop,
-                 attempt=attempt, wall_s=wall_s, group=group)
-        if progress is not None:
-            progress(finished, total, f"cases [{start}:{stop})")
+        cases = sum(meta.stop - meta.start for meta in group)
+        members = []
+        try:
+            for meta, shard in zip(group, shards):
+                members.append((meta.start, meta.stop, shard))
+                done.append(shard)
+                computed.append((meta.start, meta.stop))
+                finished += 1
+                # Each member is charged its case share of the attempt's
+                # wall, so summing ``finish`` walls counts the engine call
+                # once.
+                log.emit("finish", shard=meta.index, start=meta.start,
+                         stop=meta.stop, attempt=meta.attempt,
+                         wall_s=wall_s * ((meta.stop - meta.start) / cases),
+                         group=group[0].index)
+                if progress is not None:
+                    progress(finished, total,
+                             f"cases [{meta.start}:{meta.stop})")
+        finally:
+            if store is not None and members:
+                store.put_bundle(spec, members)
 
     jobs_meta: dict[int, _Attempt] = {
         index: _Attempt(index=index, start=start, stop=stop,
@@ -647,9 +671,10 @@ def _supervise(spec, context, jobs_meta, record, on_failure, jobs,
     """The one supervisor loop of :func:`run_study`.
 
     Each round polls ``cancel``, submits attempts whose backoff has
-    elapsed while a slot is free, and collects the finished ones.  An
-    attempt is one :func:`_run_shards` call over consecutive fresh shards
-    of at most ``cap`` cases, at least one shard.  A failed group charges
+    elapsed while a slot is free, and collects the finished ones, handing
+    each to ``record(group, shard tables, wall)`` once.  An attempt is one
+    :func:`_run_shards` call over consecutive fresh shards of at most
+    ``cap`` cases, at least one shard.  A failed group charges
     no shard: its members re-run alone under the same attempt numbers, as
     retries do, so retry budgets and quarantine stay per shard.
 
@@ -790,19 +815,11 @@ def _supervise(spec, context, jobs_meta, record, on_failure, jobs,
                              error=repr(exc))
                     queue.extendleft((meta, False) for meta in reversed(group))
                     continue
-                wall_s = time.monotonic() - t0
-                cases = sum(meta.stop - meta.start for meta in group)
-                for meta, shard in zip(group, shards):
-                    # Each member is charged its case share of the
-                    # attempt's wall, so summing ``finish`` walls counts
-                    # the engine call once.
-                    record(meta.index, meta.start, meta.stop, shard,
-                           meta.attempt,
-                           wall_s * ((meta.stop - meta.start) / cases),
-                           group[0].index)
+                record(group, shards, time.monotonic() - t0)
                 if pool is None:
                     # The hook waits out the whole attempt, storing included.
-                    pace = (time.monotonic() - t0) / cases
+                    pace = (time.monotonic() - t0) / sum(
+                        meta.stop - meta.start for meta in group)
                     if shape not in paces and len(paces) >= _PACE_SHAPES:
                         paces.clear()
                     paces[shape] = pace

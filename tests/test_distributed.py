@@ -21,6 +21,7 @@ Pins the tentpole contracts of :mod:`repro.study.distributed` and
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ class TestManifest:
     def test_any_payload_edit_fails_the_signature(self, tmp_path):
         _, slice_run = self.slice_manifest(tmp_path)
         document = json.loads(slice_run.manifest_path.read_text())
-        document["manifest"]["shards"][0]["checksum"] = "0" * 64
+        document["manifest"]["bundles"][0]["checksum"] = "0" * 64
         slice_run.manifest_path.write_text(json.dumps(document))
         with pytest.raises(ManifestError, match="signature"):
             load_manifest(slice_run.manifest_path)
@@ -176,6 +177,20 @@ class TestManifest:
         document["signature"] = sign_payload(payload)  # re-signed edit
         slice_run.manifest_path.write_text(json.dumps(document))
         with pytest.raises(ManifestError, match="keys mismatch"):
+            load_manifest(slice_run.manifest_path)
+
+    def test_version_2_manifest_refused_by_its_version(self, tmp_path):
+        # A version-2 manifest attests one bundle per shard under a
+        # "shards" key; it is named by its version, not a key mismatch.
+        _, slice_run = self.slice_manifest(tmp_path)
+        document = json.loads(slice_run.manifest_path.read_text())
+        payload = dict(document["manifest"], manifest_version=2)
+        del payload["bundles"]
+        payload["shards"] = []
+        slice_run.manifest_path.write_text(json.dumps(
+            {"manifest": payload, "signature": sign_payload(payload)}))
+        with pytest.raises(ManifestError,
+                           match="unsupported manifest_version 2"):
             load_manifest(slice_run.manifest_path)
 
     def test_version_1_manifest_refused_by_its_version(self, tmp_path):
@@ -288,7 +303,7 @@ class TestMergeRejection:
         # the seal is tamper evidence, not the only line of defence.
         spec, manifests = self.split(tmp_path)
         document = json.loads(manifests[0].read_text())
-        document["manifest"]["shards"][0]["stop"] += 1
+        document["manifest"]["bundles"][0]["shards"][0]["stop"] += 1
         document["signature"] = sign_payload(document["manifest"])
         manifests[0].write_text(json.dumps(document))
         with pytest.raises(MergeValidationError) as excinfo:
@@ -315,6 +330,13 @@ class TestMergeRejection:
         assert self.kind_of(excinfo) == "missing"
         assert excinfo.value.details["shards"] == [1, 3]
 
+    def worker1_bundle(self, tmp_path, manifests) -> Path:
+        """The bundle holding worker 1's first shard, found through its
+        signed manifest."""
+        entry = load_manifest(manifests[1]).shards[0]
+        return StudyStore(cache_dir=tmp_path / "worker1").bundle_path(
+            entry.checksum)
+
     @pytest.mark.parametrize("damage", [
         lambda data: b"PK\x03\x04torn",
         lambda data: data[:-3],
@@ -323,19 +345,19 @@ class TestMergeRejection:
     ], ids=["not_a_bundle", "truncated", "trailing_bytes", "bit_flip"])
     def test_tampered_bundle_rejected(self, tmp_path, damage):
         spec, manifests = self.split(tmp_path)
-        bundles = sorted((tmp_path / "worker1").glob("*.bundle"))
-        bundles[0].write_bytes(damage(bundles[0].read_bytes()))
+        bundle = self.worker1_bundle(tmp_path, manifests)
+        bundle.write_bytes(damage(bundle.read_bytes()))
         with pytest.raises(MergeValidationError) as excinfo:
             merge_manifests(spec, manifests)
         assert self.kind_of(excinfo) == "checksum"
-        assert bundles[0].exists()  # the evidence stays in place
+        assert bundle.exists()  # the evidence stays in place
 
     def test_legacy_npz_store_is_a_missing_bundle(self, tmp_path):
         # A worker store from an older release holds .npz files, which are
         # not read: the merge reports the bundle missing.
         spec, manifests = self.split(tmp_path)
-        bundles = sorted((tmp_path / "worker1").glob("*.bundle"))
-        bundles[0].rename(bundles[0].with_suffix(".npz"))
+        bundle = self.worker1_bundle(tmp_path, manifests)
+        bundle.rename(bundle.with_suffix(".npz"))
         with pytest.raises(MergeValidationError,
                            match="missing or unreadable") as excinfo:
             merge_manifests(spec, manifests)
@@ -500,9 +522,9 @@ class TestSupervisedRefresh:
 
     def test_refresh_records_the_updated_spec(self, tmp_path):
         spec, updated, store = self.seeded_store(tmp_path)
-        assert store.run_metadata(updated) is None
+        assert store.run_record(updated).header is None
         refresh_study(updated, spec, store, journal=RunJournal(None))
-        assert store.run_metadata(updated)["compute_hash"] \
+        assert store.run_record(updated).header["compute_hash"] \
             == updated.compute_hash
 
 

@@ -200,17 +200,24 @@ class TestRecoveryMatrix:
 
     def test_resume_after_store_corruption(self, clean_table, tmp_path):
         store_dir = tmp_path / "store"
-        run_study(mc_spec(), shards=4, store=StudyStore(cache_dir=store_dir))
-        victim = sorted(store_dir.glob("*.bundle"))[2]
-        victim.write_bytes(b"\x00" * 64)  # torn by a killed writer
+        # Three runs, three bundles: shards {0, 1}, {2} and {3}.
+        for max_shards in (2, 1, None):
+            run_study(mc_spec(), shards=4, max_shards=max_shards,
+                      store=StudyStore(cache_dir=store_dir))
         store = StudyStore(cache_dir=store_dir)
+        key, _, _ = store.run_record(mc_spec()).shards[(2, 3)]
+        victim = store.bundle_path(key)
+        victim.write_bytes(b"\x00" * 64)  # torn by a killed writer
         report = run_study(mc_spec(), shards=4, store=store)
         assert report.table.long() == clean_table
         assert report.reused_shards == 3 and report.computed_shards == 1
+        assert report.computed_ranges == ((2, 3),)
         assert store.quarantined == 1
         assert list((store_dir / "quarantine").iterdir())
         events = read_journal(store_dir / "run.jsonl")
-        assert sum(1 for e in events if e["event"] == "reused") == 3
+        starts = [i for i, e in enumerate(events) if e["event"] == "run_start"]
+        assert sum(1 for e in events[starts[-1]:]
+                   if e["event"] == "reused") == 3
 
     def test_multi_fault_storm_still_bit_identical(self, clean_table):
         report = run_study(
@@ -314,9 +321,9 @@ class TestLayoutMismatch:
     def test_stored_ranges_lists_spec_shards_only(self, tmp_path):
         store = StudyStore(cache_dir=tmp_path)
         run_study(mc_spec(), shards=2, store=store)
-        assert store.stored_ranges(mc_spec()) == [(0, 2), (2, 4)]
+        assert store.run_record(mc_spec()).stored_ranges() == [(0, 2), (2, 4)]
         other = parse_study(MC_TEXT.replace("seed: 7", "seed: 8"))
-        assert store.stored_ranges(other) == []
+        assert store.run_record(other).stored_ranges() == []
 
 
 # -- CLI: exit codes 0/3/4 and the fault-plan flag ----------------------------

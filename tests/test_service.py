@@ -428,6 +428,37 @@ class TestEngineCalls:
             queue.drain(5.0)
         assert (calls["run_cases"], calls["ar1_min_scan"]) == (1, 1)
 
+    def test_steady_state_robustness_job_writes_few_bundles(
+            self, tmp_path, monkeypatch):
+        # At the real poll budget: a later job of a shape groups its shards
+        # by the measured pace, and each group is one store write.
+        import yaml
+
+        from repro.study import StudyStore
+
+        writes = []
+        put_bundle = StudyStore.put_bundle
+
+        def spy(self, spec, members):
+            writes.append(len(members))
+            return put_bundle(self, spec, members)
+
+        monkeypatch.setattr(StudyStore, "put_bundle", spy)
+        document = yaml.safe_load(
+            (STUDIES_DIR / "robustness_grid.yaml").read_text())
+        queue = JobQueue(tmp_path, workers=1)
+        queue.start()
+        try:
+            for seed in (1, 2):  # the first job of the shape probes
+                writes.clear()
+                job, _ = queue.submit(JobRequest.from_mapping(
+                    {"study": dict(document, seed=seed)}, client="c"))
+                assert wait_terminal(queue, job.job).state == "done"
+        finally:
+            queue.drain(5.0)
+        assert sum(writes) == 16  # every shard stored exactly once
+        assert 1 <= len(writes) <= 3
+
 
 # -- cancellation -------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from repro.scenario.cache import (
     ProfileCache,
     _bundle_checksum,
 )
-from repro.study import StudyStore, parse_study, run_study
+from repro.study import StudyStore, parse_study, run_study, scan_journal
 
 MC_TEXT = """
 name: mc-tiny
@@ -197,7 +197,6 @@ class TestDamagedBundles:
         cache = fresh_cache(tmp_path)
         path = bundle_path(tmp_path)
         path.write_bytes(DAMAGE[damage](tmp_path))
-        assert cache.stored_checksum("k1") is None
         assert cache.load_verified("k1") is None
         # A merge validator owns the evidence: nothing is moved.
         assert path.exists() and cache.quarantined == 0
@@ -209,7 +208,7 @@ class TestDamagedBundles:
         legacy = tmp_path / "k1.npz"
         np.savez(legacy, v=np.arange(5.0))
         assert cache.get_by_hash("k1") is None
-        assert cache.stored_checksum("k1") is None
+        assert cache.load_verified("k1") is None
         assert cache.quarantined == 0 and legacy.exists()
         assert not (tmp_path / QUARANTINE_DIR).exists()
 
@@ -256,7 +255,7 @@ class TestBundleFormat:
             assert got.dtype == value.dtype and got.shape == value.shape, name
             assert got.tobytes() == value.tobytes(), name
             assert got.flags.writeable, name
-        assert cache.stored_checksum("k") == _bundle_checksum(self.VALUES)
+        assert cache.load_verified("k")[1] == _bundle_checksum(self.VALUES)
 
     def test_body_is_8_byte_aligned(self, tmp_path):
         cache = DictCache(cache_dir=tmp_path)
@@ -290,16 +289,16 @@ class TestConcurrentWriters:
         for thread in threads:
             thread.join()
         assert cache.disk_errors == 0
-        assert cache.stored_checksum("k1") is not None
+        assert cache.load_verified("k1") is not None
         assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
 
-    def test_concurrent_run_metadata_writes(self, tmp_path):
+    def test_concurrent_run_record_appends(self, tmp_path):
         spec = parse_study(MC_TEXT)
         store = StudyStore(cache_dir=tmp_path)
 
         def writer():
             for _ in range(500):
-                store.put_run_metadata(spec)
+                store.begin_run(spec, [(0, 2), (2, 4)])
 
         threads = [threading.Thread(target=writer) for _ in range(2)]
         for thread in threads:
@@ -307,7 +306,12 @@ class TestConcurrentWriters:
         for thread in threads:
             thread.join()
         assert store.disk_errors == 0
-        assert store.run_metadata(spec)["compute_hash"] == spec.compute_hash
+        # Every append is one whole line: none torn, none interleaved.
+        lines, skipped = scan_journal(
+            tmp_path / f"{spec.compute_hash[:40]}-run.jsonl")
+        assert len(lines) == 1000 and skipped == 0
+        assert store.run_record(spec).header["compute_hash"] \
+            == spec.compute_hash
         assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
 
 
@@ -329,7 +333,7 @@ class TestUnwritableCacheDir:
         spec = parse_study(MC_TEXT)
         report = run_study(spec, shards=2, store=store)
         assert not report.partial
-        assert store.disk_errors >= 2  # both shard writes degraded
+        assert store.disk_errors >= 2  # record header and bundle degraded
         assert len(report.table) == 4
 
 
@@ -340,24 +344,31 @@ class TestStudyStoreDamage:
         leftovers = [p for p in tmp_path.iterdir() if ".tmp" in p.name]
         assert not leftovers
 
-    def test_every_shard_is_one_verified_bundle(self, tmp_path):
+    def test_every_attempt_is_one_verified_bundle(self, tmp_path):
         spec = parse_study(MC_TEXT)
         store = StudyStore(cache_dir=tmp_path)
         run_study(spec, shards=2, store=store)
         bundles = sorted(tmp_path.glob("*.bundle"))
-        assert len(bundles) == 2
-        assert [p.name for p in bundles] == [
-            store.bundle_path(store.shard_key(spec, a, b)).name
-            for a, b in store.stored_ranges(spec)]
-        for start, stop in store.stored_ranges(spec):
-            assert store.shard_checksum(spec, start, stop) is not None
+        assert len(bundles) == 1  # one inline attempt, both shards
+        recorded = store.run_record(spec)
+        assert recorded.stored_ranges() == [(0, 2), (2, 4)]
+        assert recorded.shards == {(0, 2): (bundles[0].stem, 0, 2),
+                                   (2, 4): (bundles[0].stem, 2, 4)}
+        for start, stop in recorded.stored_ranges():
+            # The bundle is named after its verified content checksum.
+            assert store.shard_checksum(spec, start, stop) == bundles[0].stem
 
     def test_damaged_shard_recomputed_not_raised(self, tmp_path):
         spec = parse_study(MC_TEXT)
+        # Two runs, two bundles: shard 0, then shard 1.
+        run_study(spec, shards=2, max_shards=1,
+                  store=StudyStore(cache_dir=tmp_path))
         run_study(spec, shards=2, store=StudyStore(cache_dir=tmp_path))
         clean = run_study(spec, shards=2,
                           store=StudyStore(cache_dir=tmp_path)).table.long()
-        victim = sorted(tmp_path.glob("*.bundle"))[0]
+        key, _, _ = StudyStore(cache_dir=tmp_path).run_record(
+            spec).shards[(0, 2)]
+        victim = StudyStore(cache_dir=tmp_path).bundle_path(key)
         victim.write_bytes(victim.read_bytes()[:100])
         store = StudyStore(cache_dir=tmp_path)
         report = run_study(spec, shards=2, store=store)

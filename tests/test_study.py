@@ -666,8 +666,10 @@ class TestRunMetadata:
     """A store records which study and ``repro`` version wrote its rows."""
 
     def _seed_store(self, tmp_path):
+        # Two runs, two bundles: shard 0, then shards 1-3.
         spec = mc_spec()
         store = StudyStore(maxsize=8, cache_dir=tmp_path / "store")
+        run_study(spec, shards=4, store=store, max_shards=1)
         run_study(spec, shards=4, store=store)
         return spec, store
 
@@ -675,27 +677,29 @@ class TestRunMetadata:
         from repro import __version__
 
         spec, store = self._seed_store(tmp_path)
-        assert store.run_metadata(spec) == {
+        assert store.run_record(spec).header == {
             "study": spec.name, "compute_hash": spec.compute_hash,
-            "version": __version__}
+            "version": __version__,
+            "layout": [[0, 1], [1, 2], [2, 3], [3, 4]]}
 
     def test_resume_rewrites_an_older_record(self, tmp_path):
-        # A store written before the record lost its backend field resumes
-        # like any other; the record is rewritten when shards are added.
+        # A record whose header still carries a backend field resumes like
+        # any other; a new header is appended when shards are added.
         spec, store = self._seed_store(tmp_path)
-        meta = tmp_path / "store" / f"{spec.compute_hash[:40]}-meta.json"
-        meta.write_text(json.dumps(dict(store.run_metadata(spec),
-                                        backend="reference")))
-        sorted((tmp_path / "store").glob(
-            f"{spec.compute_hash[:40]}-*.bundle"))[0].unlink()
+        path = tmp_path / "store" / f"{spec.compute_hash[:40]}-run.jsonl"
+        with path.open("a") as record:
+            record.write(json.dumps(dict(store.run_record(spec).header,
+                                         backend="reference")) + "\n")
+        key, _, _ = store.run_record(spec).shards[(0, 1)]
+        store.bundle_path(key).unlink()
         fresh = StudyStore(maxsize=8, cache_dir=tmp_path / "store")
         report = run_study(spec, shards=4, store=fresh)
         assert report.computed_shards == 1 and report.reused_shards == 3
-        assert "backend" not in fresh.run_metadata(spec)
+        assert "backend" not in fresh.run_record(spec).header
 
 
 class TestStoreListing:
-    """The layout check lists the store only for a spec with a run record."""
+    """No run lists the store: the layout check reads the run record."""
 
     @pytest.fixture
     def listed(self, monkeypatch):
@@ -740,14 +744,14 @@ class TestStoreListing:
         assert report.computed_shards == 4
         assert sum(listed) == 0
 
-    def test_a_recorded_spec_is_listed(self, tmp_path, listed):
-        # The spy sees the listing when there is one to make.
+    def test_a_recorded_spec_lists_no_entries(self, tmp_path, listed):
+        # A repeated run reads its shards through the run record.
         store = self._busy_store(tmp_path)
         run_study(mc_spec(), shards=4, store=store)
         listed.clear()
         report = run_study(mc_spec(), shards=4, store=store)
         assert report.reused_shards == 4
-        assert sum(listed) > 80
+        assert sum(listed) == 0
 
 
 class TestLayoutMismatchWarning:

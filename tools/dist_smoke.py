@@ -216,7 +216,7 @@ def main(argv: list[str]) -> int:
 
         # Leg 6: a tampered manifest must be rejected with exit 4.
         document = json.loads(manifests[2].read_text())
-        document["manifest"]["shards"][0]["checksum"] = "0" * 64
+        document["manifest"]["bundles"][0]["checksum"] = "0" * 64
         manifests[2].write_text(json.dumps(document))
         code, record["tamper_s"], _ = run_cli(
             ["merge", args.study, *[str(p) for p in manifests],

@@ -12,11 +12,14 @@ Two subprocess legs through the real ``repro serve`` CLI:
    again and assert it coalesces (HTTP 200, same job id, exactly one
    ``job_submitted`` line in ``jobs.jsonl`` — served from the store, not
    recomputed).  SIGTERM must drain cleanly: exit code 0.
-2. **chaos** — fresh store: submit, wait until the job is mid-run, SIGKILL
-   the server, restart against the same ``--store`` and assert the job is
-   recovered under its original id (``job_requeued`` journaled), resumes
-   from its stored shards and finishes with rows **bit-identical** to the
-   clean leg's — the CRN invariance contract extended to the service layer.
+2. **chaos** — fresh store: submit a heavier variant of the study
+   (:data:`CHAOS_FIXED`, one case per shard), so the job runs for many
+   50 ms polls; wait until it is mid-run, SIGKILL the server, restart
+   against the same ``--store`` and assert the job is recovered under its
+   original id (``job_requeued`` journaled), resumes from its stored shards
+   and finishes with rows **bit-identical** to an uninterrupted in-process
+   run of the same document — the CRN invariance contract extended to the
+   service layer.
 
 When ``BENCH_JSON_DIR`` is set, each leg's ``jobs.jsonl`` is copied there
 and a ``BENCH_service.json`` record (wall times, dedup/recovery verdicts,
@@ -41,7 +44,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.study import load_study, scan_journal  # noqa: E402
+from repro.study import (  # noqa: E402
+    load_study,
+    run_study,
+    scan_journal,
+    study_from_mapping,
+)
 
 
 def load_document(path: str) -> dict:
@@ -55,6 +63,9 @@ def load_document(path: str) -> dict:
     return yaml.safe_load(text)
 
 POLL_S = 0.2
+#: ``fixed:`` override of the chaos leg's document: ``sim_grid`` with 16x
+#: the realizations, about 1.4 s of work, so the SIGKILL lands mid-run.
+CHAOS_FIXED = {"realizations": 400}
 STARTUP_TIMEOUT_S = 30.0
 JOB_TIMEOUT_S = 600.0
 
@@ -139,6 +150,14 @@ def main(argv: list[str]) -> int:
     # would send it.
     document = load_document(args.study)
     payload = {"study": document, "shards": args.shards}
+    # The chaos leg's job cannot finish between two polls: one case per
+    # shard, each heavier.  Its reference rows are an in-process run of the
+    # same document, through JSON as the service serves them.
+    chaos_document = dict(document, fixed=dict(document.get("fixed") or {},
+                                               **CHAOS_FIXED))
+    chaos_spec = study_from_mapping(chaos_document)
+    chaos_payload = {"study": chaos_document,
+                     "shards": chaos_spec.case_count}
 
     work = Path(tempfile.mkdtemp(prefix="service-smoke-"))
     record: dict = {"study": args.study, "shards": args.shards}
@@ -194,10 +213,12 @@ def main(argv: list[str]) -> int:
             return 1
 
         # -- Leg 2: SIGKILL mid-run, restart, resume bit-identically ------
+        chaos_rows = json.loads(json.dumps(
+            run_study(chaos_spec).table.to_document()["rows"]))
         store_b = work / "store-b"
         proc, base = start_server(store_b, "chaos", workers=1)
         t0 = time.perf_counter()
-        status, body = request("POST", base + "/jobs", payload)
+        status, body = request("POST", base + "/jobs", chaos_payload)
         if status != 201:
             print(f"[service-smoke] FAIL: chaos submit returned {status}")
             return 1
@@ -209,7 +230,8 @@ def main(argv: list[str]) -> int:
             status, body = request("GET", f"{base}/jobs/{job_id}")
             view = body.get("job", {})
             if view.get("state") == "running" \
-                    and 1 <= view.get("progress_done", 0) < args.shards:
+                    and 1 <= view.get("progress_done", 0) \
+                    < chaos_payload["shards"]:
                 break
             if view.get("state") in ("done", "partial", "failed"):
                 break
@@ -233,7 +255,7 @@ def main(argv: list[str]) -> int:
             print(f"[service-smoke] FAIL: recovered job finished with "
                   f"{status}: {body.get('error')}")
             return 1
-        parity = body["result"]["rows"] == reference_rows
+        parity = body["result"]["rows"] == chaos_rows
         record["rows_identical"] = parity
         if not parity:
             print("[service-smoke] FAIL: recovered rows differ from the "
