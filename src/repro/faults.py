@@ -7,7 +7,7 @@ context and is executed *by the workers on themselves*.  The supervisor in
 :mod:`repro.study.runner` never special-cases injected faults: a planned
 ``raise`` looks like an engine bug, a planned ``hang`` looks like a stuck
 worker, a planned ``crash`` (``os._exit``) looks like the OOM killer, and a
-planned ``corrupt`` tears a store file exactly the way a killed run would.
+planned ``corrupt`` leaves a recorded store bundle torn, as bit rot would.
 That is the point — the fault-injection test matrix
 (``tests/test_faults.py``) drives the real recovery machinery and asserts
 the recovered results are bit-identical to a clean run.
@@ -24,10 +24,13 @@ Supported actions (:data:`FAULT_ACTIONS`):
     Hard-kill the worker process via ``os._exit(exit_code)`` — no exception
     propagates, the pool breaks, and the supervisor must rebuild it.
 ``corrupt``
-    Overwrite the :class:`~repro.study.results.StudyStore` bundle that the
-    run record names for the shard with garbage bytes (when the shard is
-    stored), then raise :class:`FaultInjected` — exercises the store's
-    checksum/quarantine path: every member of the torn bundle recomputes.
+    Store a placeholder bundle for the shard in the
+    :class:`~repro.study.results.StudyStore` (so the run record maps the
+    shard to it), overwrite the bundle with garbage bytes, then raise
+    :class:`FaultInjected` naming it.  A retry's bundle is recorded later
+    and supersedes it; without a retry, the next run reads the torn
+    bundle, quarantines it and recomputes the shard — the store's
+    checksum/quarantine path.
 ``corrupt_manifest``
     Overwrite the file at the plan's ``manifest_path`` with a torn manifest
     document and let the attempt *continue normally* — a write-path fault,
@@ -121,8 +124,8 @@ class FaultPlan:
         The planned :class:`FaultSpec` entries.
     store_dir:
         Directory of the run's :class:`~repro.study.results.StudyStore` —
-        required by (and only used for) ``corrupt`` faults, which need the
-        on-disk shard path.
+        required by (and only used for) ``corrupt`` faults, which tear a
+        bundle there.
     manifest_path:
         File the ``corrupt_manifest`` action tears — typically another
         worker's (or a previous run's) shard manifest, so the merge's
@@ -139,7 +142,7 @@ class FaultPlan:
                                           for f in self.faults):
             raise ConfigurationError(
                 "a 'corrupt' fault needs the plan's store_dir (the study "
-                "store directory whose shard file it tears)")
+                "store directory where it tears a bundle)")
         if self.manifest_path is None and any(
                 f.action == "corrupt_manifest" for f in self.faults):
             raise ConfigurationError(
@@ -163,13 +166,13 @@ class FaultPlan:
             shard: Shard index being attempted.
             attempt: 1-based attempt number.
             study: The :class:`~repro.study.spec.StudySpec` being run
-                (needed by ``corrupt`` to derive the store file name).
+                (needed by ``corrupt`` to record its torn bundle).
             start: First case index of the shard (``corrupt`` key).
             stop: One-past-last case index of the shard (``corrupt`` key).
 
         Raises:
             FaultInjected: For ``raise``, ``hang`` (after sleeping) and
-                ``corrupt`` (after tearing the file); ``crash`` never
+                ``corrupt`` (after tearing a bundle); ``crash`` never
                 returns — the process exits.
         """
         spec = self.find(shard, attempt)
@@ -193,23 +196,26 @@ class FaultPlan:
             path.write_text('{"manifest": {"study": "torn-by-fault-'
                             'injection"}, "signature": "0000"}\n')
             return
-        # corrupt: tear the bundle the run record names for the shard the
-        # way a killed writer would (truncated garbage), then fail the
-        # attempt; every member of that bundle recomputes on a later run.
+        # corrupt: record a bundle for the shard, tear it (truncated
+        # garbage), then fail the attempt.  A later record line for the
+        # shard (the retry's) supersedes it; otherwise the next run
+        # quarantines it and recomputes the shard.
         from repro.study.results import StudyStore
 
         if study is None:
             raise ConfigurationError(
-                "a 'corrupt' fault needs the study spec to locate its "
-                "store file")
+                "a 'corrupt' fault needs the study spec to record its "
+                "torn bundle")
         store = StudyStore(cache_dir=self.store_dir)
-        stored = store.run_record(study).shards.get((start, stop))
-        target = "shard not stored"
-        if stored is not None:
-            path = store.bundle_path(stored[0])
-            path.write_bytes(b"PK\x03\x04torn-by-fault-injection")
-            target = path.name
-        raise FaultInjected(f"injected store corruption: {label} ({target})")
+        key = store.put_bundle(study, [(start, stop,
+                                        {"case": list(range(start, stop))})])
+        if key is None:
+            raise FaultInjected(f"injected store corruption: {label} "
+                                f"(the store refused the bundle)")
+        path = store.bundle_path(key)
+        path.write_bytes(b"PK\x03\x04torn-by-fault-injection")
+        raise FaultInjected(
+            f"injected store corruption: {label} (bundle {path.name})")
 
     # -- context round trip ---------------------------------------------------
 

@@ -489,7 +489,7 @@ def merge_manifests(spec: StudySpec, manifest_paths,
     # bundle per worker (making it a normal single-machine store), and
     # build the final table.
     if out_store is not None:
-        out_store.begin_run(spec, list(layout))
+        out_store.begin_run(spec)
         for tables in verified:
             if tables:
                 out_store.put_bundle(spec, [(entry.start, entry.stop, table)

@@ -217,10 +217,10 @@ def scan_journal(path: str | Path) -> tuple[list[dict], int]:
         order, and the number of malformed lines *before* the final line.
         A torn final line (the legitimate trace of an interrupted writer)
         is dropped without counting; a missing file reads as
-        ``([], 0)``.
+        ``([], 0)``.  A byte that is not UTF-8 damages only its line.
     """
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(errors="replace").splitlines()
     except (FileNotFoundError, NotADirectoryError):
         return [], 0
     events: list[dict] = []

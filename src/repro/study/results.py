@@ -17,7 +17,7 @@ one checksummed ``<checksum>.bundle`` file (the same atomic
 write-then-rename :class:`~repro.scenario.cache.ArrayCache` machinery as the
 profile and weather caches), named after its content checksum.  A per-spec,
 append-only run record, ``{compute_hash[:40]}-run.jsonl``, indexes them: a
-header line ``{study, compute_hash, version, layout}`` when a run with
+header line ``{study, compute_hash, version}`` when a run with
 pending work starts, then one line per bundle, written after its rename,
 mapping each member's case range to the bundle and its row slice
 (:class:`RunRecord`).  A run reads the record once and each bundle it needs
@@ -370,8 +370,8 @@ class RunRecord:
     Attributes
     ----------
     header:
-        The latest header line (``study``, ``compute_hash``, ``version``,
-        ``layout``), or ``None`` when no run with pending work started.
+        The latest header line (``study``, ``compute_hash``, ``version``),
+        or ``None`` when no run with pending work started.
     shards:
         ``{(start, stop): (bundle key, first row, stop row)}``: for each
         stored case range, the last bundle line that wrote it.
@@ -417,12 +417,6 @@ class StudyStore(ArrayCache):
     content checksum, so one name never holds two different contents.
     """
 
-    def __init__(self, maxsize: int = 128,
-                 cache_dir: str | Path | None = None) -> None:
-        super().__init__(maxsize, cache_dir)
-        # The run records of a store without a disk layer.
-        self._records: dict[str, list] = {}
-
     def _pack(self, value: ShardTable) -> dict[str, np.ndarray]:
         arrays = {"__columns__": np.array(list(value), dtype=np.str_)}
         for i, (name, column) in enumerate(value.items()):
@@ -452,16 +446,16 @@ class StudyStore(ArrayCache):
         """Read ``spec``'s run record (one open; absent means empty).
 
         A torn last line, the trace of a killed writer, is skipped, so the
-        bundle it would have recorded counts as not stored.
+        bundle it would have recorded counts as not stored; so is a line
+        damaged on disk.  A store without a disk layer, and a record that
+        cannot be read, store nothing.
         """
         if self.cache_dir is None:
-            with self._lock:
-                lines = list(self._records.get(spec.compute_hash, ()))
-        else:
-            try:
-                lines, _ = scan_journal(self._record_path(spec))
-            except OSError:  # an unreadable record stores nothing
-                lines = []
+            return RunRecord()
+        try:
+            lines, _ = scan_journal(self._record_path(spec))
+        except OSError:
+            return RunRecord()
         return RunRecord.from_lines(lines)
 
     def _append_record(self, spec: StudySpec, line: dict) -> None:
@@ -470,11 +464,10 @@ class StudyStore(ArrayCache):
         A record that ends in a torn line gets a line break first, so the
         new line stays whole.  A failing write is counted in
         :attr:`~repro.scenario.cache.ArrayCache.disk_errors`: the record
-        must never take down the run it describes.
+        must never take down the run it describes.  A store without a
+        disk layer records nothing.
         """
         if self.cache_dir is None:
-            with self._lock:
-                self._records.setdefault(spec.compute_hash, []).append(line)
             return
         data = (json.dumps(line) + "\n").encode()
         try:
@@ -490,17 +483,14 @@ class StudyStore(ArrayCache):
         except OSError:
             self.disk_errors += 1
 
-    def begin_run(self, spec: StudySpec,
-                  layout: list[tuple[int, int]]) -> None:
-        """Record that a run of ``spec`` over ``layout`` starts writing.
-
-        The header line holds ``{study, compute_hash, version, layout}``.
-        """
+    def begin_run(self, spec: StudySpec) -> None:
+        """Record that a run of ``spec`` starts writing: a header line
+        ``{study, compute_hash, version}`` naming what the record is of."""
         from repro import __version__
 
         self._append_record(spec, {
             "study": spec.name, "compute_hash": spec.compute_hash,
-            "version": __version__, "layout": [list(r) for r in layout]})
+            "version": __version__})
 
     # -- shards --------------------------------------------------------------
 
@@ -514,9 +504,12 @@ class StudyStore(ArrayCache):
                 same columns.
 
         Returns:
-            The bundle key, or ``None`` when the disk refused the bundle
-            (its shards then stay unrecorded and recompute next run).
+            The bundle key, or ``None`` when the store has no disk layer or
+            the disk refused the bundle (its shards then stay unrecorded
+            and recompute next run).
         """
+        if self.cache_dir is None:
+            return None
         names = list(members[0][2])
         table: ShardTable = {name: [] for name in names}
         slices = []
@@ -531,7 +524,7 @@ class StudyStore(ArrayCache):
         data, key = self.encode(table)
         with self._lock:
             self._remember(key, table)
-        if self.cache_dir is not None and not self._write_bundle(key, data):
+        if not self._write_bundle(key, data):
             return None
         self._append_record(spec, {"bundle": key, "shards": slices})
         return key

@@ -537,7 +537,7 @@ def run_study(spec: StudySpec,
         pending = pending[:max_shards]
 
     if store is not None and (pending or from_rows):
-        store.begin_run(spec, ranges)
+        store.begin_run(spec)
     if from_rows:
         batch = [(start, stop, _shard_table(
                       start, stop, [reuse_rows[i] for i in range(start, stop)]))

@@ -183,19 +183,63 @@ class TestRecoveryMatrix:
         timeout, = (e for e in events if e["event"] == "timeout")
         assert timeout["shard"] == 3 and timeout["timeout_s"] == 2.0
 
+    @staticmethod
+    def torn_bundle(journal):
+        """The bundle file a ``corrupt`` fault named in the journal."""
+        event, = (e for e in read_journal(journal)
+                  if e["event"] in ("retry", "failure"))
+        assert "FaultInjected" in event["error"]
+        name = event["error"].split("(bundle ")[1].split(")")[0]
+        assert name.endswith(".bundle")
+        return name
+
     def test_corrupt_fault_repaired_by_retry(self, clean_table, tmp_path):
         store_dir = tmp_path / "store"
         store = StudyStore(cache_dir=store_dir)
         report = run_study(mc_spec(), shards=4, retries=1, backoff_base=0.0,
-                           store=store,
+                           store=store, journal=tmp_path / "run.jsonl",
                            context=fault_context(
                                FaultSpec(shard=1, action="corrupt"),
                                store_dir=str(store_dir)))
         assert report.table.long() == clean_table
-        # the torn file was rewritten atomically; a fresh store resumes all 4
-        resumed = run_study(mc_spec(), shards=4,
-                            store=StudyStore(cache_dir=store_dir))
-        assert resumed.reused_shards == 4
+        # The torn bundle stays on disk, recorded for shard 1 ...
+        torn = self.torn_bundle(tmp_path / "run.jsonl")
+        assert (store_dir / torn).read_bytes().endswith(
+            b"torn-by-fault-injection")
+        record = [json.loads(line) for line in (
+            store_dir / f"{mc_spec().compute_hash[:40]}-run.jsonl"
+        ).read_text().splitlines()]
+        holders = [line["bundle"] + ".bundle" for line in record
+                   if "bundle" in line
+                   and any(r[:2] == [1, 2] for r in line["shards"])]
+        assert holders[0] == torn and holders[-1] != torn
+        # ... but the retry's later line supersedes it: a fresh store
+        # resumes all 4 shards without reading the torn bundle.
+        fresh = StudyStore(cache_dir=store_dir)
+        resumed = run_study(mc_spec(), shards=4, store=fresh)
+        assert resumed.reused_shards == 4 and fresh.quarantined == 0
+        assert resumed.table.long() == clean_table
+
+    def test_corrupt_fault_without_retry_recomputed_on_resume(
+            self, clean_table, tmp_path):
+        store_dir = tmp_path / "store"
+        report = run_study(mc_spec(), shards=4, retries=0, keep_going=True,
+                           store=StudyStore(cache_dir=store_dir),
+                           journal=tmp_path / "run.jsonl",
+                           context=fault_context(
+                               FaultSpec(shard=1, action="corrupt"),
+                               store_dir=str(store_dir)))
+        assert report.partial and report.computed_shards == 3
+        torn = self.torn_bundle(tmp_path / "run.jsonl")
+        # The resume reads the record's last word on shard 1, the torn
+        # bundle: it is quarantined and exactly shard 1 recomputes.
+        fresh = StudyStore(cache_dir=store_dir)
+        resumed = run_study(mc_spec(), shards=4, store=fresh)
+        assert resumed.reused_shards == 3
+        assert resumed.computed_ranges == ((1, 2),)
+        assert fresh.quarantined == 1
+        assert [p.name for p in (store_dir / "quarantine").iterdir()] \
+            == [torn]
         assert resumed.table.long() == clean_table
 
     def test_resume_after_store_corruption(self, clean_table, tmp_path):

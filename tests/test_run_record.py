@@ -252,3 +252,30 @@ def test_rerun_recomputes_exactly_the_lost_bundles(tmp_path_factory,
                       journal=RunJournal(None))
     assert third.computed_shards == 0 and third.reused_shards == shards
     assert csv_bytes(third.table, work / "third.csv") == clean_csv
+
+
+@pytest.mark.parametrize("at", ["bundle key", "structure"])
+def test_a_non_utf8_byte_loses_only_its_line(tmp_path, clean_csv, at):
+    # Bit rot or a foreign write puts a byte that is not UTF-8 into one
+    # record line: that line's bundle counts as not stored, the rest of
+    # the record still reads, and the rerun recomputes exactly its shards.
+    spec = mc_spec()
+    store_dir = tmp_path / "store"
+    for max_shards in (2, None):
+        run_study(spec, shards=4, max_shards=max_shards,
+                  store=StudyStore(cache_dir=store_dir),
+                  journal=RunJournal(None))
+    record_path = _record_path(store_dir)
+    lines = record_path.read_bytes().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if b'"bundle"' in line)
+    line = lines[first]
+    cut = (line.index(b'"bundle": "') + 12 if at == "bundle key"
+           else line.index(b"{") + 1)
+    lines[first] = line[:cut] + b"\xff" + line[cut:]
+    record_path.write_bytes(b"".join(lines))
+
+    store = StudyStore(cache_dir=store_dir)
+    rerun = run_study(spec, shards=4, store=store, journal=RunJournal(None))
+    assert rerun.computed_ranges == ((0, 2), (2, 3))
+    assert rerun.reused_shards == 2 and store.quarantined == 0
+    assert csv_bytes(rerun.table, tmp_path / "rerun.csv") == clean_csv

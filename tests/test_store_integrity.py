@@ -298,7 +298,7 @@ class TestConcurrentWriters:
 
         def writer():
             for _ in range(500):
-                store.begin_run(spec, [(0, 2), (2, 4)])
+                store.begin_run(spec)
 
         threads = [threading.Thread(target=writer) for _ in range(2)]
         for thread in threads:

@@ -679,8 +679,7 @@ class TestRunMetadata:
         spec, store = self._seed_store(tmp_path)
         assert store.run_record(spec).header == {
             "study": spec.name, "compute_hash": spec.compute_hash,
-            "version": __version__,
-            "layout": [[0, 1], [1, 2], [2, 3], [3, 4]]}
+            "version": __version__}
 
     def test_resume_rewrites_an_older_record(self, tmp_path):
         # A record whose header still carries a backend field resumes like
