@@ -151,7 +151,7 @@ def bench_sim_adapter_vs_per_case(benchmark, bench_json):
     per_case = _per_case_rows(cases, seeds)
     per_case_s = time.perf_counter() - t0
 
-    engines._TIMETABLE_MEMO.clear()
+    engines._timetable_fleet.cache_clear()
     t0 = time.perf_counter()
     rows = benchmark.pedantic(lambda: run_cases("sim", cases, seeds),
                               rounds=1, iterations=1)

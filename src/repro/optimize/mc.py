@@ -187,29 +187,16 @@ class OutageMatrix:
 #: Standard-normal matrix memo keyed by (seed, trials).  Each entry holds the
 #: longest matrix drawn so far for that key; shorter position counts are
 #: served as prefix views (bit-identical — trial t's row IS the prefix of
-#: ``default_rng([seed, t])``'s stream).  Grid studies re-evaluate the same
-#: (seed, trials) across many shadowing parameters and ISDs; this avoids
-#: redrawing identical normals per cell.  Matrices above the byte cap are
-#: returned without being stored, so huge trial counts never pin gigabytes
-#: in module state.  Service threads share the memo, hence the lock.
+#: ``default_rng([seed, t])``'s stream), and a longer one redraws the key.
+#: Grid studies re-evaluate the same (seed, trials) across many shadowing
+#: parameters and ISDs; this avoids redrawing identical normals per cell.
+#: Matrices above the byte cap are returned without being stored, so huge
+#: trial counts never pin gigabytes in module state.  Service threads share
+#: the memo, hence the lock.
 _Z_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _Z_CACHE_MAX = 4
 _Z_CACHE_MAX_BYTES = 64 * 1024 * 1024
-#: Each trial's bit-generator state after its row of the newest stored
-#: matrix, under that matrix's key: a longer grid for the key resumes the
-#: streams and draws only the missing columns (``standard_normal(a)`` then
-#: ``standard_normal(b)`` equals ``standard_normal(a + b)``).  One key
-#: only, since a state costs ~0.4 kB per trial; a job draws one key.
-_Z_STATES: dict[tuple, list[dict]] = {}
 _Z_LOCK = threading.Lock()
-
-
-def _resumed_generators(states: list[dict]):
-    """One generator, moved to each stored trial state in turn."""
-    rng = np.random.default_rng(0)
-    for state in states:
-        rng.bit_generator.state = state
-        yield rng
 
 
 def _standard_normal_matrix(seed: int, trials: int, p_max: int) -> np.ndarray:
@@ -221,24 +208,14 @@ def _standard_normal_matrix(seed: int, trials: int, p_max: int) -> np.ndarray:
             _Z_CACHE.move_to_end(key)
             return hit[:, :p_max]
         z = np.empty((trials, p_max))
-        if key in _Z_STATES:
-            drawn = hit.shape[1]
-            z[:, :drawn] = hit
-            rngs = _resumed_generators(_Z_STATES[key])
-        else:
-            drawn, rngs = 0, trial_generators(seed, trials)
-        states = []
-        for t, rng in enumerate(rngs):
-            z[t, drawn:] = rng.standard_normal(p_max - drawn)
-            states.append(rng.bit_generator.state)
+        for t, rng in enumerate(trial_generators(seed, trials)):
+            z[t] = rng.standard_normal(p_max)
         z.flags.writeable = False
         if z.nbytes <= _Z_CACHE_MAX_BYTES:
             _Z_CACHE[key] = z
             _Z_CACHE.move_to_end(key)  # replacing a key keeps its old slot
             if len(_Z_CACHE) > _Z_CACHE_MAX:
                 _Z_CACHE.popitem(last=False)
-            _Z_STATES.clear()
-            _Z_STATES[key] = states
         return z
 
 
@@ -319,8 +296,9 @@ def min_snr_matrix(profiles, shadowings, trials: int,
                         profiles[c].positions_m)
                 rho[j, :size - 1], innovation[j, :size - 1] = _ar1_coefficients(
                     shadowings[c].sigma_db, shadowings[c].decorrelation_m, key)
-        # Memoized per (seed, trials), so repeated evaluations (bisection
-        # probes, later attempts of a study) don't redraw the normals.
+        # Memoized per (seed, trials): repeated evaluations up to the
+        # longest grid drawn so far (bisection probes, later attempts of a
+        # study) read a prefix view instead of redrawing the normals.
         z = _standard_normal_matrix(seed, trials, p_max)
         mins[lanes] = ar1_min_scan(
             snr, rho, innovation, z,

@@ -41,11 +41,6 @@ from repro.study.journal import RunJournal, scan_journal
 
 __all__ = ["JobStore"]
 
-#: Job states a replayed job may be recovered in (terminal states), plus
-#: the open states (``queued`` / ``running``) that trigger a re-enqueue.
-_OPEN_STATES = ("queued", "running")
-
-
 class JobStore:
     """Append-only ``jobs.jsonl`` writer/replayer (no-op without a path).
 
@@ -157,9 +152,3 @@ class JobStore:
                 record["state"] = "queued"
                 record["started_t"] = None
         return jobs, skipped
-
-    def open_jobs(self) -> list[dict]:
-        """The replayed records a restart must re-enqueue, in file order."""
-        jobs, _ = self.replay()
-        return [record for record in jobs.values()
-                if record["state"] in _OPEN_STATES]

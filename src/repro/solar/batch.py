@@ -47,7 +47,6 @@ __all__ = [
     "WeatherKey",
     "WeatherCache",
     "synthesize_weather_year",
-    "default_weather_cache",
     "simulate_systems",
     "simulate_candidates",
     "candidate_grid",
@@ -130,17 +129,6 @@ class WeatherCache(ArrayCache):
 #: few dozen hot years costs single-digit megabytes and makes every sizing /
 #: degradation / grid call in a session share syntheses automatically.
 _DEFAULT_WEATHER_CACHE = WeatherCache(maxsize=64)
-
-
-def default_weather_cache() -> WeatherCache:
-    """The process-wide weather memo used when no cache is passed.
-
-    Returns:
-        The shared in-memory :class:`WeatherCache` (64 hot years, no disk
-        layer); pass your own instance with a ``cache_dir`` to persist
-        syntheses across runs.
-    """
-    return _DEFAULT_WEATHER_CACHE
 
 
 def synthesize_weather_year(location: Location,
@@ -228,7 +216,7 @@ def simulate_systems(systems,
         start_day_of_year: First day of year; ``None`` uses the Oct-1
             default that puts one continuous winter mid-simulation.
         weather_cache: Optional memo of synthesized weather tensors,
-            keyed by content.
+            keyed by content; ``None`` uses the process-wide default.
 
     Returns:
         One :class:`~repro.solar.offgrid.OffGridResult` per system, in input

@@ -24,17 +24,19 @@ transition time and horizon, and only the power stage per policy), so the
 study layer inherits the engines' vectorization instead of falling back to
 per-case scalar loops.
 
-Per-process caches (Eq. (2) profiles, weather years, timetable fleets) are
-module-level, so a worker process reuses computations across the shards it
-executes.  Every engine value is produced by the same code path a direct
-engine call uses — a study result is bit-identical to a hand-written sweep.
+Per-process memos (Eq. (2) profiles and weather years per cache directory,
+timetable fleets, network frontiers) are ``functools`` caches, so a worker
+process, or the service's worker threads, reuse computations across the
+shards they execute.  Every engine value is produced by the same code path
+a direct engine call uses — a study result is bit-identical to a
+hand-written sweep.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -98,40 +100,36 @@ class EngineAdapter:
         return resolved
 
 
-def _context_profile_cache(context: dict):
+# One ProfileCache / WeatherCache per worker process and cache directory,
+# reused across every shard the worker executes.  Live cache *objects*
+# cannot cross a process boundary (they hold locks), so the runner ships
+# only the ``cache_dir`` string and workers share state through the disk
+# layer.
+@functools.cache
+def _profile_cache(cache_dir):
     from repro.scenario.cache import ProfileCache
 
-    cache_dir = context.get("cache_dir")
-    return _process_cache(
-        ("profile", cache_dir),
-        lambda: ProfileCache(maxsize=256, cache_dir=cache_dir))
+    return ProfileCache(maxsize=256, cache_dir=cache_dir)
 
 
-def _context_weather_cache(context: dict):
+def _context_profile_cache(context: dict):
+    return _profile_cache(context.get("cache_dir"))
+
+
+@functools.cache
+def _weather_cache(cache_dir):
     from pathlib import Path
 
     from repro.solar.batch import WeatherCache
 
+    return WeatherCache(maxsize=64, cache_dir=Path(cache_dir) / "weather")
+
+
+def _context_weather_cache(context: dict):
+    """The weather memo of ``context``'s cache directory; ``None`` without
+    one, so ``simulate_systems`` uses the solar engine's process default."""
     cache_dir = context.get("cache_dir")
-    weather_dir = None if cache_dir is None else Path(cache_dir) / "weather"
-    return _process_cache(
-        ("weather", cache_dir),
-        lambda: WeatherCache(maxsize=64, cache_dir=weather_dir))
-
-
-#: Per-process shared caches, created lazily (one ProfileCache / WeatherCache
-#: per worker process and cache directory, reused across every shard the
-#: worker executes).  Live cache *objects* cannot cross a process boundary
-#: (they hold locks), so the runner ships only the ``cache_dir`` string and
-#: workers share state through the disk layer.
-_PROCESS_CACHES: dict[tuple, object] = {}
-
-
-def _process_cache(key: tuple, factory):
-    cache = _PROCESS_CACHES.get(key)
-    if cache is None:
-        cache = _PROCESS_CACHES[key] = factory()
-    return cache
+    return None if cache_dir is None else _weather_cache(cache_dir)
 
 
 # -- radio: deterministic Eq. (2) grids ---------------------------------------
@@ -317,32 +315,20 @@ def _run_mc(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
 # -- sim: corridor day simulation ---------------------------------------------
 
 
-#: Per-process memo of seeded timetable fleets and their packed run tensors:
-#: cells that share the traffic scenario (e.g. every ISD and policy of one
-#: demand point) reuse one fleet — common random numbers across those axes.
-_TIMETABLE_MEMO: OrderedDict[tuple, tuple] = OrderedDict()
-_TIMETABLE_MEMO_MAX = 32
-
-
+# Per-process memo of seeded timetable fleets and their packed run tensors:
+# cells that share the traffic scenario (e.g. every ISD and policy of one
+# demand point) reuse one fleet — common random numbers across those axes.
+@functools.lru_cache(maxsize=32)
 def _timetable_fleet(headway_s: float, service_hours: float,
                      realizations: int, seed: int):
     from repro.simulation.batch import pack_runs
     from repro.traffic.timetable import day_timetables
     from repro.traffic.trains import TrafficParams
 
-    key = (headway_s, service_hours, realizations, seed)
-    hit = _TIMETABLE_MEMO.get(key)
-    if hit is not None:
-        _TIMETABLE_MEMO.move_to_end(key)
-        return hit
     traffic = TrafficParams(trains_per_hour=3600.0 / headway_s,
                             night_quiet_hours=24.0 - service_hours)
     timetables = day_timetables(traffic, realizations=realizations, seed=seed)
-    fleet = (traffic, timetables[0].horizon_s, pack_runs(timetables))
-    _TIMETABLE_MEMO[key] = fleet
-    while len(_TIMETABLE_MEMO) > _TIMETABLE_MEMO_MAX:
-        _TIMETABLE_MEMO.popitem(last=False)
-    return fleet
+    return traffic, timetables[0].horizon_s, pack_runs(timetables)
 
 
 def _finite(name: str, value, positive: bool = False) -> float:
@@ -434,40 +420,34 @@ def _run_sim(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
 # -- network: corridor-graph topology optimization ----------------------------
 
 
-#: Per-process memo of segment frontiers: the budget axis of a network study
-#: sweeps many budgets over the *same* graph/catalog, so cells sharing the
-#: frontier inputs reuse one set of arrays instead of re-running the batched
-#: pass per case.
-_FRONTIER_MEMO: OrderedDict[tuple, object] = OrderedDict()
-_FRONTIER_MEMO_MAX = 4
-
-
 def _network_frontiers(case: dict, context: dict):
-    from repro.network.frontier import TechnologyCatalog, segment_frontiers
     from repro.network.presets import build_graph
 
     # build_graph is memoized on its resolved arguments, so the graph
     # object itself keys the frontier (identity hash, O(1)).
     graph = build_graph(str(case["graph"]), n_segments=int(case["segments"]),
                         demand_scale=float(case["demand_scale"]))
-    key = (graph, str(case["technologies"]),
-           float(case["min_sleep_headway_s"]), float(case["resolution_m"]),
-           float(case["horizon_years"]))
-    hit = _FRONTIER_MEMO.get(key)
-    if hit is not None:
-        _FRONTIER_MEMO.move_to_end(key)
-        return hit
+    return _frontiers(graph, str(case["technologies"]),
+                      float(case["min_sleep_headway_s"]),
+                      float(case["resolution_m"]),
+                      float(case["horizon_years"]), context.get("cache_dir"))
+
+
+# Per-process memo of segment frontiers: the budget axis of a network study
+# sweeps many budgets over the *same* graph/catalog, so cells sharing the
+# frontier inputs reuse one set of arrays instead of re-running the batched
+# pass per case.  The cache directory keys the memo only because it names
+# the profile cache the pass fills.
+@functools.lru_cache(maxsize=4)
+def _frontiers(graph, technologies: str, min_sleep_headway_s: float,
+               resolution_m: float, horizon_years: float, cache_dir):
+    from repro.network.frontier import TechnologyCatalog, segment_frontiers
+
     catalog = TechnologyCatalog.from_names(
-        str(case["technologies"]),
-        min_sleep_headway_s=float(case["min_sleep_headway_s"]))
-    frontiers = segment_frontiers(
-        graph, catalog, resolution_m=float(case["resolution_m"]),
-        horizon_years=float(case["horizon_years"]),
-        cache=_context_profile_cache(context))
-    _FRONTIER_MEMO[key] = frontiers
-    while len(_FRONTIER_MEMO) > _FRONTIER_MEMO_MAX:
-        _FRONTIER_MEMO.popitem(last=False)
-    return frontiers
+        technologies, min_sleep_headway_s=min_sleep_headway_s)
+    return segment_frontiers(graph, catalog, resolution_m=resolution_m,
+                             horizon_years=horizon_years,
+                             cache=_profile_cache(cache_dir))
 
 
 def _run_network(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:

@@ -34,6 +34,7 @@ recompute.
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
 import json
 import math
@@ -462,7 +463,10 @@ class StudyStore(ArrayCache):
         """Append one line to ``spec``'s run record with one ``write``.
 
         A record that ends in a torn line gets a line break first, so the
-        new line stays whole.  A failing write is counted in
+        new line stays whole.  The check and the write hold an exclusive
+        ``flock``: another writer's line that straddles a page boundary
+        shows its first page in the file size before its second, and would
+        read as torn.  A failing write is counted in
         :attr:`~repro.scenario.cache.ArrayCache.disk_errors`: the record
         must never take down the run it describes.  A store without a
         disk layer records nothing.
@@ -474,6 +478,7 @@ class StudyStore(ArrayCache):
             fd = os.open(self._record_path(spec),
                          os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
             try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
                 size = os.fstat(fd).st_size
                 if size and os.pread(fd, 1, size - 1) != b"\n":
                     data = b"\n" + data

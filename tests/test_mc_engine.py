@@ -371,8 +371,8 @@ class TestMcAdapterOracle:
 
 
 class TestStandardNormalMemo:
-    """The (seed, trials) memo draws each trial stream once, extending the
-    newest matrix column by column from the stored generator states."""
+    """The (seed, trials) memo serves shorter grids as prefix views of the
+    longest matrix drawn for the key, and redraws the key for a longer one."""
 
     @pytest.fixture
     def generators_made(self, monkeypatch):
@@ -384,11 +384,10 @@ class TestStandardNormalMemo:
 
         monkeypatch.setattr(mc, "trial_generators", spy)
         monkeypatch.setattr(mc, "_Z_CACHE", OrderedDict())
-        monkeypatch.setattr(mc, "_Z_STATES", {})
         return made
 
     @pytest.mark.parametrize("seed", [0, 3, 2022])
-    def test_extension_equals_one_fresh_draw(self, generators_made, seed):
+    def test_prefix_views_equal_one_fresh_draw(self, generators_made, seed):
         widths = (5, 13, 13, 40, 7)
         parts = [mc._standard_normal_matrix(seed, 6, p) for p in widths]
         fresh = np.array([rng.standard_normal(40)
@@ -396,7 +395,8 @@ class TestStandardNormalMemo:
         for width, part in zip(widths, parts):
             assert np.array_equal(part, fresh[:, :width])
             assert not part.flags.writeable
-        assert generators_made == [6]
+        # Widths 5, 13 and 40 draw; the repeated 13 and the 7 are views.
+        assert generators_made == [6, 6, 6]
 
     def test_oversized_matrix_leaves_the_entry_intact(self, generators_made,
                                                       monkeypatch):
@@ -407,17 +407,9 @@ class TestStandardNormalMemo:
         fresh = np.array([rng.standard_normal(30)
                           for rng in trial_generators(1, 4)])
         assert np.array_equal(wide, fresh)
-        assert np.array_equal(mc._standard_normal_matrix(1, 4, 12),
-                              fresh[:, :12])
-        assert generators_made == [4]
-
-    def test_only_the_newest_key_resumes(self, generators_made):
-        old = mc._standard_normal_matrix(1, 3, 10)
-        mc._standard_normal_matrix(2, 3, 10)
-        longer = mc._standard_normal_matrix(1, 3, 20)  # a full redraw
-        assert np.array_equal(longer[:, :10], old)
-        assert list(mc._Z_STATES) == [(1, 3)]
-        assert generators_made == [3, 3, 3]
+        assert np.array_equal(mc._standard_normal_matrix(1, 4, 8),
+                              fresh[:, :8])
+        assert generators_made == [4, 4]
 
     def test_concurrent_extensions_agree(self, generators_made):
         fresh = np.array([rng.standard_normal(64)
@@ -436,16 +428,17 @@ class TestStandardNormalMemo:
         for width, matrix in results.items():
             assert np.array_equal(matrix, fresh[:, :width])
 
-    def test_a_cancel_hook_job_draws_each_stream_once(self, generators_made):
-        # Under a cancel hook the first attempt is one shard at ISD 2000
-        # and a later group needs ISD 2400's longer grid: the extension
-        # reuses the first attempt's generators.
+    def test_cancel_hook_runs_draw_the_stream_twice(self, generators_made):
+        # Under a cancel hook the first attempt is one shard (ISD 2000 and
+        # 2200) and the next one starts at ISD 2400, whose longer grid
+        # redraws the stream once; a second run reads views only.
         from repro.study import load_study, run_study
 
         spec = load_study(STUDIES_DIR / "robustness_grid.yaml")
-        report = run_study(spec, cancel=lambda: False)
-        assert not report.partial
-        assert generators_made == [100]
+        for _ in range(2):
+            report = run_study(spec, cancel=lambda: False)
+            assert not report.partial
+        assert generators_made == [100, 100]
 
 
 class TestWilsonInterval:

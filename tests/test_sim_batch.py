@@ -9,7 +9,6 @@ transition time and horizon, rows equal bit for bit to a per-case loop).
 """
 
 import math
-from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 
@@ -343,7 +342,7 @@ def sim_spies(monkeypatch):
     import repro.traffic.timetable as timetable
 
     counts = {"fleets": 0, "passes": 0, "scans": []}
-    monkeypatch.setattr(engines, "_TIMETABLE_MEMO", OrderedDict())
+    engines._timetable_fleet.cache_clear()
 
     def spy(module, attr, record):
         original = getattr(module, attr)
