@@ -1,4 +1,4 @@
-"""Batched segment-frontier pass vs. the scalar per-segment reference.
+"""Batched segment-frontier pass vs. the per-segment oracle walk.
 
 The network optimizer's acceptance gate: on the full 10 000-segment
 national graph the batched engine — one deduped
@@ -7,9 +7,10 @@ one :func:`repro.energy.scenario.segment_energy` call per unique
 (option, speed class, demand) combination, numpy broadcasts for the
 per-segment arrays — must be at least 10x faster than the honest scalar
 loop that recomputes every quantity segment by segment through the scalar
-entry points.  In practice the gap is two to three orders of magnitude;
-the 10x gate guards against accidentally reintroducing a per-segment
-Python loop into the batched path.
+entry points (:func:`oracles.network.segment_frontiers_scalar`).  In
+practice the gap is two to three orders of magnitude; the 10x gate guards
+against accidentally reintroducing a per-segment Python loop into the
+batched path.
 
 Parity is asserted in-run: both engines must produce bit-identical
 frontier arrays on the same graph.  The scalar reference is timed once
@@ -26,6 +27,8 @@ import os
 import time
 
 import numpy as np
+
+from oracles.network import segment_frontiers_scalar
 
 from repro.network import build_graph, optimize_network, segment_frontiers
 from repro.network.presets import _build_graph
@@ -66,8 +69,7 @@ def bench_network_frontier_batched_vs_scalar(benchmark, bench_json):
     batched_s, batched = _best_of(
         lambda: segment_frontiers(graph, resolution_m=RESOLUTION_M))
     t0 = time.perf_counter()
-    scalar = segment_frontiers(graph, resolution_m=RESOLUTION_M,
-                               engine="scalar")
+    scalar = segment_frontiers_scalar(graph, resolution_m=RESOLUTION_M)
     scalar_s = time.perf_counter() - t0
 
     # Parity inside the gate run: the batched arrays are bit-identical to

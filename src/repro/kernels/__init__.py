@@ -3,8 +3,8 @@
 Each kernel is one of the recurrences the batch engines cannot vectorize
 away — the only remaining sequential loops in the codebase:
 
-* :func:`ar1_scan` — the AR(1) linear recurrence (shadowing traces,
-  daily-clearness series);
+* :func:`ar1_scan` — the AR(1) linear recurrence (daily-clearness
+  series; the shadowing trace oracle in ``tests/oracles/mc.py``);
 * :func:`ar1_min_scan` — AR(1) shadow recurrence fused with the running
   SNR minimum (the Monte-Carlo engine's inner loop);
 * :func:`soc_scan` — the battery state-of-charge clip-recurrence with its

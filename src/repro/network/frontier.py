@@ -1,25 +1,22 @@
-"""Per-segment technology frontiers, computed batched or per segment.
+"""Per-segment technology frontiers of a whole graph, in one batched pass.
 
 For every network segment and every candidate :class:`TechnologyOption` the
 frontier holds three numbers — average energy [W], total cost over the
 planning horizon [EUR], and feasibility — from which the optimizer
 (:mod:`repro.network.optimize`) assigns technologies under global budgets.
 
-Two engines produce bit-identical arrays:
+:func:`segment_frontiers` makes one pass through
+:func:`repro.radio.batch.evaluate_scenarios` over the *unique* candidate
+layouts, one :func:`repro.energy.scenario.segment_energy` call per unique
+(option, speed class, demand) combination, then numpy broadcasts over the
+``[segment, option]`` grid.  No per-segment Python loop.
 
-* ``engine="batched"`` (default) — one pass through
-  :func:`repro.radio.batch.evaluate_scenarios` over the *unique* candidate
-  layouts, one :func:`repro.energy.scenario.segment_energy` call per unique
-  (option, speed class, demand) combination, then numpy broadcasts over the
-  ``[segment, option]`` grid.  No per-segment Python loop.
-* ``engine="scalar"`` — the honest reference: a Python loop over segments
-  that recomputes every quantity per segment through the scalar entry
-  points (:func:`repro.radio.link.compute_snr_profile`,
-  :func:`segment_energy`).
-
-Both engines share the same elementwise cost/energy formulas (they operate
-on floats and arrays alike), so parity is bit-exact by construction and is
-pinned in ``tests/test_engine_parity.py``.
+The reference is a per-segment walk that recomputes every quantity
+through the scalar entry points (:func:`repro.radio.link.compute_snr_profile`,
+:func:`segment_energy`): the test oracle ``tests/oracles/network.py``.  It
+shares the elementwise cost/energy formulas below (they operate on floats
+and arrays alike), so parity is bit-exact by construction and is pinned in
+``tests/test_engine_parity.py``.
 
 The sleep policy is demand-aware and option-independent (the topology-
 control rule of Pollakis et al., arXiv 1503.08627): a segment may sleep iff
@@ -51,7 +48,7 @@ from repro.radio.link import LinkParams
 from repro.units import kmh_to_ms
 
 __all__ = ["Technology", "TechnologyOption", "TechnologyCatalog",
-           "SegmentFrontiers", "segment_frontiers", "fixed_options_power_w"]
+           "SegmentFrontiers", "segment_frontiers"]
 
 _DAY_S = 86_400.0
 _HOURS_PER_YEAR_OVER_KWH = 24.0 * 365.0 / 1000.0
@@ -154,9 +151,10 @@ class TechnologyCatalog:
                 f"duplicate technologies: {self.technologies}")
         if not self.repeater_configs and "repeater" in self.technologies:
             raise ConfigurationError("repeater technology needs >= 1 config")
-        if self.min_sleep_headway_s < 0:
+        if not (math.isfinite(self.min_sleep_headway_s)
+                and self.min_sleep_headway_s >= 0):
             raise ConfigurationError(
-                f"min sleep headway must be >= 0, "
+                f"min sleep headway must be finite and >= 0, "
                 f"got {self.min_sleep_headway_s}")
 
     @classmethod
@@ -285,7 +283,7 @@ class SegmentFrontiers:
 def _segment_cost(length_km, n_seg, n_service, n_donor, energy_w,
                   relay_trains, option: TechnologyOption,
                   assumptions: CostAssumptions, horizon_years: float):
-    """Elementwise cost formula shared by both engines (floats or arrays)."""
+    """Elementwise cost formula (floats or arrays alike)."""
     capex = (n_seg * assumptions.hp_site_capex
              + n_service * assumptions.repeater_capex
              + n_donor * assumptions.donor_capex
@@ -314,7 +312,7 @@ def option_relay_units(option: TechnologyOption,
 
 @dataclass(frozen=True)
 class _ProfileQuantities:
-    """Per-(speed class, demand, option) scalars both engines derive."""
+    """Per-(speed class, demand, option) scalars of one frontier cell."""
 
     w_per_km: float
     feasible: bool
@@ -329,9 +327,8 @@ def _profile_quantities(option: TechnologyOption, speed_class: str,
                         ) -> _ProfileQuantities:
     """Evaluate one unique (option, speed class, demand) combination.
 
-    The scalar engine calls this once per segment (recomputing); the batched
-    engine calls it once per unique combination and broadcasts — both see
-    the identical floats.
+    :func:`segment_frontiers` calls this once per unique combination and
+    broadcasts the result to the combination's segments.
     """
     speed_kmh = SPEED_CLASSES[speed_class].train_speed_kmh
     traffic = demand.traffic(speed_kmh)
@@ -356,18 +353,6 @@ def _profile_quantities(option: TechnologyOption, speed_class: str,
         trains_per_day=quantities.trains_per_day,
         speed_ms=quantities.speed_ms,
         train_length_m=quantities.train_length_m)
-
-
-def _min_snr_scalar(option: TechnologyOption, link: LinkParams,
-                    resolution_m: float) -> float:
-    """Trackside min SNR via the scalar entry point (relay is exempt)."""
-    if option.technology is Technology.MOBILE_RELAY:
-        return float("inf")
-    from repro.radio.link import compute_snr_profile
-
-    profile = compute_snr_profile(option.layout, link,
-                                  resolution_m=resolution_m)
-    return float(profile.min_snr_db)
 
 
 def _min_snr_batched(options, link, resolution_m, cache, jobs) -> list[float]:
@@ -418,36 +403,29 @@ def segment_frontiers(graph: NetworkGraph,
         threshold_db: Min-SNR feasibility criterion [dB].
         cache: Optional :class:`repro.scenario.cache.ProfileCache`.
         jobs: Thread sharding of the batched Eq. (2) pass.
-        engine: ``"batched"`` (default) or the ``"scalar"`` per-segment
-            reference — bit-identical outputs.
+        engine: Must be ``"batched"``, the only engine; kept while
+            callers still pass it.
 
     Returns:
         The :class:`SegmentFrontiers` arrays.
 
     Raises:
-        ConfigurationError: For an unknown engine or invalid horizon.
+        ConfigurationError: For an engine other than ``"batched"``, or a
+            horizon or threshold that is not finite (or a horizon <= 0).
     """
-    if horizon_years <= 0:
+    if engine != "batched":
         raise ConfigurationError(
-            f"horizon must be positive, got {horizon_years}")
+            f"unknown frontier engine {engine!r}; available: batched")
+    if not (math.isfinite(horizon_years) and horizon_years > 0):
+        raise ConfigurationError(
+            f"horizon must be finite and positive, got {horizon_years}")
+    if not math.isfinite(threshold_db):
+        raise ConfigurationError(
+            f"min-SNR threshold must be finite, got {threshold_db}")
     catalog = catalog or TechnologyCatalog()
     assumptions = assumptions or CostAssumptions()
     link = link or LinkParams()
     options = catalog.options()
-    if engine == "batched":
-        return _frontiers_batched(graph, catalog, options, assumptions, link,
-                                  resolution_m, horizon_years, threshold_db,
-                                  cache, jobs)
-    if engine == "scalar":
-        return _frontiers_scalar(graph, catalog, options, assumptions, link,
-                                 resolution_m, horizon_years, threshold_db)
-    raise ConfigurationError(
-        f"unknown frontier engine {engine!r}; available: batched, scalar")
-
-
-def _frontiers_batched(graph, catalog, options, assumptions, link,
-                       resolution_m, horizon_years, threshold_db,
-                       cache, jobs) -> SegmentFrontiers:
     lengths = graph.segment_length_km
     n_seg = lengths.size
     n_opt = len(options)
@@ -509,87 +487,3 @@ def _frontiers_batched(graph, catalog, options, assumptions, link,
                             feasible=feasible, eligible=eligible,
                             horizon_years=horizon_years,
                             threshold_db=threshold_db)
-
-
-def _frontiers_scalar(graph, catalog, options, assumptions, link,
-                      resolution_m, horizon_years, threshold_db
-                      ) -> SegmentFrontiers:
-    segments = graph.segments
-    n_opt = len(options)
-    energy_w = np.empty((len(segments), n_opt), dtype=np.float64)
-    cost_eur = np.empty((len(segments), n_opt), dtype=np.float64)
-    feasible = np.empty((len(segments), n_opt), dtype=bool)
-    eligible = np.empty(len(segments), dtype=bool)
-
-    for i, seg in enumerate(segments):
-        length_km = float(seg.length_km)
-        length_m = length_km * 1000.0
-        seg_eligible = catalog.sleep_eligible(seg.demand)
-        eligible[i] = seg_eligible
-        for k, option in enumerate(options):
-            min_snr = _min_snr_scalar(option, link, resolution_m)
-            q = _profile_quantities(option, seg.speed_class, seg.demand,
-                                    seg_eligible, min_snr, threshold_db)
-            if not q.feasible:
-                energy_w[i, k] = float("nan")
-                cost_eur[i, k] = float("nan")
-                feasible[i, k] = False
-                continue
-            energy = q.w_per_km * length_km
-            relay_trains = 0.0
-            if option.technology is Technology.MOBILE_RELAY:
-                occupancy_s = (length_m + q.train_length_m) / q.speed_ms
-                relay_trains = q.trains_per_day * occupancy_s / _DAY_S
-                energy = energy + (relay_trains
-                                   * catalog.relay_fleet
-                                   .active_power_per_train_w)
-            segs_per_row = float(math.ceil(length_m / option.layout.isd_m))
-            n_service = segs_per_row * option.layout.n_repeaters
-            n_donor = segs_per_row * option.layout.n_donor_nodes
-            energy_w[i, k] = energy
-            cost_eur[i, k] = _segment_cost(length_km, segs_per_row,
-                                           n_service, n_donor, energy,
-                                           relay_trains, option, assumptions,
-                                           horizon_years)
-            feasible[i, k] = True
-
-    return SegmentFrontiers(graph=graph, catalog=catalog, options=options,
-                            energy_w=energy_w, cost_eur=cost_eur,
-                            feasible=feasible, eligible=eligible,
-                            horizon_years=horizon_years,
-                            threshold_db=threshold_db)
-
-
-def fixed_options_power_w(graph: NetworkGraph,
-                          layouts: tuple[CorridorLayout, ...],
-                          modes: tuple[OperatingMode, ...]) -> float:
-    """Total average power of a *fixed* per-segment deployment [W].
-
-    Evaluates ``segment_energy(layout, mode).w_per_km * length_km`` per
-    segment with each segment's own demand/speed traffic — the exact sum
-    :meth:`repro.corridor.multisegment.LinePlan.total_average_power_w`
-    computes, so a graph lifted via :meth:`NetworkGraph.from_line_plan`
-    reproduces the line plan's totals bit-identically.
-
-    Args:
-        graph: The network.
-        layouts: One layout per segment, canonical order.
-        modes: One operating mode per segment, canonical order.
-
-    Returns:
-        The summed average power [W].
-
-    Raises:
-        ConfigurationError: When the layout/mode counts do not match the
-            graph's segment count.
-    """
-    segments = graph.segments
-    if len(layouts) != len(segments) or len(modes) != len(segments):
-        raise ConfigurationError(
-            f"need one layout and mode per segment: "
-            f"{len(layouts)}/{len(modes)} for {len(segments)} segments")
-    total = 0.0
-    for seg, layout, mode in zip(segments, layouts, modes):
-        params = EnergyParams(traffic=seg.traffic())
-        total += segment_energy(layout, mode, params).w_per_km * seg.length_km
-    return total

@@ -1,40 +1,31 @@
 """Corridor-graph data model: corridors, segments, speed classes, demand.
 
-A :class:`NetworkGraph` is a validated tree — corridors with unique names,
-each an ordered tuple of :class:`NetworkSegment`\\ s — mirroring the
-validation discipline of :class:`repro.corridor.multisegment.LinePlan`,
-which it subsumes: :meth:`NetworkGraph.from_line_plan` lifts a line plan
-into a single-corridor graph whose fixed-technology evaluation reproduces
-the plan's energy totals exactly (see
-:func:`repro.network.frontier.fixed_options_power_w`).  The graph stores
-its segments as columns (lengths, speed-class and demand indices, names);
-the batched frontier pass and the optimizer read only those, so a
-10 000-segment graph never needs 10 000 segment objects.
+A :class:`NetworkGraph` is a validated tree of corridors with unique names,
+each an ordered run of named segments, stored as columns (lengths,
+speed-class and demand indices, names): the batched frontier pass and the
+optimizer read only those, so a 10 000-segment graph is a handful of
+arrays, never 10 000 segment objects.
 
 Demand is per segment: a :class:`DemandProfile` (trains/h, night quiet
 hours, train length) that combines with the segment's :class:`SpeedClass`
 into the :class:`repro.traffic.trains.TrafficParams` the duty-cycle energy
-model consumes.  Profiles can be derived from :mod:`repro.traffic`
-timetables (:meth:`DemandProfile.from_timetable`) or scaled for what-if
-sweeps (:meth:`DemandProfile.scaled` — the study layer's ``demand_scale``
-axis).
+model consumes.  Profiles can be scaled for what-if sweeps
+(:meth:`DemandProfile.scaled` — the study layer's ``demand_scale`` axis).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro import constants
-from repro.corridor.multisegment import LinePlan
 from repro.errors import ConfigurationError, GeometryError
-from repro.traffic.timetable import Timetable
 from repro.traffic.trains import Train, TrafficParams
 
-__all__ = ["SpeedClass", "SPEED_CLASSES", "DemandProfile", "NetworkSegment",
-           "Corridor", "NetworkGraph"]
+__all__ = ["SpeedClass", "SPEED_CLASSES", "DemandProfile", "NetworkGraph"]
 
 
 @dataclass(frozen=True)
@@ -78,16 +69,20 @@ class DemandProfile:
     train_length_m: float = constants.TRAIN_LENGTH_M
 
     def __post_init__(self) -> None:
-        if self.trains_per_hour < 0:
+        if not (math.isfinite(self.trains_per_hour)
+                and self.trains_per_hour >= 0):
             raise ConfigurationError(
-                f"trains/h must be >= 0, got {self.trains_per_hour}")
+                f"trains/h must be finite and >= 0, "
+                f"got {self.trains_per_hour}")
         if not 0 <= self.night_quiet_hours <= 24:
             raise ConfigurationError(
                 f"night quiet hours must be within [0, 24], "
                 f"got {self.night_quiet_hours}")
-        if self.train_length_m <= 0:
+        if not (math.isfinite(self.train_length_m)
+                and self.train_length_m > 0):
             raise ConfigurationError(
-                f"train length must be positive, got {self.train_length_m}")
+                f"train length must be finite and positive, "
+                f"got {self.train_length_m}")
 
     @property
     def headway_s(self) -> float:
@@ -98,8 +93,9 @@ class DemandProfile:
 
     def scaled(self, factor: float) -> "DemandProfile":
         """The same profile with ``trains_per_hour`` scaled by ``factor``."""
-        if factor < 0:
-            raise ConfigurationError(f"demand factor must be >= 0, got {factor}")
+        if not (math.isfinite(factor) and factor >= 0):
+            raise ConfigurationError(
+                f"demand factor must be finite and >= 0, got {factor}")
         return replace(self, trains_per_hour=self.trains_per_hour * factor)
 
     def traffic(self, speed_kmh: float = constants.TRAIN_SPEED_KMH) -> TrafficParams:
@@ -108,88 +104,6 @@ class DemandProfile:
             trains_per_hour=self.trains_per_hour,
             night_quiet_hours=self.night_quiet_hours,
             train=Train(length_m=self.train_length_m, speed_kmh=speed_kmh))
-
-    @classmethod
-    def from_timetable(cls, timetable: Timetable) -> "DemandProfile":
-        """Derive a demand profile from a concrete timetable.
-
-        The timetable's horizon is read as the daily service window (capped
-        at 24 h); the run count over that window gives trains/h and the
-        longest scheduled train sets the occupancy-relevant length.
-
-        Args:
-            timetable: A :class:`repro.traffic.timetable.Timetable` with at
-                least one run.
-
-        Returns:
-            The equivalent average-rate :class:`DemandProfile`.
-
-        Raises:
-            ConfigurationError: For an empty timetable.
-        """
-        if not timetable.runs:
-            raise ConfigurationError(
-                "cannot derive a demand profile from an empty timetable")
-        service_hours = min(24.0, timetable.horizon_s / 3600.0)
-        return cls(
-            trains_per_hour=len(timetable.runs) / service_hours,
-            night_quiet_hours=24.0 - service_hours,
-            train_length_m=max(run.train.length_m for run in timetable.runs))
-
-
-@dataclass(frozen=True)
-class NetworkSegment:
-    """One homogeneous stretch of a corridor: length, speed class, demand."""
-
-    name: str
-    length_km: float
-    speed_class: str = "highspeed"
-    demand: DemandProfile = field(default_factory=DemandProfile)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("a segment needs a non-empty name")
-        if self.length_km <= 0:
-            raise GeometryError(
-                f"{self.name}: segment length must be positive, "
-                f"got {self.length_km}")
-        if self.speed_class not in SPEED_CLASSES:
-            raise ConfigurationError(
-                f"{self.name}: unknown speed class {self.speed_class!r}; "
-                f"available: {sorted(SPEED_CLASSES)}")
-
-    @property
-    def train_speed_kmh(self) -> float:
-        """Cruise speed implied by the segment's speed class."""
-        return SPEED_CLASSES[self.speed_class].train_speed_kmh
-
-    def traffic(self) -> TrafficParams:
-        """The segment's demand at its class speed."""
-        return self.demand.traffic(self.train_speed_kmh)
-
-
-@dataclass(frozen=True)
-class Corridor:
-    """A named line: an ordered tuple of segments with unique names."""
-
-    name: str
-    segments: tuple[NetworkSegment, ...]
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("a corridor needs a non-empty name")
-        if not self.segments:
-            raise ConfigurationError(
-                f"corridor {self.name!r} needs at least one segment")
-        names = [s.name for s in self.segments]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(
-                f"corridor {self.name!r} has duplicate segment names")
-
-    @property
-    def length_km(self) -> float:
-        """Total corridor length."""
-        return sum(s.length_km for s in self.segments)
 
 
 class NetworkGraph:
@@ -207,38 +121,14 @@ class NetworkGraph:
     * ``speed_index`` into the ``speed_classes`` name table and
       ``demand_index`` into the ``demands`` :class:`DemandProfile` table.
 
-    ``NetworkGraph(corridors=...)`` derives the columns from the objects
-    and keeps them.  :meth:`from_columns` takes the columns directly and
-    builds :attr:`corridors` / :attr:`segments` only on first access.  Both
-    validate the columns the same way.
+    Every column is validated at construction.
     """
 
-    def __init__(self, corridors: tuple[Corridor, ...]) -> None:
-        corridors = tuple(corridors)
-        segments = tuple(s for c in corridors for s in c.segments)
-        speed_classes: dict[str, int] = {}
-        demands: dict[DemandProfile, int] = {}
-        speed_index = [speed_classes.setdefault(s.speed_class,
-                                                len(speed_classes))
-                       for s in segments]
-        demand_index = [demands.setdefault(s.demand, len(demands))
-                        for s in segments]
-        self._set_columns(
-            tuple(c.name for c in corridors),
-            [len(c.segments) for c in corridors],
-            tuple(s.name for s in segments),
-            [s.length_km for s in segments],
-            tuple(speed_classes), speed_index, tuple(demands), demand_index)
-        # The caller's objects are the graph's objects: nothing to rebuild.
-        vars(self).update(corridors=corridors, segments=segments)
-
-    @classmethod
-    def from_columns(cls, corridor_names: tuple[str, ...],
-                     corridor_sizes, local_names: tuple[str, ...],
-                     segment_length_km, speed_classes: tuple[str, ...],
-                     speed_index, demands: tuple[DemandProfile, ...],
-                     demand_index) -> "NetworkGraph":
-        """Build a graph from its segment columns, without segment objects.
+    def __init__(self, corridor_names: tuple[str, ...], corridor_sizes,
+                 local_names: tuple[str, ...], segment_length_km,
+                 speed_classes: tuple[str, ...], speed_index,
+                 demands: tuple[DemandProfile, ...], demand_index) -> None:
+        """Build a graph from its segment columns.
 
         Args:
             corridor_names: One name per corridor, in canonical order.
@@ -251,24 +141,12 @@ class NetworkGraph:
             demands: Table of demand profiles, each value listed once.
             demand_index: Each segment's row in ``demands``.
 
-        Returns:
-            The validated graph; :attr:`corridors` and :attr:`segments`
-            are built from the columns on first access.
-
         Raises:
-            GeometryError: For a segment length <= 0.
+            GeometryError: For a segment length that is not finite
+                and positive.
             ConfigurationError: For an unknown speed class, an empty or
                 duplicate name, an empty corridor or mismatched columns.
         """
-        graph = cls.__new__(cls)
-        graph._set_columns(corridor_names, corridor_sizes, local_names,
-                           segment_length_km, speed_classes, speed_index,
-                           demands, demand_index)
-        return graph
-
-    def _set_columns(self, corridor_names, corridor_sizes, local_names,
-                     segment_length_km, speed_classes, speed_index, demands,
-                     demand_index) -> None:
         vars(self).update(
             corridor_names=tuple(corridor_names),
             corridor_offsets=_column(
@@ -318,12 +196,13 @@ class NetworkGraph:
             if len(set(local[start:stop])) != stop - start:
                 raise ConfigurationError(
                     f"corridor {name!r} has duplicate segment names")
-        bad = np.flatnonzero(self.segment_length_km <= 0)
+        lengths = self.segment_length_km
+        bad = np.flatnonzero(~(np.isfinite(lengths) & (lengths > 0)))
         if bad.size:
             i = bad[0]
             raise GeometryError(
-                f"{local[i]}: segment length must be positive, "
-                f"got {float(self.segment_length_km[i])}")
+                f"{local[i]}: segment length must be finite and positive, "
+                f"got {float(lengths[i])}")
         known = np.array([name in SPEED_CLASSES
                           for name in self.speed_classes], dtype=bool)
         bad = np.flatnonzero(~known[self.speed_index])
@@ -338,25 +217,6 @@ class NetworkGraph:
         """``(name, start, stop)`` of each corridor's segment range."""
         offsets = self.corridor_offsets.tolist()
         return zip(self.corridor_names, offsets[:-1], offsets[1:])
-
-    @functools.cached_property
-    def segments(self) -> tuple[NetworkSegment, ...]:
-        """Every segment, flattened in canonical (corridor, segment) order."""
-        classes = self.speed_classes
-        demands = self.demands
-        return tuple(
-            NetworkSegment(name=name, length_km=length,
-                           speed_class=classes[speed], demand=demands[demand])
-            for name, length, speed, demand in zip(
-                self.local_names, self.segment_length_km.tolist(),
-                self.speed_index.tolist(), self.demand_index.tolist()))
-
-    @functools.cached_property
-    def corridors(self) -> tuple[Corridor, ...]:
-        """The corridors, each holding its slice of :attr:`segments`."""
-        segments = self.segments
-        return tuple(Corridor(name=name, segments=segments[start:stop])
-                     for name, start, stop in self._corridor_bounds())
 
     @functools.cached_property
     def segment_names(self) -> tuple[str, ...]:
@@ -381,34 +241,14 @@ class NetworkGraph:
     def length_km(self) -> float:
         """Total network track length.
 
-        Summed with Python ``sum`` per corridor, then across corridors — the
-        order :attr:`Corridor.length_km` uses, so the total is bit-identical
-        to summing the corridor objects on every interpreter version.
+        Summed with Python ``sum`` per corridor, then across corridors.
+        Python 3.12's ``sum`` is compensated, so only this order (not
+        ``np.sum`` nor one flat ``sum``) gives the same bits on 3.11 and
+        3.12.
         """
         lengths = self.segment_length_km.tolist()
         return sum(sum(lengths[start:stop])
                    for _, start, stop in self._corridor_bounds())
-
-    @classmethod
-    def from_line_plan(cls, plan: LinePlan, name: str = "line",
-                       demand: DemandProfile | None = None,
-                       speed_class: str = "highspeed") -> "NetworkGraph":
-        """Lift a :class:`LinePlan` into a single-corridor graph.
-
-        One network segment per line section, in section order.  With the
-        default demand and speed class the fixed-technology evaluation
-        (:func:`repro.network.frontier.fixed_options_power_w` over the
-        sections' layouts and modes) reproduces
-        :meth:`LinePlan.total_average_power_w` exactly — the line plan is
-        the single-corridor special case of the network model.
-        """
-        demand = demand or DemandProfile()
-        return cls(corridors=(Corridor(
-            name=name,
-            segments=tuple(
-                NetworkSegment(name=s.name, length_km=s.length_km,
-                               speed_class=speed_class, demand=demand)
-                for s in plan.sections)),))
 
 
 def _column(values, dtype) -> np.ndarray:

@@ -31,6 +31,7 @@ scan, so the error carries the true minima (``min_energy_w`` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,7 +296,7 @@ def optimize_network(graph: NetworkGraph | None = None,
             limit).
         **frontier_kwargs: Forwarded to
             :func:`repro.network.frontier.segment_frontiers` (``link``,
-            ``resolution_m``, ``horizon_years``, ``engine``, ...).
+            ``resolution_m``, ``horizon_years``, ...).
 
     Returns:
         The :class:`NetworkAssignment`.
@@ -304,8 +305,14 @@ def optimize_network(graph: NetworkGraph | None = None,
         InfeasibleError: When a budget is below the minimum achievable or
             some segment has no feasible option — in either case only
             after the full frontier scan, with the true minima attached.
-        ConfigurationError: When neither a graph nor frontiers are given.
+        ConfigurationError: When neither a graph nor frontiers are given,
+            or a budget is not finite.
     """
+    for name, budget in (("energy", energy_budget_w),
+                         ("cost", cost_budget_eur)):
+        if budget is not None and not math.isfinite(budget):
+            raise ConfigurationError(
+                f"{name} budget must be finite, got {budget}")
     if frontiers is None:
         if graph is None:
             raise ConfigurationError(

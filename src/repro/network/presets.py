@@ -6,8 +6,7 @@ graph, which keeps study cases CRN-safe and shard-layout independent
 without shipping multi-megabyte topology files.  ``national`` at its
 default 10 000 segments is the workload the ``network`` study engine and
 ``benchmarks/bench_network.py`` exercise.  The segments are computed as
-numpy columns (:meth:`NetworkGraph.from_columns`), never as per-segment
-objects.
+the :class:`NetworkGraph` columns, by numpy index arithmetic.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ def _build_graph(name: str, total: int, demand_scale: float) -> NetworkGraph:
                  2.0 + 0.1 * ((5 * i + 2 * c) % 15)))
     speed_index = np.where(station, 0, np.where(regional, 1, 2))
 
-    # One profile per tier in use; from_columns expects distinct values.
+    # One profile per tier in use; the demand table lists distinct values.
     tiers = [DemandProfile(trains_per_hour=tph,
                            night_quiet_hours=quiet).scaled(demand_scale)
              for tph, quiet in _DEMAND_TIERS[:n_corridors]]
@@ -103,7 +102,7 @@ def _build_graph(name: str, total: int, demand_scale: float) -> NetworkGraph:
     tier_index = np.array([demands.index(tier) for tier in tiers])
 
     names = [f"s{k:04d}" for k in range(base + (extra > 0))]
-    return NetworkGraph.from_columns(
+    return NetworkGraph(
         corridor_names=tuple(f"c{k:02d}" for k in range(n_corridors)),
         corridor_sizes=sizes,
         local_names=tuple(itertools.chain.from_iterable(

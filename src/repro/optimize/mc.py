@@ -31,13 +31,13 @@ below the SNR threshold.  This module batches that question across **every
   with zeros, so no validity mask is needed in the reduction.
 
 The scan itself is the :func:`repro.kernels.ar1_min_scan` kernel.  The
-per-trial walk through :meth:`LogNormalShadowing.sample` (one (candidate,
-trial) at a time) is a test oracle (``tests/oracles/mc.py``): the batched
-engine with the step-loop kernel substituted is trial-for-trial
-bit-identical to it (same generator seeding, same draw order,
-elementwise-identical arithmetic), and the fused kernel matches it within
-1e-9 while preserving the CRN candidate-independence bitwise — asserted in
-``tests/test_mc_engine.py``.
+per-trial shadowing walk (one trace per (candidate, trial)) and a
+``[trial]``-stacked trace sampler are test oracles
+(``tests/oracles/mc.py``): the batched engine with the step-loop kernel
+substituted is trial-for-trial bit-identical to the walk (same generator
+seeding, same draw order, elementwise-identical arithmetic), and the fused
+kernel matches it within 1e-9 while preserving the CRN
+candidate-independence bitwise — asserted in ``tests/test_mc_engine.py``.
 """
 
 from __future__ import annotations
@@ -233,10 +233,10 @@ def min_snr_matrix(profiles, shadowings, trials: int,
     bitwise).
     The :func:`repro.kernels.ar1_min_scan` kernel then advances a
     ``[candidate, trial]`` shadow state with position as the only
-    sequential loop.  It mirrors :meth:`LogNormalShadowing.sample_batch`
-    but cannot delegate to it: folding the candidate axis into the state
-    (with padding) and reducing to a running minimum is what keeps one
-    scan for the whole batch.
+    sequential loop.  Folding the candidate axis into the state (with
+    padding) and reducing to a running minimum, rather than building one
+    ``[trial, position]`` trace per candidate, is what keeps one scan for
+    the whole batch.
 
     Args:
         profiles: :class:`repro.radio.link.SnrProfile` per candidate; grids

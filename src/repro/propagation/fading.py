@@ -14,11 +14,11 @@ The Gudmundson AR(1) recurrence over a position grid is
 with ``rho = exp(-dx / d_corr)`` and ``innovation = sigma * sqrt(1 - rho^2)``
 per grid step and ``z`` i.i.d. standard normals.  ``rho``/``innovation``
 depend only on the grid spacings (uniform grids collapse to a constant per
-step), so they are precomputed once per spacing fingerprint and shared by the
-scalar and batched sampling paths; :meth:`LogNormalShadowing.sample_batch`
-runs the recurrence through the :func:`repro.kernels.ar1_scan` kernel with a
-``[trial]`` leading axis — trial-for-trial within 1e-9 of
-:meth:`LogNormalShadowing.sample`.
+step), so :meth:`LogNormalShadowing.coefficients` precomputes them once per
+spacing fingerprint.  The Monte-Carlo engine runs the recurrence itself, in
+the :func:`repro.kernels.ar1_min_scan` kernel; trace samplers (one trace
+per generator, and a ``[trial]``-stacked batch) are test oracles
+(``tests/oracles/mc.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.kernels import ar1_scan
 
 __all__ = ["LogNormalShadowing"]
 
@@ -95,44 +94,3 @@ class LogNormalShadowing:
         """
         return _ar1_coefficients(self.sigma_db, self.decorrelation_m,
                                  _spacing_key(positions_m))
-
-    def sample(self, positions_m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Draw one correlated shadowing trace (dB) over ordered positions.
-
-        Uses the exact AR(1) discretization of the exponential autocorrelation
-        so irregular position grids are handled correctly.  Consumes exactly
-        one standard normal per position from ``rng`` (none when
-        ``sigma_db == 0``, which short-circuits to zeros).
-        """
-        pos = _validated_positions(positions_m)
-        if self.sigma_db == 0.0:
-            return np.zeros_like(pos)
-        rho, innovation = self.coefficients(pos)
-        out = np.empty_like(pos)
-        out[0] = self.sigma_db * rng.standard_normal()
-        for i in range(1, pos.size):
-            out[i] = rho[i - 1] * out[i - 1] + innovation[i - 1] * rng.standard_normal()
-        return out
-
-    def sample_batch(self, positions_m: np.ndarray, rngs) -> np.ndarray:
-        """Draw one trace per generator, stacked as ``[trial, position]``.
-
-        The recurrence runs through the :func:`repro.kernels.ar1_scan`
-        kernel with a ``[trial]`` leading axis — position is the only
-        sequential dimension.  Row ``t`` matches ``sample(positions_m,
-        rngs[t])``: each generator is consumed in the same order (one
-        standard normal per position), to ``<= 1e-9``.
-
-        Args:
-            positions_m: Ordered position grid shared by every trial.
-            rngs: Iterable of per-trial generators.
-        """
-        pos = _validated_positions(positions_m)
-        rngs = list(rngs)
-        if self.sigma_db == 0.0:
-            return np.zeros((len(rngs), pos.size))
-        z = np.empty((len(rngs), pos.size))
-        for t, rng in enumerate(rngs):
-            z[t] = rng.standard_normal(pos.size)
-        rho, innovation = self.coefficients(pos)
-        return ar1_scan(z, rho, innovation, self.sigma_db)

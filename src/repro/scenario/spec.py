@@ -11,6 +11,7 @@ produce bit-identical profiles.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,9 +44,10 @@ class Scenario:
     resolution_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.resolution_m <= 0:
+        if not (math.isfinite(self.resolution_m) and self.resolution_m > 0):
             raise ConfigurationError(
-                f"resolution must be positive, got {self.resolution_m}")
+                f"resolution must be finite and positive, "
+                f"got {self.resolution_m}")
 
     # -- construction -------------------------------------------------------
 

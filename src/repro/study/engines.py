@@ -450,10 +450,24 @@ def _frontiers(graph, technologies: str, min_sleep_headway_s: float,
                              cache=_profile_cache(cache_dir))
 
 
+#: Network parameters a case must give as finite numbers.  Only finiteness
+#: is checked here (a budget <= 0 means unconstrained); the network layer
+#: checks the ranges.
+_NETWORK_FINITE = ("demand_scale", "energy_budget_w_per_km",
+                   "cost_budget_keur_per_km", "min_sleep_headway_s",
+                   "resolution_m", "horizon_years")
+
+
 def _run_network(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
     from repro.errors import InfeasibleError
     from repro.network.optimize import optimize_network
 
+    # Validate every case before any compute: NaN passes every range check.
+    for case in cases:
+        for name in _NETWORK_FINITE:
+            if not math.isfinite(_number(case[name])):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {case[name]!r}")
     nan = float("nan")
     rows = []
     for case in cases:

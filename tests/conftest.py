@@ -47,6 +47,6 @@ def reference_kernels():
     """Substitute the step-loop kernel oracles for the fused kernels in the
     engines the bitwise parity pins cover: the Monte-Carlo scan
     (``repro.optimize.mc``), the solar SoC walk (``repro.solar.batch``) and
-    the batched shadowing traces (``repro.propagation.fading``)."""
+    the batched shadowing trace oracle (``oracles.mc``)."""
     with oracle_kernels.substituted():
         yield

@@ -10,8 +10,10 @@ the package, as the independent references the parity tests and
   ``reference_kernels`` fixture;
 * :mod:`oracles.solar` — the per-system hourly year walk and the
   year-by-year battery-lifetime loop;
-* :mod:`oracles.mc` — the per-(candidate, trial) shadowing walk;
-* :mod:`oracles.des` — the discrete-event corridor simulation.
+* :mod:`oracles.mc` — the shadowing trace samplers and the
+  per-(candidate, trial) shadowing walk;
+* :mod:`oracles.des` — the discrete-event corridor simulation;
+* :mod:`oracles.network` — the per-segment network frontier walk.
 
 ``tests/`` is on ``sys.path`` for the test suite (pytest's rootdir import
 mode) and for ``benchmarks/`` (its ``conftest.py``), so they import these as

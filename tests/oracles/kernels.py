@@ -25,11 +25,14 @@ __all__ = ["ar1_scan", "ar1_min_scan", "soc_scan", "substituted"]
 #: The kernel bindings the bitwise parity pins cover: ``(module, name)``.
 #: Weather synthesis (``repro.solar.irradiance``) keeps the fused
 #: ``ar1_scan``: its tensors are memoized process-wide by content, so a
-#: substituted kernel would leak into later callers.
+#: substituted kernel would leak into later callers.  The batched trace
+#: sampler (:func:`oracles.mc.sample_batch`) is itself an oracle, but its
+#: ``ar1_scan`` is substituted too, so it is pinned bitwise to the
+#: per-trace walk.
 ENGINE_BINDINGS = (
     ("repro.optimize.mc", "ar1_min_scan"),
     ("repro.solar.batch", "soc_scan"),
-    ("repro.propagation.fading", "ar1_scan"),
+    ("oracles.mc", "ar1_scan"),
 )
 
 
@@ -56,8 +59,8 @@ def ar1_scan(z: np.ndarray, rho: np.ndarray, innovation: np.ndarray,
 
     Computes ``out[..., 0] = first_scale * z[..., 0]`` and
     ``out[..., i] = rho[i-1] * out[..., i-1] + innovation[i-1] * z[..., i]``
-    — exactly the loop that lived in
-    :meth:`repro.propagation.fading.LogNormalShadowing.sample_batch` and in
+    — exactly the loop that lived in the batched shadowing sampler
+    (:func:`oracles.mc.sample_batch`) and in
     :meth:`repro.solar.irradiance.SyntheticWeather.daily_clearness`.
 
     Args:

@@ -1,21 +1,64 @@
-"""Monte-Carlo oracles: the per-trial shadowing walk behind
-``repro.optimize.mc`` and the per-draw loop behind the ``mc`` study
-adapter."""
+"""Monte-Carlo oracles: the shadowing trace samplers, the per-trial
+shadowing walk behind ``repro.optimize.mc`` and the per-draw loop behind
+the ``mc`` study adapter."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import ar1_scan
 from repro.optimize.mc import outage_matrix, trial_generators, wilson_interval
-from repro.propagation.fading import LogNormalShadowing
+from repro.propagation.fading import LogNormalShadowing, _validated_positions
 from repro.study import engines as _engines
 
-__all__ = ["outage_matrix_scalar", "per_draw_mc"]
+__all__ = ["sample", "sample_batch", "outage_matrix_scalar", "per_draw_mc"]
+
+
+def sample(model: LogNormalShadowing, positions_m,
+           rng: np.random.Generator) -> np.ndarray:
+    """Draw one correlated shadowing trace (dB) over ordered positions.
+
+    Uses the exact AR(1) discretization of the exponential autocorrelation
+    (``model.coefficients``), so irregular position grids are handled
+    correctly.  Consumes exactly one standard normal per position from
+    ``rng`` (none when ``sigma_db == 0``, which short-circuits to zeros).
+    """
+    pos = _validated_positions(positions_m)
+    if model.sigma_db == 0.0:
+        return np.zeros_like(pos)
+    rho, innovation = model.coefficients(pos)
+    out = np.empty_like(pos)
+    out[0] = model.sigma_db * rng.standard_normal()
+    for i in range(1, pos.size):
+        out[i] = rho[i - 1] * out[i - 1] + innovation[i - 1] * rng.standard_normal()
+    return out
+
+
+def sample_batch(model: LogNormalShadowing, positions_m, rngs) -> np.ndarray:
+    """Draw one trace per generator, stacked as ``[trial, position]``.
+
+    The recurrence runs through the :func:`repro.kernels.ar1_scan` kernel
+    with a ``[trial]`` leading axis — position is the only sequential
+    dimension.  Row ``t`` matches ``sample(model, positions_m, rngs[t])``:
+    each generator is consumed in the same order (one standard normal per
+    position), to ``<= 1e-9`` on the fused kernel and bitwise on the
+    step-loop one (:mod:`oracles.kernels` substitutes this module's
+    ``ar1_scan``).
+    """
+    pos = _validated_positions(positions_m)
+    rngs = list(rngs)
+    if model.sigma_db == 0.0:
+        return np.zeros((len(rngs), pos.size))
+    z = np.empty((len(rngs), pos.size))
+    for t, rng in enumerate(rngs):
+        z[t] = rng.standard_normal(pos.size)
+    rho, innovation = model.coefficients(pos)
+    return ar1_scan(z, rho, innovation, model.sigma_db)
 
 
 def outage_matrix_scalar(profiles, shadowing: LogNormalShadowing,
                          trials: int, seed: int) -> np.ndarray:
-    """One :meth:`LogNormalShadowing.sample` walk per (candidate, trial).
+    """One :func:`sample` walk per (candidate, trial).
 
     Returns the read-only ``[candidate, trial]`` worst shadowed SNR, the
     ``min_snr_db`` of :func:`repro.optimize.mc.outage_matrix` on the same
@@ -24,7 +67,7 @@ def outage_matrix_scalar(profiles, shadowing: LogNormalShadowing,
     mins = np.empty((len(profiles), trials))
     for c, profile in enumerate(profiles):
         for t, rng in enumerate(trial_generators(seed, trials)):
-            trace = shadowing.sample(profile.positions_m, rng)
+            trace = sample(shadowing, profile.positions_m, rng)
             mins[c, t] = np.min(profile.snr_db + trace)
     mins.flags.writeable = False
     return mins

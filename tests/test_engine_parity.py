@@ -16,8 +16,8 @@ asserting they agree, over one shared seed sweep:
   DES :func:`oracles.des.simulate_days_event` (equal to 1e-9: both engines
   see bit-identical event instants and differ only by float summation
   order);
-* **network** — :func:`repro.network.frontier.segment_frontiers`
-  ``engine="batched"`` vs. the ``engine="scalar"`` per-segment reference
+* **network** — :func:`repro.network.frontier.segment_frontiers` vs. the
+  per-segment walk :func:`oracles.network.segment_frontiers_scalar`
   (bit-identical frontier arrays), and the optimizer through the study
   runner for any ``jobs``/``shards`` layout (inline == pooled).
 
@@ -40,7 +40,8 @@ import numpy as np
 import pytest
 
 from oracles.des import simulate_days_event
-from oracles.mc import outage_matrix_scalar
+from oracles.mc import outage_matrix_scalar, sample, sample_batch
+from oracles.network import segment_frontiers_scalar
 from oracles.solar import simulate_year
 
 from repro.corridor.layout import CorridorLayout
@@ -159,7 +160,7 @@ def _mc_scalar(seed):
 def _trace_scalar(seed):
     model = LogNormalShadowing(sigma_db=3.0, decorrelation_m=30.0)
     pos = np.array([0.0, 4.0, 5.0, 50.0, 51.0, 300.0, 1000.0])
-    scalar = np.stack([model.sample(pos, rng)
+    scalar = np.stack([sample(model, pos, rng)
                        for rng in trial_generators(seed, 16)])
     return model, pos, scalar
 
@@ -185,14 +186,14 @@ class TestMcParity:
     def test_trial_streams_shared_across_engines(self, seed):
         # Both paths consume the same per-trial generator prefix.
         model, pos, scalar = _trace_scalar(seed)
-        batch = model.sample_batch(pos, trial_generators(seed, 16))
+        batch = sample_batch(model, pos, trial_generators(seed, 16))
         np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_trial_streams_bit_identical_on_step_loop_kernel(
             self, seed, reference_kernels):
         model, pos, scalar = _trace_scalar(seed)
-        reference = model.sample_batch(pos, trial_generators(seed, 16))
+        reference = sample_batch(model, pos, trial_generators(seed, 16))
         assert np.array_equal(reference, scalar)
 
 
@@ -270,7 +271,7 @@ class TestSimParity:
                                  stochastic=True, realizations=2, seed=1)
 
 
-# --- network: batched frontier vs. scalar reference, layout invariance -------
+# --- network: batched frontier vs. per-segment oracle, layout invariance ----
 
 
 def _demo_network_study():
@@ -292,7 +293,7 @@ class TestNetworkParity:
 
         graph = build_graph("demo", demand_scale=scale)
         batched = segment_frontiers(graph, resolution_m=50.0)
-        scalar = segment_frontiers(graph, resolution_m=50.0, engine="scalar")
+        scalar = segment_frontiers_scalar(graph, resolution_m=50.0)
         assert [o.label for o in batched.options] \
             == [o.label for o in scalar.options]
         assert np.array_equal(batched.energy_w, scalar.energy_w,
@@ -307,8 +308,11 @@ class TestNetworkParity:
 
         graph = build_graph("demo")
         plans = [optimize_network(graph, resolution_m=50.0,
-                                  energy_budget_w=13.0e3, engine=engine)
-                 for engine in ("batched", "scalar")]
+                                  energy_budget_w=13.0e3),
+                 optimize_network(
+                     frontiers=segment_frontiers_scalar(graph,
+                                                        resolution_m=50.0),
+                     energy_budget_w=13.0e3)]
         assert np.array_equal(plans[0].option_index, plans[1].option_index)
         assert plans[0].total_cost_eur == plans[1].total_cost_eur
         assert plans[0].total_energy_w == plans[1].total_energy_w

@@ -249,17 +249,17 @@ class TestAr1MinScan:
         assert chunks[0] == 1 and chunks[1] > 10
 
     def test_sigma_zero_short_circuits_before_kernel(self, monkeypatch):
-        # The shadowing model returns zeros before any kernel call, so even
-        # a kernel that cannot run resolves fine at sigma == 0.
-        import repro.propagation.fading
+        # The batched trace sampler returns zeros before any kernel call, so
+        # even a kernel that cannot run resolves fine at sigma == 0.
+        import oracles.mc
 
         def broken(*args):
             raise AssertionError("kernel called")
 
-        monkeypatch.setattr(repro.propagation.fading, "ar1_scan", broken)
+        monkeypatch.setattr(oracles.mc, "ar1_scan", broken)
         model = LogNormalShadowing(sigma_db=0.0)
-        out = model.sample_batch(np.array([0.0, 10.0, 20.0]),
-                                 [np.random.default_rng(0)] * 4)
+        out = oracles.mc.sample_batch(model, np.array([0.0, 10.0, 20.0]),
+                                      [np.random.default_rng(0)] * 4)
         assert np.array_equal(out, np.zeros((4, 3)))
 
 

@@ -6,18 +6,18 @@ Seeded, deterministic properties of the Lagrangian assignment:
   optimal cost (the dual price is non-increasing in the budget);
 * **demand monotonicity** — scaling demand up never grows the sleeping set
   (the headway rule is monotone in trains/h);
-* **LinePlan subsumption** — a single-corridor graph lifted from a
-  :class:`~repro.corridor.multisegment.LinePlan` reproduces the plan's
-  energy totals exactly (``==``, not approximately);
 * **infeasibility discipline** — budgets below the minimum achievable raise
   :class:`~repro.errors.InfeasibleError` only after the full frontier scan,
   with the true minima attached;
 * **unique-row solving** — the optimizer scores one representative per
   distinct frontier row, and its plans are bit-identical to a full-row
   reference solver kept in this file;
-* **columnar graphs** — ``build_graph`` equals the per-segment builder kept
-  in this file as the oracle, and the frontier/optimizer/report path never
-  builds a preset graph's segment objects (counted, not timed).
+* **columnar graphs** — ``build_graph`` equals the per-segment column
+  builder kept in this file as the oracle, and the graph constructor
+  validates every column;
+* **finite inputs** — NaN and infinite values are refused with
+  :class:`~repro.errors.ConfigurationError` by the library, the CLI and the
+  ``network`` study adapter (before any compute).
 """
 
 import dataclasses
@@ -28,23 +28,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.corridor.multisegment import LinePlan
 from repro.errors import ConfigurationError, GeometryError, InfeasibleError
 from repro.network import (
-    Corridor,
     DemandProfile,
     NetworkGraph,
-    NetworkSegment,
     SPEED_CLASSES,
     SegmentFrontiers,
     TechnologyCatalog,
     build_graph,
-    fixed_options_power_w,
     optimize_network,
     segment_frontiers,
 )
 from repro.network.optimize import _select
-from repro.network.presets import _DEMAND_TIERS, _build_graph
+from repro.network.presets import _DEMAND_TIERS
+from repro.scenario.spec import Scenario
 
 SEEDS = (0, 7, 1234)
 
@@ -61,26 +58,6 @@ def _frontiers(scale: float = 1.0, segments: int = 0, graph: str = "demo",
 
 
 class TestGraphModel:
-    def test_rejects_empty_and_duplicate_names(self):
-        seg = NetworkSegment(name="a", length_km=2.0)
-        with pytest.raises(ConfigurationError):
-            Corridor(name="c", segments=())
-        with pytest.raises(ConfigurationError):
-            Corridor(name="c", segments=(seg, seg))
-        with pytest.raises(ConfigurationError):
-            NetworkGraph(corridors=())
-        corridor = Corridor(name="c", segments=(seg,))
-        with pytest.raises(ConfigurationError):
-            NetworkGraph(corridors=(corridor, corridor))
-
-    def test_rejects_bad_segment(self):
-        with pytest.raises(GeometryError):
-            NetworkSegment(name="a", length_km=0.0)
-        with pytest.raises(ConfigurationError):
-            NetworkSegment(name="a", length_km=1.0, speed_class="maglev")
-        with pytest.raises(ConfigurationError):
-            NetworkSegment(name="", length_km=1.0)
-
     def test_demand_profile_semantics(self):
         d = DemandProfile(trains_per_hour=8.0)
         assert d.headway_s == 450.0
@@ -92,24 +69,10 @@ class TestGraphModel:
         assert traffic.trains_per_hour == 8.0
         assert traffic.train.speed_kmh == 160.0
 
-    def test_demand_from_timetable(self):
-        from repro.traffic.timetable import Timetable, TrainRun
-        from repro.traffic.trains import Train
-
-        runs = tuple(TrainRun(t0_s=600.0 * i, train=Train(length_m=200.0))
-                     for i in range(6))
-        timetable = Timetable(runs=runs, horizon_s=3.0 * 3600.0)
-        demand = DemandProfile.from_timetable(timetable)
-        assert demand.trains_per_hour == 2.0
-        assert demand.night_quiet_hours == 21.0
-        assert demand.train_length_m == 200.0
-        with pytest.raises(ConfigurationError):
-            DemandProfile.from_timetable(Timetable(runs=(), horizon_s=3600.0))
-
     def test_canonical_order_and_names(self):
         graph = build_graph("demo")
         assert graph.n_segments == 48
-        assert len(graph.segments) == 48
+        assert len(graph.local_names) == 48
         assert graph.segment_names[0] == "c00/s0000"
         assert len(set(graph.segment_names)) == 48
 
@@ -124,23 +87,20 @@ class TestGraphModel:
 # -- columnar graphs vs. the per-segment oracle --------------------------------
 
 
-def _segment(corridor_index, segment_index, demand):
-    """Oracle: one preset segment as an object, by index arithmetic."""
+def _segment(corridor_index, segment_index):
+    """Oracle: one preset segment's (name, length, speed class), by index
+    arithmetic."""
     c, i = corridor_index, segment_index
     if i % 16 == 0:
-        return NetworkSegment(name=f"s{i:04d}", length_km=1.0,
-                              speed_class="station", demand=demand)
+        return f"s{i:04d}", 1.0, "station"
     if (c + i) % 3 == 0:
-        length = 1.5 + 0.1 * ((3 * i + c) % 12)
-        return NetworkSegment(name=f"s{i:04d}", length_km=length,
-                              speed_class="regional", demand=demand)
-    length = 2.0 + 0.1 * ((5 * i + 2 * c) % 15)
-    return NetworkSegment(name=f"s{i:04d}", length_km=length,
-                          speed_class="highspeed", demand=demand)
+        return f"s{i:04d}", 1.5 + 0.1 * ((3 * i + c) % 12), "regional"
+    return f"s{i:04d}", 2.0 + 0.1 * ((5 * i + 2 * c) % 15), "highspeed"
 
 
 def _oracle_corridors(name, n_segments, demand_scale):
-    """Oracle: a preset graph's corridors, built segment by segment."""
+    """Oracle: a preset graph as ``(corridor name, rows)`` pairs, built
+    segment by segment; a row is ``(name, length, speed class, demand)``."""
     from repro.network.presets import NAMED_GRAPHS
 
     total = NAMED_GRAPHS[name] if not n_segments else n_segments
@@ -154,10 +114,9 @@ def _oracle_corridors(name, n_segments, demand_scale):
         demand = DemandProfile(trains_per_hour=tph,
                                night_quiet_hours=quiet).scaled(demand_scale)
         count = base + (1 if c < extra else 0)
-        corridors.append(Corridor(
-            name=f"c{c:02d}",
-            segments=tuple(_segment(c, i, demand) for i in range(count))))
-    return tuple(corridors)
+        corridors.append((f"c{c:02d}", [(*_segment(c, i), demand)
+                                        for i in range(count)]))
+    return corridors
 
 
 def _resolved_columns(graph):
@@ -174,38 +133,23 @@ class TestColumnarGraph:
     def test_build_graph_matches_per_segment_oracle(self, name, n_segments,
                                                     scale):
         corridors = _oracle_corridors(name, n_segments, scale)
-        segments = [s for c in corridors for s in c.segments]
+        rows = [row for _, corridor in corridors for row in corridor]
         graph = build_graph(name, n_segments=n_segments, demand_scale=scale)
-        hand_built = NetworkGraph(corridors=corridors)
 
-        assert graph.corridor_names == tuple(c.name for c in corridors)
+        assert graph.corridor_names == tuple(c for c, _ in corridors)
         assert graph.segment_names == tuple(
-            f"{c.name}/{s.name}" for c in corridors for s in c.segments)
+            f"{c}/{row[0]}" for c, corridor in corridors for row in corridor)
         classes, demands = _resolved_columns(graph)
-        assert classes == [s.speed_class for s in segments]
-        assert demands == [s.demand for s in segments]
-        oracle_lengths = np.array([s.length_km for s in segments])
+        assert classes == [row[2] for row in rows]
+        assert demands == [row[3] for row in rows]
+        oracle_lengths = np.array([row[1] for row in rows])
         assert np.array_equal(graph.segment_length_km.view(np.int64),
                               oracle_lengths.view(np.int64))
-        # Today's summation order, on the running interpreter.
-        assert graph.length_km == sum(c.length_km for c in corridors)
+        # Python sum per corridor, then across corridors: the order that
+        # gives the same bits on 3.11 and 3.12.
+        assert graph.length_km == sum(sum(row[1] for row in corridor)
+                                      for _, corridor in corridors)
         assert len(graph.demands) == len(set(graph.demands))
-
-        # A hand-built graph derives the same columns from its objects.
-        assert hand_built.corridor_names == graph.corridor_names
-        assert hand_built.local_names == graph.local_names
-        assert np.array_equal(hand_built.corridor_offsets,
-                              graph.corridor_offsets)
-        assert np.array_equal(hand_built.segment_length_km.view(np.int64),
-                              graph.segment_length_km.view(np.int64))
-        assert _resolved_columns(hand_built) == (classes, demands)
-        assert hand_built.length_km == graph.length_km
-        assert hand_built.segments == tuple(segments)
-
-        # The preset builds equal objects on first access, once.
-        assert graph.segments == tuple(segments)
-        assert graph.corridors == corridors
-        assert graph.corridors[-1].segments[-1] is graph.segments[-1]
         for i in (0, graph.n_segments // 2, graph.n_segments - 1):
             assert graph.segment_name(i) == graph.segment_names[i]
 
@@ -226,6 +170,8 @@ class TestColumnarGraph:
     @pytest.mark.parametrize("change,error", [
         ({"segment_length_km": [1.0, 0.0]}, GeometryError),
         ({"segment_length_km": [1.0, -2.0]}, GeometryError),
+        ({"segment_length_km": [1.0, math.nan]}, GeometryError),
+        ({"segment_length_km": [math.inf, 1.0]}, GeometryError),
         ({"speed_classes": ("maglev",)}, ConfigurationError),
         ({"local_names": ("a", "")}, ConfigurationError),
         ({"local_names": ("a", "a")}, ConfigurationError),
@@ -238,37 +184,15 @@ class TestColumnarGraph:
         ({"demand_index": [0, 1]}, ConfigurationError),
         ({"speed_index": [0]}, ConfigurationError),
     ])
-    def test_from_columns_validates_like_objects(self, change, error):
+    def test_constructor_validates_the_columns(self, change, error):
         columns = dict(
             corridor_names=("c",), corridor_sizes=[2],
             local_names=("a", "b"), segment_length_km=[1.0, 2.0],
             speed_classes=("highspeed",), speed_index=[0, 0],
             demands=(DemandProfile(),), demand_index=[0, 0])
-        NetworkGraph.from_columns(**columns)
+        NetworkGraph(**columns)
         with pytest.raises(error):
-            NetworkGraph.from_columns(**{**columns, **change})
-
-    def test_hot_path_builds_no_segment_objects(self, monkeypatch):
-        created = []
-        original = NetworkSegment.__init__
-
-        def spy(self, *args, **kwargs):
-            created.append(1)
-            original(self, *args, **kwargs)
-
-        _build_graph.cache_clear()
-        monkeypatch.setattr(NetworkSegment, "__init__", spy)
-        graph = build_graph("national")
-        frontiers = segment_frontiers(graph, resolution_m=RESOLUTION_M)
-        plan = optimize_network(frontiers=frontiers,
-                                energy_budget_w=125.0 * graph.length_km)
-        assert plan.lambda_star > 0  # a binding budget: full bisection
-        assert "first 20 of 10000 segments" in plan.table()
-        assert created == []
-        assert "corridors" not in vars(graph)
-        assert len(graph.corridors) == 25
-        assert len(created) == graph.n_segments
-        _build_graph.cache_clear()
+            NetworkGraph(**{**columns, **change})
 
     def test_one_energy_evaluation_per_distinct_profile(self, monkeypatch):
         import repro.network.frontier as frontier
@@ -375,28 +299,6 @@ class TestDemandMonotonicity:
         assert dense.feasible.any(axis=1).all()  # but nothing is stranded
 
 
-# -- LinePlan subsumption -----------------------------------------------------
-
-
-class TestLinePlanSubsumption:
-    def test_single_corridor_graph_reproduces_line_plan_totals(self):
-        plan = LinePlan.mixed_line(open_track_km=120.0, station_zones=6)
-        graph = NetworkGraph.from_line_plan(plan)
-        assert graph.n_segments == len(plan.sections)
-        assert graph.length_km == plan.length_km
-        total = fixed_options_power_w(
-            graph,
-            tuple(s.layout for s in plan.sections),
-            tuple(s.mode for s in plan.sections))
-        assert total == plan.total_average_power_w()  # exact, not approx
-
-    def test_layout_mode_count_mismatch_raises(self):
-        plan = LinePlan.mixed_line(open_track_km=40.0, station_zones=2)
-        graph = NetworkGraph.from_line_plan(plan)
-        with pytest.raises(ConfigurationError):
-            fixed_options_power_w(graph, (), ())
-
-
 # -- infeasibility discipline -------------------------------------------------
 
 
@@ -425,8 +327,10 @@ class TestInfeasibility:
         # An unreachable radio criterion leaves a segment with no feasible
         # option at all (the relay exemption is excluded from the catalog).
         catalog = TechnologyCatalog(technologies=("repeater",))
-        graph = NetworkGraph(corridors=(Corridor(
-            name="c", segments=(NetworkSegment(name="s", length_km=2.0),)),))
+        graph = NetworkGraph(
+            corridor_names=("c",), corridor_sizes=[1], local_names=("s",),
+            segment_length_km=[2.0], speed_classes=("highspeed",),
+            speed_index=[0], demands=(DemandProfile(),), demand_index=[0])
         frontiers = segment_frontiers(graph, catalog, threshold_db=1e9,
                                       resolution_m=RESOLUTION_M)
         with pytest.raises(InfeasibleError) as err:
@@ -435,8 +339,9 @@ class TestInfeasibility:
 
     def test_unknown_inputs_raise_configuration_errors(self):
         graph = build_graph("demo", n_segments=4)
-        with pytest.raises(ConfigurationError):
-            segment_frontiers(graph, engine="quantum")
+        for engine in ("quantum", "scalar"):
+            with pytest.raises(ConfigurationError, match="batched"):
+                segment_frontiers(graph, engine=engine)
         with pytest.raises(ConfigurationError):
             TechnologyCatalog(technologies=("carrier-pigeon",))
         with pytest.raises(ConfigurationError):
@@ -686,3 +591,67 @@ class TestCliBudgets:
             main(["network", "optimize", "--graph", "demo", "--limit", "-3"])
         assert exc.value.code == 2
         assert "--limit: must be >= 0" in capsys.readouterr().err
+
+
+# -- non-finite inputs --------------------------------------------------------
+
+
+_NON_FINITE = [math.nan, math.inf]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", _NON_FINITE)
+    @pytest.mark.parametrize("build", [
+        lambda v: DemandProfile(trains_per_hour=v),
+        lambda v: DemandProfile(night_quiet_hours=v),
+        lambda v: DemandProfile(train_length_m=v),
+        lambda v: DemandProfile().scaled(v),
+        lambda v: TechnologyCatalog(min_sleep_headway_s=v),
+        lambda v: Scenario.uniform(1250.0, 1, resolution_m=v),
+        lambda v: segment_frontiers(build_graph("demo", n_segments=4),
+                                    horizon_years=v),
+        lambda v: segment_frontiers(build_graph("demo", n_segments=4),
+                                    threshold_db=v),
+        lambda v: segment_frontiers(build_graph("demo", n_segments=4),
+                                    threshold_db=-v),
+        lambda v: optimize_network(frontiers=_frontiers(segments=4),
+                                   energy_budget_w=v),
+        lambda v: optimize_network(frontiers=_frontiers(segments=4),
+                                   cost_budget_eur=v),
+    ])
+    def test_library_refuses(self, build, value):
+        with pytest.raises(ConfigurationError, match=str(value)):
+            build(value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", [
+        "--resolution", "--horizon-years", "--min-sleep-headway",
+        "--demand-scale", "--energy-budget", "--cost-budget"])
+    def test_cli_exits_1_naming_the_value(self, flag, value, capsys):
+        from repro.cli import main
+
+        # An uncaught error would raise here instead of returning 1.
+        assert main(["network", "optimize", "--graph", "demo", "--quiet",
+                     flag, value]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("network optimization failed: ")
+        assert line.endswith(f"got {value}")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "many"])
+    @pytest.mark.parametrize("name", [
+        "demand_scale", "energy_budget_w_per_km", "cost_budget_keur_per_km",
+        "min_sleep_headway_s", "resolution_m", "horizon_years"])
+    def test_study_adapter_refuses_before_any_compute(self, name, value,
+                                                      monkeypatch):
+        import repro.study.engines as engines
+
+        computed = []
+        monkeypatch.setattr(engines, "_network_frontiers",
+                            lambda *args: computed.append(args))
+        good = {"graph": "demo", "energy_budget_w_per_km": 0.0,
+                "resolution_m": RESOLUTION_M}
+        # The bad case comes last, after a valid one.
+        with pytest.raises(ConfigurationError, match=name):
+            engines.run_cases("network", [good, {**good, name: value}],
+                              [0, 0])
+        assert computed == []

@@ -3,8 +3,9 @@
 Every production path runs its batch engine on the fused kernels.  The
 scalar engines and step-loop kernels are test oracles (``tests/oracles/``),
 so no public :mod:`repro` callable takes ``backend=``, ``engine=`` appears
-only where it names a study adapter or the still-switchable network
-frontier pass, and no ``src/`` module imports the oracles.
+only where it names a study adapter (and on the network frontier pass,
+which accepts only ``"batched"``), and no ``src/`` module imports the
+oracles.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ ENGINE_ALLOWLIST = {
     "repro.service.schemas.JobView",
     "repro.study.engines.run_cases",
     "repro.study.engines.import_engine",
-    # The network frontier pass keeps its scalar per-segment reference
-    # until the benchmark stops passing ``engine="batched"`` through the
-    # optimizer.
+    # The network frontier pass accepts only ``engine="batched"``: its
+    # per-segment walk is the test oracle ``oracles.network``.  The
+    # parameter goes once perfbench's replay stops passing it through
+    # ``optimize_network``.
     "repro.network.frontier.segment_frontiers",
 }
 
@@ -74,7 +76,7 @@ def test_the_walk_covers_the_engines():
                  "repro.solar.batch.simulate_systems",
                  "repro.solar.degradation.project_lifetime",
                  "repro.kernels.numpy_fused.ar1_min_scan",
-                 "repro.propagation.fading.LogNormalShadowing.sample_batch",
+                 "repro.optimize.mc.min_snr_matrix",
                  "repro.simulation.corridor_sim.CorridorSimulation.run"):
         assert name in CALLABLES, name
     assert len(CALLABLES) > 300
