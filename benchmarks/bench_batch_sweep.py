@@ -80,11 +80,11 @@ def bench_batch_sweep_speedup(benchmark, bench_json):
         assert speedup >= 3.0, f"batched sweep only {speedup:.1f}x faster"
 
 
-def bench_batch_exhaustive_matches_scalar(benchmark):
-    """Exhaustive escape hatch: same scan order as the seed, batched tensors."""
+def bench_batch_bisection_matches_scalar(benchmark):
+    """The bisecting sweep against the seed scan on a coarse grid."""
     scalar_isd, scalar_snr = _scalar_seed_sweep(n_max=4, resolution_m=4.0)
     result = benchmark.pedantic(
-        lambda: sweep_max_isd(n_max=4, resolution_m=4.0, exhaustive=True),
+        lambda: sweep_max_isd(n_max=4, resolution_m=4.0),
         rounds=1, iterations=1)
     assert result.max_isd_by_n == scalar_isd
     assert result.min_snr_by_n == scalar_snr

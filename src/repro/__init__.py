@@ -34,7 +34,6 @@ __all__ = [
     "evaluate_scenarios",
     "min_snr_batch",
     "Scenario",
-    "ScenarioGrid",
     "ProfileCache",
     "TruncatedShannonModel",
     "peak_snr_threshold_db",
@@ -61,7 +60,6 @@ __all__ = [
     "sweep_max_isd",
     "optimize_placement",
     "outage_matrix",
-    "outage_probability",
     "robust_max_isd",
     "UplinkParams",
     "compute_uplink_profile",
@@ -86,7 +84,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "optimize": (
         "max_isd_for_n", "optimize_placement", "outage_matrix",
-        "outage_probability", "robust_max_isd", "sweep_max_isd",
+        "robust_max_isd", "sweep_max_isd",
     ),
     "power": (
         "EarthPowerModel", "HP_RRH_PROFILE", "LP_REPEATER_PROFILE",
@@ -97,7 +95,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "evaluate_scenarios", "min_snr_batch",
     ),
     "radio.uplink": ("UplinkParams", "compute_uplink_profile"),
-    "scenario": ("ProfileCache", "Scenario", "ScenarioGrid"),
+    "scenario": ("ProfileCache", "Scenario"),
     "traffic": (
         "TrafficParams", "day_timetables", "duty_cycle", "generate_timetable",
     ),

@@ -47,8 +47,7 @@ class ApiPage:
 #: The shipped reference pages (nav order of mkdocs.yml).
 API_PAGES: tuple[ApiPage, ...] = (
     ApiPage("api/scenario.md", "repro.scenario",
-            ("repro.scenario.spec", "repro.scenario.grid",
-             "repro.scenario.cache")),
+            ("repro.scenario.spec", "repro.scenario.cache")),
     ApiPage("api/radio-batch.md", "repro.radio.batch",
             ("repro.radio.batch",)),
     ApiPage("api/solar-batch.md", "repro.solar.batch",

@@ -65,16 +65,15 @@ def run_maxisd(noise_model: RepeaterNoiseModel = RepeaterNoiseModel.PAPER,
                n_max: int = 10,
                resolution_m: float = 1.0,
                isd_step_m: float = constants.ISD_STEP_M,
-               exhaustive: bool = False,
                cache: ProfileCache | None = None,
                jobs: int | None = None) -> MaxIsdResult:
     """Run the Section V sweep under the requested noise model.
 
-    ``exhaustive``, ``cache`` and ``jobs`` forward to
+    ``cache`` and ``jobs`` forward to
     :func:`repro.optimize.isd.sweep_max_isd`.
     """
     link = LinkParams(repeater_noise_model=noise_model)
     sweep = sweep_max_isd(n_max=n_max, link=link, include_zero=False,
                           resolution_m=resolution_m, isd_step_m=isd_step_m,
-                          exhaustive=exhaustive, cache=cache, jobs=jobs)
+                          cache=cache, jobs=jobs)
     return MaxIsdResult(sweep=sweep, noise_model=noise_model)

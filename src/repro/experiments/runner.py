@@ -44,8 +44,8 @@ __all__ = ["ALL_EXPERIMENTS", "ENGINE_KWARGS", "run_experiment", "run_all"]
 #: parameterize the Monte-Carlo shadowing analyses.  The grid sweeps take
 #: no options here: they ship as ``studies/*.yaml`` files run by
 #: ``repro study run``.
-ENGINE_KWARGS = frozenset({"jobs", "cache", "exhaustive", "weather_cache",
-                           "trials", "sigmas"})
+ENGINE_KWARGS = frozenset({"jobs", "cache", "weather_cache", "trials",
+                           "sigmas"})
 
 
 @dataclass(frozen=True)

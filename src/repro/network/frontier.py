@@ -281,9 +281,15 @@ class SegmentFrontiers:
 
 
 def _segment_cost(length_km, n_seg, n_service, n_donor, energy_w,
-                  relay_trains, option: TechnologyOption,
+                  relay_trains, relays_per_train: int,
+                  option: TechnologyOption,
                   assumptions: CostAssumptions, horizon_years: float):
-    """Elementwise cost formula (floats or arrays alike)."""
+    """Elementwise cost formula (floats or arrays alike).
+
+    ``relay_trains`` is the mean number of trains on the segment and
+    ``relays_per_train`` the onboard relays each carries; only a mobile-relay
+    option prices them.
+    """
     capex = (n_seg * assumptions.hp_site_capex
              + n_service * assumptions.repeater_capex
              + n_donor * assumptions.donor_capex
@@ -291,7 +297,7 @@ def _segment_cost(length_km, n_seg, n_service, n_donor, energy_w,
     if option.solar:
         capex = capex + (n_service + n_donor) * assumptions.pv_system_capex
     if option.technology is Technology.MOBILE_RELAY:
-        capex = capex + (relay_trains * option_relay_units(option)
+        capex = capex + (relay_trains * relays_per_train
                          * assumptions.onboard_relay_capex)
     energy_opex = (energy_w * _HOURS_PER_YEAR_OVER_KWH
                    * assumptions.energy_price_per_kwh * horizon_years)
@@ -299,15 +305,6 @@ def _segment_cost(length_km, n_seg, n_service, n_donor, energy_w,
                    + (n_service + n_donor)
                    * assumptions.lp_maintenance_per_year) * horizon_years
     return capex + energy_opex + maintenance
-
-
-def option_relay_units(option: TechnologyOption,
-                       fleet: OnboardRelayFleet | None = None) -> float:
-    """Relay units per attributed train for a mobile-relay option (else 0)."""
-    if option.technology is not Technology.MOBILE_RELAY:
-        return 0.0
-    fleet = fleet or OnboardRelayFleet()
-    return float(fleet.relays_per_train)
 
 
 @dataclass(frozen=True)
@@ -476,8 +473,9 @@ def segment_frontiers(graph: NetworkGraph,
         n_service = segs_per_row * option.layout.n_repeaters
         n_donor = segs_per_row * option.layout.n_donor_nodes
         cost = _segment_cost(lengths, segs_per_row, n_service, n_donor,
-                             energy, relay_trains, option, assumptions,
-                             horizon_years)
+                             energy, relay_trains,
+                             catalog.relay_fleet.relays_per_train, option,
+                             assumptions, horizon_years)
         energy_w[:, k] = np.where(ok, energy, np.nan)
         cost_eur[:, k] = np.where(ok, cost, np.nan)
         feasible[:, k] = ok

@@ -4,8 +4,8 @@
   distance that still sustains peak 5G NR throughput everywhere (Section V).
 * :mod:`repro.optimize.mc` — vectorized Monte-Carlo shadowing engine
   (common-random-number trials batched over candidates and positions).
-* :mod:`repro.optimize.robustness` — outage probability and the robust
-  max-ISD boundary under shadowing (extension).
+* :mod:`repro.optimize.robustness` — the robust max-ISD boundary under
+  shadowing (extension).
 * :mod:`repro.optimize.placement` — repeater placement refinement (extension).
 """
 
@@ -19,8 +19,6 @@ __all__ = [
     "outage_matrix",
     "trial_generators",
     "wilson_interval",
-    "OutageResult",
-    "outage_probability",
     "robust_max_isd",
     "optimize_placement",
     "PlacementResult",
@@ -32,5 +30,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "OutageMatrix", "outage_matrix", "trial_generators", "wilson_interval",
     ),
     "placement": ("PlacementResult", "optimize_placement"),
-    "robustness": ("OutageResult", "outage_probability", "robust_max_isd"),
+    "robustness": ("robust_max_isd",),
 })

@@ -9,11 +9,11 @@ NR at an SNR > 29 dB."
 The sweep evaluates min-SNR over a fine position grid for each candidate ISD
 and returns the largest feasible one.  Candidate evaluation routes through the
 batched scenario engine (:mod:`repro.radio.batch`); because feasibility is
-monotone in ISD the default search bisects the candidate list (~log2 instead
-of ~linear evaluations), with ``exhaustive=True`` as the escape hatch that
-scans every candidate like the original implementation (and is verified equal
-to the bisection path in the tests).  An optional shadowing margin tightens
-the SNR constraint for robustness studies.
+monotone in ISD the search bisects the candidate list (~log2 instead of
+~linear evaluations).  The paper's full scan over every candidate is the test
+oracle ``tests/oracles/isd.py``; the bisection is pinned equal to it in the
+tests.  An optional shadowing margin tightens the SNR constraint for
+robustness studies.
 """
 
 from __future__ import annotations
@@ -30,10 +30,33 @@ from repro.errors import InfeasibleError
 from repro.radio.batch import evaluate_scenarios, min_snr_batch
 from repro.radio.link import LinkParams
 from repro.scenario.cache import ProfileCache
-from repro.scenario.grid import isd_candidates
 from repro.scenario.spec import Scenario
 
-__all__ = ["IsdSweepResult", "max_isd_for_n", "sweep_max_isd"]
+__all__ = ["IsdSweepResult", "isd_candidates", "max_isd_for_n",
+           "sweep_max_isd"]
+
+
+def isd_candidates(n_repeaters: int,
+                   spacing_m: float = constants.LP_NODE_SPACING_M,
+                   isd_step_m: float = constants.ISD_STEP_M,
+                   isd_max_m: float = 4000.0) -> np.ndarray:
+    """Candidate ISDs of the paper's sweep for one repeater count.
+
+    Walks up in ``isd_step_m`` steps from the smallest geometry that fits the
+    repeater field (identical to the seed ``max_isd_for_n`` candidate set).
+
+    Args:
+        n_repeaters: Repeater count the candidates must accommodate.
+        spacing_m: Repeater spacing [m].
+        isd_step_m: Sweep step [m] (default: the paper's 50 m).
+        isd_max_m: Upper bound of the candidate axis [m].
+
+    Returns:
+        Ascending candidate ISD array [m].
+    """
+    min_isd = spacing_m * max(0, n_repeaters - 1) + 2.0 * isd_step_m
+    return np.arange(max(isd_step_m, min_isd), isd_max_m + isd_step_m / 2,
+                     isd_step_m)
 
 
 @dataclass(frozen=True)
@@ -73,18 +96,14 @@ def max_isd_for_n(n_repeaters: int,
                   resolution_m: float = 1.0,
                   shadowing_margin_db: float = 0.0,
                   threshold_db: float | None = None,
-                  exhaustive: bool = False,
-                  cache: ProfileCache | None = None,
-                  jobs: int | None = None) -> tuple[float, float]:
+                  cache: ProfileCache | None = None) -> tuple[float, float]:
     """Largest ISD sustaining peak throughput everywhere with N repeaters.
 
     Returns ``(max_isd_m, min_snr_db_at_max)``.  The candidate set walks up in
     ``isd_step_m`` steps from the smallest geometry that fits the repeater
-    field.  By default the search bisects the candidates — feasibility is
-    monotone in ISD for every supported noise model — evaluating only
-    ~log2(candidates) profiles; ``exhaustive=True`` scans all candidates
-    through the batched engine and keeps the largest feasible one, handling
-    hypothetical non-monotone profiles exactly like the original sweep.
+    field.  The search bisects the candidates — feasibility is monotone in
+    ISD for every supported noise model — evaluating only ~log2(candidates)
+    profiles.
 
     The default SNR constraint is the paper's stated "SNR > 29 dB"; pass a
     ``capacity`` model to use its exact saturation point (29.30 dB with paper
@@ -109,14 +128,6 @@ def max_isd_for_n(n_repeaters: int,
         f"{n_repeaters} repeaters (threshold {threshold:.2f} dB)")
     if not scenarios:
         raise infeasible
-
-    if exhaustive:
-        snrs = min_snr_batch(scenarios, cache=cache, jobs=jobs) - shadowing_margin_db
-        feasible = np.nonzero(snrs >= threshold)[0]
-        if feasible.size == 0:
-            raise infeasible
-        best = int(feasible[-1])
-        return float(candidates[best]), float(snrs[best])
 
     snr_memo: dict[int, float] = {}
 
@@ -156,7 +167,6 @@ def sweep_max_isd(n_max: int = 10,
                   include_zero: bool = True,
                   shadowing_margin_db: float = 0.0,
                   threshold_db: float | None = None,
-                  exhaustive: bool = False,
                   cache: ProfileCache | None = None,
                   jobs: int | None = None) -> IsdSweepResult:
     """The full Section V sweep: max ISD for each repeater count.
@@ -169,7 +179,7 @@ def sweep_max_isd(n_max: int = 10,
     also reproduced.
 
     ``jobs`` > 1 evaluates the repeater counts concurrently; ``cache`` memoizes
-    profiles across calls; ``exhaustive`` forwards to :func:`max_isd_for_n`.
+    profiles across calls.
     """
     link = link or LinkParams()
     threshold = _resolve_threshold(capacity, threshold_db)
@@ -180,7 +190,7 @@ def sweep_max_isd(n_max: int = 10,
         return max_isd_for_n(
             n, link, None, spacing_m, isd_step_m, isd_max_m,
             resolution_m, shadowing_margin_db, threshold_db=threshold,
-            exhaustive=exhaustive, cache=cache)
+            cache=cache)
 
     if jobs is not None and jobs > 1 and len(counts) > 1:
         with ThreadPoolExecutor(max_workers=min(jobs, len(counts))) as pool:

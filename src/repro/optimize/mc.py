@@ -1,9 +1,9 @@
 """Vectorized Monte-Carlo shadowing engine.
 
-The scalar robustness path (:mod:`repro.optimize.robustness`) asks, one trial
-at a time, whether a shadowing trace pushes some track position of a profile
-below the SNR threshold.  This module batches that question across **every
-(candidate, trial, position)** at once:
+A Monte-Carlo robustness study asks, trial by trial, whether a shadowing
+trace pushes some track position of a profile below the SNR threshold.  This
+module batches that question across **every (candidate, trial, position)**
+at once:
 
 * per-trial generators are seeded as ``default_rng([seed, t])`` — the
   *common-random-number* (CRN) contract: trial ``t``'s standard-normal stream
@@ -13,7 +13,7 @@ below the SNR threshold.  This module batches that question across **every
   tracks the monotone deterministic profiles, which makes bisection over its
   feasibility boundary sound — see
   :func:`repro.optimize.robustness.robust_max_isd`, pinned equal to the
-  exhaustive scan across seed sweeps in the tests);
+  full-scan oracle ``tests/oracles/isd.py`` across seed sweeps in the tests);
 * one standard-normal matrix ``[trial, position]`` is drawn per
   ``(seed, trials)`` stream, at the longest grid of the call, and shared by
   all candidates;
@@ -67,7 +67,7 @@ def readonly_array(values) -> np.ndarray:
     Copies when the input is a writeable array so a caller-owned buffer is
     never mutated; already-frozen arrays pass through without a copy.  Shared
     by the result dataclasses that hold ndarray fields (:class:`OutageMatrix`,
-    :class:`repro.optimize.robustness.OutageResult`).
+    :class:`repro.simulation.batch.DayBatchResult`).
 
     Args:
         values: Anything :func:`numpy.asarray` accepts.

@@ -1,10 +1,10 @@
 """Monte-Carlo robustness of an ISD choice under shadowing.
 
 The paper's sweep is deterministic.  Real corridors see log-normal shadowing
-(vegetation, cuttings, bridges); this module estimates the *outage
-probability* — the chance that some track position of a segment falls below
-the peak-throughput SNR — as a function of ISD, and derives the shadowing
-margin a robust design should back off.
+(vegetation, cuttings, bridges); :func:`robust_max_isd` finds the largest
+ISD whose *outage probability* — the chance that some track position of a
+segment falls below the peak-throughput SNR — stays below a target, which
+quantifies the ISD a robust design should back off.
 
 All Monte-Carlo evaluation routes through the vectorized engine
 (:mod:`repro.optimize.mc`): trials are seeded per-trial (common random
@@ -16,102 +16,20 @@ boundary instead of scanning the whole ISD ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro import constants
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError, InfeasibleError
-from repro.optimize.mc import outage_matrix, readonly_array, wilson_interval
+from repro.optimize.isd import isd_candidates
+from repro.optimize.mc import outage_matrix
 from repro.propagation.fading import LogNormalShadowing
 from repro.radio.batch import evaluate_scenarios
-from repro.radio.link import LinkParams, SnrProfile, compute_snr_profile
+from repro.radio.link import LinkParams
 from repro.scenario.cache import ProfileCache
-from repro.scenario.grid import isd_candidates
 from repro.scenario.spec import Scenario
 
-__all__ = ["OutageResult", "outage_probability", "robust_max_isd"]
-
-
-@dataclass(frozen=True, eq=False)
-class OutageResult:
-    """Monte-Carlo outage estimate for one layout.
-
-    ``min_snr_samples_db`` is kept as a (read-only) float ndarray — one value
-    per trial — so high trial counts don't pay tuple-of-boxed-floats memory
-    and the quantile/CI helpers can reduce it directly.  Equality and hashing
-    are defined explicitly (the generated ones choke on ndarray fields).
-    """
-
-    layout: CorridorLayout
-    threshold_db: float
-    trials: int
-    outages: int
-    min_snr_samples_db: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "min_snr_samples_db",
-                           readonly_array(self.min_snr_samples_db))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OutageResult):
-            return NotImplemented
-        return (self.layout == other.layout
-                and self.threshold_db == other.threshold_db
-                and self.trials == other.trials
-                and self.outages == other.outages
-                and np.array_equal(self.min_snr_samples_db,
-                                   other.min_snr_samples_db))
-
-    def __hash__(self) -> int:
-        return hash((self.layout, self.threshold_db, self.trials, self.outages))
-
-    @property
-    def outage_probability(self) -> float:
-        return self.outages / self.trials
-
-    @property
-    def median_min_snr_db(self) -> float:
-        return float(np.median(self.min_snr_samples_db))
-
-    def quantile(self, q):
-        """Quantile(s) of the per-trial min-SNR samples (dB)."""
-        return np.quantile(self.min_snr_samples_db, q)
-
-    def ci95(self) -> tuple[float, float]:
-        """Wilson 95% confidence interval on the outage probability."""
-        low, high = wilson_interval(self.outages, self.trials)
-        return float(low), float(high)
-
-
-def outage_probability(layout: CorridorLayout,
-                       shadowing: LogNormalShadowing | None = None,
-                       link: LinkParams | None = None,
-                       threshold_db: float = constants.PEAK_SNR_CRITERION_DB,
-                       trials: int = 200,
-                       resolution_m: float = 5.0,
-                       seed: int = 2022,
-                       profile: SnrProfile | None = None) -> OutageResult:
-    """Probability that shadowing pushes some position below the threshold.
-
-    One shadowing trace per trial is applied to the *total* signal (the
-    dominant serving path), a conservative single-field approximation that
-    avoids per-source correlation assumptions.  A precomputed ``profile`` for
-    the layout (e.g. from the batched engine) skips the deterministic
-    evaluation.  Trials are seeded individually (``default_rng([seed, t])``)
-    and run through :func:`repro.optimize.mc.outage_matrix`.
-    """
-    if trials <= 0:
-        raise ConfigurationError(f"trials must be positive, got {trials}")
-    shadowing = shadowing or LogNormalShadowing()
-    if profile is None:
-        profile = compute_snr_profile(layout, link, resolution_m=resolution_m)
-    matrix = outage_matrix([profile], shadowing, threshold_db=threshold_db,
-                           trials=trials, seed=seed)
-    return OutageResult(layout=layout, threshold_db=threshold_db, trials=trials,
-                        outages=int(matrix.outage_counts[0]),
-                        min_snr_samples_db=matrix.min_snr_db[0])
+__all__ = ["robust_max_isd"]
 
 
 def robust_max_isd(n_repeaters: int,
@@ -125,8 +43,7 @@ def robust_max_isd(n_repeaters: int,
                    resolution_m: float = 5.0,
                    seed: int = 2022,
                    cache: ProfileCache | None = None,
-                   jobs: int | None = None,
-                   exhaustive: bool = False) -> tuple[float, float]:
+                   jobs: int | None = None) -> tuple[float, float]:
     """Largest ISD whose shadowing outage stays below ``target_outage``.
 
     Returns ``(isd_m, outage_probability)``.  Always at least one 50 m step
@@ -137,17 +54,16 @@ def robust_max_isd(n_repeaters: int,
     Because every candidate is scored under **common random numbers** (same
     per-trial shadowing streams, see :mod:`repro.optimize.mc`), the empirical
     outage curve tracks the monotone-in-ISD behaviour of the deterministic
-    profiles, and the default search bisects the feasibility boundary —
+    profiles, and the search bisects the feasibility boundary —
     ~log2(candidates) Monte-Carlo evaluations instead of a linear scan.
     CRN cancels trial noise between candidates but the per-trial minima are
     taken over *different* position grids, so with finite trials a local
     wobble in the empirical curve is still possible — in that (rare) case the
     bisection settles on a smaller feasible ISD than the scan would (a wobble
     at the very bottom of the ladder instead falls back to the full scan, so
-    infeasibility is only ever declared from a complete evaluation).
-    ``exhaustive=True`` scores every candidate (one stacked evaluation) and
-    keeps the largest feasible one, exactly like the original implementation;
-    the tests pin it equal to the bisection across seed x sigma sweeps.
+    infeasibility is only ever declared from a complete evaluation).  The
+    tests pin the bisection equal to the full scan (the test oracle
+    ``tests/oracles/isd.py``) across seed x sigma sweeps.
 
     Raises :class:`InfeasibleError` when no candidate meets the target.
     """
@@ -178,9 +94,6 @@ def robust_max_isd(n_repeaters: int,
         best = int(feasible[-1])
         return float(candidates[best]), float(outages[best])
 
-    if exhaustive:
-        return scan()
-
     memo: dict[int, float] = {}
 
     def outage_at(index: int) -> float:
@@ -196,7 +109,7 @@ def robust_max_isd(n_repeaters: int,
         # The smallest candidate already misses the target: either genuine
         # infeasibility or finite-trial wobble right at the boundary.  The
         # full scan settles it either way, so the bisection never declares
-        # infeasible where the exhaustive path would not.
+        # infeasible where a scan of every candidate would not.
         return scan()
     if outage_at(hi) <= target_outage:
         best = hi

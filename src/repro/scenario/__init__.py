@@ -1,9 +1,7 @@
-"""Scenario layer: frozen evaluation specs, sweep grids, and profile caching.
+"""Scenario layer: frozen evaluation specs and profile caching.
 
 * :mod:`repro.scenario.spec` — :class:`Scenario`, one fully specified Eq. (2)
   evaluation with a stable content hash.
-* :mod:`repro.scenario.grid` — :class:`ScenarioGrid`, declarative sweep axes
-  (ISD x N x link perturbations) expanded into scenario batches.
 * :mod:`repro.scenario.cache` — :func:`content_token`, the canonical
   parameter token every content hash is built from; :class:`ArrayCache`,
   the generic LRU + disk memo machinery; and :class:`ProfileCache`, its
@@ -18,15 +16,12 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "Scenario",
-    "ScenarioGrid",
     "ArrayCache",
     "ProfileCache",
     "content_token",
-    "isd_candidates",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "spec": ("Scenario",),
-    "grid": ("ScenarioGrid", "isd_candidates"),
     "cache": ("ArrayCache", "ProfileCache", "content_token"),
 })

@@ -33,10 +33,8 @@ __all__ = [
     "WeatherYear",
     "WeatherKey",
     "WeatherCache",
-    "synthesize_weather_year",
     "simulate_systems",
     "simulate_candidates",
-    "candidate_grid",
     "PvArray",
     "Battery",
     "LoadProfile",
@@ -61,7 +59,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "sizing": ("SizingResult", "find_minimal_system"),
     "batch": (
-        "WeatherCache", "WeatherKey", "candidate_grid", "simulate_candidates",
-        "simulate_systems", "synthesize_weather_year",
+        "WeatherCache", "WeatherKey", "simulate_candidates",
+        "simulate_systems",
     ),
 })

@@ -5,9 +5,9 @@ A per-system scalar walk (a Python ``for day / for hour`` double loop that
 re-runs the full synthetic-weather synthesis for every candidate; kept as the
 test oracle ``tests/oracles/solar.py``) pays two costs this module removes:
 
-* :func:`synthesize_weather_year` produces the whole year as one
-  ``(days, 24)`` plane-of-array tensor per ``(location, WeatherParams, seed,
-  start day)`` key and memoizes it in a :class:`WeatherCache` (the generic
+* the whole weather year is one ``(days, 24)`` plane-of-array tensor per
+  ``(location, WeatherParams, seed, start day)`` key, memoized in a
+  :class:`WeatherCache` (the generic
   :class:`~repro.scenario.cache.ArrayCache` machinery from the scenario
   layer), so a sizing ladder, a candidate grid, or repeated experiment runs
   synthesize each weather year exactly once;
@@ -46,10 +46,8 @@ from repro.solar.pv import PvArray
 __all__ = [
     "WeatherKey",
     "WeatherCache",
-    "synthesize_weather_year",
     "simulate_systems",
     "simulate_candidates",
-    "candidate_grid",
 ]
 
 
@@ -131,32 +129,6 @@ class WeatherCache(ArrayCache):
 _DEFAULT_WEATHER_CACHE = WeatherCache(maxsize=64)
 
 
-def synthesize_weather_year(location: Location,
-                            params: WeatherParams | None = None,
-                            seed: int = 2022,
-                            days: int = 365,
-                            start_day_of_year: int = 1,
-                            cache: WeatherCache | None = None) -> WeatherYear:
-    """One memoized ``(days, 24)`` weather-year tensor for a location.
-
-    Args:
-        location: Study location (coordinates + monthly climatology).
-        params: Weather-character override; ``None`` uses the location's
-            calibrated parameters (same resolution rule as
-            :class:`~repro.solar.irradiance.SyntheticWeather`).
-        seed: Seed of the daily-clearness AR(1) process.
-        days: Days to synthesize.
-        start_day_of_year: First day of year (1-based).
-        cache: Weather memo; ``None`` uses the process-wide default.
-
-    Returns:
-        The :class:`~repro.solar.irradiance.WeatherYear` tensor —
-        bit-identical to per-day ``day_irradiance`` synthesis.
-    """
-    weather = SyntheticWeather(location, params=params, seed=seed)
-    return _weather_year_for(weather, days, start_day_of_year, cache)
-
-
 def _weather_year_for(weather: SyntheticWeather, days: int,
                       start_day_of_year: int,
                       cache: WeatherCache | None) -> WeatherYear:
@@ -167,29 +139,6 @@ def _weather_year_for(weather: SyntheticWeather, days: int,
         year = weather.year_tensor(days, start_day_of_year)
         cache.put(key, year)
     return year
-
-
-def candidate_grid(pv_peaks_w, battery_whs) -> tuple[tuple[float, float], ...]:
-    """Expand PV-peak × battery-capacity axes into a candidate list.
-
-    The grid is ordered battery-major within each PV size, matching the
-    cheapest-first walk of the sizing ladder.
-
-    Args:
-        pv_peaks_w: PV peak-power axis [Wp].
-        battery_whs: Battery-capacity axis [Wh].
-
-    Returns:
-        ``(pv_peak_w, battery_wh)`` tuples, PV-major.
-
-    Raises:
-        ConfigurationError: When either axis is empty.
-    """
-    candidates = tuple((float(pv), float(wh))
-                       for pv in pv_peaks_w for wh in battery_whs)
-    if not candidates:
-        raise ConfigurationError("candidate grid must not be empty")
-    return candidates
 
 
 def simulate_systems(systems,
@@ -293,8 +242,7 @@ def simulate_candidates(location: Location,
 
     Args:
         location: Study location shared by every candidate.
-        candidates: ``(pv_peak_w, battery_wh)`` tuples (see
-            :func:`candidate_grid`).
+        candidates: ``(pv_peak_w, battery_wh)`` tuples.
         load: Optional load-profile override (default: the repeater load).
         weather: Optional weather-character override.
         seed: Weather-year seed shared by every candidate.

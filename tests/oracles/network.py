@@ -96,7 +96,10 @@ def segment_frontiers_scalar(
             energy_w[i, k] = energy
             cost_eur[i, k] = _segment_cost(length_km, segs_per_row,
                                            n_service, n_donor, energy,
-                                           relay_trains, option, assumptions,
+                                           relay_trains,
+                                           catalog.relay_fleet
+                                           .relays_per_train,
+                                           option, assumptions,
                                            horizon_years)
             feasible[i, k] = True
 

@@ -6,6 +6,7 @@ actually catch the failure modes they exist for (missing nav targets,
 orphan pages, broken links and anchors, stale API pages).
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,15 @@ class TestRealSite:
         assert {"repro.scenario.spec", "repro.radio.batch",
                 "repro.solar.batch", "repro.optimize.mc",
                 "repro.simulation.batch", "repro.study.spec"} <= documented
+
+    @pytest.mark.parametrize("page", ("README.md", "docs/index.md"))
+    def test_quickstart_runs(self, page, tmp_path, monkeypatch):
+        # The first python block is the quickstart; a name it uses that
+        # leaves the package fails here instead of going stale in the docs.
+        text = (REPO_ROOT / page).read_text()
+        block = re.search(r"^```python\n(.*?)^```", text, re.M | re.S)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(block.group(1), page, "exec"), {"__name__": "quickstart"})
 
 
 # -- strict checks catch real failures ----------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro.optimize.mc as mc
+from oracles.isd import robust_max_isd_scan
 from oracles.mc import outage_matrix_scalar, sample, sample_batch
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
@@ -27,10 +28,10 @@ from repro.optimize.mc import (
     trial_generators,
     wilson_interval,
 )
-from repro.optimize.robustness import outage_probability, robust_max_isd
+from repro.optimize.robustness import robust_max_isd
 from repro.propagation.fading import LogNormalShadowing
 from repro.radio.batch import evaluate_scenarios
-from repro.radio.link import SnrProfile
+from repro.radio.link import SnrProfile, compute_snr_profile
 from repro.scenario.spec import Scenario
 
 STUDIES_DIR = Path(__file__).resolve().parents[1] / "studies"
@@ -472,64 +473,42 @@ class TestWilsonInterval:
             wilson_interval(1, 0)
 
 
-class TestOutageResultHelpers:
-    def test_samples_are_readonly_ndarray(self):
-        layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
-        result = outage_probability(layout, trials=20, resolution_m=10.0)
-        assert isinstance(result.min_snr_samples_db, np.ndarray)
-        assert result.min_snr_samples_db.shape == (20,)
-        with pytest.raises(ValueError):
-            result.min_snr_samples_db[0] = 0.0
+class TestSingleProfileOutage:
+    PROFILE = compute_snr_profile(
+        CorridorLayout.with_uniform_repeaters(1250.0, 1), resolution_m=10.0)
 
-    def test_quantile_and_ci95(self):
-        layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
-        result = outage_probability(layout, trials=40, resolution_m=10.0)
-        assert result.quantile(0.5) == pytest.approx(result.median_min_snr_db)
-        assert result.quantile(0.1) <= result.quantile(0.9)
-        low, high = result.ci95()
-        assert low <= result.outage_probability <= high
-
-    @staticmethod
-    def _scalar(layout):
-        from repro.radio.link import compute_snr_profile
-
-        profile = compute_snr_profile(layout, resolution_m=10.0)
-        return outage_matrix_scalar([profile], LogNormalShadowing(), 30,
+    @pytest.fixture
+    def scalar(self):
+        return outage_matrix_scalar([self.PROFILE], LogNormalShadowing(), 30,
                                     2022)[0]
 
-    def test_matches_the_scalar_walk(self):
-        layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
-        scalar = self._scalar(layout)
-        batched = outage_probability(layout, trials=30, resolution_m=10.0)
-        assert batched.outages == int(np.count_nonzero(
+    def test_matches_the_scalar_walk(self, scalar):
+        batched = outage_matrix([self.PROFILE], trials=30)
+        assert batched.outage_counts[0] == int(np.count_nonzero(
             scalar < batched.threshold_db))
-        np.testing.assert_allclose(batched.min_snr_samples_db, scalar,
+        np.testing.assert_allclose(batched.min_snr_db[0], scalar,
                                    rtol=0.0, atol=1e-9)
 
-    def test_step_loop_kernel_bit_identical(self, reference_kernels):
-        layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
-        reference = outage_probability(layout, trials=30, resolution_m=10.0)
-        assert np.array_equal(reference.min_snr_samples_db,
-                              self._scalar(layout))
+    def test_step_loop_kernel_bit_identical(self, scalar, reference_kernels):
+        reference = outage_matrix([self.PROFILE], trials=30)
+        assert np.array_equal(reference.min_snr_db[0], scalar)
 
 
 class TestRobustMaxIsdBisection:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("sigma_db", (2.0, 4.0))
-    def test_exhaustive_equals_bisection_seed_sweep(self, seed, sigma_db):
+    def test_bisection_equals_scan_seed_sweep(self, seed, sigma_db):
         shadowing = LogNormalShadowing(sigma_db=sigma_db)
         kwargs = dict(target_outage=0.1, shadowing=shadowing, trials=40,
                       resolution_m=10.0, isd_max_m=1500.0, seed=seed)
-        assert (robust_max_isd(1, **kwargs)
-                == robust_max_isd(1, exhaustive=True, **kwargs))
+        assert robust_max_isd(1, **kwargs) == robust_max_isd_scan(1, **kwargs)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_exhaustive_equals_bisection_multi_repeater(self, seed):
+    def test_bisection_equals_scan_multi_repeater(self, seed):
         kwargs = dict(target_outage=0.3,
                       shadowing=LogNormalShadowing(sigma_db=2.0), trials=30,
                       resolution_m=10.0, isd_max_m=1200.0, seed=seed)
-        assert (robust_max_isd(2, **kwargs)
-                == robust_max_isd(2, exhaustive=True, **kwargs))
+        assert robust_max_isd(2, **kwargs) == robust_max_isd_scan(2, **kwargs)
 
     def test_step_loop_kernel_equals_fused(self):
         from oracles import kernels as oracle_kernels
@@ -541,8 +520,7 @@ class TestRobustMaxIsdBisection:
         with oracle_kernels.substituted():
             assert robust_max_isd(1, **kwargs) == fused
 
-    @pytest.mark.parametrize("exhaustive", (False, True))
-    def test_infeasible_raises_infeasible_error(self, exhaustive):
+    def test_infeasible_raises_infeasible_error(self):
         from repro.errors import InfeasibleError
 
         # N=8 at the registered maxima has no margin; a 1% target under
@@ -550,8 +528,7 @@ class TestRobustMaxIsdBisection:
         with pytest.raises(InfeasibleError):
             robust_max_isd(8, target_outage=0.01,
                            shadowing=LogNormalShadowing(sigma_db=6.0),
-                           trials=20, resolution_m=10.0, isd_max_m=1700.0,
-                           exhaustive=exhaustive)
+                           trials=20, resolution_m=10.0, isd_max_m=1700.0)
 
 
 class TestRobustnessGridExperiment:

@@ -28,6 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.baselines.onboard_relay import OnboardRelayFleet
+from repro.economics.costmodel import CostAssumptions
 from repro.errors import ConfigurationError, GeometryError, InfeasibleError
 from repro.network import (
     DemandProfile,
@@ -376,6 +378,30 @@ class TestAssignmentSurface:
         catalog = TechnologyCatalog.from_names("conventional,mobile_relay")
         labels = [o.label for o in catalog.options()]
         assert labels == ["conventional@500", "mobile_relay@2650"]
+
+
+class TestRelayFleetPricing:
+    def test_relay_capex_follows_the_catalog_fleet(self):
+        # Energy rises by relay_trains x the extra per-train relay power, so
+        # the energy columns give relay_trains; each attributed train then
+        # carries 4 - 2 = 2 more relays to buy.
+        base_fleet = OnboardRelayFleet()
+        big_fleet = OnboardRelayFleet(relays_per_train=4)
+        base, big = (
+            _frontiers(segments=4, catalog=TechnologyCatalog(
+                technologies=("mobile_relay",), relay_fleet=fleet))
+            for fleet in (base_fleet, big_fleet))
+        assumptions = CostAssumptions()
+        energy_rise = big.energy_w[:, 0] - base.energy_w[:, 0]
+        relay_trains = energy_rise / (big_fleet.active_power_per_train_w
+                                      - base_fleet.active_power_per_train_w)
+        opex_rise = (energy_rise * 24.0 * 365.0 / 1000.0
+                     * assumptions.energy_price_per_kwh * base.horizon_years)
+        capex_rise = big.cost_eur[:, 0] - base.cost_eur[:, 0] - opex_rise
+        assert np.all(relay_trains > 0)
+        np.testing.assert_allclose(
+            capex_rise, relay_trains * 2 * assumptions.onboard_relay_capex,
+            rtol=1e-9)
 
 
 # -- unique-row solving vs. the full-row reference ----------------------------

@@ -1,10 +1,11 @@
 """One engine per workload: no public callable selects a kernel or engine.
 
-Every production path runs its batch engine on the fused kernels.  The
-scalar engines and step-loop kernels are test oracles (``tests/oracles/``),
-so no public :mod:`repro` callable takes ``backend=``, ``engine=`` appears
-only where it names a study adapter (and on the network frontier pass,
-which accepts only ``"batched"``), and no ``src/`` module imports the
+Every production path runs its batch engine on the fused kernels, and the
+max-ISD searches bisect.  The scalar engines, step-loop kernels and full
+max-ISD scans are test oracles (``tests/oracles/``), so no public
+:mod:`repro` callable takes ``backend=`` or ``exhaustive=``, ``engine=``
+appears only where it names a study adapter (and on the network frontier
+pass, which accepts only ``"batched"``), and no ``src/`` module imports the
 oracles.
 """
 
@@ -72,6 +73,9 @@ CALLABLES = dict(_public_callables())
 
 def test_the_walk_covers_the_engines():
     for name in ("repro.optimize.mc.outage_matrix",
+                 "repro.optimize.isd.sweep_max_isd",
+                 "repro.optimize.robustness.robust_max_isd",
+                 "repro.experiments.maxisd.run_maxisd",
                  "repro.simulation.batch.simulate_days",
                  "repro.solar.batch.simulate_systems",
                  "repro.solar.degradation.project_lifetime",
@@ -85,6 +89,12 @@ def test_the_walk_covers_the_engines():
 def test_no_public_callable_takes_a_backend():
     offenders = sorted(name for name, obj in CALLABLES.items()
                        if "backend" in _parameters(obj))
+    assert offenders == []
+
+
+def test_no_public_callable_takes_exhaustive():
+    offenders = sorted(name for name, obj in CALLABLES.items()
+                       if "exhaustive" in _parameters(obj))
     assert offenders == []
 
 

@@ -1,18 +1,25 @@
 """Tests for the max-ISD sweep and the placement optimizer."""
 
+import numpy as np
 import pytest
 
 from repro import constants
 from repro.capacity.shannon import TruncatedShannonModel
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError, InfeasibleError
-from repro.optimize.isd import max_isd_for_n, sweep_max_isd
+from repro.optimize.isd import isd_candidates, max_isd_for_n, sweep_max_isd
 from repro.optimize.placement import optimize_placement
 from repro.radio.link import LinkParams, compute_snr_profile
 from repro.radio.noise import RepeaterNoiseModel
 
 
 class TestMaxIsd:
+    def test_isd_candidates_match_seed_rule(self):
+        cands = isd_candidates(10, isd_step_m=50.0, isd_max_m=4000.0)
+        assert cands[0] == 1900.0  # 200 * 9 + 2 * 50
+        assert cands[-1] == 4000.0
+        assert np.all(np.diff(cands) == 50.0)
+
     def test_n1_matches_paper_1250(self):
         isd, snr = max_isd_for_n(1)
         assert isd == 1250.0

@@ -4,52 +4,50 @@ import pytest
 
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
-from repro.optimize.robustness import outage_probability, robust_max_isd
+from repro.optimize.mc import outage_matrix
+from repro.optimize.robustness import robust_max_isd
 from repro.propagation.fading import LogNormalShadowing
+from repro.radio.link import compute_snr_profile
 from repro.solar.climates import LOCATIONS
 from repro.solar.degradation import AgingParams, project_lifetime
+
+
+def _outage(layout, shadowing=None, trials=100, resolution_m=10.0,
+            seed=2022):
+    """Outage probability of one layout's profile (one-row outage matrix)."""
+    profile = compute_snr_profile(layout, resolution_m=resolution_m)
+    matrix = outage_matrix([profile], shadowing, trials=trials, seed=seed)
+    return float(matrix.outage_probability[0])
 
 
 class TestOutage:
     def test_comfortable_layout_low_outage(self):
         # At 500 m the margin is ~5 dB: mild shadowing rarely breaks it.
         layout = CorridorLayout.conventional()
-        result = outage_probability(layout, LogNormalShadowing(sigma_db=2.0),
-                                    trials=100, resolution_m=10.0)
-        assert result.outage_probability < 0.2
+        assert _outage(layout, LogNormalShadowing(sigma_db=2.0)) < 0.2
 
     def test_marginal_layout_high_outage(self):
         # The registered maximum ISD has near-zero margin by construction:
         # any shadowing causes frequent outage.
         layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
-        result = outage_probability(layout, LogNormalShadowing(sigma_db=4.0),
-                                    trials=100, resolution_m=10.0)
-        assert result.outage_probability > 0.5
+        assert _outage(layout, LogNormalShadowing(sigma_db=4.0)) > 0.5
 
     def test_stronger_shadowing_more_outage(self):
         layout = CorridorLayout.conventional()
-        mild = outage_probability(layout, LogNormalShadowing(sigma_db=1.0),
-                                  trials=100, resolution_m=10.0)
-        harsh = outage_probability(layout, LogNormalShadowing(sigma_db=6.0),
-                                   trials=100, resolution_m=10.0)
-        assert harsh.outage_probability >= mild.outage_probability
+        mild = _outage(layout, LogNormalShadowing(sigma_db=1.0))
+        harsh = _outage(layout, LogNormalShadowing(sigma_db=6.0))
+        assert harsh >= mild
 
     def test_deterministic_given_seed(self):
         layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
-        a = outage_probability(layout, trials=50, resolution_m=10.0, seed=3)
-        b = outage_probability(layout, trials=50, resolution_m=10.0, seed=3)
-        assert a.outages == b.outages
+        assert (_outage(layout, trials=50, seed=3)
+                == _outage(layout, trials=50, seed=3))
 
     def test_zero_sigma_matches_deterministic(self):
         layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
-        result = outage_probability(layout, LogNormalShadowing(sigma_db=0.0),
-                                    trials=10, resolution_m=5.0)
         # Deterministic min SNR is above the 29 dB criterion: no outage.
-        assert result.outage_probability == 0.0
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ConfigurationError):
-            outage_probability(CorridorLayout.conventional(), trials=0)
+        assert _outage(layout, LogNormalShadowing(sigma_db=0.0), trials=10,
+                       resolution_m=5.0) == 0.0
 
 
 class TestRobustIsd:

@@ -1,4 +1,4 @@
-"""Tests for the scenario layer: spec hashing, grid expansion, profile cache."""
+"""Tests for the scenario layer: spec hashing and the profile cache."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
 from repro.radio.link import LinkParams
 from repro.radio.noise import RepeaterNoiseModel
-from repro.scenario import ProfileCache, Scenario, ScenarioGrid, isd_candidates
+from repro.scenario import ProfileCache, Scenario
 
 PROFILE_FIELDS = ("positions_m", "source_rsrp_dbm", "total_signal_dbm",
                   "total_noise_dbm", "snr_db")
@@ -58,51 +58,6 @@ class TestScenario:
         got = sc.evaluate()
         for name in PROFILE_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(ref, name))
-
-
-class TestScenarioGrid:
-    def test_isd_candidates_match_seed_rule(self):
-        cands = isd_candidates(10, isd_step_m=50.0, isd_max_m=4000.0)
-        assert cands[0] == 1900.0  # 200 * 9 + 2 * 50
-        assert cands[-1] == 4000.0
-        assert np.all(np.diff(cands) == 50.0)
-
-    def test_cartesian_expansion(self):
-        grid = ScenarioGrid(isd_values_m=(1000.0, 1500.0), n_values=(0, 2),
-                            resolution_m=10.0,
-                            hp_eirp_offsets_db=(0.0, 3.0))
-        scenarios = grid.build()
-        assert len(scenarios) == 2 * 2 * 2
-        eirps = {sc.link.hp_eirp_dbm for sc in scenarios}
-        assert eirps == {LinkParams().hp_eirp_dbm, LinkParams().hp_eirp_dbm + 3.0}
-
-    def test_skips_infeasible_geometries(self):
-        # 8 nodes span 1400 m: they do not fit a 1000 m segment.
-        grid = ScenarioGrid(isd_values_m=(1000.0, 2000.0), n_values=(8,),
-                            resolution_m=10.0)
-        scenarios = grid.build()
-        assert [sc.layout.isd_m for sc in scenarios] == [2000.0]
-
-    def test_strict_mode_raises_on_infeasible(self):
-        from repro.errors import GeometryError
-
-        grid = ScenarioGrid(isd_values_m=(1000.0,), n_values=(8,),
-                            skip_infeasible=False)
-        with pytest.raises(GeometryError):
-            grid.build()
-
-    def test_perturbations_change_hashes(self):
-        grid = ScenarioGrid(isd_values_m=(1000.0,), n_values=(1,),
-                            resolution_m=10.0,
-                            noise_figure_offsets_db=(-1.0, 0.0, 1.0))
-        hashes = {sc.content_hash for sc in grid.build()}
-        assert len(hashes) == 3
-
-    def test_isd_sweep_matches_candidates(self):
-        grid = ScenarioGrid.isd_sweep(3, isd_step_m=50.0, isd_max_m=2000.0,
-                                      resolution_m=5.0)
-        cands = isd_candidates(3, isd_step_m=50.0, isd_max_m=2000.0)
-        assert [sc.layout.isd_m for sc in grid.build()] == list(cands)
 
 
 class TestProfileCache:
@@ -183,15 +138,3 @@ class TestProfileCache:
         cache = ProfileCache(maxsize=4, cache_dir=tmp_path)
         cache.get_or_compute(make_scenario())
         assert not [p for p in tmp_path.iterdir() if p.suffix != ".bundle"]
-
-
-class TestGridLen:
-    def test_len_matches_build(self):
-        grid = ScenarioGrid(isd_values_m=(1000.0, 2000.0), n_values=(0, 8),
-                            resolution_m=10.0, hp_eirp_offsets_db=(0.0, 3.0))
-        assert len(grid) == len(grid.build())  # 8 nodes don't fit 1000 m
-
-    def test_len_without_skip(self):
-        grid = ScenarioGrid(isd_values_m=(2000.0,), n_values=(0, 1),
-                            skip_infeasible=False)
-        assert len(grid) == 2

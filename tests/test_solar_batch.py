@@ -21,10 +21,8 @@ from repro.errors import ConfigurationError
 from repro.solar.batch import (
     WeatherCache,
     WeatherKey,
-    candidate_grid,
     simulate_candidates,
     simulate_systems,
-    synthesize_weather_year,
 )
 from repro.solar.battery import Battery
 from repro.solar.climates import DOY_MONTH, LOCATIONS, months_of_days
@@ -133,12 +131,19 @@ class TestBatchBitIdentity:
         with pytest.raises(ConfigurationError):
             simulate_systems([system], initial_soc=1.5)
 
-    def test_candidate_grid_expansion(self):
-        grid = candidate_grid((540.0, 600.0), (720.0, 1440.0))
-        assert grid == ((540.0, 720.0), (540.0, 1440.0),
-                        (600.0, 720.0), (600.0, 1440.0))
-        with pytest.raises(ConfigurationError):
-            candidate_grid((), (720.0,))
+
+@pytest.fixture
+def synthesized(monkeypatch):
+    """Every weather year ``SyntheticWeather.year_tensor`` builds, in order."""
+    years = []
+    original = SyntheticWeather.year_tensor
+
+    def spy(self, *args, **kwargs):
+        years.append(original(self, *args, **kwargs))
+        return years[-1]
+
+    monkeypatch.setattr(SyntheticWeather, "year_tensor", spy)
+    return years
 
 
 class TestWeatherCache:
@@ -164,29 +169,40 @@ class TestWeatherCache:
         assert sorted(calls) == ["Berlin", "Madrid"]
         assert cache.hits >= 2
 
-    def test_same_key_same_object(self):
+    def test_same_key_same_object(self, synthesized):
         cache = WeatherCache(maxsize=4)
-        loc = LOCATIONS["lyon"]
-        first = synthesize_weather_year(loc, seed=9, cache=cache)
-        second = synthesize_weather_year(loc, seed=9, cache=cache)
-        assert first is second
+        systems = [OffGridSystem(LOCATIONS["lyon"], seed=9)]
+        simulate_systems(systems, weather_cache=cache)
+        simulate_systems(systems, weather_cache=cache)
+        assert len(synthesized) == 1
+        key = WeatherKey.for_weather(
+            SyntheticWeather(LOCATIONS["lyon"], seed=9), 365,
+            OffGridSystem.START_DAY_OF_YEAR)
+        assert cache.get(key) is synthesized[0]
 
-    def test_distinct_keys_distinct_weather(self):
+    def test_distinct_keys_distinct_weather(self, synthesized):
         cache = WeatherCache(maxsize=8)
-        base = synthesize_weather_year(LOCATIONS["lyon"], seed=9, cache=cache)
-        for other in (synthesize_weather_year(LOCATIONS["lyon"], seed=10, cache=cache),
-                      synthesize_weather_year(LOCATIONS["vienna"], seed=9, cache=cache),
-                      synthesize_weather_year(LOCATIONS["lyon"], seed=9,
-                                              start_day_of_year=100, cache=cache)):
+        simulate_systems([OffGridSystem(LOCATIONS["lyon"], seed=9),
+                          OffGridSystem(LOCATIONS["lyon"], seed=10),
+                          OffGridSystem(LOCATIONS["vienna"], seed=9)],
+                         weather_cache=cache)
+        simulate_systems([OffGridSystem(LOCATIONS["lyon"], seed=9)],
+                         start_day_of_year=100, weather_cache=cache)
+        base, *others = synthesized
+        assert len(others) == 3
+        for other in others:
             assert not np.array_equal(base.poa_w_m2, other.poa_w_m2)
         assert cache.misses == 4
 
-    def test_disk_roundtrip_bit_identical(self, tmp_path):
+    def test_disk_roundtrip_bit_identical(self, tmp_path, synthesized):
         warm = WeatherCache(maxsize=4, cache_dir=tmp_path)
-        fresh = synthesize_weather_year(LOCATIONS["berlin"], seed=4, cache=warm)
+        simulate_systems([OffGridSystem(LOCATIONS["berlin"], seed=4)],
+                         weather_cache=warm)
+        (fresh,) = synthesized
         cold = WeatherCache(maxsize=4, cache_dir=tmp_path)
         key = WeatherKey.for_weather(
-            SyntheticWeather(LOCATIONS["berlin"], seed=4), 365, 1)
+            SyntheticWeather(LOCATIONS["berlin"], seed=4), 365,
+            OffGridSystem.START_DAY_OF_YEAR)
         reloaded = cold.get(key)
         assert reloaded is not None
         assert np.array_equal(reloaded.poa_w_m2, fresh.poa_w_m2)
@@ -198,14 +214,16 @@ class TestWeatherCache:
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = WeatherCache(maxsize=4, cache_dir=tmp_path)
-        synthesize_weather_year(LOCATIONS["madrid"], seed=4, cache=cache)
+        simulate_systems([OffGridSystem(LOCATIONS["madrid"], seed=4)],
+                         weather_cache=cache)
         bundles = list(tmp_path.glob("*.bundle"))
         assert bundles
         for path in bundles:
             path.write_bytes(b"not a bundle")
         cold = WeatherCache(maxsize=4, cache_dir=tmp_path)
         key = WeatherKey.for_weather(
-            SyntheticWeather(LOCATIONS["madrid"], seed=4), 365, 1)
+            SyntheticWeather(LOCATIONS["madrid"], seed=4), 365,
+            OffGridSystem.START_DAY_OF_YEAR)
         assert cold.load_verified(key.content_hash) is None
         assert cold.get(key) is None
         assert cold.quarantined == 1

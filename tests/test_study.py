@@ -498,7 +498,7 @@ class TestExperimentParity:
         assert routed == stacked
 
     def test_table4_grid_series_parity(self):
-        from repro.solar.batch import candidate_grid, simulate_candidates
+        from repro.solar.batch import simulate_candidates
         from repro.solar.climates import LOCATIONS
 
         pv, wh = (540.0,), (720.0, 1440.0)
@@ -511,7 +511,8 @@ class TestExperimentParity:
         direct = [result
                   for key in ("madrid", "lyon", "vienna", "berlin")
                   for result in simulate_candidates(
-                      LOCATIONS[key], candidate_grid(pv, wh), seed=spec.seed)]
+                      LOCATIONS[key], [(p, w) for p in pv for w in wh],
+                      seed=spec.seed)]
         assert table["zero_downtime"] == [int(r.zero_downtime) for r in direct]
         for column in ("unmet_hours", "full_battery_days_pct",
                        "annual_pv_kwh"):
