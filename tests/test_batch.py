@@ -136,6 +136,10 @@ class TestSweepSeedEquality:
         with pytest.raises(InfeasibleError):
             max_isd_for_n(1, threshold_db=80.0, resolution_m=5.0)
 
+    def test_scan_infeasible(self):
+        with pytest.raises(InfeasibleError):
+            max_isd_scan(1, threshold_db=80.0, resolution_m=5.0)
+
     def test_jobs_sweep_identical(self, default_sweep):
         parallel = sweep_max_isd(n_max=10, resolution_m=1.0, jobs=4)
         assert parallel.max_isd_by_n == default_sweep.max_isd_by_n

@@ -493,6 +493,16 @@ class TestSingleProfileOutage:
         reference = outage_matrix([self.PROFILE], trials=30)
         assert np.array_equal(reference.min_snr_db[0], scalar)
 
+    def test_quantile_and_ci95(self):
+        matrix = outage_matrix([self.PROFILE], trials=40)
+        samples = matrix.min_snr_db[0]
+        assert samples.shape == (40,)
+        assert matrix.quantile(0.5)[0] == pytest.approx(np.median(samples))
+        low, high = matrix.quantile([0.1, 0.9])[:, 0]
+        assert samples.min() <= low <= high <= samples.max()
+        ci_low, ci_high = matrix.ci95()
+        assert ci_low[0] <= matrix.outage_probability[0] <= ci_high[0]
+
 
 class TestRobustMaxIsdBisection:
     @pytest.mark.parametrize("seed", range(6))
@@ -520,15 +530,17 @@ class TestRobustMaxIsdBisection:
         with oracle_kernels.substituted():
             assert robust_max_isd(1, **kwargs) == fused
 
-    def test_infeasible_raises_infeasible_error(self):
+    @pytest.mark.parametrize("search", (robust_max_isd, robust_max_isd_scan),
+                             ids=("bisection", "scan"))
+    def test_infeasible_raises_infeasible_error(self, search):
         from repro.errors import InfeasibleError
 
         # N=8 at the registered maxima has no margin; a 1% target under
         # harsh shadowing is unreachable on any candidate.
         with pytest.raises(InfeasibleError):
-            robust_max_isd(8, target_outage=0.01,
-                           shadowing=LogNormalShadowing(sigma_db=6.0),
-                           trials=20, resolution_m=10.0, isd_max_m=1700.0)
+            search(8, target_outage=0.01,
+                   shadowing=LogNormalShadowing(sigma_db=6.0),
+                   trials=20, resolution_m=10.0, isd_max_m=1700.0)
 
 
 class TestRobustnessGridExperiment:

@@ -20,6 +20,16 @@ class TestMaxIsd:
         assert cands[-1] == 4000.0
         assert np.all(np.diff(cands) == 50.0)
 
+    def test_isd_candidates_without_repeaters_start_two_steps_up(self):
+        cands = isd_candidates(0, isd_step_m=50.0, isd_max_m=300.0)
+        assert cands.tolist() == [100.0, 150.0, 200.0, 250.0, 300.0]
+        assert isd_candidates(1, isd_step_m=50.0,
+                              isd_max_m=300.0).tolist() == cands.tolist()
+
+    def test_isd_candidates_empty_when_field_exceeds_max(self):
+        # 8 nodes need 1400 m + two steps: nothing fits under 1000 m.
+        assert isd_candidates(8, isd_step_m=50.0, isd_max_m=1000.0).size == 0
+
     def test_n1_matches_paper_1250(self):
         isd, snr = max_isd_for_n(1)
         assert isd == 1250.0

@@ -49,6 +49,10 @@ class TestOutage:
         assert _outage(layout, LogNormalShadowing(sigma_db=0.0), trials=10,
                        resolution_m=5.0) == 0.0
 
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ConfigurationError):
+            _outage(CorridorLayout.conventional(), trials=0)
+
 
 class TestRobustIsd:
     def test_robust_isd_below_deterministic(self):

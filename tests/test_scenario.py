@@ -40,6 +40,20 @@ class TestScenario:
         hashes = {base.content_hash} | {v.content_hash for v in variants}
         assert len(hashes) == len(variants) + 1
 
+    def test_noise_figure_offsets_change_hashes(self):
+        base = LinkParams()
+        hashes = {make_scenario(link=LinkParams(
+            repeater_noise_figure_db=base.repeater_noise_figure_db + offset))
+            .content_hash for offset in (-1.0, 0.0, 1.0)}
+        assert len(hashes) == 3
+
+    def test_rejects_geometry_that_does_not_fit(self):
+        from repro.errors import GeometryError
+
+        # 8 nodes span 1400 m: they do not fit a 1000 m segment.
+        with pytest.raises(GeometryError):
+            make_scenario(isd_m=1000.0, n_repeaters=8)
+
     def test_rejects_nonpositive_resolution(self):
         with pytest.raises(ConfigurationError):
             Scenario(layout=CorridorLayout(1000.0), resolution_m=0.0)

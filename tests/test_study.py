@@ -391,6 +391,96 @@ fixed:
         assert row["min_snr_db"][0] == profile.min_snr_db
         assert row["mean_snr_db"][0] == profile.mean_snr_db
 
+    def test_radio_cartesian_expansion(self):
+        from repro.corridor.layout import CorridorLayout
+        from repro.radio.link import LinkParams, compute_snr_profile
+
+        hp = LinkParams().hp_eirp_dbm
+        spec = parse_study(f"""
+name: radio-grid
+engine: radio
+axes:
+  isd_m: [1000.0, 1500.0]
+  n_repeaters: [0, 2]
+  hp_eirp_dbm: [{hp}, {hp + 3.0}]
+fixed:
+  resolution_m: 10.0
+""")
+        wide = run_study(spec).table.wide()
+        assert len(wide["min_snr_db"]) == 2 * 2 * 2
+        for i, case in enumerate(spec.cases()):
+            profile = compute_snr_profile(
+                CorridorLayout.with_uniform_repeaters(case["isd_m"],
+                                                      case["n_repeaters"]),
+                LinkParams(hp_eirp_dbm=case["hp_eirp_dbm"]),
+                resolution_m=10.0)
+            assert wide["min_snr_db"][i] == profile.min_snr_db
+        assert set(wide["hp_eirp_dbm"]) == {hp, hp + 3.0}
+
+    def test_radio_threshold_only_cases_share_one_profile(self, monkeypatch):
+        import repro.radio.batch as radio_batch
+
+        evaluated = []
+        original = radio_batch.evaluate_scenarios
+
+        def spy(scenarios, **kwargs):
+            evaluated.extend(scenarios)
+            return original(scenarios, **kwargs)
+
+        monkeypatch.setattr(radio_batch, "evaluate_scenarios", spy)
+        spec = parse_study("""
+name: radio-thresholds
+engine: radio
+axes:
+  threshold_db: [20.0, 29.0, 40.0]
+fixed:
+  isd_m: 1250.0
+  n_repeaters: 1
+  resolution_m: 10.0
+""")
+        wide = run_study(spec).table.wide()
+        assert len(evaluated) == 1
+        assert len(set(wide["min_snr_db"])) == 1
+        assert wide["feasible"] == [1, 1, 0]
+        assert wide["margin_db"] == [wide["min_snr_db"][0] - t
+                                     for t in (20.0, 29.0, 40.0)]
+
+    def test_radio_isd_ladder_registers_the_bisection_maximum(self):
+        # The paper's scan as a study: the largest feasible rung of the
+        # candidate ladder is the maximum ISD the bisection registers.
+        from repro.optimize.isd import isd_candidates, max_isd_for_n
+
+        ladder = isd_candidates(2, isd_max_m=2000.0).tolist()
+        spec = parse_study(f"""
+name: radio-ladder
+engine: radio
+axes:
+  isd_m: {ladder}
+fixed:
+  n_repeaters: 2
+  resolution_m: 5.0
+""")
+        wide = run_study(spec).table.wide()
+        feasible = [isd for isd, ok in zip(wide["isd_m"], wide["feasible"])
+                    if ok]
+        assert max(feasible) == max_isd_for_n(2, resolution_m=5.0)[0]
+
+    def test_radio_geometry_that_does_not_fit_raises(self):
+        from repro.errors import GeometryError
+
+        # 8 nodes span 1400 m: they do not fit a 1000 m segment.
+        spec = parse_study("""
+name: radio-misfit
+engine: radio
+axes:
+  isd_m: [1000.0, 2000.0]
+fixed:
+  n_repeaters: 8
+  resolution_m: 10.0
+""")
+        with pytest.raises(GeometryError):
+            run_study(spec)
+
     def test_mc_scalar_oracle_identical(self):
         # A study runs the batched engine; the per-trial scalar oracle
         # agrees with the study on every case.
