@@ -17,15 +17,15 @@ Gates:
   hour-order PV sums bit-identical, SoC-dependent floats <= 1e-9 (the
   fused walk runs the recurrence in SoC units).
 
-Each kernel is timed as the best of five runs (single-shot timings on a
-busy host swing by tens of percent); thresholds are advisory under CI
+Each kernel is timed as its best thread CPU time over five runs,
+interleaved with the other leg's (``interleaved_best`` in
+``benchmarks/conftest.py``); thresholds are advisory under CI
 (noisy shared runners), and the parity assertions always hold.  Emits ``BENCH_backend.json`` when
 ``BENCH_JSON_DIR`` is set.
 """
 
 import dataclasses
 import os
-import time
 
 import numpy as np
 
@@ -51,19 +51,6 @@ MC_THRESHOLD = 3.0
 SOLAR_THRESHOLD = 2.0
 
 RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(OffGridResult))
-
-REPEATS = 5
-
-
-def _best_of(fn, repeats=REPEATS):
-    """Best wall time over a few runs — damps scheduler / cache noise."""
-    best_s = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best_s = min(best_s, time.perf_counter() - t0)
-    return best_s, result
 
 
 def _on_step_loops(fn):
@@ -96,7 +83,7 @@ def _solar_systems():
     ]
 
 
-def bench_backend_mc_min_scan(benchmark, bench_json):
+def bench_backend_mc_min_scan(benchmark, bench_json, interleaved_best):
     profiles = _mc_profiles()
     assert max(r.positions_m.size for r in profiles) >= 2000
     shadowing = LogNormalShadowing(sigma_db=SIGMA_DB)
@@ -109,8 +96,8 @@ def bench_backend_mc_min_scan(benchmark, bench_json):
     _on_step_loops(run)()
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    reference_s, reference = _best_of(_on_step_loops(run))
-    fused_s, fused = _best_of(run)
+    (reference_s, reference), (fused_s, fused) = interleaved_best(
+        _on_step_loops(run), run)
 
     # Parity inside the gate run: <= 1e-9 on every min-SNR sample and
     # identical outage decisions.
@@ -139,7 +126,7 @@ def bench_backend_mc_min_scan(benchmark, bench_json):
             f"fused mc kernel only {speedup:.1f}x faster"
 
 
-def bench_backend_solar_year(benchmark, bench_json):
+def bench_backend_solar_year(benchmark, bench_json, interleaved_best):
     systems = _solar_systems()
     assert len(systems) == 200
     cache = WeatherCache()
@@ -152,8 +139,8 @@ def bench_backend_solar_year(benchmark, bench_json):
     _on_step_loops(run)()
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    reference_s, reference = _best_of(_on_step_loops(run))
-    fused_s, fused = _best_of(run)
+    (reference_s, reference), (fused_s, fused) = interleaved_best(
+        _on_step_loops(run), run)
 
     # Parity inside the gate run: integer counts, metadata, and the
     # hour-order PV sums are exact; the SoC-dependent floats come from the

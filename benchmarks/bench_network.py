@@ -13,9 +13,10 @@ against accidentally reintroducing a per-segment Python loop into the
 batched path.
 
 Parity is asserted in-run: both engines must produce bit-identical
-frontier arrays on the same graph.  The scalar reference is timed once
-(it dominates the benchmark's wall clock); the batched pass takes the
-best of three.  The assignment is timed at a binding 125 W/km budget and
+frontier arrays on the same graph.  Every leg is timed in thread CPU time
+through ``interleaved_best`` (``benchmarks/conftest.py``): the scalar
+reference once (it dominates the benchmark's wall clock), the batched pass
+as the best of three.  The assignment is timed at a binding 125 W/km budget and
 recorded with the frontier's unique-row count, and the columnar graph
 build is timed cold (memo cleared) as ``build_graph_s``.  Thresholds are
 advisory under CI (noisy shared runners); the parity assertions always
@@ -42,18 +43,8 @@ NETWORK_THRESHOLD = 10.0
 BATCHED_REPEATS = 3
 
 
-def _best_of(fn, repeats=BATCHED_REPEATS):
-    """Best wall time over a few runs — damps scheduler / cache noise."""
-    best_s = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best_s = min(best_s, time.perf_counter() - t0)
-    return best_s, result
-
-
-def bench_network_frontier_batched_vs_scalar(benchmark, bench_json):
+def bench_network_frontier_batched_vs_scalar(benchmark, bench_json,
+                                             interleaved_best):
     # Cold build: the memo is cleared, so this times the columnar builder.
     _build_graph.cache_clear()
     t0 = time.perf_counter()
@@ -66,11 +57,12 @@ def bench_network_frontier_batched_vs_scalar(benchmark, bench_json):
         lambda: segment_frontiers(graph, resolution_m=RESOLUTION_M),
         rounds=1, iterations=1)
 
-    batched_s, batched = _best_of(
-        lambda: segment_frontiers(graph, resolution_m=RESOLUTION_M))
-    t0 = time.perf_counter()
-    scalar = segment_frontiers_scalar(graph, resolution_m=RESOLUTION_M)
-    scalar_s = time.perf_counter() - t0
+    [(batched_s, batched)] = interleaved_best(
+        lambda: segment_frontiers(graph, resolution_m=RESOLUTION_M),
+        repeats=BATCHED_REPEATS)
+    [(scalar_s, scalar)] = interleaved_best(
+        lambda: segment_frontiers_scalar(graph, resolution_m=RESOLUTION_M),
+        repeats=1)
 
     # Parity inside the gate run: the batched arrays are bit-identical to
     # the scalar per-segment reference, including the NaN infeasible cells.
@@ -83,8 +75,9 @@ def bench_network_frontier_batched_vs_scalar(benchmark, bench_json):
     # unique rows and must stay far below the frontier pass itself.  The
     # first repeat also groups the rows; the grouping is cached after it.
     budget_w = BUDGET_W_PER_KM * graph.length_km
-    assign_s, plan = _best_of(
-        lambda: optimize_network(frontiers=batched, energy_budget_w=budget_w))
+    [(assign_s, plan)] = interleaved_best(
+        lambda: optimize_network(frontiers=batched, energy_budget_w=budget_w),
+        repeats=BATCHED_REPEATS)
     assert plan.total_energy_w <= budget_w
 
     speedup = scalar_s / batched_s

@@ -9,6 +9,11 @@ doubles as an end-to-end verification pass:
 Slow experiments use ``benchmark.pedantic`` with a single round; fast kernels
 let pytest-benchmark calibrate itself.
 
+Speedup gates time their legs through the ``interleaved_best`` fixture: the
+legs alternate (reference, fused, reference, fused, ...) and each leg keeps
+its minimum thread CPU time, so drift of a shared host between the legs
+does not decide a gate's verdict.
+
 When ``BENCH_JSON_DIR`` is set, speedup benchmarks additionally emit
 ``BENCH_<name>.json`` files (wall times and speedup ratios) through the
 ``bench_json`` fixture; CI uploads that directory as a workflow artifact so
@@ -23,6 +28,7 @@ directory is put on ``sys.path`` here so the benchmarks import them as
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -49,3 +55,28 @@ def bench_json():
             json.dump(payload, fh, indent=2, sort_keys=True)
 
     return write
+
+
+@pytest.fixture
+def interleaved_best():
+    """Timer for a gate's legs: ``interleaved_best(*legs, repeats=5)``.
+
+    Runs the zero-argument callables ``legs`` in turn, ``repeats`` rounds,
+    and returns one ``(best_s, result)`` per leg, in order: the leg's
+    minimum ``time.thread_time`` over its runs and its last result.  Thread
+    CPU time leaves out the time the thread waits for a busy CPU, and the
+    interleaving exposes every leg to the same host phases.  The legs must
+    not hand work to other threads or processes, whose CPU time the clock
+    does not see.
+    """
+    def best(*legs, repeats=5):
+        times = [float("inf")] * len(legs)
+        results = [None] * len(legs)
+        for _ in range(repeats):
+            for i, leg in enumerate(legs):
+                t0 = time.thread_time()
+                results[i] = leg()
+                times[i] = min(times[i], time.thread_time() - t0)
+        return list(zip(times, results))
+
+    return best

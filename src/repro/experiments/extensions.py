@@ -20,7 +20,7 @@ from repro.propagation.fading import LogNormalShadowing
 from repro.radio.uplink import UplinkParams, compute_uplink_profile
 from repro.reporting.tables import format_table
 from repro.solar.climates import LOCATIONS
-from repro.solar.degradation import project_lifetime
+from repro.solar.degradation import _project_lifetimes
 
 __all__ = [
     "run_emf", "EmfResult",
@@ -241,17 +241,18 @@ class LifetimeExperiment:
 def run_lifetime(service_years: int = 10, weather_cache=None) -> LifetimeExperiment:
     """Project the Table IV configurations across their service life.
 
-    All service years of one configuration run as a single batched off-grid
-    engine pass (:mod:`repro.solar.batch`); ``weather_cache`` optionally
-    persists the per-year weather tensors across runs.
+    Every service year of all four configurations runs in one batched
+    off-grid engine call (:func:`repro.solar.degradation.project_lifetime`'s
+    code, over four configurations); ``weather_cache`` optionally persists
+    the per-year weather tensors across runs.
     """
     configs = {"madrid": (540.0, 720.0), "lyon": (540.0, 720.0),
                "vienna": (540.0, 1440.0), "berlin": (600.0, 1440.0)}
+    results = _project_lifetimes(
+        [(LOCATIONS[key], pv, battery) for key, (pv, battery) in configs.items()],
+        service_years=service_years, weather_cache=weather_cache)
     rows = []
-    for key, (pv, battery) in configs.items():
-        result = project_lifetime(LOCATIONS[key], pv, battery,
-                                  service_years=service_years,
-                                  weather_cache=weather_cache)
+    for (key, (pv, battery)), result in zip(configs.items(), results):
         year = result.first_downtime_year
         outcome = "zero downtime" if year is None else f"downtime in year {year}"
         rows.append((LOCATIONS[key].name, pv, battery, outcome))

@@ -14,7 +14,7 @@ from repro import constants
 from repro.reporting.tables import format_table
 from repro.solar.climates import LOCATIONS
 from repro.solar.offgrid import LoadProfile
-from repro.solar.sizing import SizingResult, find_minimal_system
+from repro.solar.sizing import SizingResult, _find_minimal_systems
 
 __all__ = ["Table4Result", "run_table4"]
 
@@ -67,12 +67,12 @@ def run_table4(load: LoadProfile | None = None, seed: int = 2022,
                weather_cache=None) -> Table4Result:
     """Run the sizing search at all four locations.
 
-    Each location's candidate ladder is evaluated in one batched pass
-    (:mod:`repro.solar.batch`); ``weather_cache`` optionally persists the
-    synthesized weather years across runs.
+    Every location's candidate ladder runs in one batched off-grid engine
+    call (:func:`repro.solar.sizing.find_minimal_system`'s code, over four
+    locations); ``weather_cache`` optionally persists the synthesized
+    weather years across runs.
     """
-    sizings = {key: find_minimal_system(LOCATIONS[key], load=load, seed=seed,
-                                        weather_cache=weather_cache)
-               for key in LOCATION_ORDER}
-    return Table4Result(sizings=sizings)
-
+    sizings = _find_minimal_systems([LOCATIONS[key] for key in LOCATION_ORDER],
+                                    load=load, seed=seed,
+                                    weather_cache=weather_cache)
+    return Table4Result(sizings=dict(zip(LOCATION_ORDER, sizings)))

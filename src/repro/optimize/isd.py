@@ -27,7 +27,7 @@ from repro import constants
 from repro.capacity.shannon import TruncatedShannonModel
 from repro.corridor.layout import CorridorLayout
 from repro.errors import InfeasibleError
-from repro.radio.batch import evaluate_scenarios, min_snr_batch
+from repro.radio.batch import min_snr_batch
 from repro.radio.link import LinkParams
 from repro.scenario.cache import ProfileCache
 from repro.scenario.spec import Scenario
@@ -87,6 +87,35 @@ def _resolve_threshold(capacity: TruncatedShannonModel | None,
     return constants.PEAK_SNR_CRITERION_DB
 
 
+def _bisect(count: int, score, feasible) -> tuple[int, float] | None:
+    """Largest feasible index of a ladder whose feasibility is monotone.
+
+    ``score(indices)`` returns one value per ladder index.  The bracket
+    ``[0, count - 1]`` is scored in one call, then the boundary is bisected
+    one probe at a time (~log2(count) scores in all).
+
+    Returns:
+        ``(index, value)`` of the largest feasible index, or ``None`` when
+        the ladder is empty or index 0 is already infeasible.
+    """
+    if count == 0:
+        return None
+    lo, hi = 0, count - 1
+    values = dict(zip((lo, hi), score([lo, hi])))
+    if not feasible(values[lo]):
+        return None
+    if feasible(values[hi]):
+        return hi, values[hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        values[mid] = score([mid])[0]
+        if feasible(values[mid]):
+            lo = mid
+        else:
+            hi = mid
+    return lo, values[lo]
+
+
 def max_isd_for_n(n_repeaters: int,
                   link: LinkParams | None = None,
                   capacity: TruncatedShannonModel | None = None,
@@ -123,38 +152,17 @@ def max_isd_for_n(n_repeaters: int,
             link=link, resolution_m=resolution_m)
         for isd in candidates
     ]
-    infeasible = InfeasibleError(
-        f"no ISD up to {isd_max_m} m sustains peak throughput with "
-        f"{n_repeaters} repeaters (threshold {threshold:.2f} dB)")
-    if not scenarios:
-        raise infeasible
-
-    snr_memo: dict[int, float] = {}
-
-    def snr_at(index: int) -> float:
-        if index not in snr_memo:
-            profile = evaluate_scenarios([scenarios[index]], cache=cache)[0]
-            snr_memo[index] = profile.min_snr_db - shadowing_margin_db
-        return snr_memo[index]
-
-    lo, hi = 0, len(scenarios) - 1
-    # Evaluate the bracket in one batched call, then bisect the boundary.
-    for index, snr in zip((lo, hi), min_snr_batch(
-            [scenarios[lo], scenarios[hi]], cache=cache)):
-        snr_memo[index] = float(snr) - shadowing_margin_db
-    if snr_at(lo) < threshold:
-        raise infeasible
-    if snr_at(hi) >= threshold:
-        best = hi
-    else:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if snr_at(mid) >= threshold:
-                lo = mid
-            else:
-                hi = mid
-        best = lo
-    return float(candidates[best]), float(snr_at(best))
+    found = _bisect(
+        len(scenarios),
+        lambda indices: min_snr_batch([scenarios[i] for i in indices],
+                                      cache=cache) - shadowing_margin_db,
+        lambda snr: snr >= threshold)
+    if found is None:
+        raise InfeasibleError(
+            f"no ISD up to {isd_max_m} m sustains peak throughput with "
+            f"{n_repeaters} repeaters (threshold {threshold:.2f} dB)")
+    best, snr = found
+    return float(candidates[best]), float(snr)
 
 
 def sweep_max_isd(n_max: int = 10,

@@ -21,7 +21,7 @@ import numpy as np
 from repro import constants
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError, InfeasibleError
-from repro.optimize.isd import isd_candidates
+from repro.optimize.isd import _bisect, isd_candidates
 from repro.optimize.mc import outage_matrix
 from repro.propagation.fading import LogNormalShadowing
 from repro.radio.batch import evaluate_scenarios
@@ -47,9 +47,10 @@ def robust_max_isd(n_repeaters: int,
     """Largest ISD whose shadowing outage stays below ``target_outage``.
 
     Returns ``(isd_m, outage_probability)``.  Always at least one 50 m step
-    below the deterministic maximum, quantifying the robustness cost.  The
-    deterministic profiles of all candidate ISDs are computed in one
-    batched-engine call.
+    below the deterministic maximum, quantifying the robustness cost.  A
+    candidate's deterministic profile is evaluated (through ``cache``) only
+    when the search scores it; the whole ladder is evaluated, with ``jobs``
+    threads, only by the full-scan fallback below.
 
     Because every candidate is scored under **common random numbers** (same
     per-trial shadowing streams, see :mod:`repro.optimize.mc`), the empirical
@@ -65,60 +66,39 @@ def robust_max_isd(n_repeaters: int,
     tests pin the bisection equal to the full scan (the test oracle
     ``tests/oracles/isd.py``) across seed x sigma sweeps.
 
-    Raises :class:`InfeasibleError` when no candidate meets the target.
+    Raises :class:`InfeasibleError` when no candidate meets the target,
+    including when the candidate ladder is empty.
     """
     if not 0.0 < target_outage < 1.0:
         raise ConfigurationError(f"target outage must be in (0,1), got {target_outage}")
     candidates = isd_candidates(n_repeaters, constants.LP_NODE_SPACING_M,
                                 isd_step_m, isd_max_m)
-    layouts = [CorridorLayout.with_uniform_repeaters(float(isd), n_repeaters)
-               for isd in candidates]
-    profiles = evaluate_scenarios(
-        [Scenario(layout=lo, link=link or LinkParams(), resolution_m=resolution_m)
-         for lo in layouts], cache=cache, jobs=jobs)
+    scenarios = [
+        Scenario(layout=CorridorLayout.with_uniform_repeaters(float(isd), n_repeaters),
+                 link=link or LinkParams(), resolution_m=resolution_m)
+        for isd in candidates]
 
-    def outage_of(indices) -> np.ndarray:
-        matrix = outage_matrix([profiles[i] for i in indices], shadowing,
-                               threshold_db=threshold_db, trials=trials,
-                               seed=seed)
+    def outage_of(indices, threads=None) -> np.ndarray:
+        profiles = evaluate_scenarios([scenarios[i] for i in indices],
+                                      cache=cache, jobs=threads)
+        matrix = outage_matrix(profiles, shadowing, threshold_db=threshold_db,
+                               trials=trials, seed=seed)
         return matrix.outage_probability
 
-    def scan() -> tuple[float, float]:
-        """Stacked evaluation of every candidate; largest feasible wins."""
-        outages = outage_of(range(len(profiles)))
-        feasible = np.nonzero(outages <= target_outage)[0]
-        if feasible.size == 0:
-            raise InfeasibleError(
-                f"no ISD meets the {target_outage:.0%} outage target with "
-                f"{n_repeaters} repeaters")
-        best = int(feasible[-1])
-        return float(candidates[best]), float(outages[best])
-
-    memo: dict[int, float] = {}
-
-    def outage_at(index: int) -> float:
-        if index not in memo:
-            memo[index] = float(outage_of([index])[0])
-        return memo[index]
-
-    lo, hi = 0, len(profiles) - 1
-    # Evaluate the bracket in one stacked call, then bisect the boundary.
-    for index, out in zip((lo, hi), outage_of([lo, hi])):
-        memo[index] = float(out)
-    if outage_at(lo) > target_outage:
+    found = _bisect(len(scenarios), outage_of,
+                    lambda outage: outage <= target_outage)
+    if found is None and scenarios:
         # The smallest candidate already misses the target: either genuine
         # infeasibility or finite-trial wobble right at the boundary.  The
         # full scan settles it either way, so the bisection never declares
         # infeasible where a scan of every candidate would not.
-        return scan()
-    if outage_at(hi) <= target_outage:
-        best = hi
-    else:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if outage_at(mid) <= target_outage:
-                lo = mid
-            else:
-                hi = mid
-        best = lo
-    return float(candidates[best]), outage_at(best)
+        outages = outage_of(range(len(scenarios)), threads=jobs)
+        feasible = np.nonzero(outages <= target_outage)[0]
+        if feasible.size:
+            found = int(feasible[-1]), outages[feasible[-1]]
+    if found is None:
+        raise InfeasibleError(
+            f"no ISD meets the {target_outage:.0%} outage target with "
+            f"{n_repeaters} repeaters")
+    best, outage = found
+    return float(candidates[best]), float(outage)

@@ -34,7 +34,6 @@ __all__ = [
     "WeatherKey",
     "WeatherCache",
     "simulate_systems",
-    "simulate_candidates",
     "PvArray",
     "Battery",
     "LoadProfile",
@@ -58,8 +57,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "repeater_load_profile",
     ),
     "sizing": ("SizingResult", "find_minimal_system"),
-    "batch": (
-        "WeatherCache", "WeatherKey", "simulate_candidates",
-        "simulate_systems",
-    ),
+    "batch": ("WeatherCache", "WeatherKey", "simulate_systems"),
 })

@@ -37,17 +37,14 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.kernels import soc_scan
 from repro.scenario.cache import ArrayCache, content_token
-from repro.solar.battery import Battery
 from repro.solar.climates import Location, months_of_days
 from repro.solar.irradiance import SyntheticWeather, WeatherParams, WeatherYear
 from repro.solar.offgrid import OffGridResult, OffGridSystem
-from repro.solar.pv import PvArray
 
 __all__ = [
     "WeatherKey",
     "WeatherCache",
     "simulate_systems",
-    "simulate_candidates",
 ]
 
 
@@ -229,39 +226,3 @@ def simulate_systems(systems,
         for i, system in enumerate(systems)
     ]
 
-
-def simulate_candidates(location: Location,
-                        candidates,
-                        load=None,
-                        weather: WeatherParams | None = None,
-                        seed: int = 2022,
-                        performance_ratio: float = 0.80,
-                        weather_cache: WeatherCache | None = None
-                        ) -> list[OffGridResult]:
-    """Evaluate a whole (PV peak, battery Wh) candidate ladder in one pass.
-
-    Args:
-        location: Study location shared by every candidate.
-        candidates: ``(pv_peak_w, battery_wh)`` tuples.
-        load: Optional load-profile override (default: the repeater load).
-        weather: Optional weather-character override.
-        seed: Weather-year seed shared by every candidate.
-        performance_ratio: PV performance ratio.
-        weather_cache: Optional memo of synthesized weather tensors.
-
-    Returns:
-        One :class:`~repro.solar.offgrid.OffGridResult` per candidate, in
-        order — the batched equivalent of simulating each rung alone.
-    """
-    systems = [
-        OffGridSystem(
-            location=location,
-            pv=PvArray(peak_w=pv_peak_w, performance_ratio=performance_ratio),
-            battery=Battery(capacity_wh=battery_wh),
-            load=load,
-            weather=weather,
-            seed=seed,
-        )
-        for pv_peak_w, battery_wh in candidates
-    ]
-    return simulate_systems(systems, weather_cache=weather_cache)

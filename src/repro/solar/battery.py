@@ -8,6 +8,7 @@ downtime for the repeater.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro import constants
@@ -30,8 +31,9 @@ class Battery:
     soc: float = field(default=1.0)
 
     def __post_init__(self) -> None:
-        if self.capacity_wh <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {self.capacity_wh}")
+        if not (math.isfinite(self.capacity_wh) and self.capacity_wh > 0):
+            raise ConfigurationError(
+                f"capacity must be finite and positive, got {self.capacity_wh}")
         if not 0.0 <= self.discharge_cutoff < 1.0:
             raise ConfigurationError(
                 f"discharge cutoff must be in [0, 1), got {self.discharge_cutoff}")

@@ -133,29 +133,50 @@ def project_lifetime(location: Location,
     The fade schedule is precomputed (the equivalent-full-cycle recurrence
     depends only on the load, see :func:`_fade_schedule`), then all service
     years run as one batched pass with the per-year fade factors applied as
-    array scalars and the per-year weather tensors memoized.
+    array scalars and the per-year weather tensors memoized.  The lifetime
+    experiment projects its four configurations through the same code in
+    one call.
+    """
+    return _project_lifetimes([(location, pv_peak_w, battery_capacity_wh)],
+                              service_years, aging, load, seed,
+                              weather_cache)[0]
+
+
+def _project_lifetimes(configs, service_years: int = 10,
+                       aging: AgingParams | None = None,
+                       load: LoadProfile | None = None,
+                       seed: int = 2022,
+                       weather_cache=None) -> list[LifetimeResult]:
+    """:func:`project_lifetime` of each ``(location, pv_peak_w,
+    battery_capacity_wh)`` configuration, in one engine call.
+
+    The systems are laid out configuration-major, so each configuration's
+    result is built from its own ``service_years`` slice.
     """
     if service_years <= 0:
         raise ConfigurationError(f"service years must be positive, got {service_years}")
-    if pv_peak_w <= 0 or battery_capacity_wh <= 0:
+    if any(pv <= 0 or battery <= 0 for _, pv, battery in configs):
         raise ConfigurationError("PV and battery sizes must be positive")
     aging = aging or AgingParams()
 
     from repro.solar.batch import simulate_systems
     yearly_load_kwh = annual_load_wh(load or repeater_load_profile()) / 1000.0
-    schedule = _fade_schedule(battery_capacity_wh, pv_peak_w, aging,
-                              service_years, yearly_load_kwh)
-    systems = [
+    schedules = [_fade_schedule(battery, pv, aging, service_years,
+                                yearly_load_kwh)
+                 for _, pv, battery in configs]
+    results = simulate_systems([
         OffGridSystem(location=location, pv=PvArray(peak_w=pv_now),
                       battery=Battery(capacity_wh=battery_now),
                       load=load, seed=seed + year)
+        for (location, _, _), schedule in zip(configs, schedules)
         for year, (battery_now, pv_now) in enumerate(schedule, start=1)
-    ]
-    results = simulate_systems(systems, weather_cache=weather_cache)
-    return LifetimeResult(years=tuple(
-        YearOutcome(year=year, battery_capacity_wh=battery_now,
-                    pv_peak_w=pv_now, result=result,
-                    equivalent_full_cycles=_equivalent_full_cycles(
-                        result, battery_now))
-        for year, ((battery_now, pv_now), result) in enumerate(
-            zip(schedule, results), start=1)))
+    ], weather_cache=weather_cache)
+    return [
+        LifetimeResult(years=tuple(
+            YearOutcome(year=year, battery_capacity_wh=battery_now,
+                        pv_peak_w=pv_now, result=result,
+                        equivalent_full_cycles=_equivalent_full_cycles(
+                            result, battery_now))
+            for year, ((battery_now, pv_now), result) in enumerate(
+                zip(schedule, results[i * service_years:]), start=1)))
+        for i, schedule in enumerate(schedules)]

@@ -9,6 +9,7 @@ uses a comparable "system loss" input).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,9 @@ class PvArray:
     performance_ratio: float = 0.80
 
     def __post_init__(self) -> None:
-        if self.peak_w <= 0:
-            raise ConfigurationError(f"peak power must be positive, got {self.peak_w}")
+        if not (math.isfinite(self.peak_w) and self.peak_w > 0):
+            raise ConfigurationError(
+                f"peak power must be finite and positive, got {self.peak_w}")
         if not 0.0 < self.performance_ratio <= 1.0:
             raise ConfigurationError(
                 f"performance ratio must be in (0, 1], got {self.performance_ratio}")

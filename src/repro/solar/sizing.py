@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 
 from repro import constants
 from repro.errors import InfeasibleError
+from repro.solar.battery import Battery
 from repro.solar.climates import Location
 from repro.solar.irradiance import WeatherParams
-from repro.solar.offgrid import LoadProfile, OffGridResult
+from repro.solar.offgrid import LoadProfile, OffGridResult, OffGridSystem
+from repro.solar.pv import PvArray
 
 __all__ = ["SizingResult", "find_minimal_system"]
 
@@ -59,25 +61,47 @@ def find_minimal_system(location: Location,
     downtime (e.g. an unrealistically large load).  ``weather=None`` uses the
     location's calibrated weather character.
 
-    The whole ladder is evaluated in one vectorized pass with the weather
-    year synthesized once and memoized (:mod:`repro.solar.batch`).
+    The whole ladder is one :func:`repro.solar.batch.simulate_systems` call
+    with the weather year synthesized once and memoized; Table IV sizes its
+    four locations through the same code in one call.
     """
-    from repro.solar.batch import simulate_candidates
-    results = simulate_candidates(
-        location, candidates, load=load, weather=weather, seed=seed,
-        performance_ratio=performance_ratio, weather_cache=weather_cache)
+    return _find_minimal_systems([location], candidates, load, weather, seed,
+                                 performance_ratio, weather_cache)[0]
 
-    rejected: list[tuple[float, float]] = []
-    for (pv_peak_w, battery_wh), result in zip(candidates, results):
-        if result.zero_downtime:
-            return SizingResult(
-                location_name=location.name,
-                pv_peak_w=pv_peak_w,
-                battery_capacity_wh=battery_wh,
-                result=result,
-                rejected=tuple(rejected),
-            )
-        rejected.append((pv_peak_w, battery_wh))
-    raise InfeasibleError(
-        f"no candidate configuration achieves zero downtime at {location.name}; "
-        f"tried {list(candidates)}")
+
+def _find_minimal_systems(locations, candidates=DEFAULT_CANDIDATES,
+                          load: LoadProfile | None = None,
+                          weather: WeatherParams | None = None,
+                          seed: int = 2022,
+                          performance_ratio: float = 0.80,
+                          weather_cache=None) -> list[SizingResult]:
+    """:func:`find_minimal_system` at each location, in one engine call.
+
+    The systems are laid out location-major, so each location picks its
+    first zero-downtime rung from its own slice of the results.
+    """
+    from repro.solar.batch import simulate_systems
+    results = simulate_systems([
+        OffGridSystem(
+            location=location,
+            pv=PvArray(peak_w=pv_peak_w, performance_ratio=performance_ratio),
+            battery=Battery(capacity_wh=battery_wh),
+            load=load, weather=weather, seed=seed)
+        for location in locations
+        for pv_peak_w, battery_wh in candidates
+    ], weather_cache=weather_cache)
+    sizings = []
+    for i, location in enumerate(locations):
+        ladder = results[i * len(candidates):(i + 1) * len(candidates)]
+        best = next((k for k, result in enumerate(ladder)
+                     if result.zero_downtime), None)
+        if best is None:
+            raise InfeasibleError(
+                f"no candidate configuration achieves zero downtime at "
+                f"{location.name}; tried {list(candidates)}")
+        pv_peak_w, battery_wh = candidates[best]
+        sizings.append(SizingResult(
+            location_name=location.name, pv_peak_w=pv_peak_w,
+            battery_capacity_wh=battery_wh, result=ladder[best],
+            rejected=tuple((pv, wh) for pv, wh in candidates[:best])))
+    return sizings

@@ -92,8 +92,9 @@ def robust_max_isd_scan(n_repeaters: int,
             float(isd), n_repeaters),
             link=link or LinkParams(), resolution_m=resolution_m)
         for isd in candidates])
-    outages = outage_matrix(profiles, shadowing, threshold_db=threshold_db,
-                            trials=trials, seed=seed).outage_probability
+    outages = (outage_matrix(profiles, shadowing, threshold_db=threshold_db,
+                             trials=trials, seed=seed).outage_probability
+               if profiles else np.empty(0))
     feasible = np.nonzero(outages <= target_outage)[0]
     if feasible.size == 0:
         raise InfeasibleError(

@@ -530,17 +530,47 @@ class TestRobustMaxIsdBisection:
         with oracle_kernels.substituted():
             assert robust_max_isd(1, **kwargs) == fused
 
-    @pytest.mark.parametrize("search", (robust_max_isd, robust_max_isd_scan),
-                             ids=("bisection", "scan"))
-    def test_infeasible_raises_infeasible_error(self, search):
-        from repro.errors import InfeasibleError
-
+    @pytest.mark.parametrize("kwargs", (
         # N=8 at the registered maxima has no margin; a 1% target under
         # harsh shadowing is unreachable on any candidate.
+        dict(target_outage=0.01, shadowing=LogNormalShadowing(sigma_db=6.0),
+             trials=20, resolution_m=10.0, isd_max_m=1700.0),
+        # 8 repeaters need more than 500 m: the candidate ladder is empty.
+        dict(isd_max_m=500.0, shadowing=LogNormalShadowing(sigma_db=2.0)),
+    ), ids=("unreachable-target", "empty-ladder"))
+    @pytest.mark.parametrize("search", (robust_max_isd, robust_max_isd_scan),
+                             ids=("bisection", "scan"))
+    def test_infeasible_raises_infeasible_error(self, search, kwargs):
+        from repro.errors import InfeasibleError
+
         with pytest.raises(InfeasibleError):
-            search(8, target_outage=0.01,
-                   shadowing=LogNormalShadowing(sigma_db=6.0),
-                   trials=20, resolution_m=10.0, isd_max_m=1700.0)
+            search(8, **kwargs)
+
+    @pytest.mark.parametrize("sigma_db", (1.0, 2.0))
+    def test_scores_only_the_probed_profiles(self, monkeypatch, sigma_db):
+        import math
+
+        import repro.optimize.robustness as robustness
+        from repro.optimize.isd import isd_candidates
+
+        evaluated = []
+
+        def spy(scenarios, **kwargs):
+            scenarios = list(scenarios)
+            evaluated.extend(scenarios)
+            return evaluate_scenarios(scenarios, **kwargs)
+
+        monkeypatch.setattr(robustness, "evaluate_scenarios", spy)
+        kwargs = dict(target_outage=0.1,
+                      shadowing=LogNormalShadowing(sigma_db=sigma_db),
+                      trials=40, resolution_m=10.0, isd_max_m=3500.0)
+        found = robust_max_isd(1, **kwargs)
+        ladder = isd_candidates(1, isd_max_m=3500.0)
+        # The bracket holds (no full-scan fallback), so only the bracket
+        # and the bisection probes were evaluated.
+        assert found[0] > ladder[0]
+        assert len(evaluated) <= 2 + math.ceil(math.log2(ladder.size))
+        assert found == robust_max_isd_scan(1, **kwargs)
 
 
 class TestRobustnessGridExperiment:

@@ -21,7 +21,6 @@ from repro.errors import ConfigurationError
 from repro.solar.batch import (
     WeatherCache,
     WeatherKey,
-    simulate_candidates,
     simulate_systems,
 )
 from repro.solar.battery import Battery
@@ -290,16 +289,83 @@ class TestRoutedConsumers:
         result = simulate_year(OffGridSystem(LOCATIONS["madrid"], load=load))
         assert annual_load_wh(load) / 1000.0 == result.annual_load_kwh
 
-    def test_simulate_candidates_order_and_identity(self, reference_kernels):
+    def test_candidate_ladder_order_and_identity(self, reference_kernels):
         candidates = ((360.0, 720.0), (540.0, 1440.0))
-        results = simulate_candidates(LOCATIONS["vienna"], candidates,
-                                      weather_cache=WeatherCache())
+        systems = [OffGridSystem(LOCATIONS["vienna"], pv=PvArray(peak_w=pv),
+                                 battery=Battery(capacity_wh=wh))
+                   for pv, wh in candidates]
+        results = simulate_systems(systems, weather_cache=WeatherCache())
         assert [(r.pv_peak_w, r.battery_capacity_wh) for r in results] == \
             list(candidates)
-        for (pv, wh), result in zip(candidates, results):
-            system = OffGridSystem(LOCATIONS["vienna"], pv=PvArray(peak_w=pv),
-                                   battery=Battery(capacity_wh=wh))
+        for system, result in zip(systems, results):
             assert_results_equal(result, simulate_year(system))
+
+
+@pytest.fixture
+def soc_scans(monkeypatch):
+    """The system count of every ``soc_scan`` call the solar engine makes."""
+    import repro.solar.batch as solar_batch
+
+    calls = []
+    original = solar_batch.soc_scan
+
+    def spy(produced_w, *args, **kwargs):
+        calls.append(produced_w.shape[-1])
+        return original(produced_w, *args, **kwargs)
+
+    monkeypatch.setattr(solar_batch, "soc_scan", spy)
+    return calls
+
+
+class TestOneEngineCallPerExperiment:
+    """``repro all``'s solar experiments are one engine call each, equal to
+    the per-location / per-configuration public calls."""
+
+    def test_table4_equals_per_location_sizing(self, soc_scans):
+        from repro.experiments.table4 import LOCATION_ORDER, run_table4
+        from repro.solar.sizing import DEFAULT_CANDIDATES, SizingResult
+
+        table = run_table4(weather_cache=WeatherCache())
+        assert soc_scans == [len(LOCATION_ORDER) * len(DEFAULT_CANDIDATES)]
+        assert list(table.sizings) == list(LOCATION_ORDER)
+        for key in LOCATION_ORDER:
+            alone = find_minimal_system(LOCATIONS[key],
+                                        weather_cache=WeatherCache())
+            for field in dataclasses.fields(SizingResult):
+                if field.name != "result":
+                    assert getattr(table.sizings[key], field.name) == \
+                        getattr(alone, field.name), (key, field.name)
+            assert_results_equal(table.sizings[key].result, alone.result)
+
+    def test_lifetime_equals_per_configuration_projection(self, soc_scans,
+                                                          monkeypatch):
+        import repro.experiments.extensions as extensions
+
+        projected = []
+        original = extensions._project_lifetimes
+
+        def spy(*args, **kwargs):
+            results = original(*args, **kwargs)
+            projected.extend(results)
+            return results
+
+        monkeypatch.setattr(extensions, "_project_lifetimes", spy)
+        experiment = extensions.run_lifetime(service_years=3,
+                                             weather_cache=WeatherCache())
+        assert soc_scans == [4 * 3]
+        assert len(projected) == len(experiment.rows) == 4
+        for (name, pv, battery, _), lifetime in zip(experiment.rows,
+                                                    projected):
+            key = name.lower()
+            alone = project_lifetime(LOCATIONS[key], pv, battery,
+                                     service_years=3,
+                                     weather_cache=WeatherCache())
+            assert len(lifetime.years) == len(alone.years) == 3
+            for got, want in zip(lifetime.years, alone.years):
+                for field in ("year", "battery_capacity_wh", "pv_peak_w",
+                              "equivalent_full_cycles"):
+                    assert getattr(got, field) == getattr(want, field), field
+                assert_results_equal(got.result, want.result)
 
 
 def _table4_grid(pv_peaks, battery_whs):

@@ -50,6 +50,11 @@ class TestPvArray:
         with pytest.raises(ConfigurationError):
             PvArray.from_modules(0)
 
+    @pytest.mark.parametrize("peak_w", (0.0, -540.0, np.nan, np.inf, -np.inf))
+    def test_rejects_non_positive_or_non_finite_peak(self, peak_w):
+        with pytest.raises(ConfigurationError):
+            PvArray(peak_w=peak_w)
+
 
 class TestBattery:
     def test_initial_full(self):
@@ -96,6 +101,12 @@ class TestBattery:
     def test_rejects_bad_cutoff(self):
         with pytest.raises(ConfigurationError):
             Battery(discharge_cutoff=1.0)
+
+    @pytest.mark.parametrize("capacity_wh",
+                             (0.0, -720.0, np.nan, np.inf, -np.inf))
+    def test_rejects_non_positive_or_non_finite_capacity(self, capacity_wh):
+        with pytest.raises(ConfigurationError):
+            Battery(capacity_wh=capacity_wh)
 
     @given(st.floats(min_value=0.0, max_value=500.0),
            st.floats(min_value=0.0, max_value=500.0))

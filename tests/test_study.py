@@ -588,8 +588,11 @@ class TestExperimentParity:
         assert routed == stacked
 
     def test_table4_grid_series_parity(self):
-        from repro.solar.batch import simulate_candidates
+        from repro.solar.batch import simulate_systems
+        from repro.solar.battery import Battery
         from repro.solar.climates import LOCATIONS
+        from repro.solar.offgrid import OffGridSystem
+        from repro.solar.pv import PvArray
 
         pv, wh = (540.0,), (720.0, 1440.0)
         spec = replace(load_study(STUDIES_DIR / "table4_grid.yaml"), axes=(
@@ -597,12 +600,12 @@ class TestExperimentParity:
             ("pv_peak_w", pv), ("battery_wh", wh),
         ))
         table = run_study(spec, shards=3).table.wide()
-        # The whole candidate grid of one location in one batched pass.
-        direct = [result
-                  for key in ("madrid", "lyon", "vienna", "berlin")
-                  for result in simulate_candidates(
-                      LOCATIONS[key], [(p, w) for p in pv for w in wh],
-                      seed=spec.seed)]
+        # The whole location x candidate grid in one batched pass.
+        direct = simulate_systems([
+            OffGridSystem(LOCATIONS[key], pv=PvArray(peak_w=p),
+                          battery=Battery(capacity_wh=w), seed=spec.seed)
+            for key in ("madrid", "lyon", "vienna", "berlin")
+            for p in pv for w in wh])
         assert table["zero_downtime"] == [int(r.zero_downtime) for r in direct]
         for column in ("unmet_hours", "full_battery_days_pct",
                        "annual_pv_kwh"):
