@@ -13,7 +13,7 @@ Examples::
     repro study run studies/sim_grid.yaml --jobs 4    # declarative sweep
     repro study resume studies/sim_grid.yaml --store .study  # pick up shards
 
-    repro docs build --strict   # build the documentation site from source
+    repro docs check            # check the docs' nav, links and anchors
     repro docs api --check      # verify the generated API reference is fresh
 
     repro serve --store .service --port 8765   # scenario-planning HTTP API
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="experiment id (see 'repro list'), 'all', or 'list'; "
              "'repro study ...' runs declarative YAML/TOML studies and "
-             "'repro docs ...' builds the documentation site",
+             "'repro docs ...' checks the documentation",
     )
     parser.add_argument(
         "--csv",
@@ -618,7 +618,7 @@ def network_main(argv: list[str]) -> int:
 
 
 def docs_main(argv: list[str]) -> int:
-    """Entry point of the ``repro docs`` subcommands (build / api)."""
+    """Entry point of the ``repro docs`` subcommands (check / api)."""
     from repro.docs.cli import docs_command
 
     return docs_command(argv)

@@ -1,16 +1,14 @@
-"""Built-from-source documentation tooling.
+"""Documentation tooling: source checks and the generated API reference.
 
-Three pieces, all dependency-light (PyYAML + stdlib):
+MkDocs renders the site; this package keeps its source honest with PyYAML
+and the stdlib only:
 
-* :mod:`repro.docs.md` — the Markdown renderer (GitHub-flavoured subset);
+* :mod:`repro.docs.site` — nav, orphan-page, link and anchor checks over
+  the ``mkdocs.yml`` + ``docs/`` tree, through a Markdown source scanner;
 * :mod:`repro.docs.apigen` — API reference pages generated from live
-  docstrings, with a drift check;
-* :mod:`repro.docs.site` — the site builder + strict nav/link/anchor
-  validation over the same ``mkdocs.yml`` + ``docs/`` tree that real MkDocs
-  consumes in CI.
+  docstrings, with a drift check.
 
-CLI: ``repro docs build [--strict] [--output DIR]`` and
-``repro docs api [--check]``.
+CLI: ``repro docs check`` and ``repro docs api [--check]``.
 """
 
 from repro._lazy import lazy_exports
@@ -20,15 +18,14 @@ __all__ = [
     "check",
     "generate",
     "render_page",
-    "render",
-    "slugify",
-    "BuildReport",
-    "build_site",
+    "SiteReport",
+    "check_site",
     "load_config",
+    "scan",
+    "slugify",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "apigen": ("API_PAGES", "check", "generate", "render_page"),
-    "md": ("render", "slugify"),
-    "site": ("BuildReport", "build_site", "load_config"),
+    "site": ("SiteReport", "check_site", "load_config", "scan", "slugify"),
 })

@@ -3,10 +3,10 @@
 ``docs/api/*.md`` is *generated*: :func:`generate` imports the documented
 modules, walks their public surface (``__all__``), converts docstrings to
 Markdown and writes one page per module group.  The pages are committed, so
-the plain-Markdown tree builds under both the built-from-source site builder
-(:mod:`repro.docs.site`) and real MkDocs without any plugin; ``--check``
-regenerates in memory and fails on drift (the CI docs job runs it), so the
-committed reference cannot rot silently.
+MkDocs builds the plain-Markdown tree without any plugin and the source
+checks (:mod:`repro.docs.site`) see them like any other page; ``--check``
+regenerates in memory and fails on drift (``repro docs check`` and the CI
+docs job run it), so the committed reference cannot rot silently.
 
 Docstring conventions the converter understands:
 

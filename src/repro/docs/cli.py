@@ -1,4 +1,4 @@
-"""``repro docs`` subcommands: build the site, manage the API reference."""
+"""``repro docs`` subcommands: check the docs, manage the API reference."""
 
 from __future__ import annotations
 
@@ -19,22 +19,16 @@ def _default_config() -> Path:
 def build_docs_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro docs",
-        description="Build the documentation site from source (no MkDocs "
-                    "required) and keep the generated API reference fresh",
+        description="Check the documentation source (no MkDocs required) "
+                    "and keep the generated API reference fresh",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="render the site and run the checks")
-    build.add_argument("--config", metavar="FILE", default=None,
+    check = sub.add_parser(
+        "check", help="check nav targets, orphan pages, links, anchors and "
+                      "the generated API reference; exit 1 on any problem")
+    check.add_argument("--config", metavar="FILE", default=None,
                        help="mkdocs.yml path (default: the repository root)")
-    build.add_argument("--output", metavar="DIR", default=None,
-                       help="write the HTML tree to DIR (default: validate "
-                            "only)")
-    build.add_argument("--strict", action="store_true",
-                       help="fail on missing nav targets, orphan pages, "
-                            "broken links/anchors or a stale API reference")
-    build.add_argument("--no-api-check", action="store_true",
-                       help="skip the generated-API freshness check")
 
     api = sub.add_parser("api", help="regenerate or verify docs/api/*.md")
     api.add_argument("--config", metavar="FILE", default=None,
@@ -50,38 +44,35 @@ def docs_command(argv: list[str]) -> int:
     from repro.docs import apigen, site
 
     args = build_docs_parser().parse_args(argv)
-    config_path = Path(args.config) if args.config else _default_config()
+    try:
+        config = site.load_config(Path(args.config) if args.config
+                                  else _default_config())
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
     if args.command == "api":
-        docs_dir = site.load_config(config_path).docs_dir
         if args.check:
-            problems = apigen.check(docs_dir)
+            problems = apigen.check(config.docs_dir)
             for problem in problems:
                 print(problem, file=sys.stderr)
             if problems:
                 return 1
             print(f"API reference in sync ({len(apigen.API_PAGES)} pages)")
             return 0
-        written = apigen.generate(docs_dir)
+        written = apigen.generate(config.docs_dir)
         for path in written:
             print(f"wrote {path}")
         return 0
 
-    try:
-        report = site.build_site(config_path, output_dir=args.output,
-                                 strict=args.strict,
-                                 check_api=not args.no_api_check)
-    except ConfigurationError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    for problem in report.problems:
-        print(f"warning: {problem}", file=sys.stderr)
-    where = f" -> {args.output}" if args.output else " (validate only)"
-    print(f"docs: {len(site.load_config(config_path).pages)} pages"
-          f"{where}; {report.internal_links} internal links checked, "
-          f"{report.external_links} external skipped"
-          + ("" if report.ok else f"; {len(report.problems)} problems"))
-    return 0 if report.ok else 1
+    report = site.check_site(config)
+    problems = report.problems + apigen.check(config.docs_dir)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print(f"docs: {len(config.pages)} pages; {report.internal_links} "
+          f"internal links checked, {report.external_links} external not "
+          f"fetched" + (f"; {len(problems)} problems" if problems else ""))
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,54 +1,48 @@
-"""Built-from-source documentation site builder with strict checks.
+"""Strict checks of the documentation source tree.
 
-Reads the same ``mkdocs.yml`` + ``docs/`` tree that real MkDocs builds (the
-CI docs job runs ``mkdocs build --strict`` against it), but depends only on
-PyYAML and the stdlib, so the site — and, more importantly, its *strict
-validation* — works offline and inside the test suite:
+MkDocs renders the site (the CI docs job runs ``mkdocs build --strict``).
+This module checks the same ``mkdocs.yml`` + ``docs/`` tree with PyYAML and
+the stdlib only, so the checks run offline and inside the test suite:
 
-* every nav entry must point at an existing page;
+* every nav entry must point at an existing page, and no page is listed
+  twice;
 * every Markdown file under ``docs/`` must be reachable from the nav
-  (orphans fail the build);
-* every relative link must resolve to a page in the tree, and every anchor
-  (``page.md#section``) must match a heading slug in the target page;
-* external ``http(s)`` links are counted but never fetched (no network);
-* the generated API reference must be in sync with the live docstrings
-  (:func:`repro.docs.apigen.check`).
+  (orphans fail the check);
+* every relative link must resolve to a page in the nav, and every anchor
+  (``page.md#section``) must match a heading slug of the target page;
+* external ``http(s)``/``mailto`` links are counted but never fetched (no
+  network).
 
-The emitted site is intentionally plain: one self-contained HTML file per
-page with a sidebar built from the nav — enough to read the docs from a
-checkout without installing anything.
+The freshness of the generated API reference is a separate check,
+:func:`repro.docs.apigen.check`; ``repro docs check`` runs both.
 """
 
 from __future__ import annotations
 
-import html
 import posixpath
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.docs.md import RenderedPage, render
 
-__all__ = ["SiteConfig", "BuildReport", "load_config", "build_site"]
+__all__ = ["SiteConfig", "SiteReport", "load_config", "check_site", "scan",
+           "slugify"]
 
 
 @dataclass(frozen=True)
 class SiteConfig:
-    """The subset of ``mkdocs.yml`` the fallback builder understands."""
+    """The part of ``mkdocs.yml`` the checks read."""
 
-    site_name: str
     docs_dir: Path
-    #: Flat page list: ``(title, relative path)`` in nav order.
-    pages: tuple[tuple[str, str], ...]
-    #: Nav sections: ``(section title or None, [(title, path), ...])``.
-    sections: tuple[tuple[str | None, tuple[tuple[str, str], ...]], ...]
+    #: Page paths relative to ``docs_dir``, in nav order.
+    pages: tuple[str, ...]
 
 
 @dataclass
-class BuildReport:
-    """Outcome of one site build."""
+class SiteReport:
+    """Outcome of one :func:`check_site` pass."""
 
-    pages_built: int = 0
     internal_links: int = 0
     external_links: int = 0
     problems: list = field(default_factory=list)
@@ -58,22 +52,23 @@ class BuildReport:
         return not self.problems
 
 
-def _nav_entries(nav, source: str) -> list:
-    """Flatten a mkdocs nav list to ``(title, path-or-sublist)`` pairs."""
+def _nav_paths(nav, source: str) -> list[str]:
+    """Page paths of a mkdocs nav list, sections flattened in order."""
     if not isinstance(nav, list):
         raise ConfigurationError(f"{source}: 'nav' must be a list")
-    entries = []
+    paths = []
     for item in nav:
-        if isinstance(item, str):
-            entries.append((None, item))
-        elif isinstance(item, dict) and len(item) == 1:
-            title, value = next(iter(item.items()))
-            entries.append((str(title), value))
-        else:
+        if isinstance(item, dict) and len(item) == 1:
+            (item,) = item.values()
+            if isinstance(item, list):
+                paths.extend(_nav_paths(item, source))
+                continue
+        if not isinstance(item, str):
             raise ConfigurationError(
-                f"{source}: nav entries must be 'path' or 'Title: path' "
-                f"mappings, got {item!r}")
-    return entries
+                f"{source}: nav entries must be 'path', 'Title: path' or "
+                f"'Section: [...]' mappings, got {item!r}")
+        paths.append(item)
+    return paths
 
 
 def load_config(config_path: str | Path) -> SiteConfig:
@@ -83,12 +78,11 @@ def load_config(config_path: str | Path) -> SiteConfig:
         config_path: Path to the MkDocs configuration file.
 
     Returns:
-        The parsed configuration (nav flattened, one section level deep —
-        the structure the shipped ``mkdocs.yml`` uses).
+        The parsed configuration (nav sections flattened).
 
     Raises:
-        ConfigurationError: On a missing file, unparseable YAML or a nav
-            structure deeper than one section level.
+        ConfigurationError: On a missing file, unparseable YAML or a
+            malformed nav.
     """
     import yaml
 
@@ -100,176 +94,139 @@ def load_config(config_path: str | Path) -> SiteConfig:
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{config_path}: invalid YAML: {exc}") from None
     if not isinstance(document, dict) or "nav" not in document:
-        raise ConfigurationError(f"{config_path}: needs 'nav' and 'site_name'")
+        raise ConfigurationError(f"{config_path}: needs a 'nav'")
     docs_dir = config_path.parent / str(document.get("docs_dir", "docs"))
-
-    pages: list[tuple[str, str]] = []
-    sections: list = []
-    for title, value in _nav_entries(document["nav"], str(config_path)):
-        if isinstance(value, str):
-            entry = (title or value, value)
-            pages.append(entry)
-            sections.append((None, (entry,)))
-        else:
-            sub = []
-            for sub_title, sub_value in _nav_entries(value, str(config_path)):
-                if not isinstance(sub_value, str):
-                    raise ConfigurationError(
-                        f"{config_path}: nav nesting deeper than one section "
-                        f"is not supported by the fallback builder")
-                sub.append((sub_title or sub_value, sub_value))
-            pages.extend(sub)
-            sections.append((title, tuple(sub)))
-    return SiteConfig(site_name=str(document.get("site_name", "docs")),
-                      docs_dir=docs_dir, pages=tuple(pages),
-                      sections=tuple(sections))
+    return SiteConfig(docs_dir=docs_dir,
+                      pages=tuple(_nav_paths(document["nav"],
+                                             str(config_path))))
 
 
-_STYLE = """
-body { margin: 0; font: 16px/1.6 system-ui, sans-serif; color: #1a2330; }
-.layout { display: flex; min-height: 100vh; }
-nav.sidebar { width: 16rem; flex: none; background: #f4f6f8;
-  border-right: 1px solid #d9dee3; padding: 1.5rem 1rem; }
-nav.sidebar h2 { font-size: 0.8rem; text-transform: uppercase;
-  letter-spacing: 0.06em; color: #5b6770; margin: 1.2rem 0 0.3rem; }
-nav.sidebar a { display: block; color: #1a4f8b; text-decoration: none;
-  padding: 0.15rem 0.4rem; border-radius: 4px; }
-nav.sidebar a.current { background: #dce8f5; font-weight: 600; }
-main { flex: 1; max-width: 52rem; padding: 2rem 3rem; }
-pre { background: #f4f6f8; border: 1px solid #d9dee3; border-radius: 6px;
-  padding: 0.8rem 1rem; overflow-x: auto; font-size: 0.88rem; }
-code { font-family: ui-monospace, monospace; background: #f4f6f8;
-  padding: 0.1rem 0.3rem; border-radius: 3px; font-size: 0.92em; }
-pre code { padding: 0; background: none; }
-table { border-collapse: collapse; margin: 1rem 0; }
-th, td { border: 1px solid #d9dee3; padding: 0.35rem 0.7rem; text-align: left; }
-th { background: #f4f6f8; }
-h1, h2, h3, h4 { line-height: 1.25; }
-blockquote { border-left: 4px solid #d9dee3; margin: 1rem 0;
-  padding: 0.2rem 1rem; color: #5b6770; }
-"""
+_SLUG_STRIP = re.compile(r"[^\w\- ]", re.UNICODE)
 
 
-def _page_html(config: SiteConfig, rel_path: str, rendered: RenderedPage,
-               title: str) -> str:
-    depth = rel_path.count("/")
-    prefix = "../" * depth
-    nav_parts = []
-    for section, entries in config.sections:
-        if section is not None:
-            nav_parts.append(f"<h2>{html.escape(section)}</h2>")
-        for entry_title, entry_path in entries:
-            href = prefix + entry_path[:-3] + ".html"
-            css = ' class="current"' if entry_path == rel_path else ""
-            nav_parts.append(
-                f'<a{css} href="{html.escape(href)}">'
-                f"{html.escape(entry_title)}</a>")
-    return (
-        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-        "<meta charset=\"utf-8\">\n"
-        "<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n"
-        f"<title>{html.escape(title)} — {html.escape(config.site_name)}</title>\n"
-        f"<style>{_STYLE}</style>\n</head>\n<body>\n"
-        "<div class=\"layout\">\n"
-        f"<nav class=\"sidebar\"><h1>{html.escape(config.site_name)}</h1>\n"
-        + "\n".join(nav_parts)
-        + "\n</nav>\n<main>\n" + rendered.html + "\n</main>\n</div>\n"
-        "</body>\n</html>\n")
-
-
-def _check_links(rel_path: str, rendered: RenderedPage,
-                 renders: dict, report: BuildReport) -> None:
-    for target in rendered.links:
-        if target.startswith(("http://", "https://", "mailto:")):
-            report.external_links += 1
-            continue
-        report.internal_links += 1
-        if target.startswith("#"):
-            if target[1:] not in rendered.anchors:
-                report.problems.append(
-                    f"{rel_path}: broken anchor {target!r}")
-            continue
-        path_part, _, anchor = target.partition("#")
-        resolved = posixpath.normpath(
-            posixpath.join(posixpath.dirname(rel_path), path_part))
-        if resolved not in renders:
-            report.problems.append(
-                f"{rel_path}: broken link {target!r} "
-                f"(no page {resolved!r} in the nav)")
-            continue
-        if anchor and anchor not in renders[resolved].anchors:
-            report.problems.append(
-                f"{rel_path}: broken anchor {target!r} "
-                f"({resolved} has no heading #{anchor})")
-
-
-def build_site(config_path: str | Path,
-               output_dir: str | Path | None = None,
-               strict: bool = False,
-               check_api: bool = True) -> BuildReport:
-    """Build the documentation site and run the strict checks.
+def slugify(text: str) -> str:
+    """GitHub-style anchor slug of a heading text.
 
     Args:
-        config_path: Path to ``mkdocs.yml``.
-        output_dir: Where to write the HTML tree (``None`` = validate only).
-        strict: Raise :class:`~repro.errors.ConfigurationError` on any
-            problem instead of returning it in the report.
-        check_api: Also verify the generated API reference is in sync with
-            the live docstrings (:func:`repro.docs.apigen.check`).
+        text: The raw heading text.
 
     Returns:
-        The :class:`BuildReport` (problems listed when ``strict=False``).
-
-    Raises:
-        ConfigurationError: In strict mode, on the first validation failure
-            set (missing nav targets, orphan pages, broken links/anchors,
-            stale API pages).
+        Lower-case slug with inline markup and punctuation removed and
+        spaces as dashes.
     """
-    config = load_config(config_path)
-    report = BuildReport()
+    text = re.sub(r"`([^`]*)`", r"\1", text)
+    text = re.sub(r"\*\*([^*]+)\*\*", r"\1", text)
+    text = re.sub(r"\*([^*]+)\*", r"\1", text)
+    text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", text)
+    return _SLUG_STRIP.sub("", text.strip().lower()).replace(" ", "-")
 
-    nav_paths = [path for _, path in config.pages]
-    if len(set(nav_paths)) != len(nav_paths):
-        report.problems.append(f"nav lists a page twice: {nav_paths}")
 
-    renders: dict[str, RenderedPage] = {}
-    for _, rel_path in config.pages:
+_HEADING = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
+_FENCE = re.compile(r"^(```+|~~~+)\s*[\w+-]*\s*$")
+_CODE_SPAN = re.compile(r"`[^`]+`")
+_LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)|<(https?://[^>]+)>")
+
+
+def scan(text: str) -> tuple[set[str], list[str]]:
+    """Heading anchors and link targets of a Markdown page.
+
+    Fenced code is skipped.  Links are found per block (a run of non-blank
+    lines, or a heading), so a link label may wrap.  A code span hides any
+    link inside it but may itself be a link's label.  Images count as
+    links.  A repeated heading's anchor takes a ``-1``, ``-2``, ...
+    suffix, as on GitHub.
+
+    Args:
+        text: The Markdown source.
+
+    Returns:
+        ``(anchors, links)``: the set of heading slugs and every link
+        target as written, in document order.
+    """
+    anchors: set[str] = set()
+    links: list[str] = []
+    slug_counts: dict[str, int] = {}
+    block: list[str] = []
+    fence = None
+
+    def flush() -> None:
+        hidden = _CODE_SPAN.sub("code", " ".join(block))
+        links.extend(a or b for a, b in _LINK.findall(hidden))
+        block.clear()
+
+    for line in text.split("\n"):
+        stripped = line.strip()
+        if fence is not None:
+            if stripped.startswith(fence):
+                fence = None
+            continue
+        opening = _FENCE.match(stripped)
+        heading = _HEADING.match(line)
+        if opening or heading or not stripped:
+            flush()
+        if opening:
+            fence = opening.group(1)[:3]
+        elif heading:
+            slug = slugify(heading.group(1))
+            count = slug_counts.get(slug, 0)
+            slug_counts[slug] = count + 1
+            anchors.add(slug if count == 0 else f"{slug}-{count}")
+            block.append(heading.group(1))
+            flush()
+        elif stripped:
+            block.append(stripped)
+    flush()
+    return anchors, links
+
+
+def check_site(config: SiteConfig) -> SiteReport:
+    """Run the nav, orphan, link and anchor checks over a docs tree.
+
+    Args:
+        config: The parsed ``mkdocs.yml`` (:func:`load_config`).
+
+    Returns:
+        The :class:`SiteReport`; its ``problems`` list every failure.
+    """
+    report = SiteReport()
+    twice = sorted({p for p in config.pages if config.pages.count(p) > 1})
+    if twice:
+        report.problems.append(f"nav lists a page twice: {twice}")
+
+    scans: dict[str, tuple[set[str], list[str]]] = {}
+    for rel_path in config.pages:
         source = config.docs_dir / rel_path
         if not source.exists():
             report.problems.append(
                 f"nav entry {rel_path!r} does not exist under "
                 f"{config.docs_dir}")
             continue
-        renders[rel_path] = render(source.read_text())
+        scans[rel_path] = scan(source.read_text())
 
-    on_disk = {str(p.relative_to(config.docs_dir)).replace("\\", "/")
+    on_disk = {p.relative_to(config.docs_dir).as_posix()
                for p in config.docs_dir.rglob("*.md")}
-    for orphan in sorted(on_disk - set(nav_paths)):
+    for orphan in sorted(on_disk - set(config.pages)):
         report.problems.append(
             f"page {orphan!r} exists under {config.docs_dir} but is not in "
             f"the mkdocs.yml nav")
 
-    for rel_path, rendered in renders.items():
-        _check_links(rel_path, rendered, renders, report)
-
-    if check_api:
-        from repro.docs.apigen import check as api_check
-
-        report.problems.extend(api_check(config.docs_dir))
-
-    if output_dir is not None and (not report.problems or not strict):
-        output_dir = Path(output_dir)
-        for (title, rel_path) in config.pages:
-            rendered = renders.get(rel_path)
-            if rendered is None:
+    for rel_path, (_, links) in scans.items():
+        for target in links:
+            if target.startswith(("http://", "https://", "mailto:")):
+                report.external_links += 1
                 continue
-            target = output_dir / (rel_path[:-3] + ".html")
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(_page_html(config, rel_path, rendered,
-                                         rendered.title or title))
-            report.pages_built += 1
-
-    if strict and report.problems:
-        raise ConfigurationError(
-            "documentation build failed:\n  - " + "\n  - ".join(report.problems))
+            report.internal_links += 1
+            path_part, _, anchor = target.partition("#")
+            resolved = rel_path
+            if path_part:
+                resolved = posixpath.normpath(posixpath.join(
+                    posixpath.dirname(rel_path), path_part))
+            if resolved not in scans:
+                report.problems.append(
+                    f"{rel_path}: broken link {target!r} "
+                    f"(no page {resolved!r} in the nav)")
+            elif anchor and anchor not in scans[resolved][0]:
+                report.problems.append(
+                    f"{rel_path}: broken anchor {target!r} "
+                    f"({resolved} has no heading #{anchor})")
     return report

@@ -3,8 +3,7 @@
 ``repro serve`` wraps the declarative study layer (:mod:`repro.study`) in a
 long-running JSON-over-HTTP service so operators plan corridor deployments
 on demand instead of re-running CLIs.  The stack is **stdlib only**
-(``http.server`` + ``threading``, the :mod:`repro.docs` no-third-party
-precedent) and robustness is the design center:
+(``http.server`` + ``threading``) and robustness is the design center:
 
 * **typed schemas at the edge** (:mod:`repro.service.schemas`) — malformed
   requests are rejected with 400 before any work is admitted;

@@ -210,9 +210,13 @@ def run_shard_slice(spec: StudySpec, index: int, of: int, store: StudyStore,
             journal=log, cancel=cancel, only_shards=indices)
     # Attest only what verifiably completed: a partial or keep_going run
     # signs a truthful subset, and the merge's coverage check reports the
-    # gap as "missing" rather than trusting an optimistic claim.
-    verified = store.verified_shards(spec, [layout[i] for i in indices])
-    completed = [i for i in indices if layout[i] in verified]
+    # gap as "missing" rather than trusting an optimistic claim.  A
+    # complete run claims its whole slice, which build_manifest verifies
+    # once per bundle.
+    completed = indices
+    if report is not None and report.partial:
+        verified = store.verified_shards(spec, [layout[i] for i in indices])
+        completed = [i for i in indices if layout[i] in verified]
     manifest = build_manifest(spec, store, layout, completed,
                               worker=index, of=of)
     if manifest_path is None:

@@ -29,6 +29,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigurationError, ManifestError, MergeValidationError
 from repro.faults import FaultInjected, FaultPlan, FaultSpec
+from repro.scenario.cache import ArrayCache
 from repro.study import (
     RunJournal,
     StudyStore,
@@ -208,6 +209,38 @@ class TestManifest:
         layout = shard_ranges(spec.case_count, 4)
         with pytest.raises(ManifestError, match="missing from the store"):
             build_manifest(spec, store, layout, [0], worker=0, of=2)
+
+    def test_slice_verifies_each_bundle_once(self, tmp_path, monkeypatch):
+        # The attestation reads and checksums each bundle once: a complete
+        # slice claims its whole slice and build_manifest verifies it.
+        calls = []
+        load_verified = ArrayCache.load_verified
+
+        def spy(self, key):
+            calls.append(key)
+            return load_verified(self, key)
+
+        monkeypatch.setattr(ArrayCache, "load_verified", spy)
+        _, slice_run = self.slice_manifest(tmp_path)
+        assert slice_run.complete
+        assert sorted(calls) == sorted(
+            {entry.checksum for entry in slice_run.manifest.shards})
+
+    def test_partial_slice_signs_only_the_verified_subset(self, tmp_path):
+        # Shard 2's attempt leaves a recorded but torn bundle and fails;
+        # the manifest attests shard 0 only, so the merge reports shard 2
+        # missing instead of trusting the torn bundle.
+        spec = mc_spec()
+        store_dir = tmp_path / "w0"
+        plan = FaultPlan(faults=(FaultSpec(shard=2, action="corrupt"),),
+                         store_dir=str(store_dir))
+        slice_run = run_shard_slice(
+            spec, 0, 2, StudyStore(cache_dir=store_dir), shards=4,
+            keep_going=True, journal=RunJournal(None),
+            context={"fault_plan": plan.to_context()})
+        assert not slice_run.complete
+        assert slice_run.manifest.shard_indices() == (0,)
+        assert load_manifest(slice_run.manifest_path) == slice_run.manifest
 
 
 # -- merge parity -------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Tests for the built-from-source documentation tooling (repro.docs).
+"""Tests for the documentation tooling (repro.docs).
 
-The real site (mkdocs.yml + docs/) must strict-build, the generated API
-reference must match the live docstrings, and the strict checks must
-actually catch the failure modes they exist for (missing nav targets,
-orphan pages, broken links and anchors, stale API pages).
+The repository docs (mkdocs.yml + docs/) must pass the source checks, the
+generated API reference must match the live docstrings, and the checks
+must actually catch the failure modes they exist for (missing nav
+targets, orphan pages, broken links and anchors, stale API pages), both
+through the library and through ``repro docs check``'s exit code.
 """
 
 import re
@@ -12,49 +13,45 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.docs import apigen, build_site, load_config, render, slugify
+from repro.docs import apigen, check_site, load_config, scan, slugify
 from repro.errors import ConfigurationError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 MKDOCS_YML = REPO_ROOT / "mkdocs.yml"
 
 
-# -- markdown renderer --------------------------------------------------------
+# -- markdown scanner ---------------------------------------------------------
 
 
-class TestMarkdown:
+class TestScanner:
     def test_headings_and_slugs(self):
-        page = render("# Top Title\n\n## A `code` Section!\n")
-        assert page.title == "Top Title"
-        assert page.headings == [(1, "Top Title", "top-title"),
-                                 (2, "A code Section!", "a-code-section")]
-        assert '<h2 id="a-code-section">' in page.html
+        anchors, _ = scan("# Top Title\n\n## A `code` Section!\n")
+        assert anchors == {"top-title", "a-code-section"}
 
     def test_duplicate_headings_get_unique_slugs(self):
-        page = render("## Same\n\n## Same\n")
-        assert page.anchors == {"same", "same-1"}
+        anchors, _ = scan("## Same\n\n## Same\n\n## Same\n")
+        assert anchors == {"same", "same-1", "same-2"}
 
-    def test_fenced_code_is_escaped_verbatim(self):
-        page = render("```python\nx = a < b  # **not bold**\n```\n")
-        assert "x = a &lt; b  # **not bold**" in page.html
-        assert "<strong>" not in page.html
+    @pytest.mark.parametrize("fence", ("```", "~~~", "```python"))
+    def test_fenced_code_is_skipped(self, fence):
+        anchors, links = scan(f"# Real\n{fence}\n# not a heading\n"
+                              f"[x](gone.md)\n{fence[:3]}\n[y](kept.md)\n")
+        assert anchors == {"real"}
+        assert links == ["kept.md"]
 
-    def test_inline_markup(self):
-        page = render("A **bold** *em* `co_de` [link](other.md#sec) here.\n")
-        assert "<strong>bold</strong>" in page.html
-        assert "<em>em</em>" in page.html
-        assert "<code>co_de</code>" in page.html
-        assert '<a href="other.md#sec">link</a>' in page.html
-        assert page.links == ["other.md#sec"]
+    def test_links_in_document_order(self):
+        _, links = scan("A [link](other.md#sec) and ![img](pic.png)\n"
+                        "then [a wrapped\nlabel](wrapped.md) <https://x.org>\n"
+                        "\n## Heading [in](heading.md)\n")
+        assert links == ["other.md#sec", "pic.png", "wrapped.md",
+                         "https://x.org", "heading.md"]
 
-    def test_lists_and_tables(self):
-        page = render("- one\n- two\n\n| a | b |\n|---|---|\n| 1 | 2 |\n")
-        assert "<ul>" in page.html and "<li>one</li>" in page.html
-        assert "<th>a</th>" in page.html and "<td>2</td>" in page.html
+    def test_code_span_hides_links_inside_it(self):
+        assert scan("Write `[text](target.md)` for a link.\n")[1] == []
 
-    def test_ordered_list(self):
-        page = render("1. first\n2. second\n")
-        assert "<ol>" in page.html
+    def test_code_span_label_is_a_link(self):
+        assert scan("See [`compute_hash`](studies.md#store).\n")[1] == [
+            "studies.md#store"]
 
     def test_slugify(self):
         assert slugify("Reproducing the paper") == "reproducing-the-paper"
@@ -65,16 +62,13 @@ class TestMarkdown:
 
 
 class TestRealSite:
-    def test_strict_build_of_repository_docs(self, tmp_path):
-        report = build_site(MKDOCS_YML, output_dir=tmp_path, strict=True)
-        assert report.ok
-        assert report.pages_built == len(load_config(MKDOCS_YML).pages)
-        index = (tmp_path / "index.html").read_text()
-        assert "Railway" in index
-        assert (tmp_path / "api" / "study.html").exists()
+    def test_repository_docs_pass_the_checks(self):
+        report = check_site(load_config(MKDOCS_YML))
+        assert report.problems == []
+        assert report.internal_links > 0
 
     def test_issue_required_pages_present(self):
-        pages = {path for _, path in load_config(MKDOCS_YML).pages}
+        pages = set(load_config(MKDOCS_YML).pages)
         assert {"index.md", "architecture.md", "reproducing.md",
                 "studies.md", "regression.md"} <= pages
         assert {"api/scenario.md", "api/radio-batch.md", "api/solar-batch.md",
@@ -116,26 +110,44 @@ def _write_site(tmp_path: Path, pages: dict, nav: list) -> Path:
     return config
 
 
+def _check(config: Path):
+    return check_site(load_config(config))
+
+
 class TestStrictChecks:
     def test_missing_nav_target_fails(self, tmp_path):
         config = _write_site(tmp_path, {"index.md": "# Hi\n"},
                              [("Home", "index.md"), ("Gone", "gone.md")])
-        with pytest.raises(ConfigurationError, match="gone.md"):
-            build_site(config, strict=True, check_api=False)
+        (problem,) = _check(config).problems
+        assert problem.startswith("nav entry 'gone.md' does not exist")
+
+    def test_page_listed_twice_fails(self, tmp_path):
+        config = _write_site(tmp_path, {"index.md": "# Hi\n"},
+                             [("Home", "index.md"), ("Again", "index.md")])
+        assert _check(config).problems == [
+            "nav lists a page twice: ['index.md']"]
 
     def test_orphan_page_fails(self, tmp_path):
         config = _write_site(tmp_path,
                              {"index.md": "# Hi\n", "stray.md": "# S\n"},
                              [("Home", "index.md")])
-        with pytest.raises(ConfigurationError, match="stray.md"):
-            build_site(config, strict=True, check_api=False)
+        (problem,) = _check(config).problems
+        assert "'stray.md'" in problem and "not in the mkdocs.yml nav" in problem
 
     def test_broken_link_fails(self, tmp_path):
         config = _write_site(tmp_path,
                              {"index.md": "# Hi\n[dead](missing.md)\n"},
                              [("Home", "index.md")])
-        with pytest.raises(ConfigurationError, match="broken link"):
-            build_site(config, strict=True, check_api=False)
+        (problem,) = _check(config).problems
+        assert "broken link 'missing.md'" in problem
+
+    def test_code_span_labelled_link_is_checked(self, tmp_path):
+        config = _write_site(tmp_path, {"index.md": "# Hi\n[`x`](gone.md)\n"},
+                             [("Home", "index.md")])
+        report = _check(config)
+        assert report.internal_links == 1
+        assert report.problems == [
+            "index.md: broken link 'gone.md' (no page 'gone.md' in the nav)"]
 
     def test_broken_anchor_fails(self, tmp_path):
         config = _write_site(
@@ -143,8 +155,15 @@ class TestStrictChecks:
             {"index.md": "# Hi\n[x](other.md#nope)\n",
              "other.md": "# Other\n\n## Real Section\n"},
             [("Home", "index.md"), ("Other", "other.md")])
-        with pytest.raises(ConfigurationError, match="no heading"):
-            build_site(config, strict=True, check_api=False)
+        (problem,) = _check(config).problems
+        assert "no heading #nope" in problem
+
+    def test_same_page_anchor_checked(self, tmp_path):
+        config = _write_site(tmp_path,
+                             {"index.md": "# Hi\n[up](#hi) [x](#nope)\n"},
+                             [("Home", "index.md")])
+        (problem,) = _check(config).problems
+        assert "broken anchor '#nope'" in problem
 
     def test_valid_anchor_passes(self, tmp_path):
         config = _write_site(
@@ -152,22 +171,27 @@ class TestStrictChecks:
             {"index.md": "# Hi\n[x](other.md#real-section)\n",
              "other.md": "# Other\n\n## Real Section\n"},
             [("Home", "index.md"), ("Other", "other.md")])
-        report = build_site(config, strict=True, check_api=False)
+        report = _check(config)
         assert report.ok and report.internal_links == 1
+
+    def test_nested_nav_sections_are_flattened(self, tmp_path):
+        config = tmp_path / "mkdocs.yml"
+        config.write_text("nav:\n  - Home: index.md\n  - A:\n"
+                          "      - B:\n          - b.md\n")
+        assert load_config(config).pages == ("index.md", "b.md")
+
+    def test_malformed_nav_rejected(self, tmp_path):
+        config = tmp_path / "mkdocs.yml"
+        config.write_text("nav:\n  - Home: {a: 1}\n")
+        with pytest.raises(ConfigurationError, match="nav entries"):
+            load_config(config)
 
     def test_external_links_counted_not_fetched(self, tmp_path):
         config = _write_site(
             tmp_path, {"index.md": "# Hi\n[x](https://example.org/nope)\n"},
             [("Home", "index.md")])
-        report = build_site(config, strict=True, check_api=False)
-        assert report.external_links == 1
-
-    def test_non_strict_reports_instead_of_raising(self, tmp_path):
-        config = _write_site(tmp_path, {"index.md": "# Hi\n[d](gone.md)\n"},
-                             [("Home", "index.md")])
-        report = build_site(config, strict=False, check_api=False)
-        assert not report.ok
-        assert any("broken link" in p for p in report.problems)
+        report = _check(config)
+        assert report.ok and report.external_links == 1
 
     def test_stale_api_page_detected(self, tmp_path):
         config = _write_site(tmp_path, {"index.md": "# Hi\n"},
@@ -216,22 +240,50 @@ class TestApigen:
 # -- CLI ----------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def api_pages(tmp_path_factory):
+    """The generated API pages, so a synthetic site passes the API check."""
+    docs = tmp_path_factory.mktemp("api")
+    apigen.generate(docs)
+    return {page.filename: (docs / page.filename).read_text()
+            for page in apigen.API_PAGES}
+
+
 class TestDocsCli:
-    def test_build_strict(self, tmp_path, capsys):
-        code = main(["docs", "build", "--strict",
-                     "--output", str(tmp_path / "site")])
-        assert code == 0
-        assert "pages" in capsys.readouterr().out
-        assert (tmp_path / "site" / "architecture.html").exists()
+    def test_check_repository_docs(self, capsys):
+        assert main(["docs", "check"]) == 0
+        out = capsys.readouterr().out
+        assert "pages" in out and "problems" not in out
 
     def test_api_check(self, capsys):
         assert main(["docs", "api", "--check"]) == 0
         assert "in sync" in capsys.readouterr().out
 
-    def test_build_failure_exit_code(self, tmp_path, capsys):
-        config = _write_site(tmp_path, {"index.md": "# Hi\n[d](gone.md)\n"},
-                             [("Home", "index.md")])
-        code = main(["docs", "build", "--strict", "--config", str(config),
-                     "--no-api-check"])
+    @pytest.mark.parametrize("pages, nav, message", [
+        ({}, [], None),
+        ({}, [("Gone", "gone.md")], "'gone.md' does not exist"),
+        ({"stray.md": "# S\n"}, [], "'stray.md' exists"),
+        ({"index.md": "# Hi\n[d](gone.md)\n"}, [], "broken link"),
+        ({"index.md": "# Hi\n[`d`](gone.md)\n"}, [], "broken link"),
+        ({"index.md": "# Hi\n[d](#nope)\n"}, [], "broken anchor"),
+        ({"api/study.md": "# repro.study\n"}, [], "stale"),
+    ], ids=["clean", "missing-nav-target", "orphan-page", "broken-link",
+            "code-span-link", "broken-anchor", "stale-api-page"])
+    def test_check_exit_code(self, tmp_path, capsys, api_pages, pages, nav,
+                             message):
+        config = _write_site(
+            tmp_path, {"index.md": "# Hi\n", **api_pages, **pages},
+            [("Home", "index.md"), *nav, *((p, p) for p in api_pages)])
+        code = main(["docs", "check", "--config", str(config)])
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1
+            (problem,) = err.splitlines()
+            assert message in problem
+
+    def test_unreadable_config_exits_1(self, tmp_path, capsys):
+        code = main(["docs", "check", "--config", str(tmp_path / "no.yml")])
         assert code == 1
-        assert "broken link" in capsys.readouterr().err
+        assert "no mkdocs config" in capsys.readouterr().err
