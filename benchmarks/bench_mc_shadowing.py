@@ -27,6 +27,13 @@ same code in both legs; whole-job walls are recorded beside it),
 asserted locally and printed under CI; the record is
 ``BENCH_mc_jobs.json``.  This node is a layer measurement: the end-to-end
 claim for service jobs rests on perfbench's ``service_jobs`` workload.
+
+A third node gates the draw of a fresh ``(seed, trials)`` stream at a
+``robustness_grid`` job's shape: the engine's one-pass seeding
+(``repro.optimize.mc._fresh_normals``) against one ``default_rng([seed,
+t])`` per trial (:func:`oracles.mc.trial_generators`), bit-identical, at
+a ``>= DRAW_THRESHOLD`` thread-CPU speedup (interleaved legs), asserted
+locally and printed under CI; the record is ``BENCH_mc_draw.json``.
 """
 
 import dataclasses
@@ -37,8 +44,9 @@ from pathlib import Path
 import numpy as np
 
 from oracles import kernels as oracle_kernels
-from oracles.mc import outage_matrix_scalar, per_draw_mc
+from oracles.mc import outage_matrix_scalar, per_draw_mc, trial_generators
 from repro.corridor.layout import CorridorLayout
+from repro.optimize import mc
 from repro.optimize.mc import outage_matrix
 from repro.propagation.fading import LogNormalShadowing
 from repro.radio.batch import evaluate_scenarios
@@ -192,3 +200,41 @@ def bench_mc_service_jobs(benchmark, bench_json, tmp_path):
     else:
         assert speedup >= JOBS_THRESHOLD, \
             f"per-stream mc adapter only {speedup:.2f}x faster"
+
+
+#: Min speedup of the one-pass trial seeding over a generator per trial.
+DRAW_THRESHOLD = 1.5
+#: A ``robustness_grid`` job's fresh stream: trials x longest grid.
+DRAW_TRIALS, DRAW_WIDTH = 100, 239
+DRAW_SEED = 2022
+
+
+def bench_mc_draw(benchmark, bench_json, interleaved_best):
+    def oracle():
+        return np.array([rng.standard_normal(DRAW_WIDTH)
+                         for rng in trial_generators(DRAW_SEED, DRAW_TRIALS)])
+
+    def fresh():
+        return mc._fresh_normals(DRAW_SEED, DRAW_TRIALS, DRAW_WIDTH)
+
+    benchmark.pedantic(fresh, rounds=1, iterations=1)
+    (oracle_s, reference), (fresh_s, drawn) = interleaved_best(
+        oracle, fresh, repeats=30)
+    assert np.array_equal(drawn, reference)
+
+    speedup = oracle_s / fresh_s
+    bench_json("mc_draw", {
+        "trials": DRAW_TRIALS,
+        "width": DRAW_WIDTH,
+        "oracle_s": oracle_s,
+        "fresh_s": fresh_s,
+        "speedup": speedup,
+        "threshold": DRAW_THRESHOLD,
+        "enforced": not os.environ.get("CI"),
+    })
+    if os.environ.get("CI"):
+        print(f"one-pass trial seeding speedup: {speedup:.2f}x (threshold "
+              "not enforced under CI)")
+    else:
+        assert speedup >= DRAW_THRESHOLD, \
+            f"one-pass trial seeding only {speedup:.2f}x faster"

@@ -17,7 +17,6 @@ __all__ = [
     "IsdSweepResult",
     "OutageMatrix",
     "outage_matrix",
-    "trial_generators",
     "wilson_interval",
     "robust_max_isd",
     "optimize_placement",
@@ -26,9 +25,7 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "isd": ("IsdSweepResult", "max_isd_for_n", "sweep_max_isd"),
-    "mc": (
-        "OutageMatrix", "outage_matrix", "trial_generators", "wilson_interval",
-    ),
+    "mc": ("OutageMatrix", "outage_matrix", "wilson_interval"),
     "placement": ("PlacementResult", "optimize_placement"),
     "robustness": ("robust_max_isd",),
 })

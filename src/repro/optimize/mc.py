@@ -5,15 +5,22 @@ trace pushes some track position of a profile below the SNR threshold.  This
 module batches that question across **every (candidate, trial, position)**
 at once:
 
-* per-trial generators are seeded as ``default_rng([seed, t])`` — the
-  *common-random-number* (CRN) contract: trial ``t``'s standard-normal stream
-  depends only on ``(seed, t)``, never on the candidate, so every candidate
-  consumes a prefix of the same trial streams and Monte-Carlo noise cancels
-  out of cross-candidate comparisons (the empirical outage-vs-ISD curve
-  tracks the monotone deterministic profiles, which makes bisection over its
-  feasibility boundary sound — see
+* trial ``t``'s standard normals are the stream of ``default_rng([seed, t])``
+  — the *common-random-number* (CRN) contract: trial ``t``'s standard-normal
+  stream depends only on ``(seed, t)``, never on the candidate, so every
+  candidate consumes a prefix of the same trial streams and Monte-Carlo
+  noise cancels out of cross-candidate comparisons (the empirical
+  outage-vs-ISD curve tracks the monotone deterministic profiles, which
+  makes bisection over its feasibility boundary sound — see
   :func:`repro.optimize.robustness.robust_max_isd`, pinned equal to the
   full-scan oracle ``tests/oracles/isd.py`` across seed sweeps in the tests);
+* those streams are seeded without building a generator per trial:
+  :func:`_trial_states` runs numpy's ``SeedSequence`` hash mix over every
+  trial index at once (``uint32`` columns) and PCG64's two-step seeding in
+  Python ints, giving each trial's PCG64 ``(state, inc)``; one generator
+  is re-seeded per trial from those.  numpy keeps both algorithms stable
+  across versions (NEP 19), and the tests pin the normals bit-identical to
+  ``default_rng([seed, t])`` (the oracle ``tests/oracles/mc.py``);
 * one standard-normal matrix ``[trial, position]`` is drawn per
   ``(seed, trials)`` stream, at the longest grid of the call, and shared by
   all candidates;
@@ -34,8 +41,8 @@ The scan itself is the :func:`repro.kernels.ar1_min_scan` kernel.  The
 per-trial shadowing walk (one trace per (candidate, trial)) and a
 ``[trial]``-stacked trace sampler are test oracles
 (``tests/oracles/mc.py``): the batched engine with the step-loop kernel
-substituted is trial-for-trial bit-identical to the walk (same generator
-seeding, same draw order, elementwise-identical arithmetic), and the fused
+substituted is trial-for-trial bit-identical to the walk (same trial
+streams, same draw order, elementwise-identical arithmetic), and the fused
 kernel matches it within 1e-9 while preserving the CRN
 candidate-independence bitwise — asserted in ``tests/test_mc_engine.py``.
 """
@@ -58,7 +65,7 @@ from repro.propagation.fading import (
 )
 
 __all__ = ["OutageMatrix", "min_snr_matrix", "outage_matrix",
-           "readonly_array", "trial_generators", "wilson_interval"]
+           "readonly_array", "wilson_interval"]
 
 
 def readonly_array(values) -> np.ndarray:
@@ -80,25 +87,6 @@ def readonly_array(values) -> np.ndarray:
         arr = arr.copy()
         arr.flags.writeable = False
     return arr
-
-
-def trial_generators(seed: int, trials: int) -> list[np.random.Generator]:
-    """Independent per-trial generators — the common-random-number contract.
-
-    Trial ``t``'s stream is a pure function of ``(seed, t)``; candidates and
-    repeated calls all see the same streams.
-
-    Args:
-        seed: Root seed of the trial family.
-        trials: Number of generators to derive.
-
-    Returns:
-        ``trials`` generators, one per trial, each seeded
-        ``default_rng([seed, t])`` — the convention shared with
-        :func:`repro.traffic.timetable.day_timetables` and the study layer's
-        :meth:`repro.study.spec.StudySpec.case_seed`.
-    """
-    return [np.random.default_rng([seed, t]) for t in range(trials)]
 
 
 def wilson_interval(successes, trials: int, z: float = 1.959963984540054):
@@ -184,6 +172,98 @@ class OutageMatrix:
         return np.quantile(self.min_snr_db, q, axis=1)
 
 
+#: numpy's ``SeedSequence`` constants (a 4-word pool of ``uint32``) and
+#: PCG64's 128-bit multiplier; NEP 19 keeps both algorithms fixed.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _trial_states(seed: int, trials: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng([seed, t])`` for every trial.
+
+    ``SeedSequence([seed, t])`` hashes the ``uint32`` words of ``seed``
+    (little-endian, at least one) followed by ``t``'s one word, so every
+    trial index is a lane of one vectorized hash mix: the hash constants
+    advance independently of the data.  PCG64 then takes four ``uint64``
+    words of the pool's output as its seed and increment.
+
+    Raises:
+        ValueError: On a negative ``seed``, as ``default_rng`` does.
+    """
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer, got seed {seed}")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    # One uint32 word per trial index: a [trials, p] matrix with
+    # trials >= 2**32 could not be allocated anyway.
+    entropy = [np.full(trials, word, dtype=np.uint32) for word in words]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ value >> 16
+
+    zeros = np.zeros(trials, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros)
+            for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight uint32 words cycled from the pool,
+    # paired little-endian into (seed_hi, seed_lo, inc_hi, inc_lo).
+    const = _INIT_B
+    out = []
+    for i in range(2 * _POOL_WORDS):
+        value = pool[i % _POOL_WORDS] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        out.append((value ^ value >> 16).astype(np.uint64))
+    state_words = np.stack([out[i] | out[i + 1] << 32
+                            for i in range(0, len(out), 2)], axis=1)
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in state_words.tolist():
+        # pcg64_set_seed: state = 0, step, add the seed, step again.
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT
+                 + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _fresh_normals(seed: int, trials: int, width: int) -> np.ndarray:
+    """``[trials, width]`` matrix whose row ``t`` is the first ``width``
+    standard normals of ``default_rng([seed, t])``, from one generator
+    re-seeded per trial (:func:`_trial_states`)."""
+    z = np.empty((trials, width))
+    generator = np.random.Generator(np.random.PCG64(0))
+    bit_generator = generator.bit_generator
+    for row, (state, inc) in zip(z, _trial_states(seed, trials)):
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.standard_normal(out=row)
+    return z
+
+
 #: Standard-normal matrix memo keyed by (seed, trials).  Each entry holds the
 #: longest matrix drawn so far for that key; shorter position counts are
 #: served as prefix views (bit-identical — trial t's row IS the prefix of
@@ -207,9 +287,7 @@ def _standard_normal_matrix(seed: int, trials: int, p_max: int) -> np.ndarray:
         if hit is not None and hit.shape[1] >= p_max:
             _Z_CACHE.move_to_end(key)
             return hit[:, :p_max]
-        z = np.empty((trials, p_max))
-        for t, rng in enumerate(trial_generators(seed, trials)):
-            z[t] = rng.standard_normal(p_max)
+        z = _fresh_normals(seed, trials, p_max)
         z.flags.writeable = False
         if z.nbytes <= _Z_CACHE_MAX_BYTES:
             _Z_CACHE[key] = z

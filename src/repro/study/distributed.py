@@ -55,6 +55,7 @@ from repro.errors import (
 from repro.study.journal import resolve_journal, scan_journal
 from repro.study.manifest import (
     ShardManifest,
+    _attest,
     build_manifest,
     default_manifest_name,
     load_manifest,
@@ -211,14 +212,16 @@ def run_shard_slice(spec: StudySpec, index: int, of: int, store: StudyStore,
     # Attest only what verifiably completed: a partial or keep_going run
     # signs a truthful subset, and the merge's coverage check reports the
     # gap as "missing" rather than trusting an optimistic claim.  A
-    # complete run claims its whole slice, which build_manifest verifies
-    # once per bundle.
-    completed = indices
+    # complete run claims its whole slice, which build_manifest verifies;
+    # either way each bundle is verified once.
     if report is not None and report.partial:
         verified = store.verified_shards(spec, [layout[i] for i in indices])
-        completed = [i for i in indices if layout[i] in verified]
-    manifest = build_manifest(spec, store, layout, completed,
-                              worker=index, of=of)
+        manifest = _attest(spec, layout,
+                           [i for i in indices if layout[i] in verified],
+                           verified, index, of)
+    else:
+        manifest = build_manifest(spec, store, layout, indices,
+                                  worker=index, of=of)
     if manifest_path is None:
         manifest_path = store.cache_dir / default_manifest_name(
             spec, index, of)

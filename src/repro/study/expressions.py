@@ -15,6 +15,7 @@ engine runs.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from typing import Callable, Mapping
 
@@ -155,6 +156,21 @@ def _evaluate(node: ast.AST, env: Mapping[str, object], expression: str):
         f"{type(node).__name__}")
 
 
+@functools.lru_cache(maxsize=256)
+def _validated_tree(expression: str) -> ast.Expression:
+    """``expression`` parsed and checked against the whitelist, once per
+    process: a spec load and every table build of the study reuse the
+    tree, which no caller mutates.  Bounded, since a service parses the
+    formulas its clients send."""
+    try:
+        tree = ast.parse(expression, mode="eval")
+    except SyntaxError as exc:
+        raise ConfigurationError(
+            f"derived expression {expression!r} does not parse: {exc}") from None
+    _validate(tree, expression)
+    return tree
+
+
 def compile_expression(expression: str) -> Callable[[Mapping[str, object]], object]:
     """Compile a derived-metric formula into an evaluator.
 
@@ -174,12 +190,7 @@ def compile_expression(expression: str) -> Callable[[Mapping[str, object]], obje
         ConfigurationError: If the expression does not parse or uses syntax
             outside the whitelist (checked eagerly, at compile time).
     """
-    try:
-        tree = ast.parse(expression, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigurationError(
-            f"derived expression {expression!r} does not parse: {exc}") from None
-    _validate(tree, expression)
+    tree = _validated_tree(expression)
 
     def evaluate(env: Mapping[str, object]):
         return _evaluate(tree, env, expression)
@@ -189,8 +200,6 @@ def compile_expression(expression: str) -> Callable[[Mapping[str, object]], obje
 
 def expression_names(expression: str) -> frozenset[str]:
     """Metric names a compiled expression reads (for load-time validation)."""
-    tree = ast.parse(expression, mode="eval")
-    _validate(tree, expression)
-    return frozenset(node.id for node in ast.walk(tree)
+    return frozenset(node.id for node in ast.walk(_validated_tree(expression))
                      if isinstance(node, ast.Name)
                      and node.id not in ALLOWED_FUNCTIONS)

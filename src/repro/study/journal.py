@@ -46,9 +46,12 @@ refresh_end changed, reused, rows, partial, wall_s
 ``group`` is the first shard index of the attempt that ran the shard: an
 inline run batches consecutive shards into one attempt (one engine call).
 Under a ``cancel`` hook (the service) an inline attempt groups as many
-shards as fit in the runner's ``_POLL_S`` at the pace last measured for
-the spec's shape, and a single shard until a pace is measured
-(:func:`repro.study.runner._supervise`).  A pool run attempts each shard
+shards as fit in the runner's ``_POLL_S`` of CPU time at the per-case CPU
+pace (the attempt thread's ``time.thread_time``) last measured for the
+spec's shape, and a single shard until a pace is measured
+(:func:`repro.study.runner._supervise`).  So a cancel waits about
+``_POLL_S`` of the attempt's CPU time, a few ``_POLL_S`` of wall under
+load; ``finish`` walls stay wall-clock.  A pool run attempts each shard
 alone (``group == shard``).  A grouped
 shard's ``wall_s`` is its case share of the attempt's wall, so summing
 ``finish`` walls counts each attempt once.  ``group_split`` records a

@@ -273,10 +273,19 @@ def build_manifest(spec: StudySpec, store: StudyStore,
         ManifestError: When a claimed shard bundle is missing from the
             store or fails its checksum verification.
     """
-    from repro import __version__
-
     indices = sorted(int(i) for i in shard_indices)
     found = store.verified_shards(spec, [layout[i] for i in indices])
+    return _attest(spec, layout, indices, found, worker, of)
+
+
+def _attest(spec: StudySpec, layout: list[tuple[int, int]],
+            indices: list[int], found: dict, worker: int,
+            of: int) -> ShardManifest:
+    """The manifest of the sorted layout ``indices``, from ``found`` —
+    what :meth:`~repro.study.results.StudyStore.verified_shards` returned
+    for them (or for a superset)."""
+    from repro import __version__
+
     entries = []
     for index in indices:
         start, stop = layout[index]

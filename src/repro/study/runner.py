@@ -15,9 +15,12 @@
    reported on its own, and the group stored as one bundle.  With
    ``jobs=1`` an attempt runs in this process as it is submitted, over at
    most :data:`_GROUP_CASES` cases — under a ``cancel`` hook, about
-   :data:`_POLL_S` of wall at the pace last measured for the spec's shape
-   on the same store (:data:`_PACES`), so a steady-state service job is
-   one group; at least one shard either way.
+   :data:`_POLL_S` of the attempt's own CPU time at the pace last
+   measured for the spec's shape on the same store (:data:`_PACES`), so a
+   steady-state service job is one group, however busy the host; at least
+   one shard either way.  A cancel or deadline then waits about
+   :data:`_POLL_S` of CPU time, which under load is a few :data:`_POLL_S`
+   of wall.
    With ``jobs > 1`` attempts run one shard each on a
    :class:`~concurrent.futures.ProcessPoolExecutor` of ``jobs`` workers,
    so timeouts and crashes are attributed per shard;
@@ -109,10 +112,11 @@ DEFAULT_MAX_SHARDS = 16
 _GROUP_CASES = 256
 
 #: Supervisor poll interval [s] while futures are in flight, and the
-#: predicted wall of one inline attempt group under a ``cancel`` hook.
+#: predicted CPU time of one inline attempt group under a ``cancel`` hook.
 _POLL_S = 0.05
 
-#: Per-case wall [s] of the latest inline attempt, per study store and spec
+#: Per-case CPU time [s] of the latest inline attempt (its thread's
+#: ``time.thread_time``, storing included), per study store and spec
 #: shape (:func:`_shape`): under a ``cancel`` hook a later run of the same
 #: shape on the same store sizes its first group from it instead of
 #: probing with one shard.  In memory only; it dies with its store.
@@ -426,11 +430,12 @@ def run_study(spec: StudySpec,
             service (:mod:`repro.service`).  The hook is polled once per
             supervisor round: every :data:`_POLL_S` on a pool, between
             attempts at ``jobs=1``.  There each attempt holds the cases
-            that fit in :data:`_POLL_S` at the per-case wall last measured
-            for the spec's shape (the spec without its seed) on ``store``,
-            at least one shard, so a cancel waits out at most one such
-            group; a shape not yet measured there first probes with one
-            shard.
+            that fit in :data:`_POLL_S` at the per-case CPU time last
+            measured for the spec's shape (the spec without its seed) on
+            ``store``, at least one shard, so a cancel waits out at most
+            one such group: about :data:`_POLL_S` of the attempt's CPU
+            time, which is a few :data:`_POLL_S` of wall on a busy host.  A
+            shape not yet measured there first probes with one shard.
         only_shards: Optional shard indices (into the run's layout) this
             call is responsible for; every other shard is neither reused
             nor computed, and the report's ``shards`` total refers to the
@@ -652,9 +657,11 @@ def run_study(spec: StudySpec,
 
 class _Finished:
     """An inline attempt: run when submitted, then read like a pool
-    future (:meth:`result` returns its value or raises its error)."""
+    future (:meth:`result` returns its value or raises its error).
+    ``thread_t0`` is this thread's CPU time when the attempt started."""
 
     def __init__(self, fn: Callable, *args) -> None:
+        self.thread_t0 = time.thread_time()
         try:
             self._value, self._error = fn(*args), None
         except Exception as exc:
@@ -680,9 +687,10 @@ def _supervise(spec, context, jobs_meta, record, on_failure, jobs,
 
     At ``jobs=1`` an attempt runs when submitted (:class:`_Finished`), and
     ``cap`` is :data:`_GROUP_CASES` — under a hook, what fits in
-    :data:`_POLL_S` at the pace :data:`_PACES` holds for the spec's shape,
-    or one shard until it holds one.  Such an attempt cannot be preempted
-    by ``shard_timeout``, and a ``crash`` fault would end the caller.
+    :data:`_POLL_S` at the CPU pace :data:`_PACES` holds for the spec's
+    shape, or one shard until it holds one.  Such an attempt cannot be
+    preempted by ``shard_timeout``, and a ``crash`` fault would end the
+    caller.
     Otherwise at most ``jobs`` pool workers run one-shard attempts, so
     timeouts and crashes are charged per shard, and an attempt's
     ``shard_timeout`` clock starts when a worker slot takes it.
@@ -818,7 +826,10 @@ def _supervise(spec, context, jobs_meta, record, on_failure, jobs,
                 record(group, shards, time.monotonic() - t0)
                 if pool is None:
                     # The hook waits out the whole attempt, storing included.
-                    pace = (time.monotonic() - t0) / sum(
+                    # The pace is the attempt's own CPU time: time the CPU
+                    # spends on other threads and processes (another
+                    # service job) does not shrink the next group.
+                    pace = (time.thread_time() - future.thread_t0) / sum(
                         meta.stop - meta.start for meta in group)
                     if shape not in paces and len(paces) >= _PACE_SHAPES:
                         paces.clear()

@@ -143,10 +143,10 @@ def day_timetables(params: TrafficParams | None = None,
     """Seeded fleet of stochastic day timetables under common random numbers.
 
     Realization ``r`` is generated from ``default_rng([seed, r])`` — the same
-    CRN convention as :func:`repro.optimize.mc.trial_generators`: the Poisson
-    day ``r`` depends only on ``(seed, r)``, never on the layout or policy
-    being evaluated, so Monte-Carlo noise cancels out of cross-scenario
-    comparisons that share a seed.
+    CRN convention as the trial streams of :mod:`repro.optimize.mc`: the
+    Poisson day ``r`` depends only on ``(seed, r)``, never on the layout or
+    policy being evaluated, so Monte-Carlo noise cancels out of
+    cross-scenario comparisons that share a seed.
     """
     if realizations < 1:
         raise ConfigurationError(

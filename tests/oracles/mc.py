@@ -1,17 +1,35 @@
-"""Monte-Carlo oracles: the shadowing trace samplers, the per-trial
-shadowing walk behind ``repro.optimize.mc`` and the per-draw loop behind
-the ``mc`` study adapter."""
+"""Monte-Carlo oracles: the per-trial generators, the shadowing trace
+samplers, the per-trial shadowing walk behind ``repro.optimize.mc`` and the
+per-draw loop behind the ``mc`` study adapter."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.kernels import ar1_scan
-from repro.optimize.mc import outage_matrix, trial_generators, wilson_interval
+from repro.optimize.mc import outage_matrix, wilson_interval
 from repro.propagation.fading import LogNormalShadowing, _validated_positions
 from repro.study import engines as _engines
 
-__all__ = ["sample", "sample_batch", "outage_matrix_scalar", "per_draw_mc"]
+__all__ = ["trial_generators", "sample", "sample_batch",
+           "outage_matrix_scalar", "per_draw_mc"]
+
+
+def trial_generators(seed: int, trials: int) -> list[np.random.Generator]:
+    """Independent per-trial generators — the common-random-number contract.
+
+    Trial ``t``'s stream is a pure function of ``(seed, t)``; candidates and
+    repeated calls all see the same streams.  This is the definition the
+    engine's one-pass seeding (``repro.optimize.mc._trial_states``) is
+    pinned bit-identical to.
+
+    Returns:
+        ``trials`` generators, one per trial, each seeded
+        ``default_rng([seed, t])`` — the convention shared with
+        :func:`repro.traffic.timetable.day_timetables` and the study layer's
+        :meth:`repro.study.spec.StudySpec.case_seed`.
+    """
+    return [np.random.default_rng([seed, t]) for t in range(trials)]
 
 
 def sample(model: LogNormalShadowing, positions_m,

@@ -28,6 +28,7 @@ safe and invisible:
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -307,6 +308,33 @@ class TestGrouping:
         run_study(replace(spec, seed=8), shards=4, store=store,
                   cancel=lambda: False)
         assert engine_calls == [2, 2, 2, 2]
+
+    def test_wall_time_outside_the_attempt_does_not_shrink_groups(
+            self, engine_calls, monkeypatch, tmp_path, clean_table):
+        # Each engine call lets an hour of wall pass that this thread does
+        # not run (the CPU serving another job).  A wall pace would leave
+        # every later group at one shard; the attempt's CPU pace groups
+        # the rest of the run and the next job of the shape.
+        monkeypatch.setattr(runner, "_POLL_S", 10.0)
+        skipped = [0.0]
+        monotonic = time.monotonic
+        monkeypatch.setattr(time, "monotonic",
+                            lambda: monotonic() + skipped[0])
+        spy = runner.run_cases
+
+        def engine(*args, **kwargs):
+            skipped[0] += 3600.0
+            return spy(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_cases", engine)
+        spec = parse_study(MC_TEXT)
+        store = StudyStore(cache_dir=tmp_path / "store")
+        report = run_study(spec, shards=4, store=store, cancel=lambda: False)
+        assert engine_calls == [2, 6] and report.table.long() == clean_table
+        engine_calls.clear()
+        report = run_study(replace(spec, seed=8), shards=4, store=store,
+                           cancel=lambda: False)
+        assert engine_calls == [8] and not report.partial
 
     def test_grouped_walls_are_case_shares(self, tmp_path):
         journal = tmp_path / "run.jsonl"

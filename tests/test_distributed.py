@@ -226,10 +226,20 @@ class TestManifest:
         assert sorted(calls) == sorted(
             {entry.checksum for entry in slice_run.manifest.shards})
 
-    def test_partial_slice_signs_only_the_verified_subset(self, tmp_path):
+    def test_partial_slice_signs_only_the_verified_subset(self, tmp_path,
+                                                          monkeypatch):
         # Shard 2's attempt leaves a recorded but torn bundle and fails;
         # the manifest attests shard 0 only, so the merge reports shard 2
-        # missing instead of trusting the torn bundle.
+        # missing instead of trusting the torn bundle.  Each of the two
+        # recorded bundles is read and checksummed once.
+        calls = []
+        load_verified = ArrayCache.load_verified
+
+        def spy(self, key):
+            calls.append(key)
+            return load_verified(self, key)
+
+        monkeypatch.setattr(ArrayCache, "load_verified", spy)
         spec = mc_spec()
         store_dir = tmp_path / "w0"
         plan = FaultPlan(faults=(FaultSpec(shard=2, action="corrupt"),),
@@ -241,6 +251,7 @@ class TestManifest:
         assert not slice_run.complete
         assert slice_run.manifest.shard_indices() == (0,)
         assert load_manifest(slice_run.manifest_path) == slice_run.manifest
+        assert len(calls) == len(set(calls)) == 2
 
 
 # -- merge parity -------------------------------------------------------------

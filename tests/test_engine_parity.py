@@ -40,7 +40,12 @@ import numpy as np
 import pytest
 
 from oracles.des import simulate_days_event
-from oracles.mc import outage_matrix_scalar, sample, sample_batch
+from oracles.mc import (
+    outage_matrix_scalar,
+    sample,
+    sample_batch,
+    trial_generators,
+)
 from oracles.network import segment_frontiers_scalar
 from oracles.solar import simulate_year
 
@@ -48,7 +53,7 @@ from repro.corridor.layout import CorridorLayout
 from repro.energy.duty import EnergyParams
 from repro.energy.scenario import OperatingMode
 from repro.constants import PEAK_SNR_CRITERION_DB
-from repro.optimize.mc import OutageMatrix, outage_matrix, trial_generators
+from repro.optimize.mc import OutageMatrix, outage_matrix
 from repro.propagation.fading import LogNormalShadowing
 from repro.radio.batch import evaluate_scenarios
 from repro.radio.link import LinkParams, compute_snr_profile

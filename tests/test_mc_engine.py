@@ -17,17 +17,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.optimize.mc as mc
 from oracles.isd import robust_max_isd_scan
-from oracles.mc import outage_matrix_scalar, sample, sample_batch
+from oracles.mc import (
+    outage_matrix_scalar,
+    sample,
+    sample_batch,
+    trial_generators,
+)
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
-from repro.optimize.mc import (
-    outage_matrix,
-    trial_generators,
-    wilson_interval,
-)
+from repro.optimize.mc import outage_matrix, wilson_interval
 from repro.optimize.robustness import robust_max_isd
 from repro.propagation.fading import LogNormalShadowing
 from repro.radio.batch import evaluate_scenarios
@@ -112,6 +114,42 @@ class TestSampleBatch:
             assert np.array_equal(x, y)
         # Distinct trials get distinct streams.
         assert not np.array_equal(a[0], a[1])
+
+
+def _oracle_normals(seed, trials, width):
+    return np.array([rng.standard_normal(width)
+                     for rng in trial_generators(seed, trials)])
+
+
+class TestTrialStreams:
+    """The one-pass seeding draws exactly ``default_rng([seed, t])``'s
+    normals, for seeds of one to four 32-bit words (with the trial's word,
+    entropy up to one word past the 4-word pool) and longer."""
+
+    @pytest.mark.parametrize("width", [1, 239])
+    @pytest.mark.parametrize("trials", [1, 7, 100, 300])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5,
+                                      2**64 - 1, 2**96 + 3])
+    def test_bit_identical_to_default_rng(self, seed, trials, width):
+        z = mc._fresh_normals(seed, trials, width)
+        assert z.shape == (trials, width)
+        assert np.array_equal(z, _oracle_normals(seed, trials, width))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**160),
+           trials=st.integers(min_value=1, max_value=12),
+           width=st.integers(min_value=1, max_value=16))
+    def test_bit_identical_on_any_seed(self, seed, trials, width):
+        assert np.array_equal(mc._fresh_normals(seed, trials, width),
+                              _oracle_normals(seed, trials, width))
+
+    def test_negative_seed_raises_value_error(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, 0])
+        with pytest.raises(ValueError):
+            mc._fresh_normals(-1, 4, 3)
+        with pytest.raises(ValueError):
+            outage_matrix(_profiles(), trials=4, seed=-1)
 
 
 IRREGULAR_PROFILES = [
@@ -376,19 +414,20 @@ class TestStandardNormalMemo:
     longest matrix drawn for the key, and redraws the key for a longer one."""
 
     @pytest.fixture
-    def generators_made(self, monkeypatch):
+    def fresh_draws(self, monkeypatch):
         made = []
+        draw = mc._fresh_normals
 
-        def spy(seed, trials):
+        def spy(seed, trials, width):
             made.append(trials)
-            return trial_generators(seed, trials)
+            return draw(seed, trials, width)
 
-        monkeypatch.setattr(mc, "trial_generators", spy)
+        monkeypatch.setattr(mc, "_fresh_normals", spy)
         monkeypatch.setattr(mc, "_Z_CACHE", OrderedDict())
         return made
 
     @pytest.mark.parametrize("seed", [0, 3, 2022])
-    def test_prefix_views_equal_one_fresh_draw(self, generators_made, seed):
+    def test_prefix_views_equal_one_fresh_draw(self, fresh_draws, seed):
         widths = (5, 13, 13, 40, 7)
         parts = [mc._standard_normal_matrix(seed, 6, p) for p in widths]
         fresh = np.array([rng.standard_normal(40)
@@ -397,9 +436,9 @@ class TestStandardNormalMemo:
             assert np.array_equal(part, fresh[:, :width])
             assert not part.flags.writeable
         # Widths 5, 13 and 40 draw; the repeated 13 and the 7 are views.
-        assert generators_made == [6, 6, 6]
+        assert fresh_draws == [6, 6, 6]
 
-    def test_oversized_matrix_leaves_the_entry_intact(self, generators_made,
+    def test_oversized_matrix_leaves_the_entry_intact(self, fresh_draws,
                                                       monkeypatch):
         mc._standard_normal_matrix(1, 4, 10)
         monkeypatch.setattr(mc, "_Z_CACHE_MAX_BYTES", 4 * 20 * 8)
@@ -410,9 +449,9 @@ class TestStandardNormalMemo:
         assert np.array_equal(wide, fresh)
         assert np.array_equal(mc._standard_normal_matrix(1, 4, 8),
                               fresh[:, :8])
-        assert generators_made == [4, 4]
+        assert fresh_draws == [4, 4]
 
-    def test_concurrent_extensions_agree(self, generators_made):
+    def test_concurrent_extensions_agree(self, fresh_draws):
         fresh = np.array([rng.standard_normal(64)
                           for rng in trial_generators(9, 8)])
         results = {}
@@ -429,7 +468,7 @@ class TestStandardNormalMemo:
         for width, matrix in results.items():
             assert np.array_equal(matrix, fresh[:, :width])
 
-    def test_cancel_hook_runs_draw_the_stream_twice(self, generators_made):
+    def test_cancel_hook_runs_draw_the_stream_twice(self, fresh_draws):
         # Under a cancel hook the first attempt is one shard (ISD 2000 and
         # 2200) and the next one starts at ISD 2400, whose longer grid
         # redraws the stream once; a second run reads views only.
@@ -439,7 +478,7 @@ class TestStandardNormalMemo:
         for _ in range(2):
             report = run_study(spec, cancel=lambda: False)
             assert not report.partial
-        assert generators_made == [100, 100]
+        assert fresh_draws == [100, 100]
 
 
 class TestWilsonInterval:

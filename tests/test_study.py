@@ -6,6 +6,7 @@ resume-from-partial-results equality, study-vs-engine parity for the
 shipped ``studies/*.yaml`` files, and the ``repro study`` CLI smoke.
 """
 
+import ast
 import json
 import math
 from dataclasses import replace
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.study.expressions as expressions
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.study import (
@@ -194,6 +196,25 @@ class TestExpressions:
         evaluate = compile_expression("nope + 1")
         with pytest.raises(ConfigurationError, match="unknown name"):
             evaluate({"a": 1.0})
+
+    def test_each_formula_parses_once_per_process(self, monkeypatch):
+        # A spec load validates each formula and reads its names, and every
+        # table build compiles it again: all of them share one parse.
+        parsed = []
+        parse = ast.parse
+
+        def spy(source, *args, **kwargs):
+            parsed.append(source)
+            return parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", spy)
+        expressions._validated_tree.cache_clear()
+        for seed in (1, 2):
+            spec = load_study(STUDIES_DIR / "robustness_grid.yaml")
+            run_study(replace(spec, seed=seed), shards=2)
+        formulas = sorted(text for _, text in spec.derived)
+        assert len(formulas) == 2
+        assert sorted(text for text in parsed if text in formulas) == formulas
 
 
 # -- runner: sharding, parallelism, resume ------------------------------------
