@@ -198,17 +198,20 @@ def evaluate_scenarios(scenarios,
     results: list[SnrProfile | None] = [None] * len(scenarios)
 
     # -- cache hits and in-batch dedup --------------------------------------
+    # Each scenario is hashed once; the cache is read and filled by key.
     pending: list[int] = []        # index of first occurrence per unique hash
     duplicates: dict[int, int] = {}  # index -> index of first occurrence
     seen: dict[str, int] = {}
+    keys: list[str] = []
     for i, sc in enumerate(scenarios):
         key = sc.content_hash
+        keys.append(key)
         if key in seen:
             duplicates[i] = seen[key]
             continue
         seen[key] = i
         if cache is not None:
-            hit = cache.get(sc)
+            hit = cache.get_by_hash(key)
             if hit is not None:
                 results[i] = hit
                 continue
@@ -232,7 +235,7 @@ def evaluate_scenarios(scenarios,
         for i, profile in zip(pending, profiles):
             results[i] = profile
             if cache is not None:
-                cache.put(scenarios[i], profile)
+                cache.put_by_hash(keys[i], profile)
 
     for i, first in duplicates.items():
         results[i] = results[first]

@@ -56,6 +56,7 @@ misbehaving runs:
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -65,7 +66,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -111,22 +112,37 @@ def content_token(obj) -> str:
     Raises:
         ConfigurationError: For types without a canonical rendering.
     """
-    if is_dataclass(obj) and not isinstance(obj, type):
-        inner = ",".join(
-            f"{f.name}={content_token(getattr(obj, f.name))}" for f in fields(obj))
-        return f"{type(obj).__name__}({inner})"
-    if isinstance(obj, enum.Enum):
-        return f"{type(obj).__name__}.{obj.name}"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return repr(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj).hex()
-    if isinstance(obj, (tuple, list)):
-        return "(" + ",".join(content_token(v) for v in obj) + ")"
-    if isinstance(obj, np.ndarray):
-        return "(" + ",".join(content_token(v) for v in obj.tolist()) + ")"
+    return _renderer(type(obj))(obj)
+
+
+@functools.cache
+def _renderer(cls) -> Callable[[object], str]:
+    """How :func:`content_token` renders instances of ``cls``, decided once
+    per type (a dataclass's field names included)."""
+    if is_dataclass(cls):
+        head = f"{cls.__name__}("
+        names = [(name, f"{name}=") for name in (f.name for f in fields(cls))]
+        return lambda obj: head + ",".join(
+            [label + content_token(getattr(obj, name))
+             for name, label in names]) + ")"
+    if issubclass(cls, enum.Enum):
+        return lambda obj: f"{cls.__name__}.{obj.name}"
+    if issubclass(cls, (bool, int, str, type(None))):
+        return repr
+    if issubclass(cls, float):
+        return float.hex
+    if issubclass(cls, np.floating):
+        return lambda obj: float(obj).hex()
+    if issubclass(cls, (tuple, list)):
+        return _sequence_token
+    if issubclass(cls, np.ndarray):
+        return lambda obj: _sequence_token(obj.tolist())
     raise ConfigurationError(
-        f"cannot build a content token for {type(obj).__name__!r}")
+        f"cannot build a content token for {cls.__name__!r}")
+
+
+def _sequence_token(values) -> str:
+    return "(" + ",".join([content_token(v) for v in values]) + ")"
 
 
 def _bundle_checksum(arrays: dict[str, np.ndarray]) -> str:

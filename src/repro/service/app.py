@@ -171,6 +171,9 @@ def _make_handler(app: ServiceApp) -> type[BaseHTTPRequestHandler]:
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Buffer the response so its headers and body leave in one send;
+        # ``handle_one_request`` flushes after every request.
+        wbufsize = -1
 
         def log_message(self, format: str, *args) -> None:  # noqa: A002
             pass  # request logging lives in jobs.jsonl, not stderr

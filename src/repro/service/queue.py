@@ -37,6 +37,7 @@ the other four are terminal.
 
 from __future__ import annotations
 
+import importlib
 import threading
 import time
 import uuid
@@ -466,11 +467,15 @@ class JobQueue:
     def start(self) -> None:
         """Recover open jobs, spawn the worker threads, journal the start.
 
-        Every engine is imported here, before the first worker starts, so
-        no job's latency includes an engine import.
+        Every engine is imported here, before the first worker starts, and
+        so is what the study layer imports while it runs inline:
+        ``numpy.random`` (per-case seeds, retry backoff).  No inline job's
+        latency includes an import; a job on worker processes still
+        imports the process pool it starts.
         """
         for engine in STUDY_ENGINES:
             import_engine(engine)
+        importlib.import_module("numpy.random")
         recovered = self.recover()
         self.jobstore.service_start(
             workers=self.workers, max_queue=self.max_queue,

@@ -18,7 +18,7 @@ poll ``/jobs/{id}``, list ``/jobs`` or receive a submit acknowledgement.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.study.spec import StudySpec, study_from_mapping
@@ -137,7 +137,7 @@ class JobRequest:
                 f"got {type(document).__name__}")
         # Validate the document end to end (axes, engine contract, derived
         # metrics) exactly like `repro study run` would.
-        study_from_mapping(document, source="<request>")
+        spec = study_from_mapping(document, source="<request>")
         jobs = _bounded_int(payload.get("jobs", 1), "jobs", 1,
                             MAX_REQUEST_JOBS)
         shards = payload.get("shards")
@@ -156,15 +156,27 @@ class JobRequest:
             shard_of = _bounded_int(shard_of, "shard_of", 1, 1024)
             shard_index = _bounded_int(shard_index, "shard_index", 0,
                                        shard_of - 1)
-        return cls(document=dict(document), jobs=jobs, shards=shards,
-                   retries=retries, shard_timeout_s=shard_timeout_s,
-                   deadline_s=deadline_s,
-                   shard_index=shard_index, shard_of=shard_of,
-                   client=str(client))
+        request = cls(document=dict(document), jobs=jobs, shards=shards,
+                      retries=retries, shard_timeout_s=shard_timeout_s,
+                      deadline_s=deadline_s,
+                      shard_index=shard_index, shard_of=shard_of,
+                      client=str(client))
+        object.__setattr__(request, "_spec", spec)
+        return request
 
     def spec(self) -> StudySpec:
-        """The validated :class:`~repro.study.spec.StudySpec` of the document."""
-        return study_from_mapping(self.document, source="<request>")
+        """The validated :class:`~repro.study.spec.StudySpec` of the document.
+
+        Parsed once per request (the spec is frozen, and so is the
+        request): :meth:`from_mapping` keeps the spec it validated, and a
+        request built directly (a replayed journal record) parses on its
+        first call.  The spec memoizes its ``compute_hash`` in turn.
+        """
+        spec = self.__dict__.get("_spec")
+        if spec is None:
+            spec = study_from_mapping(self.document, source="<request>")
+            object.__setattr__(self, "_spec", spec)
+        return spec
 
     def options(self) -> dict:
         """The run options as a plain mapping (persisted to the job store)."""
@@ -218,5 +230,6 @@ class JobView:
     error: str | None
 
     def to_mapping(self) -> dict:
-        """The JSON-ready response payload."""
-        return asdict(self)
+        """The JSON-ready response payload (every field is a scalar, so a
+        flat copy of the fields is the whole payload)."""
+        return dict(self.__dict__)

@@ -18,9 +18,11 @@
    :data:`_POLL_S` of the attempt's own CPU time at the pace last
    measured for the spec's shape on the same store (:data:`_PACES`), so a
    steady-state service job is one group, however busy the host; at least
-   one shard either way.  A cancel or deadline then waits about
-   :data:`_POLL_S` of CPU time, which under load is a few :data:`_POLL_S`
-   of wall.
+   one shard either way.  The shards left behind a group join it when
+   they fit in twice that, so no group leaves a small tail call: the
+   first job of a shape is a one-shard probe and one group.  A cancel or
+   deadline then waits at most about 2 x :data:`_POLL_S` of CPU time,
+   which under load is a few times that in wall.
    With ``jobs > 1`` attempts run one shard each on a
    :class:`~concurrent.futures.ProcessPoolExecutor` of ``jobs`` workers,
    so timeouts and crashes are attributed per shard;
@@ -112,7 +114,8 @@ DEFAULT_MAX_SHARDS = 16
 _GROUP_CASES = 256
 
 #: Supervisor poll interval [s] while futures are in flight, and the
-#: predicted CPU time of one inline attempt group under a ``cancel`` hook.
+#: predicted CPU time of one inline attempt group under a ``cancel`` hook
+#: (twice that for a group that takes the rest of its run).
 _POLL_S = 0.05
 
 #: Per-case CPU time [s] of the latest inline attempt (its thread's
@@ -212,13 +215,15 @@ def _run_shards(spec: StudySpec, context: dict, members: list[tuple]
     """Evaluate one attempt over ``members``, one engine call in all.
 
     Each member is ``(shard index, start, stop, attempt, known)``.  The
-    cases are decoded from the spec (:meth:`StudySpec.cases` over each
-    range — O(shard), never the grid) and shared state comes from the
-    per-process engine caches (:mod:`repro.study.engines`).  When the
-    context carries a fault plan (:mod:`repro.faults`), each member's
-    planned fault for its ``(shard, attempt)`` fires before anything is
-    computed — the supervisor sees only the resulting failure, exactly like
-    a real one.  Cases in ``known`` (reused rows) skip the engine.  Every
+    cases are decoded from the spec, one :meth:`StudySpec.cases` call per
+    run of members whose ranges touch (O(attempt), never the grid, and
+    never the cases between the members of a round-robin slice), and
+    shared state comes from the per-process engine caches
+    (:mod:`repro.study.engines`).  When the context carries a fault plan
+    (:mod:`repro.faults`), each member's planned fault for its ``(shard,
+    attempt)`` fires before anything is computed — the supervisor sees
+    only the resulting failure, exactly like a real one.  Cases in
+    ``known`` (reused rows) skip the engine.  Every
     engine is columnwise (a case's row does not depend on the other cases
     of the call), so the rows split back per member are bit-identical to
     one call per member.
@@ -227,14 +232,21 @@ def _run_shards(spec: StudySpec, context: dict, members: list[tuple]
     if plan is not None:
         for index, start, stop, attempt, _ in members:
             plan.execute(index, attempt, study=spec, start=start, stop=stop)
+    spans: list[list[int]] = []
+    reused: dict = {}
+    for _, start, stop, _, known in members:
+        if spans and spans[-1][1] == start:
+            spans[-1][1] = stop
+        else:
+            spans.append([start, stop])
+        reused.update(known)
     todo: list[int] = []
     cases: list[dict] = []
-    for _, start, stop, _, known in members:
-        decoded = spec.cases(start, stop)
-        for i in range(start, stop):
-            if i not in known:
+    for start, stop in spans:
+        for i, case in enumerate(spec.cases(start, stop), start):
+            if i not in reused:
                 todo.append(i)
-                cases.append(decoded[i - start])
+                cases.append(case)
     fresh = iter(run_cases(spec.engine, cases,
                            [spec.case_seed(i) for i in todo],
                            context=context))
@@ -432,10 +444,12 @@ def run_study(spec: StudySpec,
             attempts at ``jobs=1``.  There each attempt holds the cases
             that fit in :data:`_POLL_S` at the per-case CPU time last
             measured for the spec's shape (the spec without its seed) on
-            ``store``, at least one shard, so a cancel waits out at most
-            one such group: about :data:`_POLL_S` of the attempt's CPU
-            time, which is a few :data:`_POLL_S` of wall on a busy host.  A
-            shape not yet measured there first probes with one shard.
+            ``store``, at least one shard, or the rest of the run when
+            that fits in twice as much, so a cancel waits out at most one
+            such group: at most about 2 x :data:`_POLL_S` of the
+            attempt's CPU time, which is a few times that in wall on a
+            busy host.  A shape not yet measured there first probes with
+            one shard.
         only_shards: Optional shard indices (into the run's layout) this
             call is responsible for; every other shard is neither reused
             nor computed, and the report's ``shards`` total refers to the
@@ -681,9 +695,11 @@ def _supervise(spec, context, jobs_meta, record, on_failure, jobs,
     elapsed while a slot is free, and collects the finished ones, handing
     each to ``record(group, shard tables, wall)`` once.  An attempt is one
     :func:`_run_shards` call over consecutive fresh shards of at most
-    ``cap`` cases, at least one shard.  A failed group charges
-    no shard: its members re-run alone under the same attempt numbers, as
-    retries do, so retry budgets and quarantine stay per shard.
+    ``cap`` cases, at least one shard, or over every fresh shard queued
+    when they fit in ``2 * cap`` cases (:data:`_GROUP_CASES` at most).  A
+    failed group charges no shard: its members re-run alone under the same
+    attempt numbers, as retries do, so retry budgets and quarantine stay
+    per shard.
 
     At ``jobs=1`` an attempt runs when submitted (:class:`_Finished`), and
     ``cap`` is :data:`_GROUP_CASES` — under a hook, what fits in
@@ -699,6 +715,18 @@ def _supervise(spec, context, jobs_meta, record, on_failure, jobs,
         """Cases of one group at ``pace`` seconds per case."""
         return (_GROUP_CASES if pace <= 0 else
                 min(_GROUP_CASES, int(_POLL_S / pace)))
+
+    def limit(meta: _Attempt) -> int:
+        """Cases the group led by ``meta`` may hold: ``cap``, or every
+        fresh shard queued right behind it too when all of them fit in
+        ``2 * cap`` (still at most :data:`_GROUP_CASES`), so no group
+        leaves a small tail call behind."""
+        rest = meta.stop - meta.start
+        for other, joins in queue:
+            if not joins or rest > 2 * cap:
+                break
+            rest += other.stop - other.start
+        return min(rest, _GROUP_CASES) if rest <= 2 * cap else cap
 
     # (shard, may join a group): split members and retries run alone.
     queue = deque((meta, True) for meta in jobs_meta.values())
@@ -775,8 +803,9 @@ def _supervise(spec, context, jobs_meta, record, on_failure, jobs,
                     queue.append((meta, fresh))  # not ready; rotate
                     continue
                 group, cases = [meta], meta.stop - meta.start
-                while fresh and queue and queue[0][1] and cases + (
-                        queue[0][0].stop - queue[0][0].start) <= cap:
+                bound = limit(meta) if fresh else 0
+                while queue and queue[0][1] and cases + (
+                        queue[0][0].stop - queue[0][0].start) <= bound:
                     group.append(queue.popleft()[0])
                     cases += group[-1].stop - group[-1].start
                 try:

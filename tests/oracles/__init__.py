@@ -15,7 +15,9 @@ the package, as the independent references the parity tests and
 * :mod:`oracles.des` — the discrete-event corridor simulation;
 * :mod:`oracles.network` — the per-segment network frontier walk;
 * :mod:`oracles.isd` — the full max-ISD scans (deterministic and under
-  shadowing) the bisections are pinned to.
+  shadowing) the bisections are pinned to;
+* :mod:`oracles.tokens` — the per-object ``content_token`` renderer every
+  cache key's token is pinned to.
 
 ``tests/`` is on ``sys.path`` for the test suite (pytest's rootdir import
 mode) and for ``benchmarks/`` (its ``conftest.py``), so they import these as

@@ -489,6 +489,43 @@ class TestOneSupervisorLoop:
         assert proc.stdout.split() == ["False"]
 
 
+class TestCaseDecoding:
+    """A group decodes each run of touching members with one
+    ``StudySpec.cases`` call, and a round-robin slice group decodes only
+    its own shards."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        from repro.study.spec import StudySpec
+
+        ranges = []
+        cases = StudySpec.cases
+
+        def spy(self, start=None, stop=None):
+            ranges.append((start, stop))
+            return cases(self, start, stop)
+
+        monkeypatch.setattr(StudySpec, "cases", spy)
+        return ranges
+
+    def test_a_contiguous_group_decodes_once(self, decoded, engine_calls,
+                                             clean_table):
+        report = run_study(parse_study(MC_TEXT), shards=4)
+        assert engine_calls == [8] and decoded == [(0, 8)]
+        assert report.table.long() == clean_table
+
+    def test_a_slice_group_decodes_only_its_members(self, decoded,
+                                                    engine_calls):
+        spec = parse_study(MC_TEXT)
+        report = run_study(spec, shards=8, only_shards=[0, 3, 6])
+        assert engine_calls == [3]
+        assert decoded == [(0, 1), (3, 4), (6, 7)]
+        whole = run_study(spec, shards=8).table.columns
+        assert report.table.columns["case"] == [0, 3, 6]
+        for name, values in report.table.columns.items():
+            assert values == [whole[name][i] for i in (0, 3, 6)], name
+
+
 # -- mc adapter batching ------------------------------------------------------
 
 

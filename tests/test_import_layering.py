@@ -163,8 +163,7 @@ spec = (load_study(arg) if arg.endswith(".yaml") else study_from_mapping(
 import_engine(spec.engine)
 before = set(sys.modules)
 run_study(spec, shards=4, max_shards=1)
-print(json.dumps([spec.engine, sorted(m for m in set(sys.modules) - before
-                                       if m.split(".")[0] == "repro")]))
+print(json.dumps([spec.engine, sorted(set(sys.modules) - before)]))
 """
 
 
@@ -173,8 +172,9 @@ class TestPoolParentImportsTheEngine:
                              ["radio"] + sorted(STUDY_ENGINE_PACKAGES))
     def test_import_engine_covers_the_runner(self, study):
         """After :func:`~repro.study.engines.import_engine`, running the
-        engine imports nothing more, so pool workers forked after it
-        inherit everything they need."""
+        engine imports nothing more — no ``repro`` module and no lazily
+        loaded numpy subpackage — so pool workers forked after it inherit
+        everything they need."""
         arg = "radio" if study == "radio" else str(STUDIES / f"{study}.yaml")
         engine, new = json.loads(_python(_ENGINE_CLOSURE, arg))
         assert new == [], (engine, new)
@@ -193,6 +193,43 @@ queue.drain(grace_s=0.0)
 """
         before, after = json.loads(_python(code))
         assert not any(before) and all(after)
+
+    def test_a_started_service_imports_nothing_inside_a_job(self):
+        """After :meth:`JobQueue.start`, the first fresh job of every
+        shipped study's engine loads no module at all."""
+        code = """
+import json, sys, tempfile, time
+from pathlib import Path
+from repro.service.queue import JobQueue
+from repro.service.schemas import JobRequest
+import yaml
+studies = Path(sys.argv[1])
+documents = [yaml.safe_load((studies / f"{name}.yaml").read_text())
+             for name in json.loads(sys.argv[2])]
+with tempfile.TemporaryDirectory() as store:
+    queue = JobQueue(store, workers=1, max_queue=8, max_per_client=8)
+    queue.start()
+    before = set(sys.modules)
+    for document in documents:
+        job, _ = queue.submit(JobRequest.from_mapping({"study": document}))
+        while queue.get(job.job).state in ("queued", "running"):
+            time.sleep(0.005)
+        assert queue.get(job.job).state == "done", queue.get(job.job).error
+    added = sorted(set(sys.modules) - before)
+    queue.drain(5.0)
+print(json.dumps(added))
+"""
+        added = json.loads(_python(code, str(STUDIES),
+                                   json.dumps(sorted(STUDY_ENGINE_PACKAGES))))
+        assert added == []
+
+    def test_the_mc_study_never_loads_numpy_ma(self):
+        result = json.loads(_python(_MODULES_AFTER, json.dumps(
+            ["study", "run", str(STUDIES / "robustness_grid.yaml"),
+             "--quiet"])))
+        assert result["exit"] == 0
+        assert "numpy.random" in result["modules"]
+        assert "numpy.ma" not in result["modules"]
 
     def test_every_adapter_names_its_modules(self):
         from repro.study.engines import _ENGINE_MODULES, STUDY_ENGINES

@@ -409,6 +409,45 @@ class TestMcAdapterOracle:
             assert bits(rows) == [oracle[i] for i in pick], size
 
 
+class TestMedianRows:
+    """The adapter's median column is ``np.quantile(matrix, 0.5, axis=1)``
+    bit for bit, without the quantile's ``numpy.ma`` import."""
+
+    SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trials=st.sampled_from([1, 2, 3, 99, 100, 301]),
+           lanes=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           specials=st.integers(0, 6), rounded=st.booleans())
+    def test_equals_numpy_quantile(self, trials, lanes, seed, specials,
+                                   rounded):
+        from repro.study.engines import _median_rows
+
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(25.0, 4.0, size=(lanes, trials))
+        if rounded:  # ties around the median
+            matrix = np.round(matrix)
+        for _ in range(specials):
+            matrix[rng.integers(lanes), rng.integers(trials)] = \
+                self.SPECIALS[rng.integers(len(self.SPECIALS))]
+        with np.errstate(invalid="ignore"):
+            expected = np.quantile(matrix, 0.5, axis=1)
+            got = _median_rows(matrix)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("row", [
+        [np.inf], [1.0, np.inf], [1.0, 2.0, np.inf], [-np.inf, np.inf],
+        [np.nan, 1.0, 2.0], [-np.inf, -np.inf, 3.0, np.nan]])
+    def test_special_rows(self, row):
+        from repro.study.engines import _median_rows
+
+        matrix = np.array([row, np.arange(len(row), dtype=float)])
+        with np.errstate(invalid="ignore"):
+            expected = np.quantile(matrix, 0.5, axis=1)
+            got = _median_rows(matrix)
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestStandardNormalMemo:
     """The (seed, trials) memo serves shorter grids as prefix views of the
     longest matrix drawn for the key, and redraws the key for a longer one."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
@@ -152,3 +153,115 @@ class TestProfileCache:
         cache = ProfileCache(maxsize=4, cache_dir=tmp_path)
         cache.get_or_compute(make_scenario())
         assert not [p for p in tmp_path.iterdir() if p.suffix != ".bundle"]
+
+
+class TestContentToken:
+    """``content_token`` decides each type's rendering once; its tokens are
+    byte-identical to the per-object oracle, so no cache key moves."""
+
+    @staticmethod
+    def scenarios():
+        from repro.radio.noise import RepeaterNoiseModel
+
+        out = []
+        for i in range(50):
+            link = LinkParams(
+                hp_eirp_dbm=60.0 + (i % 7) * 0.25,
+                repeater_noise_model=list(RepeaterNoiseModel)[
+                    i % len(RepeaterNoiseModel)])
+            out.append(make_scenario(isd_m=1200.0 + 37.5 * i,
+                                     n_repeaters=i % 5, link=link,
+                                     resolution_m=(1.0, 2.5, 10.0)[i % 3]))
+        return out
+
+    def test_scenarios_match_the_oracle(self):
+        from oracles.tokens import content_token as oracle
+        from repro.scenario.cache import content_token
+
+        for scenario in self.scenarios():
+            assert content_token(scenario) == oracle(scenario)
+
+    def test_shipped_study_hashes_are_unchanged(self):
+        import hashlib
+        from dataclasses import replace
+        from pathlib import Path
+
+        from oracles.tokens import content_token as oracle
+        from repro.study import load_study
+
+        studies = Path(__file__).resolve().parents[1] / "studies"
+        paths = sorted(studies.glob("*.yaml"))
+        assert len(paths) == 4
+        for path in paths:
+            spec = load_study(path)
+            core = replace(spec, derived=(), metrics=(), description="")
+            assert spec.compute_hash == hashlib.sha256(
+                oracle(core).encode()).hexdigest(), path.name
+
+    def test_mixed_sequences_match_the_oracle(self):
+        import enum
+
+        from oracles.tokens import content_token as oracle
+        from repro.radio.noise import RepeaterNoiseModel
+        from repro.scenario.cache import content_token
+
+        class Level(enum.IntEnum):
+            LOW = 1
+
+        values = [
+            None, True, 0, -3, "a'b", 1.5, -0.0, float("inf"),
+            np.float32(0.1), np.float64(2.0), Level.LOW,
+            RepeaterNoiseModel.FRONTHAUL_STAR, (1, [2.0, None]), [],
+            np.arange(6.0).reshape(2, 3), make_scenario().layout,
+            (make_scenario(), "x", [np.float64(1e-300)]),
+        ]
+        assert content_token(values) == oracle(values)
+        for value in values:
+            assert content_token(value) == oracle(value)
+
+    @pytest.mark.parametrize("value", [
+        np.int64(3), {"a": 1}, {1, 2}, object(), CorridorLayout,
+        [1.0, np.bool_(True)]])
+    def test_unsupported_types_raise_alike(self, value):
+        from oracles.tokens import content_token as oracle
+        from repro.scenario.cache import content_token
+
+        with pytest.raises(ConfigurationError) as expected:
+            oracle(value)
+        with pytest.raises(ConfigurationError) as got:
+            content_token(value)
+        assert str(got.value) == str(expected.value)
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+        | st.floats(allow_nan=True, allow_infinity=True),
+        lambda children: st.lists(children, max_size=4)
+        | st.tuples(children, children),
+        max_leaves=20))
+    def test_drawn_values_match_the_oracle(self, value):
+        from oracles.tokens import content_token as oracle
+        from repro.scenario.cache import content_token
+
+        assert content_token(value) == oracle(value)
+
+    def test_evaluate_scenarios_hashes_each_scenario_once(self, monkeypatch):
+        from repro.radio.batch import evaluate_scenarios
+
+        hashed = []
+        content_hash = Scenario.content_hash.fget
+
+        def counted(scenario):
+            hashed.append(scenario)
+            return content_hash(scenario)
+
+        monkeypatch.setattr(Scenario, "content_hash", property(counted))
+        scenarios = [make_scenario(isd_m=isd) for isd in (1200.0, 1400.0)]
+        scenarios.append(make_scenario(isd_m=1200.0))  # a duplicate
+        cache = ProfileCache(maxsize=8)
+        first = evaluate_scenarios(scenarios, cache=cache)
+        assert len(hashed) == 3
+        assert first[2] is first[0]
+        hashed.clear()
+        again = evaluate_scenarios(scenarios, cache=cache)  # all hits
+        assert len(hashed) == 3
+        assert all(a is b for a, b in zip(again, first))

@@ -9,9 +9,13 @@ Two subprocess legs through the real ``repro serve`` CLI:
 
 1. **clean** — start the service on a loopback port, submit the study over
    HTTP, poll the job to completion, then submit the *identical* request
-   again and assert it coalesces (HTTP 200, same job id, exactly one
+   again and assert it coalesces (HTTP 200, same job id, no second
    ``job_submitted`` line in ``jobs.jsonl`` — served from the store, not
-   recomputed).  SIGTERM must drain cleanly: exit code 0.
+   recomputed).  Then :data:`LATER_JOBS` fresh jobs (the next seeds) run
+   one after another; the leg prints the first job's wall next to their
+   median (server-side, ``finished_t - started_t``), so what a fresh
+   server's first job pays once shows.  SIGTERM must drain cleanly: exit
+   code 0.
 2. **chaos** — fresh store: submit a heavier variant of the study
    (:data:`CHAOS_FIXED`, one case per shard), so the job runs for many
    50 ms polls; wait until it is mid-run, SIGKILL the server, restart
@@ -22,8 +26,10 @@ Two subprocess legs through the real ``repro serve`` CLI:
    service layer.
 
 When ``BENCH_JSON_DIR`` is set, each leg's ``jobs.jsonl`` is copied there
-and a ``BENCH_service.json`` record (wall times, dedup/recovery verdicts,
-journal event counts) is written alongside the perf records.
+and a ``BENCH_service.json`` record (wall times, including
+``first_job_wall_s`` and ``median_job_wall_s``; dedup/recovery verdicts;
+journal event counts) is written alongside the perf records.  The walls
+are informational: no threshold gates them.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import json
 import os
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -67,6 +74,8 @@ POLL_S = 0.2
 #: the realizations, about 1.4 s of work, so the SIGKILL lands mid-run.
 CHAOS_FIXED = {"realizations": 400}
 STARTUP_TIMEOUT_S = 30.0
+#: Fresh jobs the clean leg runs after the first, for the median job wall.
+LATER_JOBS = 4
 JOB_TIMEOUT_S = 600.0
 
 
@@ -115,6 +124,11 @@ def wait_result(base: str, job_id: str, timeout_s: float = JOB_TIMEOUT_S):
             return status, body
         time.sleep(POLL_S)
     raise RuntimeError(f"job {job_id} did not finish in {timeout_s:.0f}s")
+
+
+def job_wall(view: dict) -> float:
+    """Server-side wall [s] of a finished job, from its view."""
+    return view["finished_t"] - view["started_t"]
 
 
 def journal_counts(store: Path) -> dict:
@@ -178,6 +192,7 @@ def main(argv: list[str]) -> int:
                   f"{body.get('error')}")
             return 1
         reference_rows = body["result"]["rows"]
+        walls = [job_wall(body["job"])]
 
         # Identical second submission: coalesces onto the finished job and
         # serves from the store — no second computation.
@@ -195,6 +210,25 @@ def main(argv: list[str]) -> int:
                   "coalesce onto the finished job")
             return 1
 
+        # Fresh jobs of the same shape (the next seeds): the first job's
+        # wall against theirs.
+        seed = int(document.get("seed", 0))
+        for offset in range(1, LATER_JOBS + 1):
+            later = dict(payload, study=dict(document, seed=seed + offset))
+            status, body = request("POST", base + "/jobs", later)
+            if status == 201:
+                status, body = wait_result(base, body["job"]["job"])
+            if status != 200:
+                print(f"[service-smoke] FAIL: fresh job {offset} returned "
+                      f"{status}: {body.get('error')}")
+                return 1
+            walls.append(job_wall(body["job"]))
+        record["first_job_wall_s"] = walls[0]
+        record["median_job_wall_s"] = statistics.median(walls[1:])
+        print(f"[service-smoke] clean: first job wall "
+              f"{walls[0] * 1e3:.1f} ms, median of {LATER_JOBS} later "
+              f"jobs {record['median_job_wall_s'] * 1e3:.1f} ms")
+
         code = stop(proc, signal.SIGTERM)
         record["clean_exit"] = code
         counts_a = journal_counts(store_a)
@@ -203,9 +237,10 @@ def main(argv: list[str]) -> int:
             print(f"[service-smoke] FAIL: SIGTERM drain exited {code}, "
                   "expected 0")
             return 1
-        if counts_a["job_submitted"] != 1:
-            print(f"[service-smoke] FAIL: expected exactly 1 job_submitted "
-                  f"after dedup, journal has {counts_a['job_submitted']}")
+        if counts_a["job_submitted"] != 1 + LATER_JOBS:
+            print(f"[service-smoke] FAIL: expected exactly "
+                  f"{1 + LATER_JOBS} job_submitted after dedup, journal "
+                  f"has {counts_a['job_submitted']}")
             return 1
         if counts_a["service_stop"] != 1 or counts_a["skipped"] != 0:
             print(f"[service-smoke] FAIL: clean journal malformed "
