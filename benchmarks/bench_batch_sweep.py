@@ -1,8 +1,9 @@
 """Scalar vs. batched max-ISD sweep — the PR-acceptance speedup benchmark.
 
 The scalar reference below replicates the seed implementation of
-``sweep_max_isd`` exactly: one ``compute_snr_profile`` call per (ISD, N)
-candidate in a Python loop, keeping the largest feasible ISD.  The batched
+``sweep_max_isd`` exactly: one call of the source-by-source Eq. (2) oracle
+(:func:`oracles.radio.compute_snr_profile`) per (ISD, N) candidate in a
+Python loop, keeping the largest feasible ISD.  The batched
 path is the current default (:func:`repro.optimize.isd.sweep_max_isd`, which
 routes candidate evaluation through :mod:`repro.radio.batch` and bisects the
 monotone feasibility boundary).
@@ -15,10 +16,11 @@ Asserts (a) both paths return the exact same ``max_isd_by_n`` and
 import os
 import time
 
+from oracles.radio import compute_snr_profile
 from repro import constants
 from repro.corridor.layout import CorridorLayout
 from repro.optimize.isd import sweep_max_isd
-from repro.radio.link import LinkParams, compute_snr_profile
+from repro.radio.link import LinkParams
 
 import numpy as np
 

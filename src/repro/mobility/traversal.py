@@ -7,7 +7,8 @@ one segment traversal (shared by its passengers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +81,9 @@ def simulate_traversal(layout: CorridorLayout,
     """
     train = train or Train()
     capacity = capacity or TruncatedShannonModel()
-    if time_step_s <= 0:
-        raise ConfigurationError(f"time step must be positive, got {time_step_s}")
+    if not (math.isfinite(time_step_s) and time_step_s > 0):
+        raise ConfigurationError(
+            f"time step must be finite and positive, got {time_step_s}")
 
     profile = compute_snr_profile(layout, link, resolution_m=max(0.5, train.speed_ms * time_step_s))
     thr = throughput_profile(profile, capacity)

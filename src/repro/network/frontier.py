@@ -12,11 +12,11 @@ layouts, one :func:`repro.energy.scenario.segment_energy` call per unique
 ``[segment, option]`` grid.  No per-segment Python loop.
 
 The reference is a per-segment walk that recomputes every quantity
-through the scalar entry points (:func:`repro.radio.link.compute_snr_profile`,
-:func:`segment_energy`): the test oracle ``tests/oracles/network.py``.  It
-shares the elementwise cost/energy formulas below (they operate on floats
-and arrays alike), so parity is bit-exact by construction and is pinned in
-``tests/test_engine_parity.py``.
+segment by segment (the source-by-source scalar Eq. (2) oracle per option,
+:func:`segment_energy` per cell): the test oracle
+``tests/oracles/network.py``.  It shares the elementwise cost/energy
+formulas below (they operate on floats and arrays alike), so parity is
+bit-exact by construction and is pinned in ``tests/test_engine_parity.py``.
 
 The sleep policy is demand-aware and option-independent (the topology-
 control rule of Pollakis et al., arXiv 1503.08627): a segment may sleep iff

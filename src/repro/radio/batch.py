@@ -1,8 +1,9 @@
-"""Batched Eq. (2) evaluation over scenario grids.
+"""Batched Eq. (2) evaluation over scenario grids: the one Eq. (2) kernel.
 
-The scalar path (:func:`repro.radio.link.compute_snr_profile`) evaluates one
-layout at a time; the paper's sweeps call it hundreds of times.  This module
-evaluates a whole batch of :class:`repro.scenario.Scenario` objects at once:
+Every SNR profile in :mod:`repro` comes from this module's kernel:
+:func:`repro.radio.link.compute_snr_profile` runs it on one layout, and
+:func:`evaluate_scenarios` runs it on whole batches of
+:class:`repro.scenario.Scenario` objects:
 
 * scenarios are deduplicated by content hash and served from an optional
   :class:`repro.scenario.ProfileCache`;
@@ -15,14 +16,13 @@ evaluates a whole batch of :class:`repro.scenario.Scenario` objects at once:
   vectorized passes instead of one small pass per candidate;
 * large batches can optionally be sharded across threads (``jobs``).
 
-Every profile returned here is **bit-identical** to what the scalar path
-produces for the same scenario: the batched kernel performs exactly the same
-elementwise operations in the same order (see ``tests/test_batch.py``).
+A profile does not depend on the batch it is evaluated in: the kernel
+performs the same elementwise operations in the same order for every
+scenario, and it is bit-identical to the source-by-source scalar oracle in
+``tests/oracles/radio.py`` (``tests/test_engine_parity.py``).
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,7 +37,7 @@ __all__ = ["evaluate_scenarios", "min_snr_batch"]
 
 def _geometry_key(sc: Scenario) -> tuple:
     """Identity of everything the attenuation arrays depend on."""
-    return (sc.resolution_m, sc.layout.isd_m, sc.layout.repeater_positions_m,
+    return (sc.resolution_m, sc.layout.isd_m, tuple(sc.layout.repeater_positions_m),
             sc.link.carrier.frequency_hz, sc.link.hp_calibration_db,
             sc.link.lp_calibration_db)
 
@@ -70,7 +70,7 @@ def _evaluate_group(scenarios: list[Scenario]) -> list[SnrProfile]:
         positions.append(pos)
 
     n_geo = len(geo_scenarios)
-    n_src = 2 + geo_scenarios[0].layout.n_repeaters
+    n_src = 2 + len(geo_scenarios[0].layout.repeater_positions_m)
     p_max = max(pos.size for pos in positions)
 
     # -- stacked distances, padded with the 1 m clamp value -----------------
@@ -84,8 +84,7 @@ def _evaluate_group(scenarios: list[Scenario]) -> list[SnrProfile]:
             dist[g, 2 + i, :valid] = np.abs(pos - rp)
 
     # -- one attenuation computation per unique geometry --------------------
-    # Same operation order as CalibratedFriis.attenuation_db so every element
-    # is bit-identical to the scalar path:
+    # Same operation order as CalibratedFriis.attenuation_db:
     #   (friis_constant + 20 log10(max(d, 1))) + calibration.
     friis_const = np.array([friis_constant_db(sc.link.carrier.frequency_hz)
                             for sc in geo_scenarios])
@@ -93,9 +92,15 @@ def _evaluate_group(scenarios: list[Scenario]) -> list[SnrProfile]:
     for g, sc in enumerate(geo_scenarios):
         calib[g, 0:2, 0] = sc.link.hp_calibration_db
         calib[g, 2:, 0] = sc.link.lp_calibration_db
-    fspl_db = friis_const[:, None, None] + 20.0 * np.log10(np.maximum(dist, 1.0))
-    att_db = fspl_db + calib
-    lp_att_linear = 10.0 ** (att_db[:, 2:, :] / 10.0)
+    # The large passes run in place: on a fine grid every fresh
+    # [geometry, source, position] temporary costs page faults.
+    att_db = np.maximum(dist, 1.0, out=dist)
+    np.log10(att_db, out=att_db)
+    att_db *= 20.0
+    np.add(friis_const[:, None, None], att_db, out=att_db)
+    att_db += calib
+    lp_att_linear = att_db[:, 2:, :] / 10.0
+    np.power(10.0, lp_att_linear, out=lp_att_linear)
 
     # -- per-scenario RSRP, signal, noise, SNR (stacked) --------------------
     rstp = np.empty((len(scenarios), n_src, 1))
@@ -106,7 +111,9 @@ def _evaluate_group(scenarios: list[Scenario]) -> list[SnrProfile]:
     # geometry is unique; skip the gather copy in that common (sweep) case.
     att_sel = att_db if n_geo == len(scenarios) else att_db[geo_index]
     rsrp_dbm = rstp - att_sel
-    signal_mw = np.sum(10.0 ** (rsrp_dbm / 10.0), axis=1)
+    rsrp_mw = rsrp_dbm / 10.0
+    np.power(10.0, rsrp_mw, out=rsrp_mw)
+    signal_mw = np.sum(rsrp_mw, axis=1)
 
     noise_mw = np.empty_like(signal_mw)
     for s, sc in enumerate(scenarios):
@@ -190,7 +197,8 @@ def evaluate_scenarios(scenarios,
         Sharding never changes results (each shard runs the same kernel).
 
     Returns the profiles in input order.  Profiles are bit-identical to
-    :func:`repro.radio.link.compute_snr_profile` on the same scenario.
+    :func:`repro.radio.link.compute_snr_profile` on the same scenario (one
+    kernel; a batch never changes a profile).
     """
     scenarios = list(scenarios)
     if jobs is not None and jobs < 1:
@@ -221,6 +229,9 @@ def evaluate_scenarios(scenarios,
     if pending:
         to_eval = [scenarios[i] for i in pending]
         if jobs is not None and jobs > 1 and len(to_eval) > 1:
+            # concurrent.futures costs inline runs ~10 ms of import.
+            from concurrent.futures import ThreadPoolExecutor
+
             shards = np.array_split(np.arange(len(to_eval)), min(jobs, len(to_eval)))
             with ThreadPoolExecutor(max_workers=len(shards)) as pool:
                 futures = [pool.submit(_evaluate_unique,
@@ -255,8 +266,8 @@ def min_snr_batch(scenarios,
     Returns:
         ``min(snr_db)`` per scenario, in input order — the quantity the
         Section V feasibility criterion compares against 29 dB.  Values are
-        bit-identical to ``scenario.evaluate().min_snr_db`` (the scalar
-        reference path).
+        bit-identical to ``compute_snr_profile(...).min_snr_db`` on the
+        scenario's layout, link and resolution.
     """
     return np.array([p.min_snr_db
                      for p in evaluate_scenarios(scenarios, cache=cache, jobs=jobs)])

@@ -15,14 +15,14 @@ handover anyway).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import constants
-from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
-from repro.radio.link import LinkParams, compute_snr_profile
+from repro.radio.link import LinkParams
 
 __all__ = ["CellBorderProfile", "cell_border_sinr", "peak_outage_span_m"]
 
@@ -66,10 +66,11 @@ def cell_border_sinr(edge_offset_m: float = 250.0,
     interference; thermal noise per the usual terminal budget.
     """
     link = link or LinkParams()
-    if edge_offset_m <= 0:
-        raise ConfigurationError(f"edge offset must be positive, got {edge_offset_m}")
-    if span_m <= 0 or resolution_m <= 0:
-        raise ConfigurationError("span and resolution must be positive")
+    for name, value in (("edge offset", edge_offset_m), ("span", span_m),
+                        ("resolution", resolution_m), ("ISD", isd_m)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(
+                f"{name} must be finite and positive, got {value}")
     if masts_per_cell < 1:
         raise ConfigurationError(f"need >= 1 mast per cell, got {masts_per_cell}")
 
@@ -106,6 +107,8 @@ def peak_outage_span_m(threshold_db: float = constants.PEAK_SNR_CRITERION_DB,
     the cost of partitioning the corridor into BBU cells, amortized over the
     cell length when planning cell sizes.
     """
+    if not math.isfinite(threshold_db):
+        raise ConfigurationError(f"threshold must be finite, got {threshold_db}")
     profile = cell_border_sinr(edge_offset_m, link, span_m, resolution_m)
     below = profile.sinr_db < threshold_db
     return float(np.count_nonzero(below) * resolution_m)

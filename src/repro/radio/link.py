@@ -9,17 +9,21 @@ repeater nodes in between) this module computes, for every track position:
   model, and
 * the SNR.
 
-All computations are vectorized over track positions.
+This module holds the link parameters, the profile record and the noise
+terms; the evaluation itself is the batched kernel of
+:mod:`repro.radio.batch`, which :func:`compute_snr_profile` runs on one
+layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import constants
-from repro.errors import ConfigurationError, GeometryError
+from repro.errors import GeometryError
 from repro.propagation.friis import CalibratedFriis
 from repro.propagation.fronthaul import FronthaulBudget, FronthaulParams
 from repro.radio.carrier import NrCarrier
@@ -173,6 +177,9 @@ def compute_snr_profile(layout, params: LinkParams | None = None,
                         resolution_m: float = 1.0) -> SnrProfile:
     """Evaluate Eq. (2) over the full track segment of ``layout``.
 
+    Runs :mod:`repro.radio.batch`'s kernel, the one Eq. (2) every engine
+    runs, on this one layout.
+
     Parameters
     ----------
     layout:
@@ -183,44 +190,14 @@ def compute_snr_profile(layout, params: LinkParams | None = None,
     resolution_m:
         Position grid step.  1 m reproduces the paper's smooth curves.
     """
-    params = params or LinkParams()
-    if resolution_m <= 0:
-        raise ConfigurationError(f"resolution must be positive, got {resolution_m}")
+    # radio.batch and scenario.spec import this module.
+    from repro.radio.batch import _evaluate_group
+    from repro.scenario.spec import Scenario
+
+    scenario = Scenario(layout, params or LinkParams(), resolution_m)
     isd = float(layout.isd_m)
-    if isd <= 0:
-        raise GeometryError(f"ISD must be positive, got {isd}")
-    repeaters = np.asarray(layout.repeater_positions_m, dtype=float)
-    if repeaters.size and (np.any(repeaters <= 0.0) or np.any(repeaters >= isd)):
+    if not (math.isfinite(isd) and isd > 0):
+        raise GeometryError(f"ISD must be finite and positive, got {isd}")
+    if any(not 0.0 < p < isd for p in layout.repeater_positions_m):
         raise GeometryError("repeater positions must lie strictly inside (0, ISD)")
-
-    positions = np.arange(resolution_m, isd, resolution_m)
-    if positions.size == 0:
-        raise GeometryError(f"no evaluation points for ISD {isd} at resolution {resolution_m}")
-
-    hp = params.hp_friis()
-    lp = params.lp_friis()
-
-    source_positions = [0.0, isd] + list(repeaters)
-    n_sources = len(source_positions)
-    rsrp_dbm = np.empty((n_sources, positions.size))
-    rsrp_dbm[0] = hp.received_power_dbm(params.hp_rstp_dbm, np.abs(positions - 0.0))
-    rsrp_dbm[1] = hp.received_power_dbm(params.hp_rstp_dbm, np.abs(positions - isd))
-
-    lp_attenuation = np.empty((repeaters.size, positions.size))
-    for i, rp in enumerate(repeaters):
-        att_db = lp.attenuation_db(np.abs(positions - rp))
-        lp_attenuation[i] = 10.0 ** (att_db / 10.0)
-        rsrp_dbm[2 + i] = params.lp_rstp_dbm - att_db
-
-    signal_mw = np.sum(10.0 ** (rsrp_dbm / 10.0), axis=0)
-    noise_mw = 10.0 ** (params.terminal_noise_dbm / 10.0) + _repeater_noise_mw(
-        layout, params, lp_attenuation)
-
-    snr_db = 10.0 * np.log10(signal_mw / noise_mw)
-    return SnrProfile(
-        positions_m=positions,
-        source_rsrp_dbm=rsrp_dbm,
-        total_signal_dbm=10.0 * np.log10(signal_mw),
-        total_noise_dbm=10.0 * np.log10(noise_mw),
-        snr_db=snr_db,
-    )
+    return _evaluate_group([scenario])[0]

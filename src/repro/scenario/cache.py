@@ -443,13 +443,3 @@ class ProfileCache(ArrayCache):
     def put(self, scenario: Scenario, profile: SnrProfile) -> None:
         """Store a computed profile under the scenario's hash."""
         self.put_by_hash(scenario.content_hash, profile)
-
-    def get_or_compute(self, scenario: Scenario) -> SnrProfile:
-        """Cached profile, evaluating (and storing) on a miss; the scenario
-        is hashed once either way."""
-        key = scenario.content_hash
-        profile = self.get_by_hash(key)
-        if profile is None:
-            profile = scenario.evaluate()
-            self.put_by_hash(key, profile)
-        return profile

@@ -1,9 +1,9 @@
 """Frozen evaluation scenario: layout + link parameters + grid resolution.
 
-A :class:`Scenario` pins down everything :func:`repro.radio.link.compute_snr_profile`
-needs, so an Eq. (2) evaluation becomes a pure function of the scenario.  Each
-scenario exposes a stable content hash over all of its fields, which the batch
-engine (:mod:`repro.radio.batch`) and the profile cache
+A :class:`Scenario` pins down everything an Eq. (2) evaluation needs, so the
+evaluation (:func:`repro.radio.batch.evaluate_scenarios`) becomes a pure
+function of the scenario.  Each scenario exposes a stable content hash over
+all of its fields, which the batch engine and the profile cache
 (:mod:`repro.scenario.cache`) use as identity: two scenarios with equal hashes
 produce bit-identical profiles.
 """
@@ -19,7 +19,7 @@ import numpy as np
 from repro import constants
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError
-from repro.radio.link import LinkParams, SnrProfile, compute_snr_profile
+from repro.radio.link import LinkParams
 from repro.scenario.cache import content_token
 
 __all__ = ["Scenario"]
@@ -85,15 +85,3 @@ class Scenario:
         """The track position grid this scenario is evaluated on."""
         return np.arange(self.resolution_m, float(self.layout.isd_m),
                          self.resolution_m)
-
-    def evaluate(self) -> SnrProfile:
-        """Single-scenario evaluation via the reference Eq. (2) path.
-
-        Returns:
-            The scalar-path :class:`~repro.radio.link.SnrProfile` —
-            bit-identical to what the batch engine
-            (:func:`repro.radio.batch.evaluate_scenarios`) produces for the
-            same scenario.
-        """
-        return compute_snr_profile(self.layout, self.link,
-                                   resolution_m=self.resolution_m)

@@ -29,7 +29,6 @@ __all__ = [
     "LOCATIONS",
     "WeatherParams",
     "SyntheticWeather",
-    "DayIrradiance",
     "WeatherYear",
     "WeatherKey",
     "WeatherCache",
@@ -48,7 +47,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "geometry": ("SolarGeometry", "declination_rad", "sunset_hour_angle_rad"),
     "climates": ("LOCATIONS", "Location"),
     "irradiance": (
-        "SyntheticWeather", "WeatherParams", "DayIrradiance", "WeatherYear",
+        "SyntheticWeather", "WeatherParams", "WeatherYear",
     ),
     "pv": ("PvArray",),
     "battery": ("Battery",),

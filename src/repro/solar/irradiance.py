@@ -16,7 +16,7 @@ Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.kernels import ar1_scan
 from repro.solar.climates import WINTER_MONTHS, Location, months_of_days
 from repro.solar.geometry import SOLAR_CONSTANT_W_M2, SolarGeometry, eccentricity_factor
 
-__all__ = ["WeatherParams", "DayIrradiance", "WeatherYear", "SyntheticWeather",
+__all__ = ["WeatherParams", "WeatherYear", "SyntheticWeather",
            "erbs_diffuse_fraction"]
 
 
@@ -68,35 +68,13 @@ class WeatherParams:
 
 
 @dataclass(frozen=True)
-class DayIrradiance:
-    """Hourly irradiance of one simulated day.
-
-    ``poa_w_m2`` is the plane-of-array irradiance on the module; ``ghi_w_m2``
-    the global horizontal; both are 24-vectors of hourly means [W/m²].
-    """
-
-    day_of_year: int
-    kt: float
-    ghi_w_m2: np.ndarray
-    poa_w_m2: np.ndarray
-
-    @property
-    def daily_ghi_wh_m2(self) -> float:
-        return float(np.sum(self.ghi_w_m2))
-
-    @property
-    def daily_poa_wh_m2(self) -> float:
-        return float(np.sum(self.poa_w_m2))
-
-
-@dataclass(frozen=True)
 class WeatherYear:
     """A full synthesized weather year as day-axis tensors.
 
-    The tensor twin of iterating :meth:`SyntheticWeather.year`: row ``i``
-    holds the same 24 hourly values as the ``i``-th :class:`DayIrradiance`
-    (bit-identical; asserted in the test suite).  This is the shape the
-    batched off-grid engine (:mod:`repro.solar.batch`) consumes and caches.
+    Row ``i`` holds the 24 hourly values of the ``i``-th simulated day.
+    This is the shape the batched off-grid engine (:mod:`repro.solar.batch`)
+    consumes and caches; it is bit-identical to the day-by-day synthesis of
+    the test oracle ``tests/oracles/solar.py``.
     """
 
     start_day_of_year: int
@@ -177,61 +155,16 @@ class SyntheticWeather:
 
     # -- hourly synthesis ------------------------------------------------------
 
-    def day_irradiance(self, day_of_year: int, kt: float) -> DayIrradiance:
-        """Hourly GHI and plane-of-array irradiance for one day."""
-        if not 1 <= day_of_year <= 365:
-            raise ConfigurationError(f"day-of-year must be 1..365, got {day_of_year}")
-        geo = self.geometry
-        hours = np.arange(24) + 0.5  # hour centers, solar time
-        w = geo.hour_angles_rad(hours)
-        cos_z = np.maximum(geo.cos_zenith(day_of_year, w), 0.0)
-
-        # Hourly extraterrestrial on horizontal, then scale by daily KT.
-        i0 = SOLAR_CONSTANT_W_M2 * eccentricity_factor(day_of_year) * cos_z
-        ghi = kt * i0
-
-        fd = erbs_diffuse_fraction(kt)
-        diffuse = fd * ghi
-        beam_h = ghi - diffuse
-
-        cos_i = geo.cos_incidence(day_of_year, w)
-        # Beam ratio guarded against the sunrise/sunset singularity.
-        rb = np.where(cos_z > 0.087, np.maximum(cos_i, 0.0) / np.maximum(cos_z, 0.087), 0.0)
-        beta = np.deg2rad(geo.tilt_deg)
-        sky_view = (1.0 + np.cos(beta)) / 2.0
-        ground_view = (1.0 - np.cos(beta)) / 2.0
-        poa = beam_h * rb + diffuse * sky_view + ghi * self.params.albedo * ground_view
-
-        month = self.location.month_of_day(day_of_year)
-        if self.location.is_winter(month):
-            poa = poa * (1.0 - self.location.winter_reliability_derate)
-
-        return DayIrradiance(day_of_year=day_of_year, kt=float(kt),
-                             ghi_w_m2=ghi, poa_w_m2=np.maximum(poa, 0.0))
-
-    def year(self, days: int = 365, start_day_of_year: int = 1):
-        """Yield a :class:`DayIrradiance` for each simulated day.
-
-        ``start_day_of_year`` shifts the simulation phase; starting in autumn
-        (e.g. 274 = Oct 1) places one *continuous* winter mid-simulation,
-        which is the correct stress test for battery autonomy (a Jan-Dec year
-        splits the winter across the two ends and starts it with a full
-        battery).
-        """
-        if not 1 <= start_day_of_year <= 365:
-            raise ConfigurationError(
-                f"start day-of-year must be 1..365, got {start_day_of_year}")
-        kts = self.daily_clearness(days, start_day_of_year)
-        for i in range(days):
-            doy = (start_day_of_year - 1 + i) % 365 + 1
-            yield self.day_irradiance(doy, float(kts[i]))
-
     def year_tensor(self, days: int = 365, start_day_of_year: int = 1) -> WeatherYear:
         """Synthesize the whole year as one ``(days, 24)`` tensor.
 
-        Bit-identical to stacking :meth:`year`'s per-day outputs, but computed
-        in a single pass over the day axis: the solar-geometry broadcasts put
-        the day dimension on the rows and the 24 hour centers on the columns.
+        Computed in a single pass over the day axis: the solar-geometry
+        broadcasts put the day dimension on the rows and the 24 hour centers
+        on the columns.  ``start_day_of_year`` shifts the simulation phase;
+        starting in autumn (e.g. 274 = Oct 1) places one *continuous* winter
+        mid-simulation, which is the correct stress test for battery
+        autonomy (a Jan-Dec year splits the winter across the two ends and
+        starts it with a full battery).
         """
         if not 1 <= start_day_of_year <= 365:
             raise ConfigurationError(
@@ -272,8 +205,6 @@ class SyntheticWeather:
     def monthly_poa_kwh_m2(self) -> np.ndarray:
         """Monthly plane-of-array irradiation sums of the simulated year.
 
-        Reuses one :meth:`year_tensor` synthesis instead of re-yielding
-        per-day objects (this used to be a second full weather synthesis per
-        calibration pass).
+        Reuses one :meth:`year_tensor` synthesis.
         """
         return self.year_tensor().monthly_poa_kwh_m2()

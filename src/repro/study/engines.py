@@ -160,13 +160,13 @@ _RADIO_SCENARIO_PARAMS = ("isd_m", "n_repeaters", "spacing_m", "resolution_m",
                           "terminal_noise_figure_db", "repeater_noise_figure_db")
 
 
-def _run_radio(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
+def _scenario_profiles(cases: list[dict], context: dict):
+    """One batched profile per distinct scenario of ``cases`` (in
+    first-occurrence order) and each case's index into them.  Parameters
+    equal under == build equal scenarios (float()/int() of 1, 1.0 and True
+    agree), so grouping never changes a row."""
     from repro.radio.batch import evaluate_scenarios
 
-    # Group cases by their scenario parameters (first-occurrence order):
-    # one Scenario, one profile and one min/mean reduction per group.
-    # Parameters equal under == build equal scenarios (float()/int() of
-    # 1, 1.0 and True agree), so grouping never changes a row.
     group_of: dict[tuple, int] = {}
     firsts: list[dict] = []
     groups = []
@@ -179,6 +179,12 @@ def _run_radio(cases: list[dict], seeds: list[int], context: dict) -> list[dict]
         groups.append(group)
     profiles = evaluate_scenarios([_radio_scenario(case) for case in firsts],
                                   cache=_context_profile_cache(context))
+    return profiles, groups
+
+
+def _run_radio(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
+    # One Scenario, profile and min/mean reduction per distinct scenario.
+    profiles, groups = _scenario_profiles(cases, context)
     stats = [(profile.min_snr_db, profile.mean_snr_db) for profile in profiles]
     rows = []
     for case, group in zip(cases, groups):
@@ -296,30 +302,24 @@ def _run_mc(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
     from repro.optimize.mc import min_snr_matrix, wilson_interval
     from repro.propagation.fading import LogNormalShadowing
 
-    # One Scenario, hash and profile-cache lookup per distinct scenario, and
-    # one min_snr_matrix call — one draw, one kernel call — per (trials,
-    # seed) stream, whose lanes are its distinct (scenario, sigma,
-    # decorrelation) pairs in first-occurrence order.  Under CRN a lane's
-    # row does not depend on the lanes stacked beside it, so each case
-    # reads its row, against its own threshold, bit-identical to an
-    # outage_matrix call of its own.
-    cache = _context_profile_cache(context)
-    profiles: dict[tuple, object] = {}
+    # One Scenario, hash and profile-cache lookup per distinct scenario, all
+    # evaluated in one batch, and one min_snr_matrix call — one draw, one
+    # kernel call — per (trials, seed) stream, whose lanes are its distinct
+    # (scenario, sigma, decorrelation) pairs in first-occurrence order.
+    # Under CRN a lane's row does not depend on the lanes stacked beside it,
+    # so each case reads its row, against its own threshold, bit-identical
+    # to an outage_matrix call of its own.
+    profiles, groups = _scenario_profiles(cases, context)
     streams: dict[tuple, tuple[dict, list]] = {}
-    for i, (case, seed) in enumerate(zip(cases, seeds)):
-        scenario_key = tuple([case[name] for name in _RADIO_SCENARIO_PARAMS])
-        if scenario_key not in profiles:
-            profiles[scenario_key] = cache.get_or_compute(
-                _radio_scenario(case))
-        lane = (scenario_key, float(case["sigma_db"]),
-                float(case["decorrelation_m"]))
+    for i, (case, seed, group) in enumerate(zip(cases, seeds, groups)):
+        lane = (group, float(case["sigma_db"]), float(case["decorrelation_m"]))
         lanes, members = streams.setdefault(
             (_count("trials", case["trials"]), seed), ({}, []))
         members.append((i, lanes.setdefault(lane, len(lanes))))
     rows: list[dict] = [None] * len(cases)  # type: ignore[list-item]
     for (trials, seed), (lanes, members) in streams.items():
         matrix = min_snr_matrix(
-            [profiles[key] for key, _, _ in lanes],
+            [profiles[group] for group, _, _ in lanes],
             [LogNormalShadowing(sigma_db=sigma, decorrelation_m=decorrelation)
              for _, sigma, decorrelation in lanes],
             trials, seed)
@@ -650,7 +650,7 @@ STUDY_ENGINES: dict[str, EngineAdapter] = {
 _ENGINE_MODULES: dict[str, tuple[str, ...]] = {
     "radio": ("repro.radio.batch",),
     "solar": ("repro.solar.batch", "numpy.random"),
-    "mc": ("repro.optimize.mc", "repro.scenario.spec", "numpy.random"),
+    "mc": ("repro.optimize.mc", "repro.radio.batch", "numpy.random"),
     "sim": ("repro.simulation.batch", "numpy.random"),
     "network": ("repro.network.optimize", "repro.network.presets",
                 "repro.radio.batch"),

@@ -138,21 +138,11 @@ class RunJournal:
         """
         if self.path is None:
             return
-        record = {"event": event, "t": time.time(), **fields}
         # No sort_keys: nested payloads (e.g. the service's persisted study
         # documents) carry semantic mapping order — axes declaration order
         # determines case enumeration — and must replay byte-faithfully.
-        line = json.dumps(record) + "\n"
-        with self._lock:
-            try:
-                if self._handle is None:
-                    self._handle = open(self.path, "a")
-                self._handle.write(line)
-                self._handle.flush()
-            except (OSError, ValueError):
-                self._close_handle()
-            if event == "run_end":
-                self._close_handle()
+        self._write({"event": event, "t": time.time(), **fields},
+                    close=event == "run_end")
 
     def append(self, record: dict) -> None:
         """Append one pre-built event record verbatim (replay path).
@@ -169,6 +159,11 @@ class RunJournal:
         """
         if self.path is None:
             return
+        self._write(record, close=False)
+
+    def _write(self, record: dict, close: bool) -> None:
+        """Write one record as a JSON line under the lock, swallowing disk
+        errors; ``close`` releases the handle afterwards."""
         line = json.dumps(record) + "\n"
         with self._lock:
             try:
@@ -177,6 +172,8 @@ class RunJournal:
                 self._handle.write(line)
                 self._handle.flush()
             except (OSError, ValueError):
+                self._close_handle()
+            if close:
                 self._close_handle()
 
     def close(self) -> None:

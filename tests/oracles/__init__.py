@@ -8,8 +8,11 @@ the package, as the independent references the parity tests and
 * :mod:`oracles.kernels` — the step-loop ``ar1_scan``, ``ar1_min_scan`` and
   ``soc_scan`` kernels, substituted for the fused ones by the
   ``reference_kernels`` fixture;
-* :mod:`oracles.solar` — the per-system hourly year walk and the
-  year-by-year battery-lifetime loop;
+* :mod:`oracles.radio` — the source-by-source Eq. (2) profile the batched
+  kernel is pinned to;
+* :mod:`oracles.solar` — the per-day weather synthesis, the mutable battery
+  bucket, the per-system hourly year walk and the year-by-year
+  battery-lifetime loop;
 * :mod:`oracles.mc` — the shadowing trace samplers and the
   per-(candidate, trial) shadowing walk;
 * :mod:`oracles.des` — the discrete-event corridor simulation;

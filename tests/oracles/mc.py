@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles.radio import scenario_profile
 from repro.kernels import ar1_scan
 from repro.optimize.mc import outage_matrix, wilson_interval
 from repro.propagation.fading import LogNormalShadowing, _validated_positions
@@ -103,7 +104,13 @@ def per_draw_mc(cases, seeds, context=None):
     for i, (case, seed) in enumerate(zip(cases, seeds)):
         key = tuple(case[name] for name in _engines._RADIO_SCENARIO_PARAMS)
         if key not in profiles:
-            profiles[key] = cache.get_or_compute(_engines._radio_scenario(case))
+            scenario = _engines._radio_scenario(case)
+            digest = scenario.content_hash
+            profile = cache.get_by_hash(digest)
+            if profile is None:
+                profile = scenario_profile(scenario)
+                cache.put_by_hash(digest, profile)
+            profiles[key] = profile
         draw = (float(case["sigma_db"]), float(case["decorrelation_m"]),
                 int(case["trials"]), seed)
         draws.setdefault(draw, []).append((i, key))

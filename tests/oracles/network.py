@@ -3,10 +3,10 @@
 
 The batched pass evaluates each unique layout once and each unique
 (option, speed class, demand) combination once, then broadcasts.  This
-walk recomputes every quantity segment by segment through the scalar entry
-points (:func:`repro.radio.link.compute_snr_profile` per option and
-segment, :func:`repro.energy.scenario.segment_energy` per cell), reading
-each segment from the graph's columns.  It shares the production
+walk recomputes every quantity segment by segment (the scalar Eq. (2)
+oracle :func:`oracles.radio.compute_snr_profile` per option and segment,
+:func:`repro.energy.scenario.segment_energy` per cell), reading each
+segment from the graph's columns.  It shares the production
 elementwise cost/energy formulas, so the two are bit-identical by
 construction (``tests/test_engine_parity.py``), and it is the honest
 baseline ``benchmarks/bench_network.py`` races.
@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from oracles.radio import compute_snr_profile
 from repro import constants
 from repro.economics.costmodel import CostAssumptions
 from repro.network.frontier import (
@@ -29,14 +30,14 @@ from repro.network.frontier import (
     _profile_quantities,
     _segment_cost,
 )
-from repro.radio.link import LinkParams, compute_snr_profile
+from repro.radio.link import LinkParams
 
 __all__ = ["min_snr_scalar", "segment_frontiers_scalar"]
 
 
 def min_snr_scalar(option: TechnologyOption, link: LinkParams,
                    resolution_m: float) -> float:
-    """Trackside min SNR via the scalar entry point (relay is exempt)."""
+    """Trackside min SNR via the scalar Eq. (2) oracle (relay is exempt)."""
     if option.technology is Technology.MOBILE_RELAY:
         return float("inf")
     profile = compute_snr_profile(option.layout, link,

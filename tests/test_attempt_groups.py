@@ -550,6 +550,7 @@ fixed:
 def per_case_mc(cases, seeds):
     """The ``mc`` adapter as a per-case loop: one scenario, one profile
     and one ``outage_matrix`` call per case."""
+    from oracles.radio import scenario_profile
     from repro.optimize.mc import outage_matrix
     from repro.propagation.fading import LogNormalShadowing
     from repro.study.engines import _radio_scenario
@@ -559,7 +560,7 @@ def per_case_mc(cases, seeds):
     for case, seed in zip(cases, seeds):
         case = adapter.resolve(case)
         matrix = outage_matrix(
-            [_radio_scenario(case).evaluate()],
+            [scenario_profile(_radio_scenario(case))],
             LogNormalShadowing(sigma_db=float(case["sigma_db"]),
                                decorrelation_m=float(case["decorrelation_m"])),
             threshold_db=float(case["threshold_db"]),

@@ -1,7 +1,8 @@
 """Tests for the batched Eq. (2) engine and its consumers.
 
 The central guarantee: every profile out of :func:`evaluate_scenarios` is
-bit-identical to the scalar :func:`compute_snr_profile` on the same scenario,
+bit-identical to the scalar oracle :func:`oracles.radio.compute_snr_profile`
+on the same scenario,
 and the refactored sweep reproduces the original (seed) implementation
 exactly.
 """
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 
 from oracles.isd import max_isd_scan, sweep_max_isd_scan
+from oracles.radio import compute_snr_profile
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.optimize.isd import isd_candidates, max_isd_for_n, sweep_max_isd
 from repro.radio.batch import evaluate_scenarios, min_snr_batch
-from repro.radio.link import LinkParams, compute_snr_profile
+from repro.radio.link import LinkParams
 from repro.radio.noise import RepeaterNoiseModel
 from repro.scenario import ProfileCache, Scenario
 

@@ -1,12 +1,13 @@
 """Cross-engine parity matrix — scalar oracle vs. batched, all engines.
 
-Every vectorized engine in the codebase has a scalar oracle (the radio
-engine's is the public scalar :func:`repro.radio.link.compute_snr_profile`;
-the others live in ``tests/oracles/``); this module is the single place
-asserting they agree, over one shared seed sweep:
+Every vectorized engine in the codebase has a scalar oracle in
+``tests/oracles/``; this module is the single place asserting they agree,
+over one shared seed sweep:
 
-* **radio**  — :func:`repro.radio.batch.evaluate_scenarios` vs. the scalar
-  :func:`repro.radio.link.compute_snr_profile` (deterministic: bit-identical
+* **radio**  — :func:`repro.radio.batch.evaluate_scenarios` and the public
+  single-layout :func:`repro.radio.link.compute_snr_profile` (both the one
+  batched kernel) vs. the source-by-source
+  :func:`oracles.radio.compute_snr_profile` (deterministic: bit-identical
   arrays, no seed axis);
 * **solar**  — :func:`repro.solar.batch.simulate_systems` vs. the
   per-system year walk :func:`oracles.solar.simulate_year`;
@@ -47,6 +48,7 @@ from oracles.mc import (
     trial_generators,
 )
 from oracles.network import segment_frontiers_scalar
+from oracles.radio import scenario_profile
 from oracles.solar import simulate_year
 
 from repro.corridor.layout import CorridorLayout
@@ -77,21 +79,40 @@ STUDIES_DIR = Path(__file__).resolve().parents[1] / "studies"
 # --- radio: Eq. (2) batch vs. scalar profile --------------------------------------
 
 
+#: Uniform fields (none to ten nodes, an off-step ISD), an asymmetric field
+#: and an equally divided one.
+RADIO_LAYOUTS = (
+    [CorridorLayout.with_uniform_repeaters(isd, n)
+     for isd, n in [(900.0, 0), (1250.0, 1), (2400.0, 8), (2437.5, 8),
+                    (3000.0, 10)]]
+    + [CorridorLayout(2400.0, (300.0, 500.0, 2000.0)),
+       CorridorLayout.with_equally_divided_repeaters(1800.0, 3)])
+
+PROFILE_FIELDS = ("positions_m", "source_rsrp_dbm", "total_signal_dbm",
+                  "total_noise_dbm", "snr_db")
+
+
+def assert_profiles_bit_identical(got, ref):
+    for name in PROFILE_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
 class TestRadioParity:
     @pytest.mark.parametrize("model", list(RepeaterNoiseModel))
     def test_profiles_bit_identical(self, model):
         link = LinkParams(repeater_noise_model=model)
-        scenarios = [
-            Scenario(CorridorLayout.with_uniform_repeaters(isd, n), link, 2.0)
-            for isd, n in [(900.0, 0), (1250.0, 1), (2400.0, 8),
-                           (2437.5, 8), (3000.0, 10)]
-        ]
+        scenarios = [Scenario(layout, link, 2.0) for layout in RADIO_LAYOUTS]
         for sc, batch in zip(scenarios, evaluate_scenarios(scenarios)):
-            ref = compute_snr_profile(sc.layout, sc.link, resolution_m=2.0)
-            for name in ("positions_m", "source_rsrp_dbm", "total_signal_dbm",
-                         "total_noise_dbm", "snr_db"):
-                assert np.array_equal(getattr(batch, name),
-                                      getattr(ref, name)), name
+            assert_profiles_bit_identical(batch, scenario_profile(sc))
+
+    @pytest.mark.parametrize("resolution_m", (0.5, 1.0, 10.0))
+    @pytest.mark.parametrize("model", list(RepeaterNoiseModel))
+    def test_single_layout_entry_bit_identical(self, model, resolution_m):
+        link = LinkParams(repeater_noise_model=model)
+        for layout in RADIO_LAYOUTS:
+            got = compute_snr_profile(layout, link, resolution_m=resolution_m)
+            assert_profiles_bit_identical(
+                got, scenario_profile(Scenario(layout, link, resolution_m)))
 
 
 # --- solar: batched hourly balance vs. per-system scalar year ---------------------

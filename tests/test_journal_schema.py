@@ -249,6 +249,42 @@ class TestPersistentHandle:
         assert [event["event"] for event in events] == ["run_start",
                                                         "finish"]
 
+    def test_append_replays_verbatim_and_keeps_the_handle(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        journal = RunJournal(path)
+        journal.emit("run_start", study="s")
+        replayed = {"event": "run_end", "t": 1.5, "computed": 2}
+        journal.append(replayed)
+        # A replayed run_end is not this journal's own: the handle stays.
+        assert journal._handle is not None
+        journal.close()
+        lines = path.read_text().splitlines()
+        assert lines[1] == json.dumps(replayed)
+        assert json.loads(lines[0])["event"] == "run_start"
+
+    def test_append_swallows_disk_errors(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        journal = RunJournal(path)
+        journal.append({"event": "run_start"})
+
+        class ExplodingHandle:
+            closed = False
+
+            def write(self, line):
+                raise OSError("disk full")
+
+            def close(self):
+                self.closed = True
+
+        journal._handle = ExplodingHandle()
+        journal.append({"event": "submit"})  # must not raise
+        assert journal._handle is None
+        journal.append({"event": "finish"})
+        journal.close()
+        assert [json.loads(line)["event"]
+                for line in path.read_text().splitlines()] == ["run_start",
+                                                               "finish"]
+
     def test_disabled_journal_never_opens(self, tmp_path):
         journal = RunJournal(None)
         journal.emit("run_start", study="s")

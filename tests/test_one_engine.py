@@ -2,7 +2,8 @@
 
 Every production path runs its batch engine on the fused kernels, and the
 max-ISD searches bisect.  The scalar engines, step-loop kernels and full
-max-ISD scans are test oracles (``tests/oracles/``), so no public
+max-ISD scans are test oracles (``tests/oracles/``), and Eq. (2) has one
+implementation, the batched kernel every entry point reaches, so no public
 :mod:`repro` callable takes ``backend=`` or ``exhaustive=``, ``engine=``
 appears only where it names a study adapter (and on the network frontier
 pass, which accepts only ``"batched"``), and no ``src/`` module imports the
@@ -16,6 +17,8 @@ import importlib
 import inspect
 import pkgutil
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -117,3 +120,55 @@ def test_no_src_module_imports_the_oracles():
             offenders += [f"{path.relative_to(SRC)}: {m}" for m in modules
                           if m.split(".")[0] == "oracles"]
     assert offenders == []
+
+
+def _mc_engine_call(tmp_path):
+    from repro.study.engines import STUDY_ENGINES, run_cases
+
+    case = STUDY_ENGINES["mc"].resolve(
+        {"isd_m": 1800.0, "n_repeaters": 4, "resolution_m": 10.0,
+         "trials": 5})
+    # A fresh cache directory, so no profile memo of an earlier test hits.
+    run_cases("mc", [case], [3], {"cache_dir": str(tmp_path)})
+
+
+def _uplink(tmp_path):
+    from repro.experiments.extensions import run_uplink
+
+    run_uplink(resolution_m=20.0)
+
+
+def _traversal(tmp_path):
+    from repro.corridor.layout import CorridorLayout
+    from repro.mobility.traversal import simulate_traversal
+
+    simulate_traversal(CorridorLayout.with_uniform_repeaters(1800.0, 4),
+                       time_step_s=0.5)
+
+
+def _profile(tmp_path):
+    from repro.corridor.layout import CorridorLayout
+    from repro.radio.link import compute_snr_profile
+
+    compute_snr_profile(CorridorLayout.with_uniform_repeaters(1800.0, 4))
+
+
+@pytest.mark.parametrize("entry", [_profile, _traversal, _uplink,
+                                   _mc_engine_call],
+                         ids=["compute_snr_profile", "simulate_traversal",
+                              "run_uplink", "mc_engine"])
+def test_every_eq2_entry_runs_the_batched_kernel(entry, monkeypatch,
+                                                 tmp_path):
+    """Eq. (2) has one implementation in ``src/``: the batched kernel."""
+    from repro.radio import batch
+
+    calls = []
+    kernel = batch._evaluate_group
+
+    def spy(scenarios):
+        calls.append(len(scenarios))
+        return kernel(scenarios)
+
+    monkeypatch.setattr(batch, "_evaluate_group", spy)
+    entry(tmp_path)
+    assert calls

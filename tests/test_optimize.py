@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from oracles.radio import compute_snr_profile
+
 from repro import constants
 from repro.capacity.shannon import TruncatedShannonModel
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.optimize.isd import isd_candidates, max_isd_for_n, sweep_max_isd
 from repro.optimize.placement import optimize_placement
-from repro.radio.link import LinkParams, compute_snr_profile
+from repro.radio.link import LinkParams
 from repro.radio.noise import RepeaterNoiseModel
 
 

@@ -238,3 +238,48 @@ class TestChainHopAssignment:
                        + np.sum((rstp_mw / snr_fh)[:, None] / att, axis=0))
         assert profile.total_noise_dbm == pytest.approx(
             10.0 * np.log10(expected_mw), abs=1e-9)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _border(**kwargs):
+    from repro.radio.interference import cell_border_sinr
+
+    return lambda: cell_border_sinr(**kwargs)
+
+
+def _outage_span(**kwargs):
+    from repro.radio.interference import peak_outage_span_m
+
+    return lambda: peak_outage_span_m(**kwargs)
+
+
+def _traversal(time_step_s):
+    from repro.mobility.traversal import simulate_traversal
+
+    return lambda: simulate_traversal(CorridorLayout.conventional(),
+                                      time_step_s=time_step_s)
+
+
+def _profile(resolution_m):
+    return lambda: compute_snr_profile(CorridorLayout.conventional(),
+                                       resolution_m=resolution_m)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(_outage_span(edge_offset_m=_NAN), id="outage-edge-nan"),
+    pytest.param(_outage_span(threshold_db=_NAN), id="outage-threshold-nan"),
+    pytest.param(_border(edge_offset_m=_NAN), id="border-edge-nan"),
+    pytest.param(_border(isd_m=_NAN), id="border-isd-nan"),
+    pytest.param(_border(span_m=_NAN), id="border-span-nan"),
+    pytest.param(_border(resolution_m=_NAN), id="border-resolution-nan"),
+    pytest.param(_border(resolution_m=_INF), id="border-resolution-inf"),
+    pytest.param(_traversal(_NAN), id="traversal-step-nan"),
+    pytest.param(_traversal(_INF), id="traversal-step-inf"),
+    pytest.param(_profile(_NAN), id="profile-resolution-nan"),
+    pytest.param(_profile(_INF), id="profile-resolution-inf"),
+])
+def test_non_finite_input_is_a_configuration_error(call):
+    with pytest.raises(ConfigurationError):
+        call()

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.corridor.layout import CorridorLayout
+from oracles.radio import scenario_profile
 from repro.errors import ConfigurationError
+from repro.radio.batch import evaluate_scenarios
 from repro.radio.link import LinkParams
 from repro.radio.noise import RepeaterNoiseModel
 from repro.scenario import ProfileCache, Scenario
@@ -20,6 +22,12 @@ def make_scenario(**kwargs) -> Scenario:
     link = defaults.pop("link", LinkParams())
     return Scenario.uniform(defaults.pop("isd_m"), defaults.pop("n_repeaters"),
                             link=link, resolution_m=defaults.pop("resolution_m"))
+
+
+def cached_profile(cache: ProfileCache, scenario: Scenario):
+    """The profile of ``scenario`` through ``cache``: a hit, or an
+    evaluation stored back."""
+    return evaluate_scenarios([scenario], cache=cache)[0]
 
 
 class TestScenario:
@@ -65,12 +73,10 @@ class TestScenario:
         assert positions[0] == 1.0
         assert positions[-1] == 999.0
 
-    def test_evaluate_is_reference_path(self):
-        from repro.radio.link import compute_snr_profile
-
+    def test_evaluation_matches_scalar_oracle(self):
         sc = make_scenario()
-        ref = compute_snr_profile(sc.layout, sc.link, resolution_m=sc.resolution_m)
-        got = sc.evaluate()
+        ref = scenario_profile(sc)
+        (got,) = evaluate_scenarios([sc])
         for name in PROFILE_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(ref, name))
 
@@ -79,27 +85,27 @@ class TestProfileCache:
     def test_same_hash_hits(self):
         cache = ProfileCache(maxsize=4)
         sc = make_scenario()
-        first = cache.get_or_compute(sc)
-        again = cache.get_or_compute(make_scenario())
+        first = cached_profile(cache, sc)
+        again = cached_profile(cache, make_scenario())
         assert again is first
         assert cache.hits == 1 and cache.misses == 1
 
     def test_any_field_change_misses(self):
         cache = ProfileCache(maxsize=16)
-        cache.get_or_compute(make_scenario())
+        cached_profile(cache, make_scenario())
         for variant in (
                 make_scenario(link=LinkParams(hp_eirp_dbm=65.0)),
                 make_scenario(link=LinkParams(
                     repeater_noise_model=RepeaterNoiseModel.FRONTHAUL_STAR)),
                 make_scenario(resolution_m=2.5)):
             misses = cache.misses
-            cache.get_or_compute(variant)
+            cached_profile(cache, variant)
             assert cache.misses == misses + 1
 
     def test_cached_results_bit_identical(self, tmp_path):
         cache = ProfileCache(maxsize=4, cache_dir=tmp_path)
         sc = make_scenario()
-        fresh = sc.evaluate()
+        (fresh,) = evaluate_scenarios([sc])
         cache.put(sc, fresh)
 
         # Drop the memory layer so the lookup must go through disk.
@@ -113,7 +119,7 @@ class TestProfileCache:
         cache = ProfileCache(maxsize=2)
         scenarios = [make_scenario(isd_m=isd) for isd in (900.0, 1000.0, 1100.0)]
         for sc in scenarios:
-            cache.get_or_compute(sc)
+            cached_profile(cache, sc)
         assert len(cache) == 2
         assert cache.get(scenarios[0]) is None  # evicted
         assert cache.get(scenarios[2]) is not None
@@ -128,13 +134,13 @@ class TestProfileCache:
         with pytest.raises(ConfigurationError):
             ProfileCache(cache_dir=target)
 
-    def test_disk_round_trip_via_get_or_compute(self, tmp_path):
+    def test_disk_round_trip_via_evaluate_scenarios(self, tmp_path):
         warm = ProfileCache(maxsize=4, cache_dir=tmp_path)
         sc = make_scenario(n_repeaters=4, isd_m=1600.0)
-        first = warm.get_or_compute(sc)
+        first = cached_profile(warm, sc)
 
         cold = ProfileCache(maxsize=4, cache_dir=tmp_path)
-        second = cold.get_or_compute(sc)
+        second = cached_profile(cold, sc)
         assert cold.hits == 1 and cold.misses == 0
         assert np.array_equal(first.snr_db, second.snr_db)
 
@@ -142,7 +148,7 @@ class TestProfileCache:
         cache = ProfileCache(maxsize=4, cache_dir=tmp_path)
         sc = make_scenario()
         cache.bundle_path(sc.content_hash).write_bytes(b"torn write")
-        profile = cache.get_or_compute(sc)  # must recompute, not crash
+        profile = cached_profile(cache, sc)  # must recompute, not crash
         assert profile is not None
         assert cache.quarantined == 1
         # The fresh put overwrote the corrupt file with a loadable one.
@@ -151,7 +157,7 @@ class TestProfileCache:
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = ProfileCache(maxsize=4, cache_dir=tmp_path)
-        cache.get_or_compute(make_scenario())
+        cached_profile(cache, make_scenario())
         assert not [p for p in tmp_path.iterdir() if p.suffix != ".bundle"]
 
 

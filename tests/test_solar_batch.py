@@ -4,7 +4,8 @@ The central guarantee mirrors ``test_batch.py``: with the step-loop
 ``soc_scan`` oracle substituted (the ``reference_kernels`` fixture), every
 result out of :func:`repro.solar.batch.simulate_systems` is bit-identical to
 the scalar year walk :func:`oracles.solar.simulate_year` on the same system,
-the weather-year tensor is bit-identical to stacking the per-day synthesis,
+the weather-year tensor is bit-identical to stacking the per-day synthesis of
+:class:`oracles.solar.DayWeather`,
 and weather is synthesized exactly once per key.  The fused kernel's
 tolerance contract (exact integers/PV sums, 1e-9 SoC-dependent floats)
 lives in ``tests/test_engine_parity.py``.
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles.solar import project_lifetime_scalar, simulate_year
+from oracles.solar import DayWeather, project_lifetime_scalar, simulate_year
 from repro.errors import ConfigurationError
 from repro.solar.batch import (
     WeatherCache,
@@ -53,7 +54,7 @@ def assert_results_equal(batched, scalar):
 class TestWeatherTensor:
     @pytest.mark.parametrize("key", ALL_LOCATIONS)
     def test_year_tensor_matches_day_iteration(self, key):
-        weather = SyntheticWeather(LOCATIONS[key], seed=11)
+        weather = DayWeather(LOCATIONS[key], seed=11)
         tensor = weather.year_tensor(days=365, start_day_of_year=274)
         for i, day in enumerate(weather.year(365, 274)):
             assert np.array_equal(tensor.ghi_w_m2[i], day.ghi_w_m2)
@@ -62,7 +63,7 @@ class TestWeatherTensor:
             assert int(tensor.day_of_year[i]) == day.day_of_year
 
     def test_monthly_poa_matches_per_day_accumulation(self):
-        weather = SyntheticWeather(LOCATIONS["vienna"], seed=3)
+        weather = DayWeather(LOCATIONS["vienna"], seed=3)
         sums = np.zeros(12)
         for day in weather.year():
             sums[weather.location.month_of_day(day.day_of_year)] += day.daily_poa_wh_m2 / 1000.0

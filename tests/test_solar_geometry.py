@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.solar import DayWeather
 from repro.errors import ConfigurationError
 from repro.solar.climates import LOCATIONS, MONTH_DAYS, MONTH_FIRST_DOY, Location
 from repro.solar.geometry import (
@@ -173,60 +174,60 @@ class TestSyntheticWeather:
         assert np.all(kt <= weather.params.kt_max)
 
     def test_day_irradiance_night_zero(self):
-        weather = SyntheticWeather(LOCATIONS["madrid"])
+        weather = DayWeather(LOCATIONS["madrid"])
         day = weather.day_irradiance(180, 0.6)
         assert day.ghi_w_m2[0] == 0.0  # midnight hours dark
         assert day.ghi_w_m2[23] == 0.0
         assert day.ghi_w_m2[12] > 0.0
 
     def test_poa_nonnegative(self):
-        weather = SyntheticWeather(LOCATIONS["berlin"])
+        weather = DayWeather(LOCATIONS["berlin"])
         for doy in (1, 91, 182, 274):
             day = weather.day_irradiance(doy, 0.4)
             assert np.all(day.poa_w_m2 >= 0.0)
 
     def test_daily_ghi_magnitude(self):
         # Madrid June at KT 0.6: GHI should be several kWh/m²/day.
-        weather = SyntheticWeather(LOCATIONS["madrid"])
+        weather = DayWeather(LOCATIONS["madrid"])
         day = weather.day_irradiance(172, 0.6)
         assert 5000 < day.daily_ghi_wh_m2 < 9000
 
     def test_winter_vertical_gain(self):
         # In winter the vertical panel receives more than the horizontal GHI
         # on clear days (low sun, Rb > 1).
-        weather = SyntheticWeather(LOCATIONS["madrid"])
+        weather = DayWeather(LOCATIONS["madrid"])
         day = weather.day_irradiance(355, 0.6)
         assert day.daily_poa_wh_m2 > day.daily_ghi_wh_m2
 
     def test_summer_vertical_loss(self):
-        weather = SyntheticWeather(LOCATIONS["madrid"])
+        weather = DayWeather(LOCATIONS["madrid"])
         day = weather.day_irradiance(172, 0.6)
         assert day.daily_poa_wh_m2 < day.daily_ghi_wh_m2
 
     def test_year_has_365_days(self):
-        weather = SyntheticWeather(LOCATIONS["lyon"])
+        weather = DayWeather(LOCATIONS["lyon"])
         days = list(weather.year())
         assert len(days) == 365
 
     def test_year_start_phase(self):
-        weather = SyntheticWeather(LOCATIONS["lyon"])
+        weather = DayWeather(LOCATIONS["lyon"])
         days = list(weather.year(days=3, start_day_of_year=274))
         assert [d.day_of_year for d in days] == [274, 275, 276]
 
     def test_year_wraps(self):
-        weather = SyntheticWeather(LOCATIONS["lyon"])
+        weather = DayWeather(LOCATIONS["lyon"])
         days = list(weather.year(days=100, start_day_of_year=300))
         assert days[65].day_of_year == 365
         assert days[66].day_of_year == 1
 
     def test_monthly_poa_sums(self):
-        weather = SyntheticWeather(LOCATIONS["madrid"])
+        weather = DayWeather(LOCATIONS["madrid"])
         monthly = weather.monthly_poa_kwh_m2()
         assert monthly.shape == (12,)
         assert np.all(monthly > 0)
 
     def test_rejects_bad_day(self):
-        weather = SyntheticWeather(LOCATIONS["madrid"])
+        weather = DayWeather(LOCATIONS["madrid"])
         with pytest.raises(ConfigurationError):
             weather.day_irradiance(0, 0.5)
         with pytest.raises(ConfigurationError):

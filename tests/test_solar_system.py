@@ -1,9 +1,12 @@
 """Tests for PV array, battery, off-grid simulation and sizing — Table IV."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.solar import BatteryBucket
 from repro import constants
 from repro.energy.duty import lp_node_average_power_w
 from repro.errors import ConfigurationError, InfeasibleError
@@ -57,46 +60,14 @@ class TestPvArray:
 
 
 class TestBattery:
-    def test_initial_full(self):
+    """The parameter record the off-grid engine reads."""
+
+    def test_is_a_frozen_parameter_record(self):
         batt = Battery()
-        assert batt.is_full
-        assert batt.usable_wh == pytest.approx(0.6 * 720.0)
-
-    def test_charge_respects_headroom(self):
-        batt = Battery(capacity_wh=100.0, charge_efficiency=1.0)
-        batt.reset(0.5)
-        taken = batt.charge(100.0)
-        assert taken == pytest.approx(50.0)
-        assert batt.is_full
-
-    def test_charge_efficiency_loss(self):
-        batt = Battery(capacity_wh=100.0, charge_efficiency=0.9)
-        batt.reset(0.0)
-        batt.charge(50.0)
-        assert batt.stored_wh == pytest.approx(45.0)
-
-    def test_discharge_stops_at_cutoff(self):
-        batt = Battery(capacity_wh=100.0, discharge_cutoff=0.4)
-        delivered = batt.discharge(100.0)
-        assert delivered == pytest.approx(60.0)
-        assert batt.soc == pytest.approx(0.4)
-
-    def test_further_discharge_yields_nothing(self):
-        batt = Battery(capacity_wh=100.0, discharge_cutoff=0.4)
-        batt.discharge(100.0)
-        assert batt.discharge(10.0) == 0.0
-
-    def test_reset(self):
-        batt = Battery()
-        batt.discharge(100.0)
-        batt.reset()
-        assert batt.is_full
-
-    def test_rejects_negative_amounts(self):
-        with pytest.raises(ConfigurationError):
-            Battery().charge(-1.0)
-        with pytest.raises(ConfigurationError):
-            Battery().discharge(-1.0)
+        assert [f.name for f in dataclasses.fields(batt)] == [
+            "capacity_wh", "discharge_cutoff", "charge_efficiency"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            batt.capacity_wh = 1.0
 
     def test_rejects_bad_cutoff(self):
         with pytest.raises(ConfigurationError):
@@ -108,15 +79,73 @@ class TestBattery:
         with pytest.raises(ConfigurationError):
             Battery(capacity_wh=capacity_wh)
 
+    @pytest.mark.parametrize("field,value", (
+        ("discharge_cutoff", -0.1), ("discharge_cutoff", np.nan),
+        ("charge_efficiency", 0.0), ("charge_efficiency", 1.5),
+        ("charge_efficiency", np.nan)))
+    def test_rejects_out_of_range_cutoff_and_efficiency(self, field, value):
+        with pytest.raises(ConfigurationError):
+            Battery(**{field: value})
+
+
+class TestBatteryBucket:
+    """The scalar oracle's state-of-charge bucket over a Battery."""
+
+    def test_initial_full(self):
+        batt = BatteryBucket()
+        assert batt.is_full
+        assert batt.usable_wh == pytest.approx(0.6 * 720.0)
+
+    def test_charge_respects_headroom(self):
+        batt = BatteryBucket(Battery(capacity_wh=100.0, charge_efficiency=1.0))
+        batt.reset(0.5)
+        taken = batt.charge(100.0)
+        assert taken == pytest.approx(50.0)
+        assert batt.is_full
+
+    def test_charge_efficiency_loss(self):
+        batt = BatteryBucket(Battery(capacity_wh=100.0, charge_efficiency=0.9))
+        batt.reset(0.0)
+        batt.charge(50.0)
+        assert batt.stored_wh == pytest.approx(45.0)
+
+    def test_discharge_stops_at_cutoff(self):
+        batt = BatteryBucket(Battery(capacity_wh=100.0, discharge_cutoff=0.4))
+        delivered = batt.discharge(100.0)
+        assert delivered == pytest.approx(60.0)
+        assert batt.soc == pytest.approx(0.4)
+
+    def test_further_discharge_yields_nothing(self):
+        batt = BatteryBucket(Battery(capacity_wh=100.0, discharge_cutoff=0.4))
+        batt.discharge(100.0)
+        assert batt.discharge(10.0) == 0.0
+
+    def test_reset(self):
+        batt = BatteryBucket()
+        batt.discharge(100.0)
+        batt.reset()
+        assert batt.is_full
+
+    def test_rejects_negative_amounts(self):
+        with pytest.raises(ConfigurationError):
+            BatteryBucket().charge(-1.0)
+        with pytest.raises(ConfigurationError):
+            BatteryBucket().discharge(-1.0)
+
+    @pytest.mark.parametrize("soc", (-0.1, 1.1, np.nan))
+    def test_rejects_soc_outside_unit_interval(self, soc):
+        with pytest.raises(ConfigurationError):
+            BatteryBucket(soc=soc)
+
     @given(st.floats(min_value=0.0, max_value=500.0),
            st.floats(min_value=0.0, max_value=500.0))
     def test_soc_stays_in_bounds(self, charge_wh, discharge_wh):
-        batt = Battery(capacity_wh=720.0)
-        batt.reset(0.7)
+        batt = BatteryBucket(Battery(capacity_wh=720.0), soc=0.7)
         batt.charge(charge_wh)
         batt.discharge(discharge_wh)
         assert 0.0 <= batt.soc <= 1.0
-        assert batt.soc >= batt.discharge_cutoff - 1e-9 or batt.soc <= 0.7
+        assert (batt.soc >= batt.battery.discharge_cutoff - 1e-9
+                or batt.soc <= 0.7)
 
 
 class TestLoadProfile:

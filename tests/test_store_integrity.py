@@ -381,11 +381,12 @@ class TestProfileCacheStillWorks:
     """The hardening must not disturb the existing ProfileCache contract."""
 
     def test_profile_round_trip_with_checksum(self, tmp_path):
+        from repro.radio.batch import evaluate_scenarios
         from repro.scenario.spec import Scenario
 
         cache = ProfileCache(cache_dir=tmp_path)
         scenario = Scenario.uniform(2000.0, 4, resolution_m=100.0)
-        profile = cache.get_or_compute(scenario)
+        (profile,) = evaluate_scenarios([scenario], cache=cache)
         cache._memory.clear()
         again = cache.get(scenario)
         np.testing.assert_array_equal(profile.snr_db, again.snr_db)

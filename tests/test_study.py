@@ -394,8 +394,8 @@ class TestEngines:
             assert adapter.required <= set(adapter.params)
 
     def test_radio_matches_scalar_path(self):
+        from oracles.radio import compute_snr_profile
         from repro.corridor.layout import CorridorLayout
-        from repro.radio.link import compute_snr_profile
 
         spec = parse_study("""
 name: radio-check
@@ -413,8 +413,9 @@ fixed:
         assert row["mean_snr_db"][0] == profile.mean_snr_db
 
     def test_radio_cartesian_expansion(self):
+        from oracles.radio import compute_snr_profile
         from repro.corridor.layout import CorridorLayout
-        from repro.radio.link import LinkParams, compute_snr_profile
+        from repro.radio.link import LinkParams
 
         hp = LinkParams().hp_eirp_dbm
         spec = parse_study(f"""
