@@ -12,7 +12,7 @@ import pytest
 from oracles.des import simulate_days_event
 from repro.corridor.layout import CorridorLayout
 from repro.energy.scenario import OperatingMode, segment_energy
-from repro.simulation.corridor_sim import CorridorSimulation
+from repro.simulation.batch import simulate_days
 
 
 def bench_des_sleep_mode_day(benchmark):
@@ -30,10 +30,9 @@ def bench_des_all_modes(benchmark):
     layout = CorridorLayout.with_uniform_repeaters(2400.0, 8)
 
     def run_all_modes():
-        return {mode: CorridorSimulation(layout, mode=mode).run()
-                for mode in OperatingMode}
+        return {mode: simulate_days(layout, mode) for mode in OperatingMode}
 
     results = benchmark.pedantic(run_all_modes, rounds=1, iterations=1)
     for mode, sim_result in results.items():
         analytic = segment_energy(layout, mode).w_per_km
-        assert sim_result.avg_w_per_km == pytest.approx(analytic, rel=0.02), mode
+        assert sim_result.avg_w_per_km[0] == pytest.approx(analytic, rel=0.02), mode

@@ -14,7 +14,7 @@ Run:  python examples/timetable_simulation.py     (takes ~20 s)
 from repro import CorridorLayout, OperatingMode
 from repro.energy.scenario import segment_energy
 from repro.reporting.tables import format_table
-from repro.simulation.corridor_sim import CorridorSimulation
+from repro.simulation import simulate_days
 from repro.traffic.timetable import generate_timetable
 from repro.traffic.trains import TrafficParams
 
@@ -27,16 +27,17 @@ def main() -> None:
 
     # --- deterministic vs stochastic timetables ------------------------------
     rows = []
-    det = CorridorSimulation(layout, mode=OperatingMode.SLEEP).run()
-    rows.append(["deterministic (8/h)", det.hp_wh, det.service_wh, det.donor_wh,
-                 det.avg_w_per_km])
+    det = simulate_days(layout, OperatingMode.SLEEP)
+    rows.append(["deterministic (8/h)", float(det.hp_wh[0]),
+                 float(det.service_wh[0]), float(det.donor_wh[0]),
+                 float(det.avg_w_per_km[0])])
     for seed in (1, 2, 3):
         timetable = generate_timetable(TrafficParams(), stochastic=True,
                                        seed=seed)
-        sim = CorridorSimulation(layout, mode=OperatingMode.SLEEP,
-                                 timetable=timetable).run()
+        sim = simulate_days(layout, OperatingMode.SLEEP, timetables=(timetable,))
         rows.append([f"stochastic seed={seed} ({len(timetable)} trains)",
-                     sim.hp_wh, sim.service_wh, sim.donor_wh, sim.avg_w_per_km])
+                     float(sim.hp_wh[0]), float(sim.service_wh[0]),
+                     float(sim.donor_wh[0]), float(sim.avg_w_per_km[0])])
     print(format_table(
         ["timetable", "HP [Wh/d]", "service [Wh/d]", "donor [Wh/d]", "W/km"],
         rows, title="24 h event-driven energy, sleep mode"))
@@ -46,10 +47,9 @@ def main() -> None:
     rows = []
     for transition_s, lead_m in ((0.0, 0.0), (0.3, 50.0), (1.0, 100.0),
                                  (5.0, 300.0), (30.0, 1700.0)):
-        sim = CorridorSimulation(layout, mode=OperatingMode.SLEEP,
-                                 transition_s=transition_s,
-                                 wake_lead_m=lead_m).run()
-        rows.append([transition_s, lead_m, sim.avg_w_per_km])
+        sim = simulate_days(layout, OperatingMode.SLEEP,
+                            transition_s=transition_s, wake_lead_m=lead_m)
+        rows.append([transition_s, lead_m, float(sim.avg_w_per_km[0])])
     print(format_table(
         ["transition [s]", "wake lead [m]", "W/km"],
         rows, title="Wake-latency sensitivity"))

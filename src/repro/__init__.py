@@ -48,7 +48,6 @@ __all__ = [
     "duty_cycle",
     "generate_timetable",
     "day_timetables",
-    "CorridorSimulation",
     "simulate_days",
     "EnergyParams",
     "OperatingMode",
@@ -99,7 +98,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "traffic": (
         "TrafficParams", "day_timetables", "duty_cycle", "generate_timetable",
     ),
-    "simulation": ("CorridorSimulation", "simulate_days"),
+    "simulation": ("simulate_days",),
     "mobility": ("simulate_traversal",),
     "emf": ("node_compliance",),
     "economics": ("corridor_cost", "retrofit_payback_years"),

@@ -142,14 +142,30 @@ def build_study_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The output and cache flags every table-producing subcommand shares.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--cache-dir", metavar="DIR", default=None,
+                        help="persist Eq. (2) profiles / weather years "
+                             "under DIR, shared by worker processes")
+    output.add_argument("--csv", metavar="FILE", default=None,
+                        help="write the results table as CSV")
+    output.add_argument("--layout", choices=("long", "wide"), default="long",
+                        help="CSV layout: tidy long format (default) or one "
+                             "row per case")
+    output.add_argument("--json", metavar="FILE", default=None,
+                        help="write the results as a JSON document")
+    output.add_argument("--quiet", action="store_true",
+                        help="suppress the results preview table")
+
     run_parser = sub.add_parser(
-        "run", help="run a study file end to end")
+        "run", parents=[output], help="run a study file end to end")
     resume_parser = sub.add_parser(
-        "resume", help="continue a partially run study from its store")
+        "resume", parents=[output],
+        help="continue a partially run study from its store")
     shard_parser = sub.add_parser(
-        "shard", help="run one worker's slice of a study and sign a shard "
-                      "manifest (distributed execution; see "
-                      "docs/distributed.md)")
+        "shard", parents=[output],
+        help="run one worker's slice of a study and sign a shard manifest "
+             "(distributed execution; see docs/distributed.md)")
     for p in (run_parser, resume_parser, shard_parser):
         p.add_argument("study_file", help="path to the .yaml/.yml/.toml study")
         p.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -181,18 +197,6 @@ def build_study_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-shards", type=int, default=None, metavar="K",
                        help="stop after computing K new shards (partial run; "
                             "resume later with the same --store)")
-        p.add_argument("--csv", metavar="FILE", default=None,
-                       help="write the merged results table as CSV")
-        p.add_argument("--layout", choices=("long", "wide"), default="long",
-                       help="CSV layout: tidy long format (default) or one "
-                            "row per case")
-        p.add_argument("--json", metavar="FILE", default=None,
-                       help="write the merged results as a JSON document")
-        p.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="persist Eq. (2) profiles / weather years under "
-                            "DIR, shared by worker processes")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress the results preview table")
     for p in (run_parser, resume_parser):
         p.add_argument("--manifest", metavar="FILE", default=None,
                        help="also sign a 1-of-1 shard manifest over the "
@@ -211,8 +215,9 @@ def build_study_parser() -> argparse.ArgumentParser:
     shard_parser.set_defaults(resume=False)
 
     merge_parser = sub.add_parser(
-        "merge", help="validate worker manifests and reassemble the "
-                      "single-machine results table")
+        "merge", parents=[output],
+        help="validate worker manifests and reassemble the single-machine "
+             "results table")
     merge_parser.add_argument("study_file",
                               help="path to the .yaml/.yml/.toml study the "
                                    "manifests must attest")
@@ -233,23 +238,11 @@ def build_study_parser() -> argparse.ArgumentParser:
                               help="cases recomputed inline for the CRN "
                                    "bit-identity spot-check "
                                    "(default: %(default)s)")
-    merge_parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                              help="profile/weather cache for the CRN "
-                                   "spot-check recomputation")
-    merge_parser.add_argument("--csv", metavar="FILE", default=None,
-                              help="write the merged results table as CSV")
-    merge_parser.add_argument("--layout", choices=("long", "wide"),
-                              default="long",
-                              help="CSV layout (default: %(default)s)")
-    merge_parser.add_argument("--json", metavar="FILE", default=None,
-                              help="write the merged results as a JSON "
-                                   "document")
-    merge_parser.add_argument("--quiet", action="store_true",
-                              help="suppress the results preview table")
 
     refresh_parser = sub.add_parser(
-        "refresh", help="re-evaluate an updated study, recomputing only "
-                        "the cases whose content hash changed")
+        "refresh", parents=[output],
+        help="re-evaluate an updated study, recomputing only the cases "
+             "whose content hash changed")
     refresh_parser.add_argument("study_file",
                                 help="path to the *updated* study document")
     refresh_parser.add_argument("--previous", metavar="FILE", required=True,
@@ -262,23 +255,44 @@ def build_study_parser() -> argparse.ArgumentParser:
                                 metavar="K",
                                 help="shard count of the updated layout "
                                      "(default: min(cases, 16))")
-    refresh_parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                                help="profile/weather cache for the "
-                                     "recomputed cases")
-    refresh_parser.add_argument("--csv", metavar="FILE", default=None,
-                                help="write the refreshed table as CSV")
-    refresh_parser.add_argument("--layout", choices=("long", "wide"),
-                                default="long",
-                                help="CSV layout (default: %(default)s)")
-    refresh_parser.add_argument("--json", metavar="FILE", default=None,
-                                help="write the refreshed table as JSON")
-    refresh_parser.add_argument("--quiet", action="store_true",
-                                help="suppress the results preview table")
 
     list_parser = sub.add_parser("list", help="list study files")
     list_parser.add_argument("directory", nargs="?", default="studies",
                              help="directory to scan (default: studies/)")
     return parser
+
+
+def _load_study(path: str, label: str = "study"):
+    """Load a study document, or print why not and return ``None`` (exit 2)."""
+    from repro.errors import ReproError
+    from repro.study import load_study
+
+    try:
+        return load_study(path)
+    except (ReproError, OSError) as exc:
+        print(f"cannot load {label} {path!r}: {exc}", file=sys.stderr)
+        return None
+
+
+def _progress(args: argparse.Namespace):
+    """Per-shard ``[done/total] label`` heartbeat on stderr unless quiet."""
+    def progress(done: int, total: int, label: str) -> None:
+        if not args.quiet:
+            print(f"[{done}/{total}] {label}", file=sys.stderr)
+
+    return progress
+
+
+def _report(args: argparse.Namespace, result,
+            metadata: dict | None = None) -> None:
+    """Print the preview and summary unless quiet; write --csv / --json."""
+    if not args.quiet:
+        print(result.table.table())
+        print(result.summary(), file=sys.stderr)
+    if args.csv is not None:
+        result.table.write_csv(args.csv, layout=args.layout)
+    if args.json is not None:
+        result.table.write_json(args.json, metadata=metadata)
 
 
 def study_main(argv: list[str]) -> int:
@@ -334,23 +348,15 @@ def study_main(argv: list[str]) -> int:
         raise SystemExit("--max-shards cannot be combined with shard "
                          "slices or --manifest (a capped run attests "
                          "nothing useful)")
-    try:
-        spec = load_study(args.study_file)
-    except (ReproError, OSError) as exc:
-        print(f"cannot load study {args.study_file!r}: {exc}", file=sys.stderr)
+    spec = _load_study(args.study_file)
+    if spec is None:
         return 2
 
     store = None
     if args.store is not None:
         store = StudyStore(maxsize=1024, cache_dir=args.store)
-
-    def progress(done: int, total: int, label: str) -> None:
-        if not args.quiet:
-            print(f"[{done}/{total}] {label}", file=sys.stderr)
-
-    context = {}
-    if args.cache_dir is not None:
-        context["cache_dir"] = args.cache_dir
+    progress = _progress(args)
+    context = {} if args.cache_dir is None else {"cache_dir": args.cache_dir}
     if args.retries < 0:
         raise SystemExit("--retries must be >= 0")
     if args.fault_plan is not None:
@@ -390,17 +396,11 @@ def study_main(argv: list[str]) -> int:
         print(slice_result.summary(), file=sys.stderr)
         if report is None:  # more workers than shards: an empty slice
             return 0
-    if not args.quiet:
-        print(report.table.table())
-        print(report.summary(), file=sys.stderr)
+    _report(args, report)
     for shard in report.failed_shards:
         print(f"failed shard {shard.index} (cases [{shard.start}:"
               f"{shard.stop})): {shard.kind} after {shard.attempts} "
               f"attempt(s) — {shard.error}", file=sys.stderr)
-    if args.csv is not None:
-        report.table.write_csv(args.csv, layout=args.layout)
-    if args.json is not None:
-        report.table.write_json(args.json)
     if report.failed_shards:
         return 4  # completed with quarantined shards (--keep-going)
     return 3 if report.partial else 0
@@ -409,20 +409,15 @@ def study_main(argv: list[str]) -> int:
 def _study_merge(args: argparse.Namespace) -> int:
     """``repro study merge``: validate manifests, emit the merged table."""
     from repro.errors import ManifestError, MergeValidationError, ReproError
-    from repro.study import StudyStore, load_study, merge_manifests
+    from repro.study import StudyStore, merge_manifests
 
-    try:
-        spec = load_study(args.study_file)
-    except (ReproError, OSError) as exc:
-        print(f"cannot load study {args.study_file!r}: {exc}",
-              file=sys.stderr)
+    spec = _load_study(args.study_file)
+    if spec is None:
         return 2
     out_store = None
     if args.out_store is not None:
         out_store = StudyStore(maxsize=1024, cache_dir=args.out_store)
-    context = {}
-    if args.cache_dir is not None:
-        context["cache_dir"] = args.cache_dir
+    context = {} if args.cache_dir is None else {"cache_dir": args.cache_dir}
     try:
         merged = merge_manifests(spec, args.manifests, out_store=out_store,
                                  journal=args.journal,
@@ -435,54 +430,31 @@ def _study_merge(args: argparse.Namespace) -> int:
         print(f"merge failed: {exc}", file=sys.stderr)
         return 1
 
-    if not args.quiet:
-        print(merged.table.table())
-        print(merged.summary(), file=sys.stderr)
-    if args.csv is not None:
-        merged.table.write_csv(args.csv, layout=args.layout)
-    if args.json is not None:
-        merged.table.write_json(args.json,
-                                metadata={"workers": len(merged.manifests)})
+    _report(args, merged, metadata={"workers": len(merged.manifests)})
     return 0
 
 
 def _study_refresh(args: argparse.Namespace) -> int:
     """``repro study refresh``: re-run only hash-changed cases."""
     from repro.errors import ReproError
-    from repro.study import StudyStore, load_study, refresh_study
+    from repro.study import StudyStore, refresh_study
 
-    specs = []
-    for label, path in (("study", args.study_file),
-                        ("previous study", args.previous)):
-        try:
-            specs.append(load_study(path))
-        except (ReproError, OSError) as exc:
-            print(f"cannot load {label} {path!r}: {exc}", file=sys.stderr)
-            return 2
-    spec, previous = specs
+    spec = _load_study(args.study_file)
+    if spec is None:
+        return 2
+    previous = _load_study(args.previous, "previous study")
+    if previous is None:
+        return 2
     store = StudyStore(maxsize=1024, cache_dir=args.store)
-    context = {}
-    if args.cache_dir is not None:
-        context["cache_dir"] = args.cache_dir
-
-    def progress(done: int, total: int, label: str) -> None:
-        if not args.quiet:
-            print(f"[{done}/{total}] {label}", file=sys.stderr)
-
+    context = {} if args.cache_dir is None else {"cache_dir": args.cache_dir}
     try:
         refreshed = refresh_study(spec, previous, store, context=context,
-                                  shards=args.shards, progress=progress)
+                                  shards=args.shards, progress=_progress(args))
     except ReproError as exc:
         print(f"refresh failed: {exc}", file=sys.stderr)
         return 1
 
-    if not args.quiet:
-        print(refreshed.table.table())
-        print(refreshed.summary(), file=sys.stderr)
-    if args.csv is not None:
-        refreshed.table.write_csv(args.csv, layout=args.layout)
-    if args.json is not None:
-        refreshed.table.write_json(args.json)
+    _report(args, refreshed)
     return 3 if refreshed.partial else 0
 
 
@@ -560,19 +532,11 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _global_budget(per_km: float | None, scale: float) -> float | None:
-    """Scale a per-km CLI budget to a network total.
-
-    ``None`` or ``<= 0`` means unconstrained, as in the network study engine.
-    """
-    return None if per_km is None or per_km <= 0 else per_km * scale
-
-
 def network_main(argv: list[str]) -> int:
     """Entry point of the ``repro network`` subcommands."""
     from repro.errors import ReproError
     from repro.network import NAMED_GRAPHS, TechnologyCatalog, build_graph
-    from repro.network.optimize import optimize_network
+    from repro.network.optimize import budget_totals, optimize_network
 
     args = build_network_parser().parse_args(argv)
 
@@ -587,13 +551,11 @@ def network_main(argv: list[str]) -> int:
                             demand_scale=args.demand_scale)
         catalog = TechnologyCatalog.from_names(
             args.technologies, min_sleep_headway_s=args.min_sleep_headway)
+        energy_budget_w, cost_budget_eur = budget_totals(
+            graph.length_km, args.energy_budget, args.cost_budget)
         plan = optimize_network(
-            graph, catalog,
-            energy_budget_w=_global_budget(args.energy_budget,
-                                           graph.length_km),
-            cost_budget_eur=_global_budget(args.cost_budget,
-                                           1e3 * graph.length_km),
-            resolution_m=args.resolution,
+            graph, catalog, energy_budget_w=energy_budget_w,
+            cost_budget_eur=cost_budget_eur, resolution_m=args.resolution,
             horizon_years=args.horizon_years,
             jobs=args.jobs)
     except ReproError as exc:

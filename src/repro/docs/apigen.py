@@ -75,7 +75,7 @@ API_PAGES: tuple[ApiPage, ...] = (
 )
 
 _GENERATED_HEADER = (
-    "<!-- Generated by `python tools/gen_api_docs.py` from the live\n"
+    "<!-- Generated by `python -m repro docs api` from the live\n"
     "     docstrings - do not edit by hand; regenerate instead. -->\n")
 
 _ROLE = re.compile(r":(?:class|func|meth|mod|attr|data|exc|obj):`(~?)([^`]+)`")
@@ -319,10 +319,11 @@ def check(docs_dir: str | Path) -> list[str]:
     for page in API_PAGES:
         path = docs_dir / page.filename
         if not path.exists():
-            problems.append(f"{path}: missing (run tools/gen_api_docs.py)")
+            problems.append(
+                f"{path}: missing (run `python -m repro docs api`)")
             continue
         if path.read_text() != render_page(page):
             problems.append(
                 f"{path}: stale — docstrings changed; regenerate with "
-                f"`python tools/gen_api_docs.py`")
+                f"`python -m repro docs api`")
     return problems

@@ -73,7 +73,3 @@ def docs_command(argv: list[str]) -> int:
           f"internal links checked, {report.external_links} external not "
           f"fetched" + (f"; {len(problems)} problems" if problems else ""))
     return 1 if problems else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(docs_command(sys.argv[1:]))

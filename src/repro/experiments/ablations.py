@@ -23,7 +23,6 @@ from repro.radio.noise import RepeaterNoiseModel
 from repro.reporting.tables import format_table
 from repro.scenario.cache import ProfileCache
 from repro.scenario.spec import Scenario
-from repro.simulation.corridor_sim import CorridorSimulation
 from repro.optimize.isd import sweep_max_isd
 
 __all__ = [
@@ -226,11 +225,12 @@ class SleepAblationResult:
 def run_sleep_ablation(isd_m: float = 2650.0, n_repeaters: int = 10,
                        transitions_s=(0.0, 0.3, 1.0, 2.0, 5.0)) -> SleepAblationResult:
     """Energy sensitivity to the sleep/active transition time."""
+    from repro.simulation.batch import simulate_days
+
     layout = CorridorLayout.with_uniform_repeaters(isd_m, n_repeaters)
-    results = []
-    for t in transitions_s:
-        sim = CorridorSimulation(layout, mode=OperatingMode.SLEEP, transition_s=t,
-                                 wake_lead_m=max(50.0, t * 60.0))
-        results.append(sim.run().avg_w_per_km)
+    results = tuple(
+        float(simulate_days(layout, OperatingMode.SLEEP, transition_s=t,
+                            wake_lead_m=max(50.0, t * 60.0)).avg_w_per_km[0])
+        for t in transitions_s)
     return SleepAblationResult(transitions_s=tuple(transitions_s),
-                               w_per_km=tuple(results))
+                               w_per_km=results)

@@ -46,7 +46,7 @@ from repro.network.frontier import (
 from repro.network.graph import NetworkGraph
 from repro.reporting.tables import format_table
 
-__all__ = ["NetworkAssignment", "optimize_network"]
+__all__ = ["NetworkAssignment", "budget_totals", "optimize_network"]
 
 _BISECTION_ITERATIONS = 64
 _LAMBDA_GROWTH_LIMIT = 200
@@ -268,6 +268,25 @@ def _solve_budget(frontiers: SegmentFrontiers, objective: np.ndarray,
         else:
             lo = mid
     return select(hi)[inverse], hi
+
+
+def budget_totals(length_km: float, energy_w_per_km: float | None,
+                  cost_keur_per_km: float | None
+                  ) -> tuple[float | None, float | None]:
+    """Per-track-km budgets as the totals :func:`optimize_network` takes.
+
+    ``None`` or ``<= 0`` means unconstrained.  The CLI and the network
+    study both call this, so one budget hands the optimizer one float.
+
+    Returns:
+        ``(energy_budget_w, cost_budget_eur)``, each ``None`` when
+        unconstrained.
+    """
+    energy = (None if energy_w_per_km is None or energy_w_per_km <= 0
+              else energy_w_per_km * length_km)
+    cost = (None if cost_keur_per_km is None or cost_keur_per_km <= 0
+            else cost_keur_per_km * 1e3 * length_km)
+    return energy, cost
 
 
 def optimize_network(graph: NetworkGraph | None = None,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import constants
 from repro.corridor.geometry import CatenaryGrid
 from repro.corridor.layout import CorridorLayout
 from repro.errors import ConfigurationError, GeometryError
@@ -32,11 +31,6 @@ class PlacementResult:
     min_snr_db: float
     baseline_min_snr_db: float
     iterations: int
-
-    @property
-    def gain_db(self) -> float:
-        """Improvement of worst-case SNR over the centered baseline."""
-        return self.min_snr_db - self.baseline_min_snr_db
 
 
 def optimize_placement(isd_m: float,

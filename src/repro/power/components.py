@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro import constants
 from repro.errors import ConfigurationError
 
 __all__ = ["ComponentMode", "Component", "RepeaterBill", "repeater_prototype_bill"]
@@ -128,10 +127,6 @@ class RepeaterBill:
     def full_load_simultaneous_w(self) -> float:
         """Raw sum with every path at full drive (31.9 W, upper bound)."""
         return sum(c.total_active_w() for c in self.components)
-
-    def paper_full_load_w(self) -> float:
-        """The full-load figure as published (Table I): 28.38 W."""
-        return constants.LP_REPEATER_FULL_LOAD_W
 
     def by_mode(self, mode: ComponentMode) -> tuple[Component, ...]:
         """Components belonging to one functional group."""

@@ -35,7 +35,6 @@ from repro._lazy import lazy_exports
 __all__ = [
     "ScenarioService",
     "ServiceApp",
-    "serve",
     "JobStore",
     "JOB_STATES",
     "TERMINAL_STATES",
@@ -46,7 +45,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "app": ("ScenarioService", "ServiceApp", "serve"),
+    "app": ("ScenarioService", "ServiceApp"),
     "jobstore": ("JobStore",),
     "queue": ("JOB_STATES", "TERMINAL_STATES", "Job", "JobQueue"),
     "schemas": ("JobRequest", "JobView"),

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import re
-import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -42,7 +41,7 @@ from repro.errors import AdmissionError, ConfigurationError, UnknownJobError
 from repro.service.queue import JobQueue
 from repro.service.schemas import JobRequest
 
-__all__ = ["ScenarioService", "ServiceApp", "serve"]
+__all__ = ["ScenarioService", "ServiceApp"]
 
 #: Hard cap on request body size [bytes] (HTTP 413 beyond it).
 MAX_BODY_BYTES = 1 << 20
@@ -289,44 +288,3 @@ class ScenarioService:
         threading.Thread(target=_drain, name="service-drain",
                          daemon=True).start()
 
-
-def serve(host: str = "127.0.0.1", port: int = 8765,
-          store_dir: str | Path | None = None, *, workers: int = 2,
-          max_queue: int = 8, max_per_client: int = 4,
-          max_job_procs: int = 1, drain_grace_s: float = 30.0,
-          install_signals: bool = True,
-          ready: "threading.Event | None" = None) -> ScenarioService:
-    """Run the service until SIGTERM/SIGINT drains it (the CLI entry).
-
-    Args:
-        host: Bind address.
-        port: Bind port (``0`` picks a free one).
-        store_dir: Service state directory; ``None`` disables persistence.
-        workers: Concurrent job-executing threads.
-        max_queue: Waiting-job admission bound.
-        max_per_client: Per-client open-job admission cap.
-        max_job_procs: Per-job worker-process clamp.
-        drain_grace_s: Shutdown grace budget [s].
-        install_signals: Install SIGTERM/SIGINT handlers (main thread
-            only; tests drive :meth:`ScenarioService.initiate_shutdown`
-            directly).
-        ready: Optional event set once the listener is bound and the
-            queue recovered — lets a test thread wait for readiness.
-
-    Returns:
-        The drained service (exposes the queue for post-run inspection).
-    """
-    service = ScenarioService(host, port, store_dir, workers=workers,
-                              max_queue=max_queue,
-                              max_per_client=max_per_client,
-                              max_job_procs=max_job_procs,
-                              drain_grace_s=drain_grace_s)
-    service.start()
-    if install_signals:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(signum,
-                          lambda *_: service.initiate_shutdown())
-    if ready is not None:
-        ready.set()
-    service.serve_forever()
-    return service

@@ -16,12 +16,9 @@ __all__ = [
     "corridor_elements",
     "DayBatchResult",
     "simulate_days",
-    "CorridorSimulation",
-    "SimulatedEnergy",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "elements": ("ElementSpec", "corridor_elements"),
     "batch": ("DayBatchResult", "simulate_days"),
-    "corridor_sim": ("CorridorSimulation", "SimulatedEnergy"),
 })

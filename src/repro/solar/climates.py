@@ -115,15 +115,6 @@ class Location:
         """All twelve monthly mean clearness indices as one array."""
         return np.array([self.monthly_clearness_index(m) for m in range(12)])
 
-    def month_of_day(self, day_of_year: int) -> int:
-        """Month index (0..11) containing a day-of-year (1..365)."""
-        if not 1 <= day_of_year <= 365:
-            raise ConfigurationError(f"day-of-year must be 1..365, got {day_of_year}")
-        return int(DOY_MONTH[day_of_year - 1])
-
-    def is_winter(self, month: int) -> bool:
-        return month in WINTER_MONTHS
-
 
 #: The four high-speed corridor regions of Section IV-B.  Monthly GHI values
 #: are long-term climatological sums [kWh/m²/month]; the weather-character

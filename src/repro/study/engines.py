@@ -488,7 +488,7 @@ _NETWORK_FINITE = ("demand_scale", "energy_budget_w_per_km",
 
 def _run_network(cases: list[dict], seeds: list[int], context: dict) -> list[dict]:
     from repro.errors import InfeasibleError
-    from repro.network.optimize import optimize_network
+    from repro.network.optimize import budget_totals, optimize_network
 
     # Validate every case before any compute: NaN passes every range check.
     for case in cases:
@@ -503,16 +503,14 @@ def _run_network(cases: list[dict], seeds: list[int], context: dict) -> list[dic
         length_km = frontiers.graph.length_km
         # Budgets are per track km (scale-invariant across graph sizes);
         # the optimizer itself takes the global totals.
-        energy_budget = float(case["energy_budget_w_per_km"])
-        cost_budget = float(case["cost_budget_keur_per_km"])
+        energy_budget_w, cost_budget_eur = budget_totals(
+            length_km, float(case["energy_budget_w_per_km"]),
+            float(case["cost_budget_keur_per_km"]))
         min_w_per_km = frontiers.min_energy_w() / length_km
         try:
-            plan = optimize_network(
-                frontiers=frontiers,
-                energy_budget_w=(None if energy_budget <= 0
-                                 else energy_budget * length_km),
-                cost_budget_eur=(None if cost_budget <= 0
-                                 else cost_budget * 1e3 * length_km))
+            plan = optimize_network(frontiers=frontiers,
+                                    energy_budget_w=energy_budget_w,
+                                    cost_budget_eur=cost_budget_eur)
         except InfeasibleError:
             rows.append({
                 "feasible": 0, "total_cost_meur": nan, "total_energy_kw": nan,

@@ -386,7 +386,6 @@ def run_study(spec: StudySpec,
               shard_timeout: float | None = None,
               keep_going: bool = False,
               backoff_base: float = 0.25,
-              backoff_cap: float = 8.0,
               journal: str | Path | RunJournal | None = None,
               cancel: Callable[[], bool] | None = None,
               only_shards: Sequence[int] | None = None,
@@ -427,7 +426,6 @@ def run_study(spec: StudySpec,
             :attr:`StudyRunReport.failed_shards` instead of aborting.
         backoff_base: First-retry backoff scale [s] (``0`` disables backoff;
             see :func:`retry_delay`).
-        backoff_cap: Upper bound on the un-jittered backoff [s].
         journal: JSONL event journal — a path, an existing
             :class:`~repro.study.journal.RunJournal`, or ``None`` to default
             to ``run.jsonl`` inside the store's directory (no journal when
@@ -620,7 +618,7 @@ def run_study(spec: StudySpec,
         meta.last_kind = kind
         if meta.attempt < max_attempts:
             delay = retry_delay(spec.seed, meta.start, meta.attempt,
-                                base=backoff_base, cap=backoff_cap)
+                                base=backoff_base)
             meta.ready_at = time.monotonic() + delay
             log.emit("retry", shard=meta.index, start=meta.start,
                      stop=meta.stop, attempt=meta.attempt, delay_s=delay,

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.solar.battery import Battery
+from repro.solar.climates import DOY_MONTH, WINTER_MONTHS
 from repro.solar.degradation import (
     AgingParams,
     LifetimeResult,
@@ -32,7 +33,18 @@ from repro.solar.offgrid import OffGridResult, OffGridSystem
 from repro.solar.pv import PvArray
 
 __all__ = ["BatteryBucket", "DayIrradiance", "DayWeather", "simulate_year",
-           "project_lifetime_scalar"]
+           "project_lifetime_scalar", "month_of_day", "is_winter"]
+
+
+def month_of_day(day_of_year: int) -> int:
+    """Month index (0..11) containing a day-of-year (1..365)."""
+    if not 1 <= day_of_year <= 365:
+        raise ConfigurationError(f"day-of-year must be 1..365, got {day_of_year}")
+    return int(DOY_MONTH[day_of_year - 1])
+
+
+def is_winter(month: int) -> bool:
+    return month in WINTER_MONTHS
 
 
 @dataclass(frozen=True)
@@ -87,8 +99,8 @@ class DayWeather(SyntheticWeather):
         ground_view = (1.0 - np.cos(beta)) / 2.0
         poa = beam_h * rb + diffuse * sky_view + ghi * self.params.albedo * ground_view
 
-        month = self.location.month_of_day(day_of_year)
-        if self.location.is_winter(month):
+        month = month_of_day(day_of_year)
+        if is_winter(month):
             poa = poa * (1.0 - self.location.winter_reliability_derate)
 
         return DayIrradiance(day_of_year=day_of_year, kt=float(kt),
@@ -191,7 +203,7 @@ def simulate_year(system: OffGridSystem, days: int = 365,
     monthly_unmet = np.zeros(12, dtype=int)
 
     for day_index, day in enumerate(weather.year(days, start)):
-        month = system.location.month_of_day(day.day_of_year)
+        month = month_of_day(day.day_of_year)
         pv_w = system.pv.power_w(day.poa_w_m2)
         became_full = False
         for hour in range(24):

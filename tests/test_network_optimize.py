@@ -610,6 +610,38 @@ class TestCliBudgets:
         assert self._table(capsys, "--cost-budget", "0") == unconstrained
         assert self._table(capsys, "--cost-budget", "-5") == unconstrained
 
+    @pytest.mark.parametrize("flag, axis, per_km", [
+        ("--cost-budget", "cost_budget_keur_per_km", 50.0),
+        ("--cost-budget", "cost_budget_keur_per_km", 0.0),
+        ("--energy-budget", "energy_budget_w_per_km", 97.3),
+    ])
+    def test_cli_hands_the_optimizer_the_study_budget(self, monkeypatch,
+                                                      capsys, flag, axis,
+                                                      per_km):
+        import repro.network.optimize as optimize
+        import repro.study.engines as engines
+
+        budgets = []
+        real = optimize.optimize_network
+
+        def spy(*args, **kwargs):
+            budgets.append((kwargs["energy_budget_w"],
+                            kwargs["cost_budget_eur"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "optimize_network", spy)
+        from repro.cli import main
+
+        main(["network", "optimize", "--graph", "demo", "--quiet",
+              "--resolution", f"{RESOLUTION_M:g}", flag, f"{per_km!r}"])
+        case = {"graph": "demo", "resolution_m": RESOLUTION_M,
+                "energy_budget_w_per_km": 0.0, axis: per_km}
+        engines.run_cases("network", [case], [0])
+        # 50 kEUR/km on the 114.1 km demo graph: 50 * (1e3 * 114.1) and
+        # 50 * 1e3 * 114.1 differ by an ulp; both callers must agree.
+        cli, study = budgets
+        assert cli == study
+
     def test_negative_limit_exits_2(self, capsys):
         from repro.cli import main
 

@@ -84,7 +84,7 @@ def test_the_walk_covers_the_engines():
                  "repro.solar.degradation.project_lifetime",
                  "repro.kernels.numpy_fused.ar1_min_scan",
                  "repro.optimize.mc.min_snr_matrix",
-                 "repro.simulation.corridor_sim.CorridorSimulation.run"):
+                 "repro.simulation.batch.DayBatchResult.mean_w_per_km"):
         assert name in CALLABLES, name
     assert len(CALLABLES) > 300
 

@@ -15,7 +15,7 @@ from repro.energy.duty import lp_node_average_power_w
 from repro.energy.scenario import OperatingMode, segment_energy
 from repro.optimize.isd import sweep_max_isd
 from repro.radio.link import LinkParams, compute_snr_profile
-from repro.simulation.corridor_sim import CorridorSimulation
+from repro.simulation.batch import simulate_days
 from repro.solar.sizing import find_minimal_system
 from repro.solar.climates import LOCATIONS
 from repro.traffic.occupancy import duty_cycle, full_load_seconds_per_train
@@ -179,10 +179,10 @@ class TestCrossValidation:
         N=10 sleep-mode figure within 2 %."""
         layout = CorridorLayout.with_uniform_repeaters(2650.0, 10)
         analytic = segment_energy(layout, OperatingMode.SLEEP).w_per_km
-        simulated = CorridorSimulation(layout, mode=OperatingMode.SLEEP).run()
-        assert simulated.avg_w_per_km == pytest.approx(analytic, rel=0.02)
+        simulated = simulate_days(layout, OperatingMode.SLEEP)
+        assert simulated.avg_w_per_km[0] == pytest.approx(analytic, rel=0.02)
 
     def test_conventional_reference_consistent_everywhere(self):
         analytic = conventional_reference_w_per_km()
-        simulated = CorridorSimulation(CorridorLayout.conventional()).run()
-        assert simulated.avg_w_per_km == pytest.approx(analytic, rel=0.02)
+        simulated = simulate_days(CorridorLayout.conventional())
+        assert simulated.avg_w_per_km[0] == pytest.approx(analytic, rel=0.02)

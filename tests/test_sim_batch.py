@@ -250,16 +250,14 @@ class TestSimGridExperiment:
             run_study(_sim_grid((76.0,), 0))
 
 
-class TestCorridorSimulationRouting:
+class TestDefaultDay:
     def test_matches_the_event_oracle(self):
-        from repro.simulation.corridor_sim import CorridorSimulation
-
-        corridor = CorridorSimulation(LAYOUT)
-        batch = corridor.run()
+        timetable = generate_timetable()
+        batch = simulate_days(LAYOUT)
         event, events_processed = simulate_days_event(
-            LAYOUT, timetables=(corridor.timetable,))
+            LAYOUT, timetables=(timetable,))
         assert events_processed[0] > 1000
-        assert batch.total_mains_wh == pytest.approx(
+        assert float(batch.total_mains_wh[0]) == pytest.approx(
             float(event.total_mains_wh[0]), rel=1e-9)
 
 

@@ -1,5 +1,5 @@
 """Tests for the discrete-event simulation oracle (``tests/oracles/des``)
-and the corridor simulation front end."""
+and the one-day figures of the day simulator (``simulate_days``)."""
 
 import pytest
 
@@ -10,7 +10,8 @@ from oracles.des.statemachine import NodeState, PowerStateMachine
 from repro.corridor.layout import CorridorLayout
 from repro.energy.scenario import OperatingMode, segment_energy
 from repro.errors import ConfigurationError, SimulationError
-from repro.simulation.corridor_sim import CorridorSimulation
+from repro.experiments.ablations import run_sleep_ablation
+from repro.simulation.batch import simulate_days
 from repro.traffic.timetable import Timetable, TrainRun, generate_timetable
 from repro.traffic.trains import TrafficParams
 
@@ -318,57 +319,69 @@ class TestBarrier:
         assert barrier.lead_seconds(50.0) == pytest.approx(2.0)
 
 
-class TestCorridorSimulation:
+class TestOneDay:
+    """One realization of ``simulate_days`` against the analytic model."""
+
     def test_matches_analytic_sleep(self):
         layout = CorridorLayout.with_uniform_repeaters(2400.0, 8)
         analytic = segment_energy(layout, OperatingMode.SLEEP).w_per_km
-        sim = CorridorSimulation(layout, mode=OperatingMode.SLEEP).run()
-        assert sim.avg_w_per_km == pytest.approx(analytic, rel=0.02)
+        sim = simulate_days(layout, OperatingMode.SLEEP)
+        assert sim.avg_w_per_km[0] == pytest.approx(analytic, rel=0.02)
 
     def test_matches_analytic_continuous(self):
         layout = CorridorLayout.with_uniform_repeaters(1600.0, 3)
         analytic = segment_energy(layout, OperatingMode.CONTINUOUS).w_per_km
-        sim = CorridorSimulation(layout, mode=OperatingMode.CONTINUOUS).run()
-        assert sim.avg_w_per_km == pytest.approx(analytic, rel=0.02)
+        sim = simulate_days(layout, OperatingMode.CONTINUOUS)
+        assert sim.avg_w_per_km[0] == pytest.approx(analytic, rel=0.02)
 
     def test_matches_analytic_conventional(self):
         layout = CorridorLayout.conventional()
         analytic = segment_energy(layout, OperatingMode.SLEEP).w_per_km
-        sim = CorridorSimulation(layout).run()
-        assert sim.avg_w_per_km == pytest.approx(analytic, rel=0.02)
+        sim = simulate_days(layout)
+        assert sim.avg_w_per_km[0] == pytest.approx(analytic, rel=0.02)
 
     def test_solar_counts_only_hp(self):
         layout = CorridorLayout.with_uniform_repeaters(2650.0, 10)
-        sim = CorridorSimulation(layout, mode=OperatingMode.SOLAR).run()
-        assert sim.total_mains_wh == sim.hp_wh
-        assert sim.service_wh > 0  # still consumed, just off-grid
+        sim = simulate_days(layout, OperatingMode.SOLAR)
+        assert sim.total_mains_wh[0] == sim.hp_wh[0]
+        assert sim.service_wh[0] > 0  # still consumed, just off-grid
 
     def test_slower_transition_costs_energy(self):
         layout = CorridorLayout.with_uniform_repeaters(2400.0, 8)
-        fast = CorridorSimulation(layout, transition_s=0.0, wake_lead_m=0.0).run()
-        slow = CorridorSimulation(layout, transition_s=5.0, wake_lead_m=300.0).run()
-        assert slow.total_mains_wh > fast.total_mains_wh
+        fast = simulate_days(layout, transition_s=0.0, wake_lead_m=0.0)
+        slow = simulate_days(layout, transition_s=5.0, wake_lead_m=300.0)
+        assert slow.total_mains_wh[0] > fast.total_mains_wh[0]
 
     def test_empty_timetable_all_sleep(self):
         layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
         empty = generate_timetable(TrafficParams(trains_per_hour=0.0))
-        sim = CorridorSimulation(layout, timetable=empty).run()
+        sim = simulate_days(layout, timetables=(empty,))
         # Everything asleep all day: mast 224 W + 2 nodes at 4.72 W.
         expected_wh = (224.0 + 2 * 4.72) * 24.0
-        assert sim.total_mains_wh == pytest.approx(expected_wh, rel=1e-6)
+        assert sim.total_mains_wh[0] == pytest.approx(expected_wh, rel=1e-6)
 
     def test_stochastic_timetable_close_to_deterministic(self):
         layout = CorridorLayout.with_uniform_repeaters(2400.0, 8)
-        det = CorridorSimulation(layout).run()
-        sto = CorridorSimulation(
-            layout,
-            timetable=generate_timetable(stochastic=True, seed=3)).run()
-        assert sto.avg_w_per_km == pytest.approx(det.avg_w_per_km, rel=0.05)
+        det = simulate_days(layout)
+        sto = simulate_days(
+            layout, timetables=(generate_timetable(stochastic=True, seed=3),))
+        assert sto.avg_w_per_km[0] == pytest.approx(det.avg_w_per_km[0],
+                                                    rel=0.05)
 
     def test_multi_day_scales_linearly(self):
         layout = CorridorLayout.with_uniform_repeaters(1250.0, 1)
-        one = CorridorSimulation(layout).run()
-        two = CorridorSimulation(
-            layout, timetable=generate_timetable(days=2)).run()
-        assert two.total_mains_wh == pytest.approx(2 * one.total_mains_wh, rel=0.001)
-        assert two.avg_w_per_km == pytest.approx(one.avg_w_per_km, rel=0.001)
+        one = simulate_days(layout)
+        two = simulate_days(layout, timetables=(generate_timetable(days=2),))
+        assert two.total_mains_wh[0] == pytest.approx(
+            2 * one.total_mains_wh[0], rel=0.001)
+        assert two.avg_w_per_km[0] == pytest.approx(one.avg_w_per_km[0],
+                                                    rel=0.001)
+
+    def test_sleep_ablation_reads_simulate_days(self):
+        result = run_sleep_ablation()
+        layout = CorridorLayout.with_uniform_repeaters(2650.0, 10)
+        assert len(result.w_per_km) == len(result.transitions_s) == 5
+        for t, w_per_km in zip(result.transitions_s, result.w_per_km):
+            day = simulate_days(layout, OperatingMode.SLEEP, transition_s=t,
+                                wake_lead_m=max(50.0, t * 60.0))
+            assert w_per_km == day.avg_w_per_km[0]  # bit for bit

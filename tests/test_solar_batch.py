@@ -17,7 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles.solar import DayWeather, project_lifetime_scalar, simulate_year
+from oracles.solar import (
+    DayWeather,
+    month_of_day,
+    project_lifetime_scalar,
+    simulate_year,
+)
 from repro.errors import ConfigurationError
 from repro.solar.batch import (
     WeatherCache,
@@ -66,18 +71,17 @@ class TestWeatherTensor:
         weather = DayWeather(LOCATIONS["vienna"], seed=3)
         sums = np.zeros(12)
         for day in weather.year():
-            sums[weather.location.month_of_day(day.day_of_year)] += day.daily_poa_wh_m2 / 1000.0
+            sums[month_of_day(day.day_of_year)] += day.daily_poa_wh_m2 / 1000.0
         assert np.array_equal(weather.monthly_poa_kwh_m2(), sums)
 
     def test_month_lookup_matches_boundary_scan(self):
         from repro.solar.climates import MONTH_DAYS, MONTH_FIRST_DOY
-        loc = LOCATIONS["madrid"]
         for month, (first, length) in enumerate(zip(MONTH_FIRST_DOY, MONTH_DAYS)):
-            assert loc.month_of_day(first) == month
-            assert loc.month_of_day(first + length - 1) == month
+            assert month_of_day(first) == month
+            assert month_of_day(first + length - 1) == month
         assert DOY_MONTH.shape == (365,)
         assert np.array_equal(months_of_days(np.arange(1, 366)),
-                              [loc.month_of_day(d) for d in range(1, 366)])
+                              [month_of_day(d) for d in range(1, 366)])
 
     def test_months_of_days_rejects_out_of_range(self):
         with pytest.raises(ConfigurationError):

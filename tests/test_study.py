@@ -7,6 +7,7 @@ shipped ``studies/*.yaml`` files, and the ``repro study`` CLI smoke.
 """
 
 import ast
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -773,6 +774,83 @@ class TestStudyCli:
         path.write_text("name: x\nengine: nope\naxes:\n  isd_m: [1.0]\n")
         assert main(["study", "run", str(path)]) == 2
         assert "cannot load" in capsys.readouterr().err
+
+
+NETWORK_TEXT = """
+name: net-tiny
+engine: network
+seed: 0
+axes:
+  cost_budget_keur_per_km: [0.0, 50.0, 125.0]
+fixed:
+  graph: demo
+  resolution_m: 50.0
+  energy_budget_w_per_km: 0.0
+"""
+
+NETWORK_TEXT_V2 = NETWORK_TEXT.replace("125.0]", "125.0, 150.0]")
+
+#: sha256 of the long CSVs the tiny network study writes (one feasible and
+#: one infeasible cost budget, plus the unconstrained cell).  ``run`` and
+#: ``merge`` write the same table; ``refresh`` adds the 150 kEUR/km cell.
+NETWORK_CSV_SHA256 = {
+    "run": "e58b5c4be7ae949e732941c65e1043f42795149bd49cda84c326d9c897c987c0",
+    "merge": "e58b5c4be7ae949e732941c65e1043f42795149bd49cda84c326d9c897c987c0",
+    "refresh": "753a56ce588fa266d34ea632214b923a22ef5d880ec34e4a8ff0ccacc430131d",
+}
+
+
+class TestSharedOutputFlags:
+    """``run``, ``resume``, ``shard``, ``merge`` and ``refresh`` take the
+    same output flags and report through one path."""
+
+    REQUIRED = {
+        "run": [], "resume": ["--store", "s"],
+        "shard": ["--index", "0", "--of", "1", "--store", "s"],
+        "merge": ["m.json"],
+        "refresh": ["--previous", "p.yaml", "--store", "s"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_accepts_the_shared_flags(self, command):
+        from repro.cli import build_study_parser
+
+        args = build_study_parser().parse_args([
+            command, "x.yaml", *self.REQUIRED[command],
+            "--cache-dir", "c", "--csv", "t.csv", "--layout", "wide",
+            "--json", "t.json", "--quiet"])
+        assert (args.cache_dir, args.csv, args.layout, args.json,
+                args.quiet) == ("c", "t.csv", "wide", "t.json", True)
+
+    @pytest.mark.parametrize("command", ["run", "merge", "refresh"])
+    def test_writes_the_same_csv_bytes(self, command, tmp_path, capsys):
+        v1 = tmp_path / "v1.yaml"
+        v1.write_text(NETWORK_TEXT)
+        store = str(tmp_path / "store")
+        out = tmp_path / "out.csv"
+        if command == "merge":
+            manifests = []
+            for worker in range(2):
+                manifest = tmp_path / f"w{worker}" / "manifest.json"
+                assert main(["study", "shard", str(v1), "--quiet",
+                             "--index", str(worker), "--of", "2",
+                             "--shards", "2", "--store",
+                             str(manifest.parent),
+                             "--manifest", str(manifest)]) == 0
+                manifests.append(str(manifest))
+            argv = ["merge", str(v1), *manifests]
+        elif command == "refresh":
+            assert main(["study", "run", str(v1), "--quiet",
+                         "--store", store]) == 0
+            v2 = tmp_path / "v2.yaml"
+            v2.write_text(NETWORK_TEXT_V2)
+            argv = ["refresh", str(v2), "--previous", str(v1),
+                    "--store", store]
+        else:
+            argv = ["run", str(v1), "--store", store]
+        assert main(["study", *argv, "--quiet", "--csv", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == NETWORK_CSV_SHA256[command]
 
 
 # -- store guards (ISSUE-10 satellites) ---------------------------------------
